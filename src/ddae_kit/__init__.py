@@ -28,14 +28,13 @@ from .pencil import (
     nilpotency_index,
     wong_sequences,
 )
-from .piecewise import PiecewisePolynomial
+from .piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial
 from .model import (
     DdaeSystem,
     SplitCoefficients,
     build_split,
     fast_subsystem_solution,
     split_matrices,
-    underlying_dde_coeffs,
     underlying_ode_rhs,
 )
 from .classify import (
@@ -50,7 +49,6 @@ from .classify import (
     classify_legacy,
     classify_matrices,
     classify_propagation,
-    cross_check,
 )
 from .history import (
     Index3Report,

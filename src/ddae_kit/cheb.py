@@ -1,20 +1,15 @@
-"""Piecewise Chebyshev series: the solver's trajectory representation.
+"""Chebyshev kernel: Gauss-Lobatto nodes, node/coefficient transforms, trimming.
 
-Each piece holds coefficients of a vector-valued Chebyshev expansion on
-an interval [a, b] (shape (deg+1, n), column per component).  Built on
-numpy.polynomial.chebyshev; trailing coefficients are trimmed so that
-polynomial content keeps a low-degree, differentiation-friendly form.
+Coefficient arrays have shape (deg+1, n), one column per component.  The
+piecewise container in ``piecewise`` builds its Chebyshev basis on these
+helpers; the solver's collocation reuses the cached Vandermonde pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
-from numpy.polynomial import polynomial as P
 
-from .errors import DimensionMismatch, OutOfDomain
-
-_BOUNDARY_RTOL = 1e-9
 TRIM_TOL = 1e-14
 
 _vander_cache = {}
@@ -41,12 +36,6 @@ def values_to_coeffs(values):
     return Vinv @ values
 
 
-def coeffs_to_values(coef):
-    degree = coef.shape[0] - 1
-    V, _ = _vander_inv(degree)
-    return V @ coef
-
-
 def trim_coeffs(coef, tol=TRIM_TOL):
     """Drop trailing rows that are negligible next to the largest one."""
     mags = np.max(np.abs(coef), axis=1) if coef.shape[1] else np.zeros(coef.shape[0])
@@ -56,182 +45,3 @@ def trim_coeffs(coef, tol=TRIM_TOL):
     while keep > 1 and mags[keep - 1] <= cut:
         keep -= 1
     return coef[:keep]
-
-
-class ChebPiece:
-    """One Chebyshev expansion on [a, b]; coef has shape (deg+1, n)."""
-
-    __slots__ = ("a", "b", "coef")
-
-    def __init__(self, a, b, coef):
-        self.a = float(a)
-        self.b = float(b)
-        coef = np.asarray(coef)
-        if coef.ndim == 1:
-            coef = coef[:, None]
-        self.coef = coef
-
-    @property
-    def n(self):
-        return self.coef.shape[1]
-
-    def _to_unit(self, t):
-        return (2.0 * t - self.a - self.b) / (self.b - self.a)
-
-    def eval(self, t, order=0):
-        coef = self.coef
-        if order:
-            if order >= coef.shape[0]:
-                return np.zeros(self.n, dtype=self.coef.dtype)
-            coef = C.chebder(coef, m=order, scl=2.0 / (self.b - self.a), axis=0)
-        return np.asarray(C.chebval(self._to_unit(t), coef))
-
-    def derivative(self, order=1):
-        if order >= self.coef.shape[0]:
-            coef = np.zeros((1, self.n), dtype=self.coef.dtype)
-        else:
-            coef = C.chebder(self.coef, m=order, scl=2.0 / (self.b - self.a), axis=0)
-        return ChebPiece(self.a, self.b, coef)
-
-    def restricted(self, a, b, degree=None):
-        """Exact re-expansion on a subinterval."""
-        deg = self.coef.shape[0] - 1 if degree is None else degree
-        if deg == 0:
-            return ChebPiece(a, b, self.coef.copy())
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(deg)
-        vals = np.stack([self.eval(t) for t in nodes])
-        return ChebPiece(a, b, trim_coeffs(values_to_coeffs(vals)))
-
-    def sup_bound(self):
-        return float(np.max(np.sum(np.abs(self.coef), axis=0))) if self.coef.size else 0.0
-
-
-class PiecewiseCheb:
-    """Contiguous Chebyshev pieces forming a function on [start, end]."""
-
-    def __init__(self, pieces):
-        if not pieces:
-            raise DimensionMismatch("need at least one piece")
-        pieces = sorted(pieces, key=lambda p: p.a)
-        self.pieces = pieces
-        self.n = pieces[0].n
-
-    @classmethod
-    def from_polynomial(cls, pp):
-        """Exact conversion from a monomial piecewise polynomial."""
-        pieces = []
-        for a, b, c in pp.pieces:
-            deg = c.shape[0] - 1
-            if deg == 0:
-                pieces.append(ChebPiece(a, b, np.array(c)))
-                continue
-            u_nodes = (b - a) * 0.5 * (cgl_nodes(deg) + 1.0)
-            vals = P.polyval(u_nodes, c).T
-            pieces.append(ChebPiece(a, b, trim_coeffs(values_to_coeffs(vals))))
-        return cls(pieces)
-
-    @property
-    def start(self):
-        return self.pieces[0].a
-
-    @property
-    def end(self):
-        return self.pieces[-1].b
-
-    @property
-    def breakpoints(self):
-        return [self.pieces[0].a] + [p.b for p in self.pieces]
-
-    def _locate(self, t, side="right"):
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
-        if t < self.start - tol or t > self.end + tol:
-            raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
-        if side == "left":
-            for k, p in enumerate(self.pieces):
-                if t <= p.b + tol:
-                    return k
-            return len(self.pieces) - 1
-        for k, p in enumerate(self.pieces):
-            if t < p.b - tol:
-                return k
-        return len(self.pieces) - 1
-
-    def eval(self, t, order=0, side="right"):
-        return self.pieces[self._locate(float(t), side)].eval(float(t), order)
-
-    def eval_many(self, ts, order=0):
-        return np.stack([self.eval(t, order) for t in np.atleast_1d(ts)])
-
-    def derivative(self, order=1):
-        return PiecewiseCheb([p.derivative(order) for p in self.pieces])
-
-    def apply_matrix(self, M):
-        M = np.asarray(M)
-        return PiecewiseCheb(
-            [ChebPiece(p.a, p.b, p.coef @ M.T) for p in self.pieces]
-        )
-
-    def __add__(self, other):
-        sa, sb = self.aligned_with(other)
-        pieces = []
-        for p, q in zip(sa.pieces, sb.pieces):
-            m = max(p.coef.shape[0], q.coef.shape[0])
-            dtype = np.result_type(p.coef.dtype, q.coef.dtype)
-            c = np.zeros((m, self.n), dtype=dtype)
-            c[: p.coef.shape[0]] += p.coef
-            c[: q.coef.shape[0]] += q.coef
-            pieces.append(ChebPiece(p.a, p.b, trim_coeffs(c)))
-        return PiecewiseCheb(pieces)
-
-    def __mul__(self, scalar):
-        return PiecewiseCheb(
-            [ChebPiece(p.a, p.b, p.coef * scalar) for p in self.pieces]
-        )
-
-    __rmul__ = __mul__
-
-    def stack(self, other):
-        """Column-concatenate components of two aligned functions."""
-        sa, sb = self.aligned_with(other)
-        pieces = []
-        for p, q in zip(sa.pieces, sb.pieces):
-            m = max(p.coef.shape[0], q.coef.shape[0])
-            dtype = np.result_type(p.coef.dtype, q.coef.dtype)
-            c = np.zeros((m, p.n + q.n), dtype=dtype)
-            c[: p.coef.shape[0], : p.n] = p.coef
-            c[: q.coef.shape[0], p.n :] = q.coef
-            pieces.append(ChebPiece(p.a, p.b, c))
-        return PiecewiseCheb(pieces)
-
-    def split_at(self, points):
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
-        pieces = []
-        for p in self.pieces:
-            cuts = sorted(t for t in points if p.a + tol < t < p.b - tol)
-            lo = p.a
-            for t in cuts:
-                pieces.append(p.restricted(lo, t))
-                lo = t
-            if cuts:
-                pieces.append(p.restricted(lo, p.b))
-            else:
-                pieces.append(p)
-        return PiecewiseCheb(pieces)
-
-    def aligned_with(self, other):
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
-        if abs(other.start - self.start) > tol or abs(other.end - self.end) > tol:
-            raise OutOfDomain("domains differ")
-        merged = []
-        for t in sorted(set(self.breakpoints) | set(other.breakpoints)):
-            if not merged or t - merged[-1] > tol:
-                merged.append(t)
-        return self.split_at(merged), other.split_at(merged)
-
-    def shift(self, delta):
-        return PiecewiseCheb(
-            [ChebPiece(p.a + delta, p.b + delta, p.coef) for p in self.pieces]
-        )
-
-    def sup_bound(self):
-        return max(p.sup_bound() for p in self.pieces)

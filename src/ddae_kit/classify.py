@@ -180,11 +180,6 @@ def classify(
     )
 
 
-def cross_check(report: ClassificationReport) -> bool:
-    """True iff (advanced <=> de-smoothing) held for this report."""
-    return report.consistency_flag
-
-
 @dataclass(frozen=True, eq=False)
 class BackwardSystem:
     """Time-reversed companion system in doubled dimension.

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -30,13 +31,12 @@ from .errors import (
     DdaeKitError,
     InconsistentRestart,
     MalformedProblem,
-    NotAdmissible,
     NotSmoothingType,
     SingularPencil,
 )
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
 from .model import build_split
-from .problemfile import _encode_pieces, load_problem
+from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
 from .solver import SolverConfig, method_of_steps
 from .stability import SearchBox, assess_exponential_stability, spectral_abscissa
@@ -56,18 +56,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _scalar_json(value):
-    if isinstance(value, complex) or np.iscomplexobj(np.asarray(value)):
-        value = complex(value)
-        return [value.real, value.imag]
-    return float(value)
-
-
-def _matrix_json(M):
-    M = np.asarray(M)
-    return [[_scalar_json(v) for v in row] for row in np.atleast_2d(M)]
-
-
 def _analyze_payload(sys):
     split = build_split(sys)
     M = sys.horizon_intervals
@@ -79,7 +67,7 @@ def _analyze_payload(sys):
     backward = build_backward_system(sys, policy=sys.policy)
     bw = {
         "regular": bool(backward.regularity.regular),
-        "det_D": _scalar_json(backward.det_D),
+        "det_D": _encode_scalar(backward.det_D, np.iscomplexobj(backward.det_D)),
         "propagation": None,
         "legacy": None,
     }
@@ -96,7 +84,7 @@ def _analyze_payload(sys):
         hidden = {
             "nu_D": exp.nu_D,
             "delay_count": len(exp.D_delays),
-            "delays": [float((k + 1) * sys.tau) for k in range(exp.nu_D + 1)],
+            "delays": exp.delays,
         }
 
     return {
@@ -113,33 +101,16 @@ def _analyze_payload(sys):
             "rank_ambiguous": bool(split.qwf.rank_ambiguous),
         },
         "propagation": {
+            **asdict(report.propagation),
             "kind": report.propagation.kind.value,
-            "nu_D": report.propagation.nu_D,
-            "first_violating_k": report.propagation.first_violating_k,
-            "horizon_dependent_note": report.propagation.horizon_dependent_note,
         },
         "legacy": report.legacy.kind.value,
         "evidence": report.evidence,
         "cross_check": bool(report.consistency_flag),
-        "index3_uniqueness": {
-            "applicable": idx3.applicable,
-            "index_le_3": idx3.index_le_3,
-            "N_Ba2_zero": idx3.N_Ba2_zero,
-            "N2_Ba1_Bd2_zero": idx3.N2_Ba1_Bd2_zero,
-            "norm_N_Ba2": idx3.norm_N_Ba2,
-            "norm_N2_Ba1_Bd2": idx3.norm_N2_Ba1_Bd2,
-        },
+        "index3_uniqueness": asdict(idx3),
         "backward": bw,
         "hidden_delays": hidden,
-        "history_checks": {
-            "admissible": splice.admissible,
-            "admissible_residual": splice.admissible_residual,
-            "smooth_c1": splice.smooth_c1,
-            "smooth_c1_residual": splice.smooth_c1_residual,
-            "smooth_c2": splice.smooth_c2,
-            "smooth_c2_residual": splice.smooth_c2_residual,
-            "kappa_observed": splice.kappa_observed,
-        },
+        "history_checks": asdict(splice),
     }
 
 
@@ -154,39 +125,27 @@ def _format_value(v):
 
 
 def _write_trajectory_csv(path, sys_, trajectory, degree):
-    complex_field = sys_.is_complex
-    n = sys_.n
+    """Each piece sampled at its CGL nodes of the collocation degree."""
+    parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if complex_field:
-            cols = []
-            for j in range(1, n + 1):
-                cols += [f"x_{j}_re", f"x_{j}_im"]
-        else:
-            cols = [f"x_{j}" for j in range(1, n + 1)]
+        cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
         fh.write(",".join(["t"] + cols + ["side"]) + "\n")
         for seg in trajectory.segments:
             offset = (seg.index - 1) * trajectory.tau
             rows = []
-            for p_idx, piece in enumerate(seg.pieces.pieces):
-                nodes = 0.5 * (piece.a + piece.b) + 0.5 * (piece.b - piece.a) * cgl_nodes(
-                    max(degree, 1)
-                )
-                for k, t_loc in enumerate(nodes):
-                    if p_idx > 0 and k == 0:
-                        continue
-                    rows.append((float(t_loc), piece.eval(float(t_loc))))
+            for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
+                nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(degree, 1))
+                values = seg.pieces.basis.eval(coef, a, b, nodes).T
+                skip = 1 if p_idx else 0  # shared knot: already the last row
+                rows += [(float(t), v) for t, v in zip(nodes[skip:], values[skip:])]
             for r_idx, (t_loc, value) in enumerate(rows):
                 side = ""
                 if r_idx == 0:
                     side = "R"
                 elif r_idx == len(rows) - 1:
                     side = "L"
-                if complex_field:
-                    vals = []
-                    for v in value:
-                        vals += [_format_value(np.real(v)), _format_value(np.imag(v))]
-                else:
-                    vals = [_format_value(np.real(v)) for v in value]
+                vals = [_format_value(part(v))
+                        for v in value for part in parts.values()]
                 fh.write(
                     ",".join([_format_value(offset + t_loc)] + vals + [side]) + "\n"
                 )
@@ -197,14 +156,7 @@ def _ledger_payload(ledger, tau):
         "schema": SCHEMA,
         "tau": float(tau),
         "knots": [
-            {
-                "knot_index": e.knot_index,
-                "time": float(e.time),
-                "matched_order": e.matched_order,
-                "first_jump_order": e.first_jump_order,
-                "jump_norm": e.jump_norm,
-                "inconsistent_restart": e.inconsistent_restart,
-            }
+            {k: v for k, v in asdict(e).items() if k != "jump_vector"}
             for e in ledger.entries
         ],
     }
@@ -212,21 +164,12 @@ def _ledger_payload(ledger, tau):
 
 def cmd_solve(args):
     sys_ = load_problem(args.problem)
-    config = SolverConfig(
-        degree=args.degree,
-        k_max=args.kmax,
-        on_inconsistent=args.on_inconsistent,
-    )
-    try:
-        trajectory, ledger = method_of_steps(sys_, config=config)
-    except NotAdmissible as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_MALFORMED
-    except InconsistentRestart as exc:
-        # hard-stop mode: no outputs are written
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INCONSISTENT
-    _write_trajectory_csv(args.out_csv, sys_, trajectory, args.degree)
+    config = SolverConfig(k_max=args.kmax, on_inconsistent=args.on_inconsistent)
+    if args.degree is not None:
+        config = replace(config, degree=args.degree)
+    # a hard stop (--on-inconsistent stop) raises before any output is written
+    trajectory, ledger = method_of_steps(sys_, config=config)
+    _write_trajectory_csv(args.out_csv, sys_, trajectory, config.degree)
     _write_json(args.ledger_out, _ledger_payload(ledger, sys_.tau))
     if ledger.has_inconsistent:
         print("warning: inconsistent restart; partial outputs written",
@@ -257,11 +200,7 @@ def cmd_stability(args):
             {"lambda": [lam.real, lam.imag], "residual": res}
             for lam, res in report.rightmost_roots
         ],
-        "box": {
-            "re_min": report.box.re_min,
-            "re_max": report.box.re_max,
-            "im_max": report.box.im_max,
-        },
+        "box": asdict(report.box),
         "grid": list(report.grid),
         "box_limited": report.box_limited,
         "no_roots": report.no_roots,
@@ -287,9 +226,9 @@ def cmd_hidden_delays(args):
         "schema": SCHEMA,
         "applicable": True,
         "nu_D": exp.nu_D,
-        "delays": [float((k + 1) * sys_.tau) for k in range(exp.nu_D + 1)],
-        "J": _matrix_json(exp.J),
-        "D": [_matrix_json(Dk) for Dk in exp.D_delays],
+        "delays": exp.delays,
+        "J": _encode_matrix(exp.J, np.iscomplexobj(exp.J)),
+        "D": [_encode_matrix(Dk, np.iscomplexobj(Dk)) for Dk in exp.D_delays],
     }
     _write_json(args.out, payload)
     return EXIT_OK
@@ -299,17 +238,7 @@ def cmd_check_history(args):
     sys_ = load_problem(args.problem)
     split = build_split(sys_)
     splice = splicing_report(sys_, split)
-    payload = {
-        "schema": SCHEMA,
-        "admissible": splice.admissible,
-        "admissible_residual": splice.admissible_residual,
-        "smooth_c1": splice.smooth_c1,
-        "smooth_c1_residual": splice.smooth_c1_residual,
-        "smooth_c2": splice.smooth_c2,
-        "smooth_c2_residual": splice.smooth_c2_residual,
-        "kappa_observed": splice.kappa_observed,
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, {"schema": SCHEMA, **asdict(splice)})
     return EXIT_OK
 
 
@@ -327,7 +256,7 @@ def cmd_probe(args):
         target[0] = 1.0
     try:
         phi = construct_probe_history(split, args.order, target, side=args.side)
-    except (ValueError, DdaeKitError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_MALFORMED
     payload = {
@@ -357,7 +286,8 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("out_csv")
     p.add_argument("ledger_out")
-    p.add_argument("--degree", type=int, default=48)
+    p.add_argument("--degree", type=int, default=None,
+                   help="collocation degree (default: SolverConfig.degree)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument(
         "--on-inconsistent", choices=("stop", "record"), default="record",
@@ -409,6 +339,9 @@ def main(argv=None):
     except InconsistentRestart as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INCONSISTENT
+    except (DdaeKitError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -78,22 +78,31 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
     return residual <= FLAG_TOL * scale, residual
 
 
+def _transition_residual(sys: DdaeSystem, split: SplitCoefficients, order: int):
+    """Residual of the C^order transition condition at t = 0.
+
+    With j = order - 1, phi^{(j+1)}(0) must equal A_diff phi^{(j)}(0)
+    + sum_{k=0}^{nu} (B_k phi^{(k+j)}(-tau) + C_k f^{(k+j)}(0)).
+    """
+    nu, j = split.nu, order - 1
+    phi_tau = sys.phi.derivatives(-sys.tau, nu + j, side="right")
+    f0 = sys.f.derivatives(0.0, nu + j, side="right")
+    rhs = split.A_diff @ sys.phi.evaluate(0.0, order=j, side="left")
+    for k in range(nu + 1):
+        rhs = rhs + split.B[k] @ phi_tau[k + j] + split.C[k] @ f0[k + j]
+    lhs = sys.phi.evaluate(0.0, order=order, side="left")
+    residual = float(np.linalg.norm(lhs - rhs))
+    scale = _scale_of(lhs, rhs, *phi_tau, *f0)
+    return residual <= FLAG_TOL * scale, residual
+
+
 def check_smoothness_condition(sys: DdaeSystem, split: SplitCoefficients):
     """Residual of the C^1 transition condition at t = 0.
 
     phi'(0) must equal A_diff phi(0)
     + sum_{k=0}^{nu} (B_k phi^{(k)}(-tau) + C_k f^{(k)}(0)).
     """
-    nu = split.nu
-    phi_tau = sys.phi.derivatives(-sys.tau, nu, side="right")
-    f0 = sys.f.derivatives(0.0, nu, side="right")
-    rhs = split.A_diff @ sys.phi.evaluate(0.0, side="left")
-    for k in range(nu + 1):
-        rhs = rhs + split.B[k] @ phi_tau[k] + split.C[k] @ f0[k]
-    lhs = sys.phi.evaluate(0.0, order=1, side="left")
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = _scale_of(lhs, rhs, *phi_tau, *f0)
-    return residual <= FLAG_TOL * scale, residual
+    return _transition_residual(sys, split, 1)
 
 
 def check_second_splicing(sys: DdaeSystem, split: SplitCoefficients):
@@ -102,16 +111,7 @@ def check_second_splicing(sys: DdaeSystem, split: SplitCoefficients):
     phi''(0) must equal A_diff phi'(0)
     + sum_{k=0}^{nu} (B_k phi^{(k+1)}(-tau) + C_k f^{(k+1)}(0)).
     """
-    nu = split.nu
-    phi_tau = sys.phi.derivatives(-sys.tau, nu + 1, side="right")
-    f0 = sys.f.derivatives(0.0, nu + 1, side="right")
-    rhs = split.A_diff @ sys.phi.evaluate(0.0, order=1, side="left")
-    for k in range(nu + 1):
-        rhs = rhs + split.B[k] @ phi_tau[k + 1] + split.C[k] @ f0[k + 1]
-    lhs = sys.phi.evaluate(0.0, order=2, side="left")
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = _scale_of(lhs, rhs, *phi_tau, *f0)
-    return residual <= FLAG_TOL * scale, residual
+    return _transition_residual(sys, split, 2)
 
 
 def observed_kappa(sys: DdaeSystem, split: SplitCoefficients, cap=None):
@@ -250,9 +250,9 @@ def construct_probe_history(
     if target.shape != (want,):
         raise DimensionMismatch(f"target must be a vector of length {want}")
 
-    tau = -split.psi.start if split.psi is not None else None
-    if tau is None:
+    if split.psi is None:
         raise DimensionMismatch("split must carry transformed history domain")
+    tau = -split.psi.start
     K = nu + m
     dtype = complex if (
         np.iscomplexobj(split.qwf.T) or np.iscomplexobj(target)
@@ -304,5 +304,5 @@ def construct_probe_history(
     vals_left = np.hstack([psi_tau, eta_tau])
     vals_right = np.hstack([psi0, eta0])
     coeffs = _hermite_two_point(vals_left, vals_right, tau)
-    phi = PiecewisePolynomial.from_single(coeffs, -tau, 0.0)
+    phi = PiecewisePolynomial([(-tau, 0.0, coeffs)])
     return phi.apply_matrix(split.qwf.T)

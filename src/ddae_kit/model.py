@@ -165,7 +165,7 @@ def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
     n_d, n_a, nu = qwf.n_d, qwf.n_a, qwf.nu
     S, T, J, N = qwf.S, qwf.T, qwf.J, qwf.N
     n = n_d + n_a
-    T_inv = np.linalg.inv(T)
+    T_inv = qwf.T_inv
 
     P_d = np.zeros((n, n), dtype=T.dtype)
     P_d[:n_d, :n_d] = np.eye(n_d)
@@ -222,7 +222,7 @@ def build_split(
     core = split_matrices(qwf, sys.E, sys.A, sys.D)
     n_d = qwf.n_d
     Sf = sys.f.apply_matrix(qwf.S)
-    Tinv_phi = sys.phi.apply_matrix(np.linalg.inv(qwf.T))
+    Tinv_phi = sys.phi.apply_matrix(qwf.T_inv)
     return replace(
         core,
         g=Sf.components(range(n_d)),
@@ -245,16 +245,11 @@ def underlying_ode_rhs(split: SplitCoefficients, q: PiecewisePolynomial):
     return split.A_diff, forcing
 
 
-def underlying_dde_coeffs(split: SplitCoefficients):
-    """Coefficient chains (B_k, C_k) of the delayed inherent ODE."""
-    return list(split.B), list(split.C)
-
-
 def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu=None, policy=DEFAULT_POLICY):
     """Exact solution w = -sum_{k<nu} N^k q_f^{(k)} of N w' = w + q_f.
 
-    q_f must be piecewise polynomial; the result is again piecewise
-    polynomial with the same breakpoints.  Raises if N is not nilpotent.
+    q_f may be in either basis; the result is piecewise polynomial in the
+    same basis with the same breakpoints.  Raises if N is not nilpotent.
     """
     N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
     if nu is None:
@@ -263,7 +258,7 @@ def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu=None, policy=DEFAULT
             raise DimensionMismatch("fast subsystem requires a nilpotent N")
     m = N.shape[0]
     if m == 0:
-        return PiecewisePolynomial.zero(0, q_f.start, q_f.end)
+        return PiecewisePolynomial.zero(0, q_f.start, q_f.end, basis=q_f.basis)
     w = q_f.apply_matrix(-np.eye(m, dtype=N.dtype))
     N_pow = np.array(N)
     for k in range(1, nu):
@@ -288,22 +283,15 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
     """
     nu = split.nu
     q_derivs = np.asarray(q_derivs)
-    if q_derivs.shape[0] < max(nu, orders + nu):
+    if q_derivs.shape[0] < orders + nu:
         raise DimensionMismatch(
-            f"need {max(nu, orders + nu)} inhomogeneity derivatives, "
-            f"got {q_derivs.shape[0]}"
+            f"need {orders + nu} inhomogeneity derivatives, got {q_derivs.shape[0]}"
         )
     x0 = split.A_con @ x_request
     for k in range(1, nu + 1):
         x0 = x0 + split.C[k] @ q_derivs[k - 1]
     residual = float(np.linalg.norm(x_request - x0))
-    xs = [x0]
-    for j in range(orders):
-        nxt = split.A_diff @ xs[j]
-        for k in range(nu + 1):
-            nxt = nxt + split.C[k] @ q_derivs[k + j]
-        xs.append(nxt)
-    return np.stack(xs), residual
+    return solution_taylor_from_value(split, x0, q_derivs, orders), residual
 
 
 def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orders):
@@ -321,11 +309,6 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
             nxt = nxt + split.C[k] @ q_derivs[k + j]
         xs.append(nxt)
     return np.stack(xs)
-
-
-def history_segment(sys: DdaeSystem) -> PiecewisePolynomial:
-    """The history shifted to segment-local time: x0(t) = phi(t - tau)."""
-    return sys.phi.shift(sys.tau)
 
 
 def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:

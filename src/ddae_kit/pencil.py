@@ -14,6 +14,7 @@ Real input stays real: no complexification is ever required.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,9 +136,18 @@ class QuasiWeierstrassForm:
     def n(self):
         return self.n_d + self.n_a
 
-    @property
+    @cached_property
     def T_inv(self):
-        return np.linalg.inv(self.T)
+        return _frozen(np.linalg.inv(self.T))
+
+    @cached_property
+    def S_inv(self):
+        return _frozen(np.linalg.inv(self.S))
+
+
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 def _orthonormal_range(M, policy, context=0.0):

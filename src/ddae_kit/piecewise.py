@@ -1,20 +1,30 @@
-"""Vector-valued piecewise polynomials with exact differentiation.
+"""Vector-valued piecewise polynomials in the monomial or Chebyshev basis.
 
-Data functions (history and inhomogeneity) are represented as piecewise
-polynomials in the monomial basis of the local variable ``t - start``.
-All operations that the analysis needs (evaluation, differentiation,
-matrix application, shifting, restriction, addition) are exact up to
-floating point roundoff, so derivative information of any order is
-available without numerical differentiation.
+One container owns the domain logic (validation, locating a time,
+evaluation, differentiation, matrix application, shifting, restriction,
+breakpoint alignment, addition, stacking); a small kernel per basis
+supplies the per-piece arithmetic: eval, der, restrict and the trim after
+an addition (tidy).
+
+Data functions (history and inhomogeneity) use the monomial basis of the
+local variable ``t - start``, so evaluation, differentiation, shifting and
+restriction are exact up to floating point roundoff and derivative
+information of any order is available without numerical differentiation.
+The solver's trajectories use the Chebyshev basis on each piece [a, b];
+trailing coefficients are trimmed after additions so that polynomial
+content keeps a low-degree, differentiation-friendly form.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
+from .cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
 
 DEGREE_CAP = 64
@@ -34,11 +44,7 @@ def _as_coeff_array(coeffs, n=None):
         raise DimensionMismatch(
             f"coefficient vectors have dimension {c.shape[1]}, expected {n}"
         )
-    if not np.iscomplexobj(c):
-        c = c.astype(float, copy=True)
-    else:
-        c = c.astype(complex, copy=True)
-    return c
+    return c.astype(complex if np.iscomplexobj(c) else float)
 
 
 def _shift_coeffs(c, delta):
@@ -53,27 +59,73 @@ def _shift_coeffs(c, delta):
     return out
 
 
-def _merge_breaks(lists, span):
-    """Sorted union of breakpoint lists, collapsing near-duplicates."""
-    tol = _BOUNDARY_RTOL * max(1.0, span)
-    pts = sorted(t for lst in lists for t in lst)
+def _merge_breaks(points, tol):
+    """Sorted breakpoints with near-duplicates (closer than tol) collapsed."""
     merged = []
-    for t in pts:
+    for t in sorted(points):
         if not merged or t - merged[-1] > tol:
             merged.append(t)
     return merged
+
+
+Basis = namedtuple("Basis", ["name", "eval", "der", "restrict", "tidy"])
+Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
+
+eval(c, a, b, t): values at t (a scalar or an array of times);
+der(c, a, b, m): coefficients of the m-th derivative;
+restrict(c, a, b, lo, hi): coefficients on the subinterval [lo, hi];
+tidy(c): trim applied to the coefficients of a sum.
+"""
+
+
+def _cheb_eval(c, a, b, t):
+    return C.chebval((2.0 * t - a - b) / (b - a), c)
+
+
+def _cheb_restrict(c, a, b, lo, hi):
+    """Exact re-expansion on [lo, hi] by interpolation at its CGL nodes."""
+    deg = c.shape[0] - 1
+    if deg == 0:
+        return c.copy()
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * cgl_nodes(deg)
+    vals = np.ascontiguousarray(_cheb_eval(c, a, b, nodes).T)
+    return trim_coeffs(values_to_coeffs(vals))
+
+
+# coeffs[k] multiplies (t - a)**k on the piece [a, b]
+MONOMIAL = Basis(
+    "monomial",
+    eval=lambda c, a, b, t: P.polyval(t - a, c),
+    der=lambda c, a, b, m: P.polyder(c, m=m, axis=0),
+    restrict=lambda c, a, b, lo, hi: _shift_coeffs(np.array(c), lo - a),
+    tidy=lambda c: c,
+)
+
+# coeffs[k] multiplies T_k of the piece [a, b] mapped onto [-1, 1]
+CHEBYSHEV = Basis(
+    "chebyshev",
+    eval=_cheb_eval,
+    der=lambda c, a, b, m: C.chebder(c, m=m, scl=2.0 / (b - a), axis=0),
+    restrict=_cheb_restrict,
+    tidy=trim_coeffs,
+)
+
+Piece = namedtuple("Piece", ["a", "b", "coef"])
+Piece.__doc__ = "One piece [a, b] with coefficient array coef of shape (deg+1, n)."
 
 
 class PiecewisePolynomial:
     """Piecewise polynomial function from an interval into F^n.
 
     Attributes:
-        pieces: tuple of (start, end, coeffs) with coeffs of shape
-            (deg+1, n); coeffs[k] multiplies (t - start)**k.
+        pieces: tuple of Piece(a, b, coef) triples, coef of shape
+            (deg+1, n) holding the coefficients in the basis of [a, b].
         n: value dimension.
+        basis: MONOMIAL (coeffs[k] multiplies (t - start)**k) or
+            CHEBYSHEV.
     """
 
-    def __init__(self, pieces, n=None):
+    def __init__(self, pieces, n=None, basis=MONOMIAL):
         norm_pieces = []
         for start, end, coeffs in pieces:
             start = float(start)
@@ -83,18 +135,18 @@ class PiecewisePolynomial:
             c = _as_coeff_array(coeffs, n)
             if n is None:
                 n = c.shape[1]
-            if c.shape[0] - 1 > DEGREE_CAP:
+            if basis is MONOMIAL and c.shape[0] - 1 > DEGREE_CAP:
                 raise DimensionMismatch(
                     f"piece degree {c.shape[0] - 1} exceeds cap {DEGREE_CAP}"
                 )
-            if c.shape[0] - 1 > DEGREE_WARN:
+            if basis is MONOMIAL and c.shape[0] - 1 > DEGREE_WARN:
                 warnings.warn(
                     f"piece degree {c.shape[0] - 1} above {DEGREE_WARN}; "
                     "monomial conditioning may degrade",
                     stacklevel=2,
                 )
             c.setflags(write=False)
-            norm_pieces.append((start, end, c))
+            norm_pieces.append(Piece(start, end, c))
         if not norm_pieces:
             raise DimensionMismatch("piecewise polynomial needs at least one piece")
         norm_pieces.sort(key=lambda p: p[0])
@@ -106,6 +158,15 @@ class PiecewisePolynomial:
                 )
         self.pieces = tuple(norm_pieces)
         self.n = n
+        self.basis = basis
+
+    def _with(self, pieces, n=None, basis=None):
+        """Unvalidated result built from pieces derived from this function."""
+        out = PiecewisePolynomial.__new__(PiecewisePolynomial)
+        out.pieces = tuple(pieces)
+        out.n = self.n if n is None else n
+        out.basis = basis or self.basis
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -115,13 +176,24 @@ class PiecewisePolynomial:
         return cls([(start, end, value[None, :])])
 
     @classmethod
-    def zero(cls, n, start, end, complex_field=False):
+    def zero(cls, n, start, end, complex_field=False, basis=MONOMIAL):
         dtype = complex if complex_field else float
-        return cls([(start, end, np.zeros((1, n), dtype=dtype))])
+        return cls([(start, end, np.zeros((1, n), dtype=dtype))], basis=basis)
 
-    @classmethod
-    def from_single(cls, coeffs, start, end):
-        return cls([(start, end, coeffs)])
+    def to_chebyshev(self):
+        """Exact conversion to the Chebyshev basis (interpolation at CGL nodes)."""
+        if self.basis is CHEBYSHEV:
+            return self
+        pieces = []
+        for a, b, c in self.pieces:
+            deg = c.shape[0] - 1
+            if deg == 0:
+                pieces.append(Piece(a, b, np.array(c)))
+                continue
+            u_nodes = (b - a) * 0.5 * (cgl_nodes(deg) + 1.0)
+            vals = P.polyval(u_nodes, c).T
+            pieces.append(Piece(a, b, trim_coeffs(values_to_coeffs(vals))))
+        return self._with(pieces, basis=CHEBYSHEV)
 
     # -- basic queries ------------------------------------------------
 
@@ -145,17 +217,15 @@ class PiecewisePolynomial:
     def is_complex(self):
         return any(np.iscomplexobj(p[2]) for p in self.pieces)
 
+    def _tol(self):
+        return _BOUNDARY_RTOL * max(1.0, self.end - self.start)
+
     def _locate(self, t, side="right"):
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
+        tol = self._tol()
         if t < self.start - tol or t > self.end + tol:
             raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
-        if side == "left":
-            for k, (_, b, _) in enumerate(self.pieces):
-                if t <= b + tol:
-                    return k
-            return len(self.pieces) - 1
         for k, (_, b, _) in enumerate(self.pieces):
-            if t < b - tol:
+            if (t <= b + tol) if side == "left" else (t < b - tol):
                 return k
         return len(self.pieces) - 1
 
@@ -163,17 +233,16 @@ class PiecewisePolynomial:
         """Evaluate the order-th derivative at time t.
 
         At interior knots the right limit is taken unless side="left".
-        Differentiation is exact (coefficient shift and scale); orders
-        above the local degree give the zero vector.
+        Differentiation acts on the coefficients; orders above the local
+        degree give the zero vector.
         """
         t = float(t)
-        k = self._locate(t, side=side)
-        a, _, c = self.pieces[k]
+        a, b, c = self.pieces[self._locate(t, side=side)]
         if order:
             if order >= c.shape[0]:
                 return np.zeros(self.n, dtype=c.dtype)
-            c = P.polyder(c, m=order, axis=0)
-        return P.polyval(t - a, c)
+            c = self.basis.der(c, a, b, order)
+        return self.basis.eval(c, a, b, t)
 
     def derivatives(self, t, orders, side="right"):
         """Stack of derivatives 0..orders at t, shape (orders+1, n)."""
@@ -185,8 +254,10 @@ class PiecewisePolynomial:
         """Upper bound for sup_t max_j |f_j(t)| via coefficient sums."""
         best = 0.0
         for a, b, c in self.pieces:
-            scale = (b - a) ** np.arange(c.shape[0])
-            best = max(best, float(np.max(np.sum(np.abs(c) * scale[:, None], axis=0))))
+            weights = np.abs(c)
+            if self.basis is MONOMIAL:  # |(t - a)^k| <= (b - a)^k; |T_k| <= 1
+                weights = weights * ((b - a) ** np.arange(c.shape[0]))[:, None]
+            best = max(best, float(np.max(np.sum(weights, axis=0))))
         return best
 
     # -- calculus and algebra -------------------------------------------
@@ -197,35 +268,28 @@ class PiecewisePolynomial:
             if order >= c.shape[0]:
                 d = np.zeros((1, self.n), dtype=c.dtype)
             else:
-                d = P.polyder(c, m=order, axis=0)
-            pieces.append((a, b, d))
-        return PiecewisePolynomial(pieces, self.n)
+                d = self.basis.der(c, a, b, order)
+            pieces.append(Piece(a, b, d))
+        return self._with(pieces)
 
     def apply_matrix(self, M):
         M = np.asarray(M)
         if M.shape[1] != self.n:
             raise DimensionMismatch("matrix columns must match value dimension")
-        return PiecewisePolynomial(
-            [(a, b, c @ M.T) for a, b, c in self.pieces], M.shape[0]
-        )
+        return self._with([Piece(a, b, c @ M.T) for a, b, c in self.pieces], M.shape[0])
 
     def __mul__(self, scalar):
-        return PiecewisePolynomial(
-            [(a, b, c * scalar) for a, b, c in self.pieces], self.n
-        )
+        return self._with([Piece(a, b, c * scalar) for a, b, c in self.pieces])
 
     __rmul__ = __mul__
 
     def shift(self, delta):
         """Time shift: returns s with s(t) = self(t - delta)."""
-        return PiecewisePolynomial(
-            [(a + delta, b + delta, c) for a, b, c in self.pieces], self.n
-        )
+        return self._with([Piece(a + delta, b + delta, c) for a, b, c in self.pieces])
 
     def restrict(self, a, b):
         """Exact restriction to the window [a, b] (a subset of the domain)."""
-        span = max(1.0, self.end - self.start)
-        tol = _BOUNDARY_RTOL * span
+        tol = self._tol()
         if a < self.start - tol or b > self.end + tol:
             raise OutOfDomain(f"window [{a}, {b}] not contained in domain")
         pieces = []
@@ -234,74 +298,74 @@ class PiecewisePolynomial:
             hi = min(pb, b)
             if hi - lo <= tol:
                 continue
-            pieces.append((lo, hi, _shift_coeffs(np.array(c), lo - pa)))
-        return PiecewisePolynomial(pieces, self.n)
+            pieces.append(Piece(lo, hi, self.basis.restrict(c, pa, pb, lo, hi)))
+        return self._with(pieces)
 
-    def _split_at(self, points):
-        """Insert interior breakpoints (exact re-centering)."""
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
+    def split_at(self, points):
+        """Insert interior breakpoints (exact re-expansion of cut pieces)."""
+        tol = self._tol()
         pieces = []
         for pa, pb, c in self.pieces:
             cuts = sorted(t for t in points if pa + tol < t < pb - tol)
-            lo = pa
-            for t in cuts:
-                pieces.append((lo, t, _shift_coeffs(np.array(c), lo - pa)))
-                lo = t
-            pieces.append((lo, pb, _shift_coeffs(np.array(c), lo - pa)))
-        return PiecewisePolynomial(pieces, self.n)
+            if not cuts:
+                pieces.append(Piece(pa, pb, c))
+                continue
+            for lo, hi in zip([pa] + cuts, cuts + [pb]):
+                pieces.append(Piece(lo, hi, self.basis.restrict(c, pa, pb, lo, hi)))
+        return self._with(pieces)
 
-    def _aligned_with(self, other):
-        span = self.end - self.start
-        cuts = _merge_breaks([self.breakpoints, other.breakpoints], span)
-        return self._split_at(cuts), other._split_at(cuts)
+    def aligned_with(self, other):
+        """Both functions re-cut at the union of their breakpoints."""
+        if other.basis is not self.basis:
+            raise DimensionMismatch(
+                f"cannot combine {self.basis.name} and {other.basis.name} pieces"
+            )
+        tol = self._tol()
+        if abs(other.start - self.start) > tol or abs(other.end - self.end) > tol:
+            raise OutOfDomain("piecewise polynomials live on different domains")
+        cuts = _merge_breaks(self.breakpoints + other.breakpoints, tol)
+        return self.split_at(cuts), other.split_at(cuts)
+
+    def _combine(self, other, stacked):
+        """Sum (or component stack) of two functions on aligned pieces."""
+        left, right = self.aligned_with(other)
+        width = self.n + other.n if stacked else self.n
+        pieces = []
+        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
+            m = max(ca.shape[0], cb.shape[0])
+            c = np.zeros((m, width), dtype=np.result_type(ca.dtype, cb.dtype))
+            if stacked:
+                c[: ca.shape[0], : self.n] = ca
+                c[: cb.shape[0], self.n :] = cb
+            else:
+                c[: ca.shape[0]] += ca
+                c[: cb.shape[0]] += cb
+                c = self.basis.tidy(c)
+            pieces.append(Piece(a, b, c))
+        return self._with(pieces, width)
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomial):
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatch("value dimensions differ")
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
-        if abs(other.start - self.start) > tol or abs(other.end - self.end) > tol:
-            raise OutOfDomain("can only add piecewise polynomials on the same domain")
-        left, right = self._aligned_with(other)
-        pieces = []
-        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
-            m = max(ca.shape[0], cb.shape[0])
-            dtype = np.result_type(ca.dtype, cb.dtype)
-            c = np.zeros((m, self.n), dtype=dtype)
-            c[: ca.shape[0]] += ca
-            c[: cb.shape[0]] += cb
-            pieces.append((a, b, c))
-        return PiecewisePolynomial(pieces, self.n)
+        return self._combine(other, stacked=False)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def stack(self, other):
         """Concatenate value components: result(t) = [self(t); other(t)]."""
-        tol = _BOUNDARY_RTOL * max(1.0, self.end - self.start)
-        if abs(other.start - self.start) > tol or abs(other.end - self.end) > tol:
-            raise OutOfDomain("can only stack piecewise polynomials on the same domain")
-        left, right = self._aligned_with(other)
-        pieces = []
-        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
-            m = max(ca.shape[0], cb.shape[0])
-            dtype = np.result_type(ca.dtype, cb.dtype)
-            c = np.zeros((m, self.n + other.n), dtype=dtype)
-            c[: ca.shape[0], : self.n] = ca
-            c[: cb.shape[0], self.n :] = cb
-            pieces.append((a, b, c))
-        return PiecewisePolynomial(pieces, self.n + other.n)
+        return self._combine(other, stacked=True)
 
     def components(self, idx):
         """Project onto a subset of value components."""
         idx = list(idx)
-        return PiecewisePolynomial(
-            [(a, b, c[:, idx]) for a, b, c in self.pieces], len(idx)
-        )
+        return self._with([Piece(a, b, c[:, idx]) for a, b, c in self.pieces], len(idx))
 
     def __repr__(self):
         return (
             f"PiecewisePolynomial(n={self.n}, pieces={len(self.pieces)}, "
-            f"domain=[{self.start}, {self.end}], max_degree={self.max_degree})"
+            f"basis={self.basis.name}, domain=[{self.start}, {self.end}], "
+            f"max_degree={self.max_degree})"
         )

@@ -12,11 +12,12 @@ variable t - start).  Complex scalars are encoded as [re, im] pairs.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
 
-from .errors import MalformedProblem
+from .errors import MalformedProblem, SingularPencil
 from .model import DdaeSystem
 from .piecewise import PiecewisePolynomial
 
@@ -32,14 +33,27 @@ REQUIRED_FIELDS = (
 )
 
 
+def _finite(value, where):
+    if not cmath.isfinite(value):
+        raise MalformedProblem(f"{where}: {value} is not a finite number")
+    return value
+
+
 def _decode_scalar(value, complex_field, where):
     if complex_field:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise MalformedProblem(f"{where}: complex entries must be [re, im] pairs")
-        return complex(float(value[0]), float(value[1]))
+        return _finite(complex(float(value[0]), float(value[1])), where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedProblem(f"{where}: expected a real number")
-    return float(value)
+    return _finite(float(value), where)
+
+
+def _decode_count(value, name):
+    """An integer field such as dimension; integral floats like 2.0 pass."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise MalformedProblem(f"{name} must be an integer, got {value!r}")
+    return int(float(value))
 
 
 def _decode_matrix(data, n, complex_field, name):
@@ -63,8 +77,8 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
         if not isinstance(piece, dict):
             raise MalformedProblem(f"{name}[{k}] must be an object")
         try:
-            start = float(piece["start"])
-            end = float(piece["end"])
+            start = _finite(float(piece["start"]), f"{name}[{k}].start")
+            end = _finite(float(piece["end"]), f"{name}[{k}].end")
             coeffs = piece["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedProblem(f"{name}[{k}] needs start, end, coeffs") from exc
@@ -102,10 +116,10 @@ def problem_from_dict(data) -> DdaeSystem:
         raise MalformedProblem('field must be "real" or "complex"')
     complex_field = field_tag == "complex"
     try:
-        n = int(data["dimension"])
-        tau = float(data["tau"])
-        M = int(data["horizon_intervals"])
-    except (TypeError, ValueError) as exc:
+        n = _decode_count(data["dimension"], "dimension")
+        tau = _finite(float(data["tau"]), "tau")
+        M = _decode_count(data["horizon_intervals"], "horizon_intervals")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedProblem("dimension/tau/horizon_intervals malformed") from exc
     if n < 1 or tau <= 0 or M < 1:
         raise MalformedProblem("dimension, tau, horizon_intervals must be positive")
@@ -120,13 +134,9 @@ def problem_from_dict(data) -> DdaeSystem:
         return DdaeSystem(
             E=E, A=A, D=D, tau=tau, horizon_intervals=M, f=f, phi=phi
         )
-    except MalformedProblem:
+    except (MalformedProblem, SingularPencil):
         raise
     except Exception as exc:
-        from .errors import SingularPencil
-
-        if isinstance(exc, SingularPencil):
-            raise
         raise MalformedProblem(str(exc)) from exc
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotSmoothingType
 from .classify import PropagationKind, classify_propagation
-from .model import DdaeSystem, SplitCoefficients
+from .model import DdaeSystem, SplitCoefficients, fast_subsystem_solution
 from .pencil import DEFAULT_POLICY, RankPolicy
 from .piecewise import PiecewisePolynomial
 
@@ -26,7 +26,8 @@ class HiddenDelayExpansion:
     """Retarded multi-delay form z'(t) = J z + sum_k D_k z(t-(k+1)tau) + theta.
 
     D_delays holds D_0..D_{nu_D}; theta is assembled exactly from the
-    transformed inhomogeneity on the solve window [nu_D tau, M tau].
+    transformed inhomogeneity on the solve window [nu_D tau, M tau];
+    tau is the delay, so the effective delays are (k+1) tau.
     """
 
     J: np.ndarray
@@ -34,15 +35,11 @@ class HiddenDelayExpansion:
     theta: PiecewisePolynomial
     nu_D: int
     split: SplitCoefficients
+    tau: float
 
     @property
     def delays(self):
-        return [(k + 1) * self.tau_hint for k in range(self.nu_D + 1)]
-
-    @property
-    def tau_hint(self):
-        # theta lives on [nu_D tau, M tau]; recover tau from the split data
-        return -self.split.psi.start if self.split.psi is not None else float("nan")
+        return [float((k + 1) * self.tau) for k in range(self.nu_D + 1)]
 
 
 def expand_hidden_delays(
@@ -66,8 +63,7 @@ def expand_hidden_delays(
     if split.g is None or split.h is None or split.psi is None:
         raise NotSmoothingType("split must carry transformed data functions")
     nu_D = prop.nu_D
-    n_d, n_a, nu = split.n_d, split.n_a, split.nu
-    J = split.qwf.J
+    n_a, nu = split.n_a, split.nu
     tau = -split.psi.start
 
     D_list = [np.array(split.B_d1)]
@@ -77,17 +73,11 @@ def expand_hidden_delays(
             D_list.append(((-1.0) ** k) * (split.B_d2 @ Ba2_pow @ split.B_a1))
             Ba2_pow = Ba2_pow @ split.B_a2
 
-    # accumulated fast inhomogeneity: h~ = sum_{j<nu} N^j h^{(j)}
-    if n_a:
-        h_acc = split.h.apply_matrix(np.eye(n_a, dtype=split.qwf.N.dtype))
-        N_pow = np.array(split.qwf.N)
-        for j in range(1, nu):
-            h_acc = h_acc + split.h.derivative(j).apply_matrix(N_pow)
-            N_pow = N_pow @ split.qwf.N
-
     window = (nu_D * tau, M * tau)
     theta = split.g.restrict(*window)
     if n_a:
+        # accumulated fast inhomogeneity: h~ = sum_{j<nu} N^j h^{(j)} = -w(h)
+        h_acc = -1.0 * fast_subsystem_solution(split.qwf.N, split.h, nu=nu)
         Ba2_pow = np.eye(n_a, dtype=split.B_a2.dtype)
         for k in range(nu_D):
             shifted = h_acc.shift((k + 1) * tau).restrict(*window)
@@ -97,7 +87,8 @@ def expand_hidden_delays(
             Ba2_pow = Ba2_pow @ split.B_a2
 
     return HiddenDelayExpansion(
-        J=J, D_delays=tuple(D_list), theta=theta, nu_D=nu_D, split=split
+        J=split.qwf.J, D_delays=tuple(D_list), theta=theta, nu_D=nu_D, split=split,
+        tau=tau,
     )
 
 

@@ -16,13 +16,12 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
-from . import cheb
-from .cheb import ChebPiece, PiecewiseCheb, cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import (
     CollocationSingular,
     DimensionMismatch,
@@ -35,11 +34,11 @@ from .model import (
     SplitCoefficients,
     build_split,
     fast_subsystem_solution,
-    history_segment,
     segment_window,
     solution_taylor,
     solution_taylor_from_value,
 )
+from .piecewise import CHEBYSHEV, Piece, PiecewisePolynomial
 
 _dmat_cache = {}
 
@@ -73,23 +72,16 @@ class SolverConfig:
 class SegmentSolution:
     """Solution on one delay interval, in segment-local time [0, tau].
 
+    pieces is a piecewise polynomial in the Chebyshev basis;
     derivs_start / derivs_end hold one-sided derivatives (rows = order)
-    at the left and right segment ends; exact_parts carries the fast
-    component as an exact piecewise polynomial when the segment input
-    was polynomial.
+    at the left and right segment ends.
     """
 
     index: int
-    pieces: PiecewiseCheb
+    pieces: PiecewisePolynomial
     consistency_residual: float
     derivs_start: np.ndarray
     derivs_end: np.ndarray
-    exact_parts: object = None
-    exact_x: object = field(default=None, repr=False)
-
-    @property
-    def cheb_coeffs(self):
-        return [(p.a, p.b, p.coef) for p in self.pieces.pieces]
 
 
 @dataclass(eq=False)
@@ -115,7 +107,7 @@ class Trajectory:
             i = int(np.floor(t / self.tau + eps)) + 1
         i = min(max(i, 1), len(self.segments))
         local = t - (i - 1) * self.tau
-        return self.segments[i - 1].pieces.eval(local, order=order, side=side)
+        return self.segments[i - 1].pieces.evaluate(local, order=order, side=side)
 
     def evaluate_many(self, ts, order=0):
         return np.stack([self.evaluate(t, order) for t in np.atleast_1d(ts)])
@@ -152,7 +144,7 @@ class JumpLedger:
 def _colloc_dmat(degree):
     """Node-space differentiation matrix on the CGL grid of [-1, 1]."""
     if degree not in _dmat_cache:
-        V, Vinv = cheb._vander_inv(degree)
+        V, Vinv = _vander_inv(degree)
         Dc = np.zeros((degree + 1, degree + 1))
         for k in range(degree + 1):
             e = np.zeros(degree + 1)
@@ -163,13 +155,16 @@ def _colloc_dmat(degree):
     return _dmat_cache[degree]
 
 
-def _solve_slow_piece(J, q_piece: ChebPiece, v0, degree):
-    """Collocation solve of v' = J v + q on one piece, v(a) = v0."""
-    a, b = q_piece.a, q_piece.b
+def _solve_slow_piece(J, a, b, q_coef, v0, degree):
+    """Collocation solve of v' = J v + q on one piece [a, b], v(a) = v0.
+
+    q_coef holds the Chebyshev coefficients of q on [a, b]; returns those
+    of v.
+    """
     nd = J.shape[0]
     p = degree
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(p)
-    Q = np.stack([q_piece.eval(t) for t in nodes])
+    Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
     dtype = np.result_type(J.dtype, Q.dtype, np.asarray(v0).dtype, float)
     Dmat = _colloc_dmat(p) * (2.0 / (b - a))
     A_sys = np.kron(Dmat, np.eye(nd)).astype(dtype) - np.kron(
@@ -184,22 +179,17 @@ def _solve_slow_piece(J, q_piece: ChebPiece, v0, degree):
     except np.linalg.LinAlgError as exc:
         raise CollocationSingular(str(exc)) from exc
     values = sol.reshape(p + 1, nd)
-    return ChebPiece(a, b, trim_coeffs(values_to_coeffs(values)))
+    return trim_coeffs(values_to_coeffs(values))
 
 
-def _fast_cheb(split, q_f: PiecewiseCheb) -> PiecewiseCheb:
-    """w = -sum_k N^k q_f^{(k)} in the Chebyshev representation."""
-    nu, n_a = split.nu, split.n_a
-    if n_a == 0:
-        return PiecewiseCheb(
-            [ChebPiece(p.a, p.b, np.zeros((1, 0))) for p in q_f.pieces]
-        )
-    w = q_f.apply_matrix(-np.eye(n_a, dtype=split.qwf.N.dtype))
-    N_pow = np.array(split.qwf.N)
-    for k in range(1, nu):
-        w = w + q_f.derivative(k).apply_matrix(-N_pow)
-        N_pow = N_pow @ split.qwf.N
-    return w
+def _integrate_slow(J, forcing: PiecewisePolynomial, v0, degree):
+    """Piece-by-piece collocation solve of v' = J v + forcing, v(start) = v0."""
+    pieces = []
+    for a, b, q_coef in forcing.pieces:
+        coef = _solve_slow_piece(J, a, b, q_coef, v0, degree)
+        pieces.append(Piece(a, b, coef))
+        v0 = CHEBYSHEV.eval(coef, a, b, b)
+    return forcing._with(pieces, J.shape[0])
 
 
 def _f_derivs_x(split, s, orders, side):
@@ -207,8 +197,7 @@ def _f_derivs_x(split, s, orders, side):
     gh = split.g.derivatives(s, orders, side=side)
     if split.n_a:
         gh = np.hstack([gh, split.h.derivatives(s, orders, side=side)])
-    S_inv = np.linalg.inv(split.qwf.S)
-    return gh @ S_inv.T
+    return gh @ split.qwf.S_inv.T
 
 
 def _compare_endpoints(left, right, k_max, tol_jump, order0_matched=None):
@@ -265,15 +254,13 @@ def detect_jumps(
 
 def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int):
     """The shifted history dressed up as segment number 0."""
-    x0 = history_segment(sys)
+    x0 = sys.phi.shift(sys.tau)
     return SegmentSolution(
         index=0,
-        pieces=PiecewiseCheb.from_polynomial(x0),
+        pieces=x0.to_chebyshev(),
         consistency_residual=0.0,
         derivs_start=x0.derivatives(0.0, orders, side="right"),
         derivs_end=x0.derivatives(sys.tau, orders, side="left"),
-        exact_parts=None,
-        exact_x=x0,
     )
 
 
@@ -291,7 +278,7 @@ def solve_segment(
     """
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
-    nu, n_d, n_a, n = split.nu, split.n_d, split.n_a, split.n
+    nu, n_d = split.nu, split.n_d
     tau = prev.pieces.end
     R_prev = prev.derivs_start.shape[0]
     orders = max(R_prev - 1 - nu, 1)
@@ -313,38 +300,16 @@ def solve_segment(
     # data windows in segment-local time
     g_i = segment_window(split.g, i, tau)
     h_i = segment_window(split.h, i, tau)
-    q_d = prev.pieces.apply_matrix(split.B_d) + PiecewiseCheb.from_polynomial(g_i)
-    q_f = prev.pieces.apply_matrix(split.B_a) + PiecewiseCheb.from_polynomial(h_i)
+    q_d = prev.pieces.apply_matrix(split.B_d) + g_i.to_chebyshev()
+    q_f = prev.pieces.apply_matrix(split.B_a) + h_i.to_chebyshev()
     q_d, q_f = q_d.aligned_with(q_f)
 
-    w = _fast_cheb(split, q_f)
+    w = fast_subsystem_solution(split.qwf.N, q_f, nu=nu)
+    v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
+    v = _integrate_slow(split.qwf.J, q_d, v0, config.degree)
+    pieces = v.stack(w).apply_matrix(split.qwf.T)
 
-    if n_d:
-        T_inv = np.linalg.inv(split.qwf.T)
-        v0 = (T_inv @ derivs_start[0])[:n_d]
-        v_pieces = []
-        for piece in q_d.pieces:
-            vp = _solve_slow_piece(split.qwf.J, piece, v0, config.degree)
-            v_pieces.append(vp)
-            v0 = vp.eval(piece.b)
-        v = PiecewiseCheb(v_pieces)
-    else:
-        v = PiecewiseCheb(
-            [ChebPiece(p.a, p.b, np.zeros((1, 0))) for p in q_d.pieces]
-        )
-
-    exact_parts = None
-    exact_x = None
-    if prev.exact_x is not None and n_a:
-        q_f_pp = prev.exact_x.apply_matrix(split.B_a) + h_i
-        exact_parts = fast_subsystem_solution(split.qwf.N, q_f_pp, nu=nu)
-    if prev.exact_x is not None and n_d == 0 and n_a:
-        exact_x = exact_parts.apply_matrix(split.qwf.T)
-        pieces = PiecewiseCheb.from_polynomial(exact_x)
-    else:
-        pieces = v.stack(w).apply_matrix(split.qwf.T)
-
-    x_end = pieces.eval(tau, side="left")
+    x_end = pieces.evaluate(tau, side="left")
     derivs_end = solution_taylor_from_value(split, x_end, q_right, orders)
 
     return SegmentSolution(
@@ -353,8 +318,6 @@ def solve_segment(
         consistency_residual=residual,
         derivs_start=derivs_start,
         derivs_end=derivs_end,
-        exact_parts=exact_parts,
-        exact_x=exact_x,
     )
 
 
@@ -426,8 +389,7 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
     if M <= nu_D:
         raise DimensionMismatch("horizon must exceed nu_D intervals")
 
-    T_inv = np.linalg.inv(split.qwf.T)
-    P_slow = T_inv[:n_d]
+    P_slow = split.qwf.T_inv[:n_d]
 
     z_segments = []
     if nu_D:
@@ -448,7 +410,7 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
                 )
             )
 
-    psi_seg = PiecewiseCheb.from_polynomial(split.psi.shift(tau))
+    psi_seg = split.psi.shift(tau).to_chebyshev()
 
     def z_piecewise(j):
         # segment j of z in local time; j = 0 is the shifted history psi
@@ -458,7 +420,7 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
 
     for i in range(nu_D + 1, M + 1):
         theta_i = expansion.theta.restrict((i - 1) * tau, i * tau).shift(-(i - 1) * tau)
-        forcing = PiecewiseCheb.from_polynomial(theta_i)
+        forcing = theta_i.to_chebyshev()
         for k, Dk in enumerate(expansion.D_delays):
             lag = k + 1
             forcing = forcing + z_piecewise(i - lag).apply_matrix(Dk)
@@ -468,21 +430,15 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
             else:
                 z0 = split.psi.evaluate(0.0, side="left")
         else:
-            z0 = z_segments[-1].pieces.eval(tau, side="left")
-        v_pieces = []
-        v0 = z0
-        for piece in forcing.pieces:
-            vp = _solve_slow_piece(expansion.J, piece, v0, config.degree)
-            v_pieces.append(vp)
-            v0 = vp.eval(piece.b)
-        pieces = PiecewiseCheb(v_pieces)
+            z0 = z_segments[-1].pieces.evaluate(tau, side="left")
+        pieces = _integrate_slow(expansion.J, forcing, z0, config.degree)
         z_segments.append(
             SegmentSolution(
                 index=i,
                 pieces=pieces,
                 consistency_residual=0.0,
-                derivs_start=pieces.eval(0.0)[None, :],
-                derivs_end=pieces.eval(tau, side="left")[None, :],
+                derivs_start=pieces.evaluate(0.0)[None, :],
+                derivs_end=pieces.evaluate(tau, side="left")[None, :],
             )
         )
     return Trajectory(z_segments, tau, n_d)

@@ -112,7 +112,7 @@ class TestCrossCheck:
     def test_examples_consistent(self, factory, M):
         split = dk.build_split(factory())
         report = dk.classify(split, M)
-        assert dk.cross_check(report)
+        assert report.consistency_flag
 
     def test_equivalence_on_random_systems(self):
         rng = np.random.default_rng(2)

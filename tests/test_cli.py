@@ -59,6 +59,28 @@ class TestProblemFile:
         with pytest.raises(dk.MalformedProblem):
             dk.load_problem(str(path))
 
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("analyze", "tau", float("inf")),
+            ("stability", "D", [[float("inf")]]),
+            ("analyze", "E", [[float("nan")]]),
+            ("analyze", "horizon_intervals", 2.5),
+            ("analyze", "dimension", 1.7),
+        ],
+    )
+    def test_bad_numbers_exit_malformed(self, tmp_path, capsys, command, key, value):
+        # without the checks these crashed, exited 4 for the wrong reason,
+        # or were silently truncated to integers
+        data = dk.problem_to_dict(example_neutral(horizon=2))
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path), str(tmp_path / "out.json")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and key in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestAnalyzeCommand:
     def test_neutral_example_report(self, tmp_path):

@@ -124,7 +124,7 @@ class TestUnderlyingEquations:
     def test_dde_coeff_chain(self):
         sys = example_advanced()
         split = dk.build_split(sys)
-        B, C = dk.underlying_dde_coeffs(split)
+        B, C = split.B, split.C
         assert len(B) == split.nu + 1 == 3
         for Bk, Ck in zip(B, C):
             assert np.allclose(Bk, Ck @ sys.D, atol=1e-12)

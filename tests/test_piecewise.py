@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.piecewise import PiecewisePolynomial
+from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial
 
 
 def random_pp(rng, n, breaks, max_deg=5):
@@ -45,10 +47,18 @@ class TestEvaluation:
 
 
 class TestCalculus:
+    """Domain operations in the monomial basis; the subclass reruns them
+    in the Chebyshev basis."""
+
+    basis = MONOMIAL
+
+    def make(self, pp):
+        return pp.to_chebyshev() if self.basis is CHEBYSHEV else pp
+
     def test_differentiate_evaluate_commutes(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            pp = random_pp(rng, 3, [0.0, 0.7, 1.5])
+            pp = self.make(random_pp(rng, 3, [0.0, 0.7, 1.5]))
             t = rng.uniform(0.0, 1.5)
             for order in range(4):
                 via_method = pp.evaluate(t, order=order)
@@ -57,7 +67,7 @@ class TestCalculus:
 
     def test_shift_and_restrict(self):
         rng = np.random.default_rng(5)
-        pp = random_pp(rng, 2, [0.0, 1.0, 2.0])
+        pp = self.make(random_pp(rng, 2, [0.0, 1.0, 2.0]))
         shifted = pp.shift(-1.0)
         assert shifted.start == pytest.approx(-1.0)
         assert np.allclose(shifted.evaluate(0.3), pp.evaluate(1.3), atol=1e-12)
@@ -70,8 +80,8 @@ class TestCalculus:
 
     def test_addition_merges_breakpoints(self):
         rng = np.random.default_rng(6)
-        p1 = random_pp(rng, 2, [0.0, 1.0, 2.0])
-        p2 = random_pp(rng, 2, [0.0, 0.5, 2.0])
+        p1 = self.make(random_pp(rng, 2, [0.0, 1.0, 2.0]))
+        p2 = self.make(random_pp(rng, 2, [0.0, 0.5, 2.0]))
         s = p1 + p2
         for t in [0.1, 0.5, 0.75, 1.0, 1.7]:
             assert np.allclose(
@@ -80,12 +90,12 @@ class TestCalculus:
 
     def test_apply_matrix_and_stack(self):
         rng = np.random.default_rng(7)
-        pp = random_pp(rng, 3, [0.0, 1.0])
+        pp = self.make(random_pp(rng, 3, [0.0, 1.0]))
         M = rng.standard_normal((2, 3))
         assert np.allclose(
             pp.apply_matrix(M).evaluate(0.4), M @ pp.evaluate(0.4), atol=1e-12
         )
-        other = random_pp(rng, 1, [0.0, 0.6, 1.0])
+        other = self.make(random_pp(rng, 1, [0.0, 0.6, 1.0]))
         stacked = pp.stack(other)
         assert stacked.n == 4
         assert np.allclose(stacked.evaluate(0.8)[:3], pp.evaluate(0.8), atol=1e-12)
@@ -94,7 +104,8 @@ class TestCalculus:
     def test_contiguity_enforced(self):
         with pytest.raises(dk.DimensionMismatch):
             PiecewisePolynomial(
-                [(0.0, 1.0, np.array([[1.0]])), (1.5, 2.0, np.array([[1.0]]))]
+                [(0.0, 1.0, np.array([[1.0]])), (1.5, 2.0, np.array([[1.0]]))],
+                basis=self.basis,
             )
 
     def test_degree_cap(self):
@@ -102,3 +113,35 @@ class TestCalculus:
             PiecewisePolynomial([(0.0, 1.0, np.zeros((70, 1)))])
         with pytest.warns(UserWarning):
             PiecewisePolynomial([(0.0, 1.0, np.zeros((30, 1)))])
+
+
+class TestCalculusChebyshev(TestCalculus):
+    basis = CHEBYSHEV
+
+    def test_degree_cap(self):
+        # the cap guards monomial conditioning; Chebyshev pieces have none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pp = PiecewisePolynomial([(0.0, 1.0, np.zeros((70, 1)))], basis=CHEBYSHEV)
+        assert pp.max_degree == 69
+
+    def test_conversion_matches_monomial(self):
+        rng = np.random.default_rng(9)
+        pp = random_pp(rng, 2, [0.0, 0.7, 1.5], max_deg=6)
+        cp = pp.to_chebyshev()
+        assert cp.basis is CHEBYSHEV and cp.breakpoints == pp.breakpoints
+        for t in [0.0, 0.3, 0.7, 1.1, 1.5]:
+            for side in ("left", "right"):
+                for order in range(4):
+                    want = pp.evaluate(t, order=order, side=side)
+                    got = cp.evaluate(t, order=order, side=side)
+                    scale = 1.0 + np.linalg.norm(want)
+                    assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+    def test_mixed_bases_rejected(self):
+        rng = np.random.default_rng(10)
+        pp = random_pp(rng, 2, [0.0, 1.0])
+        with pytest.raises(dk.DimensionMismatch):
+            pp + pp.to_chebyshev()
+        with pytest.raises(dk.DimensionMismatch):
+            pp.to_chebyshev().stack(pp)

@@ -40,8 +40,7 @@ class TestSolveSegment:
         seg = solve_segment(split, 1, hist)
         for t in np.linspace(0, 1, 7):
             side = "left" if t == 1.0 else "right"
-            assert seg.pieces.eval(t, side=side)[0] == pytest.approx(-t, abs=1e-13)
-        assert seg.exact_parts is not None
+            assert seg.pieces.evaluate(t, side=side)[0] == pytest.approx(-t, abs=1e-13)
 
     def test_advanced_first_segment(self):
         sys = example_advanced()
@@ -52,7 +51,7 @@ class TestSolveSegment:
         seg = solve_segment(split, 1, hist)
         for t in np.linspace(0, 1, 5):
             side = "left" if t == 1.0 else "right"
-            assert seg.pieces.eval(t, side=side)[1] == pytest.approx(
+            assert seg.pieces.evaluate(t, side=side)[1] == pytest.approx(
                 t * t - 1.0, abs=1e-12
             )
 
@@ -207,12 +206,12 @@ class TestMethodOfSteps:
         traj, ledger = dk.method_of_steps(sys, split)
         seg = traj.segments[0]
         assert len(seg.pieces.pieces) == 2
-        left = seg.pieces.eval(0.4, side="left")
-        right = seg.pieces.eval(0.4, side="right")
+        left = seg.pieces.evaluate(0.4, side="left")
+        right = seg.pieces.evaluate(0.4, side="right")
         assert abs(left[0] - right[0]) <= 1e-12
         for t in [0.1, 0.3, 0.5, 0.9]:
-            x = seg.pieces.eval(t)
-            dx = seg.pieces.eval(t, order=1)
+            x = seg.pieces.evaluate(t)
+            dx = seg.pieces.evaluate(t, order=1)
             resid = dx - (-x + 0.5 * sys.phi.evaluate(t - 1.0) + f.evaluate(t))
             assert abs(resid[0]) <= 1e-11
         assert not ledger.has_inconsistent
@@ -235,12 +234,12 @@ class TestMethodOfSteps:
                     piece.b - piece.a
                 ) * cgl_nodes(8)
                 for t in nodes[1:-1]:
-                    x = seg.pieces.eval(t)
-                    dx = seg.pieces.eval(t, order=1)
+                    x = seg.pieces.evaluate(t)
+                    dx = seg.pieces.evaluate(t, order=1)
                     if prev is None:
                         xd = sys.phi.evaluate(t - sys.tau)
                     else:
-                        xd = prev.pieces.eval(t)
+                        xd = prev.pieces.evaluate(t)
                     fval = sys.f.evaluate((seg.index - 1) * sys.tau + t)
                     resid = sys.E @ dx - sys.A @ x - sys.D @ xd - fval
                     assert np.linalg.norm(resid) <= 1e-9 * scale
@@ -262,12 +261,12 @@ class TestMethodOfSteps:
         for seg in traj.segments:
             prev = traj.segments[seg.index - 2] if seg.index > 1 else None
             for t in np.linspace(0.05, 0.95, 7):
-                x = seg.pieces.eval(t)
-                dx = seg.pieces.eval(t, order=1)
+                x = seg.pieces.evaluate(t)
+                dx = seg.pieces.evaluate(t, order=1)
                 if prev is None:
                     xd = sys.phi.evaluate(t - sys.tau)
                 else:
-                    xd = prev.pieces.eval(t)
+                    xd = prev.pieces.evaluate(t)
                 fval = sys.f.evaluate((seg.index - 1) * sys.tau + t)
                 resid = sys.E @ dx - sys.A @ x - sys.D @ xd - fval
                 assert np.linalg.norm(resid) <= 1e-8 * scale
@@ -283,11 +282,11 @@ class TestMethodOfSteps:
         q_derivs = []
         prev = traj.segments[0]
         for k in range(split.nu + 1):
-            qk = sys.D @ prev.pieces.eval(t, order=k) + sys.f.evaluate(
+            qk = sys.D @ prev.pieces.evaluate(t, order=k) + sys.f.evaluate(
                 (seg.index - 1) * sys.tau + t, order=k
             )
             q_derivs.append(qk)
-        x = seg.pieces.eval(t)
+        x = seg.pieces.evaluate(t)
         rhs = split.A_con @ x
         for k in range(1, split.nu + 1):
             rhs = rhs + split.C[k] @ q_derivs[k - 1]
