@@ -29,6 +29,7 @@ from .pencil import (
     check_regularity,
     compute_qwf,
     nilpotency_index,
+    norm2,
 )
 from .piecewise import PiecewisePolynomial
 
@@ -72,14 +73,6 @@ class ClassificationReport:
     consistency_flag: bool
 
 
-def _matrix_is_zero(M, policy, context_scale):
-    if M.size == 0:
-        return True
-    return np.linalg.norm(M, 2) <= max(
-        policy.abs_floor, policy.rel_tol * (1.0 + context_scale)
-    )
-
-
 def classify_propagation(
     split: SplitCoefficients, M: int, policy: RankPolicy = DEFAULT_POLICY
 ) -> PropagationClass:
@@ -96,14 +89,12 @@ def classify_propagation(
         raise DimensionMismatch("horizon M must be at least 1")
     nu = split.nu
     N, B_a = split.qwf.N, split.B_a
-    norm_N = np.linalg.norm(N, 2) if N.size else 0.0
-    norm_Ba = np.linalg.norm(B_a, 2) if B_a.size else 0.0
+    norm_N, norm_Ba = norm2(N), norm2(B_a)
 
     first_violating = None
     N_pow = N.copy() if N.size else N
     for k in range(1, nu):
-        prod = N_pow @ B_a
-        if not _matrix_is_zero(prod, policy, norm_N**k * norm_Ba):
+        if not policy.negligible(norm2(N_pow @ B_a), norm_N**k * norm_Ba):
             first_violating = k
             break
         N_pow = N_pow @ N
@@ -136,11 +127,10 @@ def classify_legacy(
 ) -> LegacyClass:
     """Retarded iff B_a = 0; neutral iff B_a != 0 but N B_a = 0; else advanced."""
     N, B_a = split.qwf.N, split.B_a
-    norm_N = np.linalg.norm(N, 2) if N.size else 0.0
-    norm_Ba = np.linalg.norm(B_a, 2) if B_a.size else 0.0
-    if _matrix_is_zero(B_a, policy, norm_Ba):
+    norm_N, norm_Ba = norm2(N), norm2(B_a)
+    if policy.negligible(norm_Ba, norm_Ba):
         return LegacyClass(LegacyKind.RETARDED)
-    if N.size == 0 or _matrix_is_zero(N @ B_a, policy, norm_N * norm_Ba):
+    if policy.negligible(norm2(N @ B_a), norm_N * norm_Ba):
         return LegacyClass(LegacyKind.NEUTRAL)
     return LegacyClass(LegacyKind.ADVANCED)
 
@@ -152,13 +142,13 @@ def classification_evidence(split: SplitCoefficients):
     n_pow_ba = []
     P = np.eye(n_a, dtype=N.dtype) if n_a else N
     for _ in range(max(nu, 1)):
-        n_pow_ba.append(float(np.linalg.norm(P @ B_a, 2)) if B_a.size else 0.0)
+        n_pow_ba.append(norm2(P @ B_a))
         if n_a:
             P = P @ N
     ba2_pows = []
     Q = np.array(B_a2)
     for _ in range(1, n_a + 1):
-        ba2_pows.append(float(np.linalg.norm(Q, 2)) if Q.size else 0.0)
+        ba2_pows.append(norm2(Q))
         Q = Q @ B_a2
     return {"N_pow_Ba": n_pow_ba, "Ba2_pow": ba2_pows}
 

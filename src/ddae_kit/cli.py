@@ -39,7 +39,8 @@ from .model import build_split
 from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
 from .solver import SolverConfig, method_of_steps
-from .stability import SearchBox, assess_exponential_stability, spectral_abscissa
+from .stability import (SearchBox, assess_exponential_stability, default_box,
+                        spectral_abscissa)
 from .cheb import cgl_nodes
 
 SCHEMA = "ddae-kit/1"
@@ -183,8 +184,6 @@ def cmd_stability(args):
     split = build_split(sys_)
     box = None
     if args.re_min is not None or args.re_max is not None or args.im_max is not None:
-        from .stability import default_box
-
         base = default_box(sys_.E, sys_.A, sys_.D, sys_.tau)
         box = SearchBox(
             re_min=args.re_min if args.re_min is not None else base.re_min,
@@ -249,12 +248,13 @@ def cmd_probe(args):
     if dim == 0:
         print(f"error: system has no {args.side} part", file=_sys.stderr)
         return EXIT_MALFORMED
-    if args.target:
-        target = np.array([float(v) for v in args.target.split(",")])
-    else:
-        target = np.zeros(dim)
-        target[0] = 1.0
+    target = np.zeros(dim)
+    target[0] = 1.0
     try:
+        if args.target:
+            target = np.array([float(v) for v in args.target.split(",")])
+            if not np.all(np.isfinite(target)):
+                raise ValueError("--target values must be finite")
         phi = construct_probe_history(split, args.order, target, side=args.side)
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)

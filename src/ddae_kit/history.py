@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients, solution_taylor
-from .pencil import DEFAULT_POLICY, RankPolicy
+from .pencil import DEFAULT_POLICY, RankPolicy, norm2
 
 FLAG_TOL = 1e-8
 
@@ -157,24 +157,12 @@ def check_index3_uniqueness(
     solution on the whole horizon, so the solver may proceed past
     de-smoothing warnings.
     """
-    N = split.qwf.N
+    N, B_a1, B_a2, B_d2 = split.qwf.N, split.B_a1, split.B_a2, split.B_d2
     index_ok = split.nu <= 3
-    M1 = N @ split.B_a2 if N.size and split.B_a2.size else np.zeros((0, 0))
-    M2 = (
-        N @ N @ split.B_a1 @ split.B_d2
-        if N.size and split.B_a1.size and split.B_d2.size
-        else np.zeros((0, 0))
-    )
-    n1 = float(np.linalg.norm(M1, 2)) if M1.size else 0.0
-    n2 = float(np.linalg.norm(M2, 2)) if M2.size else 0.0
-    scale1 = (np.linalg.norm(N, 2) if N.size else 0.0) * (
-        np.linalg.norm(split.B_a2, 2) if split.B_a2.size else 0.0
-    )
-    scale2 = (np.linalg.norm(N, 2) ** 2 if N.size else 0.0) * (
-        np.linalg.norm(split.B_a1, 2) if split.B_a1.size else 0.0
-    ) * (np.linalg.norm(split.B_d2, 2) if split.B_d2.size else 0.0)
-    z1 = n1 <= max(policy.abs_floor, policy.rel_tol * (1.0 + scale1))
-    z2 = n2 <= max(policy.abs_floor, policy.rel_tol * (1.0 + scale2))
+    n1 = norm2(N @ B_a2)
+    n2 = norm2(N @ N @ B_a1 @ B_d2)
+    z1 = policy.negligible(n1, norm2(N) * norm2(B_a2))
+    z2 = policy.negligible(n2, norm2(N) ** 2 * norm2(B_a1) * norm2(B_d2))
     return Index3Report(
         applicable=bool(index_ok and z1 and z2),
         index_le_3=bool(index_ok),

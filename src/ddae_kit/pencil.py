@@ -28,7 +28,9 @@ class RankPolicy:
     """Thresholds for numerical rank decisions.
 
     A singular value sigma counts as nonzero iff
-    sigma > max(abs_floor, rel_tol * sigma_max).
+    sigma > max(abs_floor, rel_tol * sigma_max); a matrix of norm
+    ||M|| is numerically zero iff ||M|| <= max(abs_floor,
+    rel_tol * (1 + scale)) for the scale of the data that formed it.
     """
 
     rel_tol: float = 1e-10
@@ -39,7 +41,17 @@ class RankPolicy:
             raise ValueError("rank policy tolerances must be nonnegative")
 
     def threshold(self, sigma_max):
-        return max(self.abs_floor, self.rel_tol * sigma_max)
+        """Rank threshold for a scalar or an array of sigma_max."""
+        return np.fmax(self.abs_floor, self.rel_tol * sigma_max)
+
+    def negligible(self, norm, scale):
+        """Whether a matrix norm is numerically zero for data of the given scale."""
+        return norm <= max(self.abs_floor, self.rel_tol * (1.0 + scale))
+
+
+def norm2(M):
+    """Spectral norm as a float; 0 for an empty matrix."""
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
 DEFAULT_POLICY = RankPolicy()
@@ -150,32 +162,31 @@ def _frozen(arr):
     return arr
 
 
-def _orthonormal_range(M, policy, context=0.0):
-    """Orthonormal basis of range(M) plus an ambiguity flag.
+def _svd_rank(M, policy, context):
+    """SVD factors U, Vh of M with its numerical rank and an ambiguity flag.
 
     Rank decisions are made relative to max(sigma_max, context), so a
     product that is numerically zero is not mistaken for a rank-one
-    matrix of pure roundoff.
+    matrix of pure roundoff.  A singular value within a factor 10 of the
+    threshold makes the decision ambiguous.
     """
-    if M.shape[1] == 0:
-        return M[:, :0], False
-    U, s, _ = np.linalg.svd(M)
+    U, s, Vh = np.linalg.svd(M)
     if s.size == 0:
-        return U[:, :0], False
+        return U, Vh, 0, False
     thr = policy.threshold(max(s[0], context))
-    rank = int(np.sum(s > thr))
     ambiguous = bool(np.any((s > thr / 10) & (s < thr * 10)))
+    return U, Vh, int(np.sum(s > thr)), ambiguous
+
+
+def _orthonormal_range(M, policy, context=0.0):
+    """Orthonormal basis of range(M) plus an ambiguity flag."""
+    U, _, rank, ambiguous = _svd_rank(M, policy, context)
     return U[:, :rank], ambiguous
 
 
 def _kernel(M, policy, context=0.0):
     """Orthonormal basis of ker(M) plus an ambiguity flag."""
-    U, s, Vh = np.linalg.svd(M)
-    if s.size == 0:
-        return np.eye(M.shape[1], dtype=M.dtype), False
-    thr = policy.threshold(max(s[0], context))
-    rank = int(np.sum(s > thr))
-    ambiguous = bool(np.any((s > thr / 10) & (s < thr * 10)))
+    _, Vh, rank, ambiguous = _svd_rank(M, policy, context)
     return Vh[rank:].conj().T, ambiguous
 
 
@@ -185,6 +196,20 @@ def _preimage(M, target_basis, policy):
     Q = target_basis
     P_perp = np.eye(n, dtype=np.result_type(M.dtype, Q.dtype)) - Q @ Q.conj().T
     return _kernel(P_perp @ M, policy, context=np.linalg.norm(M, 2))
+
+
+def _wong_limit(X, P, Q, policy):
+    """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an ambiguity flag."""
+    ambiguous, norm_Q = False, np.linalg.norm(Q, 2)
+    for _ in range(X.shape[0] + 1):
+        QX, amb1 = _orthonormal_range(Q @ X, policy, context=norm_Q)
+        X_next, amb2 = _preimage(P, QX, policy)
+        ambiguous = ambiguous or amb1 or amb2
+        converged = X_next.shape[1] == X.shape[1]
+        X = X_next
+        if converged:
+            break
+    return X, ambiguous
 
 
 def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
@@ -199,26 +224,19 @@ def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     """
     E, A, n = pencil.E, pencil.A, pencil.n
     s = (1.0 + np.linalg.norm(A, 2)) / (1.0 + np.linalg.norm(E, 2))
-    samples = []
-    dets = []
-    witness = None
-    witness_det = None
-    for j in range(n + 1):
-        lam = j * s
-        M = lam * E - A
-        sig = np.linalg.svd(M, compute_uv=False)
-        det_mag = float(np.abs(np.linalg.det(M)))
-        samples.append(lam)
-        dets.append(det_mag)
-        if witness is None and sig[-1] > policy.threshold(sig[0] if sig[0] > 0 else 1.0):
-            witness = lam
-            witness_det = det_mag
+    lams = np.arange(n + 1) * s
+    M = lams[:, None, None] * E - A
+    sig = np.linalg.svd(M, compute_uv=False)
+    dets = np.abs(np.linalg.det(M))
+    thr = policy.threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
+    passing = np.flatnonzero(sig[:, -1] > thr)
+    first = passing[0] if passing.size else None
     return RegularityVerdict(
-        regular=witness is not None,
-        witness=witness,
-        det_magnitude=witness_det,
-        sample_points=tuple(samples),
-        det_values=tuple(dets),
+        regular=first is not None,
+        witness=None if first is None else lams[first],
+        det_magnitude=None if first is None else float(dets[first]),
+        sample_points=tuple(lams),
+        det_values=tuple(dets.tolist()),
     )
 
 
@@ -235,37 +253,14 @@ def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     if not verdict.regular:
         raise SingularPencil("pencil is singular; Wong sequences are not reliable")
     E, A, n = pencil.E, pencil.A, pencil.n
-    ambiguous = False
-
-    norm_E = np.linalg.norm(E, 2)
-    norm_A = np.linalg.norm(A, 2)
-
-    V = np.eye(n, dtype=E.dtype)
-    for _ in range(n + 1):
-        EV, amb1 = _orthonormal_range(E @ V, policy, context=norm_E)
-        V_next, amb2 = _preimage(A, EV, policy)
-        ambiguous = ambiguous or amb1 or amb2
-        if V_next.shape[1] == V.shape[1]:
-            V = V_next
-            break
-        V = V_next
-
-    W = np.zeros((n, 0), dtype=E.dtype)
-    for _ in range(n + 1):
-        AW, amb1 = _orthonormal_range(A @ W, policy, context=norm_A)
-        W_next, amb2 = _preimage(E, AW, policy)
-        ambiguous = ambiguous or amb1 or amb2
-        if W_next.shape[1] == W.shape[1]:
-            W = W_next
-            break
-        W = W_next
-
+    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, policy)
+    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, policy)
     if V.shape[1] + W.shape[1] != n:
         raise DecompositionFailure(
             f"Wong subspace dimensions {V.shape[1]} + {W.shape[1]} != {n}; "
             "rank thresholds likely misjudged, consider tightening the policy"
         )
-    return WongResult(V_star=V, W_star=W, rank_ambiguous=ambiguous)
+    return WongResult(V_star=V, W_star=W, rank_ambiguous=amb_V or amb_W)
 
 
 def nilpotency_index(Nmat, policy: RankPolicy = DEFAULT_POLICY):

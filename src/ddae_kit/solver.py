@@ -64,6 +64,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.degree < 1:
             raise DimensionMismatch("collocation degree must be at least 1")
+        if self.k_max is not None and self.k_max < 0:
+            raise DimensionMismatch("k_max must be nonnegative")
         if self.on_inconsistent not in ("record", "stop"):
             raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
@@ -146,11 +148,7 @@ def _colloc_dmat(degree):
     if degree not in _dmat_cache:
         V, Vinv = _vander_inv(degree)
         Dc = np.zeros((degree + 1, degree + 1))
-        for k in range(degree + 1):
-            e = np.zeros(degree + 1)
-            e[k] = 1.0
-            d = C.chebder(e)
-            Dc[: d.shape[0], k] = d
+        Dc[:degree] = C.chebder(np.eye(degree + 1), axis=0)
         _dmat_cache[degree] = V @ Dc @ Vinv
     return _dmat_cache[degree]
 

@@ -2,9 +2,10 @@
 
 Roots of det(lambda E - A - exp(-lambda tau) D) are located by Newton's
 method seeded at the local minima of the determinant magnitude on a
-rectangular grid.  The Newton step needs only the logarithmic derivative
-trace(M^{-1} M'), which keeps the iteration well scaled even when the
-determinant itself spans many orders of magnitude.
+rectangular grid, evaluated one row per stacked determinant.  Only the
+Newton step solves for the logarithmic derivative trace(M^{-1} M'),
+which keeps the iteration well scaled even when the determinant itself
+spans many orders of magnitude.
 
 The stability verdict is gated by the propagation classification: for
 de-smoothing systems a negative spectral abscissa does not imply
@@ -43,8 +44,9 @@ class SearchBox:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_max > self.re_min and self.im_max > 0):
-            raise DimensionMismatch("invalid search box")
+        finite = np.all(np.isfinite((self.re_min, self.re_max, self.im_max)))
+        if not (finite and self.re_max > self.re_min and self.im_max > 0):
+            raise DimensionMismatch("invalid search box: non-finite or empty bounds")
 
 
 @dataclass(eq=False)
@@ -67,23 +69,22 @@ class StabilityReport:
     gate: str | None = field(default=None)
 
 
-def _char_factory(E, A, D, tau):
-    E = np.asarray(E)
-    A = np.asarray(A)
-    D = np.asarray(D)
-    n = E.shape[0]
+def _char_matrix(E, A, D, tau, lam):
+    """M(lambda) = lambda E - A - e^{-lambda tau} D.
 
-    def value_and_logderiv(lam):
-        M = lam * E - A - np.exp(-lam * tau) * D
-        Mp = E + tau * np.exp(-lam * tau) * D
-        det = complex(np.linalg.det(M))
-        try:
-            logderiv = complex(np.trace(np.linalg.solve(M, Mp)))
-        except np.linalg.LinAlgError:
-            logderiv = None
-        return det, logderiv, M
+    lam is a scalar or an array; an array of shape s gives a stack of
+    shape s + (n, n), ready for one stacked determinant.
+    """
+    lam = np.asarray(lam)[..., None, None]
+    return lam * E - A - np.exp(-lam * tau) * D
 
-    return value_and_logderiv, n
+
+def _logderiv(E, D, tau, lam, M):
+    """trace(M^{-1} M') with M' = E + tau e^{-lambda tau} D; None if M is singular."""
+    try:
+        return complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
+    except np.linalg.LinAlgError:
+        return None
 
 
 def char_function(sys: DdaeSystem, lam):
@@ -94,11 +95,11 @@ def char_function(sys: DdaeSystem, lam):
     At an exactly singular M the value is 0 (a root) and the derivative
     is reported as None.
     """
-    fn, _ = _char_factory(sys.E, sys.A, sys.D, sys.tau)
-    det, logderiv, _ = fn(complex(lam))
-    if logderiv is None:
-        return det, None
-    return det, det * logderiv
+    lam = complex(lam)
+    M = _char_matrix(sys.E, sys.A, sys.D, sys.tau, lam)
+    det = complex(np.linalg.det(M))
+    logderiv = _logderiv(sys.E, sys.D, sys.tau, lam, M)
+    return det, None if logderiv is None else det * logderiv
 
 
 def default_box(E, A, D, tau):
@@ -109,59 +110,69 @@ def default_box(E, A, D, tau):
 
 
 def _local_minima(mag):
-    """Indices (i, j) whose magnitude is minimal within its 3x3 block."""
-    g_re, g_im = mag.shape
-    out = []
-    for i in range(g_re):
-        for j in range(g_im):
-            m = mag[i, j]
-            lo_i, hi_i = max(i - 1, 0), min(i + 2, g_re)
-            lo_j, hi_j = max(j - 1, 0), min(j + 2, g_im)
-            if m <= mag[lo_i:hi_i, lo_j:hi_j].min():
-                out.append((i, j))
-    return out
+    """Row-major (k, 2) array of the indices whose magnitude is minimal
+    within its 3x3 block (cells outside the grid do not count)."""
+    padded = np.pad(mag, 1, constant_values=np.inf)
+    window = np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
+    return np.argwhere(mag <= window)
+
+
+def _newton(E, A, D, tau, lam):
+    """Newton's method on det M(lambda) with the step 1 / trace(M^{-1} M').
+
+    Stops at a singular M, a zero or non-finite log-derivative, or a step
+    below 1e-13 relative to |lambda|.
+    """
+    for _ in range(NEWTON_MAX_ITER):
+        M = _char_matrix(E, A, D, tau, lam)
+        det = complex(np.linalg.det(M))
+        logderiv = _logderiv(E, D, tau, lam, M)
+        if logderiv is None or det == 0.0:
+            break
+        if abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+            break
+        step = 1.0 / logderiv
+        lam = lam - step
+        if abs(step) <= 1e-13 * (1.0 + abs(lam)):
+            break
+    return lam
 
 
 def spectral_abscissa_matrices(
     E, A, D, tau, box: SearchBox | None = None, grid=80
 ) -> StabilityReport:
-    """Grid-seeded Newton root search for arbitrary coefficient matrices."""
-    fn, n = _char_factory(E, A, D, tau)
-    if box is None:
-        box = default_box(E, A, D, tau)
+    """Grid-seeded Newton root search for arbitrary coefficient matrices.
+
+    |det M| is evaluated one grid row (fixed real part) per stacked
+    determinant; Newton starts from every 3x3 local minimum.
+    """
+    E, A, D = np.asarray(E), np.asarray(A), np.asarray(D)
+    n = E.shape[0]
     if np.isscalar(grid):
         grid = (int(grid), int(grid))
     g_re, g_im = grid
-    real_data = not (
-        np.iscomplexobj(np.asarray(E))
-        or np.iscomplexobj(np.asarray(A))
-        or np.iscomplexobj(np.asarray(D))
-    )
+    if g_re < 2 or g_im < 2:
+        raise DimensionMismatch("the root grid needs at least 2 points per axis")
+    if box is None:
+        box = default_box(E, A, D, tau)
+    real_data = not any(np.iscomplexobj(X) for X in (E, A, D))
     im_min = 0.0 if real_data else -box.im_max
     res = np.linspace(box.re_min, box.re_max, g_re)
     ims = np.linspace(im_min, box.im_max, g_im)
-    cell_re = (box.re_max - box.re_min) / max(g_re - 1, 1)
-    cell_im = (box.im_max - im_min) / max(g_im - 1, 1)
+    cell_re = (box.re_max - box.re_min) / (g_re - 1)
+    cell_im = (box.im_max - im_min) / (g_im - 1)
 
+    # hypot, not np.abs: np.abs rounds complex arrays differently in the
+    # last bit from the scalar |det| that Newton and char_function see
     mag = np.empty((g_re, g_im))
     for i, x in enumerate(res):
-        for j, y in enumerate(ims):
-            mag[i, j] = abs(fn(complex(x, y))[0])
+        det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
+        mag[i] = np.hypot(det.real, det.imag)
 
     pad_re, pad_im = 2 * cell_re, 2 * cell_im
     candidates = []
     for i, j in _local_minima(mag):
-        lam = complex(res[i], ims[j])
-        for _ in range(NEWTON_MAX_ITER):
-            det, logderiv, _ = fn(lam)
-            if logderiv is None or det == 0.0:
-                break
-            if abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
-                break
-            step = 1.0 / logderiv
-            lam = lam - step
-            if abs(step) <= 1e-13 * (1.0 + abs(lam)):
-                break
+        lam = _newton(E, A, D, tau, complex(res[i], ims[j]))
         if real_data and -pad_im <= lam.imag < 0.0:
             lam = lam.conjugate()
         if not (
@@ -169,10 +180,10 @@ def spectral_abscissa_matrices(
             and im_min - pad_im <= lam.imag <= box.im_max + pad_im
         ):
             continue
-        det, _, M = fn(lam)
-        scale = max(1.0, float(np.linalg.norm(M, 2))) ** n
-        if abs(det) <= RESIDUAL_TOL * scale:
-            candidates.append((lam, abs(det)))
+        M = _char_matrix(E, A, D, tau, lam)
+        residual = abs(complex(np.linalg.det(M)))
+        if residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(M, 2))) ** n:
+            candidates.append((lam, residual))
 
     candidates.sort(key=lambda c: (c[0].real, c[0].imag))
     roots = []
@@ -184,18 +195,12 @@ def spectral_abscissa_matrices(
         roots.append((lam, r))
     roots.sort(key=lambda c: (-c[0].real, c[0].imag))
 
-    if not roots:
-        return StabilityReport(
-            alpha=None, rightmost_roots=[], box=box, grid=(g_re, g_im),
-            box_limited=False, no_roots=True,
-        )
-    alpha = roots[0][0].real
     # only the right edge can hide a larger real part; vertical root
     # chains make top-edge proximity unavoidable for any delay system
-    box_limited = any(lam.real >= box.re_max - 2 * cell_re for lam, _ in roots)
     return StabilityReport(
-        alpha=alpha, rightmost_roots=roots, box=box, grid=(g_re, g_im),
-        box_limited=box_limited, no_roots=False,
+        alpha=roots[0][0].real if roots else None, rightmost_roots=roots,
+        box=box, grid=(g_re, g_im), no_roots=not roots,
+        box_limited=any(lam.real >= box.re_max - 2 * cell_re for lam, _ in roots),
     )
 
 

@@ -82,6 +82,34 @@ class TestProblemFile:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestOptionValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--grid", "-5"],
+            ["stability", "--grid", "0"],
+            ["stability", "--im-max", "inf"],
+            ["stability", "--re-max", "inf"],
+            ["solve", "--kmax", "-1"],
+            ["probe", "--order", "2", "--target", "abc"],
+            ["probe", "--order", "2", "--target", "nan"],
+        ],
+        ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
+             "kmax-negative", "target-text", "target-nan"],
+    )
+    def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
+        # without the checks these crashed, searched nothing, wrote
+        # non-JSON Infinity/NaN, or reported a false inconsistent restart
+        problem = write_problem(tmp_path, example_slow_smoothing())
+        outs = [str(tmp_path / "out.json")]
+        if argv[0] == "solve":
+            outs.insert(0, str(tmp_path / "out.csv"))
+        assert main([argv[0], problem, *outs, *argv[1:]]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestAnalyzeCommand:
     def test_neutral_example_report(self, tmp_path):
         problem = write_problem(tmp_path, example_neutral())

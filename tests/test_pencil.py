@@ -38,6 +38,33 @@ class TestRegularity:
         assert not verdict.regular
         assert verdict.witness is None
 
+    def test_stacked_samples_match_per_sample_loop(self):
+        # reference: one sample matrix at a time; singular E and singular
+        # pencils (a shared zero column) included
+        rng = np.random.default_rng(12)
+        for trial in range(24):
+            n = int(rng.integers(1, 7))
+            E, A = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            if trial % 2:
+                E = E + 1j * rng.standard_normal((n, n))
+            E[:, -1] *= trial % 4 < 2
+            A[:, -1] *= trial % 8 < 6
+            pencil = dk.MatrixPencil(E, A)
+            E, A = pencil.E, pencil.A
+            verdict = dk.check_regularity(pencil)
+            s = (1.0 + np.linalg.norm(A, 2)) / (1.0 + np.linalg.norm(E, 2))
+            witness = None
+            for j in range(n + 1):
+                M = (j * s) * E - A
+                sig = np.linalg.svd(M, compute_uv=False)
+                assert verdict.sample_points[j] == j * s
+                assert verdict.det_values[j] == float(np.abs(np.linalg.det(M)))
+                top = sig[0] if sig[0] > 0 else 1.0
+                if witness is None and sig[-1] > DEFAULT_POLICY.threshold(top):
+                    witness = j * s
+            assert verdict.witness == witness
+            assert verdict.regular == (witness is not None)
+
     def test_dimension_mismatch(self):
         with pytest.raises(dk.DimensionMismatch):
             dk.MatrixPencil(np.eye(2), np.eye(3))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.stability import StabilityVerdict, spectral_abscissa_matrices
+from ddae_kit.stability import (
+    StabilityVerdict,
+    _char_matrix,
+    _local_minima,
+    default_box,
+    spectral_abscissa_matrices,
+)
 
 from gen import example_advanced, example_neutral, random_regular_pencil
 
@@ -119,6 +125,45 @@ class TestSpectralAbscissa:
                 E, A, np.zeros((4, 4)), 1.0, box=box, grid=90
             )
             assert report.alpha == pytest.approx(alpha_expected, abs=1e-6)
+
+
+class TestGridEvaluation:
+    def test_local_minima_match_brute_force(self):
+        # ties, NaN cells, edges and corners, and one-row/one-column grids
+        def brute(mag):
+            g_re, g_im = mag.shape
+            return [
+                [i, j] for i in range(g_re) for j in range(g_im)
+                if mag[i, j] <= mag[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].min()
+            ]
+
+        rng = np.random.default_rng(5)
+        shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (6, 9), (13, 11)]
+        for trial in range(40):
+            mag = rng.integers(0, 4, size=shapes[trial % len(shapes)]).astype(float)
+            if trial % 3 == 0:
+                mag[rng.random(mag.shape) < 0.15] = np.nan
+            assert _local_minima(mag).tolist() == brute(mag)
+
+    def test_stacked_row_matches_char_function(self):
+        # one grid row as a stack equals the scalar determinant bit for bit
+        rng = np.random.default_rng(6)
+        n = 3
+        E, A, D = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                   for _ in range(3))
+        sys_ = dk.DdaeSystem(
+            E=E, A=A, D=D, tau=0.7, horizon_intervals=1,
+            f=dk.PiecewisePolynomial.zero(n, 0.0, 0.7, complex_field=True),
+            phi=dk.PiecewisePolynomial.zero(n, -0.7, 0.0, complex_field=True),
+        )
+        box = default_box(sys_.E, sys_.A, sys_.D, sys_.tau)
+        ims = np.linspace(-box.im_max, box.im_max, 80)
+        for x in np.linspace(box.re_min, box.re_max, 80)[::9]:
+            row = np.linalg.det(_char_matrix(sys_.E, sys_.A, sys_.D, sys_.tau, x + 1j * ims))
+            for j in range(0, 80, 7):
+                value, _ = dk.char_function(sys_, complex(x, ims[j]))
+                assert row[j] == value
+                assert np.hypot(row[j].real, row[j].imag) == abs(value)
 
 
 class TestAssessment:
