@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularPencil
 from .model import DdaeSystem, SplitCoefficients, split_matrices
 from .pencil import (
     DEFAULT_POLICY,
     MatrixPencil,
     RankPolicy,
-    check_regularity,
     compute_qwf,
     nilpotency_index,
     norm2,
@@ -187,16 +186,13 @@ class BackwardSystem:
     system: DdaeSystem | None
 
 
-def build_backward_system(
-    sys: DdaeSystem,
-    F: PiecewisePolynomial | None = None,
-    policy: RankPolicy = DEFAULT_POLICY,
-) -> BackwardSystem:
+def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     """Assemble the backward system and report its pencil regularity.
 
     The classification of the backward system is independent of the
-    inhomogeneity; F is an optional placeholder (zero by default).  An
-    irregular backward pencil is a verdict, not an error.
+    inhomogeneity, so its data functions are zero.  The system is built
+    under the rank policy of sys; an irregular backward pencil is a
+    verdict, not an error.
     """
     n = sys.n
     dtype = complex if sys.is_complex else float
@@ -205,27 +201,22 @@ def build_backward_system(
     E_b = np.block([[Z, sys.E], [Z, Z]])
     A_b = np.block([[-sys.D, Z], [Z, I]])
     D_b = np.block([[-sys.A, Z], [-I, Z]])
-    verdict = check_regularity(MatrixPencil(E_b, A_b), policy)
     det_D = np.linalg.det(sys.D)
-
-    system = None
-    if verdict.regular:
-        t_f = sys.horizon_intervals * sys.tau
-        if F is None:
-            F = PiecewisePolynomial.zero(2 * n, 0.0, t_f, complex_field=sys.is_complex)
-        hist = PiecewisePolynomial.zero(
-            2 * n, -sys.tau, 0.0, complex_field=sys.is_complex
-        )
+    zero = PiecewisePolynomial.zero
+    try:
         system = DdaeSystem(
             E=E_b,
             A=A_b,
             D=D_b,
             tau=sys.tau,
             horizon_intervals=sys.horizon_intervals,
-            f=F,
-            phi=hist,
-            policy=policy,
+            f=zero(2 * n, 0.0, sys.t_final, complex_field=sys.is_complex),
+            phi=zero(2 * n, -sys.tau, 0.0, complex_field=sys.is_complex),
+            policy=sys.policy,
         )
+        verdict = system.regularity
+    except SingularPencil as exc:
+        system, verdict = None, exc.verdict
     return BackwardSystem(
         E=E_b, A=A_b, D=D_b, regularity=verdict, det_D=det_D, system=system
     )

@@ -21,12 +21,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .classify import (
-    PropagationKind,
-    build_backward_system,
-    classify,
-    classify_matrices,
-)
+from .classify import PropagationKind, build_backward_system, classify
 from .errors import (
     DdaeKitError,
     InconsistentRestart,
@@ -35,7 +30,7 @@ from .errors import (
     SingularPencil,
 )
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
-from .model import build_split
+from .model import build_split, split_matrices
 from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
 from .solver import SolverConfig, method_of_steps
@@ -65,17 +60,17 @@ def _analyze_payload(sys):
     idx3 = check_index3_uniqueness(split, sys.policy)
     splice = splicing_report(sys, split)
 
-    backward = build_backward_system(sys, policy=sys.policy)
+    backward = build_backward_system(sys)
     bw = {
         "regular": bool(backward.regularity.regular),
         "det_D": _encode_scalar(backward.det_D, np.iscomplexobj(backward.det_D)),
         "propagation": None,
         "legacy": None,
     }
-    if backward.regularity.regular:
-        bw_report = classify_matrices(
-            backward.E, backward.A, backward.D, M, sys.policy
-        )
+    if backward.system is not None:
+        bw_sys = backward.system
+        bw_split = split_matrices(bw_sys.qwf, bw_sys.E, bw_sys.A, bw_sys.D)
+        bw_report = classify(bw_split, M, sys.policy)
         bw["propagation"] = bw_report.propagation.kind.value
         bw["legacy"] = bw_report.legacy.kind.value
 

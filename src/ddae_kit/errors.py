@@ -10,7 +10,11 @@ class DimensionMismatch(DdaeKitError):
 
 
 class SingularPencil(DdaeKitError):
-    """The pencil (E, A) failed the regularity test."""
+    """The pencil (E, A) failed the regularity test; .verdict is the evidence."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        super().__init__("the pencil (E, A) is singular")
 
 
 class DecompositionFailure(DdaeKitError):

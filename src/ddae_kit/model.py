@@ -25,9 +25,7 @@ from .pencil import (
     MatrixPencil,
     QuasiWeierstrassForm,
     RankPolicy,
-    check_regularity,
     compute_qwf,
-    nilpotency_index,
 )
 from .piecewise import PiecewisePolynomial
 
@@ -44,6 +42,9 @@ class DdaeSystem:
         horizon_intervals: number M of delay intervals to solve.
         f: inhomogeneity on [0, M*tau].
         phi: history function on [-tau, 0].
+
+    Construction decomposes the pencil once: qwf is its quasi-Weierstrass
+    form, and a singular pencil or a failed decomposition raises here.
     """
 
     E: np.ndarray
@@ -54,6 +55,7 @@ class DdaeSystem:
     f: PiecewisePolynomial
     phi: PiecewisePolynomial
     policy: RankPolicy = field(default=DEFAULT_POLICY)
+    qwf: QuasiWeierstrassForm = field(init=False, repr=False)
 
     def __post_init__(self):
         pencil = MatrixPencil(self.E, self.A)
@@ -69,12 +71,7 @@ class DdaeSystem:
             raise DimensionMismatch("tau must be positive")
         if self.horizon_intervals < 1:
             raise DimensionMismatch("horizon_intervals must be at least 1")
-        verdict = check_regularity(pencil, self.policy)
-        if not verdict.regular:
-            from .errors import SingularPencil
-
-            raise SingularPencil("the pencil (E, A) is singular")
-        object.__setattr__(self, "_regularity", verdict)
+        object.__setattr__(self, "qwf", compute_qwf(pencil, self.policy))
         n = pencil.n
         if self.f.n != n or self.phi.n != n:
             raise DimensionMismatch("data functions must have value dimension n")
@@ -92,12 +89,8 @@ class DdaeSystem:
         return self.E.shape[0]
 
     @property
-    def pencil(self):
-        return MatrixPencil(self.E, self.A)
-
-    @property
     def regularity(self):
-        return self._regularity
+        return self.qwf.regularity
 
     @property
     def t_final(self):
@@ -206,19 +199,14 @@ def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
 
 
 def build_split(
-    sys: DdaeSystem,
-    policy: RankPolicy | None = None,
-    qwf: QuasiWeierstrassForm | None = None,
+    sys: DdaeSystem, qwf: QuasiWeierstrassForm | None = None
 ) -> SplitCoefficients:
     """Full split of a system, including transformed data functions.
 
-    A precomputed decomposition may be passed in (useful when a specific
-    choice of S, T should be pinned); otherwise it is computed from the
-    Wong sequences under the given rank policy.
+    The decomposition defaults to the system's own; another one may be
+    passed in to pin a specific choice of S, T.
     """
-    policy = policy or sys.policy
-    if qwf is None:
-        qwf = compute_qwf(sys.pencil, policy)
+    qwf = sys.qwf if qwf is None else qwf
     core = split_matrices(qwf, sys.E, sys.A, sys.D)
     n_d = qwf.n_d
     Sf = sys.f.apply_matrix(qwf.S)
@@ -245,17 +233,14 @@ def underlying_ode_rhs(split: SplitCoefficients, q: PiecewisePolynomial):
     return split.A_diff, forcing
 
 
-def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu=None, policy=DEFAULT_POLICY):
+def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu):
     """Exact solution w = -sum_{k<nu} N^k q_f^{(k)} of N w' = w + q_f.
 
-    q_f may be in either basis; the result is piecewise polynomial in the
-    same basis with the same breakpoints.  Raises if N is not nilpotent.
+    nu is the nilpotency index of N.  q_f may be in either basis; the
+    result is piecewise polynomial in the same basis with the same
+    breakpoints.
     """
     N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
-    if nu is None:
-        nilpotent, nu = nilpotency_index(N, policy)
-        if not nilpotent:
-            raise DimensionMismatch("fast subsystem requires a nilpotent N")
     m = N.shape[0]
     if m == 0:
         return PiecewisePolynomial.zero(0, q_f.start, q_f.end, basis=q_f.basis)

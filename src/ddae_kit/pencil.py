@@ -110,6 +110,7 @@ class WongResult:
     V_star: np.ndarray
     W_star: np.ndarray
     rank_ambiguous: bool
+    regularity: RegularityVerdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,8 @@ class QuasiWeierstrassForm:
 
     S E T = blockdiag(I_{n_d}, N) and S A T = blockdiag(J, I_{n_a}) hold
     within the reconstruction tolerance; N is nilpotent with index nu
-    (nu = 0 exactly when n_a = 0).
+    (nu = 0 exactly when n_a = 0).  regularity is the verdict that
+    admitted the pencil (None for a hand-built form).
     """
 
     S: np.ndarray
@@ -129,6 +131,7 @@ class QuasiWeierstrassForm:
     n_a: int
     nu: int
     rank_ambiguous: bool = field(default=False)
+    regularity: RegularityVerdict | None = field(default=None)
 
     def __post_init__(self):
         n = self.n_d + self.n_a
@@ -190,20 +193,20 @@ def _kernel(M, policy, context=0.0):
     return Vh[rank:].conj().T, ambiguous
 
 
-def _preimage(M, target_basis, policy):
-    """Orthonormal basis of {x : M x in range(target_basis)}."""
+def _preimage(M, target_basis, policy, norm_M):
+    """Orthonormal basis of {x : M x in range(target_basis)}; norm_M = ||M||_2."""
     n = M.shape[0]
     Q = target_basis
     P_perp = np.eye(n, dtype=np.result_type(M.dtype, Q.dtype)) - Q @ Q.conj().T
-    return _kernel(P_perp @ M, policy, context=np.linalg.norm(M, 2))
+    return _kernel(P_perp @ M, policy, context=norm_M)
 
 
 def _wong_limit(X, P, Q, policy):
     """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an ambiguity flag."""
-    ambiguous, norm_Q = False, np.linalg.norm(Q, 2)
+    ambiguous, norm_P, norm_Q = False, np.linalg.norm(P, 2), np.linalg.norm(Q, 2)
     for _ in range(X.shape[0] + 1):
         QX, amb1 = _orthonormal_range(Q @ X, policy, context=norm_Q)
-        X_next, amb2 = _preimage(P, QX, policy)
+        X_next, amb2 = _preimage(P, QX, policy, norm_P)
         ambiguous = ambiguous or amb1 or amb2
         converged = X_next.shape[1] == X.shape[1]
         X = X_next
@@ -247,11 +250,12 @@ def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     W_0 = {0},  W_{i+1} = preimage under E of (A W_i)   (increasing).
 
     Returns orthonormal bases of the limits; dim V* = n_d, dim W* = n_a
-    and V* + W* spans F^n for regular pencils.
+    and V* + W* spans F^n for regular pencils.  This is where regularity
+    is decided: a singular pencil raises SingularPencil with the verdict.
     """
     verdict = check_regularity(pencil, policy)
     if not verdict.regular:
-        raise SingularPencil("pencil is singular; Wong sequences are not reliable")
+        raise SingularPencil(verdict)
     E, A, n = pencil.E, pencil.A, pencil.n
     V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, policy)
     W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, policy)
@@ -260,7 +264,8 @@ def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
             f"Wong subspace dimensions {V.shape[1]} + {W.shape[1]} != {n}; "
             "rank thresholds likely misjudged, consider tightening the policy"
         )
-    return WongResult(V_star=V, W_star=W, rank_ambiguous=amb_V or amb_W)
+    return WongResult(V_star=V, W_star=W, rank_ambiguous=amb_V or amb_W,
+                      regularity=verdict)
 
 
 def nilpotency_index(Nmat, policy: RankPolicy = DEFAULT_POLICY):
@@ -338,5 +343,5 @@ def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
             )
     return QuasiWeierstrassForm(
         S=S, T=T, J=J, N=N, n_d=n_d, n_a=n_a, nu=nu,
-        rank_ambiguous=wong.rank_ambiguous,
+        rank_ambiguous=wong.rank_ambiguous, regularity=wong.regularity,
     )

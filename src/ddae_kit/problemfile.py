@@ -51,9 +51,9 @@ def _decode_scalar(value, complex_field, where):
 
 def _decode_count(value, name):
     """An integer field such as dimension; integral floats like 2.0 pass."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _decode_scalar(value, False, name).is_integer():
         raise MalformedProblem(f"{name} must be an integer, got {value!r}")
-    return int(float(value))
+    return int(value)
 
 
 def _decode_matrix(data, n, complex_field, name):
@@ -77,10 +77,10 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
         if not isinstance(piece, dict):
             raise MalformedProblem(f"{name}[{k}] must be an object")
         try:
-            start = _finite(float(piece["start"]), f"{name}[{k}].start")
-            end = _finite(float(piece["end"]), f"{name}[{k}].end")
+            start = _decode_scalar(piece["start"], False, f"{name}[{k}].start")
+            end = _decode_scalar(piece["end"], False, f"{name}[{k}].end")
             coeffs = piece["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise MalformedProblem(f"{name}[{k}] needs start, end, coeffs") from exc
         if not end > start:
             raise MalformedProblem(f"{name}[{k}]: piece boundaries must increase")
@@ -117,9 +117,9 @@ def problem_from_dict(data) -> DdaeSystem:
     complex_field = field_tag == "complex"
     try:
         n = _decode_count(data["dimension"], "dimension")
-        tau = _finite(float(data["tau"]), "tau")
+        tau = _decode_scalar(data["tau"], False, "tau")
         M = _decode_count(data["horizon_intervals"], "horizon_intervals")
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise MalformedProblem("dimension/tau/horizon_intervals malformed") from exc
     if n < 1 or tau <= 0 or M < 1:
         raise MalformedProblem("dimension, tau, horizon_intervals must be positive")

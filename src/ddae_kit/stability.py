@@ -22,11 +22,12 @@ import numpy as np
 from .classify import PropagationKind, classify_propagation
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients
-from .pencil import DEFAULT_POLICY, RankPolicy
 
 RESIDUAL_TOL = 1e-8
 DEDUP_RADIUS = 1e-6
 NEWTON_MAX_ITER = 80
+# |alpha| at or below this is marginal
+MARGIN = 1e-6
 
 
 class StabilityVerdict(enum.Enum):
@@ -121,15 +122,12 @@ def _newton(E, A, D, tau, lam):
     """Newton's method on det M(lambda) with the step 1 / trace(M^{-1} M').
 
     Stops at a singular M, a zero or non-finite log-derivative, or a step
-    below 1e-13 relative to |lambda|.
+    below 1e-13 relative to |lambda|.  One factorization per iteration:
+    the solve inside _logderiv detects the singular M.
     """
     for _ in range(NEWTON_MAX_ITER):
-        M = _char_matrix(E, A, D, tau, lam)
-        det = complex(np.linalg.det(M))
-        logderiv = _logderiv(E, D, tau, lam, M)
-        if logderiv is None or det == 0.0:
-            break
-        if abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+        logderiv = _logderiv(E, D, tau, lam, _char_matrix(E, A, D, tau, lam))
+        if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
             break
         step = 1.0 / logderiv
         lam = lam - step
@@ -210,30 +208,27 @@ def spectral_abscissa(sys: DdaeSystem, box: SearchBox | None = None, grid=80):
 
 
 def assess_exponential_stability(
-    sys: DdaeSystem,
-    split: SplitCoefficients,
-    report: StabilityReport,
-    margin: float = 1e-6,
-    policy: RankPolicy = DEFAULT_POLICY,
+    sys: DdaeSystem, split: SplitCoefficients, report: StabilityReport
 ) -> StabilityVerdict:
     """Stability verdict gated by the propagation classification.
 
-    De-smoothing systems are never judged by the abscissa alone.  An
-    alpha above the margin is conclusive even in a truncated box (the
-    verified root does not go away); a negative alpha is trusted only
-    when the box was not limiting.  |alpha| <= margin reports marginal.
+    The classification runs under the rank policy of sys.  De-smoothing
+    systems are never judged by the abscissa alone.  An alpha above
+    MARGIN is conclusive even in a truncated box (the verified root does
+    not go away); a negative alpha is trusted only when the box was not
+    limiting.  |alpha| <= MARGIN reports marginal.
     """
-    prop = classify_propagation(split, sys.horizon_intervals, policy)
+    prop = classify_propagation(split, sys.horizon_intervals, sys.policy)
     if prop.kind is PropagationKind.DE_SMOOTHING:
         report.gate = "not_applicable_de_smoothing"
         return StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING
     report.gate = "applicable"
     if report.no_roots or report.alpha is None:
         return StabilityVerdict.INCONCLUSIVE_BOX
-    if report.alpha > margin:
+    if report.alpha > MARGIN:
         return StabilityVerdict.UNSTABLE
     if report.box_limited:
         return StabilityVerdict.INCONCLUSIVE_BOX
-    if report.alpha < -margin:
+    if report.alpha < -MARGIN:
         return StabilityVerdict.STABLE
     return StabilityVerdict.MARGINAL

@@ -1,5 +1,7 @@
 import csv
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
@@ -67,6 +69,10 @@ class TestProblemFile:
             ("analyze", "E", [[float("nan")]]),
             ("analyze", "horizon_intervals", 2.5),
             ("analyze", "dimension", 1.7),
+            ("analyze", "tau", True),
+            ("analyze", "tau", "1"),
+            ("analyze", "dimension", "1"),
+            ("analyze", "horizon_intervals", "2"),
         ],
     )
     def test_bad_numbers_exit_malformed(self, tmp_path, capsys, command, key, value):
@@ -108,6 +114,38 @@ class TestOptionValues:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestOneDecisionPerPencil:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["analyze"], 2),
+            (["check-history"], 1),
+            (["hidden-delays"], 1),
+            (["stability", "--grid", "20"], 1),
+        ],
+        ids=["analyze", "check-history", "hidden-delays", "stability"],
+    )
+    def test_each_pencil_decomposed_once(self, tmp_path, monkeypatch, argv, expected):
+        # the neutral example's backward pencil is regular, so analyze
+        # decomposes two pencils and every other command one
+        problem = write_problem(tmp_path, example_neutral())
+        modules = [dk] + [importlib.import_module(f"ddae_kit.{info.name}")
+                          for info in pkgutil.iter_modules(dk.__path__)]
+        counts = {"check_regularity": 0, "compute_qwf": 0}
+        for name in counts:
+            original = getattr(dk.pencil, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert main([argv[0], problem, str(tmp_path / "out.json"), *argv[1:]]) == 0
+        assert counts == {"check_regularity": expected, "compute_qwf": expected}
 
 
 class TestAnalyzeCommand:

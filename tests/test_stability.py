@@ -3,6 +3,7 @@ import pytest
 
 import ddae_kit as dk
 from ddae_kit.stability import (
+    StabilityReport,
     StabilityVerdict,
     _char_matrix,
     _local_minima,
@@ -227,3 +228,25 @@ class TestAssessment:
         report = dk.spectral_abscissa(sys_)
         verdict = dk.assess_exponential_stability(sys_, split, report)
         assert verdict is StabilityVerdict.UNSTABLE
+
+    def test_gate_uses_the_system_policy(self):
+        # ||N B_a|| = 1e-9 is negligible under rel_tol=1e-8,
+        # so the system smooths under its own policy; under the default
+        # policy the same coupling would make it de-smoothing
+        policy = dk.RankPolicy(rel_tol=1e-8)
+        sys_ = dk.DdaeSystem(
+            E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2), D=[[0.0, 0.0], [1e-9, 0.0]],
+            tau=1.0, horizon_intervals=3,
+            f=dk.PiecewisePolynomial.zero(2, 0.0, 3.0),
+            phi=dk.PiecewisePolynomial.zero(2, -1.0, 0.0), policy=policy,
+        )
+        split = dk.build_split(sys_)
+        kind = dk.classify_propagation(split, 3, policy).kind
+        assert kind is dk.PropagationKind.SMOOTHING
+        # the gate alone decides here, so an empty search result will do
+        report = StabilityReport(alpha=None, rightmost_roots=[],
+                                 box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
+                                 grid=(2, 2), box_limited=False, no_roots=True)
+        verdict = dk.assess_exponential_stability(sys_, split, report)
+        assert verdict is StabilityVerdict.INCONCLUSIVE_BOX
+        assert report.gate == "applicable"
