@@ -245,10 +245,20 @@ class PiecewisePolynomial:
         return self.basis.eval(c, a, b, t)
 
     def derivatives(self, t, orders, side="right"):
-        """Stack of derivatives 0..orders at t, shape (orders+1, n)."""
-        return np.stack(
-            [self.evaluate(t, order=j, side=side) for j in range(orders + 1)]
-        )
+        """Stack of derivatives 0..orders at t, shape (orders+1, n).
+
+        Same values as evaluate(t, order=j) for each j: the piece is
+        located once and differentiated one order at a time, which is the
+        arithmetic of der(c, m=j); rows above the local degree stay zero.
+        """
+        t = float(t)
+        a, b, c = self.pieces[self._locate(t, side=side)]
+        out = np.zeros((orders + 1, self.n), dtype=c.dtype)
+        for j in range(min(orders, c.shape[0] - 1) + 1):
+            if j:
+                c = self.basis.der(c, a, b, 1)
+            out[j] = self.basis.eval(c, a, b, t)
+        return out
 
     def sup_bound(self):
         """Upper bound for sup_t max_j |f_j(t)| via coefficient sums."""

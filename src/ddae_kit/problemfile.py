@@ -12,7 +12,7 @@ variable t - start).  Complex scalars are encoded as [re, im] pairs.
 
 from __future__ import annotations
 
-import cmath
+import math
 import json
 
 import numpy as np
@@ -33,8 +33,14 @@ REQUIRED_FIELDS = (
 )
 
 
-def _finite(value, where):
-    if not cmath.isfinite(value):
+def _decode_real(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedProblem(f"{where}: expected a real number")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise MalformedProblem(f"{where}: integer beyond the float range") from None
+    if not math.isfinite(value):
         raise MalformedProblem(f"{where}: {value} is not a finite number")
     return value
 
@@ -43,10 +49,8 @@ def _decode_scalar(value, complex_field, where):
     if complex_field:
         if not (isinstance(value, (list, tuple)) and len(value) == 2):
             raise MalformedProblem(f"{where}: complex entries must be [re, im] pairs")
-        return _finite(complex(float(value[0]), float(value[1])), where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedProblem(f"{where}: expected a real number")
-    return _finite(float(value), where)
+        return complex(_decode_real(value[0], where), _decode_real(value[1], where))
+    return _decode_real(value, where)
 
 
 def _decode_count(value, name):
@@ -115,12 +119,9 @@ def problem_from_dict(data) -> DdaeSystem:
     if field_tag not in ("real", "complex"):
         raise MalformedProblem('field must be "real" or "complex"')
     complex_field = field_tag == "complex"
-    try:
-        n = _decode_count(data["dimension"], "dimension")
-        tau = _decode_scalar(data["tau"], False, "tau")
-        M = _decode_count(data["horizon_intervals"], "horizon_intervals")
-    except OverflowError as exc:
-        raise MalformedProblem("dimension/tau/horizon_intervals malformed") from exc
+    n = _decode_count(data["dimension"], "dimension")
+    tau = _decode_scalar(data["tau"], False, "tau")
+    M = _decode_count(data["horizon_intervals"], "horizon_intervals")
     if n < 1 or tau <= 0 or M < 1:
         raise MalformedProblem("dimension, tau, horizon_intervals must be positive")
     E = _decode_matrix(data["E"], n, complex_field, "E")

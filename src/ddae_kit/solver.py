@@ -3,10 +3,11 @@
 Each delay interval is one differential-algebraic segment driven by the
 previous segment.  The algebraic (fast) part is obtained in closed form
 from derivatives of the segment inhomogeneity; the differential (slow)
-part is integrated by global Chebyshev collocation, one linear solve per
-smooth piece.  Restart values are never projected: a violation of the
-consistency condition is the de-smoothing failure mode and is reported,
-not repaired.
+part is integrated by global Chebyshev collocation on each smooth piece,
+with the collocation operator inverted once per piece width and sweep.
+Restart values are never projected: a violation of the consistency
+condition is the de-smoothing failure mode and is reported, not
+repaired.
 
 One-sided derivatives at the knots i*tau are computed by exact recursion
 through the inherent ODE rather than by differentiating interpolants, so
@@ -19,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import inv
 from numpy.polynomial import chebyshev as C
 
 from .cheb import _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
@@ -153,41 +155,64 @@ def _colloc_dmat(degree):
     return _dmat_cache[degree]
 
 
-def _solve_slow_piece(J, a, b, q_coef, v0, degree):
-    """Collocation solve of v' = J v + q on one piece [a, b], v(a) = v0.
+class SlowCollocation:
+    """Collocation solver for v' = J v + q, v(start) = v0, piece by piece.
 
-    q_coef holds the Chebyshev coefficients of q on [a, b]; returns those
-    of v.
+    The bordered operator (first block row [I 0 ... 0], the rest
+    (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
+    depends only on h and the dtype, so its inverse is computed once per
+    (h, dtype) and every further piece of that width costs one mat-vec.
+    One instance lives for one sweep; its inverses go with it.
     """
-    nd = J.shape[0]
-    p = degree
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(p)
-    Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
-    dtype = np.result_type(J.dtype, Q.dtype, np.asarray(v0).dtype, float)
-    Dmat = _colloc_dmat(p) * (2.0 / (b - a))
-    A_sys = np.kron(Dmat, np.eye(nd)).astype(dtype) - np.kron(
-        np.eye(p + 1), J
-    ).astype(dtype)
-    rhs = Q.astype(dtype).reshape(-1)
-    A_sys[:nd, :] = 0.0
-    A_sys[:nd, :nd] = np.eye(nd)
-    rhs[:nd] = v0
-    try:
-        sol = np.linalg.solve(A_sys, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise CollocationSingular(str(exc)) from exc
-    values = sol.reshape(p + 1, nd)
-    return trim_coeffs(values_to_coeffs(values))
 
+    def __init__(self, J, degree):
+        self.J = J
+        self.degree = degree
+        self._inverses = {}
+        self._work = None
 
-def _integrate_slow(J, forcing: PiecewisePolynomial, v0, degree):
-    """Piece-by-piece collocation solve of v' = J v + forcing, v(start) = v0."""
-    pieces = []
-    for a, b, q_coef in forcing.pieces:
-        coef = _solve_slow_piece(J, a, b, q_coef, v0, degree)
-        pieces.append(Piece(a, b, coef))
-        v0 = CHEBYSHEV.eval(coef, a, b, b)
-    return forcing._with(pieces, J.shape[0])
+    def _inverse(self, width, dtype):
+        key = (width, dtype)
+        if key in self._inverses:
+            return self._inverses[key]
+        nd, p = self.J.shape[0], self.degree
+        size = (p + 1) * nd
+        if self._work is None or self._work.dtype != dtype:
+            self._work = np.empty((size, size), dtype=dtype)
+        A = self._work
+        A.fill(0.0)
+        # A[i*nd + r, j*nd + c] = (2/h) Dmat[i, j] [r == c] - [i == j] J[r, c]
+        blocks = A.reshape(p + 1, nd, p + 1, nd)
+        comp, node = np.arange(nd), np.arange(p + 1)
+        blocks[:, comp, :, comp] = _colloc_dmat(p) * (2.0 / width)
+        blocks[node, :, node, :] -= self.J
+        A[:nd] = 0.0
+        A[:nd, :nd] = np.eye(nd)
+        try:
+            self._inverses[key] = inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise CollocationSingular(str(exc)) from exc
+        return self._inverses[key]
+
+    def solve_piece(self, a, b, q_coef, v0):
+        """Chebyshev coefficients of v on [a, b] from those of q."""
+        nd = self.J.shape[0]
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(self.degree)
+        Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
+        dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
+        rhs = Q.astype(dtype).reshape(-1)
+        rhs[:nd] = v0
+        values = (self._inverse(b - a, dtype) @ rhs).reshape(self.degree + 1, nd)
+        return trim_coeffs(values_to_coeffs(values))
+
+    def integrate(self, forcing: PiecewisePolynomial, v0):
+        """Piece-by-piece solve on the pieces of forcing, v(start) = v0."""
+        pieces = []
+        for a, b, q_coef in forcing.pieces:
+            coef = self.solve_piece(a, b, q_coef, v0)
+            pieces.append(Piece(a, b, coef))
+            v0 = CHEBYSHEV.eval(coef, a, b, b)
+        return forcing._with(pieces, self.J.shape[0])
 
 
 def _f_derivs_x(split, s, orders, side):
@@ -267,12 +292,16 @@ def solve_segment(
     i: int,
     prev: SegmentSolution,
     config: SolverConfig = SolverConfig(),
+    colloc: SlowCollocation | None = None,
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
     Raises InconsistentRestart when the previous end value is not a
     consistent initial value for this segment within tol_consistency;
     the error carries the order-0 jump to the consistent projection.
+    colloc is the sweep's SlowCollocation for split.qwf.J at
+    config.degree, so its inverses serve every segment (a fresh one is
+    built when omitted).
     """
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
@@ -304,7 +333,9 @@ def solve_segment(
 
     w = fast_subsystem_solution(split.qwf.N, q_f, nu=nu)
     v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
-    v = _integrate_slow(split.qwf.J, q_d, v0, config.degree)
+    if colloc is None:
+        colloc = SlowCollocation(split.qwf.J, config.degree)
+    v = colloc.integrate(q_d, v0)
     pieces = v.stack(w).apply_matrix(split.qwf.T)
 
     x_end = pieces.evaluate(tau, side="left")
@@ -342,11 +373,12 @@ def method_of_steps(
     hist_orders = k_max + M * nu + max(nu, 1)
     prev = history_as_segment(sys, split, hist_orders)
 
+    colloc = SlowCollocation(split.qwf.J, config.degree)
     segments = []
     entries = []
     for i in range(1, M + 1):
         try:
-            seg = solve_segment(split, i, prev, config)
+            seg = solve_segment(split, i, prev, config, colloc=colloc)
         except InconsistentRestart as err:
             if config.on_inconsistent == "stop":
                 raise
@@ -409,6 +441,7 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
             )
 
     psi_seg = split.psi.shift(tau).to_chebyshev()
+    colloc = SlowCollocation(expansion.J, config.degree)
 
     def z_piecewise(j):
         # segment j of z in local time; j = 0 is the shifted history psi
@@ -429,7 +462,7 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
                 z0 = split.psi.evaluate(0.0, side="left")
         else:
             z0 = z_segments[-1].pieces.evaluate(tau, side="left")
-        pieces = _integrate_slow(expansion.J, forcing, z0, config.degree)
+        pieces = colloc.integrate(forcing, z0)
         z_segments.append(
             SegmentSolution(
                 index=i,

@@ -123,16 +123,20 @@ def _newton(E, A, D, tau, lam):
 
     Stops at a singular M, a zero or non-finite log-derivative, or a step
     below 1e-13 relative to |lambda|.  One factorization per iteration:
-    the solve inside _logderiv detects the singular M.
+    the solve inside _logderiv detects the singular M.  An iterate far in
+    the left half-plane overflows exp(-lambda tau); the warnings are
+    silenced because the non-finite log-derivative already stops the
+    iteration and the box filter drops the candidate.
     """
-    for _ in range(NEWTON_MAX_ITER):
-        logderiv = _logderiv(E, D, tau, lam, _char_matrix(E, A, D, tau, lam))
-        if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
-            break
-        step = 1.0 / logderiv
-        lam = lam - step
-        if abs(step) <= 1e-13 * (1.0 + abs(lam)):
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            logderiv = _logderiv(E, D, tau, lam, _char_matrix(E, A, D, tau, lam))
+            if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+                break
+            step = 1.0 / logderiv
+            lam = lam - step
+            if abs(step) <= 1e-13 * (1.0 + abs(lam)):
+                break
     return lam
 
 

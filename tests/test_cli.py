@@ -2,6 +2,7 @@ import csv
 import importlib
 import json
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -73,12 +74,18 @@ class TestProblemFile:
             ("analyze", "tau", "1"),
             ("analyze", "dimension", "1"),
             ("analyze", "horizon_intervals", "2"),
+            ("analyze", "E", [[10**400]]),
+            ("analyze", "history", [{"start": -10**400, "end": 0.0, "coeffs": [[0.0]]}]),
+            ("analyze", "E", [[["a", 0.0]]]),
         ],
     )
     def test_bad_numbers_exit_malformed(self, tmp_path, capsys, command, key, value):
         # without the checks these crashed, exited 4 for the wrong reason,
         # or were silently truncated to integers
         data = dk.problem_to_dict(example_neutral(horizon=2))
+        if np.ndim(value) == 3:
+            # [re, im] pairs: a complex file, where E is decoded first
+            data["field"] = "complex"
         data[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -312,6 +319,23 @@ class TestStabilityCommand:
         report = read_json(out)
         assert report["box"]["re_max"] == 3.0
         assert report["alpha"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_newton_divergence_is_silent(self, tmp_path, capsys):
+        # Newton iterates from the grid run far into the left half-plane,
+        # where exp(-lambda tau) overflows; those candidates are dropped
+        # without a word on stderr
+        sys_ = dk.DdaeSystem(
+            E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2), D=[[0.0, 0.0], [1e-9, 0.0]],
+            tau=1.0, horizon_intervals=3,
+            f=dk.PiecewisePolynomial.zero(2, 0.0, 3.0),
+            phi=dk.PiecewisePolynomial.zero(2, -1.0, 0.0),
+        )
+        problem = write_problem(tmp_path, sys_)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["stability", problem, str(tmp_path / "stab.json")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
 
 class TestOtherCommands:

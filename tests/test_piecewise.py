@@ -40,6 +40,29 @@ class TestEvaluation:
         assert pp.evaluate(1.0, side="right")[0] == pytest.approx(5.0)
         assert pp.evaluate(1.0)[0] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_derivatives_match_per_order_evaluation(self, basis, field):
+        # the one-pass stack is bit-identical to evaluating each order
+        # separately: both sides of interior knots, orders past the degree
+        rng = np.random.default_rng(17)
+        breaks = [-1.0, -0.3, 0.4, 1.7]
+        pieces = []
+        for a, b in zip(breaks, breaks[1:]):
+            c = rng.standard_normal((int(rng.integers(1, 9)), 3))
+            if field is complex:
+                c = c + 1j * rng.standard_normal(c.shape)
+            pieces.append((a, b, c))
+        pp = PiecewisePolynomial(pieces, 3)
+        if basis == "chebyshev":
+            pp = pp.to_chebyshev()
+        for t in [-1.0, -0.7, -0.3, 0.4, 1.1, 1.7]:
+            for side in ("left", "right"):
+                got = pp.derivatives(t, 10, side=side)
+                ref = np.stack([pp.evaluate(t, order=j, side=side) for j in range(11)])
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
     def test_out_of_domain(self):
         pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0]]))])
         with pytest.raises(dk.OutOfDomain):

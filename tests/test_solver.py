@@ -1,7 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
+from ddae_kit import solver
+from ddae_kit.cheb import cgl_nodes, values_to_coeffs
 
 from gen import (
     example_advanced,
@@ -407,3 +413,106 @@ class TestHiddenDelaySolver:
             scale = 1.0 + np.max(np.abs(v_direct))
             worst = max(worst, np.max(np.abs(v_direct - v_reform)) / scale)
         assert worst <= 1e-6
+
+
+def kron_piece_solve(J, a, b, q_coef, v0, degree):
+    """Node values of the collocation solve on [a, b], assembled with kron
+    and solved by LU: the direct form of the bordered operator."""
+    nd = J.shape[0]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(degree)
+    Q = C.chebval((2.0 * nodes - a - b) / (b - a), q_coef).T
+    dtype = np.result_type(J.dtype, Q.dtype, v0.dtype, float)
+    Dmat = solver._colloc_dmat(degree) * (2.0 / (b - a))
+    A_sys = (np.kron(Dmat, np.eye(nd)) - np.kron(np.eye(degree + 1), J)).astype(dtype)
+    rhs = Q.astype(dtype).reshape(-1)
+    A_sys[:nd, :] = 0.0
+    A_sys[:nd, :nd] = np.eye(nd)
+    rhs[:nd] = v0
+    return np.linalg.solve(A_sys, rhs).reshape(degree + 1, nd)
+
+
+def retarded_ode(rng, n, M, breakpoints=()):
+    """Index-0 system E x' = A x + D x(t - 1) + f with invertible E; with
+    breakpoints (fractions of tau) f has a kink inside every interval."""
+    E = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    D = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    cuts = sorted({0.0, float(M)} | {i + b for i in range(M) for b in breakpoints})
+    f = dk.PiecewisePolynomial(
+        [(a, b, 0.5 * rng.standard_normal((2, n))) for a, b in zip(cuts, cuts[1:])]
+    )
+    phi = dk.PiecewisePolynomial([(-1.0, 0.0, 0.5 * rng.standard_normal((3, n)))])
+    return dk.DdaeSystem(E=E, A=A, D=D, tau=1.0, horizon_intervals=M, f=f, phi=phi)
+
+
+def count_inverses(monkeypatch):
+    """Record every inverse the solver computes (weak references only)."""
+    made = []
+
+    def counted(A):
+        out = np.linalg.inv(A)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(solver, "inv", counted)
+    return made
+
+
+def _collocation_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for nd in (1, 3, 8):
+        J = rng.standard_normal((nd, nd))
+        cases.append(pytest.param(J, id=f"real-nd{nd}"))
+        cases.append(pytest.param(J + 1j * rng.standard_normal((nd, nd)),
+                                  id=f"complex-nd{nd}"))
+    for lam in (-1000, -200, 30):
+        cases.append(pytest.param(np.array([[float(lam)]]), id=f"scalar{lam}"))
+    return cases
+
+
+class TestSlowCollocation:
+    @pytest.mark.parametrize("width", [1.0, 0.3, 0.4])
+    @pytest.mark.parametrize("J", _collocation_cases())
+    def test_matches_direct_solve(self, J, width):
+        rng = np.random.default_rng(5)
+        nd, degree = J.shape[0], 48
+        colloc = solver.SlowCollocation(J, degree)
+        a = 0.25
+        for _ in range(2):  # the second piece reuses the inverse
+            q_coef = rng.standard_normal((6, nd))
+            v0 = rng.standard_normal(nd)
+            ref = kron_piece_solve(J, a, a + width, q_coef, v0, degree)
+            coef = colloc.solve_piece(a, a + width, q_coef, v0)
+            full = np.zeros((degree + 1, nd), dtype=coef.dtype)
+            full[: coef.shape[0]] = coef
+            err = np.max(np.abs(full - values_to_coeffs(ref)))
+            assert err <= 1e-12 * np.max(np.abs(ref))
+        assert len(colloc._inverses) == 1
+
+    def test_one_inverse_per_uniform_sweep(self, monkeypatch):
+        made = count_inverses(monkeypatch)
+        sys = retarded_ode(np.random.default_rng(2), 8, 10)
+        traj, ledger = dk.method_of_steps(sys)
+        assert len(traj.segments) == 10 and not ledger.has_inconsistent
+        assert len(made) == 1
+
+    def test_at_most_one_inverse_per_width(self, monkeypatch):
+        made = count_inverses(monkeypatch)
+        sys = retarded_ode(np.random.default_rng(3), 4, 10, breakpoints=(0.3, 0.7))
+        traj, _ = dk.method_of_steps(sys)
+        pieces = [p for seg in traj.segments for p in seg.pieces.pieces]
+        widths = {p.b - p.a for p in pieces}
+        assert len(pieces) == 30
+        assert 3 <= len(made) <= len(widths) < len(pieces)
+
+    def test_no_operator_outlives_the_sweep(self, monkeypatch):
+        made = count_inverses(monkeypatch)
+        sys = retarded_ode(np.random.default_rng(4), 3, 4, breakpoints=(0.5,))
+        traj, _ = dk.method_of_steps(sys)
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+        size = (dk.SolverConfig().degree + 1) * 3
+        for value in vars(solver).values():
+            if isinstance(value, dict):
+                assert all(np.shape(v) != (size, size) for v in value.values())
