@@ -116,35 +116,37 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _format_value(v):
-    return "%.17g" % v
-
-
 def _write_trajectory_csv(path, sys_, trajectory, degree):
-    """Each piece sampled at its CGL nodes of the collocation degree."""
+    """Each piece sampled at its CGL nodes of the collocation degree.
+
+    A segment's rows are evaluated into one array and written with one
+    row format; a knot shared by two pieces appears once, and the first
+    and last rows of a segment carry the side markers R and L.
+    """
     parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
+    cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
+    row = ",".join(["%.17g"] * (1 + len(cols))) + ",%s\n"
+    unit_nodes = cgl_nodes(max(degree, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
         fh.write(",".join(["t"] + cols + ["side"]) + "\n")
         for seg in trajectory.segments:
             offset = (seg.index - 1) * trajectory.tau
-            rows = []
+            times, values = [], []
             for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
-                nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(degree, 1))
-                values = seg.pieces.basis.eval(coef, a, b, nodes).T
+                nodes = 0.5 * (a + b) + 0.5 * (b - a) * unit_nodes
                 skip = 1 if p_idx else 0  # shared knot: already the last row
-                rows += [(float(t), v) for t, v in zip(nodes[skip:], values[skip:])]
-            for r_idx, (t_loc, value) in enumerate(rows):
-                side = ""
-                if r_idx == 0:
-                    side = "R"
-                elif r_idx == len(rows) - 1:
-                    side = "L"
-                vals = [_format_value(part(v))
-                        for v in value for part in parts.values()]
-                fh.write(
-                    ",".join([_format_value(offset + t_loc)] + vals + [side]) + "\n"
-                )
+                times.append(nodes[skip:])
+                values.append(seg.pieces.basis.eval(coef, a, b, nodes).T[skip:])
+            v = np.concatenate(values)
+            columns = np.stack([part(v) for part in parts.values()], axis=2)
+            table = np.column_stack(
+                [offset + np.concatenate(times), columns.reshape(len(v), -1)]
+            )
+            sides = [""] * len(table)
+            sides[-1] = "L"
+            sides[0] = "R"
+            fh.write("".join(row % (*r, side)
+                             for r, side in zip(table.tolist(), sides)))
 
 
 def _ledger_payload(ledger, tau):

@@ -280,20 +280,29 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
 
 
 def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orders):
-    """Like solution_taylor but trusts x_value as the order-0 entry."""
+    """Like solution_taylor but trusts x_value as the order-0 entry.
+
+    x^{(j+1)} = A_diff x^{(j)} + r_j with r_j = sum_k C_k q^{(k+j)}: every
+    r_j comes from nu+1 stacked products, then one mat-vec per order.
+    """
     nu = split.nu
     q_derivs = np.asarray(q_derivs)
     if q_derivs.shape[0] < orders + nu:
         raise DimensionMismatch(
             f"need {orders + nu} inhomogeneity derivatives, got {q_derivs.shape[0]}"
         )
-    xs = [np.asarray(x_value)]
+    x_value = np.asarray(x_value)
+    if not orders:
+        return x_value[None].copy()
+    r = sum(q_derivs[k : k + orders] @ split.C[k].T for k in range(nu + 1))
+    xs = np.empty(
+        (orders + 1,) + x_value.shape, dtype=np.result_type(x_value, r, split.A_diff)
+    )
+    xs[0] = x_value
+    xs[1:] = r
     for j in range(orders):
-        nxt = split.A_diff @ xs[j]
-        for k in range(nu + 1):
-            nxt = nxt + split.C[k] @ q_derivs[k + j]
-        xs.append(nxt)
-    return np.stack(xs)
+        xs[j + 1] += split.A_diff @ xs[j]
+    return xs
 
 
 def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:

@@ -68,18 +68,56 @@ def _merge_breaks(points, tol):
     return merged
 
 
-Basis = namedtuple("Basis", ["name", "eval", "der", "restrict", "tidy"])
+Basis = namedtuple("Basis", ["name", "eval", "der", "derivs", "restrict", "tidy"])
 Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
 
 eval(c, a, b, t): values at t (a scalar or an array of times);
 der(c, a, b, m): coefficients of the m-th derivative;
+derivs(c, a, b, t, top): derivatives 0..top at the scalar t, shape
+    (top+1, n), each row bit-identical to eval(der(c, a, b, j), a, b, t)
+    and zero above the degree;
 restrict(c, a, b, lo, hi): coefficients on the subinterval [lo, hi];
 tidy(c): trim applied to the coefficients of a sum.
 """
 
 
+def _monomial_derivs(c, a, b, t, top):
+    """All derivative orders at t from one coefficient stack.
+
+    Row j of the stack is polyder(c, m=j) with its products in polyder's
+    order (the * 1 is polyder's scale step, which can flip the sign of a
+    complex zero), padded with zeros above its degree; one Horner sweep
+    with polyval's steps then evaluates every row at once.  Leading zero
+    padding leaves Horner's result unchanged bit for bit.
+    """
+    m, n = c.shape
+    k = min(top, m - 1) + 1
+    stack = np.zeros((k, m, n), dtype=c.dtype)
+    stack[0] = c
+    for j in range(1, k):
+        factors = np.arange(1, m - j + 1)[:, None]
+        stack[j, : m - j] = factors * (stack[j - 1, 1 : m - j + 1] * 1)
+    x = t - a
+    val = stack[:, -1] + x * 0
+    for i in range(2, m + 1):
+        val = stack[:, -i] + val * x
+    out = np.zeros((top + 1, n), dtype=c.dtype)
+    out[:k] = val
+    return out
+
+
 def _cheb_eval(c, a, b, t):
     return C.chebval((2.0 * t - a - b) / (b - a), c)
+
+
+def _cheb_derivs(c, a, b, t, top):
+    """Differentiate one order at a time: the arithmetic of chebder(m=j)."""
+    out = np.zeros((top + 1, c.shape[1]), dtype=c.dtype)
+    for j in range(min(top, c.shape[0] - 1) + 1):
+        if j:
+            c = CHEBYSHEV.der(c, a, b, 1)
+        out[j] = _cheb_eval(c, a, b, t)
+    return out
 
 
 def _cheb_restrict(c, a, b, lo, hi):
@@ -97,6 +135,7 @@ MONOMIAL = Basis(
     "monomial",
     eval=lambda c, a, b, t: P.polyval(t - a, c),
     der=lambda c, a, b, m: P.polyder(c, m=m, axis=0),
+    derivs=_monomial_derivs,
     restrict=lambda c, a, b, lo, hi: _shift_coeffs(np.array(c), lo - a),
     tidy=lambda c: c,
 )
@@ -106,6 +145,7 @@ CHEBYSHEV = Basis(
     "chebyshev",
     eval=_cheb_eval,
     der=lambda c, a, b, m: C.chebder(c, m=m, scl=2.0 / (b - a), axis=0),
+    derivs=_cheb_derivs,
     restrict=_cheb_restrict,
     tidy=trim_coeffs,
 )
@@ -247,18 +287,13 @@ class PiecewisePolynomial:
     def derivatives(self, t, orders, side="right"):
         """Stack of derivatives 0..orders at t, shape (orders+1, n).
 
-        Same values as evaluate(t, order=j) for each j: the piece is
-        located once and differentiated one order at a time, which is the
-        arithmetic of der(c, m=j); rows above the local degree stay zero.
+        Same values, bit for bit, as evaluate(t, order=j) for each j: the
+        piece is located once and its basis kernel produces every order;
+        rows above the local degree are zero.
         """
         t = float(t)
         a, b, c = self.pieces[self._locate(t, side=side)]
-        out = np.zeros((orders + 1, self.n), dtype=c.dtype)
-        for j in range(min(orders, c.shape[0] - 1) + 1):
-            if j:
-                c = self.basis.der(c, a, b, 1)
-            out[j] = self.basis.eval(c, a, b, t)
-        return out
+        return self.basis.derivs(c, a, b, t, orders)
 
     def sup_bound(self):
         """Upper bound for sup_t max_j |f_j(t)| via coefficient sums."""

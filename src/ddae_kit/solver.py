@@ -162,7 +162,10 @@ class SlowCollocation:
     (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
     depends only on h and the dtype, so its inverse is computed once per
     (h, dtype) and every further piece of that width costs one mat-vec.
-    One instance lives for one sweep; its inverses go with it.
+    Widths are compared relative to the span of the sweep's forcing (the
+    delay tau), so cuts that differ only by roundoff, such as 0.3 and
+    1.0 - 0.7, share one inverse.  One instance lives for one sweep; its
+    inverses go with it.
     """
 
     def __init__(self, J, degree):
@@ -171,8 +174,8 @@ class SlowCollocation:
         self._inverses = {}
         self._work = None
 
-    def _inverse(self, width, dtype):
-        key = (width, dtype)
+    def _inverse(self, width, span, dtype):
+        key = (round(width / span, 13), span, dtype)
         if key in self._inverses:
             return self._inverses[key]
         nd, p = self.J.shape[0], self.degree
@@ -194,22 +197,28 @@ class SlowCollocation:
             raise CollocationSingular(str(exc)) from exc
         return self._inverses[key]
 
-    def solve_piece(self, a, b, q_coef, v0):
-        """Chebyshev coefficients of v on [a, b] from those of q."""
+    def solve_piece(self, a, b, q_coef, v0, span=None):
+        """Chebyshev coefficients of v on [a, b] from those of q.
+
+        span is the length that widths are rounded against (default b - a,
+        which keys on the exact width).
+        """
         nd = self.J.shape[0]
         nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(self.degree)
         Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
         dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
         rhs = Q.astype(dtype).reshape(-1)
         rhs[:nd] = v0
-        values = (self._inverse(b - a, dtype) @ rhs).reshape(self.degree + 1, nd)
+        span = b - a if span is None else span
+        values = (self._inverse(b - a, span, dtype) @ rhs).reshape(self.degree + 1, nd)
         return trim_coeffs(values_to_coeffs(values))
 
     def integrate(self, forcing: PiecewisePolynomial, v0):
         """Piece-by-piece solve on the pieces of forcing, v(start) = v0."""
+        span = forcing.end - forcing.start
         pieces = []
         for a, b, q_coef in forcing.pieces:
-            coef = self.solve_piece(a, b, q_coef, v0)
+            coef = self.solve_piece(a, b, q_coef, v0, span)
             pieces.append(Piece(a, b, coef))
             v0 = CHEBYSHEV.eval(coef, a, b, b)
         return forcing._with(pieces, self.J.shape[0])

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit import cli
+from ddae_kit.cheb import cgl_nodes
 from ddae_kit.cli import main
 
 from gen import example_advanced, example_neutral, example_slow_smoothing
@@ -286,6 +288,72 @@ class TestSolveCommand:
         with open(out_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert max(float(r["t"]) for r in rows) == pytest.approx(3.0)
+
+
+def write_csv_per_value(path, sys_, trajectory, degree):
+    """Reference: the trajectory writer with one "%.17g" call per value."""
+    parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
+        fh.write(",".join(["t"] + cols + ["side"]) + "\n")
+        for seg in trajectory.segments:
+            offset = (seg.index - 1) * trajectory.tau
+            rows = []
+            for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
+                nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(degree, 1))
+                values = seg.pieces.basis.eval(coef, a, b, nodes).T
+                skip = 1 if p_idx else 0
+                rows += [(float(t), v) for t, v in zip(nodes[skip:], values[skip:])]
+            for r_idx, (t_loc, value) in enumerate(rows):
+                side = ""
+                if r_idx == 0:
+                    side = "R"
+                elif r_idx == len(rows) - 1:
+                    side = "L"
+                vals = ["%.17g" % part(v) for v in value for part in parts.values()]
+                fh.write(",".join(["%.17g" % (offset + t_loc)] + vals + [side]) + "\n")
+
+
+def kinked_system(field, n=2, M=4):
+    """Retarded system whose inhomogeneity has kinks at 0.3 and 0.7 of
+    every interval, so every segment is solved in several pieces."""
+    rng = np.random.default_rng(8)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field is complex else x
+
+    cuts = sorted({0.0, float(M)} | {i + b for i in range(M) for b in (0.3, 0.7)})
+    f = dk.PiecewisePolynomial([(a, b, draw(3, n)) for a, b in zip(cuts, cuts[1:])])
+    phi = dk.PiecewisePolynomial([(-1.0, 0.0, draw(2, n))])
+    return dk.DdaeSystem(E=np.eye(n), A=-np.eye(n) + 0.3 * draw(n, n),
+                         D=0.4 * draw(n, n), tau=1.0, horizon_intervals=M,
+                         f=f, phi=phi)
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("degree", [48, 3])
+    @pytest.mark.parametrize("case", ["neutral", "advanced", "kinked-real",
+                                      "kinked-complex"])
+    def test_matches_per_value_writer(self, tmp_path, case, degree):
+        sys_ = {
+            "neutral": example_neutral,
+            "advanced": example_advanced,  # breaks down: partial trajectory
+            "kinked-real": lambda: kinked_system(float),
+            "kinked-complex": lambda: kinked_system(complex),
+        }[case]()
+        traj, _ = dk.method_of_steps(sys_)
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        cli._write_trajectory_csv(got, sys_, traj, degree)
+        write_csv_per_value(ref, sys_, traj, degree)
+        assert got.read_bytes() == ref.read_bytes()
+        rows = got.read_text().splitlines()[1:]
+        sides = [r.rsplit(",", 1)[1] for r in rows]
+        assert sides.count("R") == sides.count("L") == len(traj.segments)
+        pieces = [len(seg.pieces.pieces) for seg in traj.segments]
+        assert len(rows) == sum(k * degree + 1 for k in pieces)
+        if case.startswith("kinked"):
+            assert min(pieces) >= 3
 
 
 class TestStabilityCommand:

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.model import solution_taylor
+from ddae_kit.model import solution_taylor, solution_taylor_from_value
 
 from gen import (
     example_advanced,
     example_neutral,
     example_slow_smoothing,
     random_regular_pencil,
+    well_conditioned,
 )
 
 
@@ -168,7 +171,46 @@ class TestFastSubsystem:
         assert w.n == 0
 
 
+def taylor_per_order(split, x_value, q_derivs, orders):
+    """Reference: the per-order loop with nu+2 mat-vecs per order."""
+    xs = [np.asarray(x_value)]
+    for j in range(orders):
+        nxt = split.A_diff @ xs[j]
+        for k in range(split.nu + 1):
+            nxt = nxt + split.C[k] @ q_derivs[k + j]
+        xs.append(nxt)
+    return np.stack(xs)
+
+
 class TestSolutionTaylor:
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_stacked_recursion_matches_per_order_loop(self, nu, field):
+        # the summation order differs from the loop, so agreement is to a
+        # tolerance: 1e-12 of each order's norm, far above the roundoff
+        rng = np.random.default_rng(60 + nu)
+        n = 6
+        E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+        if field is complex:
+            U = well_conditioned(rng, n) + 0.5j * well_conditioned(rng, n)
+            E, A = U @ E, U @ A
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        assert split.nu == nu
+        # unit-norm A_diff keeps 128 orders from being swamped by A_diff^j x0
+        split = replace(split, A_diff=split.A_diff / np.linalg.norm(split.A_diff, 2))
+        for orders in (0, 1, 2, 17, 128):
+            q = rng.standard_normal((orders + nu, n))  # the fewest accepted
+            x0 = rng.standard_normal(n)
+            if field is complex:
+                q = q + 1j * rng.standard_normal(q.shape)
+            got = solution_taylor_from_value(split, x0, q, orders)
+            ref = taylor_per_order(split, x0, q, orders)
+            assert got.shape == ref.shape == (orders + 1, n)
+            assert got.dtype == ref.dtype
+            assert got[0].tobytes() == ref[0].tobytes()
+            err = np.linalg.norm(got - ref, axis=1)
+            assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
+
     def test_matches_polynomial_solution(self):
         # scalar neutral example: segment 1 solution is x(t) = -t
         sys = example_neutral()

@@ -44,24 +44,41 @@ class TestEvaluation:
     @pytest.mark.parametrize("field", [float, complex])
     def test_derivatives_match_per_order_evaluation(self, basis, field):
         # the one-pass stack is bit-identical to evaluating each order
-        # separately: both sides of interior knots, orders past the degree
+        # separately: both sides of interior knots, orders past the degree;
+        # the second function has degrees up to 20 and signed zeros, and is
+        # also sampled just across each knot, where t - a is a tiny
+        # negative number or lies a hair past the piece end
         rng = np.random.default_rng(17)
         breaks = [-1.0, -0.3, 0.4, 1.7]
-        pieces = []
-        for a, b in zip(breaks, breaks[1:]):
-            c = rng.standard_normal((int(rng.integers(1, 9)), 3))
-            if field is complex:
-                c = c + 1j * rng.standard_normal(c.shape)
-            pieces.append((a, b, c))
-        pp = PiecewisePolynomial(pieces, 3)
-        if basis == "chebyshev":
-            pp = pp.to_chebyshev()
-        for t in [-1.0, -0.7, -0.3, 0.4, 1.1, 1.7]:
-            for side in ("left", "right"):
-                got = pp.derivatives(t, 10, side=side)
-                ref = np.stack([pp.evaluate(t, order=j, side=side) for j in range(11)])
-                assert got.dtype == ref.dtype
-                assert got.tobytes() == ref.tobytes()
+        for sizes in (None, (21, 1, 14)):
+            pieces = []
+            for k, (a, b) in enumerate(zip(breaks, breaks[1:])):
+                m = int(rng.integers(1, 9)) if sizes is None else sizes[k]
+                c = rng.standard_normal((m, 3))
+                if field is complex:
+                    c = c + 1j * rng.standard_normal(c.shape)
+                if sizes is not None:  # signed zeros, in both parts if complex
+                    zero = complex(-0.0, -0.0) if field is complex else -0.0
+                    c[1::4] = zero
+                    c[:, 2] = zero
+                    c[-1, 2] = complex(-1.0, -0.0) if field is complex else -1.0
+                    if field is complex:
+                        c[3::4, :2] = np.conj(c[3::4, :2].real + 0j)
+                pieces.append((a, b, c))
+            pp = PiecewisePolynomial(pieces, 3)
+            if basis == "chebyshev":
+                pp = pp.to_chebyshev()
+            times = [-1.0, -0.7, -0.3, 0.4, 1.1, 1.7]
+            if sizes is not None:
+                times += [-0.3 - 1e-12, -0.3 + 1e-12, 0.4 - 1e-12, 0.4 + 1e-12]
+            for t in times:
+                for side in ("left", "right"):
+                    for orders in (10, 25):
+                        got = pp.derivatives(t, orders, side=side)
+                        ref = np.stack([pp.evaluate(t, order=j, side=side)
+                                        for j in range(orders + 1)])
+                        assert got.dtype == ref.dtype
+                        assert got.tobytes() == ref.tobytes()
 
     def test_out_of_domain(self):
         pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0]]))])

@@ -498,13 +498,14 @@ class TestSlowCollocation:
         assert len(made) == 1
 
     def test_at_most_one_inverse_per_width(self, monkeypatch):
+        # widths 0.3 and 1.0 - 0.7 = 0.30000000000000004 share one inverse
         made = count_inverses(monkeypatch)
         sys = retarded_ode(np.random.default_rng(3), 4, 10, breakpoints=(0.3, 0.7))
         traj, _ = dk.method_of_steps(sys)
         pieces = [p for seg in traj.segments for p in seg.pieces.pieces]
         widths = {p.b - p.a for p in pieces}
         assert len(pieces) == 30
-        assert 3 <= len(made) <= len(widths) < len(pieces)
+        assert len(made) == 2 < len(widths)
 
     def test_no_operator_outlives_the_sweep(self, monkeypatch):
         made = count_inverses(monkeypatch)
