@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import DdaeSystem, SplitCoefficients, solution_taylor
+from .model import DdaeSystem, SplitCoefficients, f_derivs_x, solution_taylor
 from .pencil import DEFAULT_POLICY, RankPolicy, norm2
+from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
 
@@ -114,6 +115,22 @@ def check_second_splicing(sys: DdaeSystem, split: SplitCoefficients):
     return _transition_residual(sys, split, 2)
 
 
+def agreement_order(left, right, top, tol, first=0):
+    """Largest k <= top such that rows 0..k of two derivative stacks agree.
+
+    Row k agrees when ||right[k] - left[k]|| <= tol (1 + max row norm).
+    Rows below first are taken as agreeing without a test.  Returns
+    first - 1 when row first already differs, so -1 means the values
+    differ.
+    """
+    for k in range(first, top + 1):
+        l, r = left[k], right[k]
+        scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
+        if not np.linalg.norm(r - l) <= tol * scale:
+            return k - 1
+    return top
+
+
 def observed_kappa(sys: DdaeSystem, split: SplitCoefficients, cap=None):
     """Largest order up to which history and solution derivatives agree."""
     nu = split.nu
@@ -121,15 +138,8 @@ def observed_kappa(sys: DdaeSystem, split: SplitCoefficients, cap=None):
     q = first_segment_q_derivs(sys, cap + max(nu, 1))
     phi0 = sys.phi.evaluate(0.0, side="left")
     xs, _ = solution_taylor(split, phi0, q, cap)
-    kappa = -1
-    for j in range(cap + 1):
-        left = sys.phi.evaluate(0.0, order=j, side="left")
-        scale = _scale_of(left, xs[j])
-        if np.linalg.norm(left - xs[j]) <= FLAG_TOL * scale:
-            kappa = j
-        else:
-            break
-    return kappa
+    history = sys.phi.derivatives(0.0, cap, side="left")
+    return agreement_order(history, xs, cap, FLAG_TOL)
 
 
 def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport:
@@ -178,29 +188,14 @@ def _hermite_two_point(vals_left, vals_right, length):
     derivatives at both ends: p^{(j)}(0) = vals_left[j],
     p^{(j)}(length) = vals_right[j]."""
     K = vals_left.shape[0] - 1
-    width = vals_left.shape[1]
-    dtype = np.result_type(vals_left.dtype, vals_right.dtype, float)
-    coeffs = np.zeros((2 * K + 2, width), dtype=dtype)
-    fact = 1.0
-    for k in range(K + 1):
-        if k > 0:
-            fact *= k
-        coeffs[k] = vals_left[k] / fact
-    A = np.zeros((K + 1, K + 1))
-    rhs = np.array(vals_right, dtype=dtype)
-    for j in range(K + 1):
-        for k in range(j, K + 1):
-            falling = 1.0
-            for i in range(j):
-                falling *= k - i
-            rhs[j] = rhs[j] - falling * length ** (k - j) * coeffs[k]
-        for col, k in enumerate(range(K + 1, 2 * K + 2)):
-            falling = 1.0
-            for i in range(j):
-                falling *= k - i
-            A[j, col] = falling * length ** (k - j)
-    coeffs[K + 1 :] = np.linalg.solve(A, rhs)
-    return coeffs
+    k = np.arange(2 * K + 2)
+    j = np.arange(K + 1)[:, None]
+    # F[j, k] = (d/du)^j u^k at u = length = k!/(k-j)! length^(k-j); 0 for k < j
+    falling = np.cumprod(np.vstack([np.ones_like(k), k - j[:-1]]), axis=0)
+    F = falling * float(length) ** np.maximum(k - j, 0)
+    low = vals_left / np.diag(F)[:, None]
+    high = np.linalg.solve(F[:, K + 1 :], vals_right - F[:, : K + 1] @ low)
+    return np.vstack([low, high])
 
 
 def construct_probe_history(
@@ -220,8 +215,6 @@ def construct_probe_history(
     supplied.  Requires m >= 1 and m + index <= 10 (Hermite
     conditioning).
     """
-    from .piecewise import PiecewisePolynomial
-
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
     nu, n_d, n_a = split.nu, split.n_d, split.n_a
@@ -242,55 +235,24 @@ def construct_probe_history(
         raise DimensionMismatch("split must carry transformed history domain")
     tau = -split.psi.start
     K = nu + m
-    dtype = complex if (
-        np.iscomplexobj(split.qwf.T) or np.iscomplexobj(target)
-    ) else float
+    # transformed history derivatives [psi; eta] at -tau and psi(0)
     if rng is None:
-        psi_tau = np.zeros((K + 1, n_d), dtype=dtype)
-        eta_tau = np.zeros((K + 1, n_a), dtype=dtype)
-        psi0_free = np.zeros(n_d, dtype=dtype)
+        vals_left, psi0_free = np.zeros((K + 1, split.n)), np.zeros(n_d)
     else:
-        psi_tau = rng.standard_normal((K + 1, n_d)).astype(dtype)
-        eta_tau = rng.standard_normal((K + 1, n_a)).astype(dtype)
-        psi0_free = rng.standard_normal(n_d).astype(dtype)
+        vals_left = np.hstack([rng.standard_normal((K + 1, n_d)),
+                               rng.standard_normal((K + 1, n_a))])
+        psi0_free = rng.standard_normal(n_d)
 
-    g0 = split.g.derivatives(0.0, K, side="right")
-    h0 = split.h.derivatives(0.0, K, side="right")
-    N, J = split.qwf.N, split.qwf.J
-    B_d1, B_d2 = split.B_d1, split.B_d2
-    B_a1, B_a2 = split.B_a1, split.B_a2
+    # first-segment solution derivatives at 0+ from the data at -tau
+    T, T_inv = split.qwf.T, split.qwf.T_inv
+    x0 = T @ np.concatenate([psi0_free, np.zeros(n_a)])
+    q = (vals_left @ T.T) @ split.D.T + f_derivs_x(split, 0.0, K, "right")
+    xs, _ = solution_taylor(split, x0, q, m)
 
-    # fast-part solution derivatives at 0+, fixed by the data at -tau
-    W = np.zeros((m + 1, n_a), dtype=dtype)
-    for j in range(m + 1):
-        acc = np.zeros(n_a, dtype=dtype)
-        N_pow = np.eye(n_a, dtype=dtype)
-        for k in range(nu):
-            acc = acc + N_pow @ (
-                B_a1 @ psi_tau[k + j] + B_a2 @ eta_tau[k + j] + h0[k + j]
-            )
-            N_pow = N_pow @ N
-        W[j] = -acc
-
-    def slow_step(j, psi0_j):
-        return J @ psi0_j + B_d1 @ psi_tau[j] + B_d2 @ eta_tau[j] + g0[j]
-
-    psi0 = np.zeros((K + 1, n_d), dtype=dtype)
-    eta0 = np.zeros((K + 1, n_a), dtype=dtype)
-    psi0[0] = psi0_free
-    if side == "slow":
-        eta0[: m + 1] = W
-        for j in range(m - 1):
-            psi0[j + 1] = slow_step(j, psi0[j])
-        psi0[m] = slow_step(m - 1, psi0[m - 1]) + target
-    else:
-        for j in range(m):
-            psi0[j + 1] = slow_step(j, psi0[j])
-        eta0[:m] = W[:m]
-        eta0[m] = W[m] + target
-
-    vals_left = np.hstack([psi_tau, eta_tau])
-    vals_right = np.hstack([psi0, eta0])
+    vals_right = np.zeros((K + 1, split.n), dtype=np.result_type(xs, target))
+    vals_right[: m + 1] = xs @ T_inv.T
+    block = slice(0, n_d) if side == "slow" else slice(n_d, None)
+    vals_right[m, block] += target
     coeffs = _hermite_two_point(vals_left, vals_right, tau)
     phi = PiecewisePolynomial([(-tau, 0.0, coeffs)])
-    return phi.apply_matrix(split.qwf.T)
+    return phi.apply_matrix(T)

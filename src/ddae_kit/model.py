@@ -27,7 +27,7 @@ from .pencil import (
     RankPolicy,
     compute_qwf,
 )
-from .piecewise import PiecewisePolynomial
+from .piecewise import Piece, PiecewisePolynomial
 
 _DOMAIN_RTOL = 1e-9
 
@@ -238,18 +238,24 @@ def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu):
 
     nu is the nilpotency index of N.  q_f may be in either basis; the
     result is piecewise polynomial in the same basis with the same
-    breakpoints.
+    breakpoints.  Each piece differentiates once per order from the
+    previous order and is tidied once, after all terms are summed.
     """
     N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
     m = N.shape[0]
     if m == 0:
         return PiecewisePolynomial.zero(0, q_f.start, q_f.end, basis=q_f.basis)
-    w = q_f.apply_matrix(-np.eye(m, dtype=N.dtype))
-    N_pow = np.array(N)
-    for k in range(1, nu):
-        w = w + q_f.derivative(k).apply_matrix(-N_pow)
-        N_pow = N_pow @ N
-    return w
+    pieces = []
+    for a, b, c in q_f.pieces:
+        w = np.zeros((c.shape[0], m), dtype=np.result_type(c, N))
+        N_pow = np.eye(m, dtype=N.dtype)
+        for k in range(min(nu, c.shape[0])):
+            if k:
+                c = q_f.basis.der(c, a, b, 1)
+            w[: c.shape[0]] += c @ -N_pow.T
+            N_pow = N_pow @ N
+        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+    return q_f._with(pieces, m)
 
 
 def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
@@ -266,15 +272,11 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
     xs[j] = x^{(j)} at the endpoint and residual is the consistency
     defect ||x_request - xs[0]||.
     """
-    nu = split.nu
     q_derivs = np.asarray(q_derivs)
-    if q_derivs.shape[0] < orders + nu:
-        raise DimensionMismatch(
-            f"need {orders + nu} inhomogeneity derivatives, got {q_derivs.shape[0]}"
-        )
     x0 = split.A_con @ x_request
-    for k in range(1, nu + 1):
-        x0 = x0 + split.C[k] @ q_derivs[k - 1]
+    # a short stack truncates this sum; solution_taylor_from_value rejects it
+    for Ck, qk in zip(split.C[1:], q_derivs):
+        x0 = x0 + Ck @ qk
     residual = float(np.linalg.norm(x_request - x0))
     return solution_taylor_from_value(split, x0, q_derivs, orders), residual
 
@@ -303,6 +305,15 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     for j in range(orders):
         xs[j + 1] += split.A_diff @ xs[j]
     return xs
+
+
+def f_derivs_x(split: SplitCoefficients, s, orders, side):
+    """Derivatives 0..orders of the original inhomogeneity f = S^{-1} [g; h]
+    at global time s, shape (orders+1, n)."""
+    gh = split.g.derivatives(s, orders, side=side)
+    if split.n_a:
+        gh = np.hstack([gh, split.h.derivatives(s, orders, side=side)])
+    return gh @ split.qwf.S_inv.T
 
 
 def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:

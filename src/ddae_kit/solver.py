@@ -30,17 +30,23 @@ from .errors import (
     InconsistentRestart,
     NotAdmissible,
 )
-from .history import check_admissible
+from .history import agreement_order, check_admissible
 from .model import (
     DdaeSystem,
     SplitCoefficients,
     build_split,
+    f_derivs_x,
     fast_subsystem_solution,
     segment_window,
     solution_taylor,
     solution_taylor_from_value,
 )
 from .piecewise import CHEBYSHEV, Piece, PiecewisePolynomial
+
+# relative tolerance for accepting a restart value as consistent
+CONSISTENCY_TOL = 1e-7
+# relative tolerance for declaring a derivative jump at a knot
+JUMP_TOL = 1e-7
 
 _dmat_cache = {}
 
@@ -51,16 +57,12 @@ class SolverConfig:
 
     degree: collocation degree per smooth piece.
     k_max: highest derivative order compared at knots (default index+2).
-    tol_consistency: relative tolerance for accepting a restart value.
-    tol_jump: relative tolerance for declaring a derivative jump.
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
     """
 
     degree: int = 48
     k_max: int | None = None
-    tol_consistency: float = 1e-7
-    tol_jump: float = 1e-7
     on_inconsistent: str = "record"
 
     def __post_init__(self):
@@ -224,37 +226,10 @@ class SlowCollocation:
         return forcing._with(pieces, self.J.shape[0])
 
 
-def _f_derivs_x(split, s, orders, side):
-    """Derivatives of the original inhomogeneity at global time s."""
-    gh = split.g.derivatives(s, orders, side=side)
-    if split.n_a:
-        gh = np.hstack([gh, split.h.derivatives(s, orders, side=side)])
-    return gh @ split.qwf.S_inv.T
-
-
-def _compare_endpoints(left, right, k_max, tol_jump, order0_matched=None):
-    matched = -1
-    for k in range(k_max + 1):
-        if k == 0 and order0_matched is True:
-            matched = 0
-            continue
-        l, r = left[k], right[k]
-        scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
-        if np.linalg.norm(r - l) <= tol_jump * scale:
-            matched = k
-        else:
-            break
-    if matched == k_max:
-        return matched, None, None, None
-    jump = right[matched + 1] - left[matched + 1]
-    return matched, matched + 1, jump, float(np.linalg.norm(jump))
-
-
 def detect_jumps(
     left: SegmentSolution,
     right: SegmentSolution,
     k_max: int,
-    tol_jump: float = 1e-7,
     knot_index: int | None = None,
     tau: float | None = None,
     order0_matched: bool | None = None,
@@ -268,9 +243,13 @@ def detect_jumps(
     """
     avail = min(left.derivs_end.shape[0], right.derivs_start.shape[0]) - 1
     k_eff = min(k_max, avail)
-    matched, first, jump, norm = _compare_endpoints(
-        left.derivs_end, right.derivs_start, k_eff, tol_jump, order0_matched
-    )
+    matched = agreement_order(left.derivs_end, right.derivs_start, k_eff, JUMP_TOL,
+                              first=1 if order0_matched else 0)
+    first = jump = norm = None
+    if matched < k_eff:
+        first = matched + 1
+        jump = right.derivs_start[first] - left.derivs_end[first]
+        norm = float(np.linalg.norm(jump))
     idx = right.index - 1 if knot_index is None else knot_index
     tau = left.pieces.end if tau is None else tau
     return LedgerEntry(
@@ -306,7 +285,7 @@ def solve_segment(
     """Solve segment i from the previous segment (or history, i = 1).
 
     Raises InconsistentRestart when the previous end value is not a
-    consistent initial value for this segment within tol_consistency;
+    consistent initial value for this segment within CONSISTENCY_TOL;
     the error carries the order-0 jump to the consistent projection.
     colloc is the sweep's SlowCollocation for split.qwf.J at
     config.degree, so its inverses serve every segment (a fresh one is
@@ -322,15 +301,15 @@ def solve_segment(
     # inhomogeneity derivative streams at both segment ends
     t_left = (i - 1) * tau
     t_right = i * tau
-    f_left = _f_derivs_x(split, t_left, R_prev - 1, "right")
-    f_right = _f_derivs_x(split, t_right, R_prev - 1, "left")
+    f_left = f_derivs_x(split, t_left, R_prev - 1, "right")
+    f_right = f_derivs_x(split, t_right, R_prev - 1, "left")
     q_left = prev.derivs_start @ split.D.T + f_left
     q_right = prev.derivs_end @ split.D.T + f_right
 
     x_req = prev.derivs_end[0]
     derivs_start, residual = solution_taylor(split, x_req, q_left, orders)
     scale = 1.0 + float(np.linalg.norm(x_req)) + float(np.linalg.norm(q_left[0]))
-    if residual > config.tol_consistency * scale:
+    if residual > CONSISTENCY_TOL * scale:
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
     # data windows in segment-local time
@@ -404,8 +383,8 @@ def method_of_steps(
             )
             break
         entries.append(
-            detect_jumps(prev, seg, k_max, config.tol_jump, knot_index=i - 1,
-                         tau=sys.tau, order0_matched=True)
+            detect_jumps(prev, seg, k_max, knot_index=i - 1, tau=sys.tau,
+                         order0_matched=True)
         )
         segments.append(seg)
         prev = seg

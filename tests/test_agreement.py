@@ -1,0 +1,224 @@
+"""The one agreement test shared by the splicing checks and the jump ledger.
+
+`agreement_order` replaced two loops that answered the same question
+("up to which order do two derivative stacks agree?") with different
+tolerances: the ledger's endpoint comparison and the loop inside
+`observed_kappa`.  Both loops are kept here verbatim as references, and
+the helper must reach the same decision on every input, including rows
+exactly on the tolerance boundary and one rounding step either side.
+"""
+
+import numpy as np
+import pytest
+
+import ddae_kit as dk
+from ddae_kit.history import FLAG_TOL, agreement_order
+from ddae_kit.solver import JUMP_TOL, SegmentSolution
+
+
+def reference_compare_endpoints(left, right, k_max, tol_jump, order0_matched=None):
+    """The ledger's former endpoint comparison."""
+    matched = -1
+    for k in range(k_max + 1):
+        if k == 0 and order0_matched is True:
+            matched = 0
+            continue
+        l, r = left[k], right[k]
+        scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
+        if np.linalg.norm(r - l) <= tol_jump * scale:
+            matched = k
+        else:
+            break
+    if matched == k_max:
+        return matched, None, None, None
+    jump = right[matched + 1] - left[matched + 1]
+    return matched, matched + 1, jump, float(np.linalg.norm(jump))
+
+
+def reference_kappa_loop(history, xs, cap):
+    """The loop formerly inside observed_kappa."""
+    kappa = -1
+    for j in range(cap + 1):
+        left = history[j]
+        scale = 1.0 + max(float(np.linalg.norm(left)), float(np.linalg.norm(xs[j])))
+        if np.linalg.norm(left - xs[j]) <= FLAG_TOL * scale:
+            kappa = j
+        else:
+            break
+    return kappa
+
+
+def _agrees(l, r, tol):
+    scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
+    return bool(np.linalg.norm(r - l) <= tol * scale)
+
+
+def boundary_rows(l, direction, tol):
+    """Two rows l + s d, one rounding step of s apart, on either side of
+    the tolerance boundary."""
+    lo, hi = 0.0, 4.0 * tol * (1.0 + float(np.linalg.norm(l)))
+    assert _agrees(l, l + lo * direction, tol)
+    assert not _agrees(l, l + hi * direction, tol)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _agrees(l, l + mid * direction, tol):
+            lo = mid
+        else:
+            hi = mid
+    return l + lo * direction, l + hi * direction
+
+
+def exact_boundary_rows(l, tol):
+    """Rows (l', r) with ||r - l'|| equal to tol (1 + max row norm), bit
+    for bit: l' is l with its first entry zeroed and r differs from l'
+    only there, so the difference norm is exact and a fixed-point
+    iteration on that entry lands on the boundary."""
+    l = l.copy()
+    l[0] = 0.0
+    r = l.copy()
+    for _ in range(60):
+        scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
+        if np.linalg.norm(r - l) == tol * scale:
+            return l, r
+        r[0] = tol * scale
+    raise AssertionError("no exact boundary row found")
+
+
+def random_pair(rng, rows, width, tol, complex_field):
+    """Two stacks whose rows agree, sit on the boundary or differ."""
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        if complex_field:
+            x = x + 1j * rng.standard_normal(shape)
+        return x
+
+    left = draw(rows, width) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    right = left.copy()
+    for k in range(rows):
+        kind = rng.choice(["same", "tiny", "on", "inside", "outside", "far"],
+                          p=[0.25, 0.15, 0.2, 0.15, 0.15, 0.1])
+        direction = draw(width)
+        direction /= np.linalg.norm(direction)
+        if kind == "on":
+            left[k], right[k] = exact_boundary_rows(left[k], tol)
+        elif kind == "tiny":
+            right[k] = left[k] + 1e-3 * tol * direction
+        elif kind in ("inside", "outside"):
+            inside, outside = boundary_rows(left[k], direction, tol)
+            right[k] = inside if kind == "inside" else outside
+        elif kind == "far":
+            right[k] = left[k] + direction
+    return left, right
+
+
+def segment(index, start, end):
+    return SegmentSolution(index=index, pieces=None, consistency_residual=0.0,
+                           derivs_start=start, derivs_end=end)
+
+
+class TestAgainstReferenceLoops:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_ledger_decisions_match(self, complex_field):
+        rng = np.random.default_rng(11 + complex_field)
+        for _ in range(150):
+            rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            left, right = random_pair(rng, rows, width, JUMP_TOL, complex_field)
+            for top in range(rows):
+                for order0 in (None, True):
+                    ref = reference_compare_endpoints(left, right, top, JUMP_TOL, order0)
+                    first = 1 if order0 else 0
+                    assert agreement_order(left, right, top, JUMP_TOL, first) == ref[0]
+                    entry = dk.detect_jumps(
+                        segment(0, left, left), segment(1, right, right), k_max=top,
+                        knot_index=0, tau=1.0, order0_matched=order0,
+                    )
+                    assert entry.matched_order == ref[0]
+                    assert entry.first_jump_order == ref[1]
+                    assert entry.inconsistent_restart == (ref[0] == -1)
+                    if ref[1] is None:
+                        assert entry.jump_vector is None and entry.jump_norm is None
+                    else:
+                        np.testing.assert_array_equal(entry.jump_vector, ref[2])
+                        assert entry.jump_norm == ref[3]
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_kappa_decisions_match(self, complex_field):
+        rng = np.random.default_rng(21 + complex_field)
+        for _ in range(150):
+            rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            history, xs = random_pair(rng, rows, width, FLAG_TOL, complex_field)
+            for cap in range(rows):
+                assert agreement_order(history, xs, cap, FLAG_TOL) == reference_kappa_loop(
+                    history, xs, cap)
+
+    @pytest.mark.parametrize("tol", [JUMP_TOL, FLAG_TOL])
+    def test_row_exactly_on_the_boundary_agrees(self, tol):
+        rng = np.random.default_rng(5)
+        for complex_field in (False, True):
+            l = rng.standard_normal(3) + (1j if complex_field else 0) * rng.standard_normal(3)
+            left, right = (row[None] for row in exact_boundary_rows(l, tol))
+            assert agreement_order(left, right, 0, tol) == 0
+            assert reference_compare_endpoints(left, right, 0, tol)[0] == 0
+            assert reference_kappa_loop(left, right, 0) == (0 if tol == FLAG_TOL else -1)
+
+    def test_boundary_rows_straddle_both_tolerances(self):
+        # the two tolerances are separate decisions: a row inside the
+        # ledger's 1e-7 band can lie outside the splicing checks' 1e-8
+        rng = np.random.default_rng(3)
+        l = rng.standard_normal(3)
+        d = np.ones(3) / np.sqrt(3.0)
+        inside, outside = boundary_rows(l, d, JUMP_TOL)
+        for r, agree in ((inside, 0), (outside, -1)):
+            left, right = l[None], r[None]
+            assert agreement_order(left, right, 0, JUMP_TOL) == agree
+            assert reference_compare_endpoints(left, right, 0, JUMP_TOL)[0] == agree
+        assert agreement_order(l[None], inside[None], 0, FLAG_TOL) == -1
+
+
+class TestEdgeCases:
+    def test_top_zero(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b = a.copy()
+        b[1] += 1.0
+        assert agreement_order(a, b, 0, JUMP_TOL) == 0
+        b[0] += 1.0
+        assert agreement_order(a, b, 0, JUMP_TOL) == -1
+        assert agreement_order(a, b, 0, JUMP_TOL, first=1) == 0
+
+    def test_values_differ_gives_minus_one(self):
+        a = np.zeros((4, 2))
+        b = a.copy()
+        b[0, 1] = 1.0
+        assert agreement_order(a, b, 3, FLAG_TOL) == -1
+        assert reference_kappa_loop(a, b, 3) == -1
+
+    def test_full_agreement_gives_top(self):
+        a = np.arange(12.0).reshape(4, 3)
+        assert agreement_order(a, a.copy(), 3, FLAG_TOL) == 3
+        assert agreement_order(a, a.copy(), 2, FLAG_TOL) == 2
+
+    def test_nan_row_never_agrees(self):
+        a = np.zeros((3, 1))
+        b = a.copy()
+        b[1, 0] = np.nan
+        assert agreement_order(a, b, 2, JUMP_TOL) == 0
+        assert reference_compare_endpoints(a, b, 2, JUMP_TOL)[0] == 0
+
+    @pytest.mark.parametrize("order0", [None, True])
+    def test_order0_matched(self, order0):
+        # a restart already accepted by the consistency test is not
+        # re-judged at order 0 by the ledger's tolerance
+        left = np.array([[0.0], [1.0], [2.0]])
+        right = np.array([[1.0], [1.0], [5.0]])
+        entry = dk.detect_jumps(segment(0, left, left), segment(1, right, right),
+                                k_max=2, knot_index=0, tau=1.0, order0_matched=order0)
+        if order0:
+            assert (entry.matched_order, entry.first_jump_order) == (1, 2)
+            assert entry.jump_vector[0] == 3.0
+            assert not entry.inconsistent_restart
+        else:
+            assert (entry.matched_order, entry.first_jump_order) == (-1, 0)
+            assert entry.jump_vector[0] == 1.0
+            assert entry.inconsistent_restart

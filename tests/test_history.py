@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddae_kit as dk
 
@@ -230,3 +232,41 @@ class TestProbeConstruction:
         split = dk.build_split(example_neutral())  # n_d = 0
         with pytest.raises(dk.DimensionMismatch):
             dk.construct_probe_history(split, m=1, target=np.zeros(0), side="slow")
+
+
+class TestProbeContractProperty:
+    """On random smoothing systems the probe history is admissible, keeps
+    the transition smooth through order m - 1 and makes the first-knot
+    ledger jump at order m by exactly -target on the chosen side."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_d=st.integers(1, 2),
+        n_a=st.integers(1, 3),
+        nu=st.integers(1, 3),
+        m=st.integers(1, 3),
+        side=st.sampled_from(["slow", "fast"]),
+    )
+    def test_probe_contract(self, seed, n_d, n_a, nu, m, side):
+        from gen import random_smoothing_blocks, random_system_from_blocks
+
+        nu = min(nu, n_a)
+        rng = np.random.default_rng(seed)
+        blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
+        sys, split = random_system_from_blocks(rng, n_d, n_a, nu, blocks, horizon=2)
+        dim = split.n_d if side == "slow" else split.n_a
+        target = rng.standard_normal(dim)
+        target /= np.linalg.norm(target)
+        phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+        sys2, split2 = with_history(sys, phi, qwf=split.qwf)
+
+        assert dk.check_admissible(sys2, split2)[0]
+        assert dk.splicing_report(sys2, split2).kappa_observed == m - 1
+        config = dk.SolverConfig(k_max=max(split.nu + 2, m + 1))
+        _, ledger = dk.method_of_steps(sys2, split2, config)
+        entry = ledger.entry_at(0)
+        assert entry.first_jump_order == m
+        jump = split.qwf.T_inv @ entry.jump_vector
+        block = jump[: split.n_d] if side == "slow" else jump[split.n_d :]
+        assert np.linalg.norm(block + target) <= 1e-6
