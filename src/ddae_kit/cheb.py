@@ -12,14 +12,20 @@ from numpy.polynomial import chebyshev as C
 
 TRIM_TOL = 1e-14
 
+_nodes_cache = {}
 _vander_cache = {}
 
 
 def cgl_nodes(degree):
-    """Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending."""
-    if degree == 0:
-        return np.array([1.0])
-    return C.chebpts2(degree + 1)
+    """Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending.
+
+    Cached per degree and returned read-only: callers share one array.
+    """
+    if degree not in _nodes_cache:
+        nodes = np.array([1.0]) if degree == 0 else C.chebpts2(degree + 1)
+        nodes.setflags(write=False)
+        _nodes_cache[degree] = nodes
+    return _nodes_cache[degree]
 
 
 def _vander_inv(degree):

@@ -116,8 +116,9 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-def _write_trajectory_csv(path, sys_, trajectory, degree):
-    """Each piece sampled at its CGL nodes of the collocation degree.
+def _write_trajectory_csv(path, sys_, trajectory):
+    """Each piece sampled at the CGL nodes of its own degree (at least its
+    two ends), so the rows of a piece determine it exactly.
 
     A segment's rows are evaluated into one array and written with one
     row format; a knot shared by two pieces appears once, and the first
@@ -126,13 +127,13 @@ def _write_trajectory_csv(path, sys_, trajectory, degree):
     parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
     cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
     row = ",".join(["%.17g"] * (1 + len(cols))) + ",%s\n"
-    unit_nodes = cgl_nodes(max(degree, 1))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t"] + cols + ["side"]) + "\n")
         for seg in trajectory.segments:
             offset = (seg.index - 1) * trajectory.tau
             times, values = [], []
             for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
+                unit_nodes = cgl_nodes(max(coef.shape[0] - 1, 1))
                 nodes = 0.5 * (a + b) + 0.5 * (b - a) * unit_nodes
                 skip = 1 if p_idx else 0  # shared knot: already the last row
                 times.append(nodes[skip:])
@@ -167,7 +168,7 @@ def cmd_solve(args):
         config = replace(config, degree=args.degree)
     # a hard stop (--on-inconsistent stop) raises before any output is written
     trajectory, ledger = method_of_steps(sys_, config=config)
-    _write_trajectory_csv(args.out_csv, sys_, trajectory, config.degree)
+    _write_trajectory_csv(args.out_csv, sys_, trajectory)
     _write_json(args.ledger_out, _ledger_payload(ledger, sys_.tau))
     if ledger.has_inconsistent:
         print("warning: inconsistent restart; partial outputs written",
@@ -284,7 +285,9 @@ def build_parser():
     p.add_argument("out_csv")
     p.add_argument("ledger_out")
     p.add_argument("--degree", type=int, default=None,
-                   help="collocation degree (default: SolverConfig.degree)")
+                   help="top collocation degree: pieces that degree 16 does not "
+                        "resolve are solved again at D (default: "
+                        "SolverConfig.degree)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument(
         "--on-inconsistent", choices=("stop", "record"), default="record",

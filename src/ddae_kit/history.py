@@ -23,6 +23,10 @@ from .pencil import DEFAULT_POLICY, RankPolicy, norm2
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
+# largest m + index a probe history is built for: from 7 on the monomial
+# Hermite interpolant of degree 2 (m + index) + 1 misses its own contract
+# on nearly every random smoothing system
+MAX_PROBE_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -212,16 +216,18 @@ def construct_probe_history(
     segment's solution derivatives up to order m-1 on the chosen side
     and miss by exactly `target` at order m; the other side matches
     through order m.  Free derivative values are zero unless an rng is
-    supplied.  Requires m >= 1 and m + index <= 10 (Hermite
-    conditioning).
+    supplied.  Requires m >= 1 and m + index <= MAX_PROBE_ORDER; raises
+    ValueError as well when the interpolant's derivatives at 0 miss the
+    requested ones by more than FLAG_TOL (Hermite conditioning).
     """
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
     nu, n_d, n_a = split.nu, split.n_d, split.n_a
     if m < 1:
         raise ValueError("probe order m must be at least 1")
-    if m + nu > 10:
-        raise ValueError("m + index > 10: Hermite conditioning not acceptable")
+    if m + nu > MAX_PROBE_ORDER:
+        raise ValueError(f"m + index > {MAX_PROBE_ORDER}: "
+                         "Hermite conditioning not acceptable")
     if side == "slow" and n_d == 0:
         raise DimensionMismatch("system has no differential part")
     if side == "fast" and n_a == 0:
@@ -254,5 +260,11 @@ def construct_probe_history(
     block = slice(0, n_d) if side == "slow" else slice(n_d, None)
     vals_right[m, block] += target
     coeffs = _hermite_two_point(vals_left, vals_right, tau)
-    phi = PiecewisePolynomial([(-tau, 0.0, coeffs)])
-    return phi.apply_matrix(T)
+    phi = PiecewisePolynomial([(-tau, 0.0, coeffs)]).apply_matrix(T)
+    # the monomial interpolant loses digits at its right end as m + nu grows
+    want = vals_right[:m] @ T.T
+    if agreement_order(want, phi.derivatives(0.0, m - 1, side="left"), m - 1,
+                       FLAG_TOL) < m - 1:
+        raise ValueError("probe history misses its derivatives at 0: "
+                         "Hermite conditioning not acceptable")
+    return phi

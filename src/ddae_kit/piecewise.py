@@ -389,6 +389,22 @@ class PiecewisePolynomial:
             pieces.append(Piece(a, b, c))
         return self._with(pieces, width)
 
+    def split_sum(self, other, k):
+        """The sum self + other as two functions, components [0, k) and
+        [k, n), each trimmed on its own scale as if summed separately."""
+        if other.n != self.n:
+            raise DimensionMismatch("value dimensions differ")
+        left, right = self.aligned_with(other)
+        head, tail = [], []
+        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
+            c = np.zeros((max(ca.shape[0], cb.shape[0]), self.n),
+                         dtype=np.result_type(ca.dtype, cb.dtype))
+            c[: ca.shape[0]] += ca
+            c[: cb.shape[0]] += cb
+            head.append(Piece(a, b, self.basis.tidy(c[:, :k])))
+            tail.append(Piece(a, b, self.basis.tidy(c[:, k:])))
+        return self._with(head, k), self._with(tail, self.n - k)
+
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomial):
             return NotImplemented

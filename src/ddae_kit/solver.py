@@ -4,7 +4,9 @@ Each delay interval is one differential-algebraic segment driven by the
 previous segment.  The algebraic (fast) part is obtained in closed form
 from derivatives of the segment inhomogeneity; the differential (slow)
 part is integrated by global Chebyshev collocation on each smooth piece,
-with the collocation operator inverted once per piece width and sweep.
+at a low degree first and at the top degree only where the low degree
+does not resolve the piece; each collocation operator is inverted once
+per degree, piece width and sweep.
 Restart values are never projected: a violation of the consistency
 condition is the de-smoothing failure mode and is reported, not
 repaired.
@@ -23,7 +25,7 @@ import numpy as np
 from numpy.linalg import inv
 from numpy.polynomial import chebyshev as C
 
-from .cheb import _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import TRIM_TOL, _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import (
     CollocationSingular,
     DimensionMismatch,
@@ -47,15 +49,23 @@ from .piecewise import CHEBYSHEV, Piece, PiecewisePolynomial
 CONSISTENCY_TOL = 1e-7
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
+# first collocation degree of every piece (capped by SolverConfig.degree)
+FIRST_DEGREE = 16
+# off-node residual accepted at the first degree, relative to the scale
+# ||J|| max|v| + max|q| at the grid midpoints
+RESID_TOL = 1e-11
 
 _dmat_cache = {}
+_mid_cache = {}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs of the stepping solver.
 
-    degree: collocation degree per smooth piece.
+    degree: top collocation degree; a smooth piece is solved at
+        min(FIRST_DEGREE, degree) first and at degree only when that
+        solve fails its resolution test.
     k_max: highest derivative order compared at knots (default index+2).
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
@@ -157,35 +167,55 @@ def _colloc_dmat(degree):
     return _dmat_cache[degree]
 
 
+def _midpoint_mats(degree):
+    """Midpoints of the CGL grid of [-1, 1] and the node->midpoint value
+    and derivative matrices (I_m, D_m) of the degree-p interpolant.
+
+    The p midpoints cos((j + 1/2) pi / p) lie strictly between
+    consecutive nodes, where an under-resolved collocant shows its
+    residual.
+    """
+    if degree not in _mid_cache:
+        _, Vinv = _vander_inv(degree)
+        mids = np.cos((np.arange(degree) + 0.5) * np.pi / degree)
+        I_m = C.chebvander(mids, degree) @ Vinv
+        _mid_cache[degree] = (mids, I_m, I_m @ _colloc_dmat(degree))
+    return _mid_cache[degree]
+
+
 class SlowCollocation:
     """Collocation solver for v' = J v + q, v(start) = v0, piece by piece.
 
+    Two rungs: every piece is solved at degree min(FIRST_DEGREE, degree)
+    first and kept if it passes a resolution test (its coefficient tail
+    and its residual between the nodes); a piece that fails is solved
+    again at the top degree, with the same arithmetic as a one-rung solve
+    at that degree.
+
     The bordered operator (first block row [I 0 ... 0], the rest
     (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
-    depends only on h and the dtype, so its inverse is computed once per
-    (h, dtype) and every further piece of that width costs one mat-vec.
-    Widths are compared relative to the span of the sweep's forcing (the
-    delay tau), so cuts that differ only by roundoff, such as 0.3 and
-    1.0 - 0.7, share one inverse.  One instance lives for one sweep; its
-    inverses go with it.
+    depends only on p, h and the dtype, so its inverse is computed once
+    per (p, h, dtype), on first use, and every further piece of that
+    degree and width costs one mat-vec.  Widths are compared relative to
+    the span of the sweep's forcing (the delay tau), so cuts that differ
+    only by roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  One
+    instance lives for one sweep; its inverses go with it.
     """
 
     def __init__(self, J, degree):
         self.J = J
         self.degree = degree
+        self.first_degree = min(FIRST_DEGREE, degree)
+        self._J_norm = float(np.abs(J).sum(axis=1).max(initial=0.0))
         self._inverses = {}
-        self._work = None
 
-    def _inverse(self, width, span, dtype):
-        key = (round(width / span, 13), span, dtype)
+    def _inverse(self, degree, width, span, dtype):
+        key = (degree, round(width / span, 13), span, dtype)
         if key in self._inverses:
             return self._inverses[key]
-        nd, p = self.J.shape[0], self.degree
+        nd, p = self.J.shape[0], degree
         size = (p + 1) * nd
-        if self._work is None or self._work.dtype != dtype:
-            self._work = np.empty((size, size), dtype=dtype)
-        A = self._work
-        A.fill(0.0)
+        A = np.zeros((size, size), dtype=dtype)
         # A[i*nd + r, j*nd + c] = (2/h) Dmat[i, j] [r == c] - [i == j] J[r, c]
         blocks = A.reshape(p + 1, nd, p + 1, nd)
         comp, node = np.arange(nd), np.arange(p + 1)
@@ -199,28 +229,61 @@ class SlowCollocation:
             raise CollocationSingular(str(exc)) from exc
         return self._inverses[key]
 
-    def solve_piece(self, a, b, q_coef, v0, span=None):
-        """Chebyshev coefficients of v on [a, b] from those of q.
-
-        span is the length that widths are rounded against (default b - a,
-        which keys on the exact width).
-        """
+    def _node_values(self, a, b, q_coef, v0, span, degree):
+        """Collocant values at the degree's CGL nodes of [a, b], one row
+        per node."""
         nd = self.J.shape[0]
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(self.degree)
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(degree)
         Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
         dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
         rhs = Q.astype(dtype).reshape(-1)
         rhs[:nd] = v0
         span = b - a if span is None else span
-        values = (self._inverse(b - a, span, dtype) @ rhs).reshape(self.degree + 1, nd)
+        return (self._inverse(degree, b - a, span, dtype) @ rhs).reshape(degree + 1, nd)
+
+    def _resolved(self, a, b, q_coef, values, coef):
+        """Acceptance test of a collocant: the last coefficient is
+        negligible next to the piece's own largest one, and the residual
+        of v' = J v + q at the grid midpoints is negligible next to
+        ||J|| max|v| + max|q| there."""
+        mags = np.max(np.abs(coef), axis=1, initial=0.0)
+        if mags[-1] > TRIM_TOL * mags.max():
+            return False
+        mids, I_m, D_m = _midpoint_mats(values.shape[0] - 1)
+        v_mid = I_m @ values
+        q_mid = CHEBYSHEV.eval(q_coef, a, b, 0.5 * (a + b) + 0.5 * (b - a) * mids).T
+        resid = (2.0 / (b - a)) * (D_m @ values) - v_mid @ self.J.T - q_mid
+        scale = (self._J_norm * np.max(np.abs(v_mid), initial=0.0)
+                 + np.max(np.abs(q_mid), initial=0.0))
+        return np.max(np.abs(resid), initial=0.0) <= RESID_TOL * scale
+
+    def solve_piece(self, a, b, q_coef, v0, span=None):
+        """Chebyshev coefficients of v on [a, b] from those of q, by one
+        collocation solve at the top degree.
+
+        span is the length that widths are rounded against (default b - a,
+        which keys on the exact width).
+        """
+        values = self._node_values(a, b, q_coef, v0, span, self.degree)
         return trim_coeffs(values_to_coeffs(values))
+
+    def resolve_piece(self, a, b, q_coef, v0, span=None):
+        """Chebyshev coefficients of v on [a, b]: the first-rung solve if
+        it passes the acceptance test, else solve_piece at the top degree."""
+        p = self.first_degree
+        if p < self.degree:
+            values = self._node_values(a, b, q_coef, v0, span, p)
+            coef = values_to_coeffs(values)
+            if self._resolved(a, b, q_coef, values, coef):
+                return trim_coeffs(coef)
+        return self.solve_piece(a, b, q_coef, v0, span)
 
     def integrate(self, forcing: PiecewisePolynomial, v0):
         """Piece-by-piece solve on the pieces of forcing, v(start) = v0."""
         span = forcing.end - forcing.start
         pieces = []
         for a, b, q_coef in forcing.pieces:
-            coef = self.solve_piece(a, b, q_coef, v0, span)
+            coef = self.resolve_piece(a, b, q_coef, v0, span)
             pieces.append(Piece(a, b, coef))
             v0 = CHEBYSHEV.eval(coef, a, b, b)
         return forcing._with(pieces, self.J.shape[0])
@@ -281,6 +344,7 @@ def solve_segment(
     prev: SegmentSolution,
     config: SolverConfig = SolverConfig(),
     colloc: SlowCollocation | None = None,
+    data: PiecewisePolynomial | None = None,
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
@@ -288,8 +352,8 @@ def solve_segment(
     consistent initial value for this segment within CONSISTENCY_TOL;
     the error carries the order-0 jump to the consistent projection.
     colloc is the sweep's SlowCollocation for split.qwf.J at
-    config.degree, so its inverses serve every segment (a fresh one is
-    built when omitted).
+    config.degree, so its inverses serve every segment, and data the
+    sweep's stacked [g; h] = S f (each is built when omitted).
     """
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
@@ -312,12 +376,12 @@ def solve_segment(
     if residual > CONSISTENCY_TOL * scale:
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
-    # data windows in segment-local time
-    g_i = segment_window(split.g, i, tau)
-    h_i = segment_window(split.h, i, tau)
-    q_d = prev.pieces.apply_matrix(split.B_d) + g_i.to_chebyshev()
-    q_f = prev.pieces.apply_matrix(split.B_a) + h_i.to_chebyshev()
-    q_d, q_f = q_d.aligned_with(q_f)
+    # [q_d; q_f] = S D x(t - tau) + [g; h] on the segment, in local time
+    if data is None:
+        data = split.g.stack(split.h)
+    window = segment_window(data, i, tau).to_chebyshev()
+    delayed = prev.pieces.apply_matrix(np.vstack([split.B_d, split.B_a]))
+    q_d, q_f = delayed.split_sum(window, n_d)
 
     w = fast_subsystem_solution(split.qwf.N, q_f, nu=nu)
     v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
@@ -362,11 +426,12 @@ def method_of_steps(
     prev = history_as_segment(sys, split, hist_orders)
 
     colloc = SlowCollocation(split.qwf.J, config.degree)
+    data = split.g.stack(split.h)
     segments = []
     entries = []
     for i in range(1, M + 1):
         try:
-            seg = solve_segment(split, i, prev, config, colloc=colloc)
+            seg = solve_segment(split, i, prev, config, colloc=colloc, data=data)
         except InconsistentRestart as err:
             if config.on_inconsistent == "stop":
                 raise

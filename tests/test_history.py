@@ -228,6 +228,50 @@ class TestProbeConstruction:
         with pytest.raises(ValueError):
             dk.construct_probe_history(split, m=10, target=np.zeros(1), side="slow")
 
+    def test_order_bound_rejects_index3_order4(self):
+        split = dk.build_split(weak_desmoothing_system())
+        assert split.nu == 3
+        with pytest.raises(ValueError):
+            dk.construct_probe_history(split, m=4, target=np.zeros(1), side="slow")
+
+    @pytest.mark.parametrize("n_d,n_a,nu,m", [(1, 3, 3, 3), (2, 4, 4, 2)])
+    def test_boundary_order_meets_contract(self, n_d, n_a, nu, m):
+        # m + index = MAX_PROBE_ORDER, on random smoothing systems
+        from gen import random_smoothing_blocks, random_system_from_blocks
+
+        assert m + nu == dk.history.MAX_PROBE_ORDER
+        rng = np.random.default_rng(40 + nu)
+        blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
+        sys, split = random_system_from_blocks(rng, n_d, n_a, nu, blocks, horizon=2)
+        for side in ("slow", "fast"):
+            dim = split.n_d if side == "slow" else split.n_a
+            target = rng.standard_normal(dim)
+            target /= np.linalg.norm(target)
+            phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+            sys2, split2 = with_history(sys, phi, qwf=split.qwf)
+            assert dk.splicing_report(sys2, split2).kappa_observed == m - 1
+            config = dk.SolverConfig(k_max=max(split.nu + 2, m + 1))
+            _, ledger = dk.method_of_steps(sys2, split2, config)
+            entry = ledger.entry_at(0)
+            assert entry.first_jump_order == m
+            jump = split.qwf.T_inv @ entry.jump_vector
+            block = jump[: split.n_d] if side == "slow" else jump[split.n_d :]
+            assert np.linalg.norm(block + target) <= 1e-6
+
+    def test_interpolant_missing_its_contract_raises(self):
+        # index 1, m = 5: within the order bound, but on this draw the
+        # interpolant's derivatives at 0 miss the solution's by more than
+        # FLAG_TOL, so no history is returned
+        from gen import random_smoothing_blocks, random_system_from_blocks
+
+        rng = np.random.default_rng(111)
+        blocks = random_smoothing_blocks(rng, 1, 1, 1)
+        sys, split = random_system_from_blocks(rng, 1, 1, 1, blocks, horizon=2)
+        target = rng.standard_normal(1)
+        with pytest.raises(ValueError):
+            dk.construct_probe_history(split, m=5, target=target / abs(target),
+                                       side="slow")
+
     def test_side_requires_nonempty_block(self):
         split = dk.build_split(example_neutral())  # n_d = 0
         with pytest.raises(dk.DimensionMismatch):

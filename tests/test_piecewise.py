@@ -178,6 +178,28 @@ class TestCalculusChebyshev(TestCalculus):
                     scale = 1.0 + np.linalg.norm(want)
                     assert np.linalg.norm(got - want) <= 1e-12 * scale
 
+    def test_split_sum_trims_each_block_on_its_own_scale(self):
+        # the head's last row is negligible next to the tail's scale only,
+        # so one trim of the whole sum would drop it
+        rng = np.random.default_rng(11)
+        c1 = np.zeros((4, 3))
+        c1[:3, :2] = rng.standard_normal((3, 2))
+        c1[3, 0] = 1e-11
+        c2 = np.zeros((1, 3))
+        c2[0, 2] = 1e4
+        p1 = PiecewisePolynomial([(0.0, 1.0, c1), (1.0, 2.0, c1)], basis=CHEBYSHEV)
+        p2 = PiecewisePolynomial([(0.0, 0.5, c2), (0.5, 2.0, -c2)], basis=CHEBYSHEV)
+        head, tail = p1.split_sum(p2, 2)
+        s = p1 + p2
+        assert head.breakpoints == tail.breakpoints == s.breakpoints == [0.0, 0.5, 1.0, 2.0]
+        assert [p.coef.shape for p in head.pieces] == [(4, 2)] * 3
+        assert [p.coef.shape for p in s.pieces] == [(3, 3)] * 3
+        assert [p.coef.shape for p in tail.pieces] == [(1, 1)] * 3
+        for t in [0.1, 0.5, 0.75, 1.0, 1.7]:
+            want = p1.evaluate(t) + p2.evaluate(t)
+            assert np.allclose(head.evaluate(t), want[:2], atol=1e-12)
+            assert np.allclose(tail.evaluate(t), want[2:], atol=1e-12)
+
     def test_mixed_bases_rejected(self):
         rng = np.random.default_rng(10)
         pp = random_pp(rng, 2, [0.0, 1.0])

@@ -7,7 +7,7 @@ from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
 from ddae_kit import solver
-from ddae_kit.cheb import cgl_nodes, values_to_coeffs
+from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 
 from gen import (
     example_advanced,
@@ -415,9 +415,11 @@ class TestHiddenDelaySolver:
         assert worst <= 1e-6
 
 
-def kron_piece_solve(J, a, b, q_coef, v0, degree):
+def kron_piece_solve(J, a, b, q_coef, v0, degree, by_inverse=False):
     """Node values of the collocation solve on [a, b], assembled with kron
-    and solved by LU: the direct form of the bordered operator."""
+    and solved by LU: the direct form of the bordered operator.  With
+    by_inverse the operator is inverted and applied instead, the
+    arithmetic of a one-degree solver."""
     nd = J.shape[0]
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(degree)
     Q = C.chebval((2.0 * nodes - a - b) / (b - a), q_coef).T
@@ -428,6 +430,8 @@ def kron_piece_solve(J, a, b, q_coef, v0, degree):
     A_sys[:nd, :] = 0.0
     A_sys[:nd, :nd] = np.eye(nd)
     rhs[:nd] = v0
+    if by_inverse:
+        return (np.linalg.inv(A_sys) @ rhs).reshape(degree + 1, nd)
     return np.linalg.solve(A_sys, rhs).reshape(degree + 1, nd)
 
 
@@ -446,16 +450,31 @@ def retarded_ode(rng, n, M, breakpoints=()):
 
 
 def count_inverses(monkeypatch):
-    """Record every inverse the solver computes (weak references only)."""
+    """Record every inverse the solver computes: (weak reference, shape)."""
     made = []
 
     def counted(A):
         out = np.linalg.inv(A)
-        made.append(weakref.ref(out))
+        made.append((weakref.ref(out), out.shape))
         return out
 
     monkeypatch.setattr(solver, "inv", counted)
     return made
+
+
+def stiff_ode(n, M=2):
+    """E x' = A x + D x(t - 1) + f with one stiff mode (lambda = -200),
+    whose pieces the first collocation degree does not resolve."""
+    rng = np.random.default_rng(6)
+    A = np.diag([-200.0] + [-1.0] * (n - 1))
+    f = dk.PiecewisePolynomial([(0.0, float(M), 0.5 * rng.standard_normal((2, n)))])
+    phi = dk.PiecewisePolynomial([(-1.0, 0.0, 0.5 * rng.standard_normal((3, n)))])
+    return dk.DdaeSystem(E=np.eye(n), A=A, D=0.3 * np.eye(n), tau=1.0,
+                         horizon_intervals=M, f=f, phi=phi)
+
+
+def rung_degrees(colloc):
+    return sorted({key[0] for key in colloc._inverses})
 
 
 def _collocation_cases():
@@ -490,6 +509,57 @@ class TestSlowCollocation:
             assert err <= 1e-12 * np.max(np.abs(ref))
         assert len(colloc._inverses) == 1
 
+    def test_smooth_piece_accepted_at_first_degree(self):
+        rng = np.random.default_rng(7)
+        nd, p = 3, solver.FIRST_DEGREE
+        J = rng.standard_normal((nd, nd))
+        colloc = solver.SlowCollocation(J, 48)
+        q_coef = rng.standard_normal((6, nd))
+        v0 = rng.standard_normal(nd)
+        coef = colloc.resolve_piece(0.25, 1.25, q_coef, v0)
+        assert rung_degrees(colloc) == [p] and coef.shape[0] <= p + 1
+        ref = values_to_coeffs(kron_piece_solve(J, 0.25, 1.25, q_coef, v0, p))
+        full = np.zeros_like(ref)
+        full[: coef.shape[0]] = coef
+        assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stiff_piece_falls_back_bit_identical(self):
+        J = np.array([[-200.0]])
+        q_coef, v0 = np.array([[0.5], [0.25]]), np.array([1.0])
+        colloc = solver.SlowCollocation(J, 48)
+        coef = colloc.resolve_piece(0.0, 1.0, q_coef, v0)
+        assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
+        one_rung = solver.SlowCollocation(J, 48).solve_piece(0.0, 1.0, q_coef, v0)
+        ref = trim_coeffs(values_to_coeffs(
+            kron_piece_solve(J, 0.0, 1.0, q_coef, v0, 48, by_inverse=True)))
+        assert coef.tobytes() == one_rung.tobytes() == ref.tobytes()
+
+    def test_aliased_forcing_falls_back(self):
+        # q = T_40 equals T_8 on the 17 nodes of degree 16, so the
+        # degree-16 collocant has a short tail; only the midpoint
+        # residual sees the forcing it missed
+        colloc = solver.SlowCollocation(np.array([[0.0]]), 48)
+        coef = colloc.resolve_piece(0.0, 1.0, np.eye(41)[40][:, None], np.array([1.0]))
+        assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
+        assert coef.shape[0] == 42
+
+    @pytest.mark.parametrize("lam,q_coef,rungs", [
+        (-200.0, [[0.5], [0.25]], 2),
+        (-1.0, [[0.5], [0.25]], 1),
+        # v = T_16 on [0, 1] solves v' = q exactly at degree 16, but its
+        # last coefficient is its largest: only a tail test on the piece's
+        # own scale (not a 1e-14 absolute floor) rejects it at 1e-20
+        (0.0, 2.0 * C.chebder(np.eye(17)[16])[:, None], 2),
+    ])
+    def test_tiny_piece_judged_on_its_own_scale(self, lam, q_coef, rungs):
+        # values far below TRIM_TOL take the same rung as at unit scale
+        J = np.array([[lam]])
+        for scale in (1.0, 1e-20):
+            colloc = solver.SlowCollocation(J, 48)
+            colloc.resolve_piece(0.0, 1.0, scale * np.asarray(q_coef),
+                                 scale * np.array([1.0]))
+            assert len(rung_degrees(colloc)) == rungs
+
     def test_one_inverse_per_uniform_sweep(self, monkeypatch):
         made = count_inverses(monkeypatch)
         sys = retarded_ode(np.random.default_rng(2), 8, 10)
@@ -508,12 +578,18 @@ class TestSlowCollocation:
         assert len(made) == 2 < len(widths)
 
     def test_no_operator_outlives_the_sweep(self, monkeypatch):
+        # both rungs: the smooth sweep inverts at the first degree only,
+        # the stiff one at the top degree as well
         made = count_inverses(monkeypatch)
         sys = retarded_ode(np.random.default_rng(4), 3, 4, breakpoints=(0.5,))
-        traj, _ = dk.method_of_steps(sys)
+        dk.method_of_steps(sys)
+        dk.method_of_steps(stiff_ode(3))
         gc.collect()
-        assert made and all(ref() is None for ref in made)
-        size = (dk.SolverConfig().degree + 1) * 3
+        assert made and all(ref() is None for ref, _ in made)
+        sizes = {(p + 1) * 3 for p in (solver.FIRST_DEGREE, dk.SolverConfig().degree)}
+        assert {shape[0] for _, shape in made} == sizes
         for value in vars(solver).values():
             if isinstance(value, dict):
-                assert all(np.shape(v) != (size, size) for v in value.values())
+                for v in value.values():
+                    for arr in v if isinstance(v, tuple) else (v,):
+                        assert np.shape(arr) not in {(s, s) for s in sizes}
