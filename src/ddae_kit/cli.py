@@ -15,6 +15,7 @@ errors go to stderr and are signalled through the exit code:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from dataclasses import asdict, replace
@@ -268,7 +269,10 @@ def cmd_probe(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="ddae-kit",
         description="Analyze and solve linear delay differential-algebraic equations",

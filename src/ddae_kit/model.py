@@ -16,8 +16,10 @@ exact recursion instead of numerical differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
 from .pencil import (
@@ -30,6 +32,8 @@ from .pencil import (
 from .piecewise import Piece, PiecewisePolynomial
 
 _DOMAIN_RTOL = 1e-9
+# orders the Taylor recursion advances per block (SplitCoefficients.taylor_blocks)
+TAYLOR_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +155,39 @@ class SplitCoefficients:
     @property
     def n_a(self):
         return self.qwf.n_a
+
+    @cached_property
+    def taylor_blocks(self):
+        """Block propagators (P, L) of x^{(j+1)} = A_diff x^{(j)} + r_j.
+
+        With B = TAYLOR_BLOCK, P stacks A_diff, A_diff^2, ..., A_diff^B
+        (shape (B n, n)) and L is the lower block-Toeplitz matrix whose
+        block (a, i) is A_diff^(a-i) for i <= a (shape (B n, B n)), so
+        the k <= B orders after x^{(j)} are
+        P[:k n] @ x^{(j)} + L[:k n, :k n] @ r[j:j+k].ravel().  Built on
+        first use from log2(B) stacked products and one strided copy;
+        they belong to this split and are freed with it.
+        """
+        A, B = self.A_diff, TAYLOR_BLOCK
+        n = A.shape[0]
+        pows = np.empty((B + 1, n, n), dtype=A.dtype)  # A^0 .. A^B
+        pows[0] = np.eye(n)
+        pows[1] = A
+        m = 1
+        while m < B:
+            top = min(2 * m, B)
+            pows[m + 1 : top + 1] = pows[1 : top - m + 1] @ pows[m]
+            m = top
+        # H = [A^(B-1) ... A^1 A^0 0 ... 0] side by side: block row a of L
+        # is the window of H that starts at block B-1-a
+        H = np.zeros((n, 2 * B - 1, n), dtype=A.dtype)
+        H[:, :B] = pows[B - 1 :: -1].transpose(1, 0, 2)
+        windows = sliding_window_view(H.reshape(n, -1), B * n, axis=1)
+        L = windows[:, (B - 1) * n :: -n].transpose(1, 0, 2).reshape(B * n, B * n)
+        P = pows[1:].reshape(B * n, n)
+        P.setflags(write=False)
+        L.setflags(write=False)
+        return P, L
 
 
 def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
@@ -285,7 +322,10 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     """Like solution_taylor but trusts x_value as the order-0 entry.
 
     x^{(j+1)} = A_diff x^{(j)} + r_j with r_j = sum_k C_k q^{(k+j)}: every
-    r_j comes from nu+1 stacked products, then one mat-vec per order.
+    r_j comes from nu+1 stacked products.  The recursion then advances
+    in blocks of up to TAYLOR_BLOCK orders through split.taylor_blocks:
+    one product applies L to the forcing of every block at once, and each
+    block adds P x^{(j)}, with x^{(j)} the last order before the block.
     """
     nu = split.nu
     q_derivs = np.asarray(q_derivs)
@@ -301,10 +341,29 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
         (orders + 1,) + x_value.shape, dtype=np.result_type(x_value, r, split.A_diff)
     )
     xs[0] = x_value
-    xs[1:] = r
-    for j in range(orders):
-        xs[j + 1] += split.A_diff @ xs[j]
+    P, L = split.taylor_blocks
+    n = split.n
+    width = min(orders, TAYLOR_BLOCK)
+    blocks = -(-orders // width)
+    # column b holds the forcing r_j of block b, zero-padded past the last order
+    R = np.zeros((blocks * width, n), dtype=r.dtype)
+    R[:orders] = r
+    LR = _real_product(L[: width * n, : width * n], R.reshape(blocks, width * n).T)
+    for b, j in enumerate(range(0, orders, width)):
+        k = min(width, orders - j)
+        step = _real_product(P[: k * n], xs[j]) + LR[: k * n, b]
+        xs[j + 1 : j + k + 1] = step.reshape(k, n)
     return xs
+
+
+def _real_product(M, X):
+    """M @ X without casting M: a complex X against a real M goes through
+    one real product as its (real, imaginary) pairs."""
+    if M.dtype.kind == "c" or X.dtype.kind != "c":
+        return M @ X
+    X = np.ascontiguousarray(X)
+    pairs = X.view(M.dtype).reshape(X.shape[0], -1)
+    return (M @ pairs).view(X.dtype).reshape((M.shape[0],) + X.shape[1:])
 
 
 def f_derivs_x(split: SplitCoefficients, s, orders, side):
@@ -314,6 +373,18 @@ def f_derivs_x(split: SplitCoefficients, s, orders, side):
     if split.n_a:
         gh = np.hstack([gh, split.h.derivatives(s, orders, side=side)])
     return gh @ split.qwf.S_inv.T
+
+
+def f_knot_table(split: SplitCoefficients, data: PiecewisePolynomial, times, side):
+    """Rows 0..d of f_derivs_x at each of times, shape (len(times), d+1, n).
+
+    data is the stacked [g; h] and d its highest piece degree: every
+    derivative row above d is exactly zero, so it is not stored.  One
+    derivatives call and one product with S^{-1} serve every time.
+    """
+    d = data.max_degree
+    gh = data.derivatives(times, d, side=side)
+    return (gh.reshape(-1, data.n) @ split.qwf.S_inv.T).reshape(len(times), d + 1, -1)
 
 
 def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:

@@ -50,8 +50,12 @@ class RankPolicy:
 
 
 def norm2(M):
-    """Spectral norm as a float; 0 for an empty matrix."""
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
+    """Spectral norm as a float; 0 for an empty matrix.
+
+    The largest singular value, bit for bit what np.linalg.norm(M, 2)
+    returns, without its generic dispatch.
+    """
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
 DEFAULT_POLICY = RankPolicy()
@@ -91,6 +95,16 @@ class MatrixPencil:
     @property
     def is_complex(self):
         return np.iscomplexobj(self.E)
+
+    @cached_property
+    def norm_E(self):
+        """||E||_2, computed once per pencil."""
+        return norm2(self.E)
+
+    @cached_property
+    def norm_A(self):
+        """||A||_2, computed once per pencil."""
+        return norm2(self.A)
 
 
 @dataclass(frozen=True)
@@ -201,9 +215,10 @@ def _preimage(M, target_basis, policy, norm_M):
     return _kernel(P_perp @ M, policy, context=norm_M)
 
 
-def _wong_limit(X, P, Q, policy):
-    """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an ambiguity flag."""
-    ambiguous, norm_P, norm_Q = False, np.linalg.norm(P, 2), np.linalg.norm(Q, 2)
+def _wong_limit(X, P, Q, policy, norm_P, norm_Q):
+    """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an
+    ambiguity flag; norm_P, norm_Q are the spectral norms of P and Q."""
+    ambiguous = False
     for _ in range(X.shape[0] + 1):
         QX, amb1 = _orthonormal_range(Q @ X, policy, context=norm_Q)
         X_next, amb2 = _preimage(P, QX, policy, norm_P)
@@ -226,7 +241,7 @@ def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     determinant magnitude is informational.
     """
     E, A, n = pencil.E, pencil.A, pencil.n
-    s = (1.0 + np.linalg.norm(A, 2)) / (1.0 + np.linalg.norm(E, 2))
+    s = (1.0 + pencil.norm_A) / (1.0 + pencil.norm_E)
     lams = np.arange(n + 1) * s
     M = lams[:, None, None] * E - A
     sig = np.linalg.svd(M, compute_uv=False)
@@ -257,8 +272,9 @@ def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     if not verdict.regular:
         raise SingularPencil(verdict)
     E, A, n = pencil.E, pencil.A, pencil.n
-    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, policy)
-    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, policy)
+    norm_E, norm_A = pencil.norm_E, pencil.norm_A
+    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, policy, norm_A, norm_E)
+    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, policy, norm_E, norm_A)
     if V.shape[1] + W.shape[1] != n:
         raise DecompositionFailure(
             f"Wong subspace dimensions {V.shape[1]} + {W.shape[1]} != {n}; "
@@ -282,10 +298,10 @@ def nilpotency_index(Nmat, policy: RankPolicy = DEFAULT_POLICY):
     if N.shape[0] != N.shape[1]:
         raise DimensionMismatch("nilpotency test needs a square matrix")
     m = N.shape[0]
-    norm_N = np.linalg.norm(N, 2)
+    norm_N = norm2(N)
     power = np.eye(m, dtype=N.dtype)
     for k in range(m + 1):
-        if np.linalg.norm(power, 2) <= policy.rel_tol * (1.0 + norm_N**k):
+        if norm2(power) <= policy.rel_tol * (1.0 + norm_N**k):
             return True, k
         power = power @ N
     return False, None
@@ -317,14 +333,14 @@ def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
 
     SET = S @ E @ T
     SAT = S @ A @ T
-    scale = 1.0 + np.linalg.norm(E, 2) + np.linalg.norm(A, 2)
+    scale = 1.0 + pencil.norm_E + pencil.norm_A
     tol = RECONSTRUCTION_TOL * scale
     defects = [
         SET[:n_d, n_d:], SET[n_d:, :n_d],
         SAT[:n_d, n_d:], SAT[n_d:, :n_d],
         SET[:n_d, :n_d] - np.eye(n_d), SAT[n_d:, n_d:] - np.eye(n_a),
     ]
-    worst = max((np.linalg.norm(d, 2) for d in defects if d.size), default=0.0)
+    worst = max((norm2(d) for d in defects if d.size), default=0.0)
     if worst > tol:
         raise DecompositionFailure(
             f"block structure defect {worst:.3e} exceeds tolerance {tol:.3e}"

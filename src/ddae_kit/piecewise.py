@@ -73,9 +73,10 @@ Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
 
 eval(c, a, b, t): values at t (a scalar or an array of times);
 der(c, a, b, m): coefficients of the m-th derivative;
-derivs(c, a, b, t, top): derivatives 0..top at the scalar t, shape
-    (top+1, n), each row bit-identical to eval(der(c, a, b, j), a, b, t)
-    and zero above the degree;
+derivs(c, a, b, t, top): derivatives 0..top at t, shape (top+1, n) for
+    a scalar t and (len(t), top+1, n) for a 1-D array of times, each row
+    bit-identical to eval(der(c, a, b, j), a, b, t) and zero above the
+    degree;
 restrict(c, a, b, lo, hi): coefficients on the subinterval [lo, hi];
 tidy(c): trim applied to the coefficients of a sum.
 """
@@ -87,8 +88,8 @@ def _monomial_derivs(c, a, b, t, top):
     Row j of the stack is polyder(c, m=j) with its products in polyder's
     order (the * 1 is polyder's scale step, which can flip the sign of a
     complex zero), padded with zeros above its degree; one Horner sweep
-    with polyval's steps then evaluates every row at once.  Leading zero
-    padding leaves Horner's result unchanged bit for bit.
+    with polyval's steps then evaluates every row at every time at once.
+    Leading zero padding leaves Horner's result unchanged bit for bit.
     """
     m, n = c.shape
     k = min(top, m - 1) + 1
@@ -97,12 +98,12 @@ def _monomial_derivs(c, a, b, t, top):
     for j in range(1, k):
         factors = np.arange(1, m - j + 1)[:, None]
         stack[j, : m - j] = factors * (stack[j - 1, 1 : m - j + 1] * 1)
-    x = t - a
+    x = np.reshape(t - a, np.shape(t) + (1, 1))
     val = stack[:, -1] + x * 0
     for i in range(2, m + 1):
         val = stack[:, -i] + val * x
-    out = np.zeros((top + 1, n), dtype=c.dtype)
-    out[:k] = val
+    out = np.zeros(np.shape(t) + (top + 1, n), dtype=c.dtype)
+    out[..., :k, :] = val
     return out
 
 
@@ -112,11 +113,11 @@ def _cheb_eval(c, a, b, t):
 
 def _cheb_derivs(c, a, b, t, top):
     """Differentiate one order at a time: the arithmetic of chebder(m=j)."""
-    out = np.zeros((top + 1, c.shape[1]), dtype=c.dtype)
+    out = np.zeros(np.shape(t) + (top + 1, c.shape[1]), dtype=c.dtype)
     for j in range(min(top, c.shape[0] - 1) + 1):
         if j:
             c = CHEBYSHEV.der(c, a, b, 1)
-        out[j] = _cheb_eval(c, a, b, t)
+        out[..., j, :] = _cheb_eval(c, a, b, t).T
     return out
 
 
@@ -285,15 +286,27 @@ class PiecewisePolynomial:
         return self.basis.eval(c, a, b, t)
 
     def derivatives(self, t, orders, side="right"):
-        """Stack of derivatives 0..orders at t, shape (orders+1, n).
+        """Stack of derivatives 0..orders at t, shape (orders+1, n); for a
+        1-D array of times, one stack per time, shape (len(t), orders+1, n).
 
-        Same values, bit for bit, as evaluate(t, order=j) for each j: the
-        piece is located once and its basis kernel produces every order;
-        rows above the local degree are zero.
+        Same values, bit for bit, as evaluate(t, order=j) for each j: each
+        time is located once, and each piece's basis kernel produces every
+        order at all the times it holds; rows above the local degree are
+        zero.
         """
-        t = float(t)
-        a, b, c = self.pieces[self._locate(t, side=side)]
-        return self.basis.derivs(c, a, b, t, orders)
+        if np.ndim(t) == 0:
+            t = float(t)
+            a, b, c = self.pieces[self._locate(t, side=side)]
+            return self.basis.derivs(c, a, b, t, orders)
+        times = np.asarray(t, dtype=float)
+        where = np.array([self._locate(s, side=side) for s in times], dtype=int)
+        dtype = np.result_type(*(c for _, _, c in self.pieces))
+        out = np.zeros((len(times), orders + 1, self.n), dtype=dtype)
+        for k in np.unique(where):
+            a, b, c = self.pieces[k]
+            held = where == k
+            out[held] = self.basis.derivs(c, a, b, times[held], orders)
+        return out
 
     def sup_bound(self):
         """Upper bound for sup_t max_j |f_j(t)| via coefficient sums."""

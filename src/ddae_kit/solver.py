@@ -38,6 +38,7 @@ from .model import (
     SplitCoefficients,
     build_split,
     f_derivs_x,
+    f_knot_table,
     fast_subsystem_solution,
     segment_window,
     solution_taylor,
@@ -54,6 +55,10 @@ FIRST_DEGREE = 16
 # off-node residual accepted at the first degree, relative to the scale
 # ||J|| max|v| + max|q| at the grid midpoints
 RESID_TOL = 1e-11
+# highest k_max accepted: segment 1 carries k_max + M nu + max(nu, 1)
+# derivative orders, so an unbounded k_max is an unbounded allocation, and
+# derivatives of order 64 are far past what double precision can compare
+MAX_K_MAX = 64
 
 _dmat_cache = {}
 _mid_cache = {}
@@ -66,7 +71,8 @@ class SolverConfig:
     degree: top collocation degree; a smooth piece is solved at
         min(FIRST_DEGREE, degree) first and at degree only when that
         solve fails its resolution test.
-    k_max: highest derivative order compared at knots (default index+2).
+    k_max: highest derivative order compared at knots (default index+2,
+        at most MAX_K_MAX).
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
     """
@@ -80,6 +86,8 @@ class SolverConfig:
             raise DimensionMismatch("collocation degree must be at least 1")
         if self.k_max is not None and self.k_max < 0:
             raise DimensionMismatch("k_max must be nonnegative")
+        if self.k_max is not None and self.k_max > MAX_K_MAX:
+            raise DimensionMismatch(f"k_max must be at most {MAX_K_MAX}")
         if self.on_inconsistent not in ("record", "stop"):
             raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
@@ -345,6 +353,8 @@ def solve_segment(
     config: SolverConfig = SolverConfig(),
     colloc: SlowCollocation | None = None,
     data: PiecewisePolynomial | None = None,
+    *,
+    f_knots: tuple | None = None,
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
@@ -352,8 +362,10 @@ def solve_segment(
     consistent initial value for this segment within CONSISTENCY_TOL;
     the error carries the order-0 jump to the consistent projection.
     colloc is the sweep's SlowCollocation for split.qwf.J at
-    config.degree, so its inverses serve every segment, and data the
-    sweep's stacked [g; h] = S f (each is built when omitted).
+    config.degree, so its inverses serve every segment, data the
+    sweep's stacked [g; h] = S f, and f_knots the sweep's f_knot_table
+    rows at this segment's (start, end) (each is computed here when
+    omitted).
     """
     if split.g is None or split.h is None:
         raise DimensionMismatch("split must carry transformed data functions")
@@ -363,10 +375,11 @@ def solve_segment(
     orders = max(R_prev - 1 - nu, 1)
 
     # inhomogeneity derivative streams at both segment ends
-    t_left = (i - 1) * tau
-    t_right = i * tau
-    f_left = f_derivs_x(split, t_left, R_prev - 1, "right")
-    f_right = f_derivs_x(split, t_right, R_prev - 1, "left")
+    if f_knots is None:
+        f_left = f_derivs_x(split, (i - 1) * tau, R_prev - 1, "right")
+        f_right = f_derivs_x(split, i * tau, R_prev - 1, "left")
+    else:
+        f_left, f_right = (_zero_padded(rows, R_prev) for rows in f_knots)
     q_left = prev.derivs_start @ split.D.T + f_left
     q_right = prev.derivs_end @ split.D.T + f_right
 
@@ -402,6 +415,13 @@ def solve_segment(
     )
 
 
+def _zero_padded(rows, count):
+    """The first count rows of a derivative stack whose omitted rows are zero."""
+    out = np.zeros((count, rows.shape[1]), dtype=rows.dtype)
+    out[: rows.shape[0]] = rows[:count]
+    return out
+
+
 def method_of_steps(
     sys: DdaeSystem,
     split: SplitCoefficients | None = None,
@@ -427,11 +447,16 @@ def method_of_steps(
 
     colloc = SlowCollocation(split.qwf.J, config.degree)
     data = split.g.stack(split.h)
+    # knot times as solve_segment forms them, from the segments' own length
+    knots = np.arange(M + 1) * prev.pieces.end
+    f_starts = f_knot_table(split, data, knots[:-1], "right")
+    f_ends = f_knot_table(split, data, knots[1:], "left")
     segments = []
     entries = []
     for i in range(1, M + 1):
         try:
-            seg = solve_segment(split, i, prev, config, colloc=colloc, data=data)
+            seg = solve_segment(split, i, prev, config, colloc=colloc, data=data,
+                                f_knots=(f_starts[i - 1], f_ends[i - 1]))
         except InconsistentRestart as err:
             if config.on_inconsistent == "stop":
                 raise

@@ -22,6 +22,7 @@ import numpy as np
 from .classify import PropagationKind, classify_propagation
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients
+from .pencil import norm2
 
 RESIDUAL_TOL = 1e-8
 DEDUP_RADIUS = 1e-6
@@ -104,9 +105,7 @@ def char_function(sys: DdaeSystem, lam):
 
 
 def default_box(E, A, D, tau):
-    s = (1.0 + np.linalg.norm(A, 2) + np.linalg.norm(D, 2)) / (
-        1.0 + np.linalg.norm(E, 2)
-    )
+    s = (1.0 + norm2(A) + norm2(D)) / (1.0 + norm2(E))
     return SearchBox(re_min=-10.0 * s, re_max=5.0 * s, im_max=20.0 * np.pi / tau)
 
 
@@ -184,7 +183,7 @@ def spectral_abscissa_matrices(
             continue
         M = _char_matrix(E, A, D, tau, lam)
         residual = abs(complex(np.linalg.det(M)))
-        if residual <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(M, 2))) ** n:
+        if residual <= RESIDUAL_TOL * max(1.0, norm2(M)) ** n:
             candidates.append((lam, residual))
 
     candidates.sort(key=lambda c: (c[0].real, c[0].imag))

@@ -2,6 +2,8 @@
 systems with known ground truth, plus the worked examples used across
 modules."""
 
+from dataclasses import replace
+
 import numpy as np
 
 import ddae_kit as dk
@@ -119,6 +121,26 @@ def random_smoothing_blocks(rng, n_d, n_a, nu):
             B_a1 = 0.6 * rng.standard_normal((n_a, n_d))
             B_a2 = np.triu(0.6 * rng.standard_normal((n_a, n_a)), 1)
     return B_d1, B_d2, B_a1, B_a2
+
+
+def kinked_dae(basis, horizon=4):
+    """Index-2 smoothing system whose inhomogeneity has breakpoints at
+    0.3, 1.5 and 2.7 (none at a knot), in the given basis, with an
+    admissible probe history."""
+    rng = np.random.default_rng(21)
+    n_d, n_a, nu = 1, 3, 2
+    sys0, split0 = random_system_from_blocks(
+        rng, n_d, n_a, nu, random_smoothing_blocks(rng, n_d, n_a, nu), horizon=horizon
+    )
+    cuts = [0.0, 0.3, 1.5, 2.7, float(horizon)]
+    f = dk.PiecewisePolynomial(
+        [(a, b, 0.3 * rng.standard_normal((4, n_d + n_a))) for a, b in zip(cuts, cuts[1:])],
+        basis=basis,
+    )
+    sys1 = replace(sys0, f=f)
+    phi = dk.construct_probe_history(dk.build_split(sys1, qwf=split0.qwf), m=1,
+                                     target=np.zeros(n_d), side="slow")
+    return replace(sys1, phi=phi)
 
 
 # -- worked examples -------------------------------------------------

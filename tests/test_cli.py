@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,9 +109,10 @@ class TestOptionValues:
             ["solve", "--kmax", "-1"],
             ["probe", "--order", "2", "--target", "abc"],
             ["probe", "--order", "2", "--target", "nan"],
+            ["solve", "--kmax", "1000000000"],
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
-             "kmax-negative", "target-text", "target-nan"],
+             "kmax-negative", "target-text", "target-nan", "kmax-huge"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote
@@ -123,6 +125,29 @@ class TestOptionValues:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestParserReuse:
+    def test_repeated_calls_give_identical_outputs(self, tmp_path, capsys):
+        # one parser serves every main call, an argparse rejection included
+        problem = write_problem(tmp_path, example_slow_smoothing())
+
+        def run(round_):
+            outs = {}
+            for argv in (["analyze"], ["solve", "--kmax", "3"], ["check-history"]):
+                paths = [str(tmp_path / f"{argv[0]}-{round_}-{k}") for k in range(2)]
+                if argv[0] != "solve":
+                    paths = paths[:1]
+                assert main([argv[0], problem, *paths, *argv[1:]]) == 0
+                outs[argv[0]] = [Path(p).read_bytes() for p in paths]
+            return outs
+
+        first = run(0)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", problem, *[str(tmp_path / k) for k in "ab"], "--kmax", "three"])
+        assert exc.value.code == 2
+        assert run(1) == first
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestOneDecisionPerPencil:

@@ -1,15 +1,25 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.model import solution_taylor, solution_taylor_from_value
+from ddae_kit.model import (
+    TAYLOR_BLOCK,
+    f_derivs_x,
+    f_knot_table,
+    solution_taylor,
+    solution_taylor_from_value,
+)
+from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL
 
 from gen import (
     example_advanced,
     example_neutral,
     example_slow_smoothing,
+    kinked_dae,
     random_regular_pencil,
     well_conditioned,
 )
@@ -211,6 +221,77 @@ class TestSolutionTaylor:
             err = np.linalg.norm(got - ref, axis=1)
             assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=1))
 
+    @pytest.mark.parametrize("field", ["real", "complex-stream", "complex-pencil"])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_blocked_recursion_matches_per_order_loop(self, nu, field):
+        # blocks of TAYLOR_BLOCK orders sum in another order than the loop:
+        # each order j agrees to 1e-12 of ||A_diff|| ||x^(j-1)|| + ||r_j||,
+        # on low-rank A_diff (n_d < n) of norm up to 10
+        rng = np.random.default_rng(70 + nu)
+        n, rank = 6, 2
+        E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+        if field == "complex-pencil":
+            U = well_conditioned(rng, n) + 0.5j * well_conditioned(rng, n)
+            E, A = U @ E, U @ A
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        for norm_A in (0.5, 10.0):
+            low_rank = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+            if field == "complex-pencil":
+                low_rank = low_rank + 1j * low_rank @ well_conditioned(rng, n)
+            low_rank = low_rank * (norm_A / np.linalg.norm(low_rank, 2))
+            blocked = replace(split, A_diff=low_rank)
+            for orders in (0, 1, 15, 16, 17, 33, 130):
+                q = rng.standard_normal((orders + nu, n))
+                x0 = rng.standard_normal(n)
+                if field != "real":
+                    q = q + 1j * rng.standard_normal(q.shape)
+                got = solution_taylor_from_value(blocked, x0, q, orders)
+                ref = taylor_per_order(blocked, x0, q, orders)
+                assert got.shape == ref.shape == (orders + 1, n)
+                assert got.dtype == ref.dtype
+                assert got[0].tobytes() == ref[0].tobytes()
+                r = [sum(blocked.C[k] @ q[k + j] for k in range(nu + 1))
+                     for j in range(orders)]
+                bound = (norm_A * np.linalg.norm(ref[:-1], axis=1)
+                         + np.linalg.norm(np.reshape(r, (orders, n)), axis=1))
+                err = np.linalg.norm(got[1:] - ref[1:], axis=1)
+                assert np.all(err <= 1e-12 * bound)
+
+    def test_power_blocks(self):
+        # P stacks A_diff^1..B; block (a, i) of L is A_diff^(a-i) below the
+        # diagonal and exactly zero above it
+        rng = np.random.default_rng(9)
+        E, A, _ = random_regular_pencil(rng, 5, n_d=3, nu=2)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        P, L = split.taylor_blocks
+        B, n = TAYLOR_BLOCK, 5
+        assert P.shape == (B * n, n) and L.shape == (B * n, B * n)
+        powers = [np.eye(n)]
+        for _ in range(B):
+            powers.append(powers[-1] @ split.A_diff)
+        scale = 1.0 + np.linalg.norm(split.A_diff, 2)
+
+        def close(got, k):
+            return np.linalg.norm(got - powers[k], 2) <= 1e-12 * scale**k
+
+        blocks = L.reshape(B, n, B, n).transpose(0, 2, 1, 3)
+        for a in range(B):
+            assert close(P[a * n : (a + 1) * n], a + 1)
+            assert all(close(blocks[a, i], a - i) for i in range(a + 1))
+            assert not blocks[a, a + 1 :].any()
+        assert split.taylor_blocks[1] is L
+
+    def test_power_blocks_die_with_the_split(self):
+        sys = example_slow_smoothing()
+        split = dk.build_split(sys)
+        dk.method_of_steps(sys, split)
+        assert "taylor_blocks" in vars(split)  # the solve built them
+        P, L = split.taylor_blocks
+        refs = [weakref.ref(P), weakref.ref(P.base), weakref.ref(L)]
+        del P, L, split
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
     def test_matches_polynomial_solution(self):
         # scalar neutral example: segment 1 solution is x(t) = -t
         sys = example_neutral()
@@ -229,6 +310,28 @@ class TestSolutionTaylor:
         xs, residual = solution_taylor(split, np.array([3.0]), q, 1)
         assert residual == pytest.approx(3.0)
         assert xs[0][0] == pytest.approx(0.0)
+
+
+class TestKnotTable:
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_rows_bit_identical_to_f_derivs_x(self, basis):
+        # at every knot and, so that the side picks the piece, at the
+        # data's own breakpoints
+        sys = kinked_dae(basis)
+        split = dk.build_split(sys)
+        data = split.g.stack(split.h)
+        d = data.max_degree
+        knots = np.arange(sys.horizon_intervals + 1) * sys.tau
+        knots = np.union1d(knots, data.breakpoints)
+        assert len(knots) == sys.horizon_intervals + 4
+        for side, times in (("right", knots[:-1]), ("left", knots[1:])):
+            table = f_knot_table(split, data, times, side)
+            assert table.shape == (len(times), d + 1, sys.n)
+            for t, rows in zip(times, table):
+                full = f_derivs_x(split, t, 3 * d + 5, side)
+                assert rows.tobytes() == full[: d + 1].tobytes()
+                assert full[d + 1 :].tobytes() == np.zeros_like(full[d + 1 :]).tobytes()
+                assert rows.tobytes() == f_derivs_x(split, t, d, side).tobytes()
 
 
 class TestSystemValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.pencil import DEFAULT_POLICY
+from ddae_kit.pencil import DEFAULT_POLICY, norm2
 
 from gen import random_regular_pencil
 
@@ -12,6 +12,20 @@ def subspace(basis):
     if basis.shape[1] == 0:
         return np.zeros((basis.shape[0], basis.shape[0]))
     return basis @ basis.conj().T
+
+
+class TestNorm2:
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5), (1, 1), (0, 0), (0, 3)])
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_bit_identical_to_numpy(self, shape, field):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        for _ in range(50):
+            M = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+            if field is complex:
+                M = M + 1j * rng.standard_normal(shape)
+            got = norm2(M)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(np.linalg.norm(M, 2)).tobytes()
 
 
 class TestRegularity:

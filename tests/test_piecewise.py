@@ -47,7 +47,8 @@ class TestEvaluation:
         # separately: both sides of interior knots, orders past the degree;
         # the second function has degrees up to 20 and signed zeros, and is
         # also sampled just across each knot, where t - a is a tiny
-        # negative number or lies a hair past the piece end
+        # negative number or lies a hair past the piece end; an array of
+        # those times gives each time's stack, with the same bytes
         rng = np.random.default_rng(17)
         breaks = [-1.0, -0.3, 0.4, 1.7]
         for sizes in (None, (21, 1, 14)):
@@ -79,6 +80,12 @@ class TestEvaluation:
                                         for j in range(orders + 1)])
                         assert got.dtype == ref.dtype
                         assert got.tobytes() == ref.tobytes()
+            for side in ("left", "right"):
+                for orders in (10, 25):
+                    many = pp.derivatives(np.array(times), orders, side=side)
+                    ref = np.stack([pp.derivatives(t, orders, side=side) for t in times])
+                    assert many.dtype == ref.dtype
+                    assert many.tobytes() == ref.tobytes()
 
     def test_out_of_domain(self):
         pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0]]))])

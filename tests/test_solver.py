@@ -13,6 +13,7 @@ from gen import (
     example_advanced,
     example_neutral,
     example_slow_smoothing,
+    kinked_dae,
     random_smoothing_blocks,
     random_system_from_blocks,
     weak_desmoothing_system,
@@ -86,6 +87,27 @@ class TestMethodOfSteps:
             assert entry.first_jump_order == 1
             assert entry.jump_norm == pytest.approx(2.0, abs=1e-10)
             assert not entry.inconsistent_restart
+
+    @pytest.mark.parametrize("basis", [dk.MONOMIAL, dk.CHEBYSHEV],
+                             ids=["monomial", "chebyshev"])
+    def test_knot_table_changes_no_byte(self, basis):
+        # the sweep reads f's knot derivatives from its table; segments
+        # solved one by one compute them per segment, with equal bytes
+        sys = kinked_dae(basis)
+        split = dk.build_split(sys)
+        traj, _ = dk.method_of_steps(sys, split)
+        assert len(traj.segments) == sys.horizon_intervals
+        k_max = split.nu + 2
+        prev = solver.history_as_segment(
+            sys, split, k_max + sys.horizon_intervals * split.nu + max(split.nu, 1))
+        for i, seg in enumerate(traj.segments, start=1):
+            alone = solver.solve_segment(split, i, prev)
+            for name in ("derivs_start", "derivs_end"):
+                assert getattr(alone, name).tobytes() == getattr(seg, name).tobytes()
+            assert len(alone.pieces.pieces) == len(seg.pieces.pieces) > 1
+            for (a, b, c), (a2, b2, c2) in zip(alone.pieces.pieces, seg.pieces.pieces):
+                assert (a, b, c.tobytes()) == (a2, b2, c2.tobytes())
+            prev = alone
 
     def test_advanced_partial_with_recorded_breakdown(self):
         sys = example_advanced()
