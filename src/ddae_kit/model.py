@@ -326,6 +326,8 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     in blocks of up to TAYLOR_BLOCK orders through split.taylor_blocks:
     one product applies L to the forcing of every block at once, and each
     block adds P x^{(j)}, with x^{(j)} the last order before the block.
+    Orders past the first non-finite forcing row, or past a block's first
+    non-finite order, go one at a time.
     """
     nu = split.nu
     q_derivs = np.asarray(q_derivs)
@@ -341,29 +343,33 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
         (orders + 1,) + x_value.shape, dtype=np.result_type(x_value, r, split.A_diff)
     )
     xs[0] = x_value
-    P, L = split.taylor_blocks
-    n = split.n
-    width = min(orders, TAYLOR_BLOCK)
-    blocks = -(-orders // width)
-    # column b holds the forcing r_j of block b, zero-padded past the last order
-    R = np.zeros((blocks * width, n), dtype=r.dtype)
-    R[:orders] = r
-    LR = _real_product(L[: width * n, : width * n], R.reshape(blocks, width * n).T)
-    for b, j in enumerate(range(0, orders, width)):
-        k = min(width, orders - j)
-        step = _real_product(P[: k * n], xs[j]) + LR[: k * n, b]
-        xs[j + 1 : j + k + 1] = step.reshape(k, n)
+    # L mixes all orders of a block and 0 * inf is NaN, so the blocks stop
+    # at the first forcing row that is not finite; from there, and from
+    # the first order a block left non-finite, the loop goes one order at
+    # a time, as the unblocked recursion would
+    top = _finite_rows(r)
+    if top:
+        P, L = split.taylor_blocks
+        n = split.n
+        width = min(top, TAYLOR_BLOCK)
+        blocks = -(-top // width)
+        # column b holds the forcing r_j of block b, zero-padded past top
+        R = np.zeros((blocks * width, n), dtype=r.dtype)
+        R[:top] = r[:top]
+        LR = L[: width * n, : width * n] @ R.reshape(blocks, width * n).T
+        for b, j in enumerate(range(0, top, width)):
+            k = min(width, top - j)
+            xs[j + 1 : j + k + 1] = (P[: k * n] @ xs[j] + LR[: k * n, b]).reshape(k, n)
+        top = _finite_rows(xs[1 : top + 1])
+    for j in range(top, orders):
+        xs[j + 1] = split.A_diff @ xs[j] + r[j]
     return xs
 
 
-def _real_product(M, X):
-    """M @ X without casting M: a complex X against a real M goes through
-    one real product as its (real, imaginary) pairs."""
-    if M.dtype.kind == "c" or X.dtype.kind != "c":
-        return M @ X
-    X = np.ascontiguousarray(X)
-    pairs = X.view(M.dtype).reshape(X.shape[0], -1)
-    return (M @ pairs).view(X.dtype).reshape((M.shape[0],) + X.shape[1:])
+def _finite_rows(X):
+    """Number of leading rows of X whose entries are all finite."""
+    finite = np.isfinite(X).all(axis=1)
+    return len(X) if finite.all() else int(finite.argmin())
 
 
 def f_derivs_x(split: SplitCoefficients, s, orders, side):

@@ -55,10 +55,11 @@ FIRST_DEGREE = 16
 # off-node residual accepted at the first degree, relative to the scale
 # ||J|| max|v| + max|q| at the grid midpoints
 RESID_TOL = 1e-11
-# highest k_max accepted: segment 1 carries k_max + M nu + max(nu, 1)
-# derivative orders, so an unbounded k_max is an unbounded allocation, and
-# derivatives of order 64 are far past what double precision can compare
-MAX_K_MAX = 64
+# longest derivative stream a sweep may carry: segment 1 holds
+# k_max + M nu + max(nu, 1) orders and every later segment a few fewer,
+# so the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
+# caps k_max (SolverConfig) and, for nu > 0, the horizon (method_of_steps)
+MAX_STREAM_ORDERS = 1024
 
 _dmat_cache = {}
 _mid_cache = {}
@@ -72,7 +73,7 @@ class SolverConfig:
         min(FIRST_DEGREE, degree) first and at degree only when that
         solve fails its resolution test.
     k_max: highest derivative order compared at knots (default index+2,
-        at most MAX_K_MAX).
+        below MAX_STREAM_ORDERS).
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
     """
@@ -86,8 +87,8 @@ class SolverConfig:
             raise DimensionMismatch("collocation degree must be at least 1")
         if self.k_max is not None and self.k_max < 0:
             raise DimensionMismatch("k_max must be nonnegative")
-        if self.k_max is not None and self.k_max > MAX_K_MAX:
-            raise DimensionMismatch(f"k_max must be at most {MAX_K_MAX}")
+        if self.k_max is not None and self.k_max >= MAX_STREAM_ORDERS:
+            raise DimensionMismatch(f"k_max must be below {MAX_STREAM_ORDERS}")
         if self.on_inconsistent not in ("record", "stop"):
             raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
@@ -443,6 +444,11 @@ def method_of_steps(
     k_max = config.k_max if config.k_max is not None else nu + 2
     M = sys.horizon_intervals
     hist_orders = k_max + M * nu + max(nu, 1)
+    if hist_orders > MAX_STREAM_ORDERS:
+        raise DimensionMismatch(
+            f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
+            f" orders exceed {MAX_STREAM_ORDERS}"
+        )
     prev = history_as_segment(sys, split, hist_orders)
 
     colloc = SlowCollocation(split.qwf.J, config.degree)

@@ -54,18 +54,31 @@ def random_regular_pencil(rng, n, n_d=None, nu=None):
     return E, A, {"n_d": n_d, "n_a": n_a, "nu": nu}
 
 
+def taylor_per_order(split, x_value, q_derivs, orders):
+    """Reference Taylor recursion: x^(j+1) = A_diff x^(j) + sum_k C_k q^(k+j),
+    one order at a time with nu+2 mat-vecs per order."""
+    xs = [np.asarray(x_value)]
+    for j in range(orders):
+        nxt = split.A_diff @ xs[j]
+        for k in range(split.nu + 1):
+            nxt = nxt + split.C[k] @ q_derivs[k + j]
+        xs.append(nxt)
+    return np.stack(xs)
+
+
 def random_system_from_blocks(
-    rng, n_d, n_a, nu, B_blocks, horizon=5, tau=1.0, mix=True, f_degree=2
+    rng, n_d, n_a, nu, B_blocks, horizon=5, tau=1.0, mix=True, f_degree=2, J=None
 ):
     """System assembled from prescribed quasi-Weierstrass blocks.
 
-    B_blocks = (B_d1, B_d2, B_a1, B_a2); the coefficient matrices are
+    B_blocks = (B_d1, B_d2, B_a1, B_a2); J, the slow block, is random
+    unless given; the coefficient matrices are
     conjugated by random well-conditioned transforms when mix is True.
     The history is a probe of order 1 with zero target, which makes it
     admissible by construction.
     """
     n = n_d + n_a
-    J = 0.5 * rng.standard_normal((n_d, n_d))
+    J = 0.5 * rng.standard_normal((n_d, n_d)) if J is None else np.atleast_2d(J)
     N = shift_nilpotent(n_a, nu) if n_a else np.zeros((0, 0))
     B_d1, B_d2, B_a1, B_a2 = [np.atleast_2d(np.asarray(b)) for b in B_blocks]
     E0 = np.zeros((n, n))

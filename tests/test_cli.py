@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit import cli
+from ddae_kit import cli, solver
 from ddae_kit.cheb import cgl_nodes
 from ddae_kit.cli import main
 
@@ -124,6 +124,21 @@ class TestOptionValues:
         assert main([argv[0], problem, *outs, *argv[1:]]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+    def test_stream_bound(self, tmp_path, capsys):
+        # the bound is on the stream a sweep carries, k_max + M nu +
+        # max(nu, 1) orders: a k_max of 65 solves, a horizon that makes the
+        # stream longer than MAX_STREAM_ORDERS exits 4 before allocating
+        problem = write_problem(tmp_path, example_slow_smoothing())
+        outs = [str(tmp_path / "out.csv"), str(tmp_path / "out.json")]
+        assert main(["solve", problem, *outs, "--kmax", "65"]) == 0
+        long_ = example_slow_smoothing(horizon=solver.MAX_STREAM_ORDERS)
+        problem = write_problem(tmp_path, long_)
+        assert main(["solve", problem, *outs]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "orders exceed" in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -21,6 +21,7 @@ from gen import (
     example_slow_smoothing,
     kinked_dae,
     random_regular_pencil,
+    taylor_per_order,
     well_conditioned,
 )
 
@@ -181,17 +182,6 @@ class TestFastSubsystem:
         assert w.n == 0
 
 
-def taylor_per_order(split, x_value, q_derivs, orders):
-    """Reference: the per-order loop with nu+2 mat-vecs per order."""
-    xs = [np.asarray(x_value)]
-    for j in range(orders):
-        nxt = split.A_diff @ xs[j]
-        for k in range(split.nu + 1):
-            nxt = nxt + split.C[k] @ q_derivs[k + j]
-        xs.append(nxt)
-    return np.stack(xs)
-
-
 class TestSolutionTaylor:
     @pytest.mark.parametrize("field", [float, complex])
     @pytest.mark.parametrize("nu", [0, 1, 2, 3])
@@ -256,6 +246,46 @@ class TestSolutionTaylor:
                          + np.linalg.norm(np.reshape(r, (orders, n)), axis=1))
                 err = np.linalg.norm(got[1:] - ref[1:], axis=1)
                 assert np.all(err <= 1e-12 * bound)
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_non_finite_forcing_stays_above_its_order(self, nu):
+        # L mixes every order of a block and 0 * inf is NaN: an infinite
+        # q^(20) may reach only the orders the per-order loop lets it reach
+        rng = np.random.default_rng(80 + nu)
+        n = 5
+        E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        orders = 40
+        q = rng.standard_normal((orders + nu, n))
+        q[20] = np.inf
+        x0 = rng.standard_normal(n)
+        with np.errstate(invalid="ignore"):
+            got = solution_taylor_from_value(split, x0, q, orders)
+            ref = taylor_per_order(split, x0, q, orders)
+        assert (np.isfinite(got) == np.isfinite(ref)).all()
+        assert np.isfinite(ref[: 21 - nu]).all() and not np.isfinite(ref[21 - nu]).all()
+        scale = np.linalg.norm(ref[: 21 - nu], axis=1).max()
+        assert np.abs(got[: 21 - nu] - ref[: 21 - nu]).max() <= 1e-12 * scale
+
+    def test_overflow_frontier_matches_per_order_loop(self):
+        # ||A_diff|| up to 3000 and data up to 1e200 overflow part-way
+        # through a block; from a block's first non-finite order the
+        # recursion goes one order at a time, so exactly the entries the
+        # loop leaves finite stay finite
+        rng = np.random.default_rng(90)
+        for _ in range(40):
+            nu, n, orders = int(rng.integers(0, 3)), 4, 130
+            E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+            norm_A = rng.uniform(100.0, 3000.0)
+            stiff = replace(split, A_diff=split.A_diff * (norm_A / np.linalg.norm(split.A_diff, 2)))
+            q = rng.standard_normal((orders + nu, n)) * 10.0 ** rng.uniform(0, 200)
+            x0 = rng.standard_normal(n) * 10.0 ** rng.uniform(0, 200)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = solution_taylor_from_value(stiff, x0, q, orders)
+                ref = taylor_per_order(stiff, x0, q, orders)
+            assert not np.isfinite(ref[-1]).all()
+            assert (np.isfinite(got) == np.isfinite(ref)).all()
 
     def test_power_blocks(self):
         # P stacks A_diff^1..B; block (a, i) of L is A_diff^(a-i) below the

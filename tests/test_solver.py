@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
-from ddae_kit import solver
+from ddae_kit import model, solver
 from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 
 from gen import (
@@ -16,6 +16,7 @@ from gen import (
     kinked_dae,
     random_smoothing_blocks,
     random_system_from_blocks,
+    taylor_per_order,
     weak_desmoothing_system,
 )
 
@@ -108,6 +109,45 @@ class TestMethodOfSteps:
             for (a, b, c), (a2, b2, c2) in zip(alone.pieces.pieces, seg.pieces.pieces):
                 assert (a, b, c.tobytes()) == (a2, b2, c2.tobytes())
             prev = alone
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stiff_sweep_keeps_the_per_order_frontier(self, seed, monkeypatch):
+        # a slow eigenvalue of -1000 in an index-3 system overflows the top
+        # orders of most streams; the sweep must leave non-finite exactly
+        # the orders the per-order loop does, so the ledger's low orders
+        # and the trajectory stay finite segment after segment
+        rng = np.random.default_rng(seed)
+        blocks = random_smoothing_blocks(rng, 1, 3, 3)
+        sys, split = random_system_from_blocks(rng, 1, 3, 3, blocks, horizon=40, J=-1000.0)
+
+        def sweep():
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj, ledger = dk.method_of_steps(sys, split)
+            finite = [[np.isfinite(d).all(axis=1).tolist()
+                       for d in (seg.derivs_start, seg.derivs_end)] for seg in traj.segments]
+            return traj, ledger, finite
+
+        traj, ledger, finite = sweep()
+        with monkeypatch.context() as m:
+            m.setattr(model, "solution_taylor_from_value", taylor_per_order)
+            m.setattr(solver, "solution_taylor_from_value", taylor_per_order)
+            ref_traj, ref_ledger, ref_finite = sweep()
+        assert finite == ref_finite
+        assert sum(not all(rows) for seg in finite for rows in seg) > 10
+        assert all(np.isfinite(c).all() for seg in traj.segments for _, _, c in seg.pieces.pieces)
+        # order 3 of a ||A_diff||^3 = 1e9 system is at its rounding floor:
+        # a decision may differ only where both jump measures are within
+        # a factor 30 of JUMP_TOL
+        for ours, ref in zip(ledger.entries, ref_ledger.entries, strict=True):
+            assert ours.matched_order >= 1
+            if ours.matched_order == ref.matched_order:
+                continue
+            k, i = min(ours.matched_order, ref.matched_order) + 1, ref.knot_index
+            for t in (traj, ref_traj):
+                left, right = t.segments[i - 1].derivs_end[k], t.segments[i].derivs_start[k]
+                scale = 1.0 + max(np.linalg.norm(left), np.linalg.norm(right))
+                measure = np.linalg.norm(right - left) / scale
+                assert solver.JUMP_TOL / 30 <= measure <= 30 * solver.JUMP_TOL
 
     def test_advanced_partial_with_recorded_breakdown(self):
         sys = example_advanced()
