@@ -271,28 +271,47 @@ def underlying_ode_rhs(split: SplitCoefficients, q: PiecewisePolynomial):
 
 
 def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu):
-    """Exact solution w = -sum_{k<nu} N^k q_f^{(k)} of N w' = w + q_f.
+    """Exact solution w = -sum_{k<nu} N^k q_f^{(k)} of N w' = w + q_f, in the
+    basis and on the breakpoints of q_f (one FastPart, used once)."""
+    return FastPart(N, nu).solve(q_f)
 
-    nu is the nilpotency index of N.  q_f may be in either basis; the
-    result is piecewise polynomial in the same basis with the same
-    breakpoints.  Each piece differentiates once per order from the
-    previous order and is tidied once, after all terms are summed.
+
+class FastPart:
+    """Solver of N w' = w + q_f piece by piece, nu the nilpotency index of N.
+
+    The operators -D^k, k < nu, D the basis's differentiation matrix on a
+    piece, are stacked once per (basis, coefficient length, width) and the
+    powers (N^k)^T once, so a piece costs two stacked products, a sum and
+    one trim.  One instance serves one sweep; its operators go with it.
     """
-    N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
-    m = N.shape[0]
-    if m == 0:
-        return PiecewisePolynomial.zero(0, q_f.start, q_f.end, basis=q_f.basis)
-    pieces = []
-    for a, b, c in q_f.pieces:
-        w = np.zeros((c.shape[0], m), dtype=np.result_type(c, N))
-        N_pow = np.eye(m, dtype=N.dtype)
-        for k in range(min(nu, c.shape[0])):
-            if k:
-                c = q_f.basis.der(c, a, b, 1)
-            w[: c.shape[0]] += c @ -N_pow.T
-            N_pow = N_pow @ N
-        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
-    return q_f._with(pieces, m)
+
+    def __init__(self, N, nu):
+        N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
+        NT = [np.eye(N.shape[0], dtype=N.dtype)]
+        for _ in range(1, nu):
+            NT.append(N.T @ NT[-1])
+        self.N, self.nu, self._NT, self._ops = N, nu, np.array(NT), {}
+
+    def solve(self, q_f: PiecewisePolynomial):
+        pieces = []
+        for a, b, c in q_f.pieces:
+            key = (q_f.basis.name, len(c), b - a)
+            if key not in self._ops:
+                self._ops[key] = _fast_operator(q_f.basis, len(c), a, b, self.nu)
+            ops = self._ops[key]
+            w = ((ops @ c) @ self._NT[: len(ops)]).sum(axis=0)
+            pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+        return q_f._with(pieces, self.N.shape[0])
+
+
+def _fast_operator(basis, length, a, b, nu):
+    """-D^k for k < max(min(nu, length), 1), D the matrix of basis.der on [a, b]."""
+    D = np.zeros((length, length))
+    D[: length - 1] = basis.der(np.eye(length), a, b, 1)[: length - 1]
+    ops = [-np.eye(length)]
+    for _ in range(1, min(nu, length)):
+        ops.append(D @ ops[-1])
+    return np.array(ops)
 
 
 def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):

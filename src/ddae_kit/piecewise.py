@@ -68,6 +68,16 @@ def _merge_breaks(points, tol):
     return merged
 
 
+def _stacked(ca, cb):
+    """Coefficients [ca | cb] of two pieces on one interval, the shorter
+    one padded with zero rows."""
+    c = np.zeros((max(len(ca), len(cb)), ca.shape[1] + cb.shape[1]),
+                 dtype=np.result_type(ca, cb))
+    c[: len(ca), : ca.shape[1]] = ca
+    c[: len(cb), ca.shape[1] :] = cb
+    return c
+
+
 Basis = namedtuple("Basis", ["name", "eval", "der", "derivs", "restrict", "tidy"])
 Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
 
@@ -384,24 +394,6 @@ class PiecewisePolynomial:
         cuts = _merge_breaks(self.breakpoints + other.breakpoints, tol)
         return self.split_at(cuts), other.split_at(cuts)
 
-    def _combine(self, other, stacked):
-        """Sum (or component stack) of two functions on aligned pieces."""
-        left, right = self.aligned_with(other)
-        width = self.n + other.n if stacked else self.n
-        pieces = []
-        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
-            m = max(ca.shape[0], cb.shape[0])
-            c = np.zeros((m, width), dtype=np.result_type(ca.dtype, cb.dtype))
-            if stacked:
-                c[: ca.shape[0], : self.n] = ca
-                c[: cb.shape[0], self.n :] = cb
-            else:
-                c[: ca.shape[0]] += ca
-                c[: cb.shape[0]] += cb
-                c = self.basis.tidy(c)
-            pieces.append(Piece(a, b, c))
-        return self._with(pieces, width)
-
     def split_sum(self, other, k):
         """The sum self + other as two functions, components [0, k) and
         [k, n), each trimmed on its own scale as if summed separately."""
@@ -421,16 +413,17 @@ class PiecewisePolynomial:
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomial):
             return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("value dimensions differ")
-        return self._combine(other, stacked=False)
+        return self.split_sum(other, self.n)[0]
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def stack(self, other):
         """Concatenate value components: result(t) = [self(t); other(t)]."""
-        return self._combine(other, stacked=True)
+        left, right = self.aligned_with(other)
+        pieces = [Piece(a, b, _stacked(ca, cb))
+                  for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces)]
+        return self._with(pieces, self.n + other.n)
 
     def components(self, idx):
         """Project onto a subset of value components."""

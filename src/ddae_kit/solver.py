@@ -5,8 +5,11 @@ previous segment.  The algebraic (fast) part is obtained in closed form
 from derivatives of the segment inhomogeneity; the differential (slow)
 part is integrated by global Chebyshev collocation on each smooth piece,
 at a low degree first and at the top degree only where the low degree
-does not resolve the piece; each collocation operator is inverted once
-per degree, piece width and sweep.
+does not resolve the piece.  Every segment of a sweep is the same DAE
+segment with new data, so one Sweep builds each operator a segment
+applies once: the collocation inverses and Vandermonde rows, the
+fast-part operators, the data windows in Chebyshev form and f's
+derivative tables at the knots.
 Restart values are never projected: a violation of the consistency
 condition is the de-smoothing failure mode and is reported, not
 repaired.
@@ -20,6 +23,7 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.linalg import inv
@@ -35,16 +39,15 @@ from .errors import (
 from .history import agreement_order, check_admissible
 from .model import (
     DdaeSystem,
+    FastPart,
     SplitCoefficients,
     build_split,
-    f_derivs_x,
     f_knot_table,
-    fast_subsystem_solution,
     segment_window,
     solution_taylor,
     solution_taylor_from_value,
 )
-from .piecewise import CHEBYSHEV, Piece, PiecewisePolynomial
+from .piecewise import Piece, PiecewisePolynomial, _stacked
 
 # relative tolerance for accepting a restart value as consistent
 CONSISTENCY_TOL = 1e-7
@@ -52,6 +55,8 @@ CONSISTENCY_TOL = 1e-7
 JUMP_TOL = 1e-7
 # first collocation degree of every piece (capped by SolverConfig.degree)
 FIRST_DEGREE = 16
+# highest collocation degree SolverConfig accepts
+MAX_DEGREE = 128
 # off-node residual accepted at the first degree, relative to the scale
 # ||J|| max|v| + max|q| at the grid midpoints
 RESID_TOL = 1e-11
@@ -60,9 +65,6 @@ RESID_TOL = 1e-11
 # so the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
 # caps k_max (SolverConfig) and, for nu > 0, the horizon (method_of_steps)
 MAX_STREAM_ORDERS = 1024
-
-_dmat_cache = {}
-_mid_cache = {}
 
 
 @dataclass(frozen=True)
@@ -83,12 +85,10 @@ class SolverConfig:
     on_inconsistent: str = "record"
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise DimensionMismatch("collocation degree must be at least 1")
-        if self.k_max is not None and self.k_max < 0:
-            raise DimensionMismatch("k_max must be nonnegative")
-        if self.k_max is not None and self.k_max >= MAX_STREAM_ORDERS:
-            raise DimensionMismatch(f"k_max must be below {MAX_STREAM_ORDERS}")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise DimensionMismatch(f"collocation degree must be in 1..{MAX_DEGREE}")
+        if self.k_max is not None and not 0 <= self.k_max < MAX_STREAM_ORDERS:
+            raise DimensionMismatch(f"k_max must be in 0..{MAX_STREAM_ORDERS - 1}")
         if self.on_inconsistent not in ("record", "stop"):
             raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
@@ -160,22 +160,19 @@ class JumpLedger:
         return any(e.inconsistent_restart for e in self.entries)
 
     def entry_at(self, knot_index):
-        for e in self.entries:
-            if e.knot_index == knot_index:
-                return e
-        return None
+        return next((e for e in self.entries if e.knot_index == knot_index), None)
 
 
+@cache
 def _colloc_dmat(degree):
     """Node-space differentiation matrix on the CGL grid of [-1, 1]."""
-    if degree not in _dmat_cache:
-        V, Vinv = _vander_inv(degree)
-        Dc = np.zeros((degree + 1, degree + 1))
-        Dc[:degree] = C.chebder(np.eye(degree + 1), axis=0)
-        _dmat_cache[degree] = V @ Dc @ Vinv
-    return _dmat_cache[degree]
+    V, Vinv = _vander_inv(degree)
+    Dc = np.zeros((degree + 1, degree + 1))
+    Dc[:degree] = C.chebder(np.eye(degree + 1), axis=0)
+    return V @ Dc @ Vinv
 
 
+@cache
 def _midpoint_mats(degree):
     """Midpoints of the CGL grid of [-1, 1] and the node->midpoint value
     and derivative matrices (I_m, D_m) of the degree-p interpolant.
@@ -184,12 +181,10 @@ def _midpoint_mats(degree):
     consecutive nodes, where an under-resolved collocant shows its
     residual.
     """
-    if degree not in _mid_cache:
-        _, Vinv = _vander_inv(degree)
-        mids = np.cos((np.arange(degree) + 0.5) * np.pi / degree)
-        I_m = C.chebvander(mids, degree) @ Vinv
-        _mid_cache[degree] = (mids, I_m, I_m @ _colloc_dmat(degree))
-    return _mid_cache[degree]
+    _, Vinv = _vander_inv(degree)
+    mids = np.cos((np.arange(degree) + 0.5) * np.pi / degree)
+    I_m = C.chebvander(mids, degree) @ Vinv
+    return mids, I_m, I_m @ _colloc_dmat(degree)
 
 
 class SlowCollocation:
@@ -207,8 +202,10 @@ class SlowCollocation:
     per (p, h, dtype), on first use, and every further piece of that
     degree and width costs one mat-vec.  Widths are compared relative to
     the span of the sweep's forcing (the delay tau), so cuts that differ
-    only by roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  One
-    instance lives for one sweep; its inverses go with it.
+    only by roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  The
+    forcing is evaluated at the nodes and the midpoints through
+    Chebyshev-Vandermonde rows built once per (degree, forcing length).
+    One instance lives for one sweep; its operators go with it.
     """
 
     def __init__(self, J, degree):
@@ -217,6 +214,15 @@ class SlowCollocation:
         self.first_degree = min(FIRST_DEGREE, degree)
         self._J_norm = float(np.abs(J).sum(axis=1).max(initial=0.0))
         self._inverses = {}
+        self._rows = {}
+
+    def _vander(self, degree, length):
+        """Vandermonde rows of length coefficients at the degree's CGL
+        nodes and at its grid midpoints."""
+        key = (degree, length)
+        if key not in self._rows:
+            self._rows[key] = _vander_rows(degree, length)
+        return self._rows[key]
 
     def _inverse(self, degree, width, span, dtype):
         key = (degree, round(width / span, 13), span, dtype)
@@ -242,8 +248,7 @@ class SlowCollocation:
         """Collocant values at the degree's CGL nodes of [a, b], one row
         per node."""
         nd = self.J.shape[0]
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(degree)
-        Q = CHEBYSHEV.eval(q_coef, a, b, nodes).T
+        Q = self._vander(degree, q_coef.shape[0])[0] @ q_coef
         dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
         rhs = Q.astype(dtype).reshape(-1)
         rhs[:nd] = v0
@@ -258,9 +263,10 @@ class SlowCollocation:
         mags = np.max(np.abs(coef), axis=1, initial=0.0)
         if mags[-1] > TRIM_TOL * mags.max():
             return False
-        mids, I_m, D_m = _midpoint_mats(values.shape[0] - 1)
+        p = values.shape[0] - 1
+        _, I_m, D_m = _midpoint_mats(p)
         v_mid = I_m @ values
-        q_mid = CHEBYSHEV.eval(q_coef, a, b, 0.5 * (a + b) + 0.5 * (b - a) * mids).T
+        q_mid = self._vander(p, q_coef.shape[0])[1] @ q_coef
         resid = (2.0 / (b - a)) * (D_m @ values) - v_mid @ self.J.T - q_mid
         scale = (self._J_norm * np.max(np.abs(v_mid), initial=0.0)
                  + np.max(np.abs(q_mid), initial=0.0))
@@ -294,8 +300,13 @@ class SlowCollocation:
         for a, b, q_coef in forcing.pieces:
             coef = self.resolve_piece(a, b, q_coef, v0, span)
             pieces.append(Piece(a, b, coef))
-            v0 = CHEBYSHEV.eval(coef, a, b, b)
+            v0 = coef.sum(axis=0)  # T_k(1) = 1
         return forcing._with(pieces, self.J.shape[0])
+
+
+def _vander_rows(degree, length):
+    mids = _midpoint_mats(degree)[0]
+    return (C.chebvander(cgl_nodes(degree), length - 1), C.chebvander(mids, length - 1))
 
 
 def detect_jumps(
@@ -347,40 +358,72 @@ def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int):
     )
 
 
+class Sweep:
+    """Every operator that segments first..last of one sweep apply.
+
+    Each delay interval is the same DAE segment with new data, so the
+    slow collocation (SlowCollocation), the fast part (FastPart), the
+    data windows [g; h] of each segment in Chebyshev form and f's
+    derivative tables at the knots are built here once, from the split,
+    the top degree and the delay, and go with the sweep.
+    """
+
+    def __init__(self, split: SplitCoefficients, config: SolverConfig, tau, first, last):
+        if split.g is None or split.h is None:
+            raise DimensionMismatch("split must carry transformed data functions")
+        self.first, self.T = first, split.qwf.T
+        self.colloc = SlowCollocation(split.qwf.J, config.degree)
+        self.fast = FastPart(split.qwf.N, split.nu)
+        self.SD = np.vstack([split.B_d, split.B_a])
+        data = split.g.stack(split.h)
+        self.windows = [segment_window(data, i, tau).to_chebyshev()
+                        for i in range(first, last + 1)]
+        # knot times from the segments' own length tau
+        knots = np.arange(first - 1, last + 1) * tau
+        self.f_table = np.stack([f_knot_table(split, data, knots[:-1], "right"),
+                                 f_knot_table(split, data, knots[1:], "left")], axis=1)
+
+    def f_knots(self, i, count):
+        """f's derivatives 0..count-1 at the start and at the end of
+        segment i; the rows above the table's are zero."""
+        rows = self.f_table[i - self.first, :, :count]
+        out = np.zeros((2, count, rows.shape[2]), dtype=rows.dtype)
+        out[:, : rows.shape[1]] = rows
+        return out
+
+    def recombine(self, v: PiecewisePolynomial, q_f: PiecewisePolynomial):
+        """x = T [v; w] with w the fast part for q_f; v and q_f share their
+        breakpoints, so each piece is one [v | w] T^T."""
+        w = self.fast.solve(q_f)
+        pieces = [Piece(a, b, _stacked(cv, cw) @ self.T.T)
+                  for (a, b, cv), (_, _, cw) in zip(v.pieces, w.pieces)]
+        return v._with(pieces, self.T.shape[0])
+
+
 def solve_segment(
     split: SplitCoefficients,
     i: int,
     prev: SegmentSolution,
     config: SolverConfig = SolverConfig(),
-    colloc: SlowCollocation | None = None,
-    data: PiecewisePolynomial | None = None,
-    *,
-    f_knots: tuple | None = None,
+    sweep: Sweep | None = None,
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
     Raises InconsistentRestart when the previous end value is not a
     consistent initial value for this segment within CONSISTENCY_TOL;
     the error carries the order-0 jump to the consistent projection.
-    colloc is the sweep's SlowCollocation for split.qwf.J at
-    config.degree, so its inverses serve every segment, data the
-    sweep's stacked [g; h] = S f, and f_knots the sweep's f_knot_table
-    rows at this segment's (start, end) (each is computed here when
-    omitted).
+    sweep is the Sweep of split and config that holds segment i; without
+    it, a one-segment Sweep is built here.
     """
-    if split.g is None or split.h is None:
-        raise DimensionMismatch("split must carry transformed data functions")
-    nu, n_d = split.nu, split.n_d
     tau = prev.pieces.end
+    if sweep is None:
+        sweep = Sweep(split, config, tau, i, i)
+    nu, n_d = split.nu, split.n_d
     R_prev = prev.derivs_start.shape[0]
     orders = max(R_prev - 1 - nu, 1)
 
     # inhomogeneity derivative streams at both segment ends
-    if f_knots is None:
-        f_left = f_derivs_x(split, (i - 1) * tau, R_prev - 1, "right")
-        f_right = f_derivs_x(split, i * tau, R_prev - 1, "left")
-    else:
-        f_left, f_right = (_zero_padded(rows, R_prev) for rows in f_knots)
+    f_left, f_right = sweep.f_knots(i, R_prev)
     q_left = prev.derivs_start @ split.D.T + f_left
     q_right = prev.derivs_end @ split.D.T + f_right
 
@@ -391,36 +434,16 @@ def solve_segment(
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
     # [q_d; q_f] = S D x(t - tau) + [g; h] on the segment, in local time
-    if data is None:
-        data = split.g.stack(split.h)
-    window = segment_window(data, i, tau).to_chebyshev()
-    delayed = prev.pieces.apply_matrix(np.vstack([split.B_d, split.B_a]))
-    q_d, q_f = delayed.split_sum(window, n_d)
-
-    w = fast_subsystem_solution(split.qwf.N, q_f, nu=nu)
+    delayed = prev.pieces.apply_matrix(sweep.SD)
+    q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], n_d)
     v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
-    if colloc is None:
-        colloc = SlowCollocation(split.qwf.J, config.degree)
-    v = colloc.integrate(q_d, v0)
-    pieces = v.stack(w).apply_matrix(split.qwf.T)
+    pieces = sweep.recombine(sweep.colloc.integrate(q_d, v0), q_f)
 
-    x_end = pieces.evaluate(tau, side="left")
+    x_end = pieces.pieces[-1].coef.sum(axis=0)  # T_k(1) = 1
     derivs_end = solution_taylor_from_value(split, x_end, q_right, orders)
 
-    return SegmentSolution(
-        index=i,
-        pieces=pieces,
-        consistency_residual=residual,
-        derivs_start=derivs_start,
-        derivs_end=derivs_end,
-    )
-
-
-def _zero_padded(rows, count):
-    """The first count rows of a derivative stack whose omitted rows are zero."""
-    out = np.zeros((count, rows.shape[1]), dtype=rows.dtype)
-    out[: rows.shape[0]] = rows[:count]
-    return out
+    return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
+                           derivs_start=derivs_start, derivs_end=derivs_end)
 
 
 def method_of_steps(
@@ -451,39 +474,26 @@ def method_of_steps(
         )
     prev = history_as_segment(sys, split, hist_orders)
 
-    colloc = SlowCollocation(split.qwf.J, config.degree)
-    data = split.g.stack(split.h)
-    # knot times as solve_segment forms them, from the segments' own length
-    knots = np.arange(M + 1) * prev.pieces.end
-    f_starts = f_knot_table(split, data, knots[:-1], "right")
-    f_ends = f_knot_table(split, data, knots[1:], "left")
-    segments = []
-    entries = []
-    for i in range(1, M + 1):
-        try:
-            seg = solve_segment(split, i, prev, config, colloc=colloc, data=data,
-                                f_knots=(f_starts[i - 1], f_ends[i - 1]))
-        except InconsistentRestart as err:
-            if config.on_inconsistent == "stop":
-                raise
-            entries.append(
-                LedgerEntry(
-                    knot_index=i - 1,
-                    time=(i - 1) * sys.tau,
-                    matched_order=-1,
-                    first_jump_order=0,
-                    jump_vector=err.jump,
-                    jump_norm=float(np.linalg.norm(err.jump)),
-                    inconsistent_restart=True,
-                )
-            )
-            break
-        entries.append(
-            detect_jumps(prev, seg, k_max, knot_index=i - 1, tau=sys.tau,
-                         order0_matched=True)
-        )
-        segments.append(seg)
-        prev = seg
+    sweep = Sweep(split, config, prev.pieces.end, 1, M)
+    segments, entries = [], []
+    # the top orders of a stiff stream may overflow; the recursion fences
+    # them off (model._finite_rows), so numpy need not report them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, M + 1):
+            try:
+                seg = solve_segment(split, i, prev, config, sweep=sweep)
+            except InconsistentRestart as err:
+                if config.on_inconsistent == "stop":
+                    raise
+                entries.append(LedgerEntry(
+                    knot_index=i - 1, time=(i - 1) * sys.tau, matched_order=-1,
+                    first_jump_order=0, jump_vector=err.jump,
+                    jump_norm=float(np.linalg.norm(err.jump)), inconsistent_restart=True))
+                break
+            entries.append(detect_jumps(prev, seg, k_max, knot_index=i - 1, tau=sys.tau,
+                                        order0_matched=True))
+            segments.append(seg)
+            prev = seg
     return Trajectory(segments, sys.tau, sys.n), JumpLedger(entries)
 
 
@@ -514,46 +524,23 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
                 "expansion preconditions violated"
             )
         for seg in direct.segments[:nu_D]:
-            z_segments.append(
-                SegmentSolution(
-                    index=seg.index,
-                    pieces=seg.pieces.apply_matrix(P_slow),
-                    consistency_residual=seg.consistency_residual,
-                    derivs_start=seg.derivs_start @ P_slow.T,
-                    derivs_end=seg.derivs_end @ P_slow.T,
-                )
-            )
+            z_segments.append(SegmentSolution(
+                index=seg.index, pieces=seg.pieces.apply_matrix(P_slow),
+                consistency_residual=seg.consistency_residual,
+                derivs_start=seg.derivs_start @ P_slow.T, derivs_end=seg.derivs_end @ P_slow.T))
 
-    psi_seg = split.psi.shift(tau).to_chebyshev()
     colloc = SlowCollocation(expansion.J, config.degree)
-
-    def z_piecewise(j):
-        # segment j of z in local time; j = 0 is the shifted history psi
-        if j == 0:
-            return psi_seg
-        return z_segments[j - 1].pieces
-
+    # segment j of z in local time; j = 0 is the shifted history psi
+    z_pieces = [split.psi.shift(tau).to_chebyshev()] + [z.pieces for z in z_segments]
     for i in range(nu_D + 1, M + 1):
-        theta_i = expansion.theta.restrict((i - 1) * tau, i * tau).shift(-(i - 1) * tau)
-        forcing = theta_i.to_chebyshev()
-        for k, Dk in enumerate(expansion.D_delays):
-            lag = k + 1
-            forcing = forcing + z_piecewise(i - lag).apply_matrix(Dk)
-        if i == nu_D + 1:
-            if nu_D:
-                z0 = z_segments[-1].derivs_end[0]
-            else:
-                z0 = split.psi.evaluate(0.0, side="left")
-        else:
-            z0 = z_segments[-1].pieces.evaluate(tau, side="left")
+        forcing = segment_window(expansion.theta, i, tau).to_chebyshev()
+        for lag, Dk in enumerate(expansion.D_delays, start=1):
+            forcing = forcing + z_pieces[i - lag].apply_matrix(Dk)
+        z0 = z_segments[-1].derivs_end[0] if z_segments else split.psi.evaluate(0.0, side="left")
         pieces = colloc.integrate(forcing, z0)
-        z_segments.append(
-            SegmentSolution(
-                index=i,
-                pieces=pieces,
-                consistency_residual=0.0,
-                derivs_start=pieces.evaluate(0.0)[None, :],
-                derivs_end=pieces.evaluate(tau, side="left")[None, :],
-            )
-        )
+        z_pieces.append(pieces)
+        z_segments.append(SegmentSolution(
+            index=i, pieces=pieces, consistency_residual=0.0,
+            derivs_start=pieces.evaluate(0.0)[None, :],
+            derivs_end=pieces.evaluate(tau, side="left")[None, :]))
     return Trajectory(z_segments, tau, n_d)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 import ddae_kit as dk
+from ddae_kit.piecewise import Piece
 
 
 def well_conditioned(rng, n):
@@ -64,6 +65,27 @@ def taylor_per_order(split, x_value, q_derivs, orders):
             nxt = nxt + split.C[k] @ q_derivs[k + j]
         xs.append(nxt)
     return np.stack(xs)
+
+
+def fast_per_order(N, q_f, nu):
+    """Reference fast part w = -sum_{k<nu} N^k q_f^(k): each piece
+    differentiates once per order from the previous order and is tidied
+    once, after all terms are summed."""
+    N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
+    m = N.shape[0]
+    if m == 0:
+        return dk.PiecewisePolynomial.zero(0, q_f.start, q_f.end, basis=q_f.basis)
+    pieces = []
+    for a, b, c in q_f.pieces:
+        w = np.zeros((c.shape[0], m), dtype=np.result_type(c, N))
+        N_pow = np.eye(m, dtype=N.dtype)
+        for k in range(min(nu, c.shape[0])):
+            if k:
+                c = q_f.basis.der(c, a, b, 1)
+            w[: c.shape[0]] += c @ -N_pow.T
+            N_pow = N_pow @ N
+        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+    return q_f._with(pieces, m)
 
 
 def random_system_from_blocks(

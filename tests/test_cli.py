@@ -13,7 +13,13 @@ from ddae_kit import cli, solver
 from ddae_kit.cheb import cgl_nodes
 from ddae_kit.cli import main
 
-from gen import example_advanced, example_neutral, example_slow_smoothing
+from gen import (
+    example_advanced,
+    example_neutral,
+    example_slow_smoothing,
+    random_smoothing_blocks,
+    random_system_from_blocks,
+)
 
 
 def write_problem(tmp_path, sys_, name="problem.json"):
@@ -110,9 +116,11 @@ class TestOptionValues:
             ["probe", "--order", "2", "--target", "abc"],
             ["probe", "--order", "2", "--target", "nan"],
             ["solve", "--kmax", "1000000000"],
+            ["solve", "--degree", "100000"],
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
-             "kmax-negative", "target-text", "target-nan", "kmax-huge"],
+             "kmax-negative", "target-text", "target-nan", "kmax-huge",
+             "degree-huge"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote
@@ -313,6 +321,19 @@ class TestSolveCommand:
         assert code == 2
         assert not out_csv.exists()
         assert not out_ledger.exists()
+
+    def test_stiff_overflow_leaves_stderr_empty(self, tmp_path, capsys):
+        # the top stream orders of this index-3 system (slow eigenvalue
+        # -1000) overflow; the solve succeeds, and numpy must not report
+        # the fenced-off overflow (pytest turns a RuntimeWarning into an
+        # error here)
+        rng = np.random.default_rng(0)
+        blocks = random_smoothing_blocks(rng, 1, 3, 3)
+        sys_, _ = random_system_from_blocks(rng, 1, 3, 3, blocks, horizon=40, J=-1000.0)
+        problem = write_problem(tmp_path, sys_)
+        outs = [str(tmp_path / "traj.csv"), str(tmp_path / "ledger.json")]
+        assert main(["solve", problem, *outs]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_advanced_exit_code_two(self, tmp_path):
         problem = write_problem(tmp_path, example_advanced())

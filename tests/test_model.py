@@ -8,6 +8,7 @@ import pytest
 import ddae_kit as dk
 from ddae_kit.model import (
     TAYLOR_BLOCK,
+    FastPart,
     f_derivs_x,
     f_knot_table,
     solution_taylor,
@@ -19,8 +20,10 @@ from gen import (
     example_advanced,
     example_neutral,
     example_slow_smoothing,
+    fast_per_order,
     kinked_dae,
     random_regular_pencil,
+    shift_nilpotent,
     taylor_per_order,
     well_conditioned,
 )
@@ -175,6 +178,38 @@ class TestFastSubsystem:
             resid = w.derivative().apply_matrix(N) - w - q
             scale = max(w.sup_bound(), q.sup_bound(), 1.0)
             assert resid.sup_bound() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_sweep_operators_on_mixed_pieces(self, nu, basis):
+        # one FastPart serves pieces of mixed widths and degrees: each
+        # piece solves N w' - w - q_f = 0 at coefficient level, one
+        # operator serves each (length, width), and a repeated solve
+        # through the cached operators gives the same bytes
+        rng = np.random.default_rng(70 + nu)
+        n_a = nu + 1 if nu else 0
+        perm = np.linalg.qr(rng.standard_normal((n_a, n_a)))[0]
+        N = perm @ shift_nilpotent(n_a, nu) @ perm.T
+        cuts = [0.0, 0.3, 0.7, 1.0, 1.3, 2.5]
+        degrees = [0, 5, 5, 5, 12]
+        q = dk.PiecewisePolynomial(
+            [(a, b, rng.standard_normal((d + 1, n_a)))
+             for a, b, d in zip(cuts, cuts[1:], degrees)], n=n_a, basis=basis)
+        fast = FastPart(N, nu)
+        w = fast.solve(q)
+        assert w.basis is basis and w.breakpoints == q.breakpoints and w.n == n_a
+        keys = {(len(c), b - a) for a, b, c in q.pieces}
+        assert len(fast._ops) == len(keys) < len(q.pieces)
+        assert [c.tobytes() for _, _, c in fast.solve(q).pieces] == \
+            [c.tobytes() for _, _, c in w.pieces]
+        if n_a:
+            resid = w.derivative().apply_matrix(N) - w - q
+            scale = max(w.sup_bound(), q.sup_bound(), 1.0)
+            assert resid.sup_bound() <= 1e-12 * scale
+            ref = fast_per_order(N, q, nu)
+            for (_, _, c), (_, _, c_ref) in zip(w.pieces, ref.pieces):
+                assert c.shape == c_ref.shape
+                assert np.max(np.abs(c - c_ref)) <= 1e-13 * max(np.max(np.abs(c_ref)), 1.0)
 
     def test_empty_algebraic_part(self):
         q = dk.PiecewisePolynomial.zero(0, 0.0, 1.0)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gen import (
     example_advanced,
     example_neutral,
     example_slow_smoothing,
+    fast_per_order,
     kinked_dae,
     random_smoothing_blocks,
     random_system_from_blocks,
@@ -537,6 +539,70 @@ def stiff_ode(n, M=2):
 
 def rung_degrees(colloc):
     return sorted({key[0] for key in colloc._inverses})
+
+
+class TestSweep:
+    def test_one_operator_per_key_in_a_uniform_sweep(self, monkeypatch):
+        # every segment of a one-piece sweep has the same width, so the
+        # fast part builds one operator per (length, width) and the
+        # collocation one Vandermonde pair per (degree, forcing length),
+        # each once for the whole sweep
+        fast_keys, vander_keys = [], []
+        fast_op, vander_rows = model._fast_operator, solver._vander_rows
+
+        def fast_counted(basis, length, a, b, nu):
+            fast_keys.append((basis.name, length, b - a))
+            return fast_op(basis, length, a, b, nu)
+
+        def vander_counted(degree, length):
+            vander_keys.append((degree, length))
+            return vander_rows(degree, length)
+
+        monkeypatch.setattr(model, "_fast_operator", fast_counted)
+        monkeypatch.setattr(solver, "_vander_rows", vander_counted)
+        rng = np.random.default_rng(12)
+        blocks = random_smoothing_blocks(rng, 2, 3, 2)
+        sys, split = random_system_from_blocks(rng, 2, 3, 2, blocks, horizon=12)
+        traj, ledger = dk.method_of_steps(sys, split)
+        assert len(traj.segments) == 12 and not ledger.has_inconsistent
+        pieces = sum(len(seg.pieces.pieces) for seg in traj.segments)
+        assert pieces == 12
+        for keys in (fast_keys, vander_keys):
+            assert keys and max(Counter(keys).values()) == 1
+            assert len(keys) < pieces
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fast_operators_match_per_order_loop(self, seed, monkeypatch):
+        # the stacked fast-part operators change only the rounding of the
+        # per-order loop: trajectories agree to 1e-13 relative and every
+        # ledger decision is the same
+        rng = np.random.default_rng(90 + seed)
+        n_d, n_a = int(rng.integers(1, 3)), int(rng.integers(2, 5))
+        nu = int(rng.integers(2, n_a + 1))
+        blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
+        sys, split = random_system_from_blocks(rng, n_d, n_a, nu, blocks, horizon=10,
+                                               f_degree=4)
+        traj, ledger = dk.method_of_steps(sys, split)
+        with monkeypatch.context() as m:
+            m.setattr(model.FastPart, "solve",
+                      lambda self, q_f: fast_per_order(self.N, q_f, self.nu))
+            ref_traj, ref_ledger = dk.method_of_steps(sys, split)
+        assert len(traj.segments) == len(ref_traj.segments) == 10
+        for seg, ref in zip(traj.segments, ref_traj.segments):
+            assert seg.pieces.breakpoints == ref.pieces.breakpoints
+            for (_, _, c), (_, _, c_ref) in zip(seg.pieces.pieces, ref.pieces.pieces):
+                scale = np.max(np.abs(c_ref))
+                full = np.zeros((max(len(c), len(c_ref)), c.shape[1]))
+                full[: len(c)] += c
+                full[: len(c_ref)] -= c_ref
+                assert np.max(np.abs(full)) <= 1e-13 * scale
+        decisions = [[(e.knot_index, e.matched_order, e.first_jump_order,
+                       e.inconsistent_restart) for e in led.entries]
+                     for led in (ledger, ref_ledger)]
+        assert decisions[0] == decisions[1]
+        for e, e_ref in zip(ledger.entries, ref_ledger.entries):
+            if e_ref.jump_norm is not None:
+                assert e.jump_norm == pytest.approx(e_ref.jump_norm, rel=1e-10)
 
 
 def _collocation_cases():
