@@ -21,7 +21,6 @@ from .errors import (
 from .pencil import (
     MatrixPencil,
     QuasiWeierstrassForm,
-    RankPolicy,
     RegularityVerdict,
     check_regularity,
     compute_qwf,

@@ -23,12 +23,10 @@ import numpy as np
 from .errors import DimensionMismatch, SingularPencil
 from .model import DdaeSystem, SplitCoefficients, split_matrices
 from .pencil import (
-    DEFAULT_POLICY,
     MatrixPencil,
-    RankPolicy,
     compute_qwf,
-    nilpotency_index,
-    norm2,
+    first_negligible_power,
+    negligible,
 )
 from .piecewise import PiecewisePolynomial
 
@@ -72,9 +70,7 @@ class ClassificationReport:
     consistency_flag: bool
 
 
-def classify_propagation(
-    split: SplitCoefficients, M: int, policy: RankPolicy = DEFAULT_POLICY
-) -> PropagationClass:
+def classify_propagation(split: SplitCoefficients, M: int) -> PropagationClass:
     """Propagation class from the split matrices at horizon M.
 
     De-smoothing as soon as some N^k B_a (k >= 1) is nonzero; smoothing
@@ -86,85 +82,53 @@ def classify_propagation(
     """
     if M < 1:
         raise DimensionMismatch("horizon M must be at least 1")
-    nu = split.nu
-    N, B_a = split.qwf.N, split.B_a
-    norm_N, norm_Ba = norm2(N), norm2(B_a)
-
-    first_violating = None
-    N_pow = N.copy() if N.size else N
-    for k in range(1, nu):
-        if not policy.negligible(norm2(N_pow @ B_a), norm_N**k * norm_Ba):
-            first_violating = k
-            break
-        N_pow = N_pow @ N
+    norm_N, n_pow_ba, ba2_pows = split.coupling_norms
+    # nilpotency index of B_a2 (None if it is not nilpotent)
+    nu_D = first_negligible_power(ba2_pows[0], ba2_pows) if ba2_pows else 0
+    first_violating = next((k for k in range(1, split.nu)
+                            if not negligible(n_pow_ba[k], norm_N**k * n_pow_ba[0])), None)
     if first_violating is not None:
-        return PropagationClass(
-            kind=PropagationKind.DE_SMOOTHING,
-            nu_D=nilpotency_index(split.B_a2, policy)[1],
-            first_violating_k=first_violating,
-            horizon_dependent_note=False,
-        )
-
-    nilpotent, nu_D = nilpotency_index(split.B_a2, policy)
-    if nilpotent and nu_D < M:
-        return PropagationClass(
-            kind=PropagationKind.SMOOTHING,
-            nu_D=nu_D,
-            first_violating_k=None,
-            horizon_dependent_note=False,
-        )
+        kind = PropagationKind.DE_SMOOTHING
+    elif nu_D is not None and nu_D < M:
+        kind = PropagationKind.SMOOTHING
+    else:
+        kind = PropagationKind.DISCONTINUITY_INVARIANT
     return PropagationClass(
-        kind=PropagationKind.DISCONTINUITY_INVARIANT,
-        nu_D=nu_D if nilpotent else None,
-        first_violating_k=None,
-        horizon_dependent_note=bool(nilpotent and nu_D >= M),
+        kind=kind,
+        nu_D=nu_D,
+        first_violating_k=first_violating,
+        horizon_dependent_note=(kind is PropagationKind.DISCONTINUITY_INVARIANT
+                                and nu_D is not None),
     )
 
 
-def classify_legacy(
-    split: SplitCoefficients, policy: RankPolicy = DEFAULT_POLICY
-) -> LegacyClass:
+def classify_legacy(split: SplitCoefficients) -> LegacyClass:
     """Retarded iff B_a = 0; neutral iff B_a != 0 but N B_a = 0; else advanced."""
-    N, B_a = split.qwf.N, split.B_a
-    norm_N, norm_Ba = norm2(N), norm2(B_a)
-    if policy.negligible(norm_Ba, norm_Ba):
+    norm_N, (norm_Ba, norm_NBa, *_), _ = split.coupling_norms
+    if negligible(norm_Ba, norm_Ba):
         return LegacyClass(LegacyKind.RETARDED)
-    if policy.negligible(norm2(N @ B_a), norm_N * norm_Ba):
+    if negligible(norm_NBa, norm_N * norm_Ba):
         return LegacyClass(LegacyKind.NEUTRAL)
     return LegacyClass(LegacyKind.ADVANCED)
 
 
-def classification_evidence(split: SplitCoefficients):
-    """Norms behind the verdicts: ||N^k B_a|| and ||B_a2^k||."""
-    nu, n_a = split.nu, split.n_a
-    N, B_a, B_a2 = split.qwf.N, split.B_a, split.B_a2
-    n_pow_ba = []
-    P = np.eye(n_a, dtype=N.dtype) if n_a else N
-    for _ in range(max(nu, 1)):
-        n_pow_ba.append(norm2(P @ B_a))
-        if n_a:
-            P = P @ N
-    ba2_pows = []
-    Q = np.array(B_a2)
-    for _ in range(1, n_a + 1):
-        ba2_pows.append(norm2(Q))
-        Q = Q @ B_a2
-    return {"N_pow_Ba": n_pow_ba, "Ba2_pow": ba2_pows}
+def classify(split: SplitCoefficients, M: int) -> ClassificationReport:
+    """Both classifications plus the cross-check of their equivalence.
 
-
-def classify(
-    split: SplitCoefficients, M: int, policy: RankPolicy = DEFAULT_POLICY
-) -> ClassificationReport:
-    """Both classifications plus the cross-check of their equivalence."""
-    prop = classify_propagation(split, M, policy)
-    legacy = classify_legacy(split, policy)
+    The evidence is the split's norm chain: ||N^k B_a|| for k < max(nu, 1)
+    and ||B_a2^k|| for 1 <= k <= n_a.
+    """
+    prop = classify_propagation(split, M)
+    legacy = classify_legacy(split)
     flag = (legacy.kind is LegacyKind.ADVANCED) == (
         prop.kind is PropagationKind.DE_SMOOTHING
     )
+    _, n_pow_ba, ba2_pows = split.coupling_norms
     return ClassificationReport(
         propagation=prop,
         legacy=legacy,
-        evidence=classification_evidence(split),
+        evidence={"N_pow_Ba": list(n_pow_ba[: max(split.nu, 1)]),
+                  "Ba2_pow": list(ba2_pows)},
         consistency_flag=flag,
     )
 
@@ -190,9 +154,8 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     """Assemble the backward system and report its pencil regularity.
 
     The classification of the backward system is independent of the
-    inhomogeneity, so its data functions are zero.  The system is built
-    under the rank policy of sys; an irregular backward pencil is a
-    verdict, not an error.
+    inhomogeneity, so its data functions are zero.  An irregular backward
+    pencil is a verdict, not an error.
     """
     n = sys.n
     dtype = complex if sys.is_complex else float
@@ -212,7 +175,6 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
             horizon_intervals=sys.horizon_intervals,
             f=zero(2 * n, 0.0, sys.t_final, complex_field=sys.is_complex),
             phi=zero(2 * n, -sys.tau, 0.0, complex_field=sys.is_complex),
-            policy=sys.policy,
         )
         verdict = system.regularity
     except SingularPencil as exc:
@@ -222,8 +184,8 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     )
 
 
-def classify_matrices(E, A, D, M: int, policy: RankPolicy = DEFAULT_POLICY):
+def classify_matrices(E, A, D, M: int):
     """Classification straight from coefficient matrices (no data needed)."""
-    qwf = compute_qwf(MatrixPencil(E, A), policy)
+    qwf = compute_qwf(MatrixPencil(E, A))
     split = split_matrices(qwf, E, A, D)
-    return classify(split, M, policy)
+    return classify(split, M)

@@ -56,9 +56,9 @@ def _write_json(path, payload):
 def _analyze_payload(sys):
     split = build_split(sys)
     M = sys.horizon_intervals
-    report = classify(split, M, sys.policy)
+    report = classify(split, M)
     verdict = sys.regularity
-    idx3 = check_index3_uniqueness(split, sys.policy)
+    idx3 = check_index3_uniqueness(split)
     splice = splicing_report(sys, split)
 
     backward = build_backward_system(sys)
@@ -71,13 +71,13 @@ def _analyze_payload(sys):
     if backward.system is not None:
         bw_sys = backward.system
         bw_split = split_matrices(bw_sys.qwf, bw_sys.E, bw_sys.A, bw_sys.D)
-        bw_report = classify(bw_split, M, sys.policy)
+        bw_report = classify(bw_split, M)
         bw["propagation"] = bw_report.propagation.kind.value
         bw["legacy"] = bw_report.legacy.kind.value
 
     hidden = None
     if report.propagation.kind is PropagationKind.SMOOTHING:
-        exp = expand_hidden_delays(split, M, sys.policy)
+        exp = expand_hidden_delays(split, M)
         hidden = {
             "nu_D": exp.nu_D,
             "delay_count": len(exp.D_delays),
@@ -213,7 +213,7 @@ def cmd_hidden_delays(args):
     sys_ = load_problem(args.problem)
     split = build_split(sys_)
     try:
-        exp = expand_hidden_delays(split, sys_.horizon_intervals, sys_.policy)
+        exp = expand_hidden_delays(split, sys_.horizon_intervals)
     except NotSmoothingType as exc:
         _write_json(
             args.out,

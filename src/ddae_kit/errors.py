@@ -20,8 +20,8 @@ class SingularPencil(DdaeKitError):
 class DecompositionFailure(DdaeKitError):
     """The quasi-Weierstrass decomposition could not be completed reliably.
 
-    Usually indicates a rank misjudgement; tightening the rank policy
-    (smaller rel_tol) or rescaling the data may help.
+    Usually indicates a rank misjudgement at the fixed thresholds
+    pencil.RANK_RTOL and RANK_ATOL; rescaling the data may help.
     """
 
 

@@ -19,10 +19,12 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients, f_derivs_x, solution_taylor
-from .pencil import DEFAULT_POLICY, RankPolicy, norm2
+from .pencil import negligible, norm2
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
+# relative tolerance for accepting a start value as consistent (is_consistent)
+CONSISTENCY_TOL = 1e-7
 # largest m + index a probe history is built for: from 7 on the monomial
 # Hermite interpolant of degree 2 (m + index) + 1 misses its own contract
 # on nearly every random smoothing system
@@ -64,8 +66,13 @@ def first_segment_q_derivs(sys: DdaeSystem, orders: int):
     return phi_d @ sys.D.T + f_d
 
 
-def _scale_of(*vecs):
-    return 1.0 + max((float(np.linalg.norm(v)) for v in vecs), default=0.0)
+def is_consistent(residual, x_request, q0):
+    """The one rule for a consistent start value, shared by the history
+    check and every solver restart: the defect between x_request and its
+    consistent projection is at most CONSISTENCY_TOL (1 + ||x_request||
+    + ||q0||), q0 the inhomogeneity q at the start."""
+    scale = 1.0 + float(np.linalg.norm(x_request)) + float(np.linalg.norm(q0))
+    return residual <= CONSISTENCY_TOL * scale
 
 
 def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
@@ -73,14 +80,14 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
 
     The history endpoint is consistent iff it equals
     A_con phi(0) + sum_{k=1}^{nu} C_k q^{(k-1)}(0) with
-    q = D phi(. - tau) + f.
+    q = D phi(. - tau) + f, within is_consistent.
     """
-    nu = split.nu
-    q = first_segment_q_derivs(sys, max(nu, 1))
+    # rows 0..nu-1 enter the projection; the stack height also sets how the
+    # product D phi rounds, and so the last bits of the reported residual
+    q = first_segment_q_derivs(sys, max(split.nu, 1))
     phi0 = sys.phi.evaluate(0.0, side="left")
-    xs, residual = solution_taylor(split, phi0, q, 0)
-    scale = _scale_of(phi0, xs[0], *q)
-    return residual <= FLAG_TOL * scale, residual
+    _, residual = solution_taylor(split, phi0, q, 0)
+    return is_consistent(residual, phi0, q[0]), residual
 
 
 def _transition_residual(sys: DdaeSystem, split: SplitCoefficients, order: int):
@@ -97,7 +104,7 @@ def _transition_residual(sys: DdaeSystem, split: SplitCoefficients, order: int):
         rhs = rhs + split.B[k] @ phi_tau[k + j] + split.C[k] @ f0[k + j]
     lhs = sys.phi.evaluate(0.0, order=order, side="left")
     residual = float(np.linalg.norm(lhs - rhs))
-    scale = _scale_of(lhs, rhs, *phi_tau, *f0)
+    scale = 1.0 + max(float(np.linalg.norm(v)) for v in (lhs, rhs, *phi_tau, *f0))
     return residual <= FLAG_TOL * scale, residual
 
 
@@ -161,9 +168,7 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
     )
 
 
-def check_index3_uniqueness(
-    split: SplitCoefficients, policy: RankPolicy = DEFAULT_POLICY
-) -> Index3Report:
+def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
     """Sufficient conditions for global unique solvability up to index 3.
 
     When the index is at most 3, N B_a2 = 0 and N^2 B_a1 B_d2 = 0, every
@@ -175,8 +180,8 @@ def check_index3_uniqueness(
     index_ok = split.nu <= 3
     n1 = norm2(N @ B_a2)
     n2 = norm2(N @ N @ B_a1 @ B_d2)
-    z1 = policy.negligible(n1, norm2(N) * norm2(B_a2))
-    z2 = policy.negligible(n2, norm2(N) ** 2 * norm2(B_a1) * norm2(B_d2))
+    z1 = negligible(n1, norm2(N) * norm2(B_a2))
+    z2 = negligible(n2, norm2(N) ** 2 * norm2(B_a1) * norm2(B_d2))
     return Index3Report(
         applicable=bool(index_ok and z1 and z2),
         index_le_3=bool(index_ok),

@@ -23,11 +23,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
 from .pencil import (
-    DEFAULT_POLICY,
     MatrixPencil,
     QuasiWeierstrassForm,
-    RankPolicy,
     compute_qwf,
+    norm2,
+    power_norms,
 )
 from .piecewise import Piece, PiecewisePolynomial
 
@@ -58,7 +58,6 @@ class DdaeSystem:
     horizon_intervals: int
     f: PiecewisePolynomial
     phi: PiecewisePolynomial
-    policy: RankPolicy = field(default=DEFAULT_POLICY)
     qwf: QuasiWeierstrassForm = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,7 +74,7 @@ class DdaeSystem:
             raise DimensionMismatch("tau must be positive")
         if self.horizon_intervals < 1:
             raise DimensionMismatch("horizon_intervals must be at least 1")
-        object.__setattr__(self, "qwf", compute_qwf(pencil, self.policy))
+        object.__setattr__(self, "qwf", compute_qwf(pencil))
         n = pencil.n
         if self.f.n != n or self.phi.n != n:
             raise DimensionMismatch("data functions must have value dimension n")
@@ -155,6 +154,22 @@ class SplitCoefficients:
     @property
     def n_a(self):
         return self.qwf.n_a
+
+    @cached_property
+    def coupling_norms(self):
+        """The norms every classification reads, each formed once per split.
+
+        (||N||, (||N^k B_a|| for k < max(nu, 2)), (||B_a2^k|| for
+        1 <= k <= n_a)), with N^k and B_a2^k each the last power times
+        the matrix.  Built on first use.
+        """
+        N, B_a = self.qwf.N, self.B_a
+        n_pow_ba = []
+        P = np.eye(self.n_a, dtype=N.dtype)
+        for _ in range(max(self.nu, 2)):
+            n_pow_ba.append(norm2(P @ B_a))
+            P = P @ N
+        return norm2(N), tuple(n_pow_ba), tuple(power_norms(self.B_a2, self.n_a))
 
     @cached_property
     def taylor_blocks(self):

@@ -6,8 +6,9 @@ n_a, governed by a nilpotent matrix N):
 
     S E T = blockdiag(I, N),    S A T = blockdiag(J, I).
 
-Subspace computations use rank-revealing SVDs; all rank decisions go
-through a single RankPolicy so that thresholds are tunable in one place.
+Subspace computations use rank-revealing SVDs.  One rule decides every
+rank, nilpotency and classification question: rank_threshold for singular
+values and negligible for matrix norms, both from RANK_RTOL and RANK_ATOL.
 Real input stays real: no complexification is ever required.
 """
 
@@ -23,30 +24,21 @@ from .errors import DecompositionFailure, DimensionMismatch, SingularPencil
 RECONSTRUCTION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RankPolicy:
-    """Thresholds for numerical rank decisions.
+# the one rule for numerical rank and for numerically zero matrices
+RANK_RTOL = 1e-10
+RANK_ATOL = 1e-14
 
-    A singular value sigma counts as nonzero iff
-    sigma > max(abs_floor, rel_tol * sigma_max); a matrix of norm
-    ||M|| is numerically zero iff ||M|| <= max(abs_floor,
-    rel_tol * (1 + scale)) for the scale of the data that formed it.
-    """
 
-    rel_tol: float = 1e-10
-    abs_floor: float = 1e-14
+def rank_threshold(sigma_max):
+    """Rank threshold for a scalar or an array of sigma_max: a singular
+    value sigma counts as nonzero iff sigma > max(RANK_ATOL, RANK_RTOL sigma_max)."""
+    return np.fmax(RANK_ATOL, RANK_RTOL * sigma_max)
 
-    def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_floor < 0:
-            raise ValueError("rank policy tolerances must be nonnegative")
 
-    def threshold(self, sigma_max):
-        """Rank threshold for a scalar or an array of sigma_max."""
-        return np.fmax(self.abs_floor, self.rel_tol * sigma_max)
-
-    def negligible(self, norm, scale):
-        """Whether a matrix norm is numerically zero for data of the given scale."""
-        return norm <= max(self.abs_floor, self.rel_tol * (1.0 + scale))
+def negligible(norm, scale):
+    """Whether a matrix norm is numerically zero for data of the given scale:
+    norm <= max(RANK_ATOL, RANK_RTOL (1 + scale))."""
+    return norm <= max(RANK_ATOL, RANK_RTOL * (1.0 + scale))
 
 
 def norm2(M):
@@ -56,9 +48,6 @@ def norm2(M):
     returns, without its generic dispatch.
     """
     return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
-
-
-DEFAULT_POLICY = RankPolicy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +168,7 @@ def _frozen(arr):
     return arr
 
 
-def _svd_rank(M, policy, context):
+def _svd_rank(M, context):
     """SVD factors U, Vh of M with its numerical rank and an ambiguity flag.
 
     Rank decisions are made relative to max(sigma_max, context), so a
@@ -190,38 +179,38 @@ def _svd_rank(M, policy, context):
     U, s, Vh = np.linalg.svd(M)
     if s.size == 0:
         return U, Vh, 0, False
-    thr = policy.threshold(max(s[0], context))
+    thr = rank_threshold(max(s[0], context))
     ambiguous = bool(np.any((s > thr / 10) & (s < thr * 10)))
     return U, Vh, int(np.sum(s > thr)), ambiguous
 
 
-def _orthonormal_range(M, policy, context=0.0):
+def _orthonormal_range(M, context=0.0):
     """Orthonormal basis of range(M) plus an ambiguity flag."""
-    U, _, rank, ambiguous = _svd_rank(M, policy, context)
+    U, _, rank, ambiguous = _svd_rank(M, context)
     return U[:, :rank], ambiguous
 
 
-def _kernel(M, policy, context=0.0):
+def _kernel(M, context=0.0):
     """Orthonormal basis of ker(M) plus an ambiguity flag."""
-    _, Vh, rank, ambiguous = _svd_rank(M, policy, context)
+    _, Vh, rank, ambiguous = _svd_rank(M, context)
     return Vh[rank:].conj().T, ambiguous
 
 
-def _preimage(M, target_basis, policy, norm_M):
+def _preimage(M, target_basis, norm_M):
     """Orthonormal basis of {x : M x in range(target_basis)}; norm_M = ||M||_2."""
     n = M.shape[0]
     Q = target_basis
     P_perp = np.eye(n, dtype=np.result_type(M.dtype, Q.dtype)) - Q @ Q.conj().T
-    return _kernel(P_perp @ M, policy, context=norm_M)
+    return _kernel(P_perp @ M, context=norm_M)
 
 
-def _wong_limit(X, P, Q, policy, norm_P, norm_Q):
+def _wong_limit(X, P, Q, norm_P, norm_Q):
     """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an
     ambiguity flag; norm_P, norm_Q are the spectral norms of P and Q."""
     ambiguous = False
     for _ in range(X.shape[0] + 1):
-        QX, amb1 = _orthonormal_range(Q @ X, policy, context=norm_Q)
-        X_next, amb2 = _preimage(P, QX, policy, norm_P)
+        QX, amb1 = _orthonormal_range(Q @ X, context=norm_Q)
+        X_next, amb2 = _preimage(P, QX, norm_P)
         ambiguous = ambiguous or amb1 or amb2
         converged = X_next.shape[1] == X.shape[1]
         X = X_next
@@ -230,14 +219,14 @@ def _wong_limit(X, P, Q, policy, norm_P, norm_Q):
     return X, ambiguous
 
 
-def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
+def check_regularity(pencil: MatrixPencil):
     """Test det(lambda E - A) != 0 at n+1 deterministic sample points.
 
     The sample points are lambda_j = j * s for j = 0..n with the scale
     s = (1 + ||A||) / (1 + ||E||).  Since det(lambda E - A) is a
     polynomial of degree at most n, a regular pencil passes at one of
     the n+1 points in exact arithmetic.  Nonsingularity of each sample
-    matrix is decided by the rank policy (scale invariant); the reported
+    matrix is decided by rank_threshold (scale invariant); the reported
     determinant magnitude is informational.
     """
     E, A, n = pencil.E, pencil.A, pencil.n
@@ -246,7 +235,7 @@ def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     M = lams[:, None, None] * E - A
     sig = np.linalg.svd(M, compute_uv=False)
     dets = np.abs(np.linalg.det(M))
-    thr = policy.threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
+    thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
     passing = np.flatnonzero(sig[:, -1] > thr)
     first = passing[0] if passing.size else None
     return RegularityVerdict(
@@ -258,7 +247,7 @@ def check_regularity(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     )
 
 
-def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
+def wong_sequences(pencil: MatrixPencil):
     """Limits of the Wong subspace sequences of a regular pencil.
 
     V_0 = F^n,  V_{i+1} = preimage under A of (E V_i)   (decreasing),
@@ -268,46 +257,56 @@ def wong_sequences(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     and V* + W* spans F^n for regular pencils.  This is where regularity
     is decided: a singular pencil raises SingularPencil with the verdict.
     """
-    verdict = check_regularity(pencil, policy)
+    verdict = check_regularity(pencil)
     if not verdict.regular:
         raise SingularPencil(verdict)
     E, A, n = pencil.E, pencil.A, pencil.n
     norm_E, norm_A = pencil.norm_E, pencil.norm_A
-    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, policy, norm_A, norm_E)
-    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, policy, norm_E, norm_A)
+    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, norm_A, norm_E)
+    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, norm_E, norm_A)
     if V.shape[1] + W.shape[1] != n:
         raise DecompositionFailure(
             f"Wong subspace dimensions {V.shape[1]} + {W.shape[1]} != {n}; "
-            "rank thresholds likely misjudged, consider tightening the policy"
+            "rank thresholds likely misjudged; rescaling the data may help"
         )
     return WongResult(V_star=V, W_star=W, rank_ambiguous=amb_V or amb_W,
                       regularity=verdict)
 
 
-def nilpotency_index(Nmat, policy: RankPolicy = DEFAULT_POLICY):
-    """Smallest k with ||N^k|| below threshold, or (False, None).
+def power_norms(N, count):
+    """||N^k|| for k = 1..count, lazily; each power is the last one times N."""
+    power = N
+    for _ in range(count):
+        yield norm2(power)
+        power = power @ N
 
-    The threshold for declaring N^k numerically zero is
-    rel_tol * (1 + ||N||^k), with ||.|| the spectral norm.  An m x m
-    matrix is nilpotent iff N^m = 0, so at most m powers are formed;
-    the empty 0 x 0 matrix has index 0.
+
+def first_negligible_power(norm_N, norms):
+    """Smallest k >= 1 whose ||N^k|| (norms[k-1], which may be a lazy
+    iterable) is negligible at the scale ||N||^k; None if there is none."""
+    for k, norm in enumerate(norms, 1):
+        if negligible(norm, norm_N**k):
+            return k
+    return None
+
+
+def nilpotency_index(Nmat):
+    """Smallest k with N^k numerically zero, or (False, None).
+
+    N^k is zero when negligible(||N^k||, ||N||^k), with ||.|| the
+    spectral norm.  An m x m matrix is nilpotent iff N^m = 0, so at most
+    m powers are formed; the empty 0 x 0 matrix has index 0.
     """
     N = np.atleast_2d(np.asarray(Nmat))
     if N.size == 0:
         return True, 0
     if N.shape[0] != N.shape[1]:
         raise DimensionMismatch("nilpotency test needs a square matrix")
-    m = N.shape[0]
-    norm_N = norm2(N)
-    power = np.eye(m, dtype=N.dtype)
-    for k in range(m + 1):
-        if norm2(power) <= policy.rel_tol * (1.0 + norm_N**k):
-            return True, k
-        power = power @ N
-    return False, None
+    k = first_negligible_power(norm2(N), power_norms(N, N.shape[0]))
+    return k is not None, k
 
 
-def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
+def compute_qwf(pencil: MatrixPencil):
     """Quasi-Weierstrass decomposition of a regular pencil.
 
     With V*, W* the Wong limits, T = [V* W*] and S = [E V*, A W*]^{-1}
@@ -315,7 +314,7 @@ def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     off-diagonal blocks of both products are checked against the
     reconstruction tolerance and the nilpotency of N is verified.
     """
-    wong = wong_sequences(pencil, policy)
+    wong = wong_sequences(pencil)
     E, A, n = pencil.E, pencil.A, pencil.n
     V, W = wong.V_star, wong.W_star
     n_d = V.shape[1]
@@ -324,10 +323,10 @@ def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     T = np.hstack([V, W])
     S_inv = np.hstack([E @ V, A @ W])
     sig = np.linalg.svd(S_inv, compute_uv=False)
-    if sig.size == 0 or sig[-1] <= policy.threshold(sig[0]):
+    if sig.size == 0 or sig[-1] <= rank_threshold(sig[0]):
         raise DecompositionFailure(
             "[E V*, A W*] is numerically singular; rank thresholds likely "
-            "misjudged, consider tightening the policy"
+            "misjudged; rescaling the data may help"
         )
     S = np.linalg.inv(S_inv)
 
@@ -351,7 +350,7 @@ def compute_qwf(pencil: MatrixPencil, policy: RankPolicy = DEFAULT_POLICY):
     if n_a == 0:
         nu = 0
     else:
-        nilpotent, nu = nilpotency_index(N, policy)
+        nilpotent, nu = nilpotency_index(N)
         if not nilpotent:
             raise DecompositionFailure(
                 "algebraic block N is not numerically nilpotent; "

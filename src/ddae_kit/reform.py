@@ -17,7 +17,6 @@ import numpy as np
 from .errors import NotSmoothingType
 from .classify import PropagationKind, classify_propagation
 from .model import DdaeSystem, SplitCoefficients, fast_subsystem_solution
-from .pencil import DEFAULT_POLICY, RankPolicy
 from .piecewise import PiecewisePolynomial
 
 
@@ -42,11 +41,7 @@ class HiddenDelayExpansion:
         return [float((k + 1) * self.tau) for k in range(self.nu_D + 1)]
 
 
-def expand_hidden_delays(
-    split: SplitCoefficients,
-    M: int,
-    policy: RankPolicy = DEFAULT_POLICY,
-) -> HiddenDelayExpansion:
+def expand_hidden_delays(split: SplitCoefficients, M: int) -> HiddenDelayExpansion:
     """Eliminate the algebraic part of a smoothing-type system.
 
     D_0 = B_d1 and D_k = (-1)^k B_d2 B_a2^{k-1} B_a1 for k = 1..nu_D.
@@ -55,7 +50,7 @@ def expand_hidden_delays(
     theta(t) = g(t) + sum_{k=0}^{nu_D-1} (-1)^{k+1} B_d2 B_a2^k
     h~(t - (k+1) tau).
     """
-    prop = classify_propagation(split, M, policy)
+    prop = classify_propagation(split, M)
     if prop.kind is not PropagationKind.SMOOTHING:
         raise NotSmoothingType(
             f"hidden-delay expansion needs a smoothing-type system, got {prop.kind.value}"
@@ -93,8 +88,7 @@ def expand_hidden_delays(
 
 
 def embed_neutral_dde(Ahat, Dhat, Bhat, f: PiecewisePolynomial, tau, horizon_intervals,
-                      phi: PiecewisePolynomial | None = None,
-                      policy: RankPolicy = DEFAULT_POLICY) -> DdaeSystem:
+                      phi: PiecewisePolynomial | None = None) -> DdaeSystem:
     """Doubled-dimension delayed DAE for x' = A x + D x(.-tau) + B x'(.-tau) + f.
 
     The shifted variable y(t) = x(t - tau) turns the derivative delay
@@ -120,13 +114,12 @@ def embed_neutral_dde(Ahat, Dhat, Bhat, f: PiecewisePolynomial, tau, horizon_int
         phi2 = phi
     return DdaeSystem(
         E=E2, A=A2, D=D2, tau=tau, horizon_intervals=horizon_intervals,
-        f=f2, phi=phi2, policy=policy,
+        f=f2, phi=phi2,
     )
 
 
 def embed_pure_delay(Dmat, Bmat, f: PiecewisePolynomial, tau, horizon_intervals,
-                     phi: PiecewisePolynomial | None = None,
-                     policy: RankPolicy = DEFAULT_POLICY) -> DdaeSystem:
+                     phi: PiecewisePolynomial | None = None) -> DdaeSystem:
     """Doubled-dimension delayed DAE for x = D x(.-tau) + B x'(.-tau) + f.
 
     With the shifted variable z(t) = x(t - tau) the equation becomes
@@ -151,5 +144,5 @@ def embed_pure_delay(Dmat, Bmat, f: PiecewisePolynomial, tau, horizon_intervals,
         phi2 = phi
     return DdaeSystem(
         E=E2, A=A2, D=D2, tau=tau, horizon_intervals=horizon_intervals,
-        f=f2, phi=phi2, policy=policy,
+        f=f2, phi=phi2,
     )

@@ -36,7 +36,7 @@ from .errors import (
     InconsistentRestart,
     NotAdmissible,
 )
-from .history import agreement_order, check_admissible
+from .history import agreement_order, check_admissible, is_consistent
 from .model import (
     DdaeSystem,
     FastPart,
@@ -49,8 +49,6 @@ from .model import (
 )
 from .piecewise import Piece, PiecewisePolynomial, _stacked
 
-# relative tolerance for accepting a restart value as consistent
-CONSISTENCY_TOL = 1e-7
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
 # first collocation degree of every piece (capped by SolverConfig.degree)
@@ -410,7 +408,7 @@ def solve_segment(
     """Solve segment i from the previous segment (or history, i = 1).
 
     Raises InconsistentRestart when the previous end value is not a
-    consistent initial value for this segment within CONSISTENCY_TOL;
+    consistent initial value for this segment (history.is_consistent);
     the error carries the order-0 jump to the consistent projection.
     sweep is the Sweep of split and config that holds segment i; without
     it, a one-segment Sweep is built here.
@@ -429,8 +427,7 @@ def solve_segment(
 
     x_req = prev.derivs_end[0]
     derivs_start, residual = solution_taylor(split, x_req, q_left, orders)
-    scale = 1.0 + float(np.linalg.norm(x_req)) + float(np.linalg.norm(q_left[0]))
-    if residual > CONSISTENCY_TOL * scale:
+    if not is_consistent(residual, x_req, q_left[0]):
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
     # [q_d; q_f] = S D x(t - tau) + [g; h] on the segment, in local time

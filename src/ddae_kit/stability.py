@@ -215,13 +215,12 @@ def assess_exponential_stability(
 ) -> StabilityVerdict:
     """Stability verdict gated by the propagation classification.
 
-    The classification runs under the rank policy of sys.  De-smoothing
-    systems are never judged by the abscissa alone.  An alpha above
+    De-smoothing systems are never judged by the abscissa alone.  An alpha above
     MARGIN is conclusive even in a truncated box (the verified root does
     not go away); a negative alpha is trusted only when the box was not
     limiting.  |alpha| <= MARGIN reports marginal.
     """
-    prop = classify_propagation(split, sys.horizon_intervals, sys.policy)
+    prop = classify_propagation(split, sys.horizon_intervals)
     if prop.kind is PropagationKind.DE_SMOOTHING:
         report.gate = "not_applicable_de_smoothing"
         return StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 import ddae_kit as dk
+from ddae_kit.pencil import norm2
 from ddae_kit.piecewise import Piece
 
 
@@ -86,6 +87,36 @@ def fast_per_order(N, q_f, nu):
             N_pow = N_pow @ N
         pieces.append(Piece(a, b, q_f.basis.tidy(w)))
     return q_f._with(pieces, m)
+
+
+def coupling_norms_per_loop(split):
+    """Reference for SplitCoefficients.coupling_norms: the three norm loops
+    the classification ran separately, each forming its own powers.
+
+    propagation: ||N^k B_a|| for 1 <= k < nu, from N^1 = N (with ||N||,
+    ||B_a|| and the legacy test's ||N B_a||); evidence: ||N^k B_a|| for
+    k < max(nu, 1), from N^0 = I, and ||B_a2^k|| for 1 <= k <= n_a.
+    """
+    nu, n_a = split.nu, split.n_a
+    N, B_a, B_a2 = split.qwf.N, split.B_a, split.B_a2
+    propagation = []
+    N_pow = N.copy() if N.size else N
+    for _ in range(1, nu):
+        propagation.append(norm2(N_pow @ B_a))
+        N_pow = N_pow @ N
+    n_pow_ba = []
+    P = np.eye(n_a, dtype=N.dtype) if n_a else N
+    for _ in range(max(nu, 1)):
+        n_pow_ba.append(norm2(P @ B_a))
+        if n_a:
+            P = P @ N
+    ba2_pows = []
+    Q = np.array(B_a2)
+    for _ in range(1, n_a + 1):
+        ba2_pows.append(norm2(Q))
+        Q = Q @ B_a2
+    return {"norm_N": norm2(N), "norm_Ba": norm2(B_a), "norm_NBa": norm2(N @ B_a),
+            "propagation": propagation, "N_pow_Ba": n_pow_ba, "Ba2_pow": ba2_pows}
 
 
 def random_system_from_blocks(

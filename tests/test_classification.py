@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit import model, pencil
 from ddae_kit.classify import LegacyKind, PropagationKind
+from ddae_kit.stability import StabilityReport, default_box
 
 from gen import (
+    coupling_norms_per_loop,
     example_advanced,
     example_backward_desmoothing,
     example_neutral,
@@ -147,6 +150,53 @@ class TestCrossCheck:
         report = dk.classify(split, 4)
         assert len(report.evidence["N_pow_Ba"]) == split.nu
         assert len(report.evidence["Ba2_pow"]) == split.n_a
+
+
+class TestCouplingNorms:
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    def test_bit_identical_to_per_loop_norms(self, nu):
+        rng = np.random.default_rng(40 + nu)
+        for trial in range(12):
+            n_a = nu + int(rng.integers(0, 2)) if nu else 0
+            n_d = int(rng.integers(0 if n_a else 1, 3))
+            n = n_d + n_a
+            E, A, _ = random_regular_pencil(rng, n, n_d=n_d, nu=nu)
+            D = rng.standard_normal((n, n)) if trial % 3 else np.zeros((n, n))
+            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, D)
+            assert split.nu == nu
+            ref = coupling_norms_per_loop(split)
+            norm_N, n_pow_ba, ba2_pows = split.coupling_norms
+            assert norm_N == ref["norm_N"]
+            assert n_pow_ba[:2] == (ref["norm_Ba"], ref["norm_NBa"])
+            assert list(n_pow_ba[1:nu]) == ref["propagation"]
+            assert list(ba2_pows) == ref["Ba2_pow"]
+            assert dk.classify(split, 4).evidence == {"N_pow_Ba": ref["N_pow_Ba"],
+                                                      "Ba2_pow": ref["Ba2_pow"]}
+            assert dk.classify_propagation(split, 4).nu_D == dk.nilpotency_index(
+                split.B_a2)[1]
+
+    def test_one_chain_per_split(self, monkeypatch):
+        # classify, the hidden-delay expansion and the stability gate all
+        # read one split: its norms are formed once, on first use
+        rng = np.random.default_rng(44)
+        blocks = random_smoothing_blocks(rng, 1, 3, 2)
+        sys_, split = random_system_from_blocks(rng, 1, 3, 2, blocks, horizon=5)
+        report = StabilityReport(alpha=None, rightmost_roots=[],
+                                 box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
+                                 grid=(2, 2), box_limited=False, no_roots=True)
+        norms, norm2 = [], pencil.norm2
+
+        def counted(M):
+            norms.append(M.shape)
+            return norm2(M)
+
+        monkeypatch.setattr(model, "norm2", counted)
+        monkeypatch.setattr(pencil, "norm2", counted)
+        assert "coupling_norms" not in vars(split)
+        assert dk.classify(split, 5).propagation.kind is PropagationKind.SMOOTHING
+        dk.expand_hidden_delays(split, 5)
+        dk.assess_exponential_stability(sys_, split, report)
+        assert len(norms) == 1 + max(split.nu, 2) + split.n_a
 
 
 class TestBackwardSystem:

@@ -335,6 +335,22 @@ class TestSolveCommand:
         assert main(["solve", problem, *outs]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_admissibility_decided_by_the_restart_rule(self, tmp_path, capsys):
+        # phi(0) misses the consistent value x_2 = -f_2(0) = 0 by 1e-6, a
+        # defect the solver refuses as a restart; check-history must refuse
+        # it too, however large the unused derivative q' is
+        f = dk.PiecewisePolynomial([(0.0, 2.0, np.array([[0.0, 0.0], [0.0, 1000.0]]))])
+        phi = dk.PiecewisePolynomial.constant([1.0, 1e-6], -1.0, 0.0)
+        sys_ = dk.DdaeSystem(E=np.diag([1.0, 0.0]), A=np.eye(2), D=np.zeros((2, 2)),
+                             tau=1.0, horizon_intervals=2, f=f, phi=phi)
+        problem = write_problem(tmp_path, sys_)
+        out = str(tmp_path / "hist.json")
+        assert main(["check-history", problem, out]) == 0
+        assert read_json(out)["admissible"] is False
+        outs = [str(tmp_path / "traj.csv"), str(tmp_path / "ledger.json")]
+        assert main(["solve", problem, *outs]) == 4
+        assert "not admissible" in capsys.readouterr().err
+
     def test_advanced_exit_code_two(self, tmp_path):
         problem = write_problem(tmp_path, example_advanced())
         out_csv = str(tmp_path / "traj.csv")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.pencil import DEFAULT_POLICY, norm2
+from ddae_kit.pencil import negligible, norm2, rank_threshold
 
 from gen import random_regular_pencil
 
@@ -74,7 +74,7 @@ class TestRegularity:
                 assert verdict.sample_points[j] == j * s
                 assert verdict.det_values[j] == float(np.abs(np.linalg.det(M)))
                 top = sig[0] if sig[0] > 0 else 1.0
-                if witness is None and sig[-1] > DEFAULT_POLICY.threshold(top):
+                if witness is None and sig[-1] > rank_threshold(top):
                     witness = j * s
             assert verdict.witness == witness
             assert verdict.regular == (witness is not None)
@@ -245,9 +245,10 @@ class TestQuasiWeierstrass:
             A_con = qwf.T @ P @ np.linalg.inv(qwf.T)
             assert np.linalg.norm(A_con @ A_con - A_con, 2) <= 1e-8
 
-    def test_rank_policy_counts(self):
-        policy = dk.RankPolicy(rel_tol=1e-10, abs_floor=1e-14)
-        assert policy.threshold(1.0) == 1e-10
-        assert policy.threshold(0.0) == 1e-14
-        with pytest.raises(ValueError):
-            dk.RankPolicy(rel_tol=-1.0)
+    def test_rank_threshold_counts(self):
+        assert rank_threshold(1.0) == 1e-10
+        assert rank_threshold(0.0) == 1e-14
+        assert rank_threshold(np.array([0.0, 1.0])).tolist() == [1e-14, 1e-10]
+        # a norm is negligible up to RANK_RTOL (1 + scale)
+        assert negligible(2e-10, 1.0) and not negligible(2.1e-10, 1.0)
+        assert negligible(1e-10, 0.0) and not negligible(1.1e-10, 0.0)

@@ -229,24 +229,27 @@ class TestAssessment:
         verdict = dk.assess_exponential_stability(sys_, split, report)
         assert verdict is StabilityVerdict.UNSTABLE
 
-    def test_gate_uses_the_system_policy(self):
-        # ||N B_a|| = 1e-9 is negligible under rel_tol=1e-8,
-        # so the system smooths under its own policy; under the default
-        # policy the same coupling would make it de-smoothing
-        policy = dk.RankPolicy(rel_tol=1e-8)
-        sys_ = dk.DdaeSystem(
-            E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2), D=[[0.0, 0.0], [1e-9, 0.0]],
-            tau=1.0, horizon_intervals=3,
-            f=dk.PiecewisePolynomial.zero(2, 0.0, 3.0),
-            phi=dk.PiecewisePolynomial.zero(2, -1.0, 0.0), policy=policy,
-        )
-        split = dk.build_split(sys_)
-        kind = dk.classify_propagation(split, 3, policy).kind
-        assert kind is dk.PropagationKind.SMOOTHING
-        # the gate alone decides here, so an empty search result will do
-        report = StabilityReport(alpha=None, rightmost_roots=[],
-                                 box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
-                                 grid=(2, 2), box_limited=False, no_roots=True)
-        verdict = dk.assess_exponential_stability(sys_, split, report)
-        assert verdict is StabilityVerdict.INCONCLUSIVE_BOX
-        assert report.gate == "applicable"
+    def test_gate_on_both_sides_of_the_rank_threshold(self):
+        # ||N B_a|| = ||B_a|| = c against the threshold RANK_RTOL (1 + c):
+        # c = 1e-11 is numerically zero, c = 1e-9 is not
+        cases = [(1e-11, "smoothing", "retarded", StabilityVerdict.INCONCLUSIVE_BOX,
+                  "applicable"),
+                 (1e-9, "de_smoothing", "advanced",
+                  StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING, "not_applicable_de_smoothing")]
+        for c, kind, legacy, verdict, gate in cases:
+            sys_ = dk.DdaeSystem(
+                E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2), D=[[0.0, 0.0], [c, 0.0]],
+                tau=1.0, horizon_intervals=3,
+                f=dk.PiecewisePolynomial.zero(2, 0.0, 3.0),
+                phi=dk.PiecewisePolynomial.zero(2, -1.0, 0.0),
+            )
+            split = dk.build_split(sys_)
+            report = dk.classify(split, 3)
+            assert report.propagation.kind.value == kind
+            assert report.legacy.kind.value == legacy
+            # the gate alone decides here, so an empty search result will do
+            found = StabilityReport(alpha=None, rightmost_roots=[],
+                                    box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
+                                    grid=(2, 2), box_limited=False, no_roots=True)
+            assert dk.assess_exponential_stability(sys_, split, found) is verdict
+            assert found.gate == gate
