@@ -281,10 +281,11 @@ def power_norms(N, count):
         power = power @ N
 
 
-def first_negligible_power(norm_N, norms):
-    """Smallest k >= 1 whose ||N^k|| (norms[k-1], which may be a lazy
-    iterable) is negligible at the scale ||N||^k; None if there is none."""
+def first_negligible_power(norms):
+    """Smallest k >= 1 whose ||N^k|| = norms[k-1] (norms may be lazy) is
+    negligible at the scale ||N||^k = norms[0]^k; None if there is none."""
     for k, norm in enumerate(norms, 1):
+        norm_N = norm if k == 1 else norm_N
         if negligible(norm, norm_N**k):
             return k
     return None
@@ -302,7 +303,7 @@ def nilpotency_index(Nmat):
         return True, 0
     if N.shape[0] != N.shape[1]:
         raise DimensionMismatch("nilpotency test needs a square matrix")
-    k = first_negligible_power(norm2(N), power_norms(N, N.shape[0]))
+    k = first_negligible_power(power_norms(N, N.shape[0]))
     return k is not None, k
 
 
