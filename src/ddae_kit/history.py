@@ -126,20 +126,27 @@ def check_second_splicing(sys: DdaeSystem, split: SplitCoefficients):
     return _transition_residual(sys, split, 2)
 
 
+def _row_norms(rows):
+    """||row|| for each row of a 2-D stack, bit for bit np.linalg.norm(row):
+    a row times itself through matmul reaches the same BLAS dot."""
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt(sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts))
+
+
 def agreement_order(left, right, top, tol, first=0):
     """Largest k <= top such that rows 0..k of two derivative stacks agree.
 
     Row k agrees when ||right[k] - left[k]|| <= tol (1 + max row norm).
     Rows below first are taken as agreeing without a test.  Returns
     first - 1 when row first already differs, so -1 means the values
-    differ.
+    differ.  Every row from first to top is measured, also past the first
+    that differs, so rows that overflowed are measured quietly.
     """
-    for k in range(first, top + 1):
-        l, r = left[k], right[k]
-        scale = 1.0 + max(float(np.linalg.norm(l)), float(np.linalg.norm(r)))
-        if not np.linalg.norm(r - l) <= tol * scale:
-            return k - 1
-    return top
+    l, r = left[first:top + 1], right[first:top + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + np.maximum(_row_norms(l), _row_norms(r))
+        agree = (_row_norms(r - l) <= tol * scale).tolist()
+    return first + agree.index(False) - 1 if False in agree else top
 
 
 def observed_kappa(sys: DdaeSystem, split: SplitCoefficients, cap=None):

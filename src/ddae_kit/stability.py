@@ -5,7 +5,9 @@ method seeded at the local minima of the determinant magnitude on a
 rectangular grid, evaluated one row per stacked determinant.  Only the
 Newton step solves for the logarithmic derivative trace(M^{-1} M'),
 which keeps the iteration well scaled even when the determinant itself
-spans many orders of magnitude.
+spans many orders of magnitude.  All seeds advance together, one stacked
+solve per iteration, and the candidates' residuals are checked with one
+stacked determinant and one stacked SVD.
 
 The stability verdict is gated by the propagation classification: for
 de-smoothing systems a negative spectral abscissa does not imply
@@ -27,6 +29,8 @@ from .pencil import norm2
 RESIDUAL_TOL = 1e-8
 DEDUP_RADIUS = 1e-6
 NEWTON_MAX_ITER = 80
+# points per grid axis; the grid's |det| array alone is MAX_GRID^2 floats
+MAX_GRID = 1024
 # |alpha| at or below this is marginal
 MARGIN = 1e-6
 
@@ -71,20 +75,39 @@ class StabilityReport:
     gate: str | None = field(default=None)
 
 
+def _stacked(lam, *mats):
+    """lam as a stack of 1x1 blocks, and the matrices raised to its rank.
+
+    Equal ranks keep numpy's complex products on the loop a scalar lam
+    takes: with n = 1, a one-element stack of shape (1, 1, 1) times a
+    (1, 1) matrix runs a scalar loop that rounds differently in the
+    last bit.
+    """
+    lam = np.asarray(lam)[..., None, None]
+    lead = (None,) * (lam.ndim - 2)
+    return (lam, *(X[lead] for X in mats))
+
+
 def _char_matrix(E, A, D, tau, lam):
     """M(lambda) = lambda E - A - e^{-lambda tau} D.
 
     lam is a scalar or an array; an array of shape s gives a stack of
     shape s + (n, n), ready for one stacked determinant.
     """
-    lam = np.asarray(lam)[..., None, None]
+    lam, E, D = _stacked(lam, E, D)
     return lam * E - A - np.exp(-lam * tau) * D
 
 
+def _char_derivative(E, D, tau, lam):
+    """M'(lambda) = E + tau e^{-lambda tau} D, stacked like _char_matrix."""
+    lam, D = _stacked(lam, D)
+    return E + tau * np.exp(-lam * tau) * D
+
+
 def _logderiv(E, D, tau, lam, M):
-    """trace(M^{-1} M') with M' = E + tau e^{-lambda tau} D; None if M is singular."""
+    """trace(M^{-1} M') at one lambda; None if M is singular."""
     try:
-        return complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
+        return complex(np.trace(np.linalg.solve(M, _char_derivative(E, D, tau, lam))))
     except np.linalg.LinAlgError:
         return None
 
@@ -111,32 +134,65 @@ def default_box(E, A, D, tau):
 
 def _local_minima(mag):
     """Row-major (k, 2) array of the indices whose magnitude is minimal
-    within its 3x3 block (cells outside the grid do not count)."""
+    within its 3x3 block (cells outside the grid do not count, and a
+    NaN in the block means no minimum)."""
+    g_re, g_im = mag.shape
     padded = np.pad(mag, 1, constant_values=np.inf)
-    window = np.lib.stride_tricks.sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
+    window = mag.copy()
+    for di in range(3):
+        for dj in range(3):
+            np.minimum(window, padded[di:di + g_re, dj:dj + g_im], out=window)
     return np.argwhere(mag <= window)
 
 
-def _newton(E, A, D, tau, lam):
-    """Newton's method on det M(lambda) with the step 1 / trace(M^{-1} M').
+def _newton(E, A, D, tau, seeds):
+    """Newton's method on det M(lambda) with the step 1 / trace(M^{-1} M'),
+    run from every seed at once; returns the final iterates as a list.
 
-    Stops at a singular M, a zero or non-finite log-derivative, or a step
-    below 1e-13 relative to |lambda|.  One factorization per iteration:
-    the solve inside _logderiv detects the singular M.  An iterate far in
-    the left half-plane overflows exp(-lambda tau); the warnings are
-    silenced because the non-finite log-derivative already stops the
-    iteration and the box filter drops the candidate.
+    A lane stops at a singular M, a zero or non-finite log-derivative, or
+    a step below 1e-13 relative to |lambda|.  Each iteration solves the
+    active lanes in one stacked solve; only when that solve reports a
+    singular M does every lane solve alone, so the singular one stops.
+    The step and the stop tests use Python complex arithmetic (numpy
+    divides complex numbers differently in the last bit), so every lane
+    follows the same iterates as a Newton run from its seed alone.  An
+    iterate far in the left half-plane overflows exp(-lambda tau); the
+    warnings are silenced because the non-finite log-derivative already
+    stops that lane and the box filter drops the candidate.
     """
+    lams = [complex(s) for s in seeds]
+    active = list(range(len(lams)))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            logderiv = _logderiv(E, D, tau, lam, _char_matrix(E, A, D, tau, lam))
-            if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+            if not active:
                 break
-            step = 1.0 / logderiv
-            lam = lam - step
-            if abs(step) <= 1e-13 * (1.0 + abs(lam)):
-                break
-    return lam
+            lam = np.array([lams[k] for k in active])
+            M = _char_matrix(E, A, D, tau, lam)
+            try:
+                solved = np.linalg.solve(M, _char_derivative(E, D, tau, lam))
+                logderivs = np.trace(solved, axis1=-2, axis2=-1).tolist()
+            except np.linalg.LinAlgError:
+                logderivs = [_logderiv(E, D, tau, x, Mx) for x, Mx in zip(lam, M)]
+            still = []
+            for k, logderiv in zip(active, logderivs):
+                if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+                    continue
+                step = 1.0 / logderiv
+                lams[k] -= step
+                if not abs(step) <= 1e-13 * (1.0 + abs(lams[k])):
+                    still.append(k)
+            active = still
+    return lams
+
+
+def _residuals(E, A, D, tau, lams):
+    """|det M(lambda)| and the bound 1e-8 max(1, ||M||)^n for each lambda,
+    from one stacked determinant and one stacked SVD."""
+    M = _char_matrix(E, A, D, tau, np.array(lams))
+    n = M.shape[-1]
+    dets = np.linalg.det(M).tolist()
+    norms = np.linalg.svd(M, compute_uv=False)[:, 0].tolist() if n else [0.0] * len(lams)
+    return [abs(d) for d in dets], [RESIDUAL_TOL * max(1.0, s) ** n for s in norms]
 
 
 def spectral_abscissa_matrices(
@@ -145,15 +201,16 @@ def spectral_abscissa_matrices(
     """Grid-seeded Newton root search for arbitrary coefficient matrices.
 
     |det M| is evaluated one grid row (fixed real part) per stacked
-    determinant; Newton starts from every 3x3 local minimum.
+    determinant; Newton starts from every 3x3 local minimum, all seeds
+    advancing together.
     """
     E, A, D = np.asarray(E), np.asarray(A), np.asarray(D)
-    n = E.shape[0]
     if np.isscalar(grid):
         grid = (int(grid), int(grid))
     g_re, g_im = grid
-    if g_re < 2 or g_im < 2:
-        raise DimensionMismatch("the root grid needs at least 2 points per axis")
+    if not (2 <= g_re <= MAX_GRID and 2 <= g_im <= MAX_GRID):
+        raise DimensionMismatch(
+            f"the root grid needs 2 to {MAX_GRID} points per axis, got {g_re} x {g_im}")
     if box is None:
         box = default_box(E, A, D, tau)
     real_data = not any(np.iscomplexobj(X) for X in (E, A, D))
@@ -170,21 +227,19 @@ def spectral_abscissa_matrices(
         det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
         mag[i] = np.hypot(det.real, det.imag)
 
+    seeds = [complex(res[i], ims[j]) for i, j in _local_minima(mag)]
     pad_re, pad_im = 2 * cell_re, 2 * cell_im
-    candidates = []
-    for i, j in _local_minima(mag):
-        lam = _newton(E, A, D, tau, complex(res[i], ims[j]))
+    inside = []
+    for lam in _newton(E, A, D, tau, seeds):
         if real_data and -pad_im <= lam.imag < 0.0:
             lam = lam.conjugate()
-        if not (
-            box.re_min - pad_re <= lam.real <= box.re_max + pad_re
-            and im_min - pad_im <= lam.imag <= box.im_max + pad_im
-        ):
-            continue
-        M = _char_matrix(E, A, D, tau, lam)
-        residual = abs(complex(np.linalg.det(M)))
-        if residual <= RESIDUAL_TOL * max(1.0, norm2(M)) ** n:
-            candidates.append((lam, residual))
+        if (box.re_min - pad_re <= lam.real <= box.re_max + pad_re
+                and im_min - pad_im <= lam.imag <= box.im_max + pad_im):
+            inside.append(lam)
+    candidates = []
+    if inside:
+        residuals, bounds = _residuals(E, A, D, tau, inside)
+        candidates = [(lam, r) for lam, r, b in zip(inside, residuals, bounds) if r <= b]
 
     candidates.sort(key=lambda c: (c[0].real, c[0].imag))
     roots = []

@@ -9,6 +9,7 @@ import numpy as np
 import ddae_kit as dk
 from ddae_kit.pencil import norm2
 from ddae_kit.piecewise import Piece
+from ddae_kit.stability import NEWTON_MAX_ITER, _char_matrix
 
 
 def well_conditioned(rng, n):
@@ -117,6 +118,31 @@ def coupling_norms_per_loop(split):
         Q = Q @ B_a2
     return {"norm_N": norm2(N), "norm_Ba": norm2(B_a), "norm_NBa": norm2(N @ B_a),
             "propagation": propagation, "N_pow_Ba": n_pow_ba, "Ba2_pow": ba2_pows}
+
+
+def newton_per_seed(E, A, D, tau, lam):
+    """Reference for stability._newton: Newton from one seed alone, one
+    scalar solve per iteration, the log-derivative's exp(-lambda tau)
+    taken in Python complex arithmetic.
+
+    Returns the final iterate and why it stopped: "singular" (the solve
+    raised), "logderiv" (zero or non-finite log-derivative), "step" (step
+    below 1e-13 relative to |lambda|) or "max_iter".
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            M = _char_matrix(E, A, D, tau, lam)
+            try:
+                logderiv = complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
+            except np.linalg.LinAlgError:
+                return lam, "singular"
+            if abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+                return lam, "logderiv"
+            step = 1.0 / logderiv
+            lam = lam - step
+            if abs(step) <= 1e-13 * (1.0 + abs(lam)):
+                return lam, "step"
+    return lam, "max_iter"
 
 
 def random_system_from_blocks(

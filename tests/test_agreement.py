@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.history import FLAG_TOL, agreement_order
+from ddae_kit.history import FLAG_TOL, _row_norms, agreement_order
 from ddae_kit.solver import JUMP_TOL, SegmentSolution
 
 
@@ -205,6 +205,26 @@ class TestEdgeCases:
         b[1, 0] = np.nan
         assert agreement_order(a, b, 2, JUMP_TOL) == 0
         assert reference_compare_endpoints(a, b, 2, JUMP_TOL)[0] == 0
+
+    def test_overflowing_rows_past_a_difference_are_quiet(self):
+        # every row is measured at once, so rows whose squares overflow
+        # (and inf - inf) must raise no RuntimeWarning, which pytest turns
+        # into an error
+        a = np.array([[1.0, 0.0], [1e300, 1e300], [np.inf, 1.0]])
+        b = a.copy()
+        b[0, 0] = 2.0
+        assert agreement_order(a, b, 2, JUMP_TOL) == -1
+        assert reference_compare_endpoints(a, b, 2, JUMP_TOL)[0] == -1
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_row_norms_bit_identical_to_norm(self, complex_field):
+        rng = np.random.default_rng(21)
+        for n in [*range(1, 41), 64, 100]:
+            rows = rng.standard_normal((5, n)) * 10.0 ** rng.integers(-8, 8, size=(5, 1))
+            if complex_field:
+                rows = rows + 1j * rng.standard_normal((5, n))
+            expected = [float(np.linalg.norm(row)) for row in rows]
+            assert _row_norms(rows).tolist() == expected
 
     @pytest.mark.parametrize("order0", [None, True])
     def test_order0_matched(self, order0):

@@ -117,10 +117,11 @@ class TestOptionValues:
             ["probe", "--order", "2", "--target", "nan"],
             ["solve", "--kmax", "1000000000"],
             ["solve", "--degree", "100000"],
+            ["stability", "--grid", "100000"],
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
              "kmax-negative", "target-text", "target-nan", "kmax-huge",
-             "degree-huge"],
+             "degree-huge", "grid-huge"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote

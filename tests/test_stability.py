@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit.pencil import norm2
 from ddae_kit.stability import (
+    RESIDUAL_TOL,
     StabilityReport,
     StabilityVerdict,
     _char_matrix,
     _local_minima,
+    _newton,
+    _residuals,
     default_box,
     spectral_abscissa_matrices,
 )
 
-from gen import example_advanced, example_neutral, random_regular_pencil
+from gen import example_advanced, example_neutral, newton_per_seed, random_regular_pencil
 
 
 def scalar_retarded_system(horizon=3):
@@ -140,11 +144,17 @@ class TestGridEvaluation:
 
         rng = np.random.default_rng(5)
         shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (6, 9), (13, 11)]
-        for trial in range(40):
+        for trial in range(60):
             mag = rng.integers(0, 4, size=shapes[trial % len(shapes)]).astype(float)
             if trial % 3 == 0:
                 mag[rng.random(mag.shape) < 0.15] = np.nan
+            if trial % 4 == 1:
+                mag[rng.random(mag.shape) < 0.15] = np.inf
+            if trial % 5 == 2:
+                mag[rng.random(mag.shape) < 0.1] = -np.inf
             assert _local_minima(mag).tolist() == brute(mag)
+        # a grid of +inf only: every cell ties with its block
+        assert len(_local_minima(np.full((3, 4), np.inf))) == 12
 
     def test_stacked_row_matches_char_function(self):
         # one grid row as a stack equals the scalar determinant bit for bit
@@ -165,6 +175,65 @@ class TestGridEvaluation:
                 value, _ = dk.char_function(sys_, complex(x, ims[j]))
                 assert row[j] == value
                 assert np.hypot(row[j].real, row[j].imag) == abs(value)
+
+
+def bits(values):
+    """The IEEE bit patterns of complex values, so NaN and -0.0 compare too."""
+    return np.array(values, dtype=complex).view(np.int64).tolist()
+
+
+def random_data(rng, n, complex_field):
+    mats = [rng.standard_normal((n, n)) for _ in range(3)]
+    if complex_field:
+        mats = [X + 1j * rng.standard_normal((n, n)) for X in mats]
+    return mats
+
+
+class TestNewton:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_lockstep_matches_per_seed(self, complex_field):
+        # every lane of the stacked iteration follows the scalar loop
+        # bit for bit, whichever lanes stop around it
+        rng = np.random.default_rng(13)
+        for n in range(1, 9):
+            for _ in range(3):
+                E, A, D = random_data(rng, n, complex_field)
+                tau = float(rng.uniform(0.3, 2.0))
+                box = default_box(E, A, D, tau)
+                seeds = [complex(rng.uniform(box.re_min, box.re_max),
+                                 rng.uniform(-box.im_max, box.im_max)) for _ in range(12)]
+                lockstep = _newton(E, A, D, tau, seeds)
+                assert bits(lockstep) == bits([newton_per_seed(E, A, D, tau, s)[0] for s in seeds])
+
+    def test_singular_overflowing_and_capped_lanes_in_one_stack(self):
+        # det M = (lambda^2 + 1)(lambda + 1 + e^{-lambda}): M is exactly
+        # singular at i, exp overflows at -800, and on the real axis, where
+        # det has no root, Newton wanders until NEWTON_MAX_ITER
+        E = np.eye(3)
+        A = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        D = np.zeros((3, 3))
+        D[2, 2] = -1.0
+        seeds = [0.3 + 0j, 1j, -800 + 0j, 2.0 + 0j, 0.5 + 1.5j, -0.5 + 3.0j]
+        reference = [newton_per_seed(E, A, D, 1.0, s) for s in seeds]
+        reasons = [why for _, why in reference]
+        assert reasons[:4] == ["max_iter", "singular", "logderiv", "max_iter"]
+        assert "step" in reasons[4:]
+        assert bits(_newton(E, A, D, 1.0, seeds)) == bits([lam for lam, _ in reference])
+
+    def test_no_seeds(self):
+        assert _newton(np.eye(2), np.eye(2), np.eye(2), 1.0, []) == []
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_stacked_residual_matches_scalar(self, complex_field):
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            E, A, D = random_data(rng, n, complex_field)
+            lams = [complex(*rng.standard_normal(2)) for _ in range(7)]
+            residuals, bounds = _residuals(E, A, D, 0.8, lams)
+            for lam, r, b in zip(lams, residuals, bounds):
+                M = _char_matrix(E, A, D, 0.8, lam)
+                assert r == abs(complex(np.linalg.det(M)))
+                assert b == RESIDUAL_TOL * max(1.0, norm2(M)) ** n
 
 
 class TestAssessment:

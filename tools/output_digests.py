@@ -1,4 +1,4 @@
-"""One sha256 per benchmark case: which CLI outputs a change alters.
+"""One outcome and one sha256 per benchmark case: which CLI outputs a change alters.
 
     python3 tools/output_digests.py SRC > digests.txt
 
@@ -9,17 +9,19 @@ each case through ``ddae_kit.cli.main`` imported from the directory SRC
 names and exception handling of bench/run.py, and prints one line per
 case:
 
-    <workload> <seed> <case id> <sha256 of the exit code and output files>
+    <workload> <seed> <case id> <outcome> <sha256 of the output files>
 
-A case that raises gets the exception's type in place of the exit code,
-so every tree prints one line per case, in the same order, and a crash
-shows up as a changed digest rather than a missing line.
+The outcome is two words, ``exit N`` or ``raised <exception type>``, so
+every tree prints one line per case, in the same order, and a crash
+shows up as a changed outcome rather than a missing line.
 
 Running it on two source trees with the same bench directory gives two
-lists in the same order; the cases whose digests differ are the ones
-whose outputs changed.  Each tree needs its own process, because the
-package is imported once.  BLAS runs on one thread, as in bench/run.py,
-so the digests do not depend on thread scheduling.
+lists in the same order; the cases whose outcome column differs are the
+ones whose exit changed, and those with the same outcome and another
+digest are the ones whose output bytes changed.  Each tree needs its own
+process, because the package is imported once.  BLAS runs on one
+thread, as in bench/run.py, so the digests do not depend on thread
+scheduling.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ SEEDS = (1, 2, 3, 4)
 
 
 def case_digest(run, cli, case, out_dir):
-    """Run one case; sha256 over its outcome and its output files in order."""
+    """Run one case; its outcome and the sha256 over its output files in order."""
     run.prepare_argv(case, out_dir)
     rc, error, _ = run.invoke(cli, case)
     outcome = f"exit {rc}" if error is None else f"raised {type(error).__name__}"
-    digest = hashlib.sha256(f"{outcome}\n".encode())
+    digest = hashlib.sha256()
     for path in case["outputs"]:
         if os.path.exists(path):
             with open(path, "rb") as fh:
@@ -51,7 +53,7 @@ def case_digest(run, cli, case, out_dir):
             os.remove(path)
         else:
             digest.update(b"missing\n")
-    return digest.hexdigest()
+    return outcome, digest.hexdigest()
 
 
 def main(argv=None):
@@ -82,10 +84,10 @@ def main(argv=None):
                     # the CLI reports breakdowns on stderr by design
                     sys.stderr = devnull
                     try:
-                        digest = case_digest(run, cli, case, out_dir)
+                        outcome, digest = case_digest(run, cli, case, out_dir)
                     finally:
                         sys.stderr = real_stderr
-                    print(workload, seed, case["id"], digest)
+                    print(workload, seed, case["id"], outcome, digest)
 
 
 if __name__ == "__main__":
