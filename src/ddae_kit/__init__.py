@@ -75,6 +75,7 @@ from .reform import (
     embed_neutral_dde,
     embed_pure_delay,
     expand_hidden_delays,
+    hidden_delay_forcing,
 )
 from .stability import (
     SearchBox,

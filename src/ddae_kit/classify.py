@@ -187,5 +187,5 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
 def classify_matrices(E, A, D, M: int):
     """Classification straight from coefficient matrices (no data needed)."""
     qwf = compute_qwf(MatrixPencil(E, A))
-    split = split_matrices(qwf, E, A, D)
+    split = split_matrices(qwf, D)
     return classify(split, M)

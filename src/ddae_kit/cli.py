@@ -9,7 +9,8 @@ errors go to stderr and are signalled through the exit code:
     0  success
     2  inconsistent restart (partial outputs written)
     3  irregular pencil
-    4  malformed input
+    4  malformed input: the problem file, the command line, or an output
+       path that cannot be written
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .classify import PropagationKind, build_backward_system, classify
 from .errors import (
     DdaeKitError,
     InconsistentRestart,
-    MalformedProblem,
     NotSmoothingType,
     SingularPencil,
 )
@@ -70,14 +70,14 @@ def _analyze_payload(sys):
     }
     if backward.system is not None:
         bw_sys = backward.system
-        bw_split = split_matrices(bw_sys.qwf, bw_sys.E, bw_sys.A, bw_sys.D)
+        bw_split = split_matrices(bw_sys.qwf, bw_sys.D)
         bw_report = classify(bw_split, M)
         bw["propagation"] = bw_report.propagation.kind.value
         bw["legacy"] = bw_report.legacy.kind.value
 
     hidden = None
     if report.propagation.kind is PropagationKind.SMOOTHING:
-        exp = expand_hidden_delays(split, M)
+        exp = expand_hidden_delays(sys, split)
         hidden = {
             "nu_D": exp.nu_D,
             "delay_count": len(exp.D_delays),
@@ -213,7 +213,7 @@ def cmd_hidden_delays(args):
     sys_ = load_problem(args.problem)
     split = build_split(sys_)
     try:
-        exp = expand_hidden_delays(split, sys_.horizon_intervals)
+        exp = expand_hidden_delays(sys_, split)
     except NotSmoothingType as exc:
         _write_json(
             args.out,
@@ -254,7 +254,7 @@ def cmd_probe(args):
             target = np.array([float(v) for v in args.target.split(",")])
             if not np.all(np.isfinite(target)):
                 raise ValueError("--target values must be finite")
-        phi = construct_probe_history(split, args.order, target, side=args.side)
+        phi = construct_probe_history(sys_, split, args.order, target, side=args.side)
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_MALFORMED
@@ -269,11 +269,23 @@ def cmd_probe(args):
     return EXIT_OK
 
 
+class UsageError(DdaeKitError):
+    """The command line was rejected by the argument parser."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError where argparse would print
+    the usage and exit 2, the exit code of an inconsistent restart."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every main call reuses it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddae-kit",
         description="Analyze and solve linear delay differential-algebraic equations",
     )
@@ -330,20 +342,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except MalformedProblem as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_MALFORMED
     except SingularPencil as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IRREGULAR
     except InconsistentRestart as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INCONSISTENT
-    except (DdaeKitError, np.linalg.LinAlgError) as exc:
+    except (DdaeKitError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_MALFORMED
 

@@ -215,25 +215,25 @@ def _hermite_two_point(vals_left, vals_right, length):
 
 
 def construct_probe_history(
+    sys: DdaeSystem,
     split: SplitCoefficients,
     m: int,
     target,
     side: str = "slow",
     rng: np.random.Generator | None = None,
 ):
-    """History whose transition to the solution first breaks at order m.
+    """History of sys whose transition to the solution first breaks at order m.
 
-    Builds an analytic (single polynomial piece) history on [-tau, 0]
-    such that the transformed history derivatives match the first
-    segment's solution derivatives up to order m-1 on the chosen side
-    and miss by exactly `target` at order m; the other side matches
+    Builds an analytic (single polynomial piece) history on [-tau, 0],
+    from the system's f and tau and the split's decomposition, such that
+    the transformed history derivatives match the first segment's
+    solution derivatives up to order m-1 on the chosen side and miss by
+    exactly `target` at order m; the other side matches
     through order m.  Free derivative values are zero unless an rng is
     supplied.  Requires m >= 1 and m + index <= MAX_PROBE_ORDER; raises
     ValueError as well when the interpolant's derivatives at 0 miss the
     requested ones by more than FLAG_TOL (Hermite conditioning).
     """
-    if split.g is None or split.h is None:
-        raise DimensionMismatch("split must carry transformed data functions")
     nu, n_d, n_a = split.nu, split.n_d, split.n_a
     if m < 1:
         raise ValueError("probe order m must be at least 1")
@@ -249,9 +249,7 @@ def construct_probe_history(
     if target.shape != (want,):
         raise DimensionMismatch(f"target must be a vector of length {want}")
 
-    if split.psi is None:
-        raise DimensionMismatch("split must carry transformed history domain")
-    tau = -split.psi.start
+    tau = sys.tau
     K = nu + m
     # transformed history derivatives [psi; eta] at -tau and psi(0)
     if rng is None:
@@ -264,7 +262,8 @@ def construct_probe_history(
     # first-segment solution derivatives at 0+ from the data at -tau
     T, T_inv = split.qwf.T, split.qwf.T_inv
     x0 = T @ np.concatenate([psi0_free, np.zeros(n_a)])
-    q = (vals_left @ T.T) @ split.D.T + f_derivs_x(split, 0.0, K, "right")
+    Sf = sys.f.apply_matrix(split.qwf.S)
+    q = (vals_left @ T.T) @ split.D.T + f_derivs_x(split, Sf, 0.0, K, "right")
     xs, _ = solution_taylor(split, x0, q, m)
 
     vals_right = np.zeros((K + 1, split.n), dtype=np.result_type(xs, target))

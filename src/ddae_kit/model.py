@@ -7,15 +7,16 @@ S A T = blockdiag(J, I), the delayed system
 
 splits into a slow ODE part and a fast algebraic part.  This module owns
 every matrix derived from that split (projector pair, the C_k chain, the
-delay blocks) together with the transformed data functions, and provides
-the pointwise machinery used by the history checks and the stepping
-solver: Taylor data of a segment solution at an endpoint, computed by
-exact recursion instead of numerical differentiation.
+delay blocks); the data f and phi stay on the system and are transformed
+where they are used.  It also provides the pointwise machinery used by
+the history checks and the stepping solver: Taylor data of a segment
+solution at an endpoint, computed by exact recursion instead of
+numerical differentiation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,18 +112,16 @@ class DdaeSystem:
 
 @dataclass(frozen=True, eq=False)
 class SplitCoefficients:
-    """Everything derived from the quasi-Weierstrass split of one system.
+    """The matrices derived from a quasi-Weierstrass form and a delay matrix.
 
     The C_k chain drives the inherent ODE x' = A_diff x + sum C_k q^{(k)};
     B_k = C_k D are its delayed counterparts.  The blocks of S D T couple
-    slow and fast parts of the delayed argument; g, h, psi, eta are the
-    transformed inhomogeneity and history ([g; h] = S f, [psi; eta] =
-    T^{-1} phi, so that T [psi; eta] reproduces phi exactly).
+    slow and fast parts of the delayed argument.  No data function is
+    held here: the transformed inhomogeneity S f and history T^{-1} phi
+    are formed from the system by the code that reads them.
     """
 
     qwf: QuasiWeierstrassForm
-    E: np.ndarray
-    A: np.ndarray
     D: np.ndarray
     A_diff: np.ndarray
     A_con: np.ndarray
@@ -134,10 +133,6 @@ class SplitCoefficients:
     B_d2: np.ndarray
     B_a1: np.ndarray
     B_a2: np.ndarray
-    g: PiecewisePolynomial | None = None
-    h: PiecewisePolynomial | None = None
-    psi: PiecewisePolynomial | None = None
-    eta: PiecewisePolynomial | None = None
 
     @property
     def n(self):
@@ -205,8 +200,8 @@ class SplitCoefficients:
         return P, L
 
 
-def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
-    """Derived matrices of the split system (no data functions attached)."""
+def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
+    """Derived matrices of the split system with delay matrix D."""
     n_d, n_a, nu = qwf.n_d, qwf.n_a, qwf.nu
     S, T, J, N = qwf.S, qwf.T, qwf.J, qwf.N
     n = n_d + n_a
@@ -234,8 +229,6 @@ def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
     SDT = SD @ T
     return SplitCoefficients(
         qwf=qwf,
-        E=np.asarray(E),
-        A=np.asarray(A),
         D=D,
         A_diff=A_diff,
         A_con=A_con,
@@ -253,23 +246,12 @@ def split_matrices(qwf: QuasiWeierstrassForm, E, A, D) -> SplitCoefficients:
 def build_split(
     sys: DdaeSystem, qwf: QuasiWeierstrassForm | None = None
 ) -> SplitCoefficients:
-    """Full split of a system, including transformed data functions.
+    """Split of a system: split_matrices of its decomposition and D.
 
     The decomposition defaults to the system's own; another one may be
     passed in to pin a specific choice of S, T.
     """
-    qwf = sys.qwf if qwf is None else qwf
-    core = split_matrices(qwf, sys.E, sys.A, sys.D)
-    n_d = qwf.n_d
-    Sf = sys.f.apply_matrix(qwf.S)
-    Tinv_phi = sys.phi.apply_matrix(qwf.T_inv)
-    return replace(
-        core,
-        g=Sf.components(range(n_d)),
-        h=Sf.components(range(n_d, qwf.n)),
-        psi=Tinv_phi.components(range(n_d)),
-        eta=Tinv_phi.components(range(n_d, qwf.n)),
-    )
+    return split_matrices(sys.qwf if qwf is None else qwf, sys.D)
 
 
 def underlying_ode_rhs(split: SplitCoefficients, q: PiecewisePolynomial):
@@ -406,19 +388,16 @@ def _finite_rows(X):
     return len(X) if finite.all() else int(finite.argmin())
 
 
-def f_derivs_x(split: SplitCoefficients, s, orders, side):
-    """Derivatives 0..orders of the original inhomogeneity f = S^{-1} [g; h]
-    at global time s, shape (orders+1, n)."""
-    gh = split.g.derivatives(s, orders, side=side)
-    if split.n_a:
-        gh = np.hstack([gh, split.h.derivatives(s, orders, side=side)])
-    return gh @ split.qwf.S_inv.T
+def f_derivs_x(split: SplitCoefficients, data: PiecewisePolynomial, s, orders, side):
+    """Derivatives 0..orders of the original inhomogeneity f = S^{-1} data
+    at global time s, shape (orders+1, n); data is the transformed S f."""
+    return data.derivatives(s, orders, side=side) @ split.qwf.S_inv.T
 
 
 def f_knot_table(split: SplitCoefficients, data: PiecewisePolynomial, times, side):
     """Rows 0..d of f_derivs_x at each of times, shape (len(times), d+1, n).
 
-    data is the stacked [g; h] and d its highest piece degree: every
+    data is the transformed S f and d its highest piece degree: every
     derivative row above d is exactly zero, so it is not stored.  One
     derivatives call and one product with S^{-1} serve every time.
     """

@@ -6,6 +6,9 @@ the slow equation only through powers of the coupling block, which
 surfaces effective delays 2*tau, 3*tau, ... that are invisible in the
 original form.  The result is an equivalent retarded multi-delay
 equation in the slow state, suitable for spectral stability analysis.
+Its delay matrices come from the split matrices alone; its forcing is
+formed from the system's inhomogeneity only where that equation is
+solved (hidden_delay_forcing).
 """
 
 from __future__ import annotations
@@ -24,14 +27,13 @@ from .piecewise import PiecewisePolynomial
 class HiddenDelayExpansion:
     """Retarded multi-delay form z'(t) = J z + sum_k D_k z(t-(k+1)tau) + theta.
 
-    D_delays holds D_0..D_{nu_D}; theta is assembled exactly from the
-    transformed inhomogeneity on the solve window [nu_D tau, M tau];
-    tau is the delay, so the effective delays are (k+1) tau.
+    D_delays holds D_0..D_{nu_D}; tau is the delay, so the effective
+    delays are (k+1) tau.  The matrices come from split alone; theta
+    depends on the inhomogeneity and is assembled by hidden_delay_forcing.
     """
 
     J: np.ndarray
     D_delays: tuple
-    theta: PiecewisePolynomial
     nu_D: int
     split: SplitCoefficients
     tau: float
@@ -41,38 +43,48 @@ class HiddenDelayExpansion:
         return [float((k + 1) * self.tau) for k in range(self.nu_D + 1)]
 
 
-def expand_hidden_delays(split: SplitCoefficients, M: int) -> HiddenDelayExpansion:
+def expand_hidden_delays(sys: DdaeSystem, split: SplitCoefficients) -> HiddenDelayExpansion:
     """Eliminate the algebraic part of a smoothing-type system.
 
-    D_0 = B_d1 and D_k = (-1)^k B_d2 B_a2^{k-1} B_a1 for k = 1..nu_D.
-    For index above one the fast solution formula is applied first, so
-    the inhomogeneity entering the inversion is h~ = sum_j N^j h^{(j)};
-    theta(t) = g(t) + sum_{k=0}^{nu_D-1} (-1)^{k+1} B_d2 B_a2^k
-    h~(t - (k+1) tau).
+    D_0 = B_d1 and D_k = (-1)^k B_d2 B_a2^{k-1} B_a1 for k = 1..nu_D,
+    with the propagation class taken at the system's horizon.
     """
-    prop = classify_propagation(split, M)
+    prop = classify_propagation(split, sys.horizon_intervals)
     if prop.kind is not PropagationKind.SMOOTHING:
         raise NotSmoothingType(
             f"hidden-delay expansion needs a smoothing-type system, got {prop.kind.value}"
         )
-    if split.g is None or split.h is None or split.psi is None:
-        raise NotSmoothingType("split must carry transformed data functions")
     nu_D = prop.nu_D
-    n_a, nu = split.n_a, split.nu
-    tau = -split.psi.start
-
     D_list = [np.array(split.B_d1)]
-    if n_a:
-        Ba2_pow = np.eye(n_a, dtype=split.B_a2.dtype)
+    if split.n_a:
+        Ba2_pow = np.eye(split.n_a, dtype=split.B_a2.dtype)
         for k in range(1, nu_D + 1):
             D_list.append(((-1.0) ** k) * (split.B_d2 @ Ba2_pow @ split.B_a1))
             Ba2_pow = Ba2_pow @ split.B_a2
+    return HiddenDelayExpansion(
+        J=split.qwf.J, D_delays=tuple(D_list), nu_D=nu_D, split=split, tau=sys.tau,
+    )
 
-    window = (nu_D * tau, M * tau)
-    theta = split.g.restrict(*window)
+
+def hidden_delay_forcing(expansion: HiddenDelayExpansion,
+                         sys: DdaeSystem) -> PiecewisePolynomial:
+    """The forcing theta of the expansion on its solve window [nu_D tau, M tau].
+
+    With [g; h] = S f, for index above one the fast solution formula is
+    applied first, so the inhomogeneity entering the inversion is
+    h~ = sum_j N^j h^{(j)};
+    theta(t) = g(t) + sum_{k=0}^{nu_D-1} (-1)^{k+1} B_d2 B_a2^k
+    h~(t - (k+1) tau), assembled exactly.
+    """
+    split, nu_D, tau = expansion.split, expansion.nu_D, expansion.tau
+    n_d, n_a = split.n_d, split.n_a
+    Sf = sys.f.apply_matrix(split.qwf.S)
+    window = (nu_D * tau, sys.horizon_intervals * tau)
+    theta = Sf.components(range(n_d)).restrict(*window)
     if n_a:
         # accumulated fast inhomogeneity: h~ = sum_{j<nu} N^j h^{(j)} = -w(h)
-        h_acc = -1.0 * fast_subsystem_solution(split.qwf.N, split.h, nu=nu)
+        h = Sf.components(range(n_d, split.n))
+        h_acc = -1.0 * fast_subsystem_solution(split.qwf.N, h, nu=split.nu)
         Ba2_pow = np.eye(n_a, dtype=split.B_a2.dtype)
         for k in range(nu_D):
             shifted = h_acc.shift((k + 1) * tau).restrict(*window)
@@ -80,11 +92,7 @@ def expand_hidden_delays(split: SplitCoefficients, M: int) -> HiddenDelayExpansi
                 ((-1.0) ** (k + 1)) * (split.B_d2 @ Ba2_pow)
             )
             Ba2_pow = Ba2_pow @ split.B_a2
-
-    return HiddenDelayExpansion(
-        J=split.qwf.J, D_delays=tuple(D_list), theta=theta, nu_D=nu_D, split=split,
-        tau=tau,
-    )
+    return theta
 
 
 def embed_neutral_dde(Ahat, Dhat, Bhat, f: PiecewisePolynomial, tau, horizon_intervals,

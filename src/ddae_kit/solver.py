@@ -48,6 +48,7 @@ from .model import (
     solution_taylor_from_value,
 )
 from .piecewise import Piece, PiecewisePolynomial, _stacked
+from .reform import hidden_delay_forcing
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
@@ -311,11 +312,12 @@ def detect_jumps(
     left: SegmentSolution,
     right: SegmentSolution,
     k_max: int,
-    knot_index: int | None = None,
-    tau: float | None = None,
+    knot_index: int,
+    tau: float,
     order0_matched: bool | None = None,
 ) -> LedgerEntry:
-    """Ledger entry comparing derivatives across the knot between two segments.
+    """Ledger entry comparing derivatives across the knot t = knot_index * tau
+    between two segments.
 
     order0_matched=True records that the restart already passed the
     consistency test, so the value-level comparison is not re-run with a
@@ -331,11 +333,9 @@ def detect_jumps(
         first = matched + 1
         jump = right.derivs_start[first] - left.derivs_end[first]
         norm = float(np.linalg.norm(jump))
-    idx = right.index - 1 if knot_index is None else knot_index
-    tau = left.pieces.end if tau is None else tau
     return LedgerEntry(
-        knot_index=idx,
-        time=idx * tau,
+        knot_index=knot_index,
+        time=knot_index * tau,
         matched_order=matched,
         first_jump_order=first,
         jump_vector=jump,
@@ -361,19 +361,20 @@ class Sweep:
 
     Each delay interval is the same DAE segment with new data, so the
     slow collocation (SlowCollocation), the fast part (FastPart), the
-    data windows [g; h] of each segment in Chebyshev form and f's
-    derivative tables at the knots are built here once, from the split,
-    the top degree and the delay, and go with the sweep.
+    windows of the transformed inhomogeneity S f on each segment in
+    Chebyshev form and f's derivative tables at the knots are built here
+    once, from the system, the split and the top degree, and go with the
+    sweep.
     """
 
-    def __init__(self, split: SplitCoefficients, config: SolverConfig, tau, first, last):
-        if split.g is None or split.h is None:
-            raise DimensionMismatch("split must carry transformed data functions")
+    def __init__(self, sys: DdaeSystem, split: SplitCoefficients, config: SolverConfig,
+                 first, last):
         self.first, self.T = first, split.qwf.T
         self.colloc = SlowCollocation(split.qwf.J, config.degree)
         self.fast = FastPart(split.qwf.N, split.nu)
         self.SD = np.vstack([split.B_d, split.B_a])
-        data = split.g.stack(split.h)
+        tau = sys.tau
+        data = sys.f.apply_matrix(split.qwf.S)
         self.windows = [segment_window(data, i, tau).to_chebyshev()
                         for i in range(first, last + 1)]
         # knot times from the segments' own length tau
@@ -402,20 +403,16 @@ def solve_segment(
     split: SplitCoefficients,
     i: int,
     prev: SegmentSolution,
-    config: SolverConfig = SolverConfig(),
-    sweep: Sweep | None = None,
+    config: SolverConfig,
+    sweep: Sweep,
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
     Raises InconsistentRestart when the previous end value is not a
     consistent initial value for this segment (history.is_consistent);
     the error carries the order-0 jump to the consistent projection.
-    sweep is the Sweep of split and config that holds segment i; without
-    it, a one-segment Sweep is built here.
+    sweep is the Sweep of split and config that holds segment i.
     """
-    tau = prev.pieces.end
-    if sweep is None:
-        sweep = Sweep(split, config, tau, i, i)
     nu, n_d = split.nu, split.n_d
     R_prev = prev.derivs_start.shape[0]
     orders = max(R_prev - 1 - nu, 1)
@@ -430,7 +427,7 @@ def solve_segment(
     if not is_consistent(residual, x_req, q_left[0]):
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
-    # [q_d; q_f] = S D x(t - tau) + [g; h] on the segment, in local time
+    # [q_d; q_f] = S D x(t - tau) + S f on the segment, in local time
     delayed = prev.pieces.apply_matrix(sweep.SD)
     q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], n_d)
     v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
@@ -471,14 +468,14 @@ def method_of_steps(
         )
     prev = history_as_segment(sys, split, hist_orders)
 
-    sweep = Sweep(split, config, prev.pieces.end, 1, M)
+    sweep = Sweep(sys, split, config, 1, M)
     segments, entries = [], []
     # the top orders of a stiff stream may overflow; the recursion fences
     # them off (model._finite_rows), so numpy need not report them
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, M + 1):
             try:
-                seg = solve_segment(split, i, prev, config, sweep=sweep)
+                seg = solve_segment(split, i, prev, config, sweep)
             except InconsistentRestart as err:
                 if config.on_inconsistent == "stop":
                     raise
@@ -527,13 +524,15 @@ def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = So
                 derivs_start=seg.derivs_start @ P_slow.T, derivs_end=seg.derivs_end @ P_slow.T))
 
     colloc = SlowCollocation(expansion.J, config.degree)
+    theta = hidden_delay_forcing(expansion, sys)
+    psi = sys.phi.apply_matrix(P_slow)
     # segment j of z in local time; j = 0 is the shifted history psi
-    z_pieces = [split.psi.shift(tau).to_chebyshev()] + [z.pieces for z in z_segments]
+    z_pieces = [psi.shift(tau).to_chebyshev()] + [z.pieces for z in z_segments]
     for i in range(nu_D + 1, M + 1):
-        forcing = segment_window(expansion.theta, i, tau).to_chebyshev()
+        forcing = segment_window(theta, i, tau).to_chebyshev()
         for lag, Dk in enumerate(expansion.D_delays, start=1):
             forcing = forcing + z_pieces[i - lag].apply_matrix(Dk)
-        z0 = z_segments[-1].derivs_end[0] if z_segments else split.psi.evaluate(0.0, side="left")
+        z0 = z_segments[-1].derivs_end[0] if z_segments else psi.evaluate(0.0, side="left")
         pieces = colloc.integrate(forcing, z0)
         z_pieces.append(pieces)
         z_segments.append(SegmentSolution(

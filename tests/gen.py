@@ -185,7 +185,7 @@ def random_system_from_blocks(
     split0 = dk.build_split(sys0)
     side = "slow" if n_d else "fast"
     dim = n_d if n_d else n_a
-    phi = dk.construct_probe_history(split0, m=1, target=np.zeros(dim), side=side)
+    phi = dk.construct_probe_history(sys0, split0, m=1, target=np.zeros(dim), side=side)
     sys = dk.DdaeSystem(
         E=E, A=A, D=D, tau=tau, horizon_intervals=horizon, f=f, phi=phi
     )
@@ -230,7 +230,7 @@ def kinked_dae(basis, horizon=4):
         basis=basis,
     )
     sys1 = replace(sys0, f=f)
-    phi = dk.construct_probe_history(dk.build_split(sys1, qwf=split0.qwf), m=1,
+    phi = dk.construct_probe_history(sys1, dk.build_split(sys1, qwf=split0.qwf), m=1,
                                      target=np.zeros(n_d), side="slow")
     return replace(sys1, phi=phi)
 

@@ -115,7 +115,7 @@ def test_criterion_03_hidden_delay_regression():
         assert report.propagation.kind is PropagationKind.SMOOTHING
         assert report.propagation.nu_D == 1
 
-        exp = dk.expand_hidden_delays(split, 5)
+        exp = dk.expand_hidden_delays(sys_, split)
         assert exp.nu_D == 1
         assert np.max(np.abs(exp.J - np.array([[0.0]]))) <= 1e-12
         assert np.max(np.abs(exp.D_delays[0] - np.array([[0.0]]))) <= 1e-12
@@ -199,7 +199,7 @@ def test_criterion_07_hidden_delay_equivalence():
             sys_, split = random_system_from_blocks(
                 rng, n_d, n_a, nu, blocks, horizon=5
             )
-            exp = dk.expand_hidden_delays(split, 5)
+            exp = dk.expand_hidden_delays(sys_, split)
             traj, ledger = dk.method_of_steps(sys_, split)
             assert not ledger.has_inconsistent
             z = dk.solve_hidden_delay_dde(exp, sys_)
@@ -229,7 +229,7 @@ def test_criterion_08_classification_equivalence():
             elif style == 2:
                 D = D @ np.diag(rng.integers(0, 2, size=n).astype(float))
             split = dk.split_matrices(
-                dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, D
+                dk.compute_qwf(dk.MatrixPencil(E, A)), D
             )
             report = dk.classify(split, 4)
             advanced = report.legacy.kind is LegacyKind.ADVANCED
@@ -301,7 +301,7 @@ def test_criterion_10_splicing_suite():
 
         # a history satisfying both splicing conditions solves all six segments
         phi_good = dk.construct_probe_history(
-            split, m=2, target=np.zeros(1), side="slow"
+            sys_, split, m=2, target=np.zeros(1), side="slow"
         )
         sys_good = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                  horizon_intervals=6, f=sys_.f, phi=phi_good)
@@ -315,7 +315,7 @@ def test_criterion_10_splicing_suite():
 
         # a generic admissible history violating the first condition breaks down
         phi_bad = dk.construct_probe_history(
-            split, m=1, target=np.array([1.0]), side="slow"
+            sys_, split, m=1, target=np.array([1.0]), side="slow"
         )
         sys_bad = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                 horizon_intervals=6, f=sys_.f, phi=phi_bad)
@@ -340,7 +340,7 @@ def test_criterion_11_probe_contract():
                 dim = split.n_d if side == "slow" else split.n_a
                 target = rng.standard_normal(dim)
                 target /= np.linalg.norm(target)
-                phi = dk.construct_probe_history(split, m=m, target=target,
+                phi = dk.construct_probe_history(sys_, split, m=m, target=target,
                                                  side=side)
                 sys_p = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                       horizon_intervals=6, f=sys_.f, phi=phi)

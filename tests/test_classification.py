@@ -28,8 +28,7 @@ def random_classifiable(rng, n):
         D = np.zeros((n, n))
     elif style == 1:
         D = 0.1 * D
-    split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, D)
-    return split
+    return E, A, D
 
 
 class TestPropagation:
@@ -65,7 +64,7 @@ class TestPropagation:
             E, A, _ = random_regular_pencil(rng, n, n_d=n)
             D = rng.standard_normal((n, n))
             qwf = dk.compute_qwf(dk.MatrixPencil(E, A))
-            split = dk.split_matrices(qwf, E, A, D)
+            split = dk.split_matrices(qwf, D)
             prop = dk.classify_propagation(split, 1)
             assert prop.kind is PropagationKind.SMOOTHING
             assert prop.nu_D == 0
@@ -94,7 +93,7 @@ class TestLegacy:
         rng = np.random.default_rng(1)
         E, A, _ = random_regular_pencil(rng, 3)
         split = dk.split_matrices(
-            dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, np.zeros((3, 3))
+            dk.compute_qwf(dk.MatrixPencil(E, A)), np.zeros((3, 3))
         )
         assert dk.classify_legacy(split).kind is LegacyKind.RETARDED
 
@@ -121,8 +120,7 @@ class TestCrossCheck:
         rng = np.random.default_rng(2)
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            split = random_classifiable(rng, n)
-            report = dk.classify(split, 4)
+            report = dk.classify_matrices(*random_classifiable(rng, n), 4)
             assert report.consistency_flag
             advanced = report.legacy.kind is LegacyKind.ADVANCED
             desmooth = report.propagation.kind is PropagationKind.DE_SMOOTHING
@@ -134,8 +132,7 @@ class TestCrossCheck:
 
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            split = random_classifiable(rng, n)
-            E, A, D = split.E, split.A, split.D
+            E, A, D = random_classifiable(rng, n)
             base = dk.classify_matrices(E, A, D, 4)
             P = well_conditioned(rng, n)
             Q = well_conditioned(rng, n)
@@ -162,7 +159,7 @@ class TestCouplingNorms:
             n = n_d + n_a
             E, A, _ = random_regular_pencil(rng, n, n_d=n_d, nu=nu)
             D = rng.standard_normal((n, n)) if trial % 3 else np.zeros((n, n))
-            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, D)
+            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), D)
             assert split.nu == nu
             ref = coupling_norms_per_loop(split)
             norm_N, n_pow_ba, ba2_pows = split.coupling_norms
@@ -194,7 +191,7 @@ class TestCouplingNorms:
         monkeypatch.setattr(pencil, "norm2", counted)
         assert "coupling_norms" not in vars(split)
         assert dk.classify(split, 5).propagation.kind is PropagationKind.SMOOTHING
-        dk.expand_hidden_delays(split, 5)
+        dk.expand_hidden_delays(sys_, split)
         dk.assess_exponential_stability(sys_, split, report)
         assert len(norms) == 1 + max(split.nu, 2) + split.n_a
 

@@ -118,23 +118,44 @@ class TestOptionValues:
             ["solve", "--kmax", "1000000000"],
             ["solve", "--degree", "100000"],
             ["stability", "--grid", "100000"],
+            ["solve", "--kmax", "three"],
+            ["stability", "--grid", "abc"],
+            ["analyze", "--frobnicate"],
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
              "kmax-negative", "target-text", "target-nan", "kmax-huge",
-             "degree-huge", "grid-huge"],
+             "degree-huge", "grid-huge", "kmax-text", "grid-text", "unknown-flag"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote
-        # non-JSON Infinity/NaN, or reported a false inconsistent restart
+        # non-JSON Infinity/NaN, or reported a false inconsistent restart;
+        # argparse's own exit code, 2, would read as an inconsistent restart
         problem = write_problem(tmp_path, example_slow_smoothing())
         outs = [str(tmp_path / "out.json")]
         if argv[0] == "solve":
             outs.insert(0, str(tmp_path / "out.csv"))
         assert main([argv[0], problem, *outs, *argv[1:]]) == 4
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "solve", "stability"])
+    def test_unwritable_output_exit_malformed(self, tmp_path, capsys, command):
+        # an output that cannot be written is malformed input: one line
+        problem = write_problem(tmp_path, example_slow_smoothing())
+        outs = [str(tmp_path / "missing" / "out.json")]
+        if command == "solve":
+            outs.insert(0, str(tmp_path / "missing" / "out.csv"))
+        assert main([command, problem, *outs]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_stream_bound(self, tmp_path, capsys):
         # the bound is on the stream a sweep carries, k_max + M nu +
@@ -167,9 +188,8 @@ class TestParserReuse:
             return outs
 
         first = run(0)
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", problem, *[str(tmp_path / k) for k in "ab"], "--kmax", "three"])
-        assert exc.value.code == 2
+        assert main(["solve", problem, *[str(tmp_path / k) for k in "ab"],
+                     "--kmax", "three"]) == 4
         assert run(1) == first
         assert "Traceback" not in capsys.readouterr().err
 
@@ -204,6 +224,28 @@ class TestOneDecisionPerPencil:
                     monkeypatch.setattr(module, name, counted)
         assert main([argv[0], problem, str(tmp_path / "out.json"), *argv[1:]]) == 0
         assert counts == {"check_regularity": expected, "compute_qwf": expected}
+
+
+class TestNoDataTransforms:
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["check-history"], ["hidden-delays"], ["stability", "--grid", "20"]],
+        ids=["analyze", "check-history", "hidden-delays", "stability"],
+    )
+    def test_commands_transform_no_data(self, tmp_path, monkeypatch, argv):
+        # the split holds matrices only: these commands read f and phi
+        # directly or not at all, so no piecewise function is transformed
+        problem = write_problem(tmp_path, example_slow_smoothing())
+        calls = []
+        original = dk.PiecewisePolynomial.apply_matrix
+
+        def counted(self, M):
+            calls.append(np.shape(M))
+            return original(self, M)
+
+        monkeypatch.setattr(dk.PiecewisePolynomial, "apply_matrix", counted)
+        assert main([argv[0], problem, str(tmp_path / "out.json"), *argv[1:]]) == 0
+        assert calls == []
 
 
 class TestAnalyzeCommand:

@@ -78,7 +78,7 @@ class TestSmoothnessCondition:
     def test_probe_with_zero_target_satisfies_c1(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=1, target=np.zeros(1), side="slow")
+        phi = dk.construct_probe_history(sys, split, m=1, target=np.zeros(1), side="slow")
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_admissible(sys2, split2)[0]
         assert dk.check_smoothness_condition(sys2, split2)[0]
@@ -99,7 +99,7 @@ class TestSecondSplicing:
     def test_probe_with_order_two_target_zero(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=2, target=np.zeros(1), side="slow")
+        phi = dk.construct_probe_history(sys, split, m=2, target=np.zeros(1), side="slow")
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_smoothness_condition(sys2, split2)[0]
         assert dk.check_second_splicing(sys2, split2)[0]
@@ -133,7 +133,7 @@ class TestSplicingReport:
     def test_kappa_for_smooth_probe(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=2, target=np.zeros(1), side="slow")
+        phi = dk.construct_probe_history(sys, split, m=2, target=np.zeros(1), side="slow")
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         report = dk.splicing_report(sys2, split2)
         assert report.admissible
@@ -145,7 +145,7 @@ class TestSplicingReport:
         kappas = []
         for m in (1, 2, 3):
             phi = dk.construct_probe_history(
-                split, m=m, target=np.zeros(1), side="slow"
+                sys, split, m=m, target=np.zeros(1), side="slow"
             )
             sys2, split2 = with_history(sys, phi, qwf=split.qwf)
             kappas.append(dk.splicing_report(sys2, split2).kappa_observed)
@@ -169,7 +169,7 @@ class TestProbeConstruction:
         dim = split.n_d if side == "slow" else split.n_a
         target = rng.standard_normal(dim)
         target /= np.linalg.norm(target)
-        phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+        phi = dk.construct_probe_history(sys, split, m=m, target=target, side=side)
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_admissible(sys2, split2)[0]
 
@@ -202,7 +202,7 @@ class TestProbeConstruction:
         dim = split.n_d if side == "slow" else split.n_a
         target = rng.standard_normal(dim)
         target /= np.linalg.norm(target)
-        phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+        phi = dk.construct_probe_history(sys, split, m=m, target=target, side=side)
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_admissible(sys2, split2)[0]
         config = dk.SolverConfig(k_max=max(split.nu + 2, m + 1))
@@ -218,21 +218,23 @@ class TestProbeConstruction:
         split = dk.build_split(sys)
         rng = np.random.default_rng(77)
         phi = dk.construct_probe_history(
-            split, m=2, target=np.array([0.5]), side="slow", rng=rng
+            sys, split, m=2, target=np.array([0.5]), side="slow", rng=rng
         )
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_admissible(sys2, split2)[0]
 
     def test_conditioning_guard(self):
-        split = dk.build_split(example_slow_smoothing())
+        sys = example_slow_smoothing()
+        split = dk.build_split(sys)
         with pytest.raises(ValueError):
-            dk.construct_probe_history(split, m=10, target=np.zeros(1), side="slow")
+            dk.construct_probe_history(sys, split, m=10, target=np.zeros(1), side="slow")
 
     def test_order_bound_rejects_index3_order4(self):
-        split = dk.build_split(weak_desmoothing_system())
+        sys = weak_desmoothing_system()
+        split = dk.build_split(sys)
         assert split.nu == 3
         with pytest.raises(ValueError):
-            dk.construct_probe_history(split, m=4, target=np.zeros(1), side="slow")
+            dk.construct_probe_history(sys, split, m=4, target=np.zeros(1), side="slow")
 
     @pytest.mark.parametrize("n_d,n_a,nu,m", [(1, 3, 3, 3), (2, 4, 4, 2)])
     def test_boundary_order_meets_contract(self, n_d, n_a, nu, m):
@@ -247,7 +249,7 @@ class TestProbeConstruction:
             dim = split.n_d if side == "slow" else split.n_a
             target = rng.standard_normal(dim)
             target /= np.linalg.norm(target)
-            phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+            phi = dk.construct_probe_history(sys, split, m=m, target=target, side=side)
             sys2, split2 = with_history(sys, phi, qwf=split.qwf)
             assert dk.splicing_report(sys2, split2).kappa_observed == m - 1
             config = dk.SolverConfig(k_max=max(split.nu + 2, m + 1))
@@ -269,13 +271,14 @@ class TestProbeConstruction:
         sys, split = random_system_from_blocks(rng, 1, 1, 1, blocks, horizon=2)
         target = rng.standard_normal(1)
         with pytest.raises(ValueError):
-            dk.construct_probe_history(split, m=5, target=target / abs(target),
+            dk.construct_probe_history(sys, split, m=5, target=target / abs(target),
                                        side="slow")
 
     def test_side_requires_nonempty_block(self):
-        split = dk.build_split(example_neutral())  # n_d = 0
+        sys = example_neutral()  # n_d = 0
+        split = dk.build_split(sys)
         with pytest.raises(dk.DimensionMismatch):
-            dk.construct_probe_history(split, m=1, target=np.zeros(0), side="slow")
+            dk.construct_probe_history(sys, split, m=1, target=np.zeros(0), side="slow")
 
 
 class TestProbeContractProperty:
@@ -302,7 +305,7 @@ class TestProbeContractProperty:
         dim = split.n_d if side == "slow" else split.n_a
         target = rng.standard_normal(dim)
         target /= np.linalg.norm(target)
-        phi = dk.construct_probe_history(split, m=m, target=target, side=side)
+        phi = dk.construct_probe_history(sys, split, m=m, target=target, side=side)
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
 
         assert dk.check_admissible(sys2, split2)[0]

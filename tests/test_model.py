@@ -97,9 +97,13 @@ class TestBuildSplit:
             assert np.linalg.norm(back - E, 2) <= 1e-8 * scale
 
     def test_history_transform_round_trip(self):
+        # [psi; eta] = T^{-1} phi, psi formed as solve_hidden_delay_dde
+        # forms it, maps back to phi through T
         sys = example_advanced()
-        split = dk.build_split(sys)
-        stacked = split.psi.stack(split.eta).apply_matrix(split.qwf.T)
+        qwf = sys.qwf
+        psi = sys.phi.apply_matrix(qwf.T_inv[: qwf.n_d])
+        eta = sys.phi.apply_matrix(qwf.T_inv[qwf.n_d :])
+        stacked = psi.stack(eta).apply_matrix(qwf.T)
         for t in [-1.0, -0.5, 0.0]:
             side = "left" if t == 0.0 else "right"
             assert np.allclose(
@@ -229,7 +233,7 @@ class TestSolutionTaylor:
         if field is complex:
             U = well_conditioned(rng, n) + 0.5j * well_conditioned(rng, n)
             E, A = U @ E, U @ A
-        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
         assert split.nu == nu
         # unit-norm A_diff keeps 128 orders from being swamped by A_diff^j x0
         split = replace(split, A_diff=split.A_diff / np.linalg.norm(split.A_diff, 2))
@@ -258,7 +262,7 @@ class TestSolutionTaylor:
         if field == "complex-pencil":
             U = well_conditioned(rng, n) + 0.5j * well_conditioned(rng, n)
             E, A = U @ E, U @ A
-        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
         for norm_A in (0.5, 10.0):
             low_rank = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
             if field == "complex-pencil":
@@ -289,7 +293,7 @@ class TestSolutionTaylor:
         rng = np.random.default_rng(80 + nu)
         n = 5
         E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
-        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
         orders = 40
         q = rng.standard_normal((orders + nu, n))
         q[20] = np.inf
@@ -311,7 +315,7 @@ class TestSolutionTaylor:
         for _ in range(40):
             nu, n, orders = int(rng.integers(0, 3)), 4, 130
             E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
-            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
             norm_A = rng.uniform(100.0, 3000.0)
             stiff = replace(split, A_diff=split.A_diff * (norm_A / np.linalg.norm(split.A_diff, 2)))
             q = rng.standard_normal((orders + nu, n)) * 10.0 ** rng.uniform(0, 200)
@@ -327,7 +331,7 @@ class TestSolutionTaylor:
         # diagonal and exactly zero above it
         rng = np.random.default_rng(9)
         E, A, _ = random_regular_pencil(rng, 5, n_d=3, nu=2)
-        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, 0 * E)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
         P, L = split.taylor_blocks
         B, n = TAYLOR_BLOCK, 5
         assert P.shape == (B * n, n) and L.shape == (B * n, B * n)
@@ -384,7 +388,7 @@ class TestKnotTable:
         # data's own breakpoints
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
-        data = split.g.stack(split.h)
+        data = sys.f.apply_matrix(split.qwf.S)
         d = data.max_degree
         knots = np.arange(sys.horizon_intervals + 1) * sys.tau
         knots = np.union1d(knots, data.breakpoints)
@@ -393,10 +397,10 @@ class TestKnotTable:
             table = f_knot_table(split, data, times, side)
             assert table.shape == (len(times), d + 1, sys.n)
             for t, rows in zip(times, table):
-                full = f_derivs_x(split, t, 3 * d + 5, side)
+                full = f_derivs_x(split, data, t, 3 * d + 5, side)
                 assert rows.tobytes() == full[: d + 1].tobytes()
                 assert full[d + 1 :].tobytes() == np.zeros_like(full[d + 1 :]).tobytes()
-                assert rows.tobytes() == f_derivs_x(split, t, d, side).tobytes()
+                assert rows.tobytes() == f_derivs_x(split, data, t, d, side).tobytes()
 
 
 class TestSystemValidation:

@@ -64,7 +64,7 @@ def clear_systems(draw):
 
 
 def verdicts(E, A, D):
-    split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), E, A, D)
+    split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), D)
     report = dk.classify(split, HORIZON)
     prop = report.propagation
     return (split.nu, split.n_d, split.n_a, prop.kind.value, report.legacy.kind.value,

@@ -11,14 +11,14 @@ class TestExpandHiddenDelays:
     def test_slow_smoothing_example(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, sys.horizon_intervals)
+        exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 1
         assert len(exp.D_delays) == 2
         assert np.allclose(exp.J, [[0.0]], atol=1e-12)
         assert np.allclose(exp.D_delays[0], [[0.0]], atol=1e-12)
         assert np.allclose(exp.D_delays[1], [[1.0]], atol=1e-12)
         # zero inhomogeneity propagates to theta
-        assert exp.theta.sup_bound() <= 1e-14
+        assert dk.hidden_delay_forcing(exp, sys).sup_bound() <= 1e-14
 
     def test_zero_delay_matrix(self):
         rng = np.random.default_rng(0)
@@ -29,7 +29,7 @@ class TestExpandHiddenDelays:
         sys = dk.DdaeSystem(E=np.eye(n), A=A, D=np.zeros((n, n)), tau=1.0,
                             horizon_intervals=3, f=f, phi=phi)
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, 3)
+        exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 0
         assert len(exp.D_delays) == 1
         assert np.allclose(exp.D_delays[0], np.zeros((n, n)), atol=1e-10)
@@ -37,17 +37,19 @@ class TestExpandHiddenDelays:
     def test_rejects_non_smoothing(self):
         from gen import example_neutral
 
-        split = dk.build_split(example_neutral())
+        sys = example_neutral()
+        split = dk.build_split(sys)
         with pytest.raises(dk.NotSmoothingType):
-            dk.expand_hidden_delays(split, 4)
+            dk.expand_hidden_delays(sys, split)
 
     def test_delay_count_and_window(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, 5)
+        exp = dk.expand_hidden_delays(sys, split)
         assert len(exp.D_delays) == exp.nu_D + 1
-        assert exp.theta.start == pytest.approx(exp.nu_D * 1.0)
-        assert exp.theta.end == pytest.approx(5.0)
+        theta = dk.hidden_delay_forcing(exp, sys)
+        assert theta.start == pytest.approx(exp.nu_D * 1.0)
+        assert theta.end == pytest.approx(5.0)
 
 
 class TestNeutralEmbedding:
@@ -83,7 +85,7 @@ class TestNeutralEmbedding:
         B = np.array([[0.0, 1.0], [0.0, 0.0]])
         A, D, sys = self.embed(B)
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, 4)
+        exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 2
         # compare spectra of the delay matrices (similarity invariant)
         base = D + A @ B
@@ -118,12 +120,12 @@ class TestNeutralEmbedding:
         base = dk.embed_neutral_dde(A, D, B, f, 1.0, 5)
         split0 = dk.build_split(base)
         phi = dk.construct_probe_history(
-            split0, m=1, target=np.zeros(split0.n_d), side="slow"
+            base, split0, m=1, target=np.zeros(split0.n_d), side="slow"
         )
         sys = dk.DdaeSystem(E=base.E, A=base.A, D=base.D, tau=1.0,
                             horizon_intervals=5, f=base.f, phi=phi)
         split = dk.build_split(sys, qwf=split0.qwf)
-        exp = dk.expand_hidden_delays(split, 5)
+        exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 2
         traj, ledger = dk.method_of_steps(sys, split)
         assert not ledger.has_inconsistent

@@ -44,10 +44,11 @@ class TestSolveSegment:
     def test_neutral_first_segment(self):
         sys = example_neutral()
         split = dk.build_split(sys)
-        from ddae_kit.solver import history_as_segment, solve_segment
+        from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         hist = history_as_segment(sys, split, orders=8)
-        seg = solve_segment(split, 1, hist)
+        config = dk.SolverConfig()
+        seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
         for t in np.linspace(0, 1, 7):
             side = "left" if t == 1.0 else "right"
             assert seg.pieces.evaluate(t, side=side)[0] == pytest.approx(-t, abs=1e-13)
@@ -55,10 +56,11 @@ class TestSolveSegment:
     def test_advanced_first_segment(self):
         sys = example_advanced()
         split = dk.build_split(sys)
-        from ddae_kit.solver import history_as_segment, solve_segment
+        from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         hist = history_as_segment(sys, split, orders=12)
-        seg = solve_segment(split, 1, hist)
+        config = dk.SolverConfig()
+        seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
         for t in np.linspace(0, 1, 5):
             side = "left" if t == 1.0 else "right"
             assert seg.pieces.evaluate(t, side=side)[1] == pytest.approx(
@@ -95,7 +97,7 @@ class TestMethodOfSteps:
                              ids=["monomial", "chebyshev"])
     def test_knot_table_changes_no_byte(self, basis):
         # the sweep reads f's knot derivatives from its table; segments
-        # solved one by one compute them per segment, with equal bytes
+        # solved one by one, each in a one-segment sweep, give equal bytes
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         traj, _ = dk.method_of_steps(sys, split)
@@ -103,8 +105,10 @@ class TestMethodOfSteps:
         k_max = split.nu + 2
         prev = solver.history_as_segment(
             sys, split, k_max + sys.horizon_intervals * split.nu + max(split.nu, 1))
+        config = dk.SolverConfig()
         for i, seg in enumerate(traj.segments, start=1):
-            alone = solver.solve_segment(split, i, prev)
+            alone = solver.solve_segment(split, i, prev, config,
+                                         solver.Sweep(sys, split, config, i, i))
             for name in ("derivs_start", "derivs_end"):
                 assert getattr(alone, name).tobytes() == getattr(seg, name).tobytes()
             assert len(alone.pieces.pieces) == len(seg.pieces.pieces) > 1
@@ -209,7 +213,7 @@ class TestMethodOfSteps:
         # kappa keeps the ledger at matched_order >= kappa at every knot
         sys = example_neutral(horizon=5)
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=2, target=np.array([1.0]),
+        phi = dk.construct_probe_history(sys, split, m=2, target=np.array([1.0]),
                                          side="fast")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=5, f=sys.f, phi=phi)
@@ -370,7 +374,7 @@ class TestDetectJumps:
         from ddae_kit.solver import history_as_segment
 
         hist = history_as_segment(sys, split, orders=6)
-        entry = dk.detect_jumps(hist, hist_copy(hist), k_max=4)
+        entry = dk.detect_jumps(hist, hist_copy(hist), k_max=4, knot_index=0, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None
         assert not entry.inconsistent_restart
@@ -401,7 +405,7 @@ class TestWeakDesmoothing:
     def test_smooth_probe_survives_whole_horizon(self):
         sys = weak_desmoothing_system(horizon=6)
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=2, target=np.zeros(1), side="slow")
+        phi = dk.construct_probe_history(sys, split, m=2, target=np.zeros(1), side="slow")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=6, f=sys.f, phi=phi)
         split2 = dk.build_split(sys2, qwf=split.qwf)
@@ -412,7 +416,7 @@ class TestWeakDesmoothing:
     def test_generic_probe_breaks_down(self):
         sys = weak_desmoothing_system(horizon=6)
         split = dk.build_split(sys)
-        phi = dk.construct_probe_history(split, m=1, target=np.array([1.0]),
+        phi = dk.construct_probe_history(sys, split, m=1, target=np.array([1.0]),
                                          side="slow")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=6, f=sys.f, phi=phi)
@@ -426,7 +430,7 @@ class TestHiddenDelaySolver:
     def test_slow_smoothing_equivalence(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, sys.horizon_intervals)
+        exp = dk.expand_hidden_delays(sys, split)
         traj, _ = dk.method_of_steps(sys, split)
         z = dk.solve_hidden_delay_dde(exp, sys)
         T_inv = np.linalg.inv(split.qwf.T)
@@ -444,7 +448,7 @@ class TestHiddenDelaySolver:
         sys = dk.DdaeSystem(E=np.eye(n), A=J, D=np.zeros((n, n)), tau=1.0,
                             horizon_intervals=3, f=f, phi=phi)
         split = dk.build_split(sys)
-        exp = dk.expand_hidden_delays(split, 3)
+        exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 0
         z = dk.solve_hidden_delay_dde(exp, sys)
         traj, _ = dk.method_of_steps(sys, split)
@@ -464,7 +468,7 @@ class TestHiddenDelaySolver:
             blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
             sys, split = random_system_from_blocks(rng, n_d, n_a, nu, blocks,
                                                    horizon=5)
-            exp = dk.expand_hidden_delays(split, 5)
+            exp = dk.expand_hidden_delays(sys, split)
             traj, ledger = dk.method_of_steps(sys, split)
             assert not ledger.has_inconsistent
             z = dk.solve_hidden_delay_dde(exp, sys)

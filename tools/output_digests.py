@@ -11,6 +11,11 @@ case:
 
     <workload> <seed> <case id> <outcome> <sha256 of the output files>
 
+The bench never runs ``probe``, so each problem file of the analyze
+workload is also run as ``probe --order {1,2} --side {slow,fast}``; these
+lines carry ``probe`` in the workload column and the id
+``<problem file stem>-probe-o<order>-<side>``.
+
 The outcome is two words, ``exit N`` or ``raised <exception type>``, so
 every tree prints one line per case, in the same order, and a crash
 shows up as a changed outcome rather than a missing line.
@@ -38,11 +43,15 @@ import tempfile  # noqa: E402
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 SEEDS = (1, 2, 3, 4)
+PROBE_ORDERS = (1, 2)
+PROBE_SIDES = ("slow", "fast")
 
 
-def case_digest(run, cli, case, out_dir):
-    """Run one case; its outcome and the sha256 over its output files in order."""
+def case_digest(run, cli, case, out_dir, options=()):
+    """Run one case, options appended to its argv; its outcome and the
+    sha256 over its output files in order."""
     run.prepare_argv(case, out_dir)
+    case["argv"] += options
     rc, error, _ = run.invoke(cli, case)
     outcome = f"exit {rc}" if error is None else f"raised {type(error).__name__}"
     digest = hashlib.sha256()
@@ -54,6 +63,18 @@ def case_digest(run, cli, case, out_dir):
         else:
             digest.update(b"missing\n")
     return outcome, digest.hexdigest()
+
+
+def probe_cases(cases):
+    """(case, options) for every probe variant of each distinct problem file."""
+    paths = dict.fromkeys(case["problem_path"] for case in cases)
+    for path in paths:
+        sid = os.path.splitext(os.path.basename(path))[0]
+        for order in PROBE_ORDERS:
+            for side in PROBE_SIDES:
+                case = {"id": f"{sid}-probe-o{order}-{side}", "command": "probe",
+                        "problem_path": path}
+                yield case, ["--order", str(order), "--side", side]
 
 
 def main(argv=None):
@@ -80,14 +101,18 @@ def main(argv=None):
                 out_dir = os.path.join(case_dir, "out")
                 os.makedirs(out_dir)
                 wl.write_problems(cases, case_dir)
-                for case in cases:
+                runs = [(workload, case, ()) for case in cases]
+                if workload == "analyze":
+                    runs += [("probe", case, options)
+                             for case, options in probe_cases(cases)]
+                for name, case, options in runs:
                     # the CLI reports breakdowns on stderr by design
                     sys.stderr = devnull
                     try:
-                        outcome, digest = case_digest(run, cli, case, out_dir)
+                        outcome, digest = case_digest(run, cli, case, out_dir, options)
                     finally:
                         sys.stderr = real_stderr
-                    print(workload, seed, case["id"], outcome, digest)
+                    print(name, seed, case["id"], outcome, digest)
 
 
 if __name__ == "__main__":
