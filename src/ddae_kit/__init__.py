@@ -54,8 +54,6 @@ from .history import (
     SplicingReport,
     check_admissible,
     check_index3_uniqueness,
-    check_second_splicing,
-    check_smoothness_condition,
     construct_probe_history,
     splicing_report,
 )

@@ -4,11 +4,13 @@ The solution of the first segment is pinned down by the history's
 derivative data at -tau (through the algebraic part) and by its value at
 0 (through the differential part).  Admissibility asks that the history
 endpoint is a consistent initial value; the splicing conditions ask that
-the transition from history to solution is C^1 respectively C^2.  The
-probe constructor inverts this logic: it builds a history whose
-transition is smooth up to a requested order and then misses by a
-prescribed vector, which turns the worst-case statements of the
-classification into observable solver behavior.
+the transition from history to solution is C^1 respectively C^2.  All
+of them, and the observed smoothness order, read one Taylor stack of the
+first segment at t = 0 (splicing_report).  The probe constructor
+inverts this logic: it builds a history whose transition is smooth up to
+a requested order and then misses by a prescribed vector, which turns
+the worst-case statements of the classification into observable solver
+behavior.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import DdaeSystem, SplitCoefficients, f_derivs_x, solution_taylor
+from .model import DdaeSystem, SplitCoefficients, solution_taylor, taylor_forcing
 from .pencil import negligible, norm2
 from .piecewise import PiecewisePolynomial
 
@@ -90,42 +92,6 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
     return is_consistent(residual, phi0, q[0]), residual
 
 
-def _transition_residual(sys: DdaeSystem, split: SplitCoefficients, order: int):
-    """Residual of the C^order transition condition at t = 0.
-
-    With j = order - 1, phi^{(j+1)}(0) must equal A_diff phi^{(j)}(0)
-    + sum_{k=0}^{nu} (B_k phi^{(k+j)}(-tau) + C_k f^{(k+j)}(0)).
-    """
-    nu, j = split.nu, order - 1
-    phi_tau = sys.phi.derivatives(-sys.tau, nu + j, side="right")
-    f0 = sys.f.derivatives(0.0, nu + j, side="right")
-    rhs = split.A_diff @ sys.phi.evaluate(0.0, order=j, side="left")
-    for k in range(nu + 1):
-        rhs = rhs + split.B[k] @ phi_tau[k + j] + split.C[k] @ f0[k + j]
-    lhs = sys.phi.evaluate(0.0, order=order, side="left")
-    residual = float(np.linalg.norm(lhs - rhs))
-    scale = 1.0 + max(float(np.linalg.norm(v)) for v in (lhs, rhs, *phi_tau, *f0))
-    return residual <= FLAG_TOL * scale, residual
-
-
-def check_smoothness_condition(sys: DdaeSystem, split: SplitCoefficients):
-    """Residual of the C^1 transition condition at t = 0.
-
-    phi'(0) must equal A_diff phi(0)
-    + sum_{k=0}^{nu} (B_k phi^{(k)}(-tau) + C_k f^{(k)}(0)).
-    """
-    return _transition_residual(sys, split, 1)
-
-
-def check_second_splicing(sys: DdaeSystem, split: SplitCoefficients):
-    """Residual of the C^2 transition condition at t = 0.
-
-    phi''(0) must equal A_diff phi'(0)
-    + sum_{k=0}^{nu} (B_k phi^{(k+1)}(-tau) + C_k f^{(k+1)}(0)).
-    """
-    return _transition_residual(sys, split, 2)
-
-
 def _row_norms(rows):
     """||row|| for each row of a 2-D stack, bit for bit np.linalg.norm(row):
     a row times itself through matmul reaches the same BLAS dot."""
@@ -149,30 +115,32 @@ def agreement_order(left, right, top, tol, first=0):
     return first + agree.index(False) - 1 if False in agree else top
 
 
-def observed_kappa(sys: DdaeSystem, split: SplitCoefficients, cap=None):
-    """Largest order up to which history and solution derivatives agree."""
-    nu = split.nu
-    cap = nu + 2 if cap is None else cap
-    q = first_segment_q_derivs(sys, cap + max(nu, 1))
-    phi0 = sys.phi.evaluate(0.0, side="left")
-    xs, _ = solution_taylor(split, phi0, q, cap)
-    history = sys.phi.derivatives(0.0, cap, side="left")
-    return agreement_order(history, xs, cap, FLAG_TOL)
-
-
 def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport:
-    adm, adm_res = check_admissible(sys, split)
-    c1, c1_res = check_smoothness_condition(sys, split)
-    c2, c2_res = check_second_splicing(sys, split)
-    return SplicingReport(
-        admissible=adm,
-        admissible_residual=adm_res,
-        smooth_c1=c1,
-        smooth_c1_residual=c1_res,
-        smooth_c2=c2,
-        smooth_c2_residual=c2_res,
-        kappa_observed=observed_kappa(sys, split),
-    )
+    """Admissibility, the C^1 and C^2 splicing conditions and kappa, all
+    from one Taylor stack of the first segment at t = 0.
+
+    q = D phi(. - tau) + f and the history's left derivatives at 0 are
+    formed once.  The C^(j+1) condition asks that phi^{(j+1)}(0) =
+    A_diff phi^{(j)}(0) + r_j (r_j from taylor_forcing) within FLAG_TOL
+    of 1 + the largest norm among both sides and q's rows 0..nu+j.
+    kappa compares the history stack with the solution's derivatives
+    from phi(0); admissibility is the solver's gate, check_admissible.
+    """
+    nu = split.nu
+    cap = nu + 2
+    q = first_segment_q_derivs(sys, cap + max(nu, 1))
+    hist = sys.phi.derivatives(0.0, cap, side="left")
+    r = taylor_forcing(split, q, 2)
+    splices = []
+    for j in (0, 1):
+        lhs, rhs = hist[j + 1], split.A_diff @ hist[j] + r[j]
+        residual = float(np.linalg.norm(lhs - rhs))
+        scale = 1.0 + max(float(np.linalg.norm(v)) for v in (lhs, rhs, *q[: nu + j + 1]))
+        splices += [residual <= FLAG_TOL * scale, residual]
+    xs, _ = solution_taylor(split, hist[0], q, cap)
+    # the fields in order: each verdict with its residual, then kappa
+    return SplicingReport(*check_admissible(sys, split), *splices,
+                          agreement_order(hist, xs, cap, FLAG_TOL))
 
 
 def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
@@ -262,8 +230,7 @@ def construct_probe_history(
     # first-segment solution derivatives at 0+ from the data at -tau
     T, T_inv = split.qwf.T, split.qwf.T_inv
     x0 = T @ np.concatenate([psi0_free, np.zeros(n_a)])
-    Sf = sys.f.apply_matrix(split.qwf.S)
-    q = (vals_left @ T.T) @ split.D.T + f_derivs_x(split, Sf, 0.0, K, "right")
+    q = (vals_left @ T.T) @ split.D.T + sys.f.derivatives(0.0, K, side="right")
     xs, _ = solution_taylor(split, x0, q, m)
 
     vals_right = np.zeros((K + 1, split.n), dtype=np.result_type(xs, target))

@@ -79,7 +79,7 @@ class DdaeSystem:
         n = pencil.n
         if self.f.n != n or self.phi.n != n:
             raise DimensionMismatch("data functions must have value dimension n")
-        tol = _DOMAIN_RTOL * max(1.0, self.horizon_intervals * self.tau)
+        tol = _DOMAIN_RTOL * self.t_final
         if abs(self.phi.start + self.tau) > tol or abs(self.phi.end) > tol:
             raise DimensionMismatch("phi must be defined exactly on [-tau, 0]")
         if (
@@ -114,11 +114,12 @@ class DdaeSystem:
 class SplitCoefficients:
     """The matrices derived from a quasi-Weierstrass form and a delay matrix.
 
-    The C_k chain drives the inherent ODE x' = A_diff x + sum C_k q^{(k)};
-    B_k = C_k D are its delayed counterparts.  The blocks of S D T couple
-    slow and fast parts of the delayed argument.  No data function is
-    held here: the transformed inhomogeneity S f and history T^{-1} phi
-    are formed from the system by the code that reads them.
+    The C_k chain drives the inherent ODE x' = A_diff x + sum C_k q^{(k)},
+    q = D x(. - tau) + f the segment inhomogeneity.  The blocks of S D T
+    couple slow and fast parts of the delayed argument.  No data function
+    is held here: the transformed inhomogeneity S f and history
+    T^{-1} phi are formed from the system by the code that reads them,
+    and f's own derivatives are read from f.
     """
 
     qwf: QuasiWeierstrassForm
@@ -126,7 +127,6 @@ class SplitCoefficients:
     A_diff: np.ndarray
     A_con: np.ndarray
     C: tuple
-    B: tuple
     B_d: np.ndarray
     B_a: np.ndarray
     B_d1: np.ndarray
@@ -224,7 +224,6 @@ def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
         N_pow = N_pow @ N
 
     D = np.asarray(D)
-    B_list = [Ck @ D for Ck in C_list]
     SD = S @ D
     SDT = SD @ T
     return SplitCoefficients(
@@ -233,7 +232,6 @@ def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
         A_diff=A_diff,
         A_con=A_con,
         C=tuple(C_list),
-        B=tuple(B_list),
         B_d=SD[:n_d, :],
         B_a=SD[n_d:, :],
         B_d1=SDT[:n_d, :n_d],
@@ -337,11 +335,11 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
 def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orders):
     """Like solution_taylor but trusts x_value as the order-0 entry.
 
-    x^{(j+1)} = A_diff x^{(j)} + r_j with r_j = sum_k C_k q^{(k+j)}: every
-    r_j comes from nu+1 stacked products.  The recursion then advances
-    in blocks of up to TAYLOR_BLOCK orders through split.taylor_blocks:
-    one product applies L to the forcing of every block at once, and each
-    block adds P x^{(j)}, with x^{(j)} the last order before the block.
+    x^{(j+1)} = A_diff x^{(j)} + r_j with r_j from taylor_forcing.  The
+    recursion advances in blocks of up to TAYLOR_BLOCK orders through
+    split.taylor_blocks: one product applies L to the forcing of every
+    block at once, and each block adds P x^{(j)}, with x^{(j)} the last
+    order before the block.
     Orders past the first non-finite forcing row, or past a block's first
     non-finite order, go one at a time.
     """
@@ -354,7 +352,7 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     x_value = np.asarray(x_value)
     if not orders:
         return x_value[None].copy()
-    r = sum(q_derivs[k : k + orders] @ split.C[k].T for k in range(nu + 1))
+    r = taylor_forcing(split, q_derivs, orders)
     xs = np.empty(
         (orders + 1,) + x_value.shape, dtype=np.result_type(x_value, r, split.A_diff)
     )
@@ -382,28 +380,16 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     return xs
 
 
+def taylor_forcing(split: SplitCoefficients, q_derivs, orders):
+    """Forcing rows r_0..r_{orders-1} of the Taylor recursion,
+    r_j = sum_{k=0}^{nu} C_k q^{(k+j)}, from nu+1 stacked products."""
+    return sum(q_derivs[k : k + orders] @ split.C[k].T for k in range(split.nu + 1))
+
+
 def _finite_rows(X):
     """Number of leading rows of X whose entries are all finite."""
     finite = np.isfinite(X).all(axis=1)
     return len(X) if finite.all() else int(finite.argmin())
-
-
-def f_derivs_x(split: SplitCoefficients, data: PiecewisePolynomial, s, orders, side):
-    """Derivatives 0..orders of the original inhomogeneity f = S^{-1} data
-    at global time s, shape (orders+1, n); data is the transformed S f."""
-    return data.derivatives(s, orders, side=side) @ split.qwf.S_inv.T
-
-
-def f_knot_table(split: SplitCoefficients, data: PiecewisePolynomial, times, side):
-    """Rows 0..d of f_derivs_x at each of times, shape (len(times), d+1, n).
-
-    data is the transformed S f and d its highest piece degree: every
-    derivative row above d is exactly zero, so it is not stored.  One
-    derivatives call and one product with S^{-1} serve every time.
-    """
-    d = data.max_degree
-    gh = data.derivatives(times, d, side=side)
-    return (gh.reshape(-1, data.n) @ split.qwf.S_inv.T).reshape(len(times), d + 1, -1)
 
 
 def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:

@@ -203,7 +203,7 @@ class PiecewisePolynomial:
         norm_pieces.sort(key=lambda p: p[0])
         span = norm_pieces[-1][1] - norm_pieces[0][0]
         for left, right in zip(norm_pieces, norm_pieces[1:]):
-            if abs(left[1] - right[0]) > _BOUNDARY_RTOL * max(1.0, span):
+            if abs(left[1] - right[0]) > _BOUNDARY_RTOL * span:
                 raise DimensionMismatch(
                     f"pieces not contiguous at t={left[1]} vs t={right[0]}"
                 )
@@ -269,7 +269,7 @@ class PiecewisePolynomial:
         return any(np.iscomplexobj(p[2]) for p in self.pieces)
 
     def _tol(self):
-        return _BOUNDARY_RTOL * max(1.0, self.end - self.start)
+        return _BOUNDARY_RTOL * (self.end - self.start)
 
     def _locate(self, t, side="right"):
         tol = self._tol()

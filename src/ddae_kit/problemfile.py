@@ -88,7 +88,7 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
             raise MalformedProblem(f"{name}[{k}] needs start, end, coeffs") from exc
         if not end > start:
             raise MalformedProblem(f"{name}[{k}]: piece boundaries must increase")
-        if prev_end is not None and abs(start - prev_end) > 1e-9 * max(1.0, hi - lo):
+        if prev_end is not None and abs(start - prev_end) > 1e-9 * (hi - lo):
             raise MalformedProblem(f"{name}: pieces must be contiguous")
         prev_end = end
         if not isinstance(coeffs, list) or not coeffs:
@@ -103,7 +103,7 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
                 [_decode_scalar(v, complex_field, f"{name}[{k}].coeffs[{j}]") for v in vec]
             )
         pieces.append((start, end, np.array(mat)))
-    tol = 1e-9 * max(1.0, hi - lo)
+    tol = 1e-9 * (hi - lo)
     if abs(pieces[0][0] - lo) > tol or abs(pieces[-1][1] - hi) > tol:
         raise MalformedProblem(f"{name} must cover [{lo}, {hi}] exactly")
     return PiecewisePolynomial(pieces, n)

@@ -8,7 +8,7 @@ at a low degree first and at the top degree only where the low degree
 does not resolve the piece.  Every segment of a sweep is the same DAE
 segment with new data, so one Sweep builds each operator a segment
 applies once: the collocation inverses and Vandermonde rows, the
-fast-part operators, the data windows in Chebyshev form and f's
+fast-part operators, the data windows in Chebyshev form and f's own
 derivative tables at the knots.
 Restart values are never projected: a violation of the consistency
 condition is the de-smoothing failure mode and is reported, not
@@ -42,7 +42,6 @@ from .model import (
     FastPart,
     SplitCoefficients,
     build_split,
-    f_knot_table,
     segment_window,
     solution_taylor,
     solution_taylor_from_value,
@@ -124,7 +123,8 @@ class Trajectory:
         if not self.segments:
             raise DimensionMismatch("empty trajectory")
         t = float(t)
-        eps = 1e-12 * max(1.0, self.t_end)
+        # t / tau runs over [0, segments]: the snap is relative to that span
+        eps = 1e-12 * len(self.segments)
         if side == "left":
             i = int(np.ceil(t / self.tau - eps))
         else:
@@ -377,10 +377,11 @@ class Sweep:
         data = sys.f.apply_matrix(split.qwf.S)
         self.windows = [segment_window(data, i, tau).to_chebyshev()
                         for i in range(first, last + 1)]
-        # knot times from the segments' own length tau
+        # knot times from the segments' own length tau; rows past f's degree are 0
         knots = np.arange(first - 1, last + 1) * tau
-        self.f_table = np.stack([f_knot_table(split, data, knots[:-1], "right"),
-                                 f_knot_table(split, data, knots[1:], "left")], axis=1)
+        d = sys.f.max_degree
+        self.f_table = np.stack([sys.f.derivatives(knots[:-1], d, side="right"),
+                                 sys.f.derivatives(knots[1:], d, side="left")], axis=1)
 
     def f_knots(self, i, count):
         """f's derivatives 0..count-1 at the start and at the end of

@@ -155,7 +155,8 @@ def _newton(E, A, D, tau, seeds):
     singular M does every lane solve alone, so the singular one stops.
     The step and the stop tests use Python complex arithmetic (numpy
     divides complex numbers differently in the last bit), so every lane
-    follows the same iterates as a Newton run from its seed alone.  An
+    follows the same iterates as a Newton run from its seed alone; only
+    the moduli are np.abs, which is inf where Python's abs raises.  An
     iterate far in the left half-plane overflows exp(-lambda tau); the
     warnings are silenced because the non-finite log-derivative already
     stops that lane and the box filter drops the candidate.
@@ -175,11 +176,11 @@ def _newton(E, A, D, tau, seeds):
                 logderivs = [_logderiv(E, D, tau, x, Mx) for x, Mx in zip(lam, M)]
             still = []
             for k, logderiv in zip(active, logderivs):
-                if logderiv is None or abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+                if logderiv is None or not 0.0 < np.abs(logderiv) < np.inf:
                     continue
                 step = 1.0 / logderiv
                 lams[k] -= step
-                if not abs(step) <= 1e-13 * (1.0 + abs(lams[k])):
+                if not np.abs(step) <= 1e-13 * (1.0 + np.abs(lams[k])):
                     still.append(k)
             active = still
     return lams
@@ -190,9 +191,13 @@ def _residuals(E, A, D, tau, lams):
     from one stacked determinant and one stacked SVD."""
     M = _char_matrix(E, A, D, tau, np.array(lams))
     n = M.shape[-1]
-    dets = np.linalg.det(M).tolist()
     norms = np.linalg.svd(M, compute_uv=False)[:, 0].tolist() if n else [0.0] * len(lams)
-    return [abs(d) for d in dets], [RESIDUAL_TOL * max(1.0, s) ** n for s in norms]
+    # numpy's hypot and power give inf where Python's abs and ** raise; a
+    # non-finite residual fails its bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = np.linalg.det(M)
+        return (np.hypot(det.real, det.imag).tolist(),
+                [RESIDUAL_TOL * np.float64(max(1.0, s)) ** n for s in norms])
 
 
 def spectral_abscissa_matrices(
@@ -221,11 +226,13 @@ def spectral_abscissa_matrices(
     cell_im = (box.im_max - im_min) / (g_im - 1)
 
     # hypot, not np.abs: np.abs rounds complex arrays differently in the
-    # last bit from the scalar |det| that Newton and char_function see
+    # last bit from the scalar |det| that Newton and char_function see; a
+    # determinant that overflows far left in the box is a large magnitude
     mag = np.empty((g_re, g_im))
-    for i, x in enumerate(res):
-        det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
-        mag[i] = np.hypot(det.real, det.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(res):
+            det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
+            mag[i] = np.hypot(det.real, det.imag)
 
     seeds = [complex(res[i], ims[j]) for i, j in _local_minima(mag)]
     pad_re, pad_im = 2 * cell_re, 2 * cell_im

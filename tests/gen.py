@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 import ddae_kit as dk
+from ddae_kit.history import FLAG_TOL
 from ddae_kit.pencil import norm2
 from ddae_kit.piecewise import Piece
 from ddae_kit.stability import NEWTON_MAX_ITER, _char_matrix
@@ -67,6 +68,24 @@ def taylor_per_order(split, x_value, q_derivs, orders):
             nxt = nxt + split.C[k] @ q_derivs[k + j]
         xs.append(nxt)
     return np.stack(xs)
+
+
+def transition_residual_per_term(sys, split, order):
+    """Reference for the C^order rows of history.splicing_report, order 1
+    or 2: with j = order - 1, phi^(j+1)(0) must equal A_diff phi^(j)(0)
+    + sum_k (C_k D phi^(k+j)(-tau) + C_k f^(k+j)(0)), term by term, within
+    FLAG_TOL of 1 + the largest norm among both sides and the rows of
+    phi(. - tau) and of f.  Returns (holds, residual)."""
+    nu, j = split.nu, order - 1
+    phi_tau = sys.phi.derivatives(-sys.tau, nu + j, side="right")
+    f0 = sys.f.derivatives(0.0, nu + j, side="right")
+    rhs = split.A_diff @ sys.phi.evaluate(0.0, order=j, side="left")
+    for k in range(nu + 1):
+        rhs = rhs + (split.C[k] @ sys.D) @ phi_tau[k + j] + split.C[k] @ f0[k + j]
+    lhs = sys.phi.evaluate(0.0, order=order, side="left")
+    residual = float(np.linalg.norm(lhs - rhs))
+    scale = 1.0 + max(float(np.linalg.norm(v)) for v in (lhs, rhs, *phi_tau, *f0))
+    return residual <= FLAG_TOL * scale, residual
 
 
 def fast_per_order(N, q_f, nu):

@@ -306,8 +306,8 @@ def test_criterion_10_splicing_suite():
         sys_good = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                  horizon_intervals=6, f=sys_.f, phi=phi_good)
         split_good = dk.build_split(sys_good, qwf=split.qwf)
-        assert dk.check_smoothness_condition(sys_good, split_good)[0]
-        assert dk.check_second_splicing(sys_good, split_good)[0]
+        good = dk.splicing_report(sys_good, split_good)
+        assert good.smooth_c1 and good.smooth_c2
         traj, ledger = dk.method_of_steps(sys_good, split_good)
         assert len(traj.segments) == 6
         assert not ledger.has_inconsistent
@@ -321,7 +321,7 @@ def test_criterion_10_splicing_suite():
                                 horizon_intervals=6, f=sys_.f, phi=phi_bad)
         split_bad = dk.build_split(sys_bad, qwf=split.qwf)
         assert dk.check_admissible(sys_bad, split_bad)[0]
-        assert not dk.check_smoothness_condition(sys_bad, split_bad)[0]
+        assert not dk.splicing_report(sys_bad, split_bad).smooth_c1
         traj_bad, ledger_bad = dk.method_of_steps(sys_bad, split_bad)
         orders = [e.matched_order for e in ledger_bad.entries]
         assert ledger_bad.has_inconsistent or all(

@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -394,6 +395,29 @@ class TestSolveCommand:
         assert main(["solve", problem, *outs]) == 4
         assert "not admissible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6])
+    def test_tiny_delay_solves(self, tmp_path, tau):
+        # domain tolerances are relative to the span: with a floor of 1e-9
+        # absolute, tau <= 1e-9 dropped every window piece and raised
+        # IndexError; x' = -x + x(t - tau) / 2 with phi = 1 jumps at order
+        # k + 1 by 2^-(k+1) at knot k, whatever tau
+        f = dk.PiecewisePolynomial.zero(1, 0.0, 2 * tau)
+        phi = dk.PiecewisePolynomial.constant([1.0], -tau, 0.0)
+        sys_ = dk.DdaeSystem(E=[[1.0]], A=[[-1.0]], D=[[0.5]], tau=tau,
+                             horizon_intervals=2, f=f, phi=phi)
+        problem = write_problem(tmp_path, sys_)
+        out_csv, out_ledger = str(tmp_path / "traj.csv"), str(tmp_path / "ledger.json")
+        assert main(["solve", problem, out_csv, out_ledger]) == 0
+        knots = read_json(out_ledger)["knots"]
+        assert [k["first_jump_order"] for k in knots] == [1, 2]
+        assert [k["jump_norm"] for k in knots] == pytest.approx([0.5, 0.25], rel=1e-9)
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[-1]["t"]) == pytest.approx(2 * tau, rel=1e-12)
+        # x(t) = 1/2 + e^-t / 2 on the first segment
+        first = [r for r in rows if float(r["t"]) <= tau]
+        assert float(first[-1]["x_1"]) == pytest.approx(0.5 + 0.5 * np.exp(-tau), rel=1e-12)
+
     def test_advanced_exit_code_two(self, tmp_path):
         problem = write_problem(tmp_path, example_advanced())
         out_csv = str(tmp_path / "traj.csv")
@@ -527,6 +551,28 @@ class TestStabilityCommand:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["stability", problem, str(tmp_path / "stab.json")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "base, entry, value",
+        [(example_neutral, "D", 37.0), (example_advanced, "D", 77.0),
+         (example_neutral, "A", 139.0)],
+        ids=["logderiv-modulus", "residual-bound", "newton-step"],
+    )
+    def test_overflowing_moduli_keep_exit_zero(self, tmp_path, capsys, base, entry, value):
+        # fuzzed problem files on which a 20 x 20 search raised
+        # OverflowError: Python's abs of a complex log-derivative or Newton
+        # step, and ||M||^n in the residual bound, overflowed; the lanes and
+        # candidates whose moduli leave the float range are dropped, quietly
+        sys_ = base()
+        M = np.array(getattr(sys_, entry))
+        M[0, 0] = value
+        problem = write_problem(tmp_path, replace(sys_, **{entry: M}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["stability", problem, str(tmp_path / "stab.json"),
+                         "--grid", "20"]) == 0
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
 

@@ -10,6 +10,7 @@ from gen import (
     example_neutral,
     example_slow_smoothing,
     random_regular_pencil,
+    transition_residual_per_term,
     weak_desmoothing_system,
 )
 
@@ -20,6 +21,13 @@ def with_history(sys, phi, qwf=None):
         horizon_intervals=sys.horizon_intervals, f=sys.f, phi=phi,
     )
     return new, dk.build_split(new, qwf=qwf)
+
+
+def splice(sys, split, order):
+    """(holds, residual) of the C^order splicing condition, order 1 or 2."""
+    report = dk.splicing_report(sys, split)
+    return (getattr(report, f"smooth_c{order}"),
+            getattr(report, f"smooth_c{order}_residual"))
 
 
 def stationary_system(rng, n=3, horizon=3):
@@ -63,7 +71,7 @@ class TestSmoothnessCondition:
     def test_slow_smoothing_history_fails(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        ok, residual = dk.check_smoothness_condition(sys, split)
+        ok, residual = splice(sys, split, 1)
         assert not ok
         assert residual > 1.0
 
@@ -72,8 +80,8 @@ class TestSmoothnessCondition:
         sys = stationary_system(rng)
         split = dk.build_split(sys)
         assert dk.check_admissible(sys, split)[0]
-        assert dk.check_smoothness_condition(sys, split)[0]
-        assert dk.check_second_splicing(sys, split)[0]
+        assert splice(sys, split, 1)[0]
+        assert splice(sys, split, 2)[0]
 
     def test_probe_with_zero_target_satisfies_c1(self):
         sys = example_slow_smoothing()
@@ -81,7 +89,7 @@ class TestSmoothnessCondition:
         phi = dk.construct_probe_history(sys, split, m=1, target=np.zeros(1), side="slow")
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
         assert dk.check_admissible(sys2, split2)[0]
-        assert dk.check_smoothness_condition(sys2, split2)[0]
+        assert splice(sys2, split2, 1)[0]
 
 
 class TestSecondSplicing:
@@ -91,8 +99,8 @@ class TestSecondSplicing:
         # second-order identity happens to hold (both sides vanish)
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
-        assert not dk.check_smoothness_condition(sys, split)[0]
-        ok, residual = dk.check_second_splicing(sys, split)
+        assert not splice(sys, split, 1)[0]
+        ok, residual = splice(sys, split, 2)
         assert ok
         assert residual == pytest.approx(0.0, abs=1e-12)
 
@@ -101,8 +109,67 @@ class TestSecondSplicing:
         split = dk.build_split(sys)
         phi = dk.construct_probe_history(sys, split, m=2, target=np.zeros(1), side="slow")
         sys2, split2 = with_history(sys, phi, qwf=split.qwf)
-        assert dk.check_smoothness_condition(sys2, split2)[0]
-        assert dk.check_second_splicing(sys2, split2)[0]
+        assert splice(sys2, split2, 1)[0]
+        assert splice(sys2, split2, 2)[0]
+
+
+def random_histories(rng, n, nu):
+    """Systems of index nu with random data: a random history, which
+    misses the splicing conditions, and probe histories that meet C^1
+    (m = 1), C^1 and C^2 (m = 2), or miss C^1 by a unit target."""
+    E, A, truth = random_regular_pencil(rng, n, n_d=n - nu if nu else n, nu=nu)
+    D = rng.standard_normal((n, n))
+    f = dk.PiecewisePolynomial([(0.0, 1.5, rng.standard_normal((3, n))),
+                                (1.5, 3.0, rng.standard_normal((2, n)))])
+    phi = dk.PiecewisePolynomial([(-1.0, -0.4, rng.standard_normal((4, n))),
+                                  (-0.4, 0.0, rng.standard_normal((5, n)))])
+    sys = dk.DdaeSystem(E=E, A=A, D=D, tau=1.0, horizon_intervals=3, f=f, phi=phi)
+    split = dk.build_split(sys)
+    assert split.nu == nu
+    yield sys, split
+    side, dim = ("slow", truth["n_d"]) if truth["n_d"] else ("fast", truth["n_a"])
+    for m, target in ((1, np.zeros(dim)), (2, np.zeros(dim)), (1, np.eye(dim)[0])):
+        if m + nu <= 6:
+            probe = dk.construct_probe_history(sys, split, m, target, side=side)
+            yield with_history(sys, probe, qwf=split.qwf)
+
+
+class TestSplicingStack:
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+    def test_same_verdicts_as_the_per_term_formula(self, nu):
+        # the C^m rows from q = D phi(. - tau) + f and the recursion's
+        # forcing reach the per-term formula's verdicts, and its residuals
+        # within 1e-12 relative plus absolute
+        rng = np.random.default_rng(100 + nu)
+        seen = set()
+        for n in range(max(nu, 1), nu + 3):
+            for sys, split in random_histories(rng, n, nu):
+                report = dk.splicing_report(sys, split)
+                for order in (1, 2):
+                    holds, residual = transition_residual_per_term(sys, split, order)
+                    assert getattr(report, f"smooth_c{order}") == holds
+                    new = getattr(report, f"smooth_c{order}_residual")
+                    assert abs(new - residual) <= 1e-12 * (1.0 + residual)
+                    seen.add((order, holds))
+        # both verdicts of both conditions occur
+        assert seen == {(1, True), (1, False), (2, True), (2, False)}
+
+    def test_phi_read_at_minus_tau_twice(self, monkeypatch):
+        # admissibility (the solver's gate) and the report's one Taylor
+        # stack each read phi's derivatives at -tau once
+        sys = example_slow_smoothing()
+        split = dk.build_split(sys)
+        calls = []
+        original = dk.PiecewisePolynomial.derivatives
+
+        def counted(self, t, orders, side="right"):
+            if self is sys.phi and np.ndim(t) == 0 and t == -sys.tau:
+                calls.append(orders)
+            return original(self, t, orders, side)
+
+        monkeypatch.setattr(dk.PiecewisePolynomial, "derivatives", counted)
+        dk.splicing_report(sys, split)
+        assert len(calls) == 2
 
 
 class TestIndex3:

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit.history import first_segment_q_derivs
 from ddae_kit.model import (
     TAYLOR_BLOCK,
     FastPart,
-    f_derivs_x,
-    f_knot_table,
     solution_taylor,
     solution_taylor_from_value,
+    taylor_forcing,
 )
 from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL
+from ddae_kit.solver import Sweep
 
 from gen import (
     example_advanced,
@@ -143,24 +144,33 @@ class TestUnderlyingEquations:
         assert forcing.max_degree <= 4
 
     def test_dde_coeff_chain(self):
+        # the recursion's forcing applies C_k to q = D phi(. - tau) + f: per
+        # term, the delayed chain C_k D on phi^(k)(-tau) plus C_k on f^(k)(0)
         sys = example_advanced()
         split = dk.build_split(sys)
-        B, C = split.B, split.C
-        assert len(B) == split.nu + 1 == 3
-        for Bk, Ck in zip(B, C):
-            assert np.allclose(Bk, Ck @ sys.D, atol=1e-12)
-        assert np.linalg.norm(B[2], 2) > 0.5  # nonzero top coefficient
+        assert len(split.C) == split.nu + 1 == 3
+        phi_tau = sys.phi.derivatives(-sys.tau, 4, side="right")
+        f0 = sys.f.derivatives(0.0, 4, side="right")
+        r = taylor_forcing(split, first_segment_q_derivs(sys, 4), 2)
+        for j in range(2):
+            per_term = sum(Ck @ sys.D @ phi_tau[k + j] + Ck @ f0[k + j]
+                           for k, Ck in enumerate(split.C))
+            assert np.allclose(r[j], per_term, rtol=1e-12, atol=1e-12)
+        assert np.linalg.norm(split.C[2] @ sys.D, 2) > 0.5  # nonzero top coefficient
 
     def test_zero_delay_kills_B(self):
+        # with D = 0 the delayed chain C_k D vanishes and q is f itself
         rng = np.random.default_rng(4)
         E, A, _ = random_regular_pencil(rng, 3)
-        f = dk.PiecewisePolynomial.zero(3, 0.0, 2.0)
-        phi = dk.PiecewisePolynomial.zero(3, -1.0, 0.0)
+        f = dk.PiecewisePolynomial([(0.0, 2.0, rng.standard_normal((3, 3)))])
+        phi = dk.PiecewisePolynomial([(-1.0, 0.0, rng.standard_normal((4, 3)))])
         sys = dk.DdaeSystem(E=E, A=A, D=np.zeros((3, 3)), tau=1.0,
                             horizon_intervals=2, f=f, phi=phi)
         split = dk.build_split(sys)
-        for Bk in split.B:
-            assert np.linalg.norm(Bk, 2) <= 1e-12
+        for Ck in split.C:
+            assert np.linalg.norm(Ck @ sys.D, 2) <= 1e-12
+        assert np.array_equal(first_segment_q_derivs(sys, 5),
+                              f.derivatives(0.0, 5, side="right"))
 
 
 class TestFastSubsystem:
@@ -383,24 +393,24 @@ class TestSolutionTaylor:
 
 class TestKnotTable:
     @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
-    def test_rows_bit_identical_to_f_derivs_x(self, basis):
-        # at every knot and, so that the side picks the piece, at the
-        # data's own breakpoints
+    def test_rows_bit_identical_to_f_derivatives(self, basis):
+        # the sweep tabulates f's own derivatives at both ends of every
+        # segment: rows 0..d bit for bit those of f.derivatives, every
+        # higher row zero, and within rounding of S^-1 (S f)
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
+        M, d = sys.horizon_intervals, sys.f.max_degree
+        sweep = Sweep(sys, split, dk.SolverConfig(), 1, M)
+        assert sweep.f_table.shape == (M, 2, d + 1, sys.n)
         data = sys.f.apply_matrix(split.qwf.S)
-        d = data.max_degree
-        knots = np.arange(sys.horizon_intervals + 1) * sys.tau
-        knots = np.union1d(knots, data.breakpoints)
-        assert len(knots) == sys.horizon_intervals + 4
-        for side, times in (("right", knots[:-1]), ("left", knots[1:])):
-            table = f_knot_table(split, data, times, side)
-            assert table.shape == (len(times), d + 1, sys.n)
-            for t, rows in zip(times, table):
-                full = f_derivs_x(split, data, t, 3 * d + 5, side)
-                assert rows.tobytes() == full[: d + 1].tobytes()
+        for i in range(1, M + 1):
+            ends = sweep.f_knots(i, 3 * d + 6)  # orders 0..3d+5
+            for rows, t, side in zip(ends, ((i - 1) * sys.tau, i * sys.tau), ("right", "left")):
+                full = sys.f.derivatives(t, 3 * d + 5, side=side)
+                assert rows.tobytes() == full.tobytes()
                 assert full[d + 1 :].tobytes() == np.zeros_like(full[d + 1 :]).tobytes()
-                assert rows.tobytes() == f_derivs_x(split, data, t, d, side).tobytes()
+                via_S = data.derivatives(t, d, side=side) @ split.qwf.S_inv.T
+                assert np.allclose(rows[: d + 1], via_S, rtol=1e-12, atol=1e-12)
 
 
 class TestSystemValidation:

@@ -218,9 +218,7 @@ class TestMethodOfSteps:
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=5, f=sys.f, phi=phi)
         split2 = dk.build_split(sys2, qwf=split.qwf)
-        from ddae_kit.history import observed_kappa
-
-        kappa = observed_kappa(sys2, split2)
+        kappa = dk.splicing_report(sys2, split2).kappa_observed
         assert kappa == 1
         _, ledger = dk.method_of_steps(sys2, split2, dk.SolverConfig(k_max=4))
         for entry in ledger.entries:

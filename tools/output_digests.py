@@ -1,4 +1,4 @@
-"""One outcome and one sha256 per benchmark case: which CLI outputs a change alters.
+"""One outcome and two hashes per benchmark case: which CLI outputs a change alters.
 
     python3 tools/output_digests.py SRC > digests.txt
 
@@ -9,7 +9,7 @@ each case through ``ddae_kit.cli.main`` imported from the directory SRC
 names and exception handling of bench/run.py, and prints one line per
 case:
 
-    <workload> <seed> <case id> <outcome> <sha256 of the output files>
+    <workload> <seed> <case id> <outcome> <sha256 of the output files> <decisions>
 
 The bench never runs ``probe``, so each problem file of the analyze
 workload is also run as ``probe --order {1,2} --side {slow,fast}``; these
@@ -20,10 +20,16 @@ The outcome is two words, ``exit N`` or ``raised <exception type>``, so
 every tree prints one line per case, in the same order, and a crash
 shows up as a changed outcome rather than a missing line.
 
+The decisions column is a sha256 over what rounding leaves alone: each
+JSON output with every float leaf dropped (so its verdicts, orders,
+counts and flags remain) and each CSV's row count and side column.
+
 Running it on two source trees with the same bench directory gives two
 lists in the same order; the cases whose outcome column differs are the
-ones whose exit changed, and those with the same outcome and another
-digest are the ones whose output bytes changed.  Each tree needs its own
+ones whose exit changed, those with the same outcome and another
+decisions hash are the ones whose reported decisions changed, and those
+with both equal and another sha256 are the ones whose output bytes
+changed only.  Each tree needs its own
 process, because the package is imported once.  BLAS runs on one
 thread, as in bench/run.py, so the digests do not depend on thread
 scheduling.
@@ -39,6 +45,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import tempfile  # noqa: E402
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -47,22 +54,44 @@ PROBE_ORDERS = (1, 2)
 PROBE_SIDES = ("slow", "fast")
 
 
+def _drop_floats(node):
+    """A parsed JSON value without its float leaves, in dicts and lists."""
+    if isinstance(node, dict):
+        return {k: _drop_floats(v) for k, v in node.items() if not isinstance(v, float)}
+    if isinstance(node, list):
+        return [_drop_floats(v) for v in node if not isinstance(v, float)]
+    return node
+
+
+def decisions(path, data):
+    """The part of one output file that rounding leaves alone, as bytes: a
+    CSV's row count and side column, or a JSON file without its floats."""
+    if path.endswith(".csv"):
+        rows = data.decode("utf-8").splitlines()
+        return "\n".join([str(len(rows))] + [r.rsplit(",", 1)[-1] for r in rows]).encode()
+    return json.dumps(_drop_floats(json.loads(data)), sort_keys=True).encode()
+
+
 def case_digest(run, cli, case, out_dir, options=()):
-    """Run one case, options appended to its argv; its outcome and the
-    sha256 over its output files in order."""
+    """Run one case, options appended to its argv; its outcome, the
+    sha256 over its output files in order and the sha256 over their
+    decisions."""
     run.prepare_argv(case, out_dir)
     case["argv"] += options
     rc, error, _ = run.invoke(cli, case)
     outcome = f"exit {rc}" if error is None else f"raised {type(error).__name__}"
-    digest = hashlib.sha256()
+    digest, kept = hashlib.sha256(), hashlib.sha256()
     for path in case["outputs"]:
         if os.path.exists(path):
             with open(path, "rb") as fh:
-                digest.update(fh.read())
+                data = fh.read()
+            digest.update(data)
+            kept.update(decisions(path, data) + b"\n")
             os.remove(path)
         else:
             digest.update(b"missing\n")
-    return outcome, digest.hexdigest()
+            kept.update(b"missing\n")
+    return outcome, digest.hexdigest(), kept.hexdigest()
 
 
 def probe_cases(cases):
@@ -109,10 +138,10 @@ def main(argv=None):
                     # the CLI reports breakdowns on stderr by design
                     sys.stderr = devnull
                     try:
-                        outcome, digest = case_digest(run, cli, case, out_dir, options)
+                        outcome, *digests = case_digest(run, cli, case, out_dir, options)
                     finally:
                         sys.stderr = real_stderr
-                    print(name, seed, case["id"], outcome, digest)
+                    print(name, seed, case["id"], outcome, *digests)
 
 
 if __name__ == "__main__":
