@@ -32,9 +32,7 @@ from .model import (
     DdaeSystem,
     SplitCoefficients,
     build_split,
-    fast_subsystem_solution,
     split_matrices,
-    underlying_ode_rhs,
 )
 from .classify import (
     BackwardSystem,
@@ -65,7 +63,6 @@ from .solver import (
     Trajectory,
     detect_jumps,
     method_of_steps,
-    solve_hidden_delay_dde,
     solve_segment,
 )
 from .reform import (

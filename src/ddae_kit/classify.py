@@ -85,8 +85,9 @@ def classify_propagation(split: SplitCoefficients, M: int) -> PropagationClass:
     norm_N, n_pow_ba, ba2_pows = split.coupling_norms
     # nilpotency index of B_a2 (None if it is not nilpotent)
     nu_D = first_negligible_power(ba2_pows) if ba2_pows else 0
-    first_violating = next((k for k in range(1, split.nu)
-                            if not negligible(n_pow_ba[k], norm_N**k * n_pow_ba[0])), None)
+    with np.errstate(over="ignore", invalid="ignore"):  # a scale may be inf
+        first_violating = next((k for k in range(1, split.nu) if not negligible(
+            n_pow_ba[k], np.float64(norm_N) ** k * n_pow_ba[0])), None)
     if first_violating is not None:
         kind = PropagationKind.DE_SMOOTHING
     elif nu_D is not None and nu_D < M:

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys as _sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .history import check_index3_uniqueness, construct_probe_history, splicing_
 from .model import build_split, split_matrices
 from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
-from .solver import SolverConfig, method_of_steps
+from .solver import LedgerEntry, SolverConfig, method_of_steps
 from .stability import (SearchBox, assess_exponential_stability, default_box,
                         spectral_abscissa)
 from .cheb import cgl_nodes
@@ -152,13 +152,12 @@ def _write_trajectory_csv(path, sys_, trajectory):
 
 
 def _ledger_payload(ledger, tau):
+    # not asdict, which would deep-copy each jump_vector only to drop it
+    names = [f.name for f in fields(LedgerEntry) if f.name != "jump_vector"]
     return {
         "schema": SCHEMA,
         "tau": float(tau),
-        "knots": [
-            {k: v for k, v in asdict(e).items() if k != "jump_vector"}
-            for e in ledger.entries
-        ],
+        "knots": [{k: getattr(e, k) for k in names} for e in ledger.entries],
     }
 
 

@@ -153,10 +153,11 @@ def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
     """
     N, B_a1, B_a2, B_d2 = split.qwf.N, split.B_a1, split.B_a2, split.B_d2
     index_ok = split.nu <= 3
-    n1 = norm2(N @ B_a2)
-    n2 = norm2(N @ N @ B_a1 @ B_d2)
-    z1 = negligible(n1, norm2(N) * norm2(B_a2))
-    z2 = negligible(n2, norm2(N) ** 2 * norm2(B_a1) * norm2(B_d2))
+    with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
+        n1 = norm2(N @ B_a2)
+        n2 = norm2(N @ N @ B_a1 @ B_d2)
+        z1 = negligible(n1, norm2(N) * norm2(B_a2))
+        z2 = negligible(n2, np.float64(norm2(N)) ** 2 * norm2(B_a1) * norm2(B_d2))
     return Index3Report(
         applicable=bool(index_ok and z1 and z2),
         index_le_3=bool(index_ok),

@@ -30,9 +30,8 @@ from .pencil import (
     norm2,
     power_norms,
 )
-from .piecewise import Piece, PiecewisePolynomial
+from .piecewise import DOMAIN_RTOL, Piece, PiecewisePolynomial
 
-_DOMAIN_RTOL = 1e-9
 # orders the Taylor recursion advances per block (SplitCoefficients.taylor_blocks)
 TAYLOR_BLOCK = 16
 
@@ -79,7 +78,7 @@ class DdaeSystem:
         n = pencil.n
         if self.f.n != n or self.phi.n != n:
             raise DimensionMismatch("data functions must have value dimension n")
-        tol = _DOMAIN_RTOL * self.t_final
+        tol = DOMAIN_RTOL * self.t_final
         if abs(self.phi.start + self.tau) > tol or abs(self.phi.end) > tol:
             raise DimensionMismatch("phi must be defined exactly on [-tau, 0]")
         if (
@@ -161,9 +160,10 @@ class SplitCoefficients:
         N, B_a = self.qwf.N, self.B_a
         n_pow_ba = []
         P = np.eye(self.n_a, dtype=N.dtype)
-        for _ in range(max(self.nu, 2)):
-            n_pow_ba.append(norm2(P @ B_a))
-            P = P @ N
+        with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
+            for _ in range(max(self.nu, 2)):
+                n_pow_ba.append(norm2(P @ B_a))
+                P = P @ N
         return norm2(N), tuple(n_pow_ba), tuple(power_norms(self.B_a2, self.n_a))
 
     @cached_property
@@ -252,32 +252,13 @@ def build_split(
     return split_matrices(sys.qwf if qwf is None else qwf, sys.D)
 
 
-def underlying_ode_rhs(split: SplitCoefficients, q: PiecewisePolynomial):
-    """Forcing of the inherent ODE for a segment inhomogeneity q.
-
-    Returns (A_diff, forcing) where forcing(t) = sum_k C_k q^{(k)}(t) as
-    an exact piecewise polynomial; the segment solution then satisfies
-    x' = A_diff x + forcing.
-    """
-    forcing = q.apply_matrix(split.C[0])
-    for k in range(1, split.nu + 1):
-        forcing = forcing + q.derivative(k).apply_matrix(split.C[k])
-    return split.A_diff, forcing
-
-
-def fast_subsystem_solution(N, q_f: PiecewisePolynomial, nu):
-    """Exact solution w = -sum_{k<nu} N^k q_f^{(k)} of N w' = w + q_f, in the
-    basis and on the breakpoints of q_f (one FastPart, used once)."""
-    return FastPart(N, nu).solve(q_f)
-
-
 class FastPart:
     """Solver of N w' = w + q_f piece by piece, nu the nilpotency index of N.
 
     The operators -D^k, k < nu, D the basis's differentiation matrix on a
     piece, are stacked once per (basis, coefficient length, width) and the
     powers (N^k)^T once, so a piece costs two stacked products, a sum and
-    one trim.  One instance serves one sweep; its operators go with it.
+    one trim.  An instance keeps its operators for every q_f it solves.
     """
 
     def __init__(self, N, nu):

@@ -45,9 +45,13 @@ def norm2(M):
     """Spectral norm as a float; 0 for an empty matrix.
 
     The largest singular value, bit for bit what np.linalg.norm(M, 2)
-    returns, without its generic dispatch.
+    returns, without its generic dispatch.  A norm past the float range
+    decides nothing and raises DecompositionFailure.
     """
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+    norm = float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+    if not norm < np.inf:  # inf or nan
+        raise DecompositionFailure("a matrix norm is not finite; rescaling the data may help")
+    return norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,16 +282,18 @@ def power_norms(N, count):
     power = N
     for _ in range(count):
         yield norm2(power)
-        power = power @ N
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = power @ N
 
 
 def first_negligible_power(norms):
     """Smallest k >= 1 whose ||N^k|| = norms[k-1] (norms may be lazy) is
     negligible at the scale ||N||^k = norms[0]^k; None if there is none."""
-    for k, norm in enumerate(norms, 1):
-        norm_N = norm if k == 1 else norm_N
-        if negligible(norm, norm_N**k):
-            return k
+    with np.errstate(over="ignore"):  # numpy's ** gives inf where Python's raises
+        for k, norm in enumerate(norms, 1):
+            norm_N = norm if k == 1 else norm_N
+            if negligible(norm, np.float64(norm_N) ** k):
+                return k
     return None
 
 

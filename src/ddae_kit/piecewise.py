@@ -30,7 +30,8 @@ from .errors import DimensionMismatch, OutOfDomain
 DEGREE_CAP = 64
 DEGREE_WARN = 24
 
-_BOUNDARY_RTOL = 1e-9
+# span-relative tolerance of every domain boundary (model, problemfile too)
+DOMAIN_RTOL = 1e-9
 
 
 def _as_coeff_array(coeffs, n=None):
@@ -203,7 +204,7 @@ class PiecewisePolynomial:
         norm_pieces.sort(key=lambda p: p[0])
         span = norm_pieces[-1][1] - norm_pieces[0][0]
         for left, right in zip(norm_pieces, norm_pieces[1:]):
-            if abs(left[1] - right[0]) > _BOUNDARY_RTOL * span:
+            if abs(left[1] - right[0]) > DOMAIN_RTOL * span:
                 raise DimensionMismatch(
                     f"pieces not contiguous at t={left[1]} vs t={right[0]}"
                 )
@@ -269,7 +270,7 @@ class PiecewisePolynomial:
         return any(np.iscomplexobj(p[2]) for p in self.pieces)
 
     def _tol(self):
-        return _BOUNDARY_RTOL * (self.end - self.start)
+        return DOMAIN_RTOL * (self.end - self.start)
 
     def _locate(self, t, side="right"):
         tol = self._tol()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MalformedProblem, SingularPencil
 from .model import DdaeSystem
-from .piecewise import PiecewisePolynomial
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial
 
 REQUIRED_FIELDS = (
     "dimension",
@@ -77,6 +77,7 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
         raise MalformedProblem(f"{name} must be a non-empty list of pieces")
     pieces = []
     prev_end = None
+    tol = DOMAIN_RTOL * (hi - lo)
     for k, piece in enumerate(data):
         if not isinstance(piece, dict):
             raise MalformedProblem(f"{name}[{k}] must be an object")
@@ -88,7 +89,7 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
             raise MalformedProblem(f"{name}[{k}] needs start, end, coeffs") from exc
         if not end > start:
             raise MalformedProblem(f"{name}[{k}]: piece boundaries must increase")
-        if prev_end is not None and abs(start - prev_end) > 1e-9 * (hi - lo):
+        if prev_end is not None and abs(start - prev_end) > tol:
             raise MalformedProblem(f"{name}: pieces must be contiguous")
         prev_end = end
         if not isinstance(coeffs, list) or not coeffs:
@@ -103,7 +104,6 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
                 [_decode_scalar(v, complex_field, f"{name}[{k}].coeffs[{j}]") for v in vec]
             )
         pieces.append((start, end, np.array(mat)))
-    tol = 1e-9 * (hi - lo)
     if abs(pieces[0][0] - lo) > tol or abs(pieces[-1][1] - hi) > tol:
         raise MalformedProblem(f"{name} must cover [{lo}, {hi}] exactly")
     return PiecewisePolynomial(pieces, n)

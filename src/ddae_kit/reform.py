@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotSmoothingType
 from .classify import PropagationKind, classify_propagation
-from .model import DdaeSystem, SplitCoefficients, fast_subsystem_solution
+from .model import DdaeSystem, FastPart, SplitCoefficients
 from .piecewise import PiecewisePolynomial
 
 
@@ -84,7 +84,7 @@ def hidden_delay_forcing(expansion: HiddenDelayExpansion,
     if n_a:
         # accumulated fast inhomogeneity: h~ = sum_{j<nu} N^j h^{(j)} = -w(h)
         h = Sf.components(range(n_d, split.n))
-        h_acc = -1.0 * fast_subsystem_solution(split.qwf.N, h, nu=split.nu)
+        h_acc = -1.0 * FastPart(split.qwf.N, split.nu).solve(h)
         Ba2_pow = np.eye(n_a, dtype=split.B_a2.dtype)
         for k in range(nu_D):
             shifted = h_acc.shift((k + 1) * tau).restrict(*window)
@@ -103,27 +103,10 @@ def embed_neutral_dde(Ahat, Dhat, Bhat, f: PiecewisePolynomial, tau, horizon_int
     into an algebraic coupling; the embedded system smooths exactly when
     B is nilpotent.
     """
-    Ahat = np.atleast_2d(np.asarray(Ahat))
-    Dhat = np.atleast_2d(np.asarray(Dhat))
-    Bhat = np.atleast_2d(np.asarray(Bhat))
-    n = Ahat.shape[0]
-    dtype = np.result_type(Ahat.dtype, Dhat.dtype, Bhat.dtype, float)
-    Z = np.zeros((n, n), dtype=dtype)
-    I = np.eye(n, dtype=dtype)
-    E2 = np.block([[I, -Bhat], [Z, Z]])
-    A2 = np.block([[Ahat, Z], [Z, I]])
-    D2 = np.block([[Dhat, Z], [-I, Z]])
-    zero_col = PiecewisePolynomial.zero(n, f.start, f.end, complex_field=f.is_complex)
-    f2 = f.stack(zero_col)
-    if phi is None:
-        phi2 = PiecewisePolynomial.zero(2 * n, -tau, 0.0,
-                                        complex_field=np.iscomplexobj(E2))
-    else:
-        phi2 = phi
-    return DdaeSystem(
-        E=E2, A=A2, D=D2, tau=tau, horizon_intervals=horizon_intervals,
-        f=f2, phi=phi2,
-    )
+    Ahat, Dhat, Bhat = (np.atleast_2d(np.asarray(M)) for M in (Ahat, Dhat, Bhat))
+    I, Z = np.eye(len(Ahat)), np.zeros(Ahat.shape)
+    return _embed_shifted(np.hstack([I, -Bhat]), np.hstack([Ahat, Z]), np.hstack([Dhat, Z]),
+                          f, tau, horizon_intervals, phi)
 
 
 def embed_pure_delay(Dmat, Bmat, f: PiecewisePolynomial, tau, horizon_intervals,
@@ -134,23 +117,24 @@ def embed_pure_delay(Dmat, Bmat, f: PiecewisePolynomial, tau, horizon_intervals,
     purely algebraic in the doubled state; it de-smooths exactly when
     B is nonzero.
     """
-    Dmat = np.atleast_2d(np.asarray(Dmat))
-    Bmat = np.atleast_2d(np.asarray(Bmat))
-    n = Dmat.shape[0]
-    dtype = np.result_type(Dmat.dtype, Bmat.dtype, float)
-    Z = np.zeros((n, n), dtype=dtype)
-    I = np.eye(n, dtype=dtype)
-    E2 = np.block([[Z, Bmat], [Z, Z]])
-    A2 = np.eye(2 * n, dtype=dtype)
-    D2 = np.block([[-Dmat, Z], [-I, Z]])
-    zero_col = PiecewisePolynomial.zero(n, f.start, f.end, complex_field=f.is_complex)
-    f2 = (-1.0 * f).stack(zero_col)
+    Dmat, Bmat = (np.atleast_2d(np.asarray(M)) for M in (Dmat, Bmat))
+    I, Z = np.eye(len(Dmat)), np.zeros(Dmat.shape)
+    return _embed_shifted(np.hstack([Z, Bmat]), np.hstack([I, Z]), np.hstack([-Dmat, Z]),
+                          -1.0 * f, tau, horizon_intervals, phi)
+
+
+def _embed_shifted(E_top, A_top, D_top, f_top, tau, horizon_intervals, phi):
+    """Delayed DAE in the doubled state [x; y] from the top block rows of an
+    embedding (n x 2n each, and f_top) and the bottom row 0 = y - x(. - tau)
+    that every embedding shares; phi defaults to zero."""
+    n = len(E_top)
+    dtype = np.result_type(E_top, A_top, D_top, float)
+    Z, I = np.zeros((n, n), dtype=dtype), np.eye(n, dtype=dtype)
     if phi is None:
-        phi2 = PiecewisePolynomial.zero(2 * n, -tau, 0.0,
-                                        complex_field=np.iscomplexobj(E2))
-    else:
-        phi2 = phi
+        phi = PiecewisePolynomial.zero(2 * n, -tau, 0.0, complex_field=dtype.kind == "c")
+    zero_col = PiecewisePolynomial.zero(n, f_top.start, f_top.end, complex_field=f_top.is_complex)
     return DdaeSystem(
-        E=E2, A=A2, D=D2, tau=tau, horizon_intervals=horizon_intervals,
-        f=f2, phi=phi2,
+        E=np.vstack([E_top, np.hstack([Z, Z])]), A=np.vstack([A_top, np.hstack([Z, I])]),
+        D=np.vstack([D_top, np.hstack([-I, Z])]), tau=tau,
+        horizon_intervals=horizon_intervals, f=f_top.stack(zero_col), phi=phi,
     )

@@ -47,7 +47,6 @@ from .model import (
     solution_taylor_from_value,
 )
 from .piecewise import Piece, PiecewisePolynomial, _stacked
-from .reform import hidden_delay_forcing
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
@@ -114,10 +113,6 @@ class Trajectory:
     segments: list
     tau: float
     n: int
-
-    @property
-    def t_end(self):
-        return len(self.segments) * self.tau
 
     def evaluate(self, t, order=0, side="right"):
         if not self.segments:
@@ -491,53 +486,3 @@ def method_of_steps(
             prev = seg
     return Trajectory(segments, sys.tau, sys.n), JumpLedger(entries)
 
-
-def solve_hidden_delay_dde(expansion, sys: DdaeSystem, config: SolverConfig = SolverConfig()):
-    """Integrate the reformulated retarded equation on the tau grid.
-
-    The initial data (the slow component up to nu_D * tau) is taken from
-    the direct method-of-steps solution; afterwards the multi-delay
-    right-hand side only references segments at least one delay back, so
-    each segment is again one collocation solve.  Returns the trajectory
-    of the reformulated state (dimension n_d).
-    """
-    split = expansion.split
-    n_d = split.n_d
-    tau, M = sys.tau, sys.horizon_intervals
-    nu_D = expansion.nu_D
-    if M <= nu_D:
-        raise DimensionMismatch("horizon must exceed nu_D intervals")
-
-    P_slow = split.qwf.T_inv[:n_d]
-
-    z_segments = []
-    if nu_D:
-        direct, ledger = method_of_steps(sys, split, config)
-        if len(direct.segments) < nu_D:
-            raise DimensionMismatch(
-                "direct solve broke down before nu_D segments; "
-                "expansion preconditions violated"
-            )
-        for seg in direct.segments[:nu_D]:
-            z_segments.append(SegmentSolution(
-                index=seg.index, pieces=seg.pieces.apply_matrix(P_slow),
-                consistency_residual=seg.consistency_residual,
-                derivs_start=seg.derivs_start @ P_slow.T, derivs_end=seg.derivs_end @ P_slow.T))
-
-    colloc = SlowCollocation(expansion.J, config.degree)
-    theta = hidden_delay_forcing(expansion, sys)
-    psi = sys.phi.apply_matrix(P_slow)
-    # segment j of z in local time; j = 0 is the shifted history psi
-    z_pieces = [psi.shift(tau).to_chebyshev()] + [z.pieces for z in z_segments]
-    for i in range(nu_D + 1, M + 1):
-        forcing = segment_window(theta, i, tau).to_chebyshev()
-        for lag, Dk in enumerate(expansion.D_delays, start=1):
-            forcing = forcing + z_pieces[i - lag].apply_matrix(Dk)
-        z0 = z_segments[-1].derivs_end[0] if z_segments else psi.evaluate(0.0, side="left")
-        pieces = colloc.integrate(forcing, z0)
-        z_pieces.append(pieces)
-        z_segments.append(SegmentSolution(
-            index=i, pieces=pieces, consistency_residual=0.0,
-            derivs_start=pieces.evaluate(0.0)[None, :],
-            derivs_end=pieces.evaluate(tau, side="left")[None, :]))
-    return Trajectory(z_segments, tau, n_d)

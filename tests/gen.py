@@ -109,6 +109,37 @@ def fast_per_order(N, q_f, nu):
     return q_f._with(pieces, m)
 
 
+def hidden_delay_residual(exp, sys, traj, theta=None):
+    """Relative residual of the hidden-delay form on the direct solution.
+
+    The expansion is equivalent to the system iff z = T^{-1}[:n_d] x, the
+    slow state of the method-of-steps trajectory traj (of phi for t < 0),
+    satisfies z' = J z + sum_k D_k z(t - (k+1) tau) + theta(t) on
+    [nu_D tau, M tau].  Returns the largest ||z' - J z - sum_k D_k
+    z(t - (k+1) tau) - theta(t)|| over the sum of the term norms, at four
+    off-node fractions of every delay interval there.  theta defaults to
+    hidden_delay_forcing(exp, sys).
+    """
+    assert len(traj.segments) == sys.horizon_intervals
+    P = exp.split.qwf.T_inv[: exp.split.n_d]
+    tau = sys.tau
+    theta = dk.hidden_delay_forcing(exp, sys) if theta is None else theta
+
+    def z(t, order=0):
+        return P @ (sys.phi.evaluate(t, order) if t < 0 else traj.evaluate(t, order))
+
+    worst = 0.0
+    for i in range(exp.nu_D, sys.horizon_intervals):
+        for frac in (0.137, 0.391, 0.618, 0.873):
+            t = (i + frac) * tau
+            terms = [z(t, 1), -exp.J @ z(t), -theta.evaluate(t)]
+            terms += [-Dk @ z(t - (k + 1) * tau) for k, Dk in enumerate(exp.D_delays)]
+            scale = sum(np.linalg.norm(v) for v in terms)
+            if scale:
+                worst = max(worst, np.linalg.norm(sum(terms)) / scale)
+    return worst
+
+
 def coupling_norms_per_loop(split):
     """Reference for SplitCoefficients.coupling_norms: the three norm loops
     the classification ran separately, each forming its own powers.

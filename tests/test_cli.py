@@ -577,6 +577,33 @@ class TestStabilityCommand:
         assert capsys.readouterr().err == ""
 
 
+class TestOverflowingNorms:
+    @pytest.mark.parametrize(
+        "command, base, entry, index, value",
+        [("analyze", example_advanced, "D", (1, 0), 1.7976931348623157e308),
+         ("hidden-delays", example_advanced, "D", (1, 0), 1.7976931348623157e308),
+         ("analyze", example_neutral, "A", (0, 0), 1.5e230),
+         ("stability", example_advanced, "D", (1, 0), -2.05e271)],
+        ids=["analyze-advanced-max-float", "hidden-delays-advanced-max-float",
+             "analyze-neutral-huge-A", "stability-advanced-huge-D"],
+    )
+    def test_overflowing_norm_powers_exit_malformed(self, tmp_path, capsys, command,
+                                                    base, entry, index, value):
+        # fuzzed problem files on which ||N||^k raised OverflowError (Python
+        # floats) after the powers of B_a2 overflowed in matmul: a norm that
+        # is not finite decides nothing, so the command exits 4, quietly
+        sys_ = base()
+        M = np.array(getattr(sys_, entry))
+        M[index] = value
+        problem = write_problem(tmp_path, replace(sys_, **{entry: M}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, problem, str(tmp_path / "out.json")]) == 4
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestOtherCommands:
     def test_hidden_delays_smoothing(self, tmp_path):
         problem = write_problem(tmp_path, example_slow_smoothing())

@@ -98,8 +98,8 @@ class TestBuildSplit:
             assert np.linalg.norm(back - E, 2) <= 1e-8 * scale
 
     def test_history_transform_round_trip(self):
-        # [psi; eta] = T^{-1} phi, psi formed as solve_hidden_delay_dde
-        # forms it, maps back to phi through T
+        # [psi; eta] = T^{-1} phi, psi the slow history that
+        # gen.hidden_delay_residual reads, maps back to phi through T
         sys = example_advanced()
         qwf = sys.qwf
         psi = sys.phi.apply_matrix(qwf.T_inv[: qwf.n_d])
@@ -116,6 +116,7 @@ class TestBuildSplit:
 
 class TestUnderlyingEquations:
     def test_ode_forcing_identity_case(self):
+        # E = I, A = D = 0: x' = q, so A_diff = 0 and the forcing is q
         n = 2
         f = dk.PiecewisePolynomial.zero(n, 0.0, 2.0)
         phi = dk.PiecewisePolynomial.zero(n, -1.0, 0.0)
@@ -123,25 +124,17 @@ class TestUnderlyingEquations:
                             tau=1.0, horizon_intervals=2, f=f, phi=phi)
         split = dk.build_split(sys)
         q = dk.PiecewisePolynomial.constant([1.0, -2.0], 0.0, 1.0)
-        A_diff, forcing = dk.underlying_ode_rhs(split, q)
-        assert np.allclose(forcing.evaluate(0.5), [1.0, -2.0], atol=1e-12)
+        r = taylor_forcing(split, q.derivatives(0.5, 0), 1)
+        assert np.allclose(split.A_diff, 0.0, atol=1e-12)
+        assert np.allclose(r[0], [1.0, -2.0], atol=1e-12)
 
     def test_scalar_neutral_forcing(self):
         # q(t) = t gives forcing C_0 q + C_1 q' = 0 - 1 = -1
         sys = example_neutral()
         split = dk.build_split(sys)
         q = dk.PiecewisePolynomial([(0.0, 1.0, np.array([[0.0], [1.0]]))])
-        _, forcing = dk.underlying_ode_rhs(split, q)
-        assert forcing.evaluate(0.3)[0] == pytest.approx(-1.0)
-
-    def test_degree_bookkeeping(self):
-        sys = example_advanced()
-        split = dk.build_split(sys)
-        assert split.nu == 2
-        rng = np.random.default_rng(3)
-        q = dk.PiecewisePolynomial([(0.0, 1.0, rng.standard_normal((5, 2)))])
-        _, forcing = dk.underlying_ode_rhs(split, q)
-        assert forcing.max_degree <= 4
+        r = taylor_forcing(split, q.derivatives(0.3, split.nu), 1)
+        assert r[0][0] == pytest.approx(-1.0)
 
     def test_dde_coeff_chain(self):
         # the recursion's forcing applies C_k to q = D phi(. - tau) + f: per
@@ -187,7 +180,7 @@ class TestFastSubsystem:
             q = dk.PiecewisePolynomial(
                 [(0.0, 1.0, rng.standard_normal((deg + 1, n_a)))]
             )
-            w = dk.fast_subsystem_solution(N, q, nu=nu)
+            w = FastPart(N, nu).solve(q)
             # residual N w' - w - q must vanish at coefficient level
             resid = w.derivative().apply_matrix(N) - w - q
             scale = max(w.sup_bound(), q.sup_bound(), 1.0)
@@ -227,7 +220,7 @@ class TestFastSubsystem:
 
     def test_empty_algebraic_part(self):
         q = dk.PiecewisePolynomial.zero(0, 0.0, 1.0)
-        w = dk.fast_subsystem_solution(np.zeros((0, 0)), q, nu=0)
+        w = FastPart(np.zeros((0, 0)), 0).solve(q)
         assert w.n == 0
 
 

@@ -1,10 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ddae_kit as dk
 from ddae_kit.classify import PropagationKind
 
-from gen import example_slow_smoothing
+from gen import (
+    example_slow_smoothing,
+    hidden_delay_residual,
+    random_smoothing_blocks,
+    random_system_from_blocks,
+)
 
 
 class TestExpandHiddenDelays:
@@ -107,8 +114,8 @@ class TestNeutralEmbedding:
             )
 
     def test_embedding_equivalence_validates_expansion_signs(self):
-        # the reformulated equation must reproduce the direct solution;
-        # this pins down the signs of D_k = (D+AB)B^k and of theta
+        # the direct solution must satisfy the reformulated equation; this
+        # pins down the signs of D_k = (D+AB)B^k and of theta
         rng = np.random.default_rng(11)
         n = 2
         A = 0.3 * rng.standard_normal((n, n))
@@ -129,13 +136,7 @@ class TestNeutralEmbedding:
         assert exp.nu_D == 2
         traj, ledger = dk.method_of_steps(sys, split)
         assert not ledger.has_inconsistent
-        z = dk.solve_hidden_delay_dde(exp, sys)
-        T_inv = np.linalg.inv(split.qwf.T)
-        ts = np.linspace(2.0, 5.0, 25)
-        v_direct = np.array([(T_inv @ traj.evaluate(t))[: split.n_d] for t in ts])
-        v_reform = z.evaluate_many(ts)
-        scale = 1.0 + np.max(np.abs(v_direct))
-        assert np.max(np.abs(v_direct - v_reform)) <= 1e-8 * scale
+        assert hidden_delay_residual(exp, sys, traj) <= 1e-10
 
     def test_embedding_trajectory_matches_scalar_neutral_recursion(self):
         # scalar neutral equation with nilpotent coupling impossible in 1d:
@@ -158,6 +159,35 @@ class TestNeutralEmbedding:
         x_emb = traj.evaluate_many(ts)[:, 0]
         x_ref = ref_traj.evaluate_many(ts)[:, 0]
         assert np.max(np.abs(x_emb - x_ref)) <= 1e-9
+
+
+class TestHiddenDelayResidual:
+    # gen.hidden_delay_residual must see a wrong expansion: an index-2
+    # system with nu_D = 2 whose delayed terms and fast forcing both count
+    def case(self):
+        rng = np.random.default_rng(2)
+        blocks = random_smoothing_blocks(rng, 2, 3, 2)
+        sys, split = random_system_from_blocks(rng, 2, 3, 2, blocks, horizon=5)
+        exp = dk.expand_hidden_delays(sys, split)
+        assert exp.nu_D == 2
+        traj, ledger = dk.method_of_steps(sys, split)
+        assert not ledger.has_inconsistent
+        assert hidden_delay_residual(exp, sys, traj) <= 1e-10
+        return sys, exp, traj
+
+    def test_flipped_delay_sign_is_seen(self):
+        sys, exp, traj = self.case()
+        D0, D1, *rest = exp.D_delays
+        flipped = replace(exp, D_delays=(D0, -D1, *rest))
+        assert hidden_delay_residual(flipped, sys, traj) >= 1e-2
+
+    def test_missing_fast_forcing_is_seen(self):
+        # theta without the delayed feedback of the fast inhomogeneity
+        sys, exp, traj = self.case()
+        split = exp.split
+        g = sys.f.apply_matrix(split.qwf.S).components(range(split.n_d))
+        theta = g.restrict(exp.nu_D * sys.tau, sys.t_final)
+        assert hidden_delay_residual(exp, sys, traj, theta=theta) >= 1e-2
 
 
 class TestPureDelayEmbedding:
