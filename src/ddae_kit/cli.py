@@ -32,12 +32,13 @@ from .errors import (
 )
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
 from .model import build_split, split_matrices
+from .piecewise import _group
 from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
 from .solver import LedgerEntry, SolverConfig, method_of_steps
 from .stability import (SearchBox, assess_exponential_stability, default_box,
                         spectral_abscissa)
-from .cheb import cgl_nodes
+from .cheb import cgl_nodes, clenshaw
 
 SCHEMA = "ddae-kit/1"
 
@@ -121,34 +122,48 @@ def _write_trajectory_csv(path, sys_, trajectory):
     """Each piece sampled at the CGL nodes of its own degree (at least its
     two ends), so the rows of a piece determine it exactly.
 
-    A segment's rows are evaluated into one array and written with one
-    row format; a knot shared by two pieces appears once, and the first
-    and last rows of a segment carry the side markers R and L.
+    A knot shared by two pieces of a segment appears once, and the first
+    and last rows of a segment carry the side markers R and L.  The
+    pieces of all segments are evaluated in groups of one coefficient
+    length and dtype, each group by one Clenshaw sweep on the pieces' own
+    mapped nodes (chebval's steps, elementwise, so every value is the one
+    a chebval per piece gives), and the table is written with one format
+    call.
     """
     parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
     cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
-    row = ",".join(["%.17g"] * (1 + len(cols))) + ",%s\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t"] + cols + ["side"]) + "\n")
-        for seg in trajectory.segments:
-            offset = (seg.index - 1) * trajectory.tau
-            times, values = [], []
-            for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
-                unit_nodes = cgl_nodes(max(coef.shape[0] - 1, 1))
-                nodes = 0.5 * (a + b) + 0.5 * (b - a) * unit_nodes
-                skip = 1 if p_idx else 0  # shared knot: already the last row
-                times.append(nodes[skip:])
-                values.append(seg.pieces.basis.eval(coef, a, b, nodes).T[skip:])
-            v = np.concatenate(values)
-            columns = np.stack([part(v) for part in parts.values()], axis=2)
-            table = np.column_stack(
-                [offset + np.concatenate(times), columns.reshape(len(v), -1)]
-            )
-            sides = [""] * len(table)
-            sides[-1] = "L"
-            sides[0] = "R"
-            fh.write("".join(row % (*r, side)
-                             for r, side in zip(table.tolist(), sides)))
+        if trajectory.segments:
+            fh.write(_trajectory_rows(sys_.n, trajectory, parts))
+
+
+def _trajectory_rows(n, trajectory, parts):
+    """The CSV rows of a trajectory with at least one segment."""
+    drops, offsets, starts, ends, coefs = zip(*(
+        (k > 0, (seg.index - 1) * trajectory.tau, a, b, c)
+        for seg in trajectory.segments for k, (a, b, c) in enumerate(seg.pieces.pieces)))
+    drops, bounds = np.array(drops), np.array([offsets, starts, ends]).T
+    # a piece gives max(degree, 1) + 1 rows, one fewer when its first row
+    # is the knot it shares with the piece before
+    counts = np.array([max(len(c), 2) for c in coefs]) - drops
+    first = np.cumsum(counts) - counts
+    size = int(counts.sum())
+    times = np.empty(size + 1)  # the extra last row takes every shared knot
+    values = np.empty((size + 1, n), dtype=np.result_type(*coefs))
+    for (m, _), ks in _group(coefs).items():
+        offset, a, b = bounds[ks].T[:, :, None]
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(m - 1, 1))
+        rows = first[ks, None] - drops[ks, None] + np.arange(nodes.shape[1])
+        rows[drops[ks], 0] = size
+        times[rows] = offset + nodes
+        values[rows] = clenshaw(np.stack([coefs[k] for k in ks]), (2.0 * nodes - a - b) / (b - a))
+    columns = np.stack([part(values[:size]) for part in parts.values()], axis=2)
+    table = np.column_stack([times[:size], columns.reshape(size, -1)])
+    row = ",".join(["%.17g"] * table.shape[1])
+    template = "".join(f"{row},R\n" + f"{row},\n" * (r - 2) + f"{row},L\n"
+                       for r in np.add.reduceat(counts, np.flatnonzero(~drops)).tolist())
+    return template % tuple(table.ravel().tolist())
 
 
 def _ledger_payload(ledger, tau):

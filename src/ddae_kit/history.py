@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients, solution_taylor, taylor_forcing
-from .pencil import negligible, norm2
+from .pencil import negligible, norm2, row_norms, vector_norm
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
@@ -73,8 +73,14 @@ def is_consistent(residual, x_request, q0):
     check and every solver restart: the defect between x_request and its
     consistent projection is at most CONSISTENCY_TOL (1 + ||x_request||
     + ||q0||), q0 the inhomogeneity q at the start."""
-    scale = 1.0 + float(np.linalg.norm(x_request)) + float(np.linalg.norm(q0))
-    return residual <= CONSISTENCY_TOL * scale
+    scale = 1.0 + vector_norm(x_request) + vector_norm(q0)
+    return _within(residual, CONSISTENCY_TOL, scale)
+
+
+def _within(residual, tol, scale):
+    """residual <= tol * scale for a finite residual; an overflowed or
+    nan residual decides nothing, so it never passes."""
+    return residual < np.inf and residual <= tol * scale
 
 
 def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
@@ -92,27 +98,42 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
     return is_consistent(residual, phi0, q[0]), residual
 
 
-def _row_norms(rows):
-    """||row|| for each row of a 2-D stack, bit for bit np.linalg.norm(row):
-    a row times itself through matmul reaches the same BLAS dot."""
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    return np.sqrt(sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts))
-
-
 def agreement_order(left, right, top, tol, first=0):
     """Largest k <= top such that rows 0..k of two derivative stacks agree.
 
-    Row k agrees when ||right[k] - left[k]|| <= tol (1 + max row norm).
-    Rows below first are taken as agreeing without a test.  Returns
-    first - 1 when row first already differs, so -1 means the values
-    differ.  Every row from first to top is measured, also past the first
-    that differs, so rows that overflowed are measured quietly.
+    Row k agrees when ||right[k] - left[k]|| <= tol (1 + max row norm),
+    with norms from pencil.row_norms, so a row whose difference norm is
+    not finite never agrees.  Rows below first are taken as agreeing
+    without a test.  Returns first - 1 when row first already differs, so
+    -1 means the values differ.  Every row from first to top is measured,
+    also past the first that differs, so rows that overflowed are
+    measured quietly.
+
+    For stacks of shape (pairs, rows, n) and top an int or one top per
+    pair, every pair is measured in one pass and an int array of orders
+    is returned; each order is the one its pair gives alone.
     """
-    l, r = left[first:top + 1], right[first:top + 1]
+    l, r = np.asarray(left), np.asarray(right)
+    single = l.ndim == 2
+    if single:
+        l, r = l[None], r[None]
+    tops = np.broadcast_to(np.asarray(top, dtype=int), l.shape[:1])
+    hi = int(tops.max(initial=first - 1)) + 1
+    l, r = l[:, first:hi], r[:, first:hi]
+
+    def norms(x):
+        return row_norms(x.reshape(-1, x.shape[2])).reshape(x.shape[:2])
+
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 1.0 + np.maximum(_row_norms(l), _row_norms(r))
-        agree = (_row_norms(r - l) <= tol * scale).tolist()
-    return first + agree.index(False) - 1 if False in agree else top
+        scale = 1.0 + np.maximum(norms(l), norms(r))
+        agree = norms(r - l) <= tol * scale
+    # rows past a pair's top agree; a last column that never agrees stops
+    # argmin on a pair whose measured rows all agree
+    agree = np.column_stack([agree | (np.arange(first, hi) > tops[:, None]),
+                             np.zeros(len(tops), dtype=bool)])
+    k = agree.argmin(axis=1)
+    orders = np.where(k < hi - first, first + k - 1, tops)
+    return int(orders[0]) if single else orders
 
 
 def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport:
@@ -134,9 +155,9 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
     splices = []
     for j in (0, 1):
         lhs, rhs = hist[j + 1], split.A_diff @ hist[j] + r[j]
-        residual = float(np.linalg.norm(lhs - rhs))
-        scale = 1.0 + max(float(np.linalg.norm(v)) for v in (lhs, rhs, *q[: nu + j + 1]))
-        splices += [residual <= FLAG_TOL * scale, residual]
+        residual = vector_norm(lhs - rhs)
+        scale = 1.0 + max(vector_norm(v) for v in (lhs, rhs, *q[: nu + j + 1]))
+        splices += [_within(residual, FLAG_TOL, scale), residual]
     xs, _ = solution_taylor(split, hist[0], q, cap)
     # the fields in order: each verdict with its residual, then kappa
     return SplicingReport(*check_admissible(sys, split), *splices,

@@ -29,6 +29,7 @@ from .pencil import (
     compute_qwf,
     norm2,
     power_norms,
+    vector_norm,
 )
 from .piecewise import DOMAIN_RTOL, Piece, PiecewisePolynomial
 
@@ -302,14 +303,14 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
 
     Returns (xs, residual) where xs has shape (orders+1, n) with
     xs[j] = x^{(j)} at the endpoint and residual is the consistency
-    defect ||x_request - xs[0]||.
+    defect ||x_request - xs[0]|| (pencil.vector_norm).
     """
     q_derivs = np.asarray(q_derivs)
     x0 = split.A_con @ x_request
     # a short stack truncates this sum; solution_taylor_from_value rejects it
     for Ck, qk in zip(split.C[1:], q_derivs):
         x0 = x0 + Ck @ qk
-    residual = float(np.linalg.norm(x_request - x0))
+    residual = vector_norm(x_request - x0)
     return solution_taylor_from_value(split, x0, q_derivs, orders), residual
 
 
@@ -372,7 +373,3 @@ def _finite_rows(X):
     finite = np.isfinite(X).all(axis=1)
     return len(X) if finite.all() else int(finite.argmin())
 
-
-def segment_window(pp: PiecewisePolynomial, i: int, tau: float) -> PiecewisePolynomial:
-    """Restriction of a function on [0, M tau] to segment i in local time."""
-    return pp.restrict((i - 1) * tau, i * tau).shift(-(i - 1) * tau)

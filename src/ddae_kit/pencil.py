@@ -14,6 +14,7 @@ Real input stays real: no complexification is ever required.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +53,36 @@ def norm2(M):
     if not norm < np.inf:  # inf or nan
         raise DecompositionFailure("a matrix norm is not finite; rescaling the data may help")
     return norm
+
+
+def row_norms(rows):
+    """Euclidean norm of each row of a 2-D stack, without warnings.
+
+    Bit for bit np.linalg.norm(row) wherever that is finite: a row times
+    itself through matmul reaches the same BLAS dot.  A row of finite
+    entries whose squares overflow is measured again divided by its
+    largest magnitude, so its norm is inf only when the norm itself
+    leaves the float range; a row holding inf or nan keeps inf or nan.
+    """
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts))
+        over = np.flatnonzero(norms == np.inf)
+        if over.size:
+            big = np.abs(rows[over]).max(axis=1)
+            over, big = over[big < np.inf], big[big < np.inf]
+            norms[over] = big * row_norms(rows[over] / big[:, None])
+    return norms
+
+
+def vector_norm(x):
+    """||x|| of a vector as a float, as row_norms measures one row: bit
+    for bit np.linalg.norm(x) wherever that is finite."""
+    x = np.asarray(x).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
+    norm = math.sqrt(sq)
+    return norm if norm < math.inf else float(row_norms(x[None])[0])
 
 
 @dataclass(frozen=True, eq=False)

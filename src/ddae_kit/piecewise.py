@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .cheb import cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import cgl_nodes, trim_coeffs, trim_lengths, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
 
 DEGREE_CAP = 64
@@ -49,14 +49,24 @@ def _as_coeff_array(coeffs, n=None):
 
 
 def _shift_coeffs(c, delta):
-    """Taylor shift: return coefficients of p(u + delta) given those of p(u)."""
-    m = c.shape[0]
-    out = c.copy()
-    if delta == 0.0 or m == 1:
+    """Taylor shift: coefficients of p(u + delta) given those of p(u).
+
+    c is one piece (m, n) with a float delta, or a stack (K, m, n) with
+    one delta per piece; a piece whose delta is 0 is returned as is.
+    """
+    out = np.array(c)
+    if out.ndim == 2:
+        return _shift_coeffs(out[None], [delta])[0]
+    delta = np.asarray(delta, dtype=float)
+    moved = np.flatnonzero(delta != 0.0)
+    m = out.shape[1]
+    if m == 1 or not moved.size:
         return out
+    sub, d = out[moved], delta[moved, None]
     for j in range(m - 1):
         for k in range(m - 2, j - 1, -1):
-            out[k] = out[k] + delta * out[k + 1]
+            sub[:, k] = sub[:, k] + d * sub[:, k + 1]
+    out[moved] = sub
     return out
 
 
@@ -140,6 +150,41 @@ def _cheb_restrict(c, a, b, lo, hi):
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * cgl_nodes(deg)
     vals = np.ascontiguousarray(_cheb_eval(c, a, b, nodes).T)
     return trim_coeffs(values_to_coeffs(vals))
+
+
+def _group(coefs, *keys):
+    """Indices of coefficient arrays by (length, dtype, *keys), in order."""
+    groups = {}
+    for k, (c, *rest) in enumerate(zip(coefs, *keys)):
+        groups.setdefault((len(c), c.dtype, *rest), []).append(k)
+    return groups
+
+
+def _to_chebyshev(pieces):
+    """Chebyshev pieces of monomial pieces, each interpolated at the CGL
+    nodes of its degree.
+
+    The pieces of one (length, dtype, width) are evaluated by one Horner
+    sweep over their stacked coefficients (polyval's steps, elementwise)
+    at the nodes they share and converted by one product with V^-1 (each
+    piece's own matrix product, batched); constants are copied.
+    """
+    out = list(pieces)
+    groups = _group((c for _, _, c in pieces), (b - a for a, b, _ in pieces))
+    for (m, _, width), ks in groups.items():
+        c = np.stack([pieces[k].coef for k in ks])
+        if m == 1:
+            coefs = c
+        else:
+            u = width * 0.5 * (cgl_nodes(m - 1) + 1.0)
+            vals = c[:, -1, :, None] + u * 0
+            for i in range(2, m + 1):
+                vals = c[:, -i, :, None] + vals * u
+            coefs = values_to_coeffs(vals.transpose(0, 2, 1))
+            coefs = [cf[:keep] for cf, keep in zip(coefs, trim_lengths(coefs).tolist())]
+        for k, cf in zip(ks, coefs):
+            out[k] = Piece(pieces[k].a, pieces[k].b, cf)
+    return out
 
 
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]
@@ -236,16 +281,46 @@ class PiecewisePolynomial:
         """Exact conversion to the Chebyshev basis (interpolation at CGL nodes)."""
         if self.basis is CHEBYSHEV:
             return self
-        pieces = []
-        for a, b, c in self.pieces:
-            deg = c.shape[0] - 1
-            if deg == 0:
-                pieces.append(Piece(a, b, np.array(c)))
-                continue
-            u_nodes = (b - a) * 0.5 * (cgl_nodes(deg) + 1.0)
-            vals = P.polyval(u_nodes, c).T
-            pieces.append(Piece(a, b, trim_coeffs(values_to_coeffs(vals))))
-        return self._with(pieces, basis=CHEBYSHEV)
+        return self._with(_to_chebyshev(self.pieces), basis=CHEBYSHEV)
+
+    def windows(self, lows, highs):
+        """The function on each window [lows[w], highs[w]], moved to start
+        at 0, in Chebyshev form; each window bit for bit
+        restrict(lo, hi).shift(-lo).to_chebyshev().
+
+        All windows are cut at once.  Monomial pieces get one stacked
+        Taylor shift per coefficient length and dtype, and every cut piece
+        goes through one to_chebyshev conversion.
+        """
+        tol = self._tol()
+        lows = np.asarray(lows, dtype=float)[:, None]
+        highs = np.asarray(highs, dtype=float)[:, None]
+        if lows.min() < self.start - tol or highs.max() > self.end + tol:
+            raise OutOfDomain("a window is not contained in the domain")
+        pa, pb = np.array([(a, b) for a, b, _ in self.pieces]).T
+        # restrict's max(pa, lo) and min(pb, hi), ties going to the piece
+        lo = np.where(pa >= lows, pa, lows)
+        hi = np.where(pb <= highs, pb, highs)
+        win, src = np.nonzero(hi - lo > tol)  # window by window, pieces in order
+        lo, hi, start = lo[win, src], hi[win, src], lows[win, 0]
+        src = src.tolist()
+        if self.basis is MONOMIAL:
+            # one Taylor shift per stack of pieces of one length and dtype
+            coefs = [None] * len(src)
+            for ks in _group(self.pieces[j].coef for j in src).values():
+                stack = np.stack([self.pieces[src[k]].coef for k in ks])
+                for k, c in zip(ks, _shift_coeffs(stack, (lo - pa[src])[ks])):
+                    coefs[k] = c
+        else:
+            coefs = [self.basis.restrict(self.pieces[j].coef, *self.pieces[j][:2], l, h)
+                     for j, l, h in zip(src, lo.tolist(), hi.tolist())]
+        cut = list(map(Piece, (lo - start).tolist(), (hi - start).tolist(), coefs))
+        if self.basis is MONOMIAL:
+            cut = _to_chebyshev(cut)
+        out = [[] for _ in range(len(lows))]
+        for w, piece in zip(win.tolist(), cut):
+            out[w].append(piece)
+        return [self._with(pieces, basis=CHEBYSHEV) for pieces in out]
 
     # -- basic queries ------------------------------------------------
 

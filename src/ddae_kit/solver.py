@@ -42,10 +42,10 @@ from .model import (
     FastPart,
     SplitCoefficients,
     build_split,
-    segment_window,
     solution_taylor,
     solution_taylor_from_value,
 )
+from .pencil import row_norms, vector_norm
 from .piecewise import Piece, PiecewisePolynomial, _stacked
 
 # relative tolerance for declaring a derivative jump at a knot
@@ -303,40 +303,50 @@ def _vander_rows(degree, length):
     return (C.chebvander(cgl_nodes(degree), length - 1), C.chebvander(mids, length - 1))
 
 
-def detect_jumps(
-    left: SegmentSolution,
-    right: SegmentSolution,
-    k_max: int,
-    knot_index: int,
-    tau: float,
-    order0_matched: bool | None = None,
-) -> LedgerEntry:
-    """Ledger entry comparing derivatives across the knot t = knot_index * tau
-    between two segments.
+def detect_jumps(chain, k_max: int, tau: float, order0_matched: bool | None = None):
+    """Ledger entries for the knots between consecutive segments of chain,
+    all measured by one agreement_order pass.
 
-    order0_matched=True records that the restart already passed the
+    chain is the history as segment 0 followed by segments 1, 2, ...: the
+    knot between chain[j] and chain[j + 1] is t = chain[j].index * tau,
+    where chain[j].derivs_end meets chain[j + 1].derivs_start, compared
+    up to order k_max or the shorter stream's top, whichever is lower.
+
+    order0_matched=True records that every restart already passed the
     consistency test, so the value-level comparison is not re-run with a
     differently scaled tolerance (inconsistent_restart and matched_order
     = -1 are two views of the same decision).
     """
-    avail = min(left.derivs_end.shape[0], right.derivs_start.shape[0]) - 1
-    k_eff = min(k_max, avail)
-    matched = agreement_order(left.derivs_end, right.derivs_start, k_eff, JUMP_TOL,
-                              first=1 if order0_matched else 0)
-    first = jump = norm = None
-    if matched < k_eff:
-        first = matched + 1
-        jump = right.derivs_start[first] - left.derivs_end[first]
-        norm = float(np.linalg.norm(jump))
-    return LedgerEntry(
-        knot_index=knot_index,
-        time=knot_index * tau,
-        matched_order=matched,
-        first_jump_order=first,
-        jump_vector=jump,
-        jump_norm=norm,
-        inconsistent_restart=matched == -1,
-    )
+    pairs = list(zip(chain, chain[1:]))
+    if not pairs:
+        return []
+    tops = [min(k_max, len(l.derivs_end) - 1, len(r.derivs_start) - 1) for l, r in pairs]
+    # both sides of every knot in one stack each, zero past a pair's top
+    dtype = np.result_type(*(s.derivs_end for s in chain[:-1]),
+                           *(s.derivs_start for s in chain[1:]))
+    ends = np.zeros((len(pairs), max(tops) + 1, chain[0].derivs_end.shape[1]), dtype)
+    starts = np.zeros_like(ends)
+    for p, ((l, r), top) in enumerate(zip(pairs, tops)):
+        ends[p, : top + 1] = l.derivs_end[: top + 1]
+        starts[p, : top + 1] = r.derivs_start[: top + 1]
+    matched = agreement_order(ends, starts, tops, JUMP_TOL, 1 if order0_matched else 0)
+    jumped = np.flatnonzero(matched < tops)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps = starts[jumped, matched[jumped] + 1] - ends[jumped, matched[jumped] + 1]
+    found = dict(zip(jumped.tolist(), zip(jumps, row_norms(jumps).tolist())))
+    entries = []
+    for p, ((l, _), order) in enumerate(zip(pairs, matched.tolist())):
+        jump, norm = found.get(p, (None, None))
+        entries.append(LedgerEntry(
+            knot_index=l.index,
+            time=l.index * tau,
+            matched_order=order,
+            first_jump_order=None if jump is None else order + 1,
+            jump_vector=jump,
+            jump_norm=norm,
+            inconsistent_restart=order == -1,
+        ))
+    return entries
 
 
 def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int):
@@ -357,9 +367,10 @@ class Sweep:
     Each delay interval is the same DAE segment with new data, so the
     slow collocation (SlowCollocation), the fast part (FastPart), the
     windows of the transformed inhomogeneity S f on each segment in
-    Chebyshev form and f's derivative tables at the knots are built here
-    once, from the system, the split and the top degree, and go with the
-    sweep.
+    Chebyshev form (all cut and converted in one pass,
+    PiecewisePolynomial.windows) and f's derivative tables at the knots
+    are built here once, from the system, the split and the top degree,
+    and go with the sweep.
     """
 
     def __init__(self, sys: DdaeSystem, split: SplitCoefficients, config: SolverConfig,
@@ -368,12 +379,9 @@ class Sweep:
         self.colloc = SlowCollocation(split.qwf.J, config.degree)
         self.fast = FastPart(split.qwf.N, split.nu)
         self.SD = np.vstack([split.B_d, split.B_a])
-        tau = sys.tau
-        data = sys.f.apply_matrix(split.qwf.S)
-        self.windows = [segment_window(data, i, tau).to_chebyshev()
-                        for i in range(first, last + 1)]
         # knot times from the segments' own length tau; rows past f's degree are 0
-        knots = np.arange(first - 1, last + 1) * tau
+        knots = np.arange(first - 1, last + 1) * sys.tau
+        self.windows = sys.f.apply_matrix(split.qwf.S).windows(knots[:-1], knots[1:])
         d = sys.f.max_degree
         self.f_table = np.stack([sys.f.derivatives(knots[:-1], d, side="right"),
                                  sys.f.derivatives(knots[1:], d, side="left")], axis=1)
@@ -462,27 +470,22 @@ def method_of_steps(
             f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
-    prev = history_as_segment(sys, split, hist_orders)
-
+    chain, breakdown = [history_as_segment(sys, split, hist_orders)], []
     sweep = Sweep(sys, split, config, 1, M)
-    segments, entries = [], []
     # the top orders of a stiff stream may overflow; the recursion fences
     # them off (model._finite_rows), so numpy need not report them
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, M + 1):
             try:
-                seg = solve_segment(split, i, prev, config, sweep)
+                chain.append(solve_segment(split, i, chain[-1], config, sweep))
             except InconsistentRestart as err:
                 if config.on_inconsistent == "stop":
                     raise
-                entries.append(LedgerEntry(
+                breakdown.append(LedgerEntry(
                     knot_index=i - 1, time=(i - 1) * sys.tau, matched_order=-1,
                     first_jump_order=0, jump_vector=err.jump,
-                    jump_norm=float(np.linalg.norm(err.jump)), inconsistent_restart=True))
+                    jump_norm=vector_norm(err.jump), inconsistent_restart=True))
                 break
-            entries.append(detect_jumps(prev, seg, k_max, knot_index=i - 1, tau=sys.tau,
-                                        order0_matched=True))
-            segments.append(seg)
-            prev = seg
-    return Trajectory(segments, sys.tau, sys.n), JumpLedger(entries)
-
+        # the ledger feeds no later segment: one pass over every knot
+        entries = detect_jumps(chain, k_max, sys.tau, order0_matched=True)
+    return Trajectory(chain[1:], sys.tau, sys.n), JumpLedger(entries + breakdown)

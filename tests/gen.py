@@ -5,11 +5,13 @@ modules."""
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 import ddae_kit as dk
+from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from ddae_kit.history import FLAG_TOL
 from ddae_kit.pencil import norm2
-from ddae_kit.piecewise import Piece
+from ddae_kit.piecewise import CHEBYSHEV, DOMAIN_RTOL, Piece
 from ddae_kit.stability import NEWTON_MAX_ITER, _char_matrix
 
 
@@ -107,6 +109,40 @@ def fast_per_order(N, q_f, nu):
             N_pow = N_pow @ N
         pieces.append(Piece(a, b, q_f.basis.tidy(w)))
     return q_f._with(pieces, m)
+
+
+def shift_per_row(c, delta):
+    """Reference Taylor shift: p(u + delta), one row update at a time."""
+    out = np.array(c)
+    if delta == 0.0:
+        return out
+    m = out.shape[0]
+    for j in range(m - 1):
+        for k in range(m - 2, j - 1, -1):
+            out[k] = out[k] + delta * out[k + 1]
+    return out
+
+
+def segment_window(pp, i, tau):
+    """Reference: the restriction of pp to segment i in local time, in
+    Chebyshev form, cut and converted piece by piece with one polyval and
+    one V^-1 product per monomial piece."""
+    lo_w, hi_w, move = (i - 1) * tau, i * tau, -(i - 1) * tau
+    if pp.basis is CHEBYSHEV:
+        return pp.restrict(lo_w, hi_w).shift(move).pieces
+    tol = DOMAIN_RTOL * (pp.end - pp.start)
+    pieces = []
+    for pa, pb, c in pp.pieces:
+        lo, hi = max(pa, lo_w), min(pb, hi_w)
+        if hi - lo <= tol:
+            continue
+        a, b, c = lo + move, hi + move, shift_per_row(c, lo - pa)
+        deg = c.shape[0] - 1
+        if deg:
+            vals = P.polyval((b - a) * 0.5 * (cgl_nodes(deg) + 1.0), c).T
+            c = trim_coeffs(values_to_coeffs(vals))
+        pieces.append((a, b, c))
+    return pieces
 
 
 def hidden_delay_residual(exp, sys, traj, theta=None):
@@ -282,6 +318,29 @@ def kinked_dae(basis, horizon=4):
     sys1 = replace(sys0, f=f)
     phi = dk.construct_probe_history(sys1, dk.build_split(sys1, qwf=split0.qwf), m=1,
                                      target=np.zeros(n_d), side="slow")
+    return replace(sys1, phi=phi)
+
+
+def straddling_system(field):
+    """Index-2 system on tau = 0.1, where i * tau - (i - 1) * tau != tau
+    for some i, whose inhomogeneity has pieces of several degrees that
+    straddle the knots."""
+    rng = np.random.default_rng(17)
+    tau, M = 0.1, 6
+    sys0, _ = random_system_from_blocks(rng, 1, 3, 2, random_smoothing_blocks(rng, 1, 3, 2),
+                                        horizon=M)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if field is complex else x
+
+    cuts = [0.0, 0.05, 0.23, 0.37, 0.45, 0.6]
+    f = dk.PiecewisePolynomial([(a, b, draw(1 + k % 4, 4))
+                                for k, (a, b) in enumerate(zip(cuts, cuts[1:]))])
+    sys1 = dk.DdaeSystem(E=sys0.E, A=sys0.A, D=sys0.D, tau=tau, horizon_intervals=M,
+                         f=f, phi=dk.PiecewisePolynomial.zero(4, -tau, 0.0))
+    phi = dk.construct_probe_history(sys1, dk.build_split(sys1), m=1, target=np.zeros(1),
+                                     rng=rng)
     return replace(sys1, phi=phi)
 
 

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.history import FLAG_TOL, _row_norms, agreement_order
+from ddae_kit.history import FLAG_TOL, agreement_order
+from ddae_kit.pencil import row_norms as _row_norms
 from ddae_kit.solver import JUMP_TOL, SegmentSolution
+
+from gen import example_advanced
 
 
 def reference_compare_endpoints(left, right, k_max, tol_jump, order0_matched=None):
@@ -130,9 +133,9 @@ class TestAgainstReferenceLoops:
                     ref = reference_compare_endpoints(left, right, top, JUMP_TOL, order0)
                     first = 1 if order0 else 0
                     assert agreement_order(left, right, top, JUMP_TOL, first) == ref[0]
-                    entry = dk.detect_jumps(
-                        segment(0, left, left), segment(1, right, right), k_max=top,
-                        knot_index=0, tau=1.0, order0_matched=order0,
+                    entry, = dk.detect_jumps(
+                        [segment(0, left, left), segment(1, right, right)], k_max=top,
+                        tau=1.0, order0_matched=order0,
                     )
                     assert entry.matched_order == ref[0]
                     assert entry.first_jump_order == ref[1]
@@ -232,8 +235,8 @@ class TestEdgeCases:
         # re-judged at order 0 by the ledger's tolerance
         left = np.array([[0.0], [1.0], [2.0]])
         right = np.array([[1.0], [1.0], [5.0]])
-        entry = dk.detect_jumps(segment(0, left, left), segment(1, right, right),
-                                k_max=2, knot_index=0, tau=1.0, order0_matched=order0)
+        entry, = dk.detect_jumps([segment(0, left, left), segment(1, right, right)],
+                                 k_max=2, tau=1.0, order0_matched=order0)
         if order0:
             assert (entry.matched_order, entry.first_jump_order) == (1, 2)
             assert entry.jump_vector[0] == 3.0
@@ -242,3 +245,89 @@ class TestEdgeCases:
             assert (entry.matched_order, entry.first_jump_order) == (-1, 0)
             assert entry.jump_vector[0] == 1.0
             assert entry.inconsistent_restart
+
+
+def ragged_chain(rng, knots, width, complex_field):
+    """A chain of pseudo-segments 0..knots whose streams shrink and grow
+    at random, so some knots hold fewer rows than k_max; the rows of each
+    knot agree, sit on the boundary or differ as in random_pair, and
+    some top rows are inf or nan."""
+    chain = []
+    for index in range(knots + 1):
+        left, right = random_pair(rng, int(rng.integers(1, 7)), width, JUMP_TOL,
+                                  complex_field)
+        for stack in (left, right):
+            if rng.random() < 0.25:
+                stack[-1, 0] = rng.choice([np.inf, -np.inf, np.nan])
+        # the knot before this segment compares the last end with right
+        chain.append(segment(index, right, left))
+    return chain
+
+
+class TestStackedLedger:
+    """agreement_order over a stack of pairs and detect_jumps over a
+    chain give, knot by knot, what the former per-pair loops gave."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_stacked_orders_match_single_pairs(self, complex_field):
+        rng = np.random.default_rng(31 + complex_field)
+        for _ in range(60):
+            pairs, rows, width = (int(x) for x in rng.integers(1, 7, size=3))
+            stacks = [random_pair(rng, rows, width, JUMP_TOL, complex_field)
+                      for _ in range(pairs)]
+            left, right = (np.stack(s) for s in zip(*stacks))
+            if rng.random() < 0.3:
+                right[rng.integers(pairs), -1, 0] = np.inf
+            tops = rng.integers(0, rows, size=pairs)
+            for first in (0, 1):
+                got = agreement_order(left, right, tops, JUMP_TOL, first)
+                assert got.tolist() == [
+                    agreement_order(l, r, int(t), JUMP_TOL, first)
+                    for l, r, t in zip(left, right, tops)]
+                assert got.tolist() == [
+                    reference_compare_endpoints(l, r, int(t), JUMP_TOL,
+                                                True if first else None)[0]
+                    for l, r, t in zip(left, right, tops)]
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_chain_matches_reference_loop(self, complex_field):
+        rng = np.random.default_rng(41 + complex_field)
+        for _ in range(40):
+            chain = ragged_chain(rng, int(rng.integers(1, 8)), int(rng.integers(1, 4)),
+                                 complex_field)
+            k_max = int(rng.integers(0, 6))
+            for order0 in (None, True):
+                entries = dk.detect_jumps(chain, k_max, tau=0.1, order0_matched=order0)
+                assert len(entries) == len(chain) - 1
+                for entry, left, right in zip(entries, chain, chain[1:]):
+                    k_eff = min(k_max, len(left.derivs_end) - 1,
+                                len(right.derivs_start) - 1)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        ref = reference_compare_endpoints(
+                            left.derivs_end, right.derivs_start, k_eff, JUMP_TOL, order0)
+                    assert (entry.knot_index, entry.time) == (left.index, left.index * 0.1)
+                    assert entry.matched_order == ref[0]
+                    assert entry.first_jump_order == ref[1]
+                    assert entry.inconsistent_restart == (ref[0] == -1)
+                    if ref[1] is None:
+                        assert entry.jump_vector is None and entry.jump_norm is None
+                    else:
+                        np.testing.assert_array_equal(entry.jump_vector, ref[2])
+                        np.testing.assert_array_equal(entry.jump_norm, ref[3])
+
+    def test_one_segment_chain_has_no_knot(self):
+        only = segment(0, np.zeros((3, 2)), np.zeros((3, 2)))
+        assert dk.detect_jumps([only], 2, tau=1.0) == []
+
+    def test_breakdown_entry_stays_last(self):
+        # the advanced example breaks down before its horizon: the ledger
+        # lists the knots of the solved segments in order, then the
+        # breakdown at the knot the sweep stopped on
+        traj, ledger = dk.method_of_steps(example_advanced(horizon=4))
+        solved = len(traj.segments)
+        assert 1 <= solved < 4
+        assert [e.knot_index for e in ledger.entries] == list(range(solved + 1))
+        assert [e.inconsistent_restart for e in ledger.entries] == [False] * solved + [True]
+        last = ledger.entries[-1]
+        assert (last.matched_order, last.first_jump_order) == (-1, 0)
+        assert last.jump_norm == float(np.linalg.norm(last.jump_vector))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
 from ddae_kit import cli, solver
@@ -20,6 +21,7 @@ from gen import (
     example_slow_smoothing,
     random_smoothing_blocks,
     random_system_from_blocks,
+    straddling_system,
 )
 
 
@@ -503,6 +505,111 @@ class TestTrajectoryCsv:
         assert len(rows) == sum(sum(d) + 1 for d in degrees)
         if case.startswith("kinked"):
             assert min(len(d) for d in degrees) >= 3
+
+
+def write_csv_per_piece(path, sys_, trajectory):
+    """Reference: the trajectory writer with one chebval per piece and one
+    row format per row, each piece at the CGL nodes of its own degree (at
+    least its ends)."""
+    parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
+    cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
+    row = ",".join(["%.17g"] * (1 + len(cols))) + ",%s\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["t"] + cols + ["side"]) + "\n")
+        for seg in trajectory.segments:
+            offset = (seg.index - 1) * trajectory.tau
+            times, values = [], []
+            for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
+                unit_nodes = cgl_nodes(max(coef.shape[0] - 1, 1))
+                nodes = 0.5 * (a + b) + 0.5 * (b - a) * unit_nodes
+                skip = 1 if p_idx else 0  # shared knot: already the last row
+                times.append(nodes[skip:])
+                values.append(C.chebval((2.0 * nodes - a - b) / (b - a), coef).T[skip:])
+            v = np.concatenate(values)
+            columns = np.stack([part(v) for part in parts.values()], axis=2)
+            table = np.column_stack(
+                [offset + np.concatenate(times), columns.reshape(len(v), -1)]
+            )
+            sides = [""] * len(table)
+            sides[-1] = "L"
+            sides[0] = "R"
+            fh.write("".join(row % (*r, side)
+                             for r, side in zip(table.tolist(), sides)))
+
+
+class TestTrajectoryCsvBytes:
+    """The grouped writer gives the bytes of the per-piece writer."""
+
+    @pytest.mark.parametrize("degree", [48, 3])
+    @pytest.mark.parametrize("case", ["kinked-real", "kinked-complex", "advanced",
+                                      "straddling-real", "straddling-complex", "neutral"])
+    def test_matches_per_piece_writer(self, tmp_path, case, degree):
+        sys_ = {
+            "kinked-real": lambda: kinked_system(float),
+            "kinked-complex": lambda: kinked_system(complex),
+            "advanced": example_advanced,  # breaks down: partial trajectory
+            "straddling-real": lambda: straddling_system(float),
+            "straddling-complex": lambda: straddling_system(complex),
+            "neutral": lambda: example_neutral(horizon=20),
+        }[case]()
+        traj, ledger = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=degree))
+        assert ledger.has_inconsistent == (case == "advanced")
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        cli._write_trajectory_csv(got, sys_, traj)
+        write_csv_per_piece(ref, sys_, traj)
+        assert got.read_bytes() == ref.read_bytes()
+        if case.startswith(("kinked", "straddling")):
+            assert max(len(seg.pieces.pieces) for seg in traj.segments) >= 3
+
+    def test_empty_trajectory_writes_the_header(self, tmp_path):
+        sys_ = example_neutral()
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        empty = solver.Trajectory([], sys_.tau, sys_.n)
+        cli._write_trajectory_csv(got, sys_, empty)
+        write_csv_per_piece(ref, sys_, empty)
+        assert got.read_bytes() == ref.read_bytes() == b"t,x_1,side\n"
+
+
+class TestOverflowedConsistencyScale:
+    """A history value near the float range overflows the squares in the
+    consistency scale; the verdicts must be those of a large finite value,
+    and the run must stay free of RuntimeWarnings."""
+
+    @staticmethod
+    def outcomes(tmp_path, value):
+        data = dk.problem_to_dict(example_advanced())
+        data["history"][0]["coeffs"][0][1] = value
+        problem = tmp_path / f"problem-{value:g}.json"
+        problem.write_text(json.dumps(data))
+        runs = {
+            "check-history": ["check-history", str(problem), str(tmp_path / "h.json")],
+            "analyze": ["analyze", str(problem), str(tmp_path / "a.json")],
+            "solve": ["solve", str(problem), str(tmp_path / "s.csv"), str(tmp_path / "s.json")],
+            "probe": ["probe", str(problem), str(tmp_path / "p.json"), "--order", "1",
+                      "--side", "fast"],
+        }
+        out = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for name, argv in runs.items():
+                out[name] = main(argv)
+        out["history"] = read_json(tmp_path / "h.json")
+        out["analyze_history"] = read_json(tmp_path / "a.json")["history_checks"]
+        return out
+
+    def test_overflowed_history_keeps_the_verdict(self, tmp_path):
+        huge = self.outcomes(tmp_path, 4.7e269)
+        large = self.outcomes(tmp_path, 4.7e100)
+        for out in (huge, large):
+            assert (out["check-history"], out["analyze"], out["solve"], out["probe"]) == (
+                0, 0, 4, 0)
+            for report in (out["history"], out["analyze_history"]):
+                assert report["admissible"] is False
+                assert report["kappa_observed"] == -1
+                assert 0 < report["admissible_residual"] < np.inf
+        verdicts = [{k: v for k, v in out["history"].items() if not isinstance(v, float)}
+                    for out in (huge, large)]
+        assert verdicts[0] == verdicts[1]
 
 
 class TestStabilityCommand:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.pencil import negligible, norm2, rank_threshold
+from ddae_kit.history import CONSISTENCY_TOL, is_consistent
+from ddae_kit.pencil import negligible, norm2, rank_threshold, row_norms, vector_norm
 
 from gen import random_regular_pencil
 
@@ -12,6 +13,41 @@ def subspace(basis):
     if basis.shape[1] == 0:
         return np.zeros((basis.shape[0], basis.shape[0]))
     return basis @ basis.conj().T
+
+
+class TestVectorNorms:
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_bit_identical_to_numpy_where_finite(self, field):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 7, 16, 33):
+            rows = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-150, 150, size=(6, 1))
+            if field is complex:
+                rows = rows + 1j * rng.standard_normal((6, n))
+            expected = [float(np.linalg.norm(row)) for row in rows]
+            assert row_norms(rows).tolist() == expected
+            assert [vector_norm(row) for row in rows] == expected
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_overflowing_squares_give_the_scaled_norm(self, field):
+        # the squares overflow, the norm does not: no warning (an error
+        # under this suite's filter) and a finite, correctly scaled value
+        x = np.array([3e200, -4e200]) * (1j if field is complex else 1)
+        assert vector_norm(x) == pytest.approx(5e200, rel=1e-15)
+        rows = np.stack([x, np.array([3.0, 4.0]) + 0 * x])
+        assert row_norms(rows) == pytest.approx([5e200, 5.0], rel=1e-15)
+
+    def test_non_finite_stays_non_finite(self):
+        assert vector_norm(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(vector_norm(np.array([np.nan, 1.0])))
+        assert vector_norm(np.full(3, 1.7e308)) == np.inf  # beyond the float range
+        assert vector_norm(np.zeros(0)) == 0.0
+
+    def test_overflowed_residual_is_never_consistent(self):
+        big = np.array([1e300, 1e300])
+        assert not is_consistent(np.inf, big, big)
+        assert not is_consistent(np.nan, big, big)
+        assert is_consistent(CONSISTENCY_TOL, np.zeros(2), np.zeros(2))
+        assert not is_consistent(1e300, big, np.zeros(2))
 
 
 class TestNorm2:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial
+from ddae_kit.cheb import trim_coeffs, trim_lengths
+from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial, _shift_coeffs
+
+from gen import segment_window, shift_per_row
 
 
 def random_pp(rng, n, breaks, max_deg=5):
@@ -214,3 +217,90 @@ class TestCalculusChebyshev(TestCalculus):
             pp + pp.to_chebyshev()
         with pytest.raises(dk.DimensionMismatch):
             pp.to_chebyshev().stack(pp)
+
+
+def assert_same_pieces(got, ref):
+    assert len(got) == len(ref)
+    for (a, b, c), (ra, rb, rc) in zip(got, ref):
+        assert (a, b, c.dtype, c.shape) == (ra, rb, rc.dtype, rc.shape)
+        assert c.tobytes() == rc.tobytes()
+
+
+class TestWindows:
+    """All segment windows from one stacked conversion, bit for bit the
+    per-window restriction, shift and per-piece conversion."""
+
+    @pytest.mark.parametrize("tau", [0.1, 0.3, 1.0, 1e-3, 7.7])
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_matches_per_window_conversion(self, tau, field, basis):
+        rng = np.random.default_rng(int(tau * 1000) + (field is complex))
+        for _ in range(8):
+            M, n = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            # breakpoints inside segments, near knots and exactly at some
+            inner = {float(x) for x in rng.uniform(0, M * tau, int(rng.integers(0, 6)))}
+            inner |= {k * tau for k in rng.integers(1, M + 1, size=2)}
+            cuts = sorted({0.0, M * tau} | {x for x in inner if 0 < x < M * tau})
+            pieces = []
+            for a, b in zip(cuts, cuts[1:]):
+                c = rng.standard_normal((int(rng.integers(1, 7)), n))
+                c[rng.random(c.shape) < 0.2] = 0.0
+                if field is complex:
+                    c = c + 1j * rng.standard_normal(c.shape) * (rng.random() < 0.8)
+                pieces.append((a, b, c))
+            pp = PiecewisePolynomial(pieces, n)
+            if basis is CHEBYSHEV:
+                pp = pp.to_chebyshev()
+            knots = np.arange(M + 1) * tau
+            windows = pp.windows(knots[:-1], knots[1:])
+            assert len(windows) == M
+            for i, window in enumerate(windows, start=1):
+                assert window.basis is CHEBYSHEV
+                assert_same_pieces(window.pieces, segment_window(pp, i, tau))
+
+    def test_rounded_knots_and_straddling_pieces(self):
+        # tau = 0.1: 3 tau - 2 tau != tau, so the windows differ in width
+        # by rounding; every piece of f straddles a knot
+        tau = 0.1
+        assert 3 * tau - 2 * tau != tau
+        cuts = [0.0, 0.05, 0.23, 0.37, 0.45, 0.6]
+        rng = np.random.default_rng(4)
+        pp = PiecewisePolynomial([(a, b, rng.standard_normal((3, 2)))
+                                  for a, b in zip(cuts, cuts[1:])])
+        knots = np.arange(7) * tau
+        for i, window in enumerate(pp.windows(knots[:-1], knots[1:]), start=1):
+            assert_same_pieces(window.pieces, segment_window(pp, i, tau))
+            assert window.start == 0.0
+            assert window.end == min(i * tau, cuts[-1]) - (i - 1) * tau
+
+    def test_window_outside_domain_rejected(self):
+        pp = PiecewisePolynomial([(0.0, 1.0, np.ones((2, 1)))])
+        with pytest.raises(dk.OutOfDomain):
+            pp.windows([0.5], [1.5])
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_stacked_shift_matches_row_updates(self, field):
+        rng = np.random.default_rng(9)
+        c = rng.standard_normal((6, 5, 2))
+        if field is complex:
+            c = c + 1j * rng.standard_normal(c.shape)
+        deltas = np.array([0.0, 0.3, -1.7, 1e-9, 0.0, 2.5])
+        got = _shift_coeffs(c, deltas)
+        for k in range(len(c)):
+            assert got[k].tobytes() == shift_per_row(c[k], deltas[k]).tobytes()
+            assert _shift_coeffs(c[k], deltas[k]).tobytes() == got[k].tobytes()
+
+
+class TestTrimLengths:
+    def test_matches_trim_coeffs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            rows, n = int(rng.integers(1, 8)), int(rng.integers(0, 4))
+            c = rng.standard_normal((5, rows, n)) * 10.0 ** rng.integers(-20, 20,
+                                                                         size=(5, rows, 1))
+            c[rng.random(c.shape) < 0.3] = 0.0
+            if rng.random() < 0.2:
+                c = c + 1j * rng.standard_normal(c.shape)
+            if rng.random() < 0.1:
+                c[0, int(rng.integers(rows))] = np.nan
+            assert trim_lengths(c).tolist() == [len(trim_coeffs(ck)) for ck in c]

@@ -19,6 +19,8 @@ from gen import (
     kinked_dae,
     random_smoothing_blocks,
     random_system_from_blocks,
+    segment_window,
+    straddling_system,
     taylor_per_order,
     weak_desmoothing_system,
 )
@@ -373,7 +375,7 @@ class TestDetectJumps:
         from ddae_kit.solver import history_as_segment
 
         hist = history_as_segment(sys, split, orders=6)
-        entry = dk.detect_jumps(hist, hist_copy(hist), k_max=4, knot_index=0, tau=sys.tau)
+        entry, = dk.detect_jumps([hist, hist_copy(hist)], k_max=4, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None
         assert not entry.inconsistent_restart
@@ -557,6 +559,24 @@ class TestSweep:
         for keys in (fast_keys, vander_keys):
             assert keys and max(Counter(keys).values()) == 1
             assert len(keys) < pieces
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("first, last", [(1, 6), (3, 5), (6, 6)])
+    def test_windows_match_per_segment_conversion(self, field, first, last):
+        # S f cut into every segment window of a sweep at once, bit for bit
+        # the per-segment restriction and conversion; tau = 0.1 rounds the
+        # window widths apart and every piece of f straddles a knot
+        sys = straddling_system(field)
+        split = dk.build_split(sys)
+        sweep = solver.Sweep(sys, split, dk.SolverConfig(), first, last)
+        data = sys.f.apply_matrix(split.qwf.S)
+        assert len(sweep.windows) == last - first + 1
+        for i, window in zip(range(first, last + 1), sweep.windows):
+            ref = segment_window(data, i, sys.tau)
+            assert len(window.pieces) == len(ref)
+            for (a, b, c), (ra, rb, rc) in zip(window.pieces, ref):
+                assert (a, b, c.dtype, c.shape) == (ra, rb, rc.dtype, rc.shape)
+                assert c.tobytes() == rc.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fast_operators_match_per_order_loop(self, seed, monkeypatch):
