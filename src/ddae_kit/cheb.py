@@ -1,8 +1,7 @@
-"""Chebyshev kernel: Gauss-Lobatto nodes, node/coefficient transforms,
-evaluation, trimming.
+"""Chebyshev kernel: Gauss-Lobatto nodes, node/coefficient transforms, trimming.
 
-Coefficient arrays have shape (deg+1, n), one column per component; the
-stacked forms take (K, deg+1, n), K arrays of one length at once.  The
+Coefficient arrays have shape (deg+1, n), one column per component;
+values_to_coeffs also takes a stack (K, deg+1, n) of K at once.  The
 piecewise container in ``piecewise`` builds its Chebyshev basis on these
 helpers; the solver's collocation reuses the cached Vandermonde pair.
 """
@@ -45,25 +44,6 @@ def values_to_coeffs(values):
     return Vinv @ values
 
 
-def clenshaw(c, x):
-    """Values, shape (K, len(x[k]), n), of each Chebyshev series c[k] of
-    a stack (K, m, n) at its own points x[k] (a (K, q) array), with
-    chebval's steps: elementwise, so each value is bit for bit what
-    chebval(x[k], c[k]) gives."""
-    c, x = c[..., None], x[:, None]
-    m = c.shape[1]
-    if m == 1:
-        c0, c1 = c[:, 0], 0
-    elif m == 2:
-        c0, c1 = c[:, 0], c[:, 1]
-    else:
-        x2 = 2 * x
-        c0, c1 = c[:, -2], c[:, -1]
-        for i in range(3, m + 1):
-            c0, c1 = c[:, -i] - c1, c0 + c1 * x2
-    return (c0 + c1 * x).transpose(0, 2, 1)
-
-
 def trim_coeffs(coef, tol=TRIM_TOL):
     """Drop trailing rows that are negligible next to the largest one."""
     mags = np.max(np.abs(coef), axis=1) if coef.shape[1] else np.zeros(coef.shape[0])
@@ -73,14 +53,3 @@ def trim_coeffs(coef, tol=TRIM_TOL):
     while keep > 1 and mags[keep - 1] <= cut:
         keep -= 1
     return coef[:keep]
-
-
-def trim_lengths(coefs, tol=TRIM_TOL):
-    """Rows trim_coeffs keeps of each array of a stack (K, rows, n), from
-    one pass over the stack: the last row above tol * max(1, top), top
-    the array's largest magnitude, ends the array; at least one row."""
-    mags = np.abs(coefs).max(axis=2, initial=0.0)
-    top = mags.max(axis=1, initial=0.0)
-    above = ~(mags <= tol * np.where(top > 1.0, top, 1.0)[:, None])
-    above[:, 0] = True
-    return coefs.shape[1] - above[:, ::-1].argmax(axis=1)

@@ -32,13 +32,12 @@ from .errors import (
 )
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
 from .model import build_split, split_matrices
-from .piecewise import _group
+from .piecewise import cgl_samples
 from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
 from .reform import expand_hidden_delays
 from .solver import LedgerEntry, SolverConfig, method_of_steps
 from .stability import (SearchBox, assess_exponential_stability, default_box,
                         spectral_abscissa)
-from .cheb import cgl_nodes, clenshaw
 
 SCHEMA = "ddae-kit/1"
 
@@ -118,51 +117,54 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+# the trajectory CSV is formatted in chunks of whole segments of about
+# this many rows, so the values, Python floats and text it holds at once
+# stay bounded whatever the horizon
+CSV_CHUNK_ROWS = 4096
+
+
 def _write_trajectory_csv(path, sys_, trajectory):
     """Each piece sampled at the CGL nodes of its own degree (at least its
     two ends), so the rows of a piece determine it exactly.
 
     A knot shared by two pieces of a segment appears once, and the first
-    and last rows of a segment carry the side markers R and L.  The
-    pieces of all segments are evaluated in groups of one coefficient
-    length and dtype, each group by one Clenshaw sweep on the pieces' own
-    mapped nodes (chebval's steps, elementwise, so every value is the one
-    a chebval per piece gives), and the table is written with one format
-    call.
+    and last rows of a segment carry the side markers R and L.  Whole
+    segments are written in chunks of about CSV_CHUNK_ROWS rows; the
+    pieces of a chunk are sampled at once (piecewise.cgl_samples, bit for
+    bit one evaluation per piece) and formatted by one format call.
     """
     parts = {"_re": np.real, "_im": np.imag} if sys_.is_complex else {"": np.real}
     cols = [f"x_{j}{suffix}" for j in range(1, sys_.n + 1) for suffix in parts]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(["t"] + cols + ["side"]) + "\n")
-        if trajectory.segments:
-            fh.write(_trajectory_rows(sys_.n, trajectory, parts))
+        chunk, rows = [], 0
+        for seg in trajectory.segments:
+            chunk.append(seg)
+            rows += sum(max(len(c), 2) for _, _, c in seg.pieces.pieces)
+            if rows >= CSV_CHUNK_ROWS or seg is trajectory.segments[-1]:
+                fh.write(_segment_rows(chunk, trajectory.tau, parts))
+                chunk, rows = [], 0
 
 
-def _trajectory_rows(n, trajectory, parts):
-    """The CSV rows of a trajectory with at least one segment."""
-    drops, offsets, starts, ends, coefs = zip(*(
-        (k > 0, (seg.index - 1) * trajectory.tau, a, b, c)
-        for seg in trajectory.segments for k, (a, b, c) in enumerate(seg.pieces.pieces)))
-    drops, bounds = np.array(drops), np.array([offsets, starts, ends]).T
-    # a piece gives max(degree, 1) + 1 rows, one fewer when its first row
-    # is the knot it shares with the piece before
-    counts = np.array([max(len(c), 2) for c in coefs]) - drops
-    first = np.cumsum(counts) - counts
-    size = int(counts.sum())
-    times = np.empty(size + 1)  # the extra last row takes every shared knot
-    values = np.empty((size + 1, n), dtype=np.result_type(*coefs))
-    for (m, _), ks in _group(coefs).items():
-        offset, a, b = bounds[ks].T[:, :, None]
-        nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(m - 1, 1))
-        rows = first[ks, None] - drops[ks, None] + np.arange(nodes.shape[1])
-        rows[drops[ks], 0] = size
-        times[rows] = offset + nodes
-        values[rows] = clenshaw(np.stack([coefs[k] for k in ks]), (2.0 * nodes - a - b) / (b - a))
-    columns = np.stack([part(values[:size]) for part in parts.values()], axis=2)
-    table = np.column_stack([times[:size], columns.reshape(size, -1)])
+def _segment_rows(segs, tau, parts):
+    """The CSV rows of one or more segments."""
+    pieces = [p for seg in segs for p in seg.pieces.pieces]
+    per_seg = np.array([len(seg.pieces.pieces) for seg in segs])
+    nodes, values, counts = cgl_samples(pieces)
+    offsets = np.repeat([(seg.index - 1) * tau for seg in segs], per_seg)
+    times = np.repeat(offsets, counts) + nodes
+    # the first row of a piece after a segment's first is the knot it
+    # shares with the piece before
+    opens = np.zeros(len(pieces), dtype=bool)
+    opens[np.cumsum(per_seg) - per_seg] = True
+    keep = np.ones(len(nodes), dtype=bool)
+    keep[(np.cumsum(counts) - counts)[~opens]] = False
+    times, values = times[keep], values[keep]
+    columns = np.stack([part(values) for part in parts.values()], axis=2)
+    table = np.column_stack([times, columns.reshape(len(times), -1)])
     row = ",".join(["%.17g"] * table.shape[1])
     template = "".join(f"{row},R\n" + f"{row},\n" * (r - 2) + f"{row},L\n"
-                       for r in np.add.reduceat(counts, np.flatnonzero(~drops)).tolist())
+                       for r in np.add.reduceat(counts - ~opens, np.flatnonzero(opens)).tolist())
     return template % tuple(table.ravel().tolist())
 
 

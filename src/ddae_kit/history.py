@@ -99,24 +99,21 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
 
 
 def agreement_order(left, right, top, tol, first=0):
-    """Largest k <= top such that rows 0..k of two derivative stacks agree.
+    """For each pair of derivative stacks, the largest k <= its top such
+    that rows 0..k of the pair agree.
 
-    Row k agrees when ||right[k] - left[k]|| <= tol (1 + max row norm),
-    with norms from pencil.row_norms, so a row whose difference norm is
-    not finite never agrees.  Rows below first are taken as agreeing
-    without a test.  Returns first - 1 when row first already differs, so
-    -1 means the values differ.  Every row from first to top is measured,
-    also past the first that differs, so rows that overflowed are
-    measured quietly.
-
-    For stacks of shape (pairs, rows, n) and top an int or one top per
-    pair, every pair is measured in one pass and an int array of orders
-    is returned; each order is the one its pair gives alone.
+    left and right are stacks of pairs, shape (pairs, rows, n); top is
+    one int for all pairs or one per pair.  Row k of a pair agrees when
+    ||right[k] - left[k]|| <= tol (1 + max row norm), with norms from
+    pencil.row_norms, so a row whose difference norm is not finite never
+    agrees.  Rows below first are taken as agreeing without a test.  A
+    pair whose row first already differs gives first - 1, so -1 means
+    the values differ.  Every row from first to its pair's top is
+    measured, also past the first that differs, so rows that overflowed
+    are measured quietly.  Returns an int array, one order per pair, each
+    the one its pair gives alone.
     """
     l, r = np.asarray(left), np.asarray(right)
-    single = l.ndim == 2
-    if single:
-        l, r = l[None], r[None]
     tops = np.broadcast_to(np.asarray(top, dtype=int), l.shape[:1])
     hi = int(tops.max(initial=first - 1)) + 1
     l, r = l[:, first:hi], r[:, first:hi]
@@ -132,8 +129,7 @@ def agreement_order(left, right, top, tol, first=0):
     agree = np.column_stack([agree | (np.arange(first, hi) > tops[:, None]),
                              np.zeros(len(tops), dtype=bool)])
     k = agree.argmin(axis=1)
-    orders = np.where(k < hi - first, first + k - 1, tops)
-    return int(orders[0]) if single else orders
+    return np.where(k < hi - first, first + k - 1, tops)
 
 
 def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport:
@@ -161,7 +157,7 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
     xs, _ = solution_taylor(split, hist[0], q, cap)
     # the fields in order: each verdict with its residual, then kappa
     return SplicingReport(*check_admissible(sys, split), *splices,
-                          agreement_order(hist, xs, cap, FLAG_TOL))
+                          int(agreement_order(hist[None], xs[None], cap, FLAG_TOL)[0]))
 
 
 def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
@@ -263,8 +259,8 @@ def construct_probe_history(
     phi = PiecewisePolynomial([(-tau, 0.0, coeffs)]).apply_matrix(T)
     # the monomial interpolant loses digits at its right end as m + nu grows
     want = vals_right[:m] @ T.T
-    if agreement_order(want, phi.derivatives(0.0, m - 1, side="left"), m - 1,
-                       FLAG_TOL) < m - 1:
+    got = phi.derivatives(0.0, m - 1, side="left")
+    if agreement_order(want[None], got[None], m - 1, FLAG_TOL)[0] < m - 1:
         raise ValueError("probe history misses its derivatives at 0: "
                          "Hermite conditioning not acceptable")
     return phi

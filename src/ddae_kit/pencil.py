@@ -14,7 +14,6 @@ Real input stays real: no complexification is ever required.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,13 +75,11 @@ def row_norms(rows):
 
 
 def vector_norm(x):
-    """||x|| of a vector as a float, as row_norms measures one row: bit
-    for bit np.linalg.norm(x) wherever that is finite."""
-    x = np.asarray(x).ravel()
+    """||x|| of a vector as a float, without warnings: np.linalg.norm(x)
+    wherever that is finite, else row_norms' measure of x as one row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x)
-    norm = math.sqrt(sq)
-    return norm if norm < math.inf else float(row_norms(x[None])[0])
+        norm = float(np.linalg.norm(x))
+    return norm if norm < np.inf else float(row_norms(np.ravel(x)[None])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .cheb import cgl_nodes, trim_coeffs, trim_lengths, values_to_coeffs
+from .cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
 
 DEGREE_CAP = 64
@@ -164,9 +164,9 @@ def _to_chebyshev(pieces):
     """Chebyshev pieces of monomial pieces, each interpolated at the CGL
     nodes of its degree.
 
-    The pieces of one (length, dtype, width) are evaluated by one Horner
-    sweep over their stacked coefficients (polyval's steps, elementwise)
-    at the nodes they share and converted by one product with V^-1 (each
+    The pieces of one (length, dtype, width) are evaluated by one polyval
+    of their stacked coefficients (Horner's steps are elementwise) at the
+    nodes they share and converted by one product with V^-1 (each
     piece's own matrix product, batched); constants are copied.
     """
     out = list(pieces)
@@ -177,14 +177,39 @@ def _to_chebyshev(pieces):
             coefs = c
         else:
             u = width * 0.5 * (cgl_nodes(m - 1) + 1.0)
-            vals = c[:, -1, :, None] + u * 0
-            for i in range(2, m + 1):
-                vals = c[:, -i, :, None] + vals * u
-            coefs = values_to_coeffs(vals.transpose(0, 2, 1))
-            coefs = [cf[:keep] for cf, keep in zip(coefs, trim_lengths(coefs).tolist())]
+            vals = P.polyval(u, c.transpose(1, 0, 2))
+            coefs = [trim_coeffs(cf) for cf in values_to_coeffs(vals.transpose(0, 2, 1))]
         for k, cf in zip(ks, coefs):
             out[k] = Piece(pieces[k].a, pieces[k].b, cf)
     return out
+
+
+def cgl_samples(pieces):
+    """Chebyshev pieces (a, b, coef), each sampled at the CGL nodes of its
+    own degree, at least 1, so at least at both ends: the nodes of all
+    pieces in order (rows,), the values there (rows, n) and the rows of
+    each piece.
+
+    The pieces of one coefficient length and dtype are evaluated by one
+    chebval of their stacked coefficients, each piece at its own mapped
+    nodes; Clenshaw's steps are elementwise, so every value is bit for
+    bit the CHEBYSHEV.eval of its piece.
+    """
+    coefs = [c for _, _, c in pieces]
+    counts = np.array([max(len(c), 2) for c in coefs])
+    first = np.cumsum(counts) - counts
+    bounds = np.array([(a, b) for a, b, _ in pieces])
+    nodes = np.empty(int(counts.sum()))
+    values = np.empty((len(nodes), coefs[0].shape[1]), dtype=np.result_type(*coefs))
+    for (m, _), ks in _group(coefs).items():
+        a, b = bounds[ks].T[:, :, None]
+        t = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(m - 1, 1))
+        rows = first[ks, None] + np.arange(t.shape[1])
+        nodes[rows] = t
+        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
+        x = ((2.0 * t - a - b) / (b - a))[:, None]
+        values[rows] = C.chebval(x, c, tensor=False).transpose(0, 2, 1)
+    return nodes, values, counts
 
 
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]

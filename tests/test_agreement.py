@@ -19,6 +19,11 @@ from ddae_kit.solver import JUMP_TOL, SegmentSolution
 from gen import example_advanced
 
 
+def order_of(left, right, top, tol, first=0):
+    """agreement_order of one pair of stacks, as an int."""
+    return int(agreement_order(left[None], right[None], top, tol, first)[0])
+
+
 def reference_compare_endpoints(left, right, k_max, tol_jump, order0_matched=None):
     """The ledger's former endpoint comparison."""
     matched = -1
@@ -132,7 +137,7 @@ class TestAgainstReferenceLoops:
                 for order0 in (None, True):
                     ref = reference_compare_endpoints(left, right, top, JUMP_TOL, order0)
                     first = 1 if order0 else 0
-                    assert agreement_order(left, right, top, JUMP_TOL, first) == ref[0]
+                    assert order_of(left, right, top, JUMP_TOL, first) == ref[0]
                     entry, = dk.detect_jumps(
                         [segment(0, left, left), segment(1, right, right)], k_max=top,
                         tau=1.0, order0_matched=order0,
@@ -153,7 +158,7 @@ class TestAgainstReferenceLoops:
             rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 4))
             history, xs = random_pair(rng, rows, width, FLAG_TOL, complex_field)
             for cap in range(rows):
-                assert agreement_order(history, xs, cap, FLAG_TOL) == reference_kappa_loop(
+                assert order_of(history, xs, cap, FLAG_TOL) == reference_kappa_loop(
                     history, xs, cap)
 
     @pytest.mark.parametrize("tol", [JUMP_TOL, FLAG_TOL])
@@ -162,7 +167,7 @@ class TestAgainstReferenceLoops:
         for complex_field in (False, True):
             l = rng.standard_normal(3) + (1j if complex_field else 0) * rng.standard_normal(3)
             left, right = (row[None] for row in exact_boundary_rows(l, tol))
-            assert agreement_order(left, right, 0, tol) == 0
+            assert order_of(left, right, 0, tol) == 0
             assert reference_compare_endpoints(left, right, 0, tol)[0] == 0
             assert reference_kappa_loop(left, right, 0) == (0 if tol == FLAG_TOL else -1)
 
@@ -175,9 +180,9 @@ class TestAgainstReferenceLoops:
         inside, outside = boundary_rows(l, d, JUMP_TOL)
         for r, agree in ((inside, 0), (outside, -1)):
             left, right = l[None], r[None]
-            assert agreement_order(left, right, 0, JUMP_TOL) == agree
+            assert order_of(left, right, 0, JUMP_TOL) == agree
             assert reference_compare_endpoints(left, right, 0, JUMP_TOL)[0] == agree
-        assert agreement_order(l[None], inside[None], 0, FLAG_TOL) == -1
+        assert order_of(l[None], inside[None], 0, FLAG_TOL) == -1
 
 
 class TestEdgeCases:
@@ -185,28 +190,28 @@ class TestEdgeCases:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = a.copy()
         b[1] += 1.0
-        assert agreement_order(a, b, 0, JUMP_TOL) == 0
+        assert order_of(a, b, 0, JUMP_TOL) == 0
         b[0] += 1.0
-        assert agreement_order(a, b, 0, JUMP_TOL) == -1
-        assert agreement_order(a, b, 0, JUMP_TOL, first=1) == 0
+        assert order_of(a, b, 0, JUMP_TOL) == -1
+        assert order_of(a, b, 0, JUMP_TOL, first=1) == 0
 
     def test_values_differ_gives_minus_one(self):
         a = np.zeros((4, 2))
         b = a.copy()
         b[0, 1] = 1.0
-        assert agreement_order(a, b, 3, FLAG_TOL) == -1
+        assert order_of(a, b, 3, FLAG_TOL) == -1
         assert reference_kappa_loop(a, b, 3) == -1
 
     def test_full_agreement_gives_top(self):
         a = np.arange(12.0).reshape(4, 3)
-        assert agreement_order(a, a.copy(), 3, FLAG_TOL) == 3
-        assert agreement_order(a, a.copy(), 2, FLAG_TOL) == 2
+        assert order_of(a, a.copy(), 3, FLAG_TOL) == 3
+        assert order_of(a, a.copy(), 2, FLAG_TOL) == 2
 
     def test_nan_row_never_agrees(self):
         a = np.zeros((3, 1))
         b = a.copy()
         b[1, 0] = np.nan
-        assert agreement_order(a, b, 2, JUMP_TOL) == 0
+        assert order_of(a, b, 2, JUMP_TOL) == 0
         assert reference_compare_endpoints(a, b, 2, JUMP_TOL)[0] == 0
 
     def test_overflowing_rows_past_a_difference_are_quiet(self):
@@ -216,7 +221,7 @@ class TestEdgeCases:
         a = np.array([[1.0, 0.0], [1e300, 1e300], [np.inf, 1.0]])
         b = a.copy()
         b[0, 0] = 2.0
-        assert agreement_order(a, b, 2, JUMP_TOL) == -1
+        assert order_of(a, b, 2, JUMP_TOL) == -1
         assert reference_compare_endpoints(a, b, 2, JUMP_TOL)[0] == -1
 
     @pytest.mark.parametrize("complex_field", [False, True])
@@ -282,7 +287,7 @@ class TestStackedLedger:
             for first in (0, 1):
                 got = agreement_order(left, right, tops, JUMP_TOL, first)
                 assert got.tolist() == [
-                    agreement_order(l, r, int(t), JUMP_TOL, first)
+                    order_of(l, r, int(t), JUMP_TOL, first)
                     for l, r, t in zip(left, right, tops)]
                 assert got.tolist() == [
                     reference_compare_endpoints(l, r, int(t), JUMP_TOL,

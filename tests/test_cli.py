@@ -561,6 +561,18 @@ class TestTrajectoryCsvBytes:
         if case.startswith(("kinked", "straddling")):
             assert max(len(seg.pieces.pieces) for seg in traj.segments) >= 3
 
+    @pytest.mark.parametrize("case", ["kinked-complex", "neutral"])
+    def test_chunks_change_no_byte(self, tmp_path, monkeypatch, case):
+        # one segment per chunk, and chunks of several segments
+        sys_ = kinked_system(complex) if case == "kinked-complex" else example_neutral(horizon=20)
+        traj, _ = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=3))
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_csv_per_piece(ref, sys_, traj)
+        for rows in (1, 7, 40):
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", rows)
+            cli._write_trajectory_csv(got, sys_, traj)
+            assert got.read_bytes() == ref.read_bytes()
+
     def test_empty_trajectory_writes_the_header(self, tmp_path):
         sys_ = example_neutral()
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.cheb import trim_coeffs, trim_lengths
 from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial, _shift_coeffs
 
 from gen import segment_window, shift_per_row
@@ -289,18 +288,3 @@ class TestWindows:
         for k in range(len(c)):
             assert got[k].tobytes() == shift_per_row(c[k], deltas[k]).tobytes()
             assert _shift_coeffs(c[k], deltas[k]).tobytes() == got[k].tobytes()
-
-
-class TestTrimLengths:
-    def test_matches_trim_coeffs(self):
-        rng = np.random.default_rng(12)
-        for _ in range(300):
-            rows, n = int(rng.integers(1, 8)), int(rng.integers(0, 4))
-            c = rng.standard_normal((5, rows, n)) * 10.0 ** rng.integers(-20, 20,
-                                                                         size=(5, rows, 1))
-            c[rng.random(c.shape) < 0.3] = 0.0
-            if rng.random() < 0.2:
-                c = c + 1j * rng.standard_normal(c.shape)
-            if rng.random() < 0.1:
-                c[0, int(rng.integers(rows))] = np.nan
-            assert trim_lengths(c).tolist() == [len(trim_coeffs(ck)) for ck in c]
