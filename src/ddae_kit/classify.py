@@ -24,11 +24,11 @@ from .errors import DimensionMismatch, SingularPencil
 from .model import DdaeSystem, SplitCoefficients, split_matrices
 from .pencil import (
     MatrixPencil,
+    QuasiWeierstrassForm,
     compute_qwf,
     first_negligible_power,
     negligible,
 )
-from .piecewise import PiecewisePolynomial
 
 
 class PropagationKind(enum.Enum):
@@ -140,7 +140,8 @@ class BackwardSystem:
 
     E_b zeta'(t) = A_b zeta(t) + D_b zeta(t - tau) + F(t); its pencil
     (E_b, A_b) is regular exactly when det(D) != 0 for the original
-    delay matrix D.
+    delay matrix D.  qwf is the pencil's quasi-Weierstrass form, or None
+    when the pencil is singular (regularity then holds the verdict).
     """
 
     E: np.ndarray
@@ -148,15 +149,15 @@ class BackwardSystem:
     D: np.ndarray
     regularity: object
     det_D: float | complex
-    system: DdaeSystem | None
+    qwf: QuasiWeierstrassForm | None
 
 
 def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
-    """Assemble the backward system and report its pencil regularity.
+    """Assemble the backward system and decompose its pencil.
 
     The classification of the backward system is independent of the
-    inhomogeneity, so its data functions are zero.  An irregular backward
-    pencil is a verdict, not an error.
+    inhomogeneity, so only the coefficients are built.  An irregular
+    backward pencil is a verdict, not an error.
     """
     n = sys.n
     dtype = complex if sys.is_complex else float
@@ -166,23 +167,12 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     A_b = np.block([[-sys.D, Z], [Z, I]])
     D_b = np.block([[-sys.A, Z], [-I, Z]])
     det_D = np.linalg.det(sys.D)
-    zero = PiecewisePolynomial.zero
     try:
-        system = DdaeSystem(
-            E=E_b,
-            A=A_b,
-            D=D_b,
-            tau=sys.tau,
-            horizon_intervals=sys.horizon_intervals,
-            f=zero(2 * n, 0.0, sys.t_final, complex_field=sys.is_complex),
-            phi=zero(2 * n, -sys.tau, 0.0, complex_field=sys.is_complex),
-        )
-        verdict = system.regularity
+        qwf = compute_qwf(MatrixPencil(E_b, A_b))
+        verdict = qwf.regularity
     except SingularPencil as exc:
-        system, verdict = None, exc.verdict
-    return BackwardSystem(
-        E=E_b, A=A_b, D=D_b, regularity=verdict, det_D=det_D, system=system
-    )
+        qwf, verdict = None, exc.verdict
+    return BackwardSystem(E=E_b, A=A_b, D=D_b, regularity=verdict, det_D=det_D, qwf=qwf)
 
 
 def classify_matrices(E, A, D, M: int):

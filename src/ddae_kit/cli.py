@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys as _sys
 from dataclasses import asdict, fields, replace
 
@@ -33,7 +32,8 @@ from .errors import (
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
 from .model import build_split, split_matrices
 from .piecewise import cgl_samples
-from .problemfile import _encode_matrix, _encode_pieces, _encode_scalar, load_problem
+from .problemfile import (_encode_matrix, _encode_pieces, _encode_scalar, load_problem,
+                          write_json)
 from .reform import expand_hidden_delays
 from .solver import LedgerEntry, SolverConfig, method_of_steps
 from .stability import (SearchBox, assess_exponential_stability, default_box,
@@ -45,12 +45,6 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 2
 EXIT_IRREGULAR = 3
 EXIT_MALFORMED = 4
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _analyze_payload(sys):
@@ -68,9 +62,8 @@ def _analyze_payload(sys):
         "propagation": None,
         "legacy": None,
     }
-    if backward.system is not None:
-        bw_sys = backward.system
-        bw_split = split_matrices(bw_sys.qwf, bw_sys.D)
+    if backward.qwf is not None:
+        bw_split = split_matrices(backward.qwf, backward.D)
         bw_report = classify(bw_split, M)
         bw["propagation"] = bw_report.propagation.kind.value
         bw["legacy"] = bw_report.legacy.kind.value
@@ -113,7 +106,7 @@ def _analyze_payload(sys):
 
 def cmd_analyze(args):
     sys_ = load_problem(args.problem)
-    _write_json(args.out, _analyze_payload(sys_))
+    write_json(args.out, _analyze_payload(sys_))
     return EXIT_OK
 
 
@@ -186,7 +179,7 @@ def cmd_solve(args):
     # a hard stop (--on-inconsistent stop) raises before any output is written
     trajectory, ledger = method_of_steps(sys_, config=config)
     _write_trajectory_csv(args.out_csv, sys_, trajectory)
-    _write_json(args.ledger_out, _ledger_payload(ledger, sys_.tau))
+    write_json(args.ledger_out, _ledger_payload(ledger, sys_.tau))
     if ledger.has_inconsistent:
         print("warning: inconsistent restart; partial outputs written",
               file=_sys.stderr)
@@ -221,7 +214,7 @@ def cmd_stability(args):
         "gate": report.gate,
         "verdict": verdict.value,
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -231,7 +224,7 @@ def cmd_hidden_delays(args):
     try:
         exp = expand_hidden_delays(sys_, split)
     except NotSmoothingType as exc:
-        _write_json(
+        write_json(
             args.out,
             {"schema": SCHEMA, "applicable": False, "reason": str(exc)},
         )
@@ -244,7 +237,7 @@ def cmd_hidden_delays(args):
         "J": _encode_matrix(exp.J, np.iscomplexobj(exp.J)),
         "D": [_encode_matrix(Dk, np.iscomplexobj(Dk)) for Dk in exp.D_delays],
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 
@@ -252,7 +245,7 @@ def cmd_check_history(args):
     sys_ = load_problem(args.problem)
     split = build_split(sys_)
     splice = splicing_report(sys_, split)
-    _write_json(args.out, {"schema": SCHEMA, **asdict(splice)})
+    write_json(args.out, {"schema": SCHEMA, **asdict(splice)})
     return EXIT_OK
 
 
@@ -281,7 +274,7 @@ def cmd_probe(args):
         "target": [float(v) for v in np.real(target)],
         "history": _encode_pieces(phi, np.iscomplexobj(phi.pieces[0][2])),
     }
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     return EXIT_OK
 
 

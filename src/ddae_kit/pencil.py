@@ -190,10 +190,6 @@ class QuasiWeierstrassForm:
     def T_inv(self):
         return _frozen(np.linalg.inv(self.T))
 
-    @cached_property
-    def S_inv(self):
-        return _frozen(np.linalg.inv(self.S))
-
 
 def _frozen(arr):
     arr.setflags(write=False)

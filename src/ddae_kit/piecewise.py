@@ -373,13 +373,18 @@ class PiecewisePolynomial:
         return DOMAIN_RTOL * (self.end - self.start)
 
     def _locate(self, t, side="right"):
+        """Index of the piece holding t (a float or an array of times):
+        the first piece whose end b has t < b - tol (t <= b + tol for
+        side="left"), else the last piece, which also takes NaN."""
         tol = self._tol()
-        if t < self.start - tol or t > self.end + tol:
-            raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
-        for k, (_, b, _) in enumerate(self.pieces):
-            if (t <= b + tol) if side == "left" else (t < b - tol):
-                return k
-        return len(self.pieces) - 1
+        t = np.asarray(t, dtype=float)
+        outside = (t < self.start - tol) | (t > self.end + tol)
+        if outside.any():
+            raise OutOfDomain(f"t={t[outside].flat[0]} outside [{self.start}, {self.end}]")
+        cuts = np.array([b for _, b, _ in self.pieces[:-1]])
+        if side == "left":
+            return np.searchsorted(cuts + tol, t, side="left")
+        return np.searchsorted(cuts - tol, t, side="right")
 
     def evaluate(self, t, order=0, side="right"):
         """Evaluate the order-th derivative at time t.
@@ -410,7 +415,7 @@ class PiecewisePolynomial:
             a, b, c = self.pieces[self._locate(t, side=side)]
             return self.basis.derivs(c, a, b, t, orders)
         times = np.asarray(t, dtype=float)
-        where = np.array([self._locate(s, side=side) for s in times], dtype=int)
+        where = self._locate(times, side=side)
         dtype = np.result_type(*(c for _, _, c in self.pieces))
         out = np.zeros((len(times), orders + 1, self.n), dtype=dtype)
         for k in np.unique(where):

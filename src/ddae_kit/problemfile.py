@@ -191,7 +191,12 @@ def problem_to_dict(sys: DdaeSystem) -> dict:
     }
 
 
-def dump_problem(sys: DdaeSystem, path):
+def write_json(path, payload):
+    """Write payload as the project's JSON: keys sorted, two-space indent,
+    one trailing newline (problem files and every CLI report)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(sys), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def dump_problem(sys: DdaeSystem, path):
+    write_json(path, problem_to_dict(sys))

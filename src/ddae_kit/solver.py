@@ -7,9 +7,9 @@ part is integrated by global Chebyshev collocation on each smooth piece,
 at a low degree first and at the top degree only where the low degree
 does not resolve the piece.  Every segment of a sweep is the same DAE
 segment with new data, so one Sweep builds each operator a segment
-applies once: the collocation inverses and Vandermonde rows, the
-fast-part operators, the data windows in Chebyshev form and f's own
-derivative tables at the knots.
+applies once: the collocation inverses, the fast-part operators, the
+data windows in Chebyshev form and f's own derivative tables at the
+knots.
 Restart values are never projected: a violation of the consistency
 condition is the de-smoothing failure mode and is reported, not
 repaired.
@@ -112,7 +112,6 @@ class Trajectory:
 
     segments: list
     tau: float
-    n: int
 
     def evaluate(self, t, order=0, side="right"):
         if not self.segments:
@@ -184,39 +183,26 @@ def _midpoint_mats(degree):
 class SlowCollocation:
     """Collocation solver for v' = J v + q, v(start) = v0, piece by piece.
 
-    Two rungs: every piece is solved at degree min(FIRST_DEGREE, degree)
-    first and kept if it passes a resolution test (its coefficient tail
-    and its residual between the nodes); a piece that fails is solved
-    again at the top degree, with the same arithmetic as a one-rung solve
-    at that degree.
+    The degree ladder is (min(FIRST_DEGREE, degree), degree): each piece
+    climbs it and keeps the first rung whose collocant passes a resolution
+    test (its coefficient tail and its residual between the nodes), the
+    last rung unconditionally.
 
     The bordered operator (first block row [I 0 ... 0], the rest
     (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
     depends only on p, h and the dtype, so its inverse is computed once
     per (p, h, dtype), on first use, and every further piece of that
     degree and width costs one mat-vec.  Widths are compared relative to
-    the span of the sweep's forcing (the delay tau), so cuts that differ
-    only by roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  The
-    forcing is evaluated at the nodes and the midpoints through
-    Chebyshev-Vandermonde rows built once per (degree, forcing length).
-    One instance lives for one sweep; its operators go with it.
+    the span of the forcing (the delay tau), so cuts that differ only by
+    roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  One instance
+    lives for one sweep; its inverses go with it.
     """
 
     def __init__(self, J, degree):
         self.J = J
-        self.degree = degree
-        self.first_degree = min(FIRST_DEGREE, degree)
+        self.ladder = tuple(dict.fromkeys((min(FIRST_DEGREE, degree), degree)))
         self._J_norm = float(np.abs(J).sum(axis=1).max(initial=0.0))
         self._inverses = {}
-        self._rows = {}
-
-    def _vander(self, degree, length):
-        """Vandermonde rows of length coefficients at the degree's CGL
-        nodes and at its grid midpoints."""
-        key = (degree, length)
-        if key not in self._rows:
-            self._rows[key] = _vander_rows(degree, length)
-        return self._rows[key]
 
     def _inverse(self, degree, width, span, dtype):
         key = (degree, round(width / span, 13), span, dtype)
@@ -242,11 +228,10 @@ class SlowCollocation:
         """Collocant values at the degree's CGL nodes of [a, b], one row
         per node."""
         nd = self.J.shape[0]
-        Q = self._vander(degree, q_coef.shape[0])[0] @ q_coef
+        Q = _vander_rows(degree, q_coef.shape[0])[0] @ q_coef
         dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
         rhs = Q.astype(dtype).reshape(-1)
         rhs[:nd] = v0
-        span = b - a if span is None else span
         return (self._inverse(degree, b - a, span, dtype) @ rhs).reshape(degree + 1, nd)
 
     def _resolved(self, a, b, q_coef, values, coef):
@@ -260,50 +245,37 @@ class SlowCollocation:
         p = values.shape[0] - 1
         _, I_m, D_m = _midpoint_mats(p)
         v_mid = I_m @ values
-        q_mid = self._vander(p, q_coef.shape[0])[1] @ q_coef
+        q_mid = _vander_rows(p, q_coef.shape[0])[1] @ q_coef
         resid = (2.0 / (b - a)) * (D_m @ values) - v_mid @ self.J.T - q_mid
         scale = (self._J_norm * np.max(np.abs(v_mid), initial=0.0)
                  + np.max(np.abs(q_mid), initial=0.0))
         return np.max(np.abs(resid), initial=0.0) <= RESID_TOL * scale
-
-    def solve_piece(self, a, b, q_coef, v0, span=None):
-        """Chebyshev coefficients of v on [a, b] from those of q, by one
-        collocation solve at the top degree.
-
-        span is the length that widths are rounded against (default b - a,
-        which keys on the exact width).
-        """
-        values = self._node_values(a, b, q_coef, v0, span, self.degree)
-        return trim_coeffs(values_to_coeffs(values))
-
-    def resolve_piece(self, a, b, q_coef, v0, span=None):
-        """Chebyshev coefficients of v on [a, b]: the first-rung solve if
-        it passes the acceptance test, else solve_piece at the top degree."""
-        p = self.first_degree
-        if p < self.degree:
-            values = self._node_values(a, b, q_coef, v0, span, p)
-            coef = values_to_coeffs(values)
-            if self._resolved(a, b, q_coef, values, coef):
-                return trim_coeffs(coef)
-        return self.solve_piece(a, b, q_coef, v0, span)
 
     def integrate(self, forcing: PiecewisePolynomial, v0):
         """Piece-by-piece solve on the pieces of forcing, v(start) = v0."""
         span = forcing.end - forcing.start
         pieces = []
         for a, b, q_coef in forcing.pieces:
-            coef = self.resolve_piece(a, b, q_coef, v0, span)
+            for p in self.ladder:
+                values = self._node_values(a, b, q_coef, v0, span, p)
+                coef = values_to_coeffs(values)
+                if p == self.ladder[-1] or self._resolved(a, b, q_coef, values, coef):
+                    break
+            coef = trim_coeffs(coef)
             pieces.append(Piece(a, b, coef))
             v0 = coef.sum(axis=0)  # T_k(1) = 1
         return forcing._with(pieces, self.J.shape[0])
 
 
+@cache
 def _vander_rows(degree, length):
+    """Chebyshev-Vandermonde rows of length coefficients at the degree's
+    CGL nodes and at its grid midpoints."""
     mids = _midpoint_mats(degree)[0]
     return (C.chebvander(cgl_nodes(degree), length - 1), C.chebvander(mids, length - 1))
 
 
-def detect_jumps(chain, k_max: int, tau: float, order0_matched: bool | None = None):
+def detect_jumps(chain, k_max: int, tau: float):
     """Ledger entries for the knots between consecutive segments of chain,
     all measured by one agreement_order pass.
 
@@ -311,11 +283,9 @@ def detect_jumps(chain, k_max: int, tau: float, order0_matched: bool | None = No
     knot between chain[j] and chain[j + 1] is t = chain[j].index * tau,
     where chain[j].derivs_end meets chain[j + 1].derivs_start, compared
     up to order k_max or the shorter stream's top, whichever is lower.
-
-    order0_matched=True records that every restart already passed the
-    consistency test, so the value-level comparison is not re-run with a
-    differently scaled tolerance (inconsistent_restart and matched_order
-    = -1 are two views of the same decision).
+    Every restart in chain has passed the consistency test, so order 0
+    matches and the comparison starts at order 1 (a restart that fails
+    the test ends the sweep and is recorded by method_of_steps).
     """
     pairs = list(zip(chain, chain[1:]))
     if not pairs:
@@ -329,7 +299,7 @@ def detect_jumps(chain, k_max: int, tau: float, order0_matched: bool | None = No
     for p, ((l, r), top) in enumerate(zip(pairs, tops)):
         ends[p, : top + 1] = l.derivs_end[: top + 1]
         starts[p, : top + 1] = r.derivs_start[: top + 1]
-    matched = agreement_order(ends, starts, tops, JUMP_TOL, 1 if order0_matched else 0)
+    matched = agreement_order(ends, starts, tops, JUMP_TOL, 1)
     jumped = np.flatnonzero(matched < tops)
     with np.errstate(over="ignore", invalid="ignore"):
         jumps = starts[jumped, matched[jumped] + 1] - ends[jumped, matched[jumped] + 1]
@@ -344,12 +314,12 @@ def detect_jumps(chain, k_max: int, tau: float, order0_matched: bool | None = No
             first_jump_order=None if jump is None else order + 1,
             jump_vector=jump,
             jump_norm=norm,
-            inconsistent_restart=order == -1,
+            inconsistent_restart=False,
         ))
     return entries
 
 
-def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int):
+def history_as_segment(sys: DdaeSystem, orders: int):
     """The shifted history dressed up as segment number 0."""
     x0 = sys.phi.shift(sys.tau)
     return SegmentSolution(
@@ -470,7 +440,7 @@ def method_of_steps(
             f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
-    chain, breakdown = [history_as_segment(sys, split, hist_orders)], []
+    chain, breakdown = [history_as_segment(sys, hist_orders)], []
     sweep = Sweep(sys, split, config, 1, M)
     # the top orders of a stiff stream may overflow; the recursion fences
     # them off (model._finite_rows), so numpy need not report them
@@ -487,5 +457,5 @@ def method_of_steps(
                     jump_norm=vector_norm(err.jump), inconsistent_restart=True))
                 break
         # the ledger feeds no later segment: one pass over every knot
-        entries = detect_jumps(chain, k_max, sys.tau, order0_matched=True)
-    return Trajectory(chain[1:], sys.tau, sys.n), JumpLedger(entries + breakdown)
+        entries = detect_jumps(chain, k_max, sys.tau)
+    return Trajectory(chain[1:], sys.tau), JumpLedger(entries + breakdown)

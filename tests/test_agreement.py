@@ -138,18 +138,19 @@ class TestAgainstReferenceLoops:
                     ref = reference_compare_endpoints(left, right, top, JUMP_TOL, order0)
                     first = 1 if order0 else 0
                     assert order_of(left, right, top, JUMP_TOL, first) == ref[0]
-                    entry, = dk.detect_jumps(
-                        [segment(0, left, left), segment(1, right, right)], k_max=top,
-                        tau=1.0, order0_matched=order0,
-                    )
-                    assert entry.matched_order == ref[0]
-                    assert entry.first_jump_order == ref[1]
-                    assert entry.inconsistent_restart == (ref[0] == -1)
-                    if ref[1] is None:
-                        assert entry.jump_vector is None and entry.jump_norm is None
-                    else:
-                        np.testing.assert_array_equal(entry.jump_vector, ref[2])
-                        assert entry.jump_norm == ref[3]
+                # the ledger compares from order 1: every restart it sees
+                # has passed the consistency test
+                ref = reference_compare_endpoints(left, right, top, JUMP_TOL, True)
+                entry, = dk.detect_jumps(
+                    [segment(0, left, left), segment(1, right, right)], k_max=top, tau=1.0)
+                assert entry.matched_order == ref[0]
+                assert entry.first_jump_order == ref[1]
+                assert not entry.inconsistent_restart
+                if ref[1] is None:
+                    assert entry.jump_vector is None and entry.jump_norm is None
+                else:
+                    np.testing.assert_array_equal(entry.jump_vector, ref[2])
+                    assert entry.jump_norm == ref[3]
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_kappa_decisions_match(self, complex_field):
@@ -234,22 +235,16 @@ class TestEdgeCases:
             expected = [float(np.linalg.norm(row)) for row in rows]
             assert _row_norms(rows).tolist() == expected
 
-    @pytest.mark.parametrize("order0", [None, True])
-    def test_order0_matched(self, order0):
+    def test_restart_values_are_not_rejudged(self):
         # a restart already accepted by the consistency test is not
         # re-judged at order 0 by the ledger's tolerance
         left = np.array([[0.0], [1.0], [2.0]])
         right = np.array([[1.0], [1.0], [5.0]])
         entry, = dk.detect_jumps([segment(0, left, left), segment(1, right, right)],
-                                 k_max=2, tau=1.0, order0_matched=order0)
-        if order0:
-            assert (entry.matched_order, entry.first_jump_order) == (1, 2)
-            assert entry.jump_vector[0] == 3.0
-            assert not entry.inconsistent_restart
-        else:
-            assert (entry.matched_order, entry.first_jump_order) == (-1, 0)
-            assert entry.jump_vector[0] == 1.0
-            assert entry.inconsistent_restart
+                                 k_max=2, tau=1.0)
+        assert (entry.matched_order, entry.first_jump_order) == (1, 2)
+        assert entry.jump_vector[0] == 3.0
+        assert not entry.inconsistent_restart
 
 
 def ragged_chain(rng, knots, width, complex_field):
@@ -301,24 +296,23 @@ class TestStackedLedger:
             chain = ragged_chain(rng, int(rng.integers(1, 8)), int(rng.integers(1, 4)),
                                  complex_field)
             k_max = int(rng.integers(0, 6))
-            for order0 in (None, True):
-                entries = dk.detect_jumps(chain, k_max, tau=0.1, order0_matched=order0)
-                assert len(entries) == len(chain) - 1
-                for entry, left, right in zip(entries, chain, chain[1:]):
-                    k_eff = min(k_max, len(left.derivs_end) - 1,
-                                len(right.derivs_start) - 1)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        ref = reference_compare_endpoints(
-                            left.derivs_end, right.derivs_start, k_eff, JUMP_TOL, order0)
-                    assert (entry.knot_index, entry.time) == (left.index, left.index * 0.1)
-                    assert entry.matched_order == ref[0]
-                    assert entry.first_jump_order == ref[1]
-                    assert entry.inconsistent_restart == (ref[0] == -1)
-                    if ref[1] is None:
-                        assert entry.jump_vector is None and entry.jump_norm is None
-                    else:
-                        np.testing.assert_array_equal(entry.jump_vector, ref[2])
-                        np.testing.assert_array_equal(entry.jump_norm, ref[3])
+            entries = dk.detect_jumps(chain, k_max, tau=0.1)
+            assert len(entries) == len(chain) - 1
+            for entry, left, right in zip(entries, chain, chain[1:]):
+                k_eff = min(k_max, len(left.derivs_end) - 1,
+                            len(right.derivs_start) - 1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref = reference_compare_endpoints(
+                        left.derivs_end, right.derivs_start, k_eff, JUMP_TOL, True)
+                assert (entry.knot_index, entry.time) == (left.index, left.index * 0.1)
+                assert entry.matched_order == ref[0]
+                assert entry.first_jump_order == ref[1]
+                assert not entry.inconsistent_restart
+                if ref[1] is None:
+                    assert entry.jump_vector is None and entry.jump_norm is None
+                else:
+                    np.testing.assert_array_equal(entry.jump_vector, ref[2])
+                    np.testing.assert_array_equal(entry.jump_norm, ref[3])
 
     def test_one_segment_chain_has_no_knot(self):
         only = segment(0, np.zeros((3, 2)), np.zeros((3, 2)))

@@ -211,9 +211,12 @@ class TestBackwardSystem:
         bw = dk.build_backward_system(sys)
         assert bw.regularity.regular
         assert bw.det_D == pytest.approx(1.0)
-        assert bw.system is not None
+        assert bw.qwf is not None and bw.qwf.regularity is bw.regularity
         report = dk.classify_matrices(bw.E, bw.A, bw.D, 3)
         assert report.propagation.kind is PropagationKind.DE_SMOOTHING
+        # the kept decomposition classifies as the matrices do
+        split = dk.split_matrices(bw.qwf, bw.D)
+        assert dk.classify(split, 3).propagation.kind is PropagationKind.DE_SMOOTHING
 
     def test_zero_delay_gives_singular_backward_pencil(self):
         rng = np.random.default_rng(4)
@@ -224,7 +227,7 @@ class TestBackwardSystem:
                             horizon_intervals=2, f=f, phi=phi)
         bw = dk.build_backward_system(sys)
         assert not bw.regularity.regular
-        assert bw.system is None
+        assert bw.qwf is None
 
     def test_zero_E_backward_never_de_smooths(self):
         # with E = 0 the nilpotent part of the backward pencil vanishes

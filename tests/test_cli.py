@@ -576,7 +576,7 @@ class TestTrajectoryCsvBytes:
     def test_empty_trajectory_writes_the_header(self, tmp_path):
         sys_ = example_neutral()
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-        empty = solver.Trajectory([], sys_.tau, sys_.n)
+        empty = solver.Trajectory([], sys_.tau)
         cli._write_trajectory_csv(got, sys_, empty)
         write_csv_per_piece(ref, sys_, empty)
         assert got.read_bytes() == ref.read_bytes() == b"t,x_1,side\n"

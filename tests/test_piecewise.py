@@ -94,6 +94,36 @@ class TestEvaluation:
         with pytest.raises(dk.OutOfDomain):
             pp.evaluate(2.0)
 
+    @pytest.mark.parametrize("breaks", [[0.0, 1.0], [-1.0, -0.3, 0.4, 1.7],
+                                        [0.0, 0.1, 0.2, 0.30000000000000004, 2.5]])
+    def test_locate_matches_per_time_rule(self, breaks):
+        # one searchsorted on the piece ends against the per-time rule it
+        # replaced: the first piece with t < b - tol (t <= b + tol on the
+        # left), else the last; at every knot, at knot +- tol and one
+        # rounding step either side of those, and at NaN
+        pp = random_pp(np.random.default_rng(3), 2, breaks)
+        tol = pp._tol()
+
+        def per_time(t, side):
+            for k, (_, b, _) in enumerate(pp.pieces):
+                if (t <= b + tol) if side == "left" else (t < b - tol):
+                    return k
+            return len(pp.pieces) - 1
+
+        times = [np.nan]
+        for b in breaks:
+            for edge in (b - tol, b, b + tol):
+                times += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        times = [t for t in times if breaks[0] - tol <= t <= breaks[-1] + tol or t != t]
+        for side in ("left", "right"):
+            want = [per_time(t, side) for t in times]
+            assert [int(pp._locate(t, side=side)) for t in times] == want
+            assert pp._locate(np.array(times), side=side).tolist() == want
+        beyond = np.nextafter(breaks[-1] + tol, np.inf)
+        for t in (beyond, np.array([breaks[0], beyond])):
+            with pytest.raises(dk.OutOfDomain):
+                pp._locate(t)
+
 
 class TestCalculus:
     """Domain operations in the monomial basis; the subclass reruns them

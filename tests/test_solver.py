@@ -49,7 +49,7 @@ class TestSolveSegment:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
-        hist = history_as_segment(sys, split, orders=8)
+        hist = history_as_segment(sys, orders=8)
         config = dk.SolverConfig()
         seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
         for t in np.linspace(0, 1, 7):
@@ -61,7 +61,7 @@ class TestSolveSegment:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
-        hist = history_as_segment(sys, split, orders=12)
+        hist = history_as_segment(sys, orders=12)
         config = dk.SolverConfig()
         seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
         for t in np.linspace(0, 1, 5):
@@ -107,7 +107,7 @@ class TestMethodOfSteps:
         assert len(traj.segments) == sys.horizon_intervals
         k_max = split.nu + 2
         prev = solver.history_as_segment(
-            sys, split, k_max + sys.horizon_intervals * split.nu + max(split.nu, 1))
+            sys, k_max + sys.horizon_intervals * split.nu + max(split.nu, 1))
         config = dk.SolverConfig()
         for i, seg in enumerate(traj.segments, start=1):
             alone = solver.solve_segment(split, i, prev, config,
@@ -371,10 +371,9 @@ class TestMethodOfSteps:
 class TestDetectJumps:
     def test_identical_segments_match_everywhere(self):
         sys = example_neutral()
-        split = dk.build_split(sys)
         from ddae_kit.solver import history_as_segment
 
-        hist = history_as_segment(sys, split, orders=6)
+        hist = history_as_segment(sys, orders=6)
         entry, = dk.detect_jumps([hist, hist_copy(hist)], k_max=4, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None
@@ -530,25 +529,29 @@ def rung_degrees(colloc):
     return sorted({key[0] for key in colloc._inverses})
 
 
+def integrate_one_piece(colloc, a, b, q_coef, v0):
+    """Chebyshev coefficients of integrate's solution on a forcing of one
+    Chebyshev piece q on [a, b]."""
+    forcing = dk.PiecewisePolynomial([(a, b, q_coef)], basis=dk.CHEBYSHEV)
+    return colloc.integrate(forcing, v0).pieces[0].coef
+
+
 class TestSweep:
     def test_one_operator_per_key_in_a_uniform_sweep(self, monkeypatch):
         # every segment of a one-piece sweep has the same width, so the
-        # fast part builds one operator per (length, width) and the
-        # collocation one Vandermonde pair per (degree, forcing length),
-        # each once for the whole sweep
-        fast_keys, vander_keys = [], []
-        fast_op, vander_rows = model._fast_operator, solver._vander_rows
+        # fast part builds one operator per (length, width), once for the
+        # whole sweep; the collocation's Vandermonde pairs depend on
+        # (degree, forcing length) only and are cached for the process,
+        # so a sweep builds fewer than one per piece and reuses them
+        fast_keys = []
+        fast_op = model._fast_operator
 
         def fast_counted(basis, length, a, b, nu):
             fast_keys.append((basis.name, length, b - a))
             return fast_op(basis, length, a, b, nu)
 
-        def vander_counted(degree, length):
-            vander_keys.append((degree, length))
-            return vander_rows(degree, length)
-
         monkeypatch.setattr(model, "_fast_operator", fast_counted)
-        monkeypatch.setattr(solver, "_vander_rows", vander_counted)
+        solver._vander_rows.cache_clear()
         rng = np.random.default_rng(12)
         blocks = random_smoothing_blocks(rng, 2, 3, 2)
         sys, split = random_system_from_blocks(rng, 2, 3, 2, blocks, horizon=12)
@@ -556,9 +559,10 @@ class TestSweep:
         assert len(traj.segments) == 12 and not ledger.has_inconsistent
         pieces = sum(len(seg.pieces.pieces) for seg in traj.segments)
         assert pieces == 12
-        for keys in (fast_keys, vander_keys):
-            assert keys and max(Counter(keys).values()) == 1
-            assert len(keys) < pieces
+        assert fast_keys and max(Counter(fast_keys).values()) == 1
+        assert len(fast_keys) < pieces
+        vander = solver._vander_rows.cache_info()
+        assert 0 < vander.misses < pieces and vander.hits > 0
 
     @pytest.mark.parametrize("field", [float, complex])
     @pytest.mark.parametrize("first, last", [(1, 6), (3, 5), (6, 6)])
@@ -629,6 +633,7 @@ class TestSlowCollocation:
     @pytest.mark.parametrize("width", [1.0, 0.3, 0.4])
     @pytest.mark.parametrize("J", _collocation_cases())
     def test_matches_direct_solve(self, J, width):
+        # the top-degree operator against the kron assembly, at each width
         rng = np.random.default_rng(5)
         nd, degree = J.shape[0], 48
         colloc = solver.SlowCollocation(J, degree)
@@ -637,12 +642,21 @@ class TestSlowCollocation:
             q_coef = rng.standard_normal((6, nd))
             v0 = rng.standard_normal(nd)
             ref = kron_piece_solve(J, a, a + width, q_coef, v0, degree)
-            coef = colloc.solve_piece(a, a + width, q_coef, v0)
+            values = colloc._node_values(a, a + width, q_coef, v0, width, degree)
+            coef = trim_coeffs(values_to_coeffs(values))
             full = np.zeros((degree + 1, nd), dtype=coef.dtype)
             full[: coef.shape[0]] = coef
             err = np.max(np.abs(full - values_to_coeffs(ref)))
             assert err <= 1e-12 * np.max(np.abs(ref))
         assert len(colloc._inverses) == 1
+
+    def test_ladder(self):
+        # each piece climbs (min(FIRST_DEGREE, degree), degree), one rung
+        # when the two coincide
+        J, p = np.array([[-1.0]]), solver.FIRST_DEGREE
+        assert solver.SlowCollocation(J, 48).ladder == (p, 48)
+        assert solver.SlowCollocation(J, p).ladder == (p,)
+        assert solver.SlowCollocation(J, 3).ladder == (3,)
 
     def test_smooth_piece_accepted_at_first_degree(self):
         rng = np.random.default_rng(7)
@@ -651,7 +665,7 @@ class TestSlowCollocation:
         colloc = solver.SlowCollocation(J, 48)
         q_coef = rng.standard_normal((6, nd))
         v0 = rng.standard_normal(nd)
-        coef = colloc.resolve_piece(0.25, 1.25, q_coef, v0)
+        coef = integrate_one_piece(colloc, 0.25, 1.25, q_coef, v0)
         assert rung_degrees(colloc) == [p] and coef.shape[0] <= p + 1
         ref = values_to_coeffs(kron_piece_solve(J, 0.25, 1.25, q_coef, v0, p))
         full = np.zeros_like(ref)
@@ -659,22 +673,26 @@ class TestSlowCollocation:
         assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_stiff_piece_falls_back_bit_identical(self):
+        # a piece the first rung does not resolve is solved at the top
+        # rung with the arithmetic of a lone top-degree solve
         J = np.array([[-200.0]])
         q_coef, v0 = np.array([[0.5], [0.25]]), np.array([1.0])
         colloc = solver.SlowCollocation(J, 48)
-        coef = colloc.resolve_piece(0.0, 1.0, q_coef, v0)
+        coef = integrate_one_piece(colloc, 0.0, 1.0, q_coef, v0)
         assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
-        one_rung = solver.SlowCollocation(J, 48).solve_piece(0.0, 1.0, q_coef, v0)
+        top_rung = trim_coeffs(values_to_coeffs(
+            solver.SlowCollocation(J, 48)._node_values(0.0, 1.0, q_coef, v0, 1.0, 48)))
         ref = trim_coeffs(values_to_coeffs(
             kron_piece_solve(J, 0.0, 1.0, q_coef, v0, 48, by_inverse=True)))
-        assert coef.tobytes() == one_rung.tobytes() == ref.tobytes()
+        assert coef.tobytes() == top_rung.tobytes() == ref.tobytes()
 
     def test_aliased_forcing_falls_back(self):
         # q = T_40 equals T_8 on the 17 nodes of degree 16, so the
         # degree-16 collocant has a short tail; only the midpoint
         # residual sees the forcing it missed
         colloc = solver.SlowCollocation(np.array([[0.0]]), 48)
-        coef = colloc.resolve_piece(0.0, 1.0, np.eye(41)[40][:, None], np.array([1.0]))
+        coef = integrate_one_piece(colloc, 0.0, 1.0, np.eye(41)[40][:, None],
+                                   np.array([1.0]))
         assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
         assert coef.shape[0] == 42
 
@@ -691,8 +709,8 @@ class TestSlowCollocation:
         J = np.array([[lam]])
         for scale in (1.0, 1e-20):
             colloc = solver.SlowCollocation(J, 48)
-            colloc.resolve_piece(0.0, 1.0, scale * np.asarray(q_coef),
-                                 scale * np.array([1.0]))
+            integrate_one_piece(colloc, 0.0, 1.0, scale * np.asarray(q_coef),
+                                scale * np.array([1.0]))
             assert len(rung_degrees(colloc)) == rungs
 
     def test_one_inverse_per_uniform_sweep(self, monkeypatch):
