@@ -1,6 +1,8 @@
 """Command-line workflow: analyze / solve / stability / hidden-delays /
 check-history / probe.
 
+`main` parses the command line, loads the problem and splits its pencil
+once, and hands both to the command, `cmd_<name>(args, sys, split)`.
 All reports are JSON tagged with "schema": "ddae-kit/1"; trajectories
 are CSV with knot rows emitted twice (side column L and R) so primary
 discontinuities stay visible in plots.  stdout carries no diagnostics;
@@ -36,7 +38,7 @@ from .problemfile import (_encode_matrix, _encode_pieces, _encode_scalar, load_p
                           write_json)
 from .reform import expand_hidden_delays
 from .solver import LedgerEntry, SolverConfig, method_of_steps
-from .stability import (SearchBox, assess_exponential_stability, default_box,
+from .stability import (StabilityVerdict, assess_exponential_stability, default_box,
                         spectral_abscissa)
 
 SCHEMA = "ddae-kit/1"
@@ -47,15 +49,19 @@ EXIT_IRREGULAR = 3
 EXIT_MALFORMED = 4
 
 
-def _analyze_payload(sys):
-    split = build_split(sys)
-    M = sys.horizon_intervals
-    report = classify(split, M)
-    verdict = sys.regularity
-    idx3 = check_index3_uniqueness(split)
-    splice = splicing_report(sys, split)
+def _write_report(path, payload):
+    """Write one JSON report, tagged with the schema."""
+    write_json(path, {"schema": SCHEMA, **payload})
 
-    backward = build_backward_system(sys)
+
+def cmd_analyze(args, sys_, split):
+    M = sys_.horizon_intervals
+    report = classify(split, M)
+    verdict = sys_.regularity
+    idx3 = check_index3_uniqueness(split)
+    splice = splicing_report(sys_, split)
+
+    backward = build_backward_system(sys_)
     bw = {
         "regular": bool(backward.regularity.regular),
         "det_D": _encode_scalar(backward.det_D, np.iscomplexobj(backward.det_D)),
@@ -63,22 +69,20 @@ def _analyze_payload(sys):
         "legacy": None,
     }
     if backward.qwf is not None:
-        bw_split = split_matrices(backward.qwf, backward.D)
-        bw_report = classify(bw_split, M)
+        bw_report = classify(split_matrices(backward.qwf, backward.D), M)
         bw["propagation"] = bw_report.propagation.kind.value
         bw["legacy"] = bw_report.legacy.kind.value
 
     hidden = None
     if report.propagation.kind is PropagationKind.SMOOTHING:
-        exp = expand_hidden_delays(sys, split)
+        exp = expand_hidden_delays(sys_, split)
         hidden = {
             "nu_D": exp.nu_D,
             "delay_count": len(exp.D_delays),
             "delays": exp.delays,
         }
 
-    return {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "regularity": {
             "regular": bool(verdict.regular),
             "witness": verdict.witness,
@@ -101,12 +105,7 @@ def _analyze_payload(sys):
         "backward": bw,
         "hidden_delays": hidden,
         "history_checks": asdict(splice),
-    }
-
-
-def cmd_analyze(args):
-    sys_ = load_problem(args.problem)
-    write_json(args.out, _analyze_payload(sys_))
+    })
     return EXIT_OK
 
 
@@ -165,21 +164,19 @@ def _ledger_payload(ledger, tau):
     # not asdict, which would deep-copy each jump_vector only to drop it
     names = [f.name for f in fields(LedgerEntry) if f.name != "jump_vector"]
     return {
-        "schema": SCHEMA,
         "tau": float(tau),
         "knots": [{k: getattr(e, k) for k in names} for e in ledger.entries],
     }
 
 
-def cmd_solve(args):
-    sys_ = load_problem(args.problem)
+def cmd_solve(args, sys_, split):
     config = SolverConfig(k_max=args.kmax, on_inconsistent=args.on_inconsistent)
     if args.degree is not None:
         config = replace(config, degree=args.degree)
     # a hard stop (--on-inconsistent stop) raises before any output is written
-    trajectory, ledger = method_of_steps(sys_, config=config)
+    trajectory, ledger = method_of_steps(sys_, split, config)
     _write_trajectory_csv(args.out_csv, sys_, trajectory)
-    write_json(args.ledger_out, _ledger_payload(ledger, sys_.tau))
+    _write_report(args.ledger_out, _ledger_payload(ledger, sys_.tau))
     if ledger.has_inconsistent:
         print("warning: inconsistent restart; partial outputs written",
               file=_sys.stderr)
@@ -187,21 +184,14 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_stability(args):
-    sys_ = load_problem(args.problem)
-    split = build_split(sys_)
-    box = None
-    if args.re_min is not None or args.re_max is not None or args.im_max is not None:
-        base = default_box(sys_.E, sys_.A, sys_.D, sys_.tau)
-        box = SearchBox(
-            re_min=args.re_min if args.re_min is not None else base.re_min,
-            re_max=args.re_max if args.re_max is not None else base.re_max,
-            im_max=args.im_max if args.im_max is not None else base.im_max,
-        )
+def cmd_stability(args, sys_, split):
+    given = {k: getattr(args, k) for k in ("re_min", "re_max", "im_max")
+             if getattr(args, k) is not None}
+    box = replace(default_box(sys_.E, sys_.A, sys_.D, sys_.tau), **given) if given else None
     report = spectral_abscissa(sys_, box=box, grid=args.grid)
     verdict = assess_exponential_stability(sys_, split, report)
-    payload = {
-        "schema": SCHEMA,
+    gated = verdict is StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING
+    _write_report(args.out, {
         "alpha": report.alpha,
         "roots": [
             {"lambda": [lam.real, lam.imag], "residual": res}
@@ -211,53 +201,38 @@ def cmd_stability(args):
         "grid": list(report.grid),
         "box_limited": report.box_limited,
         "no_roots": report.no_roots,
-        "gate": report.gate,
+        "gate": "not_applicable_de_smoothing" if gated else "applicable",
         "verdict": verdict.value,
-    }
-    write_json(args.out, payload)
+    })
     return EXIT_OK
 
 
-def cmd_hidden_delays(args):
-    sys_ = load_problem(args.problem)
-    split = build_split(sys_)
+def cmd_hidden_delays(args, sys_, split):
     try:
         exp = expand_hidden_delays(sys_, split)
     except NotSmoothingType as exc:
-        write_json(
-            args.out,
-            {"schema": SCHEMA, "applicable": False, "reason": str(exc)},
-        )
+        _write_report(args.out, {"applicable": False, "reason": str(exc)})
         return EXIT_OK
-    payload = {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "applicable": True,
         "nu_D": exp.nu_D,
         "delays": exp.delays,
         "J": _encode_matrix(exp.J, np.iscomplexobj(exp.J)),
         "D": [_encode_matrix(Dk, np.iscomplexobj(Dk)) for Dk in exp.D_delays],
-    }
-    write_json(args.out, payload)
+    })
     return EXIT_OK
 
 
-def cmd_check_history(args):
-    sys_ = load_problem(args.problem)
-    split = build_split(sys_)
-    splice = splicing_report(sys_, split)
-    write_json(args.out, {"schema": SCHEMA, **asdict(splice)})
+def cmd_check_history(args, sys_, split):
+    _write_report(args.out, asdict(splicing_report(sys_, split)))
     return EXIT_OK
 
 
-def cmd_probe(args):
-    sys_ = load_problem(args.problem)
-    split = build_split(sys_)
-    dim = split.n_d if args.side == "slow" else split.n_a
-    if dim == 0:
-        print(f"error: system has no {args.side} part", file=_sys.stderr)
-        return EXIT_MALFORMED
-    target = np.zeros(dim)
-    target[0] = 1.0
+def cmd_probe(args, sys_, split):
+    # a side without components gets an empty target, which
+    # construct_probe_history rejects by name
+    target = np.zeros(split.n_d if args.side == "slow" else split.n_a)
+    target[:1] = 1.0
     try:
         if args.target:
             target = np.array([float(v) for v in args.target.split(",")])
@@ -265,21 +240,19 @@ def cmd_probe(args):
                 raise ValueError("--target values must be finite")
         phi = construct_probe_history(sys_, split, args.order, target, side=args.side)
     except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_MALFORMED
-    payload = {
-        "schema": SCHEMA,
+        raise UsageError(str(exc)) from exc
+    _write_report(args.out, {
         "order": args.order,
         "side": args.side,
         "target": [float(v) for v in np.real(target)],
         "history": _encode_pieces(phi, np.iscomplexobj(phi.pieces[0][2])),
-    }
-    write_json(args.out, payload)
+    })
     return EXIT_OK
 
 
 class UsageError(DdaeKitError):
-    """The command line was rejected by the argument parser."""
+    """The command line was rejected: by the argument parser, or by a
+    command's check of an option value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,17 +271,22 @@ def build_parser():
         prog="ddae-kit",
         description="Analyze and solve linear delay differential-algebraic equations",
     )
+    # every command reads one problem file, its first positional
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("problem")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full structural report")
-    p.add_argument("problem")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_analyze)
+    def command(name, func, help, outs=("out",)):
+        p = sub.add_parser(name, parents=[problem], help=help)
+        for out in outs:
+            p.add_argument(out)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="method-of-steps trajectory and jump ledger")
-    p.add_argument("problem")
-    p.add_argument("out_csv")
-    p.add_argument("ledger_out")
+    command("analyze", cmd_analyze, "full structural report")
+
+    p = command("solve", cmd_solve, "method-of-steps trajectory and jump ledger",
+                ("out_csv", "ledger_out"))
     p.add_argument("--degree", type=int, default=None,
                    help="top collocation degree: pieces that degree 16 does not "
                         "resolve are solved again at D (default: "
@@ -318,34 +296,20 @@ def build_parser():
         "--on-inconsistent", choices=("stop", "record"), default="record",
         dest="on_inconsistent",
     )
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("stability", help="spectral abscissa and verdict")
-    p.add_argument("problem")
-    p.add_argument("out")
+    p = command("stability", cmd_stability, "spectral abscissa and verdict")
     p.add_argument("--re-min", type=float, default=None, dest="re_min")
     p.add_argument("--re-max", type=float, default=None, dest="re_max")
     p.add_argument("--im-max", type=float, default=None, dest="im_max")
     p.add_argument("--grid", type=int, default=80)
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("hidden-delays", help="retarded multi-delay reformulation")
-    p.add_argument("problem")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_hidden_delays)
+    command("hidden-delays", cmd_hidden_delays, "retarded multi-delay reformulation")
+    command("check-history", cmd_check_history, "admissibility and splicing checks")
 
-    p = sub.add_parser("check-history", help="admissibility and splicing checks")
-    p.add_argument("problem")
-    p.add_argument("out")
-    p.set_defaults(func=cmd_check_history)
-
-    p = sub.add_parser("probe", help="construct a worst-case probe history")
-    p.add_argument("problem")
-    p.add_argument("out")
+    p = command("probe", cmd_probe, "construct a worst-case probe history")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--side", choices=("slow", "fast"), default="slow")
     p.add_argument("--target", type=str, default=None)
-    p.set_defaults(func=cmd_probe)
 
     return parser
 
@@ -353,7 +317,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # each problem is loaded, and its pencil decomposed, once per run
+        sys_ = load_problem(args.problem)
+        return args.func(args, sys_, build_split(sys_))
     except SingularPencil as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IRREGULAR

@@ -60,16 +60,17 @@ def _decode_count(value, name):
     return int(value)
 
 
-def _decode_matrix(data, n, complex_field, name):
-    if not isinstance(data, list) or len(data) != n:
-        raise MalformedProblem(f"matrix {name} must have {n} rows")
-    rows = []
+def _decode_rows(data, n, complex_field, name, rows=None):
+    """A list of rows of n scalars as an array: exactly `rows` of them (a
+    matrix) or, when rows is None, one or more (a piece's coefficients)."""
+    if not isinstance(data, list) or not data or rows not in (None, len(data)):
+        raise MalformedProblem(f"{name} must be a list of {rows or 'one or more'} rows")
+    out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
-            raise MalformedProblem(f"matrix {name} row {i} must have {n} entries")
-        rows.append([_decode_scalar(v, complex_field, f"{name}[{i}]") for v in row])
-    dtype = complex if complex_field else float
-    return np.array(rows, dtype=dtype)
+            raise MalformedProblem(f"{name}[{i}] must be a row of {n} entries")
+        out.append([_decode_scalar(v, complex_field, f"{name}[{i}]") for v in row])
+    return np.array(out, dtype=complex if complex_field else float)
 
 
 def _decode_pieces(data, n, complex_field, name, lo, hi):
@@ -92,18 +93,8 @@ def _decode_pieces(data, n, complex_field, name, lo, hi):
         if prev_end is not None and abs(start - prev_end) > tol:
             raise MalformedProblem(f"{name}: pieces must be contiguous")
         prev_end = end
-        if not isinstance(coeffs, list) or not coeffs:
-            raise MalformedProblem(f"{name}[{k}]: coeffs must be a non-empty list")
-        mat = []
-        for j, vec in enumerate(coeffs):
-            if not isinstance(vec, list) or len(vec) != n:
-                raise MalformedProblem(
-                    f"{name}[{k}].coeffs[{j}] must be a length-{n} vector"
-                )
-            mat.append(
-                [_decode_scalar(v, complex_field, f"{name}[{k}].coeffs[{j}]") for v in vec]
-            )
-        pieces.append((start, end, np.array(mat)))
+        pieces.append((start, end,
+                       _decode_rows(coeffs, n, complex_field, f"{name}[{k}].coeffs")))
     if abs(pieces[0][0] - lo) > tol or abs(pieces[-1][1] - hi) > tol:
         raise MalformedProblem(f"{name} must cover [{lo}, {hi}] exactly")
     return PiecewisePolynomial(pieces, n)
@@ -124,9 +115,7 @@ def problem_from_dict(data) -> DdaeSystem:
     M = _decode_count(data["horizon_intervals"], "horizon_intervals")
     if n < 1 or tau <= 0 or M < 1:
         raise MalformedProblem("dimension, tau, horizon_intervals must be positive")
-    E = _decode_matrix(data["E"], n, complex_field, "E")
-    A = _decode_matrix(data["A"], n, complex_field, "A")
-    D = _decode_matrix(data["D"], n, complex_field, "D")
+    E, A, D = (_decode_rows(data[k], n, complex_field, k, rows=n) for k in "EAD")
     phi = _decode_pieces(data["history"], n, complex_field, "history", -tau, 0.0)
     f = _decode_pieces(
         data["inhomogeneity"], n, complex_field, "inhomogeneity", 0.0, M * tau

@@ -11,13 +11,15 @@ stacked determinant and one stacked SVD.
 
 The stability verdict is gated by the propagation classification: for
 de-smoothing systems a negative spectral abscissa does not imply
-exponential stability, so the assessment refuses to conclude.
+exponential stability, so the assessment refuses to conclude and says
+so in its verdict, INCONCLUSIVE_DE_SMOOTHING; whether the gate applied
+is read off that verdict.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +59,7 @@ class SearchBox:
 
 @dataclass(eq=False)
 class StabilityReport:
-    """Root search outcome plus the classification gate (set by assess).
+    """Root search outcome, final when the search returns.
 
     alpha is the largest real part over the verified roots; box_limited
     flags a root within two grid cells of the right box edge, i.e. the
@@ -72,7 +74,6 @@ class StabilityReport:
     grid: tuple
     box_limited: bool
     no_roots: bool
-    gate: str | None = field(default=None)
 
 
 def _stacked(lam, *mats):
@@ -280,13 +281,12 @@ def assess_exponential_stability(
     De-smoothing systems are never judged by the abscissa alone.  An alpha above
     MARGIN is conclusive even in a truncated box (the verified root does
     not go away); a negative alpha is trusted only when the box was not
-    limiting.  |alpha| <= MARGIN reports marginal.
+    limiting.  |alpha| <= MARGIN reports marginal.  The report is left
+    as it is: the verdict alone says whether the gate applied.
     """
     prop = classify_propagation(split, sys.horizon_intervals)
     if prop.kind is PropagationKind.DE_SMOOTHING:
-        report.gate = "not_applicable_de_smoothing"
         return StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING
-    report.gate = "applicable"
     if report.no_roots or report.alpha is None:
         return StabilityVerdict.INCONCLUSIVE_BOX
     if report.alpha > MARGIN:

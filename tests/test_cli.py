@@ -3,7 +3,7 @@ import importlib
 import json
 import pkgutil
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import ddae_kit as dk
 from ddae_kit import cli, solver
 from ddae_kit.cheb import cgl_nodes
 from ddae_kit.cli import main
+from ddae_kit.stability import default_box
 
 from gen import (
     example_advanced,
@@ -64,6 +65,9 @@ class TestProblemFile:
         path.write_text('{"dimension": 1}')
         with pytest.raises(dk.MalformedProblem):
             dk.load_problem(str(path))
+        path.write_text(json.dumps([dk.problem_to_dict(example_neutral())]))
+        with pytest.raises(dk.MalformedProblem, match="JSON object"):
+            dk.load_problem(str(path))
 
     def test_shape_mismatch_rejected(self, tmp_path):
         sys_ = example_neutral()
@@ -89,6 +93,17 @@ class TestProblemFile:
             ("analyze", "E", [[10**400]]),
             ("analyze", "history", [{"start": -10**400, "end": 0.0, "coeffs": [[0.0]]}]),
             ("analyze", "E", [[["a", 0.0]]]),
+            ("analyze", "history", [{"start": -1.0, "end": -1.0, "coeffs": [[0.0]]}]),
+            ("analyze", "history", [{"start": -1.0, "end": -0.5, "coeffs": [[0.0]]},
+                                    {"start": -0.4, "end": 0.0, "coeffs": [[0.0]]}]),
+            ("analyze", "history", [{"start": -1.0, "end": 0.0, "coeffs": []}]),
+            ("analyze", "history", [{"start": -1.0, "end": 0.0, "coeffs": [[]]}]),
+            ("analyze", "history", [[0.0]]),
+            ("analyze", "field", "quaternion"),
+            ("analyze", "E", [[[1.0, 0.0, 0.0]]]),
+            ("analyze", "E", [[1.0], [0.0]]),
+            ("analyze", "E", [[]]),
+            ("analyze", "tau", -1),
         ],
     )
     def test_bad_numbers_exit_malformed(self, tmp_path, capsys, command, key, value):
@@ -636,6 +651,7 @@ class TestStabilityCommand:
         report = read_json(out)
         assert report["alpha"] == pytest.approx(-0.4428544010, abs=1e-6)
         assert report["verdict"] == "stable"
+        assert report["gate"] == "applicable"
 
     def test_de_smoothing_verdict(self, tmp_path):
         problem = write_problem(tmp_path, example_advanced())
@@ -643,6 +659,7 @@ class TestStabilityCommand:
         assert main(["stability", problem, out, "--grid", "40"]) == 0
         report = read_json(out)
         assert report["verdict"] == "inconclusive_de_smoothing"
+        assert report["gate"] == "not_applicable_de_smoothing"
 
     def test_custom_box(self, tmp_path):
         problem = write_problem(tmp_path, example_neutral())
@@ -655,6 +672,20 @@ class TestStabilityCommand:
         report = read_json(out)
         assert report["box"]["re_max"] == 3.0
         assert report["alpha"] == pytest.approx(0.0, abs=1e-8)
+
+    def test_partial_box_keeps_the_default_bounds(self, tmp_path, capsys):
+        # one bound given: the others stay those of the default box, and a
+        # bound that empties the box is rejected by SearchBox itself
+        sys_ = example_neutral()
+        problem = write_problem(tmp_path, sys_)
+        out = str(tmp_path / "stab.json")
+        assert main(["stability", problem, out, "--re-max", "3", "--grid", "20"]) == 0
+        base = asdict(default_box(sys_.E, sys_.A, sys_.D, sys_.tau))
+        assert read_json(out)["box"] == {**base, "re_max": 3.0}
+        assert main(["stability", problem, out, "--re-max=-1e6"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid search box") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_newton_divergence_is_silent(self, tmp_path, capsys):
         # Newton iterates from the grid run far into the left half-plane,
@@ -748,6 +779,16 @@ class TestOtherCommands:
         assert report["admissible"] is True
         assert report["smooth_c1"] is False
         assert report["kappa_observed"] == 0
+
+    def test_probe_of_a_missing_side_exit_malformed(self, tmp_path, capsys):
+        # an index-0 system has no fast part to probe
+        problem = write_problem(tmp_path, replace(example_slow_smoothing(), E=np.eye(2)))
+        out = str(tmp_path / "probe.json")
+        assert main(["probe", problem, out, "--order", "1", "--side", "fast"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not Path(out).exists()
 
     def test_probe_writes_history_fragment(self, tmp_path):
         problem = write_problem(tmp_path, example_slow_smoothing())

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 import ddae_kit as dk
 from ddae_kit.pencil import norm2
 from ddae_kit.stability import (
+    MARGIN,
     RESIDUAL_TOL,
     StabilityReport,
     StabilityVerdict,
@@ -241,9 +244,11 @@ class TestAssessment:
         sys_ = scalar_retarded_system()
         split = dk.build_split(sys_)
         report = dk.spectral_abscissa(sys_)
+        before = copy.deepcopy(vars(report))
         verdict = dk.assess_exponential_stability(sys_, split, report)
         assert verdict is StabilityVerdict.STABLE
-        assert report.gate == "applicable"
+        # the report is final when the search returns
+        assert vars(report) == before
 
     def test_neutral_example_marginal(self):
         sys_ = example_neutral()
@@ -256,9 +261,10 @@ class TestAssessment:
         sys_ = example_advanced()
         split = dk.build_split(sys_)
         report = dk.spectral_abscissa(sys_)
+        before = copy.deepcopy(vars(report))
         verdict = dk.assess_exponential_stability(sys_, split, report)
         assert verdict is StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING
-        assert report.gate == "not_applicable_de_smoothing"
+        assert vars(report) == before
 
     def test_gate_soundness_random_de_smoothing(self):
         # assess must never answer stable/unstable for de-smoothing systems
@@ -301,11 +307,9 @@ class TestAssessment:
     def test_gate_on_both_sides_of_the_rank_threshold(self):
         # ||N B_a|| = ||B_a|| = c against the threshold RANK_RTOL (1 + c):
         # c = 1e-11 is numerically zero, c = 1e-9 is not
-        cases = [(1e-11, "smoothing", "retarded", StabilityVerdict.INCONCLUSIVE_BOX,
-                  "applicable"),
-                 (1e-9, "de_smoothing", "advanced",
-                  StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING, "not_applicable_de_smoothing")]
-        for c, kind, legacy, verdict, gate in cases:
+        cases = [(1e-11, "smoothing", "retarded", StabilityVerdict.INCONCLUSIVE_BOX),
+                 (1e-9, "de_smoothing", "advanced", StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING)]
+        for c, kind, legacy, verdict in cases:
             sys_ = dk.DdaeSystem(
                 E=[[0.0, 1.0], [0.0, 0.0]], A=np.eye(2), D=[[0.0, 0.0], [c, 0.0]],
                 tau=1.0, horizon_intervals=3,
@@ -320,5 +324,17 @@ class TestAssessment:
             found = StabilityReport(alpha=None, rightmost_roots=[],
                                     box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
                                     grid=(2, 2), box_limited=False, no_roots=True)
+            before = copy.deepcopy(vars(found))
             assert dk.assess_exponential_stability(sys_, split, found) is verdict
-            assert found.gate == gate
+            assert vars(found) == before
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, MARGIN])
+    def test_box_limited_at_or_below_the_margin_is_inconclusive(self, alpha):
+        # a root near the right edge may hide one further right, so an
+        # alpha that is not above MARGIN concludes nothing
+        sys_ = scalar_retarded_system()
+        found = StabilityReport(alpha=alpha, rightmost_roots=[(complex(alpha), 0.0)],
+                                box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
+                                grid=(2, 2), box_limited=True, no_roots=False)
+        verdict = dk.assess_exponential_stability(sys_, dk.build_split(sys_), found)
+        assert verdict is StabilityVerdict.INCONCLUSIVE_BOX
