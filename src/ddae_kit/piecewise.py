@@ -18,7 +18,9 @@ content keeps a low-degree, differentiation-friendly form.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -372,19 +374,34 @@ class PiecewisePolynomial:
     def _tol(self):
         return DOMAIN_RTOL * (self.end - self.start)
 
+    @cached_property
+    def _cuts(self):
+        """The domain ends widened by the tolerance, and the interior piece
+        ends shifted by it for each side: built on first use, since a
+        function never changes (and _with skips __init__)."""
+        tol = self._tol()
+        ends = np.array([b for _, b, _ in self.pieces[:-1]])
+        return self.start - tol, self.end + tol, {"right": ends - tol, "left": ends + tol}
+
     def _locate(self, t, side="right"):
         """Index of the piece holding t (a float or an array of times):
         the first piece whose end b has t < b - tol (t <= b + tol for
-        side="left"), else the last piece, which also takes NaN."""
-        tol = self._tol()
+        side="left"), else the last piece, which also takes NaN.  A number
+        is bisected in Python, an array searched in one searchsorted."""
+        lo, hi, cuts = self._cuts
+        cuts = cuts[side]
+        if not isinstance(t, np.ndarray):
+            t = float(t)
+            if t < lo or t > hi:
+                raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
+            if t != t:
+                return len(cuts)
+            return (bisect_left if side == "left" else bisect_right)(cuts, t)
         t = np.asarray(t, dtype=float)
-        outside = (t < self.start - tol) | (t > self.end + tol)
+        outside = (t < lo) | (t > hi)
         if outside.any():
             raise OutOfDomain(f"t={t[outside].flat[0]} outside [{self.start}, {self.end}]")
-        cuts = np.array([b for _, b, _ in self.pieces[:-1]])
-        if side == "left":
-            return np.searchsorted(cuts + tol, t, side="left")
-        return np.searchsorted(cuts - tol, t, side="right")
+        return np.searchsorted(cuts, t, side=side)
 
     def evaluate(self, t, order=0, side="right"):
         """Evaluate the order-th derivative at time t.

@@ -2,12 +2,25 @@
 
 Roots of det(lambda E - A - exp(-lambda tau) D) are located by Newton's
 method seeded at the local minima of the determinant magnitude on a
-rectangular grid, evaluated one row per stacked determinant.  Only the
-Newton step solves for the logarithmic derivative trace(M^{-1} M'),
-which keeps the iteration well scaled even when the determinant itself
-spans many orders of magnitude.  All seeds advance together, one stacked
-solve per iteration, and the candidates' residuals are checked with one
-stacked determinant and one stacked SVD.
+rectangular grid.  The grid is evaluated in chunks of whole rows: each
+chunk forms all its matrices in one complex product
+[lambda, 1, e^{-lambda tau}] @ [E; -A; -D], then takes one stacked
+determinant and one hypot, and a chunk holds about GRID_CHUNK matrix
+entries, so any grid up to MAX_GRID stays within a fixed memory bound.
+Only the Newton step solves for the logarithmic derivative
+trace(M^{-1} M'), which keeps the iteration well scaled even when the
+determinant itself spans many orders of magnitude.  All seeds advance
+together, one stacked solve per iteration, and the candidates' residuals
+are checked with one stacked determinant and one stacked SVD.
+
+Newton, the residual check and char_function form M elementwise
+(_char_matrix), not through the grid's product, because:
+- each lane of a stack must equal the evaluation at its lambda alone bit
+  for bit, so that lockstep Newton follows every seed's own iterates;
+- the last bit of a BLAS product depends on the shape of the stack it
+  is part of, so a lambda's matrix would change with its neighbours;
+- the grid only ranks cells to pick Newton seeds, so its last bits never
+  reach a report.
 
 The stability verdict is gated by the propagation classification: for
 de-smoothing systems a negative spectral abscissa does not imply
@@ -33,6 +46,9 @@ DEDUP_RADIUS = 1e-6
 NEWTON_MAX_ITER = 80
 # points per grid axis; the grid's |det| array alone is MAX_GRID^2 floats
 MAX_GRID = 1024
+# complex matrix entries formed at once on the grid (about 1 MB); a chunk
+# holds whole rows, at least one
+GRID_CHUNK = 2 ** 16
 # |alpha| at or below this is marginal
 MARGIN = 1e-6
 
@@ -133,6 +149,30 @@ def default_box(E, A, D, tau):
     return SearchBox(re_min=-10.0 * s, re_max=5.0 * s, im_max=20.0 * np.pi / tau)
 
 
+def _grid_magnitudes(E, A, D, tau, res, ims):
+    """|det M(x + iy)| for x in res (rows) and y in ims (columns).
+
+    Each chunk of whole rows forms its matrices in one complex product,
+    [lambda, 1, e^{-lambda tau}] (k x 3) @ [E; -A; -D] (3 x n^2), and
+    reduces them with one stacked det and one hypot; the rows per chunk
+    keep the product within GRID_CHUNK entries.  Far left in the box
+    e^{-lambda tau} overflows; those cells come out NaN, quietly.
+    """
+    n = E.shape[-1]
+    coeffs = np.stack([E, -A, -D]).reshape(3, n * n).astype(complex)
+    rows = max(1, GRID_CHUNK // max(1, len(ims) * n * n))
+    mag = np.empty((len(res), len(ims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(res), rows):
+            lam = (res[i:i + rows, None] + 1j * ims).ravel()
+            basis = np.ones((len(lam), 3), dtype=complex)
+            basis[:, 0] = lam
+            basis[:, 2] = np.exp(-lam * tau)
+            det = np.linalg.det((basis @ coeffs).reshape(len(lam), n, n))
+            mag[i:i + rows] = np.hypot(det.real, det.imag).reshape(-1, len(ims))
+    return mag
+
+
 def _local_minima(mag):
     """Row-major (k, 2) array of the indices whose magnitude is minimal
     within its 3x3 block (cells outside the grid do not count, and a
@@ -189,16 +229,24 @@ def _newton(E, A, D, tau, seeds):
 
 def _residuals(E, A, D, tau, lams):
     """|det M(lambda)| and the bound 1e-8 max(1, ||M||)^n for each lambda,
-    from one stacked determinant and one stacked SVD."""
-    M = _char_matrix(E, A, D, tau, np.array(lams))
-    n = M.shape[-1]
-    norms = np.linalg.svd(M, compute_uv=False)[:, 0].tolist() if n else [0.0] * len(lams)
-    # numpy's hypot and power give inf where Python's abs and ** raise; a
-    # non-finite residual fails its bound
+    from one stacked determinant and one stacked SVD.
+
+    Far left, e^{-lambda tau} overflows and M is not finite: such a lambda
+    gets the residual inf and stays out of the SVD, which LAPACK would
+    reject with a message on the terminal.  numpy's hypot and power give
+    inf where Python's abs and ** raise; a NaN residual fails its bound,
+    an inf one fails every finite bound.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
+        M = _char_matrix(E, A, D, tau, np.array(lams))
+        n = M.shape[-1]
+        finite = np.isfinite(M).all(axis=(-2, -1))
+        norms = np.zeros(len(lams))
+        if n and finite.any():
+            norms[finite] = np.linalg.svd(M[finite], compute_uv=False)[:, 0]
         det = np.linalg.det(M)
-        return (np.hypot(det.real, det.imag).tolist(),
-                [RESIDUAL_TOL * np.float64(max(1.0, s)) ** n for s in norms])
+        return (np.where(finite, np.hypot(det.real, det.imag), np.inf).tolist(),
+                [RESIDUAL_TOL * np.float64(max(1.0, s)) ** n for s in norms.tolist()])
 
 
 def spectral_abscissa_matrices(
@@ -206,9 +254,10 @@ def spectral_abscissa_matrices(
 ) -> StabilityReport:
     """Grid-seeded Newton root search for arbitrary coefficient matrices.
 
-    |det M| is evaluated one grid row (fixed real part) per stacked
-    determinant; Newton starts from every 3x3 local minimum, all seeds
-    advancing together.
+    |det M| is evaluated on the grid in chunks of whole rows (fixed real
+    part), one matrix product, one stacked determinant and one hypot per
+    chunk, at most about GRID_CHUNK matrix entries at a time; Newton
+    starts from every 3x3 local minimum, all seeds advancing together.
     """
     E, A, D = np.asarray(E), np.asarray(A), np.asarray(D)
     if np.isscalar(grid):
@@ -226,15 +275,7 @@ def spectral_abscissa_matrices(
     cell_re = (box.re_max - box.re_min) / (g_re - 1)
     cell_im = (box.im_max - im_min) / (g_im - 1)
 
-    # hypot, not np.abs: np.abs rounds complex arrays differently in the
-    # last bit from the scalar |det| that Newton and char_function see; a
-    # determinant that overflows far left in the box is a large magnitude
-    mag = np.empty((g_re, g_im))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(res):
-            det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
-            mag[i] = np.hypot(det.real, det.imag)
-
+    mag = _grid_magnitudes(E, A, D, tau, res, ims)
     seeds = [complex(res[i], ims[j]) for i, j in _local_minima(mag)]
     pad_re, pad_im = 2 * cell_re, 2 * cell_im
     inside = []

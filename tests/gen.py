@@ -206,6 +206,18 @@ def coupling_norms_per_loop(split):
             "propagation": propagation, "N_pow_Ba": n_pow_ba, "Ba2_pow": ba2_pows}
 
 
+def grid_per_row(E, A, D, tau, res, ims):
+    """Reference for stability._grid_magnitudes: |det M| on the grid one
+    row (fixed real part) at a time, each row's matrices formed
+    elementwise by _char_matrix, bit for bit char_function's."""
+    mag = np.empty((len(res), len(ims)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(res):
+            det = np.linalg.det(_char_matrix(E, A, D, tau, x + 1j * ims))
+            mag[i] = np.hypot(det.real, det.imag)
+    return mag
+
+
 def newton_per_seed(E, A, D, tau, lam):
     """Reference for stability._newton: Newton from one seed alone, one
     scalar solve per iteration, the log-derivative's exp(-lambda tau)

@@ -1,9 +1,12 @@
 import copy
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit import stability
 from ddae_kit.pencil import norm2
 from ddae_kit.stability import (
     MARGIN,
@@ -11,6 +14,7 @@ from ddae_kit.stability import (
     StabilityReport,
     StabilityVerdict,
     _char_matrix,
+    _grid_magnitudes,
     _local_minima,
     _newton,
     _residuals,
@@ -18,7 +22,13 @@ from ddae_kit.stability import (
     spectral_abscissa_matrices,
 )
 
-from gen import example_advanced, example_neutral, newton_per_seed, random_regular_pencil
+from gen import (
+    example_advanced,
+    example_neutral,
+    grid_per_row,
+    newton_per_seed,
+    random_regular_pencil,
+)
 
 
 def scalar_retarded_system(horizon=3):
@@ -135,6 +145,36 @@ class TestSpectralAbscissa:
             assert report.alpha == pytest.approx(alpha_expected, abs=1e-6)
 
 
+def grid_axes(E, A, D, tau, shape, box=None):
+    """The real and imaginary grid axes spectral_abscissa_matrices uses."""
+    box = box or default_box(E, A, D, tau)
+    im_min = -box.im_max if any(np.iscomplexobj(X) for X in (E, A, D)) else 0.0
+    return np.linspace(box.re_min, box.re_max, shape[0]), np.linspace(im_min, box.im_max, shape[1])
+
+
+def as_system(E, A, D, tau):
+    n = len(E)
+    field = any(np.iscomplexobj(X) for X in (E, A, D))
+    return dk.DdaeSystem(
+        E=E, A=A, D=D, tau=tau, horizon_intervals=1,
+        f=dk.PiecewisePolynomial.zero(n, 0.0, tau, complex_field=field),
+        phi=dk.PiecewisePolynomial.zero(n, -tau, 0.0, complex_field=field),
+    )
+
+
+def grid_systems(rng, complex_field):
+    """Random data for n = 1..8, each n also with D = 0 and with a
+    singular E (its last column zero)."""
+    for n in range(1, 9):
+        for variant in ("random", "D = 0", "singular E"):
+            E, A, D = random_data(rng, n, complex_field)
+            if variant == "D = 0":
+                D = np.zeros_like(D)
+            if variant == "singular E":
+                E[:, -1] = 0.0
+            yield E, A, D, float(rng.uniform(0.3, 2.0))
+
+
 class TestGridEvaluation:
     def test_local_minima_match_brute_force(self):
         # ties, NaN cells, edges and corners, and one-row/one-column grids
@@ -158,6 +198,106 @@ class TestGridEvaluation:
             assert _local_minima(mag).tolist() == brute(mag)
         # a grid of +inf only: every cell ties with its block
         assert len(_local_minima(np.full((3, 4), np.inf))) == 12
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_chunked_grid_matches_per_row(self, complex_field, chunk_rows, monkeypatch):
+        # the chunked product ranks the cells as the per-row loop does, and
+        # its |det| is char_function's to 1e-12 relative; chunks of 3 rows
+        # leave a short last chunk on 80 and 41 rows
+        rng = np.random.default_rng(21 + complex_field)
+        checked = 0
+        for E, A, D, tau in grid_systems(rng, complex_field):
+            n = len(E)
+            sys_ = as_system(E, A, D, tau)
+            for shape in ((80, 80), (41, 67), (3, 128)):
+                if chunk_rows is not None:
+                    monkeypatch.setattr(stability, "GRID_CHUNK", chunk_rows * shape[1] * n * n)
+                res, ims = grid_axes(E, A, D, tau, shape)
+                mag = _grid_magnitudes(E, A, D, tau, res, ims)
+                reference = grid_per_row(E, A, D, tau, res, ims)
+                assert _local_minima(mag).tolist() == _local_minima(reference).tolist()
+                assert np.all(np.abs(mag - reference) <= 1e-12 * reference)
+                # the reference is char_function's |det| bit for bit
+                for i, j in zip(range(0, shape[0], 5), range(0, shape[1], 7)):
+                    value, _ = dk.char_function(sys_, complex(res[i], ims[j]))
+                    assert reference[i, j] == abs(value)
+                    checked += 1
+        assert checked > 400
+
+    def test_overflowing_rows_are_quiet(self):
+        # e^{-lambda tau} overflows for Re lambda < -709.8: those rows are
+        # NaN in both evaluations, no RuntimeWarning is raised, and the
+        # cells next to them rank as in the per-row loop; the whole search
+        # (about 900 roots in this box) stays quiet too, shown for n <= 2
+        rng = np.random.default_rng(22)
+        box = dk.SearchBox(re_min=-2000.0, re_max=5.0, im_max=30.0)
+        for complex_field in (False, True):
+            for E, A, D, tau in grid_systems(rng, complex_field):
+                res, ims = grid_axes(E, A, D, 1.0, (80, 40), box)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    mag = _grid_magnitudes(E, A, D, 1.0, res, ims)
+                    if len(E) <= 2:
+                        spectral_abscissa_matrices(E, A, D, 1.0, box=box, grid=(80, 40))
+                reference = grid_per_row(E, A, D, 1.0, res, ims)
+                assert np.array_equal(np.isnan(mag), np.isnan(reference))
+                if np.any(D):
+                    assert np.isnan(mag[res < -720.0]).all()
+                assert _local_minima(mag).tolist() == _local_minima(reference).tolist()
+
+    def test_chunk_memory_is_bounded(self):
+        # an n = 8 grid 1024 wide holds one row's matrices at a time
+        # (64 Ki entries, the cap) plus a few vectors over the row, however
+        # many rows it has; the per-row loop holds two to three times that
+        rng = np.random.default_rng(23)
+        E, A, D = random_data(rng, 8, True)
+        ims = np.linspace(-30.0, 30.0, 1024)
+        bound = 16 * (stability.GRID_CHUNK + 8 * len(ims))
+        for grid in (_grid_magnitudes, grid_per_row):
+            peaks = []
+            for rows in (3, 9):
+                res = np.linspace(-5.0, 5.0, rows)
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    mag = grid(E, A, D, 1.0, res, ims)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base - mag.nbytes)
+                finally:
+                    tracemalloc.stop()
+            if grid is _grid_magnitudes:
+                assert max(peaks) <= bound
+                assert peaks[1] <= peaks[0] + 4096
+            else:
+                assert min(peaks) > 1.5 * bound
+
+    def test_reports_match_the_per_row_grid(self, monkeypatch):
+        # whole reports, roots bit for bit, equal those of a search seeded
+        # from the per-row grid, on 120 random systems and three grids
+        rng = np.random.default_rng(24)
+        grids = (20, 40, 80)
+        found = []
+        for trial in range(120):
+            E, A, D = random_data(rng, 1 + trial % 6, trial % 2 == 1)
+            if trial % 5 == 3:
+                D = np.zeros_like(D)
+            if trial % 7 == 4:
+                E[:, -1] = 0.0
+            tau = float(rng.uniform(0.3, 2.0))
+            grid = grids[trial % 3]
+            chunked = spectral_abscissa_matrices(E, A, D, tau, grid=grid)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_grid_magnitudes", grid_per_row)
+                reference = spectral_abscissa_matrices(E, A, D, tau, grid=grid)
+            assert bits([lam for lam, _ in chunked.rightmost_roots]) == \
+                bits([lam for lam, _ in reference.rightmost_roots])
+            assert [r for _, r in chunked.rightmost_roots] == \
+                [r for _, r in reference.rightmost_roots]
+            assert (chunked.alpha, chunked.box, chunked.grid, chunked.box_limited,
+                    chunked.no_roots) == (reference.alpha, reference.box, reference.grid,
+                                          reference.box_limited, reference.no_roots)
+            found.append(len(chunked.rightmost_roots))
+        assert sum(found) > 500
 
     def test_stacked_row_matches_char_function(self):
         # one grid row as a stack equals the scalar determinant bit for bit
@@ -237,6 +377,23 @@ class TestNewton:
                 M = _char_matrix(E, A, D, 0.8, lam)
                 assert r == abs(complex(np.linalg.det(M)))
                 assert b == RESIDUAL_TOL * max(1.0, norm2(M)) ** n
+
+    def test_overflowed_lambda_is_no_root(self, capfd):
+        # e^{-lambda tau} overflows at Re lambda = -800, so that lane's M is
+        # not finite: its residual is inf, with no warning and no LAPACK
+        # message on the terminal, and the other lanes keep their values
+        rng = np.random.default_rng(15)
+        E, A, D = random_data(rng, 4, False)
+        lams = [0.5 + 1j, -800.0 + 2j, -1.0 - 0.5j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals, bounds = _residuals(E, A, D, 1.0, lams)
+        assert residuals[1] == np.inf and not residuals[1] <= bounds[1]
+        for k in (0, 2):
+            M = _char_matrix(E, A, D, 1.0, lams[k])
+            assert residuals[k] == abs(complex(np.linalg.det(M)))
+            assert bounds[k] == RESIDUAL_TOL * max(1.0, norm2(M)) ** 4
+        assert capfd.readouterr() == ("", "")
 
 
 class TestAssessment:

@@ -1,4 +1,4 @@
-"""One outcome and two hashes per benchmark case: which CLI outputs a change alters.
+"""One outcome and three hashes per benchmark case: which CLI outputs a change alters.
 
     python3 tools/output_digests.py SRC > digests.txt
 
@@ -9,7 +9,7 @@ each case through ``ddae_kit.cli.main`` imported from the directory SRC
 names and exception handling of bench/run.py, and prints one line per
 case:
 
-    <workload> <seed> <case id> <outcome> <sha256 of the output files> <decisions>
+    <workload> <seed> <case id> <outcome> <sha256 of the output files> <decisions> <stderr>
 
 The bench never runs ``probe``, so each problem file of the analyze
 workload is also run as ``probe --order {1,2} --side {slow,fast}``; these
@@ -24,12 +24,18 @@ The decisions column is a sha256 over what rounding leaves alone: each
 JSON output with every float leaf dropped (so its verdicts, orders,
 counts and flags remain) and each CSV's row count and side column.
 
+The stderr column is a sha256 of what the case wrote to stderr (its
+error, warning and breakdown lines), with the case's own directory
+replaced by a fixed word, so that two runs in different temporary
+directories hash alike.
+
 Running it on two source trees with the same bench directory gives two
 lists in the same order; the cases whose outcome column differs are the
 ones whose exit changed, those with the same outcome and another
 decisions hash are the ones whose reported decisions changed, and those
 with both equal and another sha256 are the ones whose output bytes
-changed only.  Each tree needs its own
+changed only; the stderr column tells apart the cases whose messages
+changed, whatever their outputs did.  Each tree needs its own
 process, because the package is imported once.  BLAS runs on one
 thread, as in bench/run.py, so the digests do not depend on thread
 scheduling.
@@ -44,7 +50,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
 
@@ -74,11 +82,13 @@ def decisions(path, data):
 
 def case_digest(run, cli, case, out_dir, options=()):
     """Run one case, options appended to its argv; its outcome, the
-    sha256 over its output files in order and the sha256 over their
-    decisions."""
+    sha256 over its output files in order, the sha256 over their
+    decisions and the sha256 over its stderr."""
     run.prepare_argv(case, out_dir)
     case["argv"] += options
-    rc, error, _ = run.invoke(cli, case)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc, error, _ = run.invoke(cli, case)
+    stderr = err.getvalue().replace(os.path.dirname(out_dir), "CASE_DIR").encode()
     outcome = f"exit {rc}" if error is None else f"raised {type(error).__name__}"
     digest, kept = hashlib.sha256(), hashlib.sha256()
     for path in case["outputs"]:
@@ -91,7 +101,7 @@ def case_digest(run, cli, case, out_dir, options=()):
         else:
             digest.update(b"missing\n")
             kept.update(b"missing\n")
-    return outcome, digest.hexdigest(), kept.hexdigest()
+    return outcome, digest.hexdigest(), kept.hexdigest(), hashlib.sha256(stderr).hexdigest()
 
 
 def probe_cases(cases):
@@ -119,8 +129,7 @@ def main(argv=None):
     import workloads as wl
 
     refs = wl.load_references()
-    real_stderr = sys.stderr
-    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as devnull:
+    with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
             for workload in wl.WORKLOADS:
                 cases = wl.build(workload, seed, refs)
@@ -135,12 +144,7 @@ def main(argv=None):
                     runs += [("probe", case, options)
                              for case, options in probe_cases(cases)]
                 for name, case, options in runs:
-                    # the CLI reports breakdowns on stderr by design
-                    sys.stderr = devnull
-                    try:
-                        outcome, *digests = case_digest(run, cli, case, out_dir, options)
-                    finally:
-                        sys.stderr = real_stderr
+                    outcome, *digests = case_digest(run, cli, case, out_dir, options)
                     print(name, seed, case["id"], outcome, *digests)
 
 
