@@ -18,7 +18,6 @@ content keeps a low-degree, differentiation-friendly form.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 
@@ -386,22 +385,13 @@ class PiecewisePolynomial:
     def _locate(self, t, side="right"):
         """Index of the piece holding t (a float or an array of times):
         the first piece whose end b has t < b - tol (t <= b + tol for
-        side="left"), else the last piece, which also takes NaN.  A number
-        is bisected in Python, an array searched in one searchsorted."""
+        side="left"), else the last piece, which also takes NaN."""
         lo, hi, cuts = self._cuts
-        cuts = cuts[side]
-        if not isinstance(t, np.ndarray):
-            t = float(t)
-            if t < lo or t > hi:
-                raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
-            if t != t:
-                return len(cuts)
-            return (bisect_left if side == "left" else bisect_right)(cuts, t)
         t = np.asarray(t, dtype=float)
         outside = (t < lo) | (t > hi)
         if outside.any():
             raise OutOfDomain(f"t={t[outside].flat[0]} outside [{self.start}, {self.end}]")
-        return np.searchsorted(cuts, t, side=side)
+        return np.searchsorted(cuts[side], t, side=side)
 
     def evaluate(self, t, order=0, side="right"):
         """Evaluate the order-th derivative at time t.

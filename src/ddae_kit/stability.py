@@ -19,8 +19,11 @@ Newton, the residual check and char_function form M elementwise
   for bit, so that lockstep Newton follows every seed's own iterates;
 - the last bit of a BLAS product depends on the shape of the stack it
   is part of, so a lambda's matrix would change with its neighbours;
-- the grid only ranks cells to pick Newton seeds, so its last bits never
-  reach a report.
+- the grid only ranks cells to pick Newton seeds: a change in its last
+  bits can move a seed only where two cells' magnitudes nearly tie, and
+  reports seeded from it were checked equal to those of the elementwise
+  per-row grid on the benchmark's outputs and on random systems in the
+  tests, not shown equal by construction.
 
 The stability verdict is gated by the propagation classification: for
 de-smoothing systems a negative spectral abscissa does not imply

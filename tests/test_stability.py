@@ -249,27 +249,23 @@ class TestGridEvaluation:
     def test_chunk_memory_is_bounded(self):
         # an n = 8 grid 1024 wide holds one row's matrices at a time
         # (64 Ki entries, the cap) plus a few vectors over the row, however
-        # many rows it has; the per-row loop holds two to three times that
+        # many rows it has
         rng = np.random.default_rng(23)
         E, A, D = random_data(rng, 8, True)
         ims = np.linspace(-30.0, 30.0, 1024)
         bound = 16 * (stability.GRID_CHUNK + 8 * len(ims))
-        for grid in (_grid_magnitudes, grid_per_row):
-            peaks = []
-            for rows in (3, 9):
-                res = np.linspace(-5.0, 5.0, rows)
-                tracemalloc.start()
-                try:
-                    base = tracemalloc.get_traced_memory()[0]
-                    mag = grid(E, A, D, 1.0, res, ims)
-                    peaks.append(tracemalloc.get_traced_memory()[1] - base - mag.nbytes)
-                finally:
-                    tracemalloc.stop()
-            if grid is _grid_magnitudes:
-                assert max(peaks) <= bound
-                assert peaks[1] <= peaks[0] + 4096
-            else:
-                assert min(peaks) > 1.5 * bound
+        peaks = []
+        for rows in (3, 9):
+            res = np.linspace(-5.0, 5.0, rows)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                mag = _grid_magnitudes(E, A, D, 1.0, res, ims)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base - mag.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound
+        assert peaks[1] <= peaks[0] + 4096
 
     def test_reports_match_the_per_row_grid(self, monkeypatch):
         # whole reports, roots bit for bit, equal those of a search seeded

@@ -24,10 +24,13 @@ The decisions column is a sha256 over what rounding leaves alone: each
 JSON output with every float leaf dropped (so its verdicts, orders,
 counts and flags remain) and each CSV's row count and side column.
 
-The stderr column is a sha256 of what the case wrote to stderr (its
-error, warning and breakdown lines), with the case's own directory
-replaced by a fixed word, so that two runs in different temporary
-directories hash alike.
+The stderr column is a sha256 of what the case wrote to Python's
+sys.stderr (its error, warning and breakdown lines), with the case's own
+directory replaced by a fixed word, so that two runs in different
+temporary directories hash alike.  Messages that a native library
+writes past Python are not in it: OpenBLAS's LAPACK error handler, for
+one, prints its "On entry to DLASCL parameter number ..." line to C's
+stdout.
 
 Running it on two source trees with the same bench directory gives two
 lists in the same order; the cases whose outcome column differs are the
