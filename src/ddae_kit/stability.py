@@ -10,10 +10,10 @@ entries, so any grid up to MAX_GRID stays within a fixed memory bound.
 Only the Newton step solves for the logarithmic derivative
 trace(M^{-1} M'), which keeps the iteration well scaled even when the
 determinant itself spans many orders of magnitude.  All seeds advance
-together, one stacked solve per iteration, and the candidates' residuals
-are checked with one stacked determinant and one stacked SVD.
+together, one stacked solve per iteration, and a candidate is a root
+when its backward error, from one stacked SVD, is at most RESIDUAL_TOL.
 
-Newton, the residual check and char_function form M elementwise
+Newton, the backward error and char_function form M elementwise
 (_char_matrix), not through the grid's product, because:
 - each lane of a stack must equal the evaluation at its lambda alone bit
   for bit, so that lockstep Newton follows every seed's own iterates;
@@ -82,9 +82,9 @@ class StabilityReport:
 
     alpha is the largest real part over the verified roots; box_limited
     flags a root within two grid cells of the right box edge, i.e. the
-    search window may truncate the relevant root set.  Every reported
-    root satisfies |det(lambda E - A - e^{-lambda tau} D)| <=
-    1e-8 * max(1, ||M||)^n.
+    search window may truncate the relevant root set.  rightmost_roots
+    holds (lambda, eta) pairs, rightmost first, and every eta, the
+    root's backward error, is at most RESIDUAL_TOL.
     """
 
     alpha: float | None
@@ -92,7 +92,7 @@ class StabilityReport:
     box: SearchBox
     grid: tuple
     box_limited: bool
-    no_roots: bool
+    no_roots = property(lambda self: not self.rightmost_roots)
 
 
 def _stacked(lam, *mats):
@@ -203,7 +203,7 @@ def _newton(E, A, D, tau, seeds):
     the moduli are np.abs, which is inf where Python's abs raises.  An
     iterate far in the left half-plane overflows exp(-lambda tau); the
     warnings are silenced because the non-finite log-derivative already
-    stops that lane and the box filter drops the candidate.
+    stops that lane, and the box filter or its backward error drops it.
     """
     lams = [complex(s) for s in seeds]
     active = list(range(len(lams)))
@@ -230,26 +230,30 @@ def _newton(E, A, D, tau, seeds):
     return lams
 
 
-def _residuals(E, A, D, tau, lams):
-    """|det M(lambda)| and the bound 1e-8 max(1, ||M||)^n for each lambda,
-    from one stacked determinant and one stacked SVD.
+def _backward_errors(E, A, D, tau, lams):
+    """Normwise backward error of each lambda as a root (Tisseur, Linear
+    Algebra Appl. 309, 2000), from one stacked SVD of M / omega:
 
-    Far left, e^{-lambda tau} overflows and M is not finite: such a lambda
-    gets the residual inf and stays out of the SVD, which LAPACK would
-    reject with a message on the terminal.  numpy's hypot and power give
-    inf where Python's abs and ** raise; a NaN residual fails its bound,
-    an inf one fails every finite bound.
+        eta = sigma_min(M) / (omega (1 + |lambda| + |e^{-lambda tau}|)),
+        omega = max(||E||_2, ||A||_2, ||D||_2),
+
+    the least relative change of E, A, D making lambda a root: in [0, 1],
+    and the same when E, A and D are scaled together.  Dividing by omega
+    first keeps every term finite where M is; where e^{-lambda tau}
+    overflows, eta is inf without the SVD (LAPACK would print a message).
+    An empty M is never singular.
     """
+    omega = max(norm2(E), norm2(A), norm2(D)) or 1.0
+    lam = np.array(lams, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _char_matrix(E, A, D, tau, np.array(lams))
-        n = M.shape[-1]
-        finite = np.isfinite(M).all(axis=(-2, -1))
-        norms = np.zeros(len(lams))
-        if n and finite.any():
-            norms[finite] = np.linalg.svd(M[finite], compute_uv=False)[:, 0]
-        det = np.linalg.det(M)
-        return (np.where(finite, np.hypot(det.real, det.imag), np.inf).tolist(),
-                [RESIDUAL_TOL * np.float64(max(1.0, s)) ** n for s in norms.tolist()])
+        M = _char_matrix(E, A, D, tau, lam) / omega
+        scale = 1.0 + np.hypot(lam.real, lam.imag) + np.exp(-tau * lam.real)
+    finite = np.isfinite(M).all(axis=(-2, -1)) & (scale < np.inf)
+    eta = np.full(len(lam), np.inf)
+    if finite.any():
+        sigma = np.linalg.svd(M[finite], compute_uv=False)
+        eta[finite] = sigma.min(axis=-1, initial=np.inf) / scale[finite]
+    return eta.tolist()
 
 
 def spectral_abscissa_matrices(
@@ -288,26 +292,21 @@ def spectral_abscissa_matrices(
         if (box.re_min - pad_re <= lam.real <= box.re_max + pad_re
                 and im_min - pad_im <= lam.imag <= box.im_max + pad_im):
             inside.append(lam)
-    candidates = []
-    if inside:
-        residuals, bounds = _residuals(E, A, D, tau, inside)
-        candidates = [(lam, r) for lam, r, b in zip(inside, residuals, bounds) if r <= b]
-
-    candidates.sort(key=lambda c: (c[0].real, c[0].imag))
+    candidates = [(lam, eta) for lam, eta in zip(inside, _backward_errors(E, A, D, tau, inside))
+                  if eta <= RESIDUAL_TOL]
+    # best-verified first; a copy of a kept root may lie anywhere in (Re, Im) order
+    candidates.sort(key=lambda c: (c[1], c[0].real, c[0].imag))
     roots = []
-    for lam, r in candidates:
-        if roots and abs(lam - roots[-1][0]) <= DEDUP_RADIUS * (1.0 + abs(lam)):
-            if r < roots[-1][1]:
-                roots[-1] = (lam, r)
-            continue
-        roots.append((lam, r))
+    for lam, eta in candidates:
+        if all(abs(lam - kept) > DEDUP_RADIUS * (1.0 + abs(lam)) for kept, _ in roots):
+            roots.append((lam, eta))
     roots.sort(key=lambda c: (-c[0].real, c[0].imag))
 
     # only the right edge can hide a larger real part; vertical root
     # chains make top-edge proximity unavoidable for any delay system
     return StabilityReport(
         alpha=roots[0][0].real if roots else None, rightmost_roots=roots,
-        box=box, grid=(g_re, g_im), no_roots=not roots,
+        box=box, grid=(g_re, g_im),
         box_limited=any(lam.real >= box.re_max - 2 * cell_re for lam, _ in roots),
     )
 
@@ -331,7 +330,7 @@ def assess_exponential_stability(
     prop = classify_propagation(split, sys.horizon_intervals)
     if prop.kind is PropagationKind.DE_SMOOTHING:
         return StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING
-    if report.no_roots or report.alpha is None:
+    if report.alpha is None:
         return StabilityVerdict.INCONCLUSIVE_BOX
     if report.alpha > MARGIN:
         return StabilityVerdict.UNSTABLE

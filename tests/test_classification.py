@@ -180,7 +180,7 @@ class TestCouplingNorms:
         sys_, split = random_system_from_blocks(rng, 1, 3, 2, blocks, horizon=5)
         report = StabilityReport(alpha=None, rightmost_roots=[],
                                  box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
-                                 grid=(2, 2), box_limited=False, no_roots=True)
+                                 grid=(2, 2), box_limited=False)
         norms, norm2 = [], pencil.norm2
 
         def counted(M):

@@ -687,6 +687,35 @@ class TestStabilityCommand:
         assert err.startswith("error: invalid search box") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_far_left_box_reports_no_false_roots(self, tmp_path):
+        # far left, ||M||^n and |det M| both overflowed and inf <= inf
+        # passed: this box was called stable from 1,760 non-roots whose
+        # residuals were written as Infinity; the 80 grid finds no true
+        # root on [-2000, 21.5], so the search is inconclusive
+        rng = np.random.default_rng(5)
+        E = np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+        A, D = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+        sys_ = dk.DdaeSystem(
+            E=E, A=A, D=D, tau=1.0, horizon_intervals=2,
+            f=dk.PiecewisePolynomial.zero(8, 0.0, 2.0),
+            phi=dk.PiecewisePolynomial.constant(np.ones(8), -1.0, 0.0),
+        )
+        problem = write_problem(tmp_path, sys_)
+        out = tmp_path / "stab.json"
+        assert main(["stability", problem, str(out), "--re-min", "-2000"]) == 0
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=strict)
+        assert report["verdict"] == "inconclusive_box"
+        assert report["alpha"] is None and report["roots"] == [] and report["no_roots"]
+        # the default box still finds the rightmost root
+        assert main(["stability", problem, str(out)]) == 0
+        report = read_json(out)
+        assert report["verdict"] == "unstable"
+        assert report["alpha"] == pytest.approx(1.2878407163358987, abs=1e-12)
+
     def test_newton_divergence_is_silent(self, tmp_path, capsys):
         # Newton iterates from the grid run far into the left half-plane,
         # where exp(-lambda tau) overflows; those candidates are dropped

@@ -10,14 +10,13 @@ from ddae_kit import stability
 from ddae_kit.pencil import norm2
 from ddae_kit.stability import (
     MARGIN,
-    RESIDUAL_TOL,
     StabilityReport,
     StabilityVerdict,
+    _backward_errors,
     _char_matrix,
     _grid_magnitudes,
     _local_minima,
     _newton,
-    _residuals,
     default_box,
     spectral_abscissa_matrices,
 )
@@ -362,34 +361,79 @@ class TestNewton:
     def test_no_seeds(self):
         assert _newton(np.eye(2), np.eye(2), np.eye(2), 1.0, []) == []
 
+def zero_system():
+    # x' = 0: M(lambda) = lambda, so lambda = 0 is a root with M = 0
+    return dk.DdaeSystem(
+        E=[[1.0]], A=[[0.0]], D=[[0.0]], tau=1.0, horizon_intervals=1,
+        f=dk.PiecewisePolynomial.zero(1, 0.0, 1.0),
+        phi=dk.PiecewisePolynomial.constant([1.0], -1.0, 0.0),
+    )
+
+
+class TestBackwardError:
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_stacked_residual_matches_scalar(self, complex_field):
+    def test_lanes_match_per_lambda_svd(self, complex_field, capfd):
+        # each lane is the smallest singular value of M / omega over
+        # 1 + |lambda| + |e^{-lambda tau}|, as one lambda alone gives it;
+        # e^{-lambda tau} overflows at Re lambda = -1000, so that lane's M
+        # is not finite: its eta is inf, with no warning and no LAPACK
+        # message on the terminal, and the other lanes keep their values
         rng = np.random.default_rng(14)
         for n in range(1, 9):
             E, A, D = random_data(rng, n, complex_field)
+            omega = max(norm2(E), norm2(A), norm2(D))
             lams = [complex(*rng.standard_normal(2)) for _ in range(7)]
-            residuals, bounds = _residuals(E, A, D, 0.8, lams)
-            for lam, r, b in zip(lams, residuals, bounds):
-                M = _char_matrix(E, A, D, 0.8, lam)
-                assert r == abs(complex(np.linalg.det(M)))
-                assert b == RESIDUAL_TOL * max(1.0, norm2(M)) ** n
-
-    def test_overflowed_lambda_is_no_root(self, capfd):
-        # e^{-lambda tau} overflows at Re lambda = -800, so that lane's M is
-        # not finite: its residual is inf, with no warning and no LAPACK
-        # message on the terminal, and the other lanes keep their values
-        rng = np.random.default_rng(15)
-        E, A, D = random_data(rng, 4, False)
-        lams = [0.5 + 1j, -800.0 + 2j, -1.0 - 0.5j]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            residuals, bounds = _residuals(E, A, D, 1.0, lams)
-        assert residuals[1] == np.inf and not residuals[1] <= bounds[1]
-        for k in (0, 2):
-            M = _char_matrix(E, A, D, 1.0, lams[k])
-            assert residuals[k] == abs(complex(np.linalg.det(M)))
-            assert bounds[k] == RESIDUAL_TOL * max(1.0, norm2(M)) ** 4
+            lams.insert(3, -1000.0 + 2j)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                etas = _backward_errors(E, A, D, 0.8, lams)
+            assert etas[3] == np.inf
+            for lam, eta in zip(lams[:3] + lams[4:], etas[:3] + etas[4:]):
+                M = _char_matrix(E, A, D, 0.8, lam) / omega
+                sigma = np.linalg.svd(M, compute_uv=False)[-1]
+                assert eta == sigma / (1.0 + abs(lam) + np.exp(-0.8 * lam.real))
+                assert 0.0 < eta <= 1.0
         assert capfd.readouterr() == ("", "")
+
+    def test_zero_system_root_at_origin(self):
+        # Newton lands on lambda = 0 exactly, where M = 0: eta = 0
+        sys_ = zero_system()
+        assert _backward_errors(sys_.E, sys_.A, sys_.D, 1.0, [0j]) == [0.0]
+        report = dk.spectral_abscissa(sys_)
+        assert report.alpha == 0.0
+        assert [eta for lam, eta in report.rightmost_roots if lam == 0] == [0.0]
+        verdict = dk.assess_exponential_stability(sys_, dk.build_split(sys_), report)
+        assert verdict is StabilityVerdict.MARGINAL
+
+    def test_invariant_under_common_scaling(self):
+        # scaling E, A and D together leaves the roots where they are; a
+        # search in the unscaled default box finds the same alpha and roots
+        # (|det M| against max(1, ||M||)^n let 1e-4 E, A, D report alpha = 1.58)
+        E, A, D = random_data(np.random.default_rng(16), 4, False)
+        box = default_box(E, A, D, 1.0)
+        plain = spectral_abscissa_matrices(E, A, D, 1.0, box=box)
+        assert plain.alpha == pytest.approx(-0.8012, abs=1e-4)
+        assert len(plain.rightmost_roots) == 22
+        for c in (1e-4, 1e-2, 1e2, 1e4):
+            scaled = spectral_abscissa_matrices(c * E, c * A, c * D, 1.0, box=box)
+            assert scaled.alpha == pytest.approx(plain.alpha, abs=1e-12)
+            assert len(scaled.rightmost_roots) == len(plain.rightmost_roots)
+            for (lam, _), (ref, _) in zip(scaled.rightmost_roots, plain.rightmost_roots):
+                assert abs(lam - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    def test_roots_on_one_vertical_line_are_kept_once(self):
+        # the neutral example's roots i pi (2k+1) all have Re lambda ~ 0,
+        # so copies of one root interleave with others in (Re, Im) order;
+        # 21 pi i was reported twice, with real parts 5.2e-17 and 1.9e-17
+        report = dk.spectral_abscissa(example_neutral(), box=dk.SearchBox(-3.0, 3.0, 200.0))
+        roots = [lam for lam, _ in report.rightmost_roots]
+        assert len(roots) == 29
+        for i, lam in enumerate(roots):
+            for other in roots[i + 1:]:
+                assert abs(lam - other) > stability.DEDUP_RADIUS * (1.0 + abs(lam))
+        odd = [round(lam.imag / np.pi) for lam in roots]
+        assert sorted(set(odd)) == sorted(odd) and all(k % 2 == 1 for k in odd)
+        assert odd.count(21) == 1
 
 
 class TestAssessment:
@@ -476,7 +520,7 @@ class TestAssessment:
             # the gate alone decides here, so an empty search result will do
             found = StabilityReport(alpha=None, rightmost_roots=[],
                                     box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
-                                    grid=(2, 2), box_limited=False, no_roots=True)
+                                    grid=(2, 2), box_limited=False)
             before = copy.deepcopy(vars(found))
             assert dk.assess_exponential_stability(sys_, split, found) is verdict
             assert vars(found) == before
@@ -488,6 +532,6 @@ class TestAssessment:
         sys_ = scalar_retarded_system()
         found = StabilityReport(alpha=alpha, rightmost_roots=[(complex(alpha), 0.0)],
                                 box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
-                                grid=(2, 2), box_limited=True, no_roots=False)
+                                grid=(2, 2), box_limited=True)
         verdict = dk.assess_exponential_stability(sys_, dk.build_split(sys_), found)
         assert verdict is StabilityVerdict.INCONCLUSIVE_BOX

@@ -21,8 +21,9 @@ every tree prints one line per case, in the same order, and a crash
 shows up as a changed outcome rather than a missing line.
 
 The decisions column is a sha256 over what rounding leaves alone: each
-JSON output with every float leaf dropped (so its verdicts, orders,
-counts and flags remain) and each CSV's row count and side column.
+JSON output with every finite float leaf dropped (so its verdicts,
+orders, counts and flags remain, and so does a NaN or Infinity) and
+each CSV's row count and side column.
 
 The stderr column is a sha256 of what the case wrote to Python's
 sys.stderr (its error, warning and breakdown lines), with the case's own
@@ -57,6 +58,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import tempfile  # noqa: E402
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -65,12 +67,18 @@ PROBE_ORDERS = (1, 2)
 PROBE_SIDES = ("slow", "fast")
 
 
+def _finite_float(node):
+    return isinstance(node, float) and math.isfinite(node)
+
+
 def _drop_floats(node):
-    """A parsed JSON value without its float leaves, in dicts and lists."""
+    """A parsed JSON value without its finite float leaves, in dicts and
+    lists; NaN and Infinity stay, so a number that turns non-finite is a
+    changed decision."""
     if isinstance(node, dict):
-        return {k: _drop_floats(v) for k, v in node.items() if not isinstance(v, float)}
+        return {k: _drop_floats(v) for k, v in node.items() if not _finite_float(v)}
     if isinstance(node, list):
-        return [_drop_floats(v) for v in node if not isinstance(v, float)]
+        return [_drop_floats(v) for v in node if not _finite_float(v)]
     return node
 
 
