@@ -10,6 +10,7 @@ from ddae_kit import stability
 from ddae_kit.pencil import norm2
 from ddae_kit.stability import (
     MARGIN,
+    RESIDUAL_TOL,
     StabilityReport,
     StabilityVerdict,
     _backward_errors,
@@ -360,6 +361,34 @@ class TestNewton:
 
     def test_no_seeds(self):
         assert _newton(np.eye(2), np.eye(2), np.eye(2), 1.0, []) == []
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_stacked_residual_matches_scalar(self, complex_field):
+        # the backward errors of a stack of candidates are, lane by lane,
+        # bit for bit what each candidate gets alone
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            E, A, D = random_data(rng, n, complex_field)
+            lams = [complex(*rng.standard_normal(2)) for _ in range(7)]
+            etas = _backward_errors(E, A, D, 0.8, lams)
+            assert bits(etas) == bits([_backward_errors(E, A, D, 0.8, [lam])[0] for lam in lams])
+
+    def test_overflowed_lambda_is_no_root(self, capfd):
+        # e^{-lambda tau} overflows at Re lambda = -800, so that lane's M is
+        # not finite: its backward error is inf, which fails RESIDUAL_TOL,
+        # with no warning and no LAPACK message on the terminal, and the
+        # other lanes keep the values they have alone
+        rng = np.random.default_rng(15)
+        E, A, D = random_data(rng, 4, False)
+        lams = [0.5 + 1j, -800.0 + 2j, -1.0 - 0.5j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            etas = _backward_errors(E, A, D, 1.0, lams)
+        assert etas[1] == np.inf and not etas[1] <= RESIDUAL_TOL
+        for k in (0, 2):
+            assert etas[k] == _backward_errors(E, A, D, 1.0, [lams[k]])[0]
+            assert 0.0 < etas[k] <= 1.0
+        assert capfd.readouterr() == ("", "")
 
 def zero_system():
     # x' = 0: M(lambda) = lambda, so lambda = 0 is a root with M = 0
