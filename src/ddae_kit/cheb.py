@@ -8,32 +8,29 @@ helpers; the solver's collocation reuses the cached Vandermonde pair.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.polynomial import chebyshev as C
 
+from .pencil import frozen
+
 TRIM_TOL = 1e-14
 
-_nodes_cache = {}
-_vander_cache = {}
 
-
+@cache
 def cgl_nodes(degree):
     """Chebyshev-Gauss-Lobatto nodes on [-1, 1], ascending.
 
     Cached per degree and returned read-only: callers share one array.
     """
-    if degree not in _nodes_cache:
-        nodes = np.array([1.0]) if degree == 0 else C.chebpts2(degree + 1)
-        nodes.setflags(write=False)
-        _nodes_cache[degree] = nodes
-    return _nodes_cache[degree]
+    return frozen(np.array([1.0]) if degree == 0 else C.chebpts2(degree + 1))
 
 
+@cache
 def _vander_inv(degree):
-    if degree not in _vander_cache:
-        V = C.chebvander(cgl_nodes(degree), degree)
-        _vander_cache[degree] = (V, np.linalg.inv(V))
-    return _vander_cache[degree]
+    V = C.chebvander(cgl_nodes(degree), degree)
+    return V, np.linalg.inv(V)
 
 
 def values_to_coeffs(values):

@@ -27,6 +27,7 @@ from .pencil import (
     MatrixPencil,
     QuasiWeierstrassForm,
     compute_qwf,
+    frozen,
     norm2,
     power_norms,
     vector_norm,
@@ -68,9 +69,7 @@ class DdaeSystem:
         D = np.atleast_2d(np.asarray(self.D))
         if D.shape != pencil.E.shape:
             raise DimensionMismatch("D must match the shape of E")
-        D = np.array(D, dtype=complex if np.iscomplexobj(D) else float)
-        D.setflags(write=False)
-        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "D", frozen(D))
         if not self.tau > 0:
             raise DimensionMismatch("tau must be positive")
         if self.horizon_intervals < 1:
@@ -202,26 +201,18 @@ class SplitCoefficients:
 
 
 def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
-    """Derived matrices of the split system with delay matrix D."""
-    n_d, n_a, nu = qwf.n_d, qwf.n_a, qwf.nu
-    S, T, J, N = qwf.S, qwf.T, qwf.J, qwf.N
-    n = n_d + n_a
-    T_inv = qwf.T_inv
+    """Derived matrices of the split system with delay matrix D.
 
-    P_d = np.zeros((n, n), dtype=T.dtype)
-    P_d[:n_d, :n_d] = np.eye(n_d)
-    J_big = np.zeros((n, n), dtype=np.result_type(T.dtype, J.dtype))
-    J_big[:n_d, :n_d] = J
-
-    A_diff = T @ J_big @ T_inv
-    A_con = T @ P_d @ T_inv
-
-    C_list = [T @ P_d @ S]
-    N_pow = np.eye(n_a, dtype=N.dtype)
-    for _ in range(1, nu + 1):
-        blk = np.zeros((n, n), dtype=np.result_type(T.dtype, N.dtype))
-        blk[n_d:, n_d:] = N_pow
-        C_list.append(-(T @ blk @ S))
+    Block products of the column blocks T_d = T[:, :n_d], T_a = T[:, n_d:]:
+    A_diff = T_d J T^-1[:n_d], A_con = T_d T^-1[:n_d], C_0 = T_d S[:n_d]
+    and C_k = -T_a N^(k-1) S[n_d:] for 1 <= k <= nu.
+    """
+    n_d, S, T, N = qwf.n_d, qwf.S, qwf.T, qwf.N
+    T_d, T_a, T_inv_d = T[:, :n_d], T[:, n_d:], qwf.T_inv[:n_d]
+    C_list = [T_d @ S[:n_d]]
+    N_pow = np.eye(qwf.n_a, dtype=N.dtype)
+    for _ in range(qwf.nu):
+        C_list.append(-(T_a @ N_pow @ S[n_d:]))
         N_pow = N_pow @ N
 
     D = np.asarray(D)
@@ -230,8 +221,8 @@ def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
     return SplitCoefficients(
         qwf=qwf,
         D=D,
-        A_diff=A_diff,
-        A_con=A_con,
+        A_diff=T_d @ qwf.J @ T_inv_d,
+        A_con=T_d @ T_inv_d,
         C=tuple(C_list),
         B_d=SD[:n_d, :],
         B_a=SD[n_d:, :],

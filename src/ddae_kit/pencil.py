@@ -82,6 +82,16 @@ def vector_norm(x):
     return norm if norm < np.inf else float(row_norms(np.ravel(x)[None])[0])
 
 
+def frozen(x, dtype=None):
+    """A read-only copy of x as float, or as complex when x is complex;
+    a given dtype overrides that choice."""
+    if dtype is None:
+        dtype = complex if np.iscomplexobj(x) else float
+    x = np.array(x, dtype=dtype)
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixPencil:
     """Square matrix pencil (E, A) over the reals or complexes."""
@@ -98,16 +108,9 @@ class MatrixPencil:
             raise DimensionMismatch("A must match the shape of E")
         if E.shape[0] < 1:
             raise DimensionMismatch("pencil dimension must be at least 1")
-        if np.iscomplexobj(E) or np.iscomplexobj(A):
-            E = E.astype(complex)
-            A = A.astype(complex)
-        else:
-            E = E.astype(float)
-            A = A.astype(float)
-        E.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "A", A)
+        dtype = complex if np.iscomplexobj(E) or np.iscomplexobj(A) else float
+        object.__setattr__(self, "E", frozen(E, dtype))
+        object.__setattr__(self, "A", frozen(A, dtype))
 
     @property
     def n(self):
@@ -178,9 +181,7 @@ class QuasiWeierstrassForm:
                 arr = arr.reshape(shape)
             except ValueError as exc:
                 raise DimensionMismatch(f"{name} must have shape {shape}") from exc
-            arr = np.array(arr, dtype=complex if np.iscomplexobj(arr) else float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(arr))
 
     @property
     def n(self):
@@ -188,12 +189,7 @@ class QuasiWeierstrassForm:
 
     @cached_property
     def T_inv(self):
-        return _frozen(np.linalg.inv(self.T))
-
-
-def _frozen(arr):
-    arr.setflags(write=False)
-    return arr
+        return frozen(np.linalg.inv(self.T))
 
 
 def _svd_rank(M, context):

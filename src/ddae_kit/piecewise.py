@@ -3,8 +3,9 @@
 One container owns the domain logic (validation, locating a time,
 evaluation, differentiation, matrix application, shifting, restriction,
 breakpoint alignment, addition, stacking); a small kernel per basis
-supplies the per-piece arithmetic: eval, der, restrict and the trim after
-an addition (tidy).
+supplies the per-piece arithmetic: differentiation (der), point values
+of every derivative order (derivs), restriction (restrict) and the trim
+after an addition (tidy).
 
 Data functions (history and inhomogeneity) use the monomial basis of the
 local variable ``t - start``, so evaluation, differentiation, shifting and
@@ -27,6 +28,7 @@ from numpy.polynomial import polynomial as P
 
 from .cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
+from .pencil import frozen
 
 DEGREE_CAP = 64
 DEGREE_WARN = 24
@@ -36,7 +38,7 @@ DOMAIN_RTOL = 1e-9
 
 
 def _as_coeff_array(coeffs, n=None):
-    """Normalize coefficient data to a 2-D array of shape (deg+1, n)."""
+    """Coefficient data as a read-only 2-D array of shape (deg+1, n)."""
     c = np.asarray(coeffs)
     if c.ndim == 1:
         c = c[:, None]
@@ -46,7 +48,7 @@ def _as_coeff_array(coeffs, n=None):
         raise DimensionMismatch(
             f"coefficient vectors have dimension {c.shape[1]}, expected {n}"
         )
-    return c.astype(complex if np.iscomplexobj(c) else float)
+    return frozen(c)
 
 
 def _shift_coeffs(c, delta):
@@ -90,15 +92,13 @@ def _stacked(ca, cb):
     return c
 
 
-Basis = namedtuple("Basis", ["name", "eval", "der", "derivs", "restrict", "tidy"])
+Basis = namedtuple("Basis", ["name", "der", "derivs", "restrict", "tidy"])
 Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
 
-eval(c, a, b, t): values at t (a scalar or an array of times);
 der(c, a, b, m): coefficients of the m-th derivative;
 derivs(c, a, b, t, top): derivatives 0..top at t, shape (top+1, n) for
-    a scalar t and (len(t), top+1, n) for a 1-D array of times, each row
-    bit-identical to eval(der(c, a, b, j), a, b, t) and zero above the
-    degree;
+    a scalar t and (len(t), top+1, n) for a 1-D array of times, zero
+    above the degree: the one point evaluator;
 restrict(c, a, b, lo, hi): coefficients on the subinterval [lo, hi];
 tidy(c): trim applied to the coefficients of a sum.
 """
@@ -194,7 +194,7 @@ def cgl_samples(pieces):
     The pieces of one coefficient length and dtype are evaluated by one
     chebval of their stacked coefficients, each piece at its own mapped
     nodes; Clenshaw's steps are elementwise, so every value is bit for
-    bit the CHEBYSHEV.eval of its piece.
+    bit what _cheb_eval gives for its piece alone.
     """
     coefs = [c for _, _, c in pieces]
     counts = np.array([max(len(c), 2) for c in coefs])
@@ -216,7 +216,6 @@ def cgl_samples(pieces):
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]
 MONOMIAL = Basis(
     "monomial",
-    eval=lambda c, a, b, t: P.polyval(t - a, c),
     der=lambda c, a, b, m: P.polyder(c, m=m, axis=0),
     derivs=_monomial_derivs,
     restrict=lambda c, a, b, lo, hi: _shift_coeffs(np.array(c), lo - a),
@@ -226,7 +225,6 @@ MONOMIAL = Basis(
 # coeffs[k] multiplies T_k of the piece [a, b] mapped onto [-1, 1]
 CHEBYSHEV = Basis(
     "chebyshev",
-    eval=_cheb_eval,
     der=lambda c, a, b, m: C.chebder(c, m=m, scl=2.0 / (b - a), axis=0),
     derivs=_cheb_derivs,
     restrict=_cheb_restrict,
@@ -268,7 +266,6 @@ class PiecewisePolynomial:
                     "monomial conditioning may degrade",
                     stacklevel=2,
                 )
-            c.setflags(write=False)
             norm_pieces.append(Piece(start, end, c))
         if not norm_pieces:
             raise DimensionMismatch("piecewise polynomial needs at least one piece")
@@ -394,28 +391,21 @@ class PiecewisePolynomial:
         return np.searchsorted(cuts[side], t, side=side)
 
     def evaluate(self, t, order=0, side="right"):
-        """Evaluate the order-th derivative at time t.
+        """Evaluate the order-th derivative at time t: row order of
+        derivatives(t, order, side).
 
-        At interior knots the right limit is taken unless side="left".
-        Differentiation acts on the coefficients; orders above the local
-        degree give the zero vector.
+        At interior knots the right limit is taken unless side="left";
+        orders above the local degree give the zero vector.
         """
-        t = float(t)
-        a, b, c = self.pieces[self._locate(t, side=side)]
-        if order:
-            if order >= c.shape[0]:
-                return np.zeros(self.n, dtype=c.dtype)
-            c = self.basis.der(c, a, b, order)
-        return self.basis.eval(c, a, b, t)
+        return self.derivatives(float(t), order, side)[order]
 
     def derivatives(self, t, orders, side="right"):
         """Stack of derivatives 0..orders at t, shape (orders+1, n); for a
         1-D array of times, one stack per time, shape (len(t), orders+1, n).
 
-        Same values, bit for bit, as evaluate(t, order=j) for each j: each
-        time is located once, and each piece's basis kernel produces every
-        order at all the times it holds; rows above the local degree are
-        zero.
+        Each time is located once, and each piece's basis kernel produces
+        every order at all the times it holds; rows above the local degree
+        are zero.
         """
         if np.ndim(t) == 0:
             t = float(t)

@@ -71,8 +71,9 @@ class SearchBox:
     im_max: float
 
     def __post_init__(self):
-        finite = np.all(np.isfinite((self.re_min, self.re_max, self.im_max)))
-        if not (finite and self.re_max > self.re_min and self.im_max > 0):
+        # the grid spans [re_min, re_max] and at most [-im_max, im_max]
+        extents = (float(self.re_max) - float(self.re_min), 2.0 * float(self.im_max))
+        if not (np.isfinite(extents).all() and self.re_max > self.re_min and self.im_max > 0):
             raise DimensionMismatch("invalid search box: non-finite or empty bounds")
 
 

@@ -5,6 +5,7 @@ modules."""
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
 import ddae_kit as dk
@@ -121,6 +122,19 @@ def shift_per_row(c, delta):
         for k in range(m - 2, j - 1, -1):
             out[k] = out[k] + delta * out[k + 1]
     return out
+
+
+def value_per_order(pp, t, order, side="right"):
+    """Reference for pp.evaluate(t, order, side) from numpy's own kernels
+    on the piece holding t: polyder then polyval (monomial), chebder then
+    chebval (Chebyshev); the zero vector above the piece's degree."""
+    a, b, c = pp.pieces[pp._locate(t, side=side)]
+    if order >= len(c):
+        return np.zeros(pp.n, dtype=c.dtype)
+    if pp.basis is CHEBYSHEV:
+        c = C.chebder(c, m=order, scl=2.0 / (b - a), axis=0)
+        return C.chebval((2.0 * t - a - b) / (b - a), c)
+    return P.polyval(t - a, P.polyder(c, m=order, axis=0))
 
 
 def segment_window(pp, i, tau):

@@ -464,7 +464,7 @@ def write_csv_per_value(path, sys_, trajectory):
             for p_idx, (a, b, coef) in enumerate(seg.pieces.pieces):
                 deg = max(coef.shape[0] - 1, 1)
                 nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(deg)
-                values = seg.pieces.basis.eval(coef, a, b, nodes).T
+                values = C.chebval((2.0 * nodes - a - b) / (b - a), coef).T
                 skip = 1 if p_idx else 0
                 rows += [(float(t), v) for t, v in zip(nodes[skip:], values[skip:])]
             for r_idx, (t_loc, value) in enumerate(rows):
@@ -686,6 +686,30 @@ class TestStabilityCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid search box") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("field, bounds", [
+        (float, ["--re-min=-1e308", "--re-max=1e308"]),
+        (complex, ["--im-max=1e308"]),
+    ])
+    def test_box_whose_extent_overflows_is_rejected(self, tmp_path, capsys, field, bounds):
+        # finite bounds whose grid extent (re_max - re_min, or 2 im_max on
+        # complex data) overflows are an invalid box, rejected before the
+        # grid is spaced and without a warning
+        one = field(1.0)
+        sys_ = dk.DdaeSystem(
+            E=[[one]], A=[[-one]], D=[[0.0 * one]], tau=1.0, horizon_intervals=1,
+            f=dk.PiecewisePolynomial.zero(1, 0.0, 1.0, complex_field=field is complex),
+            phi=dk.PiecewisePolynomial.constant([one], -1.0, 0.0),
+        )
+        problem = write_problem(tmp_path, sys_)
+        out = tmp_path / "stab.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", problem, str(out), *bounds]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid search box") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_far_left_box_reports_no_false_roots(self, tmp_path):
         # far left, ||M||^n and |det M| both overflowed and inf <= inf

@@ -6,7 +6,7 @@ import pytest
 import ddae_kit as dk
 from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial, _shift_coeffs
 
-from gen import segment_window, shift_per_row
+from gen import segment_window, shift_per_row, value_per_order
 
 
 def random_pp(rng, n, breaks, max_deg=5):
@@ -45,8 +45,9 @@ class TestEvaluation:
     @pytest.mark.parametrize("basis", ["monomial", "chebyshev"])
     @pytest.mark.parametrize("field", [float, complex])
     def test_derivatives_match_per_order_evaluation(self, basis, field):
-        # the one-pass stack is bit-identical to evaluating each order
-        # separately: both sides of interior knots, orders past the degree;
+        # the one-pass stack is bit-identical to numpy's per-order kernels
+        # (polyder + polyval, chebder + chebval), and evaluate reads its
+        # rows: both sides of interior knots, orders past the degree;
         # the second function has degrees up to 20 and signed zeros, and is
         # also sampled just across each knot, where t - a is a tiny
         # negative number or lies a hair past the piece end; an array of
@@ -78,10 +79,13 @@ class TestEvaluation:
                 for side in ("left", "right"):
                     for orders in (10, 25):
                         got = pp.derivatives(t, orders, side=side)
-                        ref = np.stack([pp.evaluate(t, order=j, side=side)
+                        ref = np.stack([value_per_order(pp, t, j, side=side)
                                         for j in range(orders + 1)])
                         assert got.dtype == ref.dtype
                         assert got.tobytes() == ref.tobytes()
+                        for j in (0, 1, orders):
+                            row = pp.evaluate(t, order=j, side=side)
+                            assert row.tobytes() == ref[j].tobytes()
             for side in ("left", "right"):
                 for orders in (10, 25):
                     many = pp.derivatives(np.array(times), orders, side=side)

@@ -41,6 +41,29 @@ class TestExpandHiddenDelays:
         assert len(exp.D_delays) == 1
         assert np.allclose(exp.D_delays[0], np.zeros((n, n)), atol=1e-10)
 
+    def test_characteristic_function_identity(self):
+        # for a smoothing system, det(lambda E - A - e^{-lambda tau} D) is
+        # a constant times det(lambda I - J - sum_k e^{-lambda (k+1) tau}
+        # D_k): 12 random lambda on each of 60 systems, n_d = 1..3 and
+        # (n_a, nu, nu_D) from cases
+        cases = [(0, 0, 0), (1, 1, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 3, 2)]
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n_a, nu, nu_D = cases[seed % 6]
+            n_d = 1 + (seed // 6) % 3
+            blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
+            sys, split = random_system_from_blocks(rng, n_d, n_a, nu, blocks)
+            exp = dk.expand_hidden_delays(sys, split)
+            assert (split.nu, exp.nu_D) == (nu, nu_D)
+            ratios = []
+            for lam in rng.uniform(-1.0, 1.0, 12) + 1j * rng.uniform(-5.0, 5.0, 12):
+                full = sys.E * lam - sys.A - np.exp(-lam * sys.tau) * sys.D
+                slow = lam * np.eye(n_d) - exp.J - sum(
+                    np.exp(-lam * d) * D_k for d, D_k in zip(exp.delays, exp.D_delays))
+                ratios.append(np.linalg.det(full) / np.linalg.det(slow))
+            ratios = np.array(ratios)
+            assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * abs(ratios[0])
+
     def test_rejects_non_smoothing(self):
         from gen import example_neutral
 

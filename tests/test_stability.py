@@ -564,3 +564,35 @@ class TestAssessment:
                                 grid=(2, 2), box_limited=True)
         verdict = dk.assess_exponential_stability(sys_, dk.build_split(sys_), found)
         assert verdict is StabilityVerdict.INCONCLUSIVE_BOX
+
+
+class TestShiftedTwins:
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_shift_moves_every_root(self, complex_field):
+        # (E, A - sE, e^{-s tau} D) has the characteristic function of
+        # (E, A, D) at lambda + s, so searched in the box moved by -s it
+        # has the same roots moved by -s, alpha - s for its abscissa, and
+        # for s > alpha a stable verdict unless a root near the right
+        # edge limits the box (then both searches say so)
+        tau = 1.0
+        for seed in range(40):
+            for n in (1, 2, 4):
+                rng = np.random.default_rng(seed)
+                E, A, D = random_data(rng, n, complex_field)
+                box = default_box(E, A, D, tau)
+                found = spectral_abscissa_matrices(E, A, D, tau, box)
+                assert found.alpha is not None
+                s = found.alpha + 0.5 + rng.uniform(0.0, 1.0)
+                twin = as_system(E, A - s * E, np.exp(-s * tau) * D, tau)
+                moved = stability.SearchBox(box.re_min - s, box.re_max - s, box.im_max)
+                shifted = dk.spectral_abscissa(twin, moved)
+                assert len(shifted.rightmost_roots) == len(found.rightmost_roots)
+                for lam, _ in found.rightmost_roots:
+                    gap = min(abs(mu - (lam - s)) for mu, _ in shifted.rightmost_roots)
+                    assert gap <= 1e-12 * (1.0 + abs(lam - s))
+                assert shifted.alpha == pytest.approx(found.alpha - s, rel=1e-13, abs=1e-13)
+                assert shifted.box_limited == found.box_limited
+                verdict = dk.assess_exponential_stability(twin, dk.build_split(twin), shifted)
+                expected = (StabilityVerdict.INCONCLUSIVE_BOX if shifted.box_limited
+                            else StabilityVerdict.STABLE)
+                assert verdict is expected

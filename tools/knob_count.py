@@ -1,9 +1,11 @@
 """Count the knobs a user can turn: SolverConfig fields plus the options
 of each CLI subcommand (flags only: positionals and --help are not knobs).
 
-    PYTHONPATH=src python3 tools/knob_count.py
+    PYTHONPATH=src python3 tools/knob_count.py [--max N]
 
-prints one line, ``<total> (SolverConfig fields <f>, CLI options <o>)``.
+prints one line, ``<total> (SolverConfig fields <f>, CLI options <o>)``,
+and with --max exits 1 when the total exceeds N: a change that adds a
+knob raises the ceiling in its own diff.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ def knob_counts():
     return len(fields(SolverConfig)), options
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Count the user-settable knobs.")
+    parser.add_argument("--max", type=int, help="exit 1 when the total exceeds this ceiling")
+    ceiling = parser.parse_args(argv).max
     config, options = knob_counts()
-    print(f"{config + options} (SolverConfig fields {config}, CLI options {options})")
+    total = config + options
+    print(f"{total} (SolverConfig fields {config}, CLI options {options})")
+    return 1 if ceiling is not None and total > ceiling else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
