@@ -42,10 +42,12 @@ def values_to_coeffs(values):
 
 
 def trim_coeffs(coef, tol=TRIM_TOL):
-    """Drop trailing rows that are negligible next to the largest one."""
+    """Drop trailing rows whose largest entry is at most tol times the
+    largest entry of the series: the cut is relative to the series' own
+    size, with no absolute floor."""
     mags = np.max(np.abs(coef), axis=1) if coef.shape[1] else np.zeros(coef.shape[0])
     top = float(mags.max()) if mags.size else 0.0
-    cut = tol * max(1.0, top)
+    cut = tol * top
     keep = coef.shape[0]
     while keep > 1 and mags[keep - 1] <= cut:
         keep -= 1

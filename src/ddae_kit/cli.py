@@ -187,7 +187,7 @@ def cmd_solve(args, sys_, split):
 def cmd_stability(args, sys_, split):
     given = {k: getattr(args, k) for k in ("re_min", "re_max", "im_max")
              if getattr(args, k) is not None}
-    box = replace(default_box(sys_.E, sys_.A, sys_.D, sys_.tau), **given) if given else None
+    box = default_box(sys_.E, sys_.A, sys_.D, sys_.tau, **given)
     report = spectral_abscissa(sys_, box=box, grid=args.grid)
     verdict = assess_exponential_stability(sys_, split, report)
     gated = verdict is StabilityVerdict.INCONCLUSIVE_DE_SMOOTHING

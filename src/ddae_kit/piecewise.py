@@ -129,88 +129,28 @@ def _monomial_derivs(c, a, b, t, top):
     return out
 
 
-def _cheb_eval(c, a, b, t):
-    return C.chebval((2.0 * t - a - b) / (b - a), c)
-
-
 def _cheb_derivs(c, a, b, t, top):
     """Differentiate one order at a time: the arithmetic of chebder(m=j)."""
     out = np.zeros(np.shape(t) + (top + 1, c.shape[1]), dtype=c.dtype)
+    x = (2.0 * t - a - b) / (b - a)
     for j in range(min(top, c.shape[0] - 1) + 1):
         if j:
             c = CHEBYSHEV.der(c, a, b, 1)
-        out[..., j, :] = _cheb_eval(c, a, b, t).T
+        out[..., j, :] = C.chebval(x, c).T
     return out
 
 
 def _cheb_restrict(c, a, b, lo, hi):
     """Exact re-expansion on [lo, hi] by interpolation at its CGL nodes."""
-    deg = c.shape[0] - 1
-    if deg == 0:
-        return c.copy()
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * cgl_nodes(deg)
-    vals = np.ascontiguousarray(_cheb_eval(c, a, b, nodes).T)
-    return trim_coeffs(values_to_coeffs(vals))
+    return _interpolants([(a, b, c)], [(lo, hi)])[0]
 
 
-def _group(coefs, *keys):
-    """Indices of coefficient arrays by (length, dtype, *keys), in order."""
+def _group(coefs):
+    """Indices of coefficient arrays by (length, dtype), in order."""
     groups = {}
-    for k, (c, *rest) in enumerate(zip(coefs, *keys)):
-        groups.setdefault((len(c), c.dtype, *rest), []).append(k)
+    for k, c in enumerate(coefs):
+        groups.setdefault((len(c), c.dtype), []).append(k)
     return groups
-
-
-def _to_chebyshev(pieces):
-    """Chebyshev pieces of monomial pieces, each interpolated at the CGL
-    nodes of its degree.
-
-    The pieces of one (length, dtype, width) are evaluated by one polyval
-    of their stacked coefficients (Horner's steps are elementwise) at the
-    nodes they share and converted by one product with V^-1 (each
-    piece's own matrix product, batched); constants are copied.
-    """
-    out = list(pieces)
-    groups = _group((c for _, _, c in pieces), (b - a for a, b, _ in pieces))
-    for (m, _, width), ks in groups.items():
-        c = np.stack([pieces[k].coef for k in ks])
-        if m == 1:
-            coefs = c
-        else:
-            u = width * 0.5 * (cgl_nodes(m - 1) + 1.0)
-            vals = P.polyval(u, c.transpose(1, 0, 2))
-            coefs = [trim_coeffs(cf) for cf in values_to_coeffs(vals.transpose(0, 2, 1))]
-        for k, cf in zip(ks, coefs):
-            out[k] = Piece(pieces[k].a, pieces[k].b, cf)
-    return out
-
-
-def cgl_samples(pieces):
-    """Chebyshev pieces (a, b, coef), each sampled at the CGL nodes of its
-    own degree, at least 1, so at least at both ends: the nodes of all
-    pieces in order (rows,), the values there (rows, n) and the rows of
-    each piece.
-
-    The pieces of one coefficient length and dtype are evaluated by one
-    chebval of their stacked coefficients, each piece at its own mapped
-    nodes; Clenshaw's steps are elementwise, so every value is bit for
-    bit what _cheb_eval gives for its piece alone.
-    """
-    coefs = [c for _, _, c in pieces]
-    counts = np.array([max(len(c), 2) for c in coefs])
-    first = np.cumsum(counts) - counts
-    bounds = np.array([(a, b) for a, b, _ in pieces])
-    nodes = np.empty(int(counts.sum()))
-    values = np.empty((len(nodes), coefs[0].shape[1]), dtype=np.result_type(*coefs))
-    for (m, _), ks in _group(coefs).items():
-        a, b = bounds[ks].T[:, :, None]
-        t = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(max(m - 1, 1))
-        rows = first[ks, None] + np.arange(t.shape[1])
-        nodes[rows] = t
-        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
-        x = ((2.0 * t - a - b) / (b - a))[:, None]
-        values[rows] = C.chebval(x, c, tensor=False).transpose(0, 2, 1)
-    return nodes, values, counts
 
 
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]
@@ -230,6 +170,60 @@ CHEBYSHEV = Basis(
     restrict=_cheb_restrict,
     tidy=trim_coeffs,
 )
+
+
+def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
+    """Pieces (a, b, coef) of one basis, each sampled at the CGL nodes of
+    its own degree, at least floor, mapped onto its window (lo, hi), by
+    default [a, b]: the nodes of all pieces in order (rows,), the values
+    there (rows, n) and the rows of each piece.
+
+    The pieces of one coefficient length and dtype are evaluated by one
+    chebval (Clenshaw) of their stacked coefficients, or for monomial
+    pieces one polyval (Horner) at the offsets (lo - a) + (hi - lo)(x + 1)/2
+    of the nodes x; both are elementwise, so every value is bit for bit
+    what its piece alone gives.
+    """
+    coefs = [c for _, _, c in pieces]
+    counts = np.array([max(len(c), floor + 1) for c in coefs])
+    first = np.cumsum(counts) - counts
+    ends = np.array([(a, b) for a, b, _ in pieces])
+    spans = ends if windows is None else np.array(windows, dtype=float)
+    nodes = np.empty(int(counts.sum()))
+    values = np.empty((len(nodes), coefs[0].shape[1]), dtype=np.result_type(*coefs))
+    for (m, _), ks in _group(coefs).items():
+        (a, b), (lo, hi) = ends[ks].T[:, :, None], spans[ks].T[:, :, None]
+        x = cgl_nodes(max(m - 1, floor))
+        t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        rows = first[ks, None] + np.arange(t.shape[1])
+        nodes[rows] = t
+        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
+        if basis is MONOMIAL:
+            at, val = (lo - a) + (hi - lo) * 0.5 * (x + 1.0), P.polyval
+        else:
+            at, val = (2.0 * t - a - b) / (b - a), C.chebval
+        values[rows] = val(at[:, None], c, tensor=False).transpose(0, 2, 1)
+    return nodes, values, counts
+
+
+def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
+    """Trimmed Chebyshev coefficients on each piece's window of the
+    interpolant at the CGL nodes of the piece's degree, one values_to_coeffs
+    per group of pieces of one length."""
+    _, values, counts = cgl_samples(pieces, windows, 0, basis)
+    first, coefs = np.cumsum(counts) - counts, [None] * len(pieces)
+    for (m, _), ks in _group([c for _, _, c in pieces]).items():
+        for k, c in zip(ks, values_to_coeffs(values[first[ks, None] + np.arange(m)])):
+            coefs[k] = trim_coeffs(c)
+    return coefs
+
+
+def _to_chebyshev(pieces):
+    """Chebyshev pieces of monomial pieces, each interpolated at the CGL
+    nodes of its degree."""
+    coefs = _interpolants(pieces, basis=MONOMIAL)
+    return [Piece(a, b, c) for (a, b, _), c in zip(pieces, coefs)]
+
 
 Piece = namedtuple("Piece", ["a", "b", "coef"])
 Piece.__doc__ = "One piece [a, b] with coefficient array coef of shape (deg+1, n)."
@@ -311,9 +305,9 @@ class PiecewisePolynomial:
         at 0, in Chebyshev form; each window bit for bit
         restrict(lo, hi).shift(-lo).to_chebyshev().
 
-        All windows are cut at once.  Monomial pieces get one stacked
+        All windows are cut at once: monomial pieces get one stacked
         Taylor shift per coefficient length and dtype, and every cut piece
-        goes through one to_chebyshev conversion.
+        is sampled and interpolated by one pass of cgl_samples.
         """
         tol = self._tol()
         lows = np.asarray(lows, dtype=float)[:, None]
@@ -326,7 +320,7 @@ class PiecewisePolynomial:
         hi = np.where(pb <= highs, pb, highs)
         win, src = np.nonzero(hi - lo > tol)  # window by window, pieces in order
         lo, hi, start = lo[win, src], hi[win, src], lows[win, 0]
-        src = src.tolist()
+        src, a, b = src.tolist(), (lo - start).tolist(), (hi - start).tolist()
         if self.basis is MONOMIAL:
             # one Taylor shift per stack of pieces of one length and dtype
             coefs = [None] * len(src)
@@ -334,14 +328,11 @@ class PiecewisePolynomial:
                 stack = np.stack([self.pieces[src[k]].coef for k in ks])
                 for k, c in zip(ks, _shift_coeffs(stack, (lo - pa[src])[ks])):
                     coefs[k] = c
+            coefs = _interpolants(list(zip(a, b, coefs)), basis=MONOMIAL)
         else:
-            coefs = [self.basis.restrict(self.pieces[j].coef, *self.pieces[j][:2], l, h)
-                     for j, l, h in zip(src, lo.tolist(), hi.tolist())]
-        cut = list(map(Piece, (lo - start).tolist(), (hi - start).tolist(), coefs))
-        if self.basis is MONOMIAL:
-            cut = _to_chebyshev(cut)
+            coefs = _interpolants([self.pieces[j] for j in src], list(zip(lo, hi)))
         out = [[] for _ in range(len(lows))]
-        for w, piece in zip(win.tolist(), cut):
+        for w, piece in zip(win.tolist(), map(Piece, a, b, coefs)):
             out[w].append(piece)
         return [self._with(pieces, basis=CHEBYSHEV) for pieces in out]
 

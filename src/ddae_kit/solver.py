@@ -29,7 +29,7 @@ import numpy as np
 from numpy.linalg import inv
 from numpy.polynomial import chebyshev as C
 
-from .cheb import TRIM_TOL, _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
 from .errors import (
     CollocationSingular,
     DimensionMismatch,
@@ -185,8 +185,8 @@ class SlowCollocation:
 
     The degree ladder is (min(FIRST_DEGREE, degree), degree): each piece
     climbs it and keeps the first rung whose collocant passes a resolution
-    test (its coefficient tail and its residual between the nodes), the
-    last rung unconditionally.
+    test (the trim drops its last coefficient, and its residual between
+    the nodes is small), the last rung unconditionally.
 
     The bordered operator (first block row [I 0 ... 0], the rest
     (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
@@ -234,14 +234,9 @@ class SlowCollocation:
         rhs[:nd] = v0
         return (self._inverse(degree, b - a, span, dtype) @ rhs).reshape(degree + 1, nd)
 
-    def _resolved(self, a, b, q_coef, values, coef):
-        """Acceptance test of a collocant: the last coefficient is
-        negligible next to the piece's own largest one, and the residual
-        of v' = J v + q at the grid midpoints is negligible next to
-        ||J|| max|v| + max|q| there."""
-        mags = np.max(np.abs(coef), axis=1, initial=0.0)
-        if mags[-1] > TRIM_TOL * mags.max():
-            return False
+    def _resolved(self, a, b, q_coef, values):
+        """Residual test of a collocant: the residual of v' = J v + q at the
+        grid midpoints is negligible next to ||J|| max|v| + max|q| there."""
         p = values.shape[0] - 1
         _, I_m, D_m = _midpoint_mats(p)
         v_mid = I_m @ values
@@ -258,10 +253,10 @@ class SlowCollocation:
         for a, b, q_coef in forcing.pieces:
             for p in self.ladder:
                 values = self._node_values(a, b, q_coef, v0, span, p)
-                coef = values_to_coeffs(values)
-                if p == self.ladder[-1] or self._resolved(a, b, q_coef, values, coef):
+                coef = trim_coeffs(values_to_coeffs(values))
+                if p == self.ladder[-1] or (
+                        len(coef) <= p and self._resolved(a, b, q_coef, values)):
                     break
-            coef = trim_coeffs(coef)
             pieces.append(Piece(a, b, coef))
             v0 = coef.sum(axis=0)  # T_k(1) = 1
         return forcing._with(pieces, self.J.shape[0])

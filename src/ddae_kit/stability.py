@@ -148,9 +148,17 @@ def char_function(sys: DdaeSystem, lam):
     return det, None if logderiv is None else det * logderiv
 
 
-def default_box(E, A, D, tau):
+def default_box(E, A, D, tau, **given):
+    """The box re_min = -10 s, re_max = 5 s, im_max = 20 pi / tau, with
+    s = (1 + ||A|| + ||D||) / (1 + ||E||), and the given bounds in place
+    of its own; a default bound that overflows must be given."""
     s = (1.0 + norm2(A) + norm2(D)) / (1.0 + norm2(E))
-    return SearchBox(re_min=-10.0 * s, re_max=5.0 * s, im_max=20.0 * np.pi / tau)
+    box = {"re_min": -10.0 * s, "re_max": 5.0 * s, "im_max": 20.0 * np.pi / float(tau)}
+    unset = [k for k in box if k not in given and not np.isfinite(box[k])]
+    if unset:
+        raise DimensionMismatch(f"invalid search box: the default {unset[0]} = {box[unset[0]]}"
+                                f" is not finite; give --{unset[0].replace('_', '-')}")
+    return SearchBox(**{**box, **given})
 
 
 def _grid_magnitudes(E, A, D, tau, res, ims):

@@ -151,11 +151,8 @@ def segment_window(pp, i, tau):
         if hi - lo <= tol:
             continue
         a, b, c = lo + move, hi + move, shift_per_row(c, lo - pa)
-        deg = c.shape[0] - 1
-        if deg:
-            vals = P.polyval((b - a) * 0.5 * (cgl_nodes(deg) + 1.0), c).T
-            c = trim_coeffs(values_to_coeffs(vals))
-        pieces.append((a, b, c))
+        vals = P.polyval((b - a) * 0.5 * (cgl_nodes(c.shape[0] - 1) + 1.0), c).T
+        pieces.append((a, b, trim_coeffs(values_to_coeffs(vals))))
     return pieces
 
 

@@ -687,6 +687,26 @@ class TestStabilityCommand:
         assert err.startswith("error: invalid search box") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_tiny_delay_needs_only_the_bound_it_overflows(self, tmp_path, capsys):
+        # x' = -x + 0.5 x(t - tau), tau = 1e-307: the default im_max
+        # 20 pi / tau is inf, so --im-max is needed and suffices
+        tau = 1e-307
+        problem = write_problem(tmp_path, dk.DdaeSystem(
+            E=[[1.0]], A=[[-1.0]], D=[[0.5]], tau=tau, horizon_intervals=1,
+            f=dk.PiecewisePolynomial.zero(1, 0.0, tau),
+            phi=dk.PiecewisePolynomial.constant([1.0], -tau, 0.0)))
+        out = str(tmp_path / "stab.json")
+        bounds = ["--re-min", "-5", "--re-max", "5", "--im-max", "50"]
+        assert main(["stability", problem, out, *bounds]) == 0
+        report = read_json(out)
+        assert report["alpha"] == pytest.approx(-0.5, abs=1e-12)
+        assert report["verdict"] == "stable"
+        assert main(["stability", problem, out, "--im-max", "50"]) == 0
+        assert main(["stability", problem, out]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: invalid search box: the default im_max = inf is not finite;" \
+                      " give --im-max\n"
+
     @pytest.mark.parametrize("field, bounds", [
         (float, ["--re-min=-1e308", "--re-max=1e308"]),
         (complex, ["--im-max=1e308"]),

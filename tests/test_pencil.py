@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit import pencil
+from ddae_kit.cli import main
 from ddae_kit.history import CONSISTENCY_TOL, is_consistent
 from ddae_kit.pencil import negligible, norm2, rank_threshold, row_norms, vector_norm
 
@@ -288,3 +292,45 @@ class TestQuasiWeierstrass:
         # a norm is negligible up to RANK_RTOL (1 + scale)
         assert negligible(2e-10, 1.0) and not negligible(2.1e-10, 1.0)
         assert negligible(1e-10, 0.0) and not negligible(1.1e-10, 0.0)
+
+
+def _drop_a_column(wong_limit):
+    def dropped(*args):
+        X, ambiguous = wong_limit(*args)
+        return X[:, 1:], ambiguous
+    return dropped
+
+
+def _w_star_from_v_star(wong_sequences):
+    def swapped(p):
+        wong = wong_sequences(p)
+        return replace(wong, W_star=wong.V_star)
+    return swapped
+
+
+class TestDecompositionGuards:
+    """Each DecompositionFailure guard of the decomposition, forced on the
+    index-1 pencil (diag(1, 0), I) by breaking one step, raises with its
+    message, and the CLI reports it with exit 4."""
+
+    @pytest.mark.parametrize("name, patch, message", [
+        ("_wong_limit", _drop_a_column, "Wong subspace dimensions 0 + 0 != 2"),
+        ("wong_sequences", _w_star_from_v_star, "[E V*, A W*] is numerically singular"),
+        ("RECONSTRUCTION_TOL", lambda _: -1.0, "block structure defect 0.000e+00 exceeds"),
+        ("first_negligible_power", lambda _: lambda norms: None,
+         "algebraic block N is not numerically nilpotent"),
+    ])
+    def test_guard_raises_and_exits_malformed(self, tmp_path, capsys, monkeypatch,
+                                              name, patch, message):
+        E, A = np.diag([1.0, 0.0]), np.eye(2)
+        problem = str(tmp_path / "p.json")
+        dk.dump_problem(dk.DdaeSystem(
+            E=E, A=A, D=np.zeros((2, 2)), tau=1.0, horizon_intervals=1,
+            f=dk.PiecewisePolynomial.zero(2, 0.0, 1.0),
+            phi=dk.PiecewisePolynomial.zero(2, -1.0, 0.0)), problem)
+        monkeypatch.setattr(pencil, name, patch(getattr(pencil, name)))
+        with pytest.raises(dk.DecompositionFailure) as info:
+            dk.compute_qwf(dk.MatrixPencil(E, A))
+        assert str(info.value).startswith(message)
+        assert main(["analyze", problem, str(tmp_path / "a.json")]) == 4
+        assert capsys.readouterr().err == f"error: {info.value}\n"

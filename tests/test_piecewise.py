@@ -221,6 +221,17 @@ class TestCalculusChebyshev(TestCalculus):
                     scale = 1.0 + np.linalg.norm(want)
                     assert np.linalg.norm(got - want) <= 1e-12 * scale
 
+    def test_tiny_data_keep_their_shape(self):
+        # the trim is relative to each piece's own size: data scaled by
+        # 1e-20 convert and restrict to coefficients of the same lengths
+        rng = np.random.default_rng(12)
+        pp = random_pp(rng, 2, [0.0, 0.7, 1.5], max_deg=6)
+        unit, tiny = pp.to_chebyshev(), (1e-20 * pp).to_chebyshev()
+        for got, ref in ((tiny, unit), (tiny.restrict(0.2, 1.1), unit.restrict(0.2, 1.1))):
+            for (_, _, c), (_, _, r) in zip(got.pieces, ref.pieces):
+                assert c.shape == r.shape
+                assert np.max(np.abs(c - 1e-20 * r)) <= 1e-12 * 1e-20 * np.max(np.abs(r))
+
     def test_split_sum_trims_each_block_on_its_own_scale(self):
         # the head's last row is negligible next to the tail's scale only,
         # so one trim of the whole sum would drop it

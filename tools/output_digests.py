@@ -127,18 +127,24 @@ def probe_cases(cases):
                 yield case, ["--order", str(order), "--side", side]
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("src", help="directory holding the ddae_kit package")
-    args = p.parse_args(argv)
-    src = os.path.abspath(args.src)
+def load(src):
+    """ddae_kit.cli imported from the directory src, and the bench's run
+    and workloads modules."""
     if not os.path.isfile(os.path.join(src, "ddae_kit", "cli.py")):
-        p.error(f"no ddae_kit package under {src}")
+        raise SystemExit(f"no ddae_kit package under {src}")
     sys.path[:0] = [src, BENCH]
     import ddae_kit.cli as cli
     import run
     import workloads as wl
 
+    return cli, run, wl
+
+
+def bench_cases(run, wl):
+    """(workload, seed, case, output directory, options) for every case of
+    every workload, seeds 1-4, and every probe variant of the analyze
+    problem files; the problem files are written to a temporary directory
+    that lives while the generator runs."""
     refs = wl.load_references()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in SEEDS:
@@ -155,8 +161,16 @@ def main(argv=None):
                     runs += [("probe", case, options)
                              for case, options in probe_cases(cases)]
                 for name, case, options in runs:
-                    outcome, *digests = case_digest(run, cli, case, out_dir, options)
-                    print(name, seed, case["id"], outcome, *digests)
+                    yield name, seed, case, out_dir, options
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("src", help="directory holding the ddae_kit package")
+    cli, run, wl = load(os.path.abspath(p.parse_args(argv).src))
+    for name, seed, case, out_dir, options in bench_cases(run, wl):
+        outcome, *digests = case_digest(run, cli, case, out_dir, options)
+        print(name, seed, case["id"], outcome, *digests)
 
 
 if __name__ == "__main__":
