@@ -26,6 +26,7 @@ from .pencil import (
     MatrixPencil,
     QuasiWeierstrassForm,
     compute_qwf,
+    compute_qwf_infinite,
     first_negligible_power,
     negligible,
 )
@@ -156,8 +157,12 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     """Assemble the backward system and decompose its pencil.
 
     The classification of the backward system is independent of the
-    inhomogeneity, so only the coefficients are built.  An irregular
-    backward pencil is a verdict, not an error.
+    inhomogeneity, so only the coefficients are built.  The pencil
+    (E_b, A_b) has det(lambda E_b - A_b) = (-1)^n det(D) for every
+    lambda, so it has no finite eigenvalue and compute_qwf_infinite
+    decomposes it without the Wong iteration; check_regularity still
+    decides its regularity.  An irregular backward pencil is a verdict,
+    not an error.
     """
     n = sys.n
     dtype = complex if sys.is_complex else float
@@ -168,7 +173,7 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     D_b = np.block([[-sys.A, Z], [-I, Z]])
     det_D = np.linalg.det(sys.D)
     try:
-        qwf = compute_qwf(MatrixPencil(E_b, A_b))
+        qwf = compute_qwf_infinite(MatrixPencil(E_b, A_b))
         verdict = qwf.regularity
     except SingularPencil as exc:
         qwf, verdict = None, exc.verdict

@@ -166,15 +166,18 @@ def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
     When the index is at most 3, N B_a2 = 0 and N^2 B_a1 B_d2 = 0, every
     admissible history meeting both splicing conditions yields a unique
     solution on the whole horizon, so the solver may proceed past
-    de-smoothing warnings.
+    de-smoothing warnings.  ||N|| and ||B_a2|| are read from the split's
+    coupling_norms.
     """
     N, B_a1, B_a2, B_d2 = split.qwf.N, split.B_a1, split.B_a2, split.B_d2
+    norm_N, _, ba2_pows = split.coupling_norms
+    norm_Ba2 = ba2_pows[0] if ba2_pows else 0.0
     index_ok = split.nu <= 3
     with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
         n1 = norm2(N @ B_a2)
         n2 = norm2(N @ N @ B_a1 @ B_d2)
-        z1 = negligible(n1, norm2(N) * norm2(B_a2))
-        z2 = negligible(n2, np.float64(norm2(N)) ** 2 * norm2(B_a1) * norm2(B_d2))
+        z1 = negligible(n1, norm_N * norm_Ba2)
+        z2 = negligible(n2, np.float64(norm_N) ** 2 * norm2(B_a1) * norm2(B_d2))
     return Index3Report(
         applicable=bool(index_ok and z1 and z2),
         index_le_3=bool(index_ok),

@@ -249,19 +249,25 @@ def check_regularity(pencil: MatrixPencil):
     The sample points are lambda_j = j * s for j = 0..n with the scale
     s = (1 + ||A||) / (1 + ||E||).  Since det(lambda E - A) is a
     polynomial of degree at most n, a regular pencil passes at one of
-    the n+1 points in exact arithmetic.  Nonsingularity of each sample
-    matrix is decided by rank_threshold (scale invariant); the reported
-    determinant magnitude is informational.
+    the n+1 points in exact arithmetic.  Nonsingularity of a sample
+    matrix is decided by rank_threshold (scale invariant), and the
+    witness is the first sample that passes: sample 0 is tested alone,
+    and the others, as one stack, only when it fails.  The determinant
+    magnitudes of all samples are reported; they are informational.
     """
     E, A, n = pencil.E, pencil.A, pencil.n
     s = (1.0 + pencil.norm_A) / (1.0 + pencil.norm_E)
     lams = np.arange(n + 1) * s
     M = lams[:, None, None] * E - A
-    sig = np.linalg.svd(M, compute_uv=False)
     dets = np.abs(np.linalg.det(M))
-    thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
-    passing = np.flatnonzero(sig[:, -1] > thr)
-    first = passing[0] if passing.size else None
+    first = None
+    for lo, hi in ((0, 1), (1, n + 1)):
+        sig = np.linalg.svd(M[lo:hi], compute_uv=False)
+        thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
+        passing = np.flatnonzero(sig[:, -1] > thr)
+        if passing.size:
+            first = lo + passing[0]
+            break
     return RegularityVerdict(
         regular=first is not None,
         witness=None if first is None else lams[first],
@@ -334,15 +340,40 @@ def nilpotency_index(Nmat):
 
 
 def compute_qwf(pencil: MatrixPencil):
-    """Quasi-Weierstrass decomposition of a regular pencil.
+    """Quasi-Weierstrass decomposition of a regular pencil: wong_sequences
+    decides regularity and finds V*, W*; _qwf_from_limits builds the form."""
+    return _qwf_from_limits(pencil, wong_sequences(pencil))
 
-    With V*, W* the Wong limits, T = [V* W*] and S = [E V*, A W*]^{-1}
-    give S E T = blockdiag(I, N) and S A T = blockdiag(J, I).  The
-    off-diagonal blocks of both products are checked against the
-    reconstruction tolerance and the nilpotency of N is verified.
+
+def compute_qwf_infinite(pencil: MatrixPencil):
+    """Quasi-Weierstrass form of a pencil with no finite eigenvalue.
+
+    det(lambda E - A) is then a constant, V* = {0} and W* = F^n, so the
+    Wong iteration is skipped: T = I, S = A^{-1}, N = A^{-1} E.
+    check_regularity still decides regularity, and every check of the
+    build still runs: a pencil with a finite eigenvalue raises
+    DecompositionFailure rather than getting a wrong form.
     """
-    wong = wong_sequences(pencil)
-    E, A, n = pencil.E, pencil.A, pencil.n
+    verdict = check_regularity(pencil)
+    if not verdict.regular:
+        raise SingularPencil(verdict)
+    n, dtype = pencil.n, pencil.E.dtype
+    limits = WongResult(V_star=np.zeros((n, 0), dtype=dtype), W_star=np.eye(n, dtype=dtype),
+                        rank_ambiguous=False, regularity=verdict)
+    return _qwf_from_limits(pencil, limits)
+
+
+def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult):
+    """The quasi-Weierstrass form built from the Wong limits, checked.
+
+    T = [V* W*] and S = [E V*, A W*]^{-1} give S E T = blockdiag(I, N)
+    and S A T = blockdiag(J, I).  Unless [E V*, A W*] is numerically
+    nonsingular, the block defects of both products are within the
+    reconstruction tolerance and N is nilpotent, DecompositionFailure.
+    The defects' spectral norms are taken only when a Frobenius norm,
+    which bounds the spectral norm, exceeds the tolerance.
+    """
+    E, A = pencil.E, pencil.A
     V, W = wong.V_star, wong.W_star
     n_d = V.shape[1]
     n_a = W.shape[1]
@@ -361,12 +392,14 @@ def compute_qwf(pencil: MatrixPencil):
     SAT = S @ A @ T
     scale = 1.0 + pencil.norm_E + pencil.norm_A
     tol = RECONSTRUCTION_TOL * scale
-    defects = [
+    defects = [d for d in (
         SET[:n_d, n_d:], SET[n_d:, :n_d],
         SAT[:n_d, n_d:], SAT[n_d:, :n_d],
         SET[:n_d, :n_d] - np.eye(n_d), SAT[n_d:, n_d:] - np.eye(n_a),
-    ]
-    worst = max((norm2(d) for d in defects if d.size), default=0.0)
+    ) if d.size]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the screen
+        screened = all(np.linalg.norm(d) <= tol for d in defects)
+    worst = 0.0 if screened else max(norm2(d) for d in defects)
     if worst > tol:
         raise DecompositionFailure(
             f"block structure defect {worst:.3e} exceeds tolerance {tol:.3e}"

@@ -18,6 +18,7 @@ content keeps a low-degree, differentiation-friendly form.
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from collections import namedtuple
 from functools import cached_property
@@ -364,22 +365,34 @@ class PiecewisePolynomial:
     @cached_property
     def _cuts(self):
         """The domain ends widened by the tolerance, and the interior piece
-        ends shifted by it for each side: built on first use, since a
-        function never changes (and _with skips __init__)."""
+        ends shifted by it for each side, as an array and as a tuple: built
+        on first use, since a function never changes (and _with skips
+        __init__)."""
         tol = self._tol()
         ends = np.array([b for _, b, _ in self.pieces[:-1]])
-        return self.start - tol, self.end + tol, {"right": ends - tol, "left": ends + tol}
+        cuts = {"right": ends - tol, "left": ends + tol}
+        return (self.start - tol, self.end + tol,
+                {side: (c, tuple(c.tolist())) for side, c in cuts.items()})
 
     def _locate(self, t, side="right"):
         """Index of the piece holding t (a float or an array of times):
         the first piece whose end b has t < b - tol (t <= b + tol for
-        side="left"), else the last piece, which also takes NaN."""
+        side="left"), else the last piece, which also takes NaN.  A float
+        is located by bisect on the tuple of cuts, an array by
+        np.searchsorted."""
         lo, hi, cuts = self._cuts
+        array, points = cuts[side]
+        if isinstance(t, float):
+            if t < lo or t > hi:
+                raise OutOfDomain(f"t={t} outside [{self.start}, {self.end}]")
+            if side == "right" or t != t:  # bisect_left would send NaN to piece 0
+                return bisect.bisect_right(points, t)
+            return bisect.bisect_left(points, t)
         t = np.asarray(t, dtype=float)
         outside = (t < lo) | (t > hi)
         if outside.any():
             raise OutOfDomain(f"t={t[outside].flat[0]} outside [{self.start}, {self.end}]")
-        return np.searchsorted(cuts[side], t, side=side)
+        return np.searchsorted(array, t, side=side)
 
     def evaluate(self, t, order=0, side="right"):
         """Evaluate the order-th derivative at time t: row order of

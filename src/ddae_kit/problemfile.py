@@ -12,8 +12,9 @@ variable t - start).  Complex scalars are encoded as [re, im] pairs.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import json
+import math
 
 import numpy as np
 
@@ -60,11 +61,33 @@ def _decode_count(value, name):
     return int(value)
 
 
+def _plain_scalars(data, n, complex_field):
+    """The entries of a list of rows of n Python ints and floats ([re, im]
+    lists of them for a complex field; never bool) as one flat list, or
+    None for any other data."""
+    if not all(type(row) is list and len(row) == n for row in data):
+        return None
+    flat = [v for row in data for v in row]
+    if complex_field:
+        if not all(type(v) is list and len(v) == 2 for v in flat):
+            return None
+        flat = [x for v in flat for x in v]
+    return flat if {type(x) for x in flat} <= {int, float} else None
+
+
 def _decode_rows(data, n, complex_field, name, rows=None):
     """A list of rows of n scalars as an array: exactly `rows` of them (a
-    matrix) or, when rows is None, one or more (a piece's coefficients)."""
+    matrix) or, when rows is None, one or more (a piece's coefficients).
+    Finite plain ints and floats take one type scan and one np.array; other
+    data is walked entry by entry, to name the first bad entry."""
     if not isinstance(data, list) or not data or rows not in (None, len(data)):
         raise MalformedProblem(f"{name} must be a list of {rows or 'one or more'} rows")
+    flat = _plain_scalars(data, n, complex_field)
+    if flat is not None:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            values = np.array(flat, dtype=float)
+            if np.isfinite(values).all():
+                return values.view(complex if complex_field else float).reshape(len(data), n)
     out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:

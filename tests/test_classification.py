@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from gen import (
     random_regular_pencil,
     random_smoothing_blocks,
     random_system_from_blocks,
+    shift_nilpotent,
+    well_conditioned,
 )
 
 
@@ -243,6 +247,77 @@ class TestBackwardSystem:
         assert bw.regularity.regular
         report = dk.classify_matrices(bw.E, bw.A, bw.D, 2)
         assert report.propagation.kind is not PropagationKind.DE_SMOOTHING
+
+
+def backward_by_wong(bw, M):
+    """The backward verdicts with the pencil decomposed by compute_qwf:
+    (regular, nu, propagation kind, legacy kind), the last three None
+    for a singular pencil."""
+    try:
+        qwf = dk.compute_qwf(dk.MatrixPencil(bw.E, bw.A))
+    except dk.SingularPencil as exc:
+        return exc.verdict.regular, None, None, None
+    report = dk.classify(dk.split_matrices(qwf, bw.D), M)
+    return True, qwf.nu, report.propagation.kind, report.legacy.kind
+
+
+def blocks_of_kind(rng, n_d, n_a, nu, coupling):
+    """(B_d1, B_d2, B_a1, B_a2) with no algebraic coupling, smoothing
+    coupling or random coupling."""
+    if coupling == "smoothing":
+        return random_smoothing_blocks(rng, n_d, n_a, nu)
+    B_d1, B_d2 = rng.standard_normal((n_d, n_d)), rng.standard_normal((n_d, n_a))
+    B_a1, B_a2 = rng.standard_normal((n_a, n_d)), rng.standard_normal((n_a, n_a))
+    if coupling == "zero":
+        B_a1, B_a2 = 0 * B_a1, 0 * B_a2
+    return B_d1, B_d2, B_a1, B_a2
+
+
+class TestClosedFormBackward:
+    def test_matches_wong_decomposition(self):
+        # the closed-form decomposition of the backward pencil against
+        # compute_qwf on the same pencil, on systems of every index and
+        # class, singular and nonsingular D, real and complex data
+        rng = np.random.default_rng(24)
+        M = 5
+        seen = set()
+        structures = ((2, 0, 0), (1, 1, 1), (2, 2, 1), (0, 3, 1), (1, 2, 2), (1, 3, 3),
+                      (0, 4, 4), (1, 4, 4))
+        for (n_d, n_a, nu), coupling, singular_D, field in itertools.product(
+                structures, ("zero", "smoothing", "random"), (False, True), (float, complex)):
+            n = n_d + n_a
+            E0 = np.zeros((n, n))
+            E0[:n_d, :n_d] = np.eye(n_d)
+            E0[n_d:, n_d:] = shift_nilpotent(n_a, nu)
+            A0 = np.zeros((n, n))
+            A0[:n_d, :n_d] = 0.5 * rng.standard_normal((n_d, n_d))
+            A0[n_d:, n_d:] = np.eye(n_a)
+            B_d1, B_d2, B_a1, B_a2 = blocks_of_kind(rng, n_d, n_a, nu, coupling)
+            SDT = np.block([[B_d1, B_d2], [B_a1, B_a2]])
+            SDT[0] *= not singular_D
+            S_inv, T_inv = well_conditioned(rng, n), well_conditioned(rng, n)
+            if field is complex:
+                T_inv = T_inv * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            sys_ = dk.DdaeSystem(
+                E=S_inv @ E0 @ T_inv, A=S_inv @ A0 @ T_inv, D=S_inv @ SDT @ T_inv,
+                tau=1.0, horizon_intervals=M,
+                f=dk.PiecewisePolynomial.zero(n, 0.0, float(M), field is complex),
+                phi=dk.PiecewisePolynomial.zero(n, -1.0, 0.0, field is complex))
+            forward = dk.classify(dk.build_split(sys_), M)
+            bw = dk.build_backward_system(sys_)
+            closed = (bw.regularity.regular, None, None, None)
+            if bw.qwf is not None:
+                report = dk.classify(dk.split_matrices(bw.qwf, bw.D), M)
+                closed = (True, bw.qwf.nu, report.propagation.kind, report.legacy.kind)
+            assert closed == backward_by_wong(bw, M)
+            assert bw.regularity.regular == (np.linalg.matrix_rank(SDT) == n)
+            assert np.iscomplexobj(bw.E) == (field is complex)
+            seen.add((nu, forward.propagation.kind, forward.legacy.kind, closed[:2]))
+        # every index and forward class; singular backward pencils, and
+        # regular ones of index 1 (E = 0) and 2
+        for k, values in enumerate(({0, 1, 2, 3, 4}, set(PropagationKind), set(LegacyKind),
+                                    {(False, None), (True, 1), (True, 2)})):
+            assert {key[k] for key in seen} == values
 
 
 class TestSmoothingGenerators:

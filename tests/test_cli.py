@@ -121,6 +121,45 @@ class TestProblemFile:
         assert "Traceback" not in err and key in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_decode_as_entry_by_entry(self, field):
+        # reference: every entry through _decode_scalar, row by row; valid
+        # rows give bit-identical arrays, bad ones the same message
+        from ddae_kit import problemfile
+
+        def per_entry(data, n, complex_field, name):
+            out = []
+            for i, row in enumerate(data):
+                if not isinstance(row, list) or len(row) != n:
+                    raise dk.MalformedProblem(f"{name}[{i}] must be a row of {n} entries")
+                out.append([problemfile._decode_scalar(v, complex_field, f"{name}[{i}]")
+                            for v in row])
+            return np.array(out, dtype=complex if complex_field else float)
+
+        def outcome(decode, data, complex_field):
+            try:
+                x = decode(data, 2, complex_field, "E")
+            except dk.MalformedProblem as exc:
+                return str(exc)
+            return x.dtype, x.shape, x.tobytes()
+
+        complex_field = field == "complex"
+        wrap = (lambda v: [v, -0.0]) if complex_field else (lambda v: v)
+        good = [1, -0.0, 2**53 + 1, -(2**70) - 1, 10**300 + 7, 5e-324, 0.1,
+                1.7976931348623157e308]
+        bad = [True, "1", None, float("nan"), float("inf"), 10**400, [1.0], {}]
+        if complex_field:
+            bad += [[1.0, 2.0, 3.0], (1.0, 2.0), [1.0, True], 1.0]
+        rows = [[wrap(a), wrap(b)] for a in good for b in good]
+        cases = [rows, rows[:1], [[wrap(np.float64(0.1)), wrap(1)]],
+                 [(wrap(1.0), wrap(2.0))], [[wrap(1.0)]], [[wrap(1.0)] * 3]]
+        for v in bad:
+            cases += [[[wrap(1.0), v]], [[wrap(1.0), wrap(v)]], [[v, wrap(1.0)], [wrap(1.0)]],
+                      [[wrap(1.0)] * 2, [v, v]]]
+        for data in cases:
+            assert outcome(problemfile._decode_rows, data, complex_field) == outcome(
+                per_entry, data, complex_field)
+
 
 class TestOptionValues:
     @pytest.mark.parametrize(
@@ -214,18 +253,20 @@ class TestParserReuse:
 
 class TestOneDecisionPerPencil:
     @pytest.mark.parametrize(
-        "argv,expected",
+        "argv,regularity,qwf",
         [
-            (["analyze"], 2),
-            (["check-history"], 1),
-            (["hidden-delays"], 1),
-            (["stability", "--grid", "20"], 1),
+            (["analyze"], 2, 1),
+            (["check-history"], 1, 1),
+            (["hidden-delays"], 1, 1),
+            (["stability", "--grid", "20"], 1, 1),
         ],
         ids=["analyze", "check-history", "hidden-delays", "stability"],
     )
-    def test_each_pencil_decomposed_once(self, tmp_path, monkeypatch, argv, expected):
+    def test_each_pencil_decomposed_once(self, tmp_path, monkeypatch, argv, regularity, qwf):
         # the neutral example's backward pencil is regular, so analyze
-        # decomposes two pencils and every other command one
+        # decides the regularity of two pencils and every other command of
+        # one; the backward pencil has no finite eigenvalue, so its form is
+        # built in closed form, without compute_qwf
         problem = write_problem(tmp_path, example_neutral())
         modules = [dk] + [importlib.import_module(f"ddae_kit.{info.name}")
                           for info in pkgutil.iter_modules(dk.__path__)]
@@ -241,7 +282,7 @@ class TestOneDecisionPerPencil:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         assert main([argv[0], problem, str(tmp_path / "out.json"), *argv[1:]]) == 0
-        assert counts == {"check_regularity": expected, "compute_qwf": expected}
+        assert counts == {"check_regularity": regularity, "compute_qwf": qwf}
 
 
 class TestNoDataTransforms:

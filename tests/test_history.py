@@ -10,6 +10,7 @@ from gen import (
     example_neutral,
     example_slow_smoothing,
     random_regular_pencil,
+    random_system_from_blocks,
     transition_residual_per_term,
     weak_desmoothing_system,
 )
@@ -194,6 +195,42 @@ class TestIndex3:
         report = dk.check_index3_uniqueness(split)
         assert not report.applicable
         assert not report.N_Ba2_zero
+
+    def test_norms_read_from_the_split(self, monkeypatch):
+        # reference: every norm taken here; ||N|| and ||B_a2|| come from
+        # coupling_norms (0.0 for n_a = 0), so the check takes two
+        # spectral norms of products and ||B_a1||, ||B_d2||
+        from ddae_kit import history
+        from ddae_kit.pencil import negligible, norm2
+
+        def reference(split):
+            N, B_a1, B_a2, B_d2 = split.qwf.N, split.B_a1, split.B_a2, split.B_d2
+            n1, n2 = norm2(N @ B_a2), norm2(N @ N @ B_a1 @ B_d2)
+            z1 = negligible(n1, norm2(N) * norm2(B_a2))
+            z2 = negligible(n2, np.float64(norm2(N)) ** 2 * norm2(B_a1) * norm2(B_d2))
+            return history.Index3Report(split.nu <= 3 and z1 and z2, split.nu <= 3,
+                                        z1, z2, n1, n2)
+
+        rng = np.random.default_rng(24)
+        E, A, _ = random_regular_pencil(rng, 3, n_d=3)
+        ode = dk.DdaeSystem(E=E, A=A, D=rng.standard_normal((3, 3)), tau=1.0,
+                            horizon_intervals=2, f=dk.PiecewisePolynomial.zero(3, 0.0, 2.0),
+                            phi=dk.PiecewisePolynomial.zero(3, -1.0, 0.0))
+        # N B_a2 = 1e-8 is negligible at the scale ||N|| ||B_a2|| = 1e3,
+        # not at ||B_a2^2|| = 1e-5
+        near, _ = random_system_from_blocks(
+            rng, 1, 2, 2, ([[0.5]], np.zeros((1, 2)), np.zeros((2, 1)),
+                           [[0.0, 1e3], [1e-8, 0.0]]), mix=False)
+        calls = []
+        monkeypatch.setattr(history, "norm2", lambda M: calls.append(M.shape) or norm2(M))
+        for sys in (ode, near, example_neutral(), example_advanced(), example_slow_smoothing(),
+                    weak_desmoothing_system()):
+            split = dk.build_split(sys)
+            split.coupling_norms  # built by the classification in analyze
+            calls.clear()
+            assert dk.check_index3_uniqueness(split) == reference(split)
+            assert len(calls) == 4
+        assert dk.check_index3_uniqueness(dk.build_split(near)).N_Ba2_zero
 
 
 class TestSplicingReport:

@@ -119,6 +119,44 @@ class TestRegularity:
             assert verdict.witness == witness
             assert verdict.regular == (witness is not None)
 
+    def test_first_witness_matches_all_samples(self):
+        # reference: every sample's singular values from one stacked SVD,
+        # the witness the first that passes; regular pencils with a
+        # nonsingular or singular A (witness at sample 0 or later), and
+        # singular pencils
+        def all_samples(p):
+            E, A, n = p.E, p.A, p.n
+            lams = np.arange(n + 1) * ((1.0 + p.norm_A) / (1.0 + p.norm_E))
+            M = lams[:, None, None] * E - A
+            sig = np.linalg.svd(M, compute_uv=False)
+            dets = np.abs(np.linalg.det(M))
+            thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
+            passing = np.flatnonzero(sig[:, -1] > thr)
+            first = passing[0] if passing.size else None
+            return pencil.RegularityVerdict(
+                regular=first is not None,
+                witness=None if first is None else lams[first],
+                det_magnitude=None if first is None else float(dets[first]),
+                sample_points=tuple(lams), det_values=tuple(dets.tolist()))
+
+        rng = np.random.default_rng(24)
+        witnesses = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            E, A, _ = random_regular_pencil(rng, n)
+            if trial % 3 == 1:  # A singular: det(lambda E - A) vanishes at 0
+                A = A @ np.diag(np.r_[0.0, np.ones(n - 1)])
+            elif trial % 3 == 2:  # a shared zero column: a singular pencil
+                E, A = E * np.r_[0.0, np.ones(n - 1)], A * np.r_[0.0, np.ones(n - 1)]
+            if trial % 2:
+                A = A * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            p = dk.MatrixPencil(E, A)
+            verdict = dk.check_regularity(p)
+            assert verdict == all_samples(p)
+            assert type(verdict.witness) is type(all_samples(p).witness)
+            witnesses.add(None if verdict.witness is None else verdict.witness > 0)
+        assert witnesses == {None, False, True}
+
     def test_dimension_mismatch(self):
         with pytest.raises(dk.DimensionMismatch):
             dk.MatrixPencil(np.eye(2), np.eye(3))
@@ -334,3 +372,37 @@ class TestDecompositionGuards:
         assert str(info.value).startswith(message)
         assert main(["analyze", problem, str(tmp_path / "a.json")]) == 4
         assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+class TestDefectScreen:
+    """The block defect check on the pencil (diag(1, 1, 0, 0), I), given
+    the limits V* = [e1 + a e3, e2 + b e4] and W* = [e3 e4]: then S = I,
+    and S A T = T has the one defect diag(a, b), of spectral norm
+    max(|a|, |b|) and Frobenius norm hypot(a, b), against the tolerance
+    3e-8."""
+
+    @pytest.mark.parametrize("a, b, spectral_norms", [
+        (1e-12, 1e-12, 0),  # the Frobenius screen passes: no spectral norm taken
+        (2.4e-8, 2.4e-8, 6),  # Frobenius above the tolerance, spectral below
+        (3e-8 * (1 + 1e-6), 3e-8 * (1 + 1e-6), None),  # just above: raises
+        (3e-8 * (1 + 1e-6), 0.0, None),
+        (1e300, 1e300, None),  # squares overflow, without a warning
+    ])
+    def test_spectral_norm_decides(self, monkeypatch, a, b, spectral_norms):
+        I = np.eye(4)
+        limits = pencil.WongResult(V_star=I[:, :2] + I[:, 2:] * [a, b], W_star=I[:, 2:],
+                                   rank_ambiguous=False, regularity=None)
+        monkeypatch.setattr(pencil, "wong_sequences", lambda p: limits)
+        p = dk.MatrixPencil(np.diag([1.0, 1.0, 0.0, 0.0]), I)
+        tol = pencil.RECONSTRUCTION_TOL * (1.0 + p.norm_E + p.norm_A)
+        shapes = []
+        monkeypatch.setattr(pencil, "norm2", lambda M: shapes.append(M.shape) or norm2(M))
+        if spectral_norms is None:
+            with pytest.raises(dk.DecompositionFailure) as info:
+                dk.compute_qwf(p)
+            assert str(info.value) == (
+                f"block structure defect {max(a, b):.3e} exceeds tolerance {tol:.3e}")
+        else:
+            assert dk.compute_qwf(p).nu == 1
+            # the defects' spectral norms, then ||N|| for the nilpotency check
+            assert shapes == [(2, 2)] * (spectral_norms + 1)

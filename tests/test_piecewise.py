@@ -101,10 +101,11 @@ class TestEvaluation:
     @pytest.mark.parametrize("breaks", [[0.0, 1.0], [-1.0, -0.3, 0.4, 1.7],
                                         [0.0, 0.1, 0.2, 0.30000000000000004, 2.5]])
     def test_locate_matches_per_time_rule(self, breaks):
-        # one searchsorted on the piece ends against the per-time rule it
-        # replaced: the first piece with t < b - tol (t <= b + tol on the
-        # left), else the last; at every knot, at knot +- tol and one
-        # rounding step either side of those, and at NaN
+        # searchsorted (arrays) and bisect (floats) on the piece ends
+        # against the per-time rule they replaced: the first piece with
+        # t < b - tol (t <= b + tol on the left), else the last; at every
+        # knot, at knot +- tol and one rounding step either side of those,
+        # and at NaN
         pp = random_pp(np.random.default_rng(3), 2, breaks)
         tol = pp._tol()
 
@@ -122,11 +123,15 @@ class TestEvaluation:
         for side in ("left", "right"):
             want = [per_time(t, side) for t in times]
             assert [int(pp._locate(t, side=side)) for t in times] == want
+            assert [pp._locate(float(t), side=side) for t in times] == want
             assert pp._locate(np.array(times), side=side).tolist() == want
         beyond = np.nextafter(breaks[-1] + tol, np.inf)
-        for t in (beyond, np.array([breaks[0], beyond])):
-            with pytest.raises(dk.OutOfDomain):
+        messages = set()
+        for t in (beyond, float(beyond), np.array([breaks[0], beyond])):
+            with pytest.raises(dk.OutOfDomain) as info:
                 pp._locate(t)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 class TestCalculus:

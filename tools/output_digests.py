@@ -1,6 +1,6 @@
 """One outcome and three hashes per benchmark case: which CLI outputs a change alters.
 
-    python3 tools/output_digests.py SRC > digests.txt
+    python3 tools/output_digests.py SRC [--seed S ...] [--workload W ...] > digests.txt
 
 Builds the cases of every workload in bench/workloads.py for seeds 1-4
 (the bench directory next to this script, read and never changed), runs
@@ -15,6 +15,10 @@ The bench never runs ``probe``, so each problem file of the analyze
 workload is also run as ``probe --order {1,2} --side {slow,fast}``; these
 lines carry ``probe`` in the workload column and the id
 ``<problem file stem>-probe-o<order>-<side>``.
+
+--seed and --workload keep only the named seeds and workloads (the probe
+variants are the workload ``probe``), so a change to one layer can be
+checked on the cases that reach it; with neither, every case runs.
 
 The outcome is two words, ``exit N`` or ``raised <exception type>``, so
 every tree prints one line per case, in the same order, and a crash
@@ -140,15 +144,22 @@ def load(src):
     return cli, run, wl
 
 
-def bench_cases(run, wl):
+def bench_cases(run, wl, seeds=SEEDS, names=None):
     """(workload, seed, case, output directory, options) for every case of
     every workload, seeds 1-4, and every probe variant of the analyze
-    problem files; the problem files are written to a temporary directory
-    that lives while the generator runs."""
+    problem files; seeds and names (workload names, ``probe`` for the
+    probe variants; None for all) keep only those.  The problem files are
+    written to a temporary directory that lives while the generator runs."""
+    def kept(name):
+        return names is None or name in names
+
     refs = wl.load_references()
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
+        for seed in seeds:
             for workload in wl.WORKLOADS:
+                probes = workload == "analyze" and kept("probe")
+                if not (kept(workload) or probes):
+                    continue
                 cases = wl.build(workload, seed, refs)
                 case_dir = os.path.join(tmp, f"{workload}-{seed}")
                 # outputs apart from the problem files: a stability or
@@ -156,19 +167,38 @@ def bench_cases(run, wl):
                 out_dir = os.path.join(case_dir, "out")
                 os.makedirs(out_dir)
                 wl.write_problems(cases, case_dir)
-                runs = [(workload, case, ()) for case in cases]
-                if workload == "analyze":
+                runs = [(workload, case, ()) for case in cases] if kept(workload) else []
+                if probes:
                     runs += [("probe", case, options)
                              for case, options in probe_cases(cases)]
                 for name, case, options in runs:
                     yield name, seed, case, out_dir, options
 
 
+def add_filters(parser):
+    """The --seed and --workload options of this tool and of traffic_lines."""
+    parser.add_argument("--seed", type=int, action="append", choices=SEEDS,
+                        help="run only this seed")
+    parser.add_argument("--workload", action="append", help="run only this workload")
+
+
+def filtered_cases(args, run, wl):
+    """bench_cases kept to the parsed --seed and --workload options; an
+    unknown workload name is an error, not an empty list."""
+    unknown = set(args.workload or ()) - {*wl.WORKLOADS, "probe"}
+    if unknown:
+        raise SystemExit(f"unknown workload {sorted(unknown)[0]!r}; "
+                         f"choose from {', '.join(wl.WORKLOADS)}, probe")
+    return bench_cases(run, wl, args.seed or SEEDS, args.workload)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", help="directory holding the ddae_kit package")
-    cli, run, wl = load(os.path.abspath(p.parse_args(argv).src))
-    for name, seed, case, out_dir, options in bench_cases(run, wl):
+    add_filters(p)
+    args = p.parse_args(argv)
+    cli, run, wl = load(os.path.abspath(args.src))
+    for name, seed, case, out_dir, options in filtered_cases(args, run, wl):
         outcome, *digests = case_digest(run, cli, case, out_dir, options)
         print(name, seed, case["id"], outcome, *digests)
 

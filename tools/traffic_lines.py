@@ -98,8 +98,7 @@ def _ranges(lines):
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", help="directory holding the ddae_kit package")
-    p.add_argument("--seed", type=int, action="append", help="run only this seed")
-    p.add_argument("--workload", action="append", help="run only this workload")
+    output_digests.add_filters(p)
     p.add_argument("--calls", action="append", default=[], metavar="NAME",
                    help="print the number of calls of this function")
     args = p.parse_args(argv)
@@ -120,10 +119,7 @@ def main(argv=None):
         calls[code.co_qualname.replace(".<locals>", "")] += 1
         return local
 
-    for name, seed, case, out_dir, options in output_digests.bench_cases(run, wl):
-        if (args.seed and seed not in args.seed
-                or args.workload and name not in args.workload):
-            continue
+    for name, seed, case, out_dir, options in output_digests.filtered_cases(args, run, wl):
         sys.settrace(tracer)
         try:
             output_digests.case_digest(run, cli, case, out_dir, options)
