@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import DdaeSystem, SplitCoefficients, solution_taylor, taylor_forcing
-from .pencil import negligible, norm2, row_norms, vector_norm
+from .pencil import negligible, norm2, powers, row_norms, vector_norm
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
@@ -175,7 +175,7 @@ def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
     index_ok = split.nu <= 3
     with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
         n1 = norm2(N @ B_a2)
-        n2 = norm2(N @ N @ B_a1 @ B_d2)
+        n2 = norm2(list(powers(N, 3))[2] @ B_a1 @ B_d2)
         z1 = negligible(n1, norm_N * norm_Ba2)
         z2 = negligible(n2, np.float64(norm_N) ** 2 * norm2(B_a1) * norm2(B_d2))
     return Index3Report(

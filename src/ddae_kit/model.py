@@ -30,6 +30,7 @@ from .pencil import (
     frozen,
     norm2,
     power_norms,
+    powers,
     vector_norm,
 )
 from .piecewise import DOMAIN_RTOL, Piece, PiecewisePolynomial
@@ -154,17 +155,13 @@ class SplitCoefficients:
         """The norms every classification reads, each formed once per split.
 
         (||N||, (||N^k B_a|| for k < max(nu, 2)), (||B_a2^k|| for
-        1 <= k <= n_a)), with N^k and B_a2^k each the last power times
-        the matrix.  Built on first use.
+        1 <= k <= n_a)), with N^k and B_a2^k from pencil.powers.  Built
+        on first use.
         """
         N, B_a = self.qwf.N, self.B_a
-        n_pow_ba = []
-        P = np.eye(self.n_a, dtype=N.dtype)
         with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
-            for _ in range(max(self.nu, 2)):
-                n_pow_ba.append(norm2(P @ B_a))
-                P = P @ N
-        return norm2(N), tuple(n_pow_ba), tuple(power_norms(self.B_a2, self.n_a))
+            n_pow_ba = tuple(norm2(P @ B_a) for P in powers(N, max(self.nu, 2)))
+        return norm2(N), n_pow_ba, tuple(power_norms(self.B_a2, self.n_a))
 
     @cached_property
     def taylor_blocks(self):
@@ -209,12 +206,7 @@ def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
     """
     n_d, S, T, N = qwf.n_d, qwf.S, qwf.T, qwf.N
     T_d, T_a, T_inv_d = T[:, :n_d], T[:, n_d:], qwf.T_inv[:n_d]
-    C_list = [T_d @ S[:n_d]]
-    N_pow = np.eye(qwf.n_a, dtype=N.dtype)
-    for _ in range(qwf.nu):
-        C_list.append(-(T_a @ N_pow @ S[n_d:]))
-        N_pow = N_pow @ N
-
+    C_list = [T_d @ S[:n_d]] + [-(T_a @ P @ S[n_d:]) for P in powers(N, qwf.nu)]
     D = np.asarray(D)
     SD = S @ D
     SDT = SD @ T
@@ -255,10 +247,8 @@ class FastPart:
 
     def __init__(self, N, nu):
         N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
-        NT = [np.eye(N.shape[0], dtype=N.dtype)]
-        for _ in range(1, nu):
-            NT.append(N.T @ NT[-1])
-        self.N, self.nu, self._NT, self._ops = N, nu, np.array(NT), {}
+        NT = np.array(list(powers(N.T, max(nu, 1))))
+        self.N, self.nu, self._NT, self._ops = N, nu, NT, {}
 
     def solve(self, q_f: PiecewisePolynomial):
         pieces = []
@@ -276,10 +266,7 @@ def _fast_operator(basis, length, a, b, nu):
     """-D^k for k < max(min(nu, length), 1), D the matrix of basis.der on [a, b]."""
     D = np.zeros((length, length))
     D[: length - 1] = basis.der(np.eye(length), a, b, 1)[: length - 1]
-    ops = [-np.eye(length)]
-    for _ in range(1, min(nu, length)):
-        ops.append(D @ ops[-1])
-    return np.array(ops)
+    return -np.array(list(powers(D, max(min(nu, length), 1))))
 
 
 def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):

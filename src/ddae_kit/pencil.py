@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -33,6 +34,13 @@ def rank_threshold(sigma_max):
     """Rank threshold for a scalar or an array of sigma_max: a singular
     value sigma counts as nonzero iff sigma > max(RANK_ATOL, RANK_RTOL sigma_max)."""
     return np.fmax(RANK_ATOL, RANK_RTOL * sigma_max)
+
+
+def _nonsingular(M):
+    """Whether a square matrix, or each matrix of a stack, is numerically
+    nonsingular: sigma_min > rank_threshold(sigma_max)."""
+    sig = np.linalg.svd(M, compute_uv=False)
+    return sig[..., -1] > rank_threshold(sig[..., 0])
 
 
 def negligible(norm, scale):
@@ -115,10 +123,6 @@ class MatrixPencil:
     @property
     def n(self):
         return self.E.shape[0]
-
-    @property
-    def is_complex(self):
-        return np.iscomplexobj(self.E)
 
     @cached_property
     def norm_E(self):
@@ -250,7 +254,7 @@ def check_regularity(pencil: MatrixPencil):
     s = (1 + ||A||) / (1 + ||E||).  Since det(lambda E - A) is a
     polynomial of degree at most n, a regular pencil passes at one of
     the n+1 points in exact arithmetic.  Nonsingularity of a sample
-    matrix is decided by rank_threshold (scale invariant), and the
+    matrix is decided by _nonsingular (scale invariant), and the
     witness is the first sample that passes: sample 0 is tested alone,
     and the others, as one stack, only when it fails.  The determinant
     magnitudes of all samples are reported; they are informational.
@@ -262,9 +266,7 @@ def check_regularity(pencil: MatrixPencil):
     dets = np.abs(np.linalg.det(M))
     first = None
     for lo, hi in ((0, 1), (1, n + 1)):
-        sig = np.linalg.svd(M[lo:hi], compute_uv=False)
-        thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
-        passing = np.flatnonzero(sig[:, -1] > thr)
+        passing = np.flatnonzero(_nonsingular(M[lo:hi]))
         if passing.size:
             first = lo + passing[0]
             break
@@ -277,6 +279,15 @@ def check_regularity(pencil: MatrixPencil):
     )
 
 
+def _admitted(pencil: MatrixPencil):
+    """check_regularity's verdict on a regular pencil; a singular pencil
+    raises SingularPencil with the verdict."""
+    verdict = check_regularity(pencil)
+    if not verdict.regular:
+        raise SingularPencil(verdict)
+    return verdict
+
+
 def wong_sequences(pencil: MatrixPencil):
     """Limits of the Wong subspace sequences of a regular pencil.
 
@@ -287,9 +298,7 @@ def wong_sequences(pencil: MatrixPencil):
     and V* + W* spans F^n for regular pencils.  This is where regularity
     is decided: a singular pencil raises SingularPencil with the verdict.
     """
-    verdict = check_regularity(pencil)
-    if not verdict.regular:
-        raise SingularPencil(verdict)
+    verdict = _admitted(pencil)
     E, A, n = pencil.E, pencil.A, pencil.n
     norm_E, norm_A = pencil.norm_E, pencil.norm_A
     V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, norm_A, norm_E)
@@ -303,13 +312,22 @@ def wong_sequences(pencil: MatrixPencil):
                       regularity=verdict)
 
 
+def powers(M, count):
+    """M^0 .. M^(count-1) of a square matrix, lazily: M^0 = I, M^1 = M and
+    each later power the last one times M, overflowing quietly to inf or
+    nan.  Every power of a matrix in the package comes from here, except
+    the doubling of model's taylor_blocks."""
+    power = np.eye(len(M), dtype=M.dtype)
+    for k in range(count):
+        if k:
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = M if k == 1 else power @ M
+        yield power
+
+
 def power_norms(N, count):
-    """||N^k|| for k = 1..count, lazily; each power is the last one times N."""
-    power = N
-    for _ in range(count):
-        yield norm2(power)
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = power @ N
+    """||N^k|| for k = 1..count, lazily."""
+    return (norm2(P) for P in islice(powers(N, count + 1), 1, None))
 
 
 def first_negligible_power(norms):
@@ -354,9 +372,7 @@ def compute_qwf_infinite(pencil: MatrixPencil):
     build still runs: a pencil with a finite eigenvalue raises
     DecompositionFailure rather than getting a wrong form.
     """
-    verdict = check_regularity(pencil)
-    if not verdict.regular:
-        raise SingularPencil(verdict)
+    verdict = _admitted(pencil)
     n, dtype = pencil.n, pencil.E.dtype
     limits = WongResult(V_star=np.zeros((n, 0), dtype=dtype), W_star=np.eye(n, dtype=dtype),
                         rank_ambiguous=False, regularity=verdict)
@@ -380,8 +396,7 @@ def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult):
 
     T = np.hstack([V, W])
     S_inv = np.hstack([E @ V, A @ W])
-    sig = np.linalg.svd(S_inv, compute_uv=False)
-    if sig.size == 0 or sig[-1] <= rank_threshold(sig[0]):
+    if not _nonsingular(S_inv):
         raise DecompositionFailure(
             "[E V*, A W*] is numerically singular; rank thresholds likely "
             "misjudged; rescaling the data may help"

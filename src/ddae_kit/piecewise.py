@@ -2,10 +2,11 @@
 
 One container owns the domain logic (validation, locating a time,
 evaluation, differentiation, matrix application, shifting, restriction,
-breakpoint alignment, addition, stacking); a small kernel per basis
-supplies the per-piece arithmetic: differentiation (der), point values
-of every derivative order (derivs), restriction (restrict) and the trim
-after an addition (tidy).
+breakpoint alignment, addition, stacking) and cuts every piece to a
+subinterval through one rule: _overlaps finds the parts, _cut re-expands
+them.  A small kernel per basis supplies the per-piece arithmetic:
+differentiation (der), point values of every derivative order (derivs)
+and the trim after an addition (tidy).
 
 Data functions (history and inhomogeneity) use the monomial basis of the
 local variable ``t - start``, so evaluation, differentiation, shifting and
@@ -93,14 +94,13 @@ def _stacked(ca, cb):
     return c
 
 
-Basis = namedtuple("Basis", ["name", "der", "derivs", "restrict", "tidy"])
-Basis.__doc__ = """Per-piece kernel of one basis; each op gets the piece [a, b].
+Basis = namedtuple("Basis", ["name", "der", "derivs", "tidy"])
+Basis.__doc__ = """Per-piece kernel of one basis: der and derivs get the piece [a, b].
 
 der(c, a, b, m): coefficients of the m-th derivative;
 derivs(c, a, b, t, top): derivatives 0..top at t, shape (top+1, n) for
     a scalar t and (len(t), top+1, n) for a 1-D array of times, zero
     above the degree: the one point evaluator;
-restrict(c, a, b, lo, hi): coefficients on the subinterval [lo, hi];
 tidy(c): trim applied to the coefficients of a sum.
 """
 
@@ -141,11 +141,6 @@ def _cheb_derivs(c, a, b, t, top):
     return out
 
 
-def _cheb_restrict(c, a, b, lo, hi):
-    """Exact re-expansion on [lo, hi] by interpolation at its CGL nodes."""
-    return _interpolants([(a, b, c)], [(lo, hi)])[0]
-
-
 def _group(coefs):
     """Indices of coefficient arrays by (length, dtype), in order."""
     groups = {}
@@ -159,7 +154,6 @@ MONOMIAL = Basis(
     "monomial",
     der=lambda c, a, b, m: P.polyder(c, m=m, axis=0),
     derivs=_monomial_derivs,
-    restrict=lambda c, a, b, lo, hi: _shift_coeffs(np.array(c), lo - a),
     tidy=lambda c: c,
 )
 
@@ -168,7 +162,6 @@ CHEBYSHEV = Basis(
     "chebyshev",
     der=lambda c, a, b, m: C.chebder(c, m=m, scl=2.0 / (b - a), axis=0),
     derivs=_cheb_derivs,
-    restrict=_cheb_restrict,
     tidy=trim_coeffs,
 )
 
@@ -217,13 +210,6 @@ def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
         for k, c in zip(ks, values_to_coeffs(values[first[ks, None] + np.arange(m)])):
             coefs[k] = trim_coeffs(c)
     return coefs
-
-
-def _to_chebyshev(pieces):
-    """Chebyshev pieces of monomial pieces, each interpolated at the CGL
-    nodes of its degree."""
-    coefs = _interpolants(pieces, basis=MONOMIAL)
-    return [Piece(a, b, c) for (a, b, _), c in zip(pieces, coefs)]
 
 
 Piece = namedtuple("Piece", ["a", "b", "coef"])
@@ -299,40 +285,25 @@ class PiecewisePolynomial:
         """Exact conversion to the Chebyshev basis (interpolation at CGL nodes)."""
         if self.basis is CHEBYSHEV:
             return self
-        return self._with(_to_chebyshev(self.pieces), basis=CHEBYSHEV)
+        coefs = _interpolants(self.pieces, basis=MONOMIAL)
+        return self._with([Piece(a, b, c) for (a, b, _), c in zip(self.pieces, coefs)],
+                          basis=CHEBYSHEV)
 
     def windows(self, lows, highs):
         """The function on each window [lows[w], highs[w]], moved to start
         at 0, in Chebyshev form; each window bit for bit
         restrict(lo, hi).shift(-lo).to_chebyshev().
 
-        All windows are cut at once: monomial pieces get one stacked
-        Taylor shift per coefficient length and dtype, and every cut piece
+        All windows are cut at once by _cut, and every cut monomial piece
         is sampled and interpolated by one pass of cgl_samples.
         """
-        tol = self._tol()
-        lows = np.asarray(lows, dtype=float)[:, None]
-        highs = np.asarray(highs, dtype=float)[:, None]
-        if lows.min() < self.start - tol or highs.max() > self.end + tol:
-            raise OutOfDomain("a window is not contained in the domain")
-        pa, pb = np.array([(a, b) for a, b, _ in self.pieces]).T
-        # restrict's max(pa, lo) and min(pb, hi), ties going to the piece
-        lo = np.where(pa >= lows, pa, lows)
-        hi = np.where(pb <= highs, pb, highs)
-        win, src = np.nonzero(hi - lo > tol)  # window by window, pieces in order
-        lo, hi, start = lo[win, src], hi[win, src], lows[win, 0]
-        src, a, b = src.tolist(), (lo - start).tolist(), (hi - start).tolist()
+        lows = np.asarray(lows, dtype=float)
+        win, src, lo, hi = self._overlaps(lows, highs)
+        a, b = (lo - lows[win]).tolist(), (hi - lows[win]).tolist()
+        coefs = self._cut(src, lo, hi)
         if self.basis is MONOMIAL:
-            # one Taylor shift per stack of pieces of one length and dtype
-            coefs = [None] * len(src)
-            for ks in _group(self.pieces[j].coef for j in src).values():
-                stack = np.stack([self.pieces[src[k]].coef for k in ks])
-                for k, c in zip(ks, _shift_coeffs(stack, (lo - pa[src])[ks])):
-                    coefs[k] = c
             coefs = _interpolants(list(zip(a, b, coefs)), basis=MONOMIAL)
-        else:
-            coefs = _interpolants([self.pieces[j] for j in src], list(zip(lo, hi)))
-        out = [[] for _ in range(len(lows))]
+        out = [[] for _ in lows]
         for w, piece in zip(win.tolist(), map(Piece, a, b, coefs)):
             out[w].append(piece)
         return [self._with(pieces, basis=CHEBYSHEV) for pieces in out]
@@ -462,31 +433,67 @@ class PiecewisePolynomial:
         """Time shift: returns s with s(t) = self(t - delta)."""
         return self._with([Piece(a + delta, b + delta, c) for a, b, c in self.pieces])
 
+    def _overlaps(self, lows, highs):
+        """(window, piece, lo, hi) arrays of every part [lo, hi] of a piece
+        inside a window [lows[w], highs[w]] longer than the tolerance,
+        window by window, pieces in order.  A window outside the domain,
+        or holding no such part, raises OutOfDomain."""
+        tol = self._tol()
+        lows = np.asarray(lows, dtype=float)[:, None]
+        highs = np.asarray(highs, dtype=float)[:, None]
+        pa, pb = np.array([(a, b) for a, b, _ in self.pieces]).T
+        # max(pa, lo) and min(pb, hi), ties going to the piece
+        lo = np.where(pa >= lows, pa, lows)
+        hi = np.where(pb <= highs, pb, highs)
+        kept = hi - lo > tol
+        outside = (lows[:, 0] < self.start - tol) | (highs[:, 0] > self.end + tol)
+        for w in np.flatnonzero(outside | ~kept.any(axis=1))[:1]:
+            why = "not contained in domain" if outside[w] else "holds no piece"
+            raise OutOfDomain(f"window [{lows[w, 0]}, {highs[w, 0]}] {why}")
+        win, src = np.nonzero(kept)
+        return win, src, lo[win, src], hi[win, src]
+
+    def _cut(self, src, lo, hi):
+        """Coefficients of each piece src[k] on its subinterval [lo[k], hi[k]]:
+        monomial pieces get one stacked Taylor shift per coefficient length
+        and dtype, Chebyshev pieces one _interpolants pass at the CGL nodes
+        of their subintervals."""
+        pieces = [self.pieces[j] for j in src]
+        if self.basis is CHEBYSHEV:
+            return _interpolants(pieces, list(zip(lo, hi))) if pieces else []
+        coefs = [None] * len(pieces)
+        for ks in _group(c for _, _, c in pieces).values():
+            stack = np.stack([pieces[k].coef for k in ks])
+            shifted = _shift_coeffs(stack, [lo[k] - pieces[k].a for k in ks])
+            for k, c in zip(ks, shifted):
+                coefs[k] = c
+        return coefs
+
     def restrict(self, a, b):
         """Exact restriction to the window [a, b] (a subset of the domain)."""
-        tol = self._tol()
-        if a < self.start - tol or b > self.end + tol:
-            raise OutOfDomain(f"window [{a}, {b}] not contained in domain")
-        pieces = []
-        for pa, pb, c in self.pieces:
-            lo = max(pa, a)
-            hi = min(pb, b)
-            if hi - lo <= tol:
-                continue
-            pieces.append(Piece(lo, hi, self.basis.restrict(c, pa, pb, lo, hi)))
-        return self._with(pieces)
+        _, src, lo, hi = self._overlaps([a], [b])
+        lo, hi = lo.tolist(), hi.tolist()
+        return self._with(map(Piece, lo, hi, self._cut(src, lo, hi)))
 
     def split_at(self, points):
-        """Insert interior breakpoints (exact re-expansion of cut pieces)."""
+        """Insert interior breakpoints (exact re-expansion of cut pieces);
+        the function itself when no point cuts a piece."""
         tol = self._tol()
-        pieces = []
-        for pa, pb, c in self.pieces:
+        pieces, parts = [], []  # parts: (place in pieces, piece, lo, hi)
+        for j, (pa, pb, _) in enumerate(self.pieces):
             cuts = sorted(t for t in points if pa + tol < t < pb - tol)
             if not cuts:
-                pieces.append(Piece(pa, pb, c))
+                pieces.append(self.pieces[j])
                 continue
-            for lo, hi in zip([pa] + cuts, cuts + [pb]):
-                pieces.append(Piece(lo, hi, self.basis.restrict(c, pa, pb, lo, hi)))
+            edges = [pa] + cuts + [pb]
+            parts += [(len(pieces) + i, j, lo, hi)
+                      for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+            pieces += [None] * (len(edges) - 1)
+        if not parts:
+            return self
+        at, src, lo, hi = zip(*parts)
+        for k, a, b, c in zip(at, lo, hi, self._cut(src, lo, hi)):
+            pieces[k] = Piece(a, b, c)
         return self._with(pieces)
 
     def aligned_with(self, other):

@@ -174,18 +174,9 @@ def _encode_matrix(M, complex_field):
 
 
 def _encode_pieces(pp: PiecewisePolynomial, complex_field):
-    out = []
-    for start, end, coeffs in pp.pieces:
-        out.append(
-            {
-                "start": float(start),
-                "end": float(end),
-                "coeffs": [
-                    [_encode_scalar(v, complex_field) for v in vec] for vec in coeffs
-                ],
-            }
-        )
-    return out
+    return [{"start": float(start), "end": float(end),
+             "coeffs": _encode_matrix(coeffs, complex_field)}
+            for start, end, coeffs in pp.pieces]
 
 
 def problem_to_dict(sys: DdaeSystem) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NotSmoothingType
 from .classify import PropagationKind, classify_propagation
 from .model import DdaeSystem, FastPart, SplitCoefficients
+from .pencil import powers
 from .piecewise import PiecewisePolynomial
 
 
@@ -57,10 +58,8 @@ def expand_hidden_delays(sys: DdaeSystem, split: SplitCoefficients) -> HiddenDel
     nu_D = prop.nu_D
     D_list = [np.array(split.B_d1)]
     if split.n_a:
-        Ba2_pow = np.eye(split.n_a, dtype=split.B_a2.dtype)
-        for k in range(1, nu_D + 1):
-            D_list.append(((-1.0) ** k) * (split.B_d2 @ Ba2_pow @ split.B_a1))
-            Ba2_pow = Ba2_pow @ split.B_a2
+        D_list += [((-1.0) ** k) * (split.B_d2 @ P @ split.B_a1)
+                   for k, P in enumerate(powers(split.B_a2, nu_D), 1)]
     return HiddenDelayExpansion(
         J=split.qwf.J, D_delays=tuple(D_list), nu_D=nu_D, split=split, tau=sys.tau,
     )
@@ -85,13 +84,9 @@ def hidden_delay_forcing(expansion: HiddenDelayExpansion,
         # accumulated fast inhomogeneity: h~ = sum_{j<nu} N^j h^{(j)} = -w(h)
         h = Sf.components(range(n_d, split.n))
         h_acc = -1.0 * FastPart(split.qwf.N, split.nu).solve(h)
-        Ba2_pow = np.eye(n_a, dtype=split.B_a2.dtype)
-        for k in range(nu_D):
+        for k, P in enumerate(powers(split.B_a2, nu_D)):
             shifted = h_acc.shift((k + 1) * tau).restrict(*window)
-            theta = theta + shifted.apply_matrix(
-                ((-1.0) ** (k + 1)) * (split.B_d2 @ Ba2_pow)
-            )
-            Ba2_pow = Ba2_pow @ split.B_a2
+            theta = theta + shifted.apply_matrix(((-1.0) ** (k + 1)) * (split.B_d2 @ P))
     return theta
 
 

@@ -11,8 +11,9 @@ from numpy.polynomial import polynomial as P
 import ddae_kit as dk
 from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from ddae_kit.history import FLAG_TOL
+from ddae_kit.model import FastPart
 from ddae_kit.pencil import norm2
-from ddae_kit.piecewise import CHEBYSHEV, DOMAIN_RTOL, Piece
+from ddae_kit.piecewise import CHEBYSHEV, DOMAIN_RTOL, Piece, _interpolants, _shift_coeffs
 from ddae_kit.stability import NEWTON_MAX_ITER, _char_matrix
 
 
@@ -91,6 +92,71 @@ def transition_residual_per_term(sys, split, order):
     return residual <= FLAG_TOL * scale, residual
 
 
+def fast_part_per_loop(N, q_f, nu):
+    """Reference for FastPart(N, nu).solve(q_f) with its old power loops:
+    (N^T)^k and -D^k each the matrix times the last power, a left product
+    where pencil.powers multiplies on the right, so the two agree bit for
+    bit while no power has three factors (nu <= 3)."""
+    N = np.atleast_2d(np.asarray(N)) if np.size(N) else np.zeros((0, 0))
+    NT = [np.eye(N.shape[0], dtype=N.dtype)]
+    for _ in range(1, nu):
+        NT.append(N.T @ NT[-1])
+    pieces = []
+    for a, b, c in q_f.pieces:
+        m = len(c)
+        D = np.zeros((m, m))
+        D[: m - 1] = q_f.basis.der(np.eye(m), a, b, 1)[: m - 1]
+        ops = [-np.eye(m)]
+        for _ in range(1, min(nu, m)):
+            ops.append(D @ ops[-1])
+        w = ((np.array(ops) @ c) @ np.array(NT)[: len(ops)]).sum(axis=0)
+        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+    return q_f._with(pieces, N.shape[0])
+
+
+def c_chain_per_loop(qwf):
+    """Reference for split_matrices' C_k = -T_a N^(k-1) S[n_d:], 1 <= k <= nu,
+    each N power the last one times N, from N^0 = I."""
+    n_d, S, T, N = qwf.n_d, qwf.S, qwf.T, qwf.N
+    C_list = [T[:, :n_d] @ S[:n_d]]
+    N_pow = np.eye(qwf.n_a, dtype=N.dtype)
+    for _ in range(qwf.nu):
+        C_list.append(-(T[:, n_d:] @ N_pow @ S[n_d:]))
+        N_pow = N_pow @ N
+    return C_list
+
+
+def hidden_delays_per_loop(split, nu_D):
+    """Reference for expand_hidden_delays' D_0 = B_d1 and D_k = (-1)^k
+    B_d2 B_a2^(k-1) B_a1, each B_a2 power the last one times B_a2."""
+    D_list = [np.array(split.B_d1)]
+    if split.n_a:
+        Ba2_pow = np.eye(split.n_a, dtype=split.B_a2.dtype)
+        for k in range(1, nu_D + 1):
+            D_list.append(((-1.0) ** k) * (split.B_d2 @ Ba2_pow @ split.B_a1))
+            Ba2_pow = Ba2_pow @ split.B_a2
+    return D_list
+
+
+def hidden_delay_forcing_per_loop(exp, sys):
+    """Reference for hidden_delay_forcing with its old loop over the
+    matrices (-1)^(k+1) B_d2 B_a2^k, each B_a2 power the last one times
+    B_a2."""
+    split, nu_D, tau = exp.split, exp.nu_D, exp.tau
+    Sf = sys.f.apply_matrix(split.qwf.S)
+    window = (nu_D * tau, sys.horizon_intervals * tau)
+    theta = Sf.components(range(split.n_d)).restrict(*window)
+    if split.n_a:
+        h = Sf.components(range(split.n_d, split.n))
+        h_acc = -1.0 * FastPart(split.qwf.N, split.nu).solve(h)
+        Ba2_pow = np.eye(split.n_a, dtype=split.B_a2.dtype)
+        for k in range(nu_D):
+            shifted = h_acc.shift((k + 1) * tau).restrict(*window)
+            theta = theta + shifted.apply_matrix(((-1.0) ** (k + 1)) * (split.B_d2 @ Ba2_pow))
+            Ba2_pow = Ba2_pow @ split.B_a2
+    return theta
+
+
 def fast_per_order(N, q_f, nu):
     """Reference fast part w = -sum_{k<nu} N^k q_f^(k): each piece
     differentiates once per order from the previous order and is tidied
@@ -137,13 +203,51 @@ def value_per_order(pp, t, order, side="right"):
     return P.polyval(t - a, P.polyder(c, m=order, axis=0))
 
 
+def cut_per_piece(pp, j, lo, hi):
+    """Reference cut: piece j of pp re-expanded on [lo, hi] alone, by
+    _shift_coeffs(c, lo - a) for a monomial piece and by
+    _interpolants([(a, b, c)], [(lo, hi)]) for a Chebyshev one."""
+    a, b, c = pp.pieces[j]
+    if pp.basis is CHEBYSHEV:
+        return _interpolants([(a, b, c)], [(lo, hi)])[0]
+    return _shift_coeffs(c, lo - a)
+
+
+def restrict_per_piece(pp, lo_w, hi_w):
+    """Reference for pp.restrict(lo_w, hi_w).pieces: every part of a piece
+    inside the window longer than the tolerance, cut alone."""
+    tol = DOMAIN_RTOL * (pp.end - pp.start)
+    pieces = []
+    for j, (pa, pb, _) in enumerate(pp.pieces):
+        lo, hi = max(pa, lo_w), min(pb, hi_w)
+        if hi - lo > tol:
+            pieces.append(Piece(lo, hi, cut_per_piece(pp, j, lo, hi)))
+    return pieces
+
+
+def split_at_per_piece(pp, points):
+    """Reference for pp.split_at(points).pieces: a piece that no point cuts
+    more than the tolerance inside its ends stays as it is; each part of
+    a cut one is cut alone."""
+    tol = DOMAIN_RTOL * (pp.end - pp.start)
+    pieces = []
+    for j, (pa, pb, c) in enumerate(pp.pieces):
+        edges = [pa] + sorted(t for t in points if pa + tol < t < pb - tol) + [pb]
+        if len(edges) == 2:
+            pieces.append(Piece(pa, pb, c))
+            continue
+        pieces += [Piece(lo, hi, cut_per_piece(pp, j, lo, hi))
+                   for lo, hi in zip(edges, edges[1:])]
+    return pieces
+
+
 def segment_window(pp, i, tau):
     """Reference: the restriction of pp to segment i in local time, in
     Chebyshev form, cut and converted piece by piece with one polyval and
     one V^-1 product per monomial piece."""
     lo_w, hi_w, move = (i - 1) * tau, i * tau, -(i - 1) * tau
     if pp.basis is CHEBYSHEV:
-        return pp.restrict(lo_w, hi_w).shift(move).pieces
+        return [(a + move, b + move, c) for a, b, c in restrict_per_piece(pp, lo_w, hi_w)]
     tol = DOMAIN_RTOL * (pp.end - pp.start)
     pieces = []
     for pa, pb, c in pp.pieces:

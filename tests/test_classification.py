@@ -154,7 +154,7 @@ class TestCrossCheck:
 
 
 class TestCouplingNorms:
-    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
     def test_bit_identical_to_per_loop_norms(self, nu):
         rng = np.random.default_rng(40 + nu)
         for trial in range(12):

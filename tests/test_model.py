@@ -18,9 +18,11 @@ from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL
 from ddae_kit.solver import Sweep
 
 from gen import (
+    c_chain_per_loop,
     example_advanced,
     example_neutral,
     example_slow_smoothing,
+    fast_part_per_loop,
     fast_per_order,
     kinked_dae,
     random_regular_pencil,
@@ -151,6 +153,24 @@ class TestUnderlyingEquations:
             assert np.allclose(r[j], per_term, rtol=1e-12, atol=1e-12)
         assert np.linalg.norm(split.C[2] @ sys.D, 2) > 0.5  # nonzero top coefficient
 
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+    def test_coefficient_chain_matches_power_loop(self, nu, field):
+        rng = np.random.default_rng(60 + nu)
+        for trial in range(6):
+            n_a = nu + int(rng.integers(0, 2)) if nu else 0
+            n = int(rng.integers(0 if n_a else 1, 3)) + n_a
+            E, A, _ = random_regular_pencil(rng, n, n_d=n - n_a, nu=nu)
+            if field is complex:
+                E = E * np.exp(1j * rng.uniform(0, np.pi))
+            qwf = dk.compute_qwf(dk.MatrixPencil(E, A))
+            assert qwf.nu == nu
+            split = dk.split_matrices(qwf, np.zeros((n, n)))
+            ref = c_chain_per_loop(qwf)
+            assert len(split.C) == len(ref) == nu + 1
+            for Ck, ref_k in zip(split.C, ref):
+                assert Ck.tobytes() == ref_k.tobytes()
+
     def test_zero_delay_kills_B(self):
         # with D = 0 the delayed chain C_k D vanishes and q is f itself
         rng = np.random.default_rng(4)
@@ -215,6 +235,28 @@ class TestFastSubsystem:
             assert resid.sup_bound() <= 1e-12 * scale
             ref = fast_per_order(N, q, nu)
             for (_, _, c), (_, _, c_ref) in zip(w.pieces, ref.pieces):
+                assert c.shape == c_ref.shape
+                assert np.max(np.abs(c - c_ref)) <= 1e-13 * max(np.max(np.abs(c_ref)), 1.0)
+
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+    def test_matches_power_loops(self, nu, basis):
+        # pencil.powers multiplies on the right where the old loops
+        # multiplied on the left: the same bits up to nu = 3, the last
+        # bits from nu = 4 on
+        rng = np.random.default_rng(80 + nu)
+        n_a = nu + 1 if nu else 0
+        perm = np.linalg.qr(rng.standard_normal((n_a, n_a)))[0]
+        N = perm @ shift_nilpotent(n_a, nu) @ perm.T
+        q = dk.PiecewisePolynomial(
+            [(a, b, rng.standard_normal((d + 1, n_a)))
+             for a, b, d in zip([0.0, 0.4, 1.1], [0.4, 1.1, 2.0], [0, 3, 7])],
+            n=n_a, basis=basis)
+        got, ref = FastPart(N, nu).solve(q), fast_part_per_loop(N, q, nu)
+        for (_, _, c), (_, _, c_ref) in zip(got.pieces, ref.pieces, strict=True):
+            if nu <= 3:
+                assert c.tobytes() == c_ref.tobytes()
+            else:
                 assert c.shape == c_ref.shape
                 assert np.max(np.abs(c - c_ref)) <= 1e-13 * max(np.max(np.abs(c_ref)), 1.0)
 

@@ -4,9 +4,22 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.piecewise import CHEBYSHEV, MONOMIAL, PiecewisePolynomial, _shift_coeffs
+from ddae_kit import piecewise
+from ddae_kit.piecewise import (
+    CHEBYSHEV,
+    DOMAIN_RTOL,
+    MONOMIAL,
+    PiecewisePolynomial,
+    _shift_coeffs,
+)
 
-from gen import segment_window, shift_per_row, value_per_order
+from gen import (
+    restrict_per_piece,
+    segment_window,
+    shift_per_row,
+    split_at_per_piece,
+    value_per_order,
+)
 
 
 def random_pp(rng, n, breaks, max_deg=5):
@@ -338,3 +351,96 @@ class TestWindows:
         for k in range(len(c)):
             assert got[k].tobytes() == shift_per_row(c[k], deltas[k]).tobytes()
             assert _shift_coeffs(c[k], deltas[k]).tobytes() == got[k].tobytes()
+
+
+def mixed_pp(rng, basis, field, start=-0.4, end=2.1):
+    """1-6 pieces of lengths 1-4 (so that lengths repeat), some zero
+    coefficients, real or complex, in the given basis."""
+    count = int(rng.integers(1, 7))
+    breaks = [start] + sorted(rng.uniform(start, end, count - 1).tolist()) + [end]
+    pieces = []
+    for a, b in zip(breaks, breaks[1:]):
+        c = rng.standard_normal((int(rng.integers(1, 5)), 2))
+        c[rng.random(c.shape) < 0.2] = 0.0
+        if field is complex:
+            c = c + 1j * rng.standard_normal(c.shape)
+        pieces.append((a, b, c))
+    pp = PiecewisePolynomial(pieces, 2)
+    return pp.to_chebyshev() if basis is CHEBYSHEV else pp
+
+
+class TestCut:
+    """restrict, split_at and windows cut through _overlaps and _cut: one
+    stacked Taylor shift per group of monomial pieces, one interpolation
+    pass over Chebyshev ones, bit for bit each piece cut alone."""
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_restrict_matches_per_piece_cut(self, basis, field):
+        rng = np.random.default_rng(25 + (field is complex) + 2 * (basis is CHEBYSHEV))
+        for _ in range(20):
+            pp = mixed_pp(rng, basis, field)
+            ends = pp.breakpoints
+            tol = DOMAIN_RTOL * (pp.end - pp.start)
+            # random windows, whole pieces, and ends within the tolerance
+            # of a piece end
+            a, b = sorted(rng.uniform(pp.start, pp.end, 2))
+            windows = [(a, max(b, a + 0.1)), (pp.start, pp.end), (ends[0], ends[1]),
+                       (ends[-2] + 0.5 * tol, pp.end + 0.5 * tol),
+                       (pp.start - 0.5 * tol, ends[1] - 0.5 * tol)]
+            for lo, hi in windows:
+                if hi > pp.end + tol:
+                    continue
+                got = pp.restrict(lo, hi)
+                assert got.basis is basis
+                assert_same_pieces(got.pieces, restrict_per_piece(pp, lo, hi))
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_split_at_matches_per_piece_cut(self, basis, field):
+        rng = np.random.default_rng(35 + (field is complex) + 2 * (basis is CHEBYSHEV))
+        for _ in range(20):
+            pp = mixed_pp(rng, basis, field)
+            tol = DOMAIN_RTOL * (pp.end - pp.start)
+            inner = rng.uniform(pp.start, pp.end, int(rng.integers(0, 5))).tolist()
+            # repeated points, the breakpoints themselves and points
+            # within the tolerance of a piece end cut nothing more
+            near = [t + s * 0.5 * tol for t in pp.breakpoints for s in (-1, 1)]
+            points = inner + inner[:2] + pp.breakpoints + near
+            got = pp.split_at(points)
+            assert_same_pieces(got.pieces, split_at_per_piece(pp, points))
+            whole = {(a, b): c for a, b, c in pp.pieces}
+            for a, b, c in got.pieces:
+                if (a, b) in whole:
+                    assert c is whole[a, b]
+            assert pp.split_at(pp.breakpoints + near) is pp
+
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_empty_windows_rejected(self, basis):
+        pp = PiecewisePolynomial([(0.0, 1.0, np.ones((2, 1)))])
+        pp = pp.to_chebyshev() if basis is CHEBYSHEV else pp
+        for lo, hi in ((0.5, 0.5), (0.7, 0.2), (0.5, 0.5 + 1e-12)):
+            with pytest.raises(dk.OutOfDomain, match="holds no piece"):
+                pp.restrict(lo, hi)
+        with pytest.raises(dk.OutOfDomain, match="holds no piece"):
+            pp.windows([0.0, 0.5], [0.5, 0.5])
+        with pytest.raises(dk.OutOfDomain, match=r"window \[0.5, 1.5\] not contained in domain"):
+            pp.restrict(0.5, 1.5)
+        assert pp._cut([], [], []) == []
+
+    def test_aligning_many_cut_pieces_samples_once(self, monkeypatch):
+        # a 1-piece Chebyshev function aligned with a 20-piece one is cut
+        # into 20 parts by one cgl_samples pass
+        rng = np.random.default_rng(19)
+        many = PiecewisePolynomial([(k / 20, (k + 1) / 20, rng.standard_normal((4, 2)))
+                                    for k in range(20)]).to_chebyshev()
+        one = PiecewisePolynomial([(0.0, 1.0, rng.standard_normal((6, 2)))]).to_chebyshev()
+        calls = []
+        sample = piecewise.cgl_samples
+        monkeypatch.setattr(piecewise, "cgl_samples",
+                            lambda *args, **kw: calls.append(args) or sample(*args, **kw))
+        left, right = one.aligned_with(many)
+        assert len(calls) == 1
+        assert right is many and len(left.pieces) == 20
+        monkeypatch.undo()
+        assert_same_pieces(left.pieces, split_at_per_piece(one, many.breakpoints))

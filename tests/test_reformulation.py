@@ -8,7 +8,9 @@ from ddae_kit.classify import PropagationKind
 
 from gen import (
     example_slow_smoothing,
+    hidden_delay_forcing_per_loop,
     hidden_delay_residual,
+    hidden_delays_per_loop,
     random_smoothing_blocks,
     random_system_from_blocks,
 )
@@ -63,6 +65,25 @@ class TestExpandHiddenDelays:
                 ratios.append(np.linalg.det(full) / np.linalg.det(slow))
             ratios = np.array(ratios)
             assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * abs(ratios[0])
+
+    @pytest.mark.parametrize("nu_D", [0, 1, 2, 3, 4])
+    def test_matrices_match_power_loops(self, nu_D):
+        # D_k and theta's matrices from pencil.powers, bit for bit the
+        # loops that formed each B_a2 power as the last one times B_a2
+        for seed in range(4):
+            rng = np.random.default_rng(100 * nu_D + seed)
+            n_d = 1 + seed % 2
+            blocks = random_smoothing_blocks(rng, n_d, nu_D, min(nu_D, 1))
+            sys, split = random_system_from_blocks(rng, n_d, nu_D, min(nu_D, 1), blocks,
+                                                   horizon=nu_D + 2)
+            exp = dk.expand_hidden_delays(sys, split)
+            assert exp.nu_D == nu_D
+            ref = hidden_delays_per_loop(split, nu_D)
+            assert [Dk.tobytes() for Dk in exp.D_delays] == [Dk.tobytes() for Dk in ref]
+            theta = dk.hidden_delay_forcing(exp, sys)
+            ref = hidden_delay_forcing_per_loop(exp, sys)
+            assert [(a, b, c.tobytes()) for a, b, c in theta.pieces] == \
+                [(a, b, c.tobytes()) for a, b, c in ref.pieces]
 
     def test_rejects_non_smoothing(self):
         from gen import example_neutral

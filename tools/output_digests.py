@@ -1,6 +1,7 @@
 """One outcome and three hashes per benchmark case: which CLI outputs a change alters.
 
     python3 tools/output_digests.py SRC [--seed S ...] [--workload W ...] > digests.txt
+    python3 tools/output_digests.py SRC [--seed S ...] [--workload W ...] --against BASE_LIST
 
 Builds the cases of every workload in bench/workloads.py for seeds 1-4
 (the bench directory next to this script, read and never changed), runs
@@ -43,8 +44,12 @@ ones whose exit changed, those with the same outcome and another
 decisions hash are the ones whose reported decisions changed, and those
 with both equal and another sha256 are the ones whose output bytes
 changed only; the stderr column tells apart the cases whose messages
-changed, whatever their outputs did.  Each tree needs its own
-process, because the package is imported once.  BLAS runs on one
+changed, whatever their outputs did.  --against BASE_LIST does that
+comparison: it runs SRC's cases, reads BASE_LIST (this tool's lines for
+the base tree, same options) and prints these four groups instead of the
+lines, each as a count of all cases and one line per case; it exits 1
+when the two lists do not name the same cases in the same order.  Each
+tree needs its own process, because the package is imported once.  BLAS runs on one
 thread, as in bench/run.py, so the digests do not depend on thread
 scheduling.
 """
@@ -192,16 +197,59 @@ def filtered_cases(args, run, wl):
     return bench_cases(run, wl, args.seed or SEEDS, args.workload)
 
 
+def compare(base, head):
+    """The report lines of --against for two lists of split digest lines
+    (workload, seed, id, outcome as two words, sha256, decisions,
+    stderr), paired in order: the cases whose outcome differs, those with
+    the same outcome and other decisions, those with the same decisions
+    and other bytes, and those whose stderr differs."""
+    groups = {"whose outcome differs from the base": [],
+              "with the same outcome and other decisions": [],
+              "with the same decisions and other output bytes": [],
+              "whose stderr differs": []}
+    outcome, decided, output, stderr = groups.values()
+    for old, new in zip(base, head):
+        case = " ".join(new[:3])
+        if old[3:5] != new[3:5]:
+            outcome.append(f"{case}: {' '.join(old[3:5])} -> {' '.join(new[3:5])}")
+        elif old[6] != new[6]:
+            decided.append(case)
+        elif old[5] != new[5]:
+            output.append(case)
+        if old[7] != new[7]:
+            stderr.append(case)
+    lines = []
+    for title, cases in groups.items():
+        lines.append(f"bench cases {title}: {len(cases)} of {len(head)}")
+        lines += [f"- {case}" for case in cases]
+    return lines
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src", help="directory holding the ddae_kit package")
     add_filters(p)
+    p.add_argument("--against", metavar="BASE_LIST",
+                   help="compare with this tool's output for the base tree")
     args = p.parse_args(argv)
     cli, run, wl = load(os.path.abspath(args.src))
+    head = []
     for name, seed, case, out_dir, options in filtered_cases(args, run, wl):
         outcome, *digests = case_digest(run, cli, case, out_dir, options)
-        print(name, seed, case["id"], outcome, *digests)
+        head.append([name, str(seed), case["id"], *outcome.split(), *digests])
+        if not args.against:
+            print(*head[-1])
+    if not args.against:
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        base = [line.split() for line in fh if line.strip()]
+    if [row[:3] for row in base] != [row[:3] for row in head]:
+        print(f"{args.against} does not list the cases of {args.src} in order",
+              file=sys.stderr)
+        return 1
+    print("\n".join(compare(base, head)))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,7 +14,7 @@ lines that no case executed, by function:
 
 --seed and --workload keep only the named seeds and workloads (the probe
 variants are the workload ``probe``).  --calls prints how often each named
-function (a qualified name such as ``_cheb_restrict`` or
+function (a qualified name such as ``PiecewisePolynomial._cut`` or
 ``SlowCollocation.integrate``) was called over the cases run.
 
 A function-body line is a line of a function's body, after its
