@@ -41,14 +41,45 @@ def values_to_coeffs(values):
     return Vinv @ values
 
 
+def trim_lengths(coefs, tol=TRIM_TOL):
+    """Kept length of each series in a stack (K, deg+1, n), or of one
+    series (deg+1, n): trailing rows whose largest entry is at most tol
+    times the largest entry of the series are dropped, so the cut is
+    relative to the series' own size, with no absolute floor (a NaN row
+    is kept).  A lone series is cut by a loop over its rows, which takes
+    fewer numpy calls than the vectorized count of a stack."""
+    mags = np.abs(coefs).max(axis=-1, initial=0.0)
+    if mags.ndim == 1 or len(mags) == 1:
+        cut, rows = tol * float(mags.max()), mags.reshape(-1).tolist()
+        keep = len(rows)
+        while keep > 1 and rows[keep - 1] <= cut:
+            keep -= 1
+        return keep if mags.ndim == 1 else np.array([keep])
+    kept = ~(mags <= tol * mags.max(axis=-1, keepdims=True))
+    kept[..., 0] = True
+    return coefs.shape[-2] - kept[..., ::-1].argmax(axis=-1)
+
+
+def cut_stack(stack, lengths):
+    """A stack (K, m, n) of series cut to the longest of the given lengths,
+    the rows of each series past its length set to zero (in place), so
+    that the stack is zero-padded."""
+    if len(lengths) == 1:
+        return stack[:, : lengths[0]]
+    stack = stack[:, : lengths.max()]
+    stack[np.arange(stack.shape[1]) >= lengths[:, None]] = 0.0
+    return stack
+
+
+def trim_stack(stack, lengths):
+    """A zero-padded stack of series of the given lengths, each trimmed
+    as by trim_coeffs: the cut stack (cut_stack) and the kept lengths."""
+    kept = trim_lengths(stack)
+    if len(kept) > 1:  # a lone series fills its stack
+        kept = np.minimum(kept, lengths)
+    return cut_stack(stack, kept), kept
+
+
 def trim_coeffs(coef, tol=TRIM_TOL):
-    """Drop trailing rows whose largest entry is at most tol times the
-    largest entry of the series: the cut is relative to the series' own
-    size, with no absolute floor."""
-    mags = np.max(np.abs(coef), axis=1) if coef.shape[1] else np.zeros(coef.shape[0])
-    top = float(mags.max()) if mags.size else 0.0
-    cut = tol * top
-    keep = coef.shape[0]
-    while keep > 1 and mags[keep - 1] <= cut:
-        keep -= 1
-    return coef[:keep]
+    """coef without the trailing rows trim_lengths drops."""
+    return coef[: trim_lengths(coef, tol)]

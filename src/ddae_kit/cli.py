@@ -166,6 +166,7 @@ def _ledger_payload(ledger, tau):
     return {
         "tau": float(tau),
         "knots": [{k: getattr(e, k) for k in names} for e in ledger.entries],
+        "unresolved_pieces": [list(run) for run in ledger.unresolved_pieces],
     }
 
 
@@ -177,6 +178,10 @@ def cmd_solve(args, sys_, split):
     trajectory, ledger = method_of_steps(sys_, split, config)
     _write_trajectory_csv(args.out_csv, sys_, trajectory)
     _write_report(args.ledger_out, _ledger_payload(ledger, sys_.tau))
+    if ledger.unresolved_pieces:
+        print(f"warning: {len(ledger.unresolved_pieces)} run(s) of pieces failed the "
+              "collocation certificate at the width floor; see unresolved_pieces",
+              file=_sys.stderr)
     if ledger.has_inconsistent:
         print("warning: inconsistent restart; partial outputs written",
               file=_sys.stderr)
@@ -288,8 +293,9 @@ def build_parser():
     p = command("solve", cmd_solve, "method-of-steps trajectory and jump ledger",
                 ("out_csv", "ledger_out"))
     p.add_argument("--degree", type=int, default=None,
-                   help="top collocation degree: pieces that degree 16 does not "
-                        "resolve are solved again at D (default: "
+                   help="top collocation degree, 16..128: a piece whose degree-16 "
+                        "collocant fails its certificate is solved again at D, "
+                        "and bisected if that fails too (default: "
                         "SolverConfig.degree)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument(

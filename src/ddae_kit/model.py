@@ -33,7 +33,7 @@ from .pencil import (
     powers,
     vector_norm,
 )
-from .piecewise import DOMAIN_RTOL, Piece, PiecewisePolynomial
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _width_keys
 
 # orders the Taylor recursion advances per block (SplitCoefficients.taylor_blocks)
 TAYLOR_BLOCK = 16
@@ -237,12 +237,15 @@ def build_split(
 
 
 class FastPart:
-    """Solver of N w' = w + q_f piece by piece, nu the nilpotency index of N.
+    """Solver of N w' = w + q_f, nu the nilpotency index of N.
 
     The operators -D^k, k < nu, D the basis's differentiation matrix on a
     piece, are stacked once per (basis, coefficient length, width) and the
-    powers (N^k)^T once, so a piece costs two stacked products, a sum and
-    one trim.  An instance keeps its operators for every q_f it solves.
+    powers (N^k)^T once, so the pieces of one length and width cost two
+    stacked products and a sum together, and all pieces one trim.
+    Widths are compared relative to the span of q_f
+    (piecewise._width_keys).  An instance keeps its operators for every
+    q_f it solves.
     """
 
     def __init__(self, N, nu):
@@ -251,15 +254,22 @@ class FastPart:
         self.N, self.nu, self._NT, self._ops = N, nu, NT, {}
 
     def solve(self, q_f: PiecewisePolynomial):
-        pieces = []
-        for a, b, c in q_f.pieces:
-            key = (q_f.basis.name, len(c), b - a)
+        a, b, c, lengths = q_f._stack
+        w = None
+        groups = _group(zip(lengths.tolist(), _width_keys(b - a, q_f.end - q_f.start)))
+        for (length, width), ks in groups.items():
+            key = (q_f.basis.name, length, width, q_f.end - q_f.start)
             if key not in self._ops:
-                self._ops[key] = _fast_operator(q_f.basis, len(c), a, b, self.nu)
+                self._ops[key] = _fast_operator(q_f.basis, length, a[ks[0]], b[ks[0]], self.nu)
             ops = self._ops[key]
-            w = ((ops @ c) @ self._NT[: len(ops)]).sum(axis=0)
-            pieces.append(Piece(a, b, q_f.basis.tidy(w)))
-        return q_f._with(pieces, self.N.shape[0])
+            if len(groups) == 1:  # every piece, of the stack's length
+                w = ((ops @ c[:, None]) @ self._NT[: len(ops)]).sum(axis=1)
+                break
+            if w is None:
+                w = np.zeros(c.shape[:2] + self.N.shape[:1],
+                             dtype=np.result_type(c, self._NT, float))
+            w[ks, :length] = ((ops @ c[ks, None, :length]) @ self._NT[: len(ops)]).sum(axis=1)
+        return q_f._with_stack((a, b, *q_f.basis.trim(w, lengths)), self.N.shape[0])
 
 
 def _fast_operator(basis, length, a, b, nu):

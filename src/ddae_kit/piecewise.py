@@ -6,7 +6,10 @@ breakpoint alignment, addition, stacking) and cuts every piece to a
 subinterval through one rule: _overlaps finds the parts, _cut re-expands
 them.  A small kernel per basis supplies the per-piece arithmetic:
 differentiation (der), point values of every derivative order (derivs)
-and the trim after an addition (tidy).
+and the trim after an addition (trim).  Operations that touch every
+piece take the pieces of one coefficient length together (_group), one
+stacked product per group, so a function of many pieces costs a few
+numpy calls per length rather than a few per piece.
 
 Data functions (history and inhomogeneity) use the monomial basis of the
 local variable ``t - start``, so evaluation, differentiation, shifting and
@@ -22,13 +25,12 @@ from __future__ import annotations
 import bisect
 import warnings
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .cheb import cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import cgl_nodes, trim_lengths, trim_stack, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
 from .pencil import frozen
 
@@ -86,22 +88,25 @@ def _merge_breaks(points, tol):
 
 def _stacked(ca, cb):
     """Coefficients [ca | cb] of two pieces on one interval, the shorter
-    one padded with zero rows."""
-    c = np.zeros((max(len(ca), len(cb)), ca.shape[1] + cb.shape[1]),
-                 dtype=np.result_type(ca, cb))
-    c[: len(ca), : ca.shape[1]] = ca
-    c[: len(cb), ca.shape[1] :] = cb
+    one padded with zero rows; ca and cb may also be stacks (K, m, n) of
+    K pairs."""
+    (la, na), (lb, nb) = ca.shape[-2:], cb.shape[-2:]
+    c = np.zeros(ca.shape[:-2] + (max(la, lb), na + nb), dtype=np.result_type(ca, cb))
+    c[..., :la, :na] = ca
+    c[..., :lb, na:] = cb
     return c
 
 
-Basis = namedtuple("Basis", ["name", "der", "derivs", "tidy"])
+Basis = namedtuple("Basis", ["name", "der", "derivs", "trim"])
 Basis.__doc__ = """Per-piece kernel of one basis: der and derivs get the piece [a, b].
 
 der(c, a, b, m): coefficients of the m-th derivative;
 derivs(c, a, b, t, top): derivatives 0..top at t, shape (top+1, n) for
     a scalar t and (len(t), top+1, n) for a 1-D array of times, zero
     above the degree: the one point evaluator;
-tidy(c): trim applied to the coefficients of a sum.
+trim(stack, lengths): a zero-padded stack (K, m, n) of series of the
+    given lengths after a sum, and the lengths they keep: as they are,
+    or trimmed by cheb.trim_stack for Chebyshev pieces.
 """
 
 
@@ -141,12 +146,54 @@ def _cheb_derivs(c, a, b, t, top):
     return out
 
 
-def _group(coefs):
-    """Indices of coefficient arrays by (length, dtype), in order."""
+def _group(keys):
+    """Indices of items by key, in order: _group((len(c), c.dtype) for c
+    in coefs) gathers the coefficient arrays one stacked product can
+    take."""
+    keys = list(keys)
+    if keys and keys.count(keys[0]) == len(keys):
+        return {keys[0]: list(range(len(keys)))}
     groups = {}
-    for k, c in enumerate(coefs):
-        groups.setdefault((len(c), c.dtype), []).append(k)
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
     return groups
+
+
+def _lengths(coefs):
+    return ((len(c), c.dtype) for c in coefs)
+
+
+def _length_groups(coefs, lengths):
+    """The groups of _group(_lengths(coefs)), in some order, given the
+    lengths: when all arrays have one dtype, found by one stable sort of
+    the lengths rather than a Python key per array."""
+    dtypes = {c.dtype for c in coefs}
+    if len(dtypes) > 1:
+        return _group(_lengths(coefs))
+    dtype = dtypes.pop()
+    order = np.argsort(lengths, kind="stable")
+    values, firsts = np.unique(lengths[order], return_index=True)
+    return {(m, dtype): ks.tolist()
+            for m, ks in zip(values.tolist(), np.split(order, firsts[1:]))}
+
+
+def _stack_of(arrays):
+    """np.stack of arrays of one shape, by one concatenate (a third of
+    np.stack's per-array cost)."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+def _width_keys(widths, span):
+    """The widths relative to span, rounded so that cuts that differ only
+    by roundoff, such as 0.3 and 1.0 - 0.7, share one key: pieces of one
+    key share the operators built for their width."""
+    if len(widths) == 1:  # without numpy's per-call cost
+        return [round(float(widths[0]) / span, 13)]
+    return (widths / span).round(13).tolist()
+
+
+def _head(c, m):
+    return c[:m]
 
 
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]
@@ -154,7 +201,7 @@ MONOMIAL = Basis(
     "monomial",
     der=lambda c, a, b, m: P.polyder(c, m=m, axis=0),
     derivs=_monomial_derivs,
-    tidy=lambda c: c,
+    trim=lambda stack, lengths: (stack, lengths),
 )
 
 # coeffs[k] multiplies T_k of the piece [a, b] mapped onto [-1, 1]
@@ -162,7 +209,7 @@ CHEBYSHEV = Basis(
     "chebyshev",
     der=lambda c, a, b, m: C.chebder(c, m=m, scl=2.0 / (b - a), axis=0),
     derivs=_cheb_derivs,
-    tidy=trim_coeffs,
+    trim=trim_stack,
 )
 
 
@@ -178,20 +225,24 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
     of the nodes x; both are elementwise, so every value is bit for bit
     what its piece alone gives.
     """
-    coefs = [c for _, _, c in pieces]
-    counts = np.array([max(len(c), floor + 1) for c in coefs])
+    starts, stops, coefs = zip(*pieces)
+    ends = np.array([starts, stops])
+    spans = ends if windows is None else np.asarray(windows, dtype=float).T
+    lengths = np.fromiter(map(len, coefs), int, len(coefs))
+    groups = _length_groups(coefs, lengths)
+    counts = np.maximum(lengths, floor + 1)
     first = np.cumsum(counts) - counts
-    ends = np.array([(a, b) for a, b, _ in pieces])
-    spans = ends if windows is None else np.array(windows, dtype=float)
     nodes = np.empty(int(counts.sum()))
-    values = np.empty((len(nodes), coefs[0].shape[1]), dtype=np.result_type(*coefs))
-    for (m, _), ks in _group(coefs).items():
-        (a, b), (lo, hi) = ends[ks].T[:, :, None], spans[ks].T[:, :, None]
+    values = np.empty((len(nodes), coefs[0].shape[1]),
+                      dtype=np.result_type(*(dtype for _, dtype in groups)))
+    for (m, _), ks in groups.items():
+        (a, b), (lo, hi) = ends[:, ks, None], spans[:, ks, None]
         x = cgl_nodes(max(m - 1, floor))
         t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         rows = first[ks, None] + np.arange(t.shape[1])
         nodes[rows] = t
-        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
+        group = coefs if len(groups) == 1 else [coefs[k] for k in ks]
+        c = _stack_of(group).transpose(1, 0, 2)[..., None]
         if basis is MONOMIAL:
             at, val = (lo - a) + (hi - lo) * 0.5 * (x + 1.0), P.polyval
         else:
@@ -203,13 +254,32 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
 def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
     """Trimmed Chebyshev coefficients on each piece's window of the
     interpolant at the CGL nodes of the piece's degree, one values_to_coeffs
-    per group of pieces of one length."""
+    and one trim per group of pieces of one length."""
     _, values, counts = cgl_samples(pieces, windows, 0, basis)
     first, coefs = np.cumsum(counts) - counts, [None] * len(pieces)
-    for (m, _), ks in _group([c for _, _, c in pieces]).items():
-        for k, c in zip(ks, values_to_coeffs(values[first[ks, None] + np.arange(m)])):
-            coefs[k] = trim_coeffs(c)
+    for (m, _), ks in _length_groups([c for _, _, c in pieces], counts).items():
+        stack = values_to_coeffs(values[first[ks, None] + np.arange(m)])
+        for k, c, keep in zip(ks, stack, trim_lengths(stack).tolist()):
+            coefs[k] = c[:keep]
     return coefs
+
+
+class _lazy:
+    """An attribute computed on first use and then stored on the
+    instance, like functools.cached_property without its lock (which
+    Python before 3.12 takes on every first use)."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 Piece = namedtuple("Piece", ["a", "b", "coef"])
@@ -225,6 +295,11 @@ class PiecewisePolynomial:
         n: value dimension.
         basis: MONOMIAL (coeffs[k] multiplies (t - start)**k) or
             CHEBYSHEV.
+
+    The operations that touch every piece (apply_matrix, split_sum, the
+    solver's collocation, fast part and recombination) work on _stack,
+    all coefficients zero-padded into one array.  A result they build
+    from a stack holds only the stack, and makes its pieces on first use.
     """
 
     def __init__(self, pieces, n=None, basis=MONOMIAL):
@@ -269,6 +344,54 @@ class PiecewisePolynomial:
         out.basis = basis or self.basis
         return out
 
+    def _with_stack(self, stack, n=None, basis=None):
+        """Unvalidated result built from a stack (see _stack) derived from
+        this function; on this function's piece ends, it shares _edges."""
+        out = PiecewisePolynomial.__new__(PiecewisePolynomial)
+        out._stack = stack
+        mine = self.__dict__.get("_stack")
+        if mine is not None and mine[0] is stack[0] and mine[1] is stack[1] \
+                and "_edges" in self.__dict__:
+            out._edges = self._edges
+        out.n = self.n if n is None else n
+        out.basis = basis or self.basis
+        return out
+
+    @_lazy
+    def pieces(self):
+        """The pieces of a function built from a stack, made on first use
+        (a function built from pieces holds them from the start)."""
+        a, b, coefs, lengths = self._stack
+        return tuple(map(Piece, a.tolist(), b.tolist(), map(_head, coefs, lengths.tolist())))
+
+    @_lazy
+    def _edges(self):
+        """The starts and the ends of the pieces, as lists of floats, from
+        whichever form the function holds."""
+        if "pieces" in self.__dict__:
+            starts, stops, _ = zip(*self.pieces)
+            return list(starts), list(stops)
+        a, b = self._stack[:2]
+        return a.tolist(), b.tolist()
+
+    @_lazy
+    def _stack(self):
+        """The pieces as arrays (a, b, coefs, lengths): piece k is
+        [a[k], b[k]] with coefficients coefs[k, :lengths[k]], coefs of
+        shape (pieces, longest length, n) zero-padded; built on first use
+        (and kept by _with_stack)."""
+        a, b, cs = zip(*self.pieces)
+        lengths = np.fromiter(map(len, cs), int, len(cs))
+        if len(cs) == 1:
+            coefs = cs[0][None]
+        elif len(set(_lengths(cs))) == 1:
+            coefs = _stack_of(cs)
+        else:
+            coefs = np.zeros((len(cs), lengths.max(), self.n), dtype=np.result_type(*cs))
+            for k, c in enumerate(cs):
+                coefs[k, : len(c)] = c
+        return np.array(a), np.array(b), coefs, lengths
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -312,15 +435,15 @@ class PiecewisePolynomial:
 
     @property
     def start(self):
-        return self.pieces[0][0]
+        return self._edges[0][0]
 
     @property
     def end(self):
-        return self.pieces[-1][1]
+        return self._edges[1][-1]
 
     @property
     def breakpoints(self):
-        return [self.pieces[0][0]] + [p[1] for p in self.pieces]
+        return self._edges[0][:1] + self._edges[1]
 
     @property
     def max_degree(self):
@@ -333,7 +456,7 @@ class PiecewisePolynomial:
     def _tol(self):
         return DOMAIN_RTOL * (self.end - self.start)
 
-    @cached_property
+    @_lazy
     def _cuts(self):
         """The domain ends widened by the tolerance, and the interior piece
         ends shifted by it for each side, as an array and as a tuple: built
@@ -422,7 +545,8 @@ class PiecewisePolynomial:
         M = np.asarray(M)
         if M.shape[1] != self.n:
             raise DimensionMismatch("matrix columns must match value dimension")
-        return self._with([Piece(a, b, c @ M.T) for a, b, c in self.pieces], M.shape[0])
+        a, b, coefs, lengths = self._stack
+        return self._with_stack((a, b, coefs @ M.T, lengths), M.shape[0])
 
     def __mul__(self, scalar):
         return self._with([Piece(a, b, c * scalar) for a, b, c in self.pieces])
@@ -441,7 +565,7 @@ class PiecewisePolynomial:
         tol = self._tol()
         lows = np.asarray(lows, dtype=float)[:, None]
         highs = np.asarray(highs, dtype=float)[:, None]
-        pa, pb = np.array([(a, b) for a, b, _ in self.pieces]).T
+        pa, pb = np.array(self._edges)
         # max(pa, lo) and min(pb, hi), ties going to the piece
         lo = np.where(pa >= lows, pa, lows)
         hi = np.where(pb <= highs, pb, highs)
@@ -460,10 +584,10 @@ class PiecewisePolynomial:
         of their subintervals."""
         pieces = [self.pieces[j] for j in src]
         if self.basis is CHEBYSHEV:
-            return _interpolants(pieces, list(zip(lo, hi))) if pieces else []
+            return _interpolants(pieces, np.column_stack([lo, hi])) if pieces else []
         coefs = [None] * len(pieces)
-        for ks in _group(c for _, _, c in pieces).values():
-            stack = np.stack([pieces[k].coef for k in ks])
+        for ks in _group(_lengths(c for _, _, c in pieces)).values():
+            stack = _stack_of([pieces[k].coef for k in ks])
             shifted = _shift_coeffs(stack, [lo[k] - pieces[k].a for k in ks])
             for k, c in zip(ks, shifted):
                 coefs[k] = c
@@ -477,13 +601,17 @@ class PiecewisePolynomial:
 
     def split_at(self, points):
         """Insert interior breakpoints (exact re-expansion of cut pieces);
-        the function itself when no point cuts a piece."""
+        the function itself when no point cuts a piece.  The points that
+        cut each piece, more than the tolerance inside its ends, are found
+        by bisect in the sorted points."""
         tol = self._tol()
+        points = sorted(points)
         pieces, parts = [], []  # parts: (place in pieces, piece, lo, hi)
-        for j, (pa, pb, _) in enumerate(self.pieces):
-            cuts = sorted(t for t in points if pa + tol < t < pb - tol)
+        for j, (pa, pb) in enumerate(zip(*self._edges)):
+            cuts = points[bisect.bisect_right(points, pa + tol):
+                          bisect.bisect_left(points, pb - tol)]
             if not cuts:
-                pieces.append(self.pieces[j])
+                pieces.append(j)
                 continue
             edges = [pa] + cuts + [pb]
             parts += [(len(pieces) + i, j, lo, hi)
@@ -491,6 +619,7 @@ class PiecewisePolynomial:
             pieces += [None] * (len(edges) - 1)
         if not parts:
             return self
+        pieces = [None if j is None else self.pieces[j] for j in pieces]
         at, src, lo, hi = zip(*parts)
         for k, a, b, c in zip(at, lo, hi, self._cut(src, lo, hi)):
             pieces[k] = Piece(a, b, c)
@@ -505,24 +634,30 @@ class PiecewisePolynomial:
         tol = self._tol()
         if abs(other.start - self.start) > tol or abs(other.end - self.end) > tol:
             raise OutOfDomain("piecewise polynomials live on different domains")
-        cuts = _merge_breaks(self.breakpoints + other.breakpoints, tol)
+        mine, theirs = self.breakpoints, other.breakpoints
+        if len(mine) == len(theirs) and all(abs(s - t) <= tol for s, t in zip(mine, theirs)):
+            return self, other  # no breakpoint cuts either function
+        cuts = _merge_breaks(mine + theirs, tol)
         return self.split_at(cuts), other.split_at(cuts)
 
     def split_sum(self, other, k):
         """The sum self + other as two functions, components [0, k) and
-        [k, n), each trimmed on its own scale as if summed separately."""
+        [k, n), each trimmed on its own scale as if summed separately:
+        one stacked sum and one trim per part, elementwise as each pair
+        of pieces alone."""
         if other.n != self.n:
             raise DimensionMismatch("value dimensions differ")
         left, right = self.aligned_with(other)
-        head, tail = [], []
-        for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces):
-            c = np.zeros((max(ca.shape[0], cb.shape[0]), self.n),
-                         dtype=np.result_type(ca.dtype, cb.dtype))
-            c[: ca.shape[0]] += ca
-            c[: cb.shape[0]] += cb
-            head.append(Piece(a, b, self.basis.tidy(c[:, :k])))
-            tail.append(Piece(a, b, self.basis.tidy(c[:, k:])))
-        return self._with(head, k), self._with(tail, self.n - k)
+        a, b, ca, la = left._stack
+        _, _, cb, lb = right._stack
+        c = np.zeros((len(a), max(ca.shape[1], cb.shape[1]), self.n),
+                     dtype=np.result_type(ca, cb))
+        c[:, : ca.shape[1]] += ca
+        c[:, : cb.shape[1]] += cb
+        lengths = np.maximum(la, lb)
+        head, tail = c[..., :k], c[..., k:]
+        return (left._with_stack((a, b, *self.basis.trim(head, lengths)), k),
+                left._with_stack((a, b, *self.basis.trim(tail, lengths)), self.n - k))
 
     def __add__(self, other):
         if not isinstance(other, PiecewisePolynomial):

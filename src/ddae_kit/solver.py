@@ -3,9 +3,10 @@
 Each delay interval is one differential-algebraic segment driven by the
 previous segment.  The algebraic (fast) part is obtained in closed form
 from derivatives of the segment inhomogeneity; the differential (slow)
-part is integrated by global Chebyshev collocation on each smooth piece,
-at a low degree first and at the top degree only where the low degree
-does not resolve the piece.  Every segment of a sweep is the same DAE
+part is integrated by Chebyshev collocation on each smooth piece, and a
+piece is kept only when its collocant passes a pointwise residual
+certificate: a piece that fails climbs from the first degree to the top
+degree and is then bisected.  Every segment of a sweep is the same DAE
 segment with new data, so one Sweep builds each operator a segment
 applies once: the collocation inverses, the fast-part operators, the
 data windows in Chebyshev form and f's own derivative tables at the
@@ -22,14 +23,14 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 from numpy.linalg import inv
 from numpy.polynomial import chebyshev as C
 
-from .cheb import _vander_inv, cgl_nodes, trim_coeffs, values_to_coeffs
+from .cheb import _vander_inv, cgl_nodes, cut_stack, trim_lengths, values_to_coeffs
 from .errors import (
     CollocationSingular,
     DimensionMismatch,
@@ -46,17 +47,27 @@ from .model import (
     solution_taylor_from_value,
 )
 from .pencil import row_norms, vector_norm
-from .piecewise import Piece, PiecewisePolynomial, _stacked
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _stacked, _width_keys
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
-# first collocation degree of every piece (capped by SolverConfig.degree)
+# first collocation degree of every piece, and the lowest top degree
+# SolverConfig accepts
 FIRST_DEGREE = 16
 # highest collocation degree SolverConfig accepts
 MAX_DEGREE = 128
-# off-node residual accepted at the first degree, relative to the scale
-# ||J|| max|v| + max|q| at the grid midpoints
-RESID_TOL = 1e-11
+# residual v' - J v - q a certified collocant leaves at each grid
+# midpoint, relative to |v'| + |J v| + |q| there (max norms)
+RESID_RTOL = 1e-10
+# rounding allowance of the midpoint derivative, in units of
+# p eps (2/h) |D_m| |values|: what a (p+1)-term product may lose
+ROUNDING_UNITS = 2.0
+# |J| w (max-row-sum norm) at or below which a forcing piece of width w
+# starts whole; a wider one starts in 2^ceil(log2(|J| w / STIFF_WIDTH))
+# equal parts
+STIFF_WIDTH = 8.0
+# deepest bisection: no piece is narrower than span / 2**MAX_DEPTH
+MAX_DEPTH = 10
 # longest derivative stream a sweep may carry: segment 1 holds
 # k_max + M nu + max(nu, 1) orders and every later segment a few fewer,
 # so the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
@@ -68,9 +79,9 @@ MAX_STREAM_ORDERS = 1024
 class SolverConfig:
     """Knobs of the stepping solver.
 
-    degree: top collocation degree; a smooth piece is solved at
-        min(FIRST_DEGREE, degree) first and at degree only when that
-        solve fails its resolution test.
+    degree: top collocation degree, FIRST_DEGREE..MAX_DEGREE; a piece
+        is solved at FIRST_DEGREE first and at degree only when that
+        solve fails its certificate (SlowCollocation).
     k_max: highest derivative order compared at knots (default index+2,
         below MAX_STREAM_ORDERS).
     on_inconsistent: "record" stores the breakdown in the ledger and
@@ -82,8 +93,9 @@ class SolverConfig:
     on_inconsistent: str = "record"
 
     def __post_init__(self):
-        if not 1 <= self.degree <= MAX_DEGREE:
-            raise DimensionMismatch(f"collocation degree must be in 1..{MAX_DEGREE}")
+        if not FIRST_DEGREE <= self.degree <= MAX_DEGREE:
+            raise DimensionMismatch(
+                f"collocation degree must be in {FIRST_DEGREE}..{MAX_DEGREE}")
         if self.k_max is not None and not 0 <= self.k_max < MAX_STREAM_ORDERS:
             raise DimensionMismatch(f"k_max must be in 0..{MAX_STREAM_ORDERS - 1}")
         if self.on_inconsistent not in ("record", "stop"):
@@ -96,7 +108,9 @@ class SegmentSolution:
 
     pieces is a piecewise polynomial in the Chebyshev basis;
     derivs_start / derivs_end hold one-sided derivatives (rows = order)
-    at the left and right segment ends.
+    at the left and right segment ends; unresolved lists the (a, b) of
+    the runs of pieces whose collocant failed its certificate at the
+    width floor.
     """
 
     index: int
@@ -104,6 +118,7 @@ class SegmentSolution:
     consistency_residual: float
     derivs_start: np.ndarray
     derivs_end: np.ndarray
+    unresolved: list = field(default_factory=list)
 
 
 @dataclass(eq=False)
@@ -127,9 +142,6 @@ class Trajectory:
         local = t - (i - 1) * self.tau
         return self.segments[i - 1].pieces.evaluate(local, order=order, side=side)
 
-    def evaluate_many(self, ts, order=0):
-        return np.stack([self.evaluate(t, order) for t in np.atleast_1d(ts)])
-
 
 @dataclass(frozen=True, eq=False)
 class LedgerEntry:
@@ -146,7 +158,12 @@ class LedgerEntry:
 
 @dataclass(eq=False)
 class JumpLedger:
+    """The knot entries, and unresolved_pieces: one (segment, start, end)
+    per run of pieces whose collocant failed its certificate at the
+    width floor, in global time."""
+
     entries: list
+    unresolved_pieces: list = field(default_factory=list)
 
     @property
     def has_inconsistent(self):
@@ -167,45 +184,97 @@ def _colloc_dmat(degree):
 
 @cache
 def _midpoint_mats(degree):
-    """Midpoints of the CGL grid of [-1, 1] and the node->midpoint value
-    and derivative matrices (I_m, D_m) of the degree-p interpolant.
+    """The node->midpoint derivative and value matrices of the degree-p
+    interpolant on the CGL grid of [-1, 1], stacked [D_m; I_m], and |D_m|.
 
     The p midpoints cos((j + 1/2) pi / p) lie strictly between
     consecutive nodes, where an under-resolved collocant shows its
     residual.
     """
     _, Vinv = _vander_inv(degree)
-    mids = np.cos((np.arange(degree) + 0.5) * np.pi / degree)
-    I_m = C.chebvander(mids, degree) @ Vinv
-    return mids, I_m, I_m @ _colloc_dmat(degree)
+    I_m = C.chebvander(_midpoints(degree), degree) @ Vinv
+    D_m = I_m @ _colloc_dmat(degree)
+    return np.vstack([D_m, I_m]), np.abs(D_m)
+
+
+def _midpoints(degree):
+    return np.cos((np.arange(degree) + 0.5) * np.pi / degree)
+
+
+@cache
+def _vander_rows(degree, length):
+    """Chebyshev-Vandermonde rows of length coefficients at the degree's
+    CGL nodes and at its grid midpoints."""
+    return (C.chebvander(cgl_nodes(degree), length - 1),
+            C.chebvander(_midpoints(degree), length - 1))
+
+
+def _max_norms(x, axis=-1):
+    """The max norm of each vector of x along axis, 0 for vectors of
+    length 0."""
+    return np.abs(x).max(axis=axis, initial=0.0)
+
+
+def _chain(G, e, v0):
+    """Start values of pieces in time order, piece k ending at
+    G[k] s_k + e[k], where piece k + 1 starts: the prefix compositions of
+    the affine end maps by doubling, log2(len(G)) stacked products (G and
+    e are overwritten).  A chained start whose max norm is at most the
+    format's floor tiny/eps starts its piece at zero, so that a decayed
+    solution is exactly zero instead of subnormal."""
+    s = 1
+    while s < len(G):
+        e[s:] += (G[s:] @ e[:-s, :, None])[..., 0]
+        G[s:] = G[s:] @ G[:-s]
+        s *= 2
+    starts = np.empty_like(e)
+    starts[0] = v0
+    starts[1:] = (G[:-1] @ v0) + e[:-1]
+    starts[1:][_max_norms(starts[1:]) <= _format(starts.dtype)[1]] = 0.0
+    return starts
 
 
 class SlowCollocation:
-    """Collocation solver for v' = J v + q, v(start) = v0, piece by piece.
+    """Certified collocation solver for v' = J v + q, v(start) = v0.
 
-    The degree ladder is (min(FIRST_DEGREE, degree), degree): each piece
-    climbs it and keeps the first rung whose collocant passes a resolution
-    test (the trim drops its last coefficient, and its residual between
-    the nodes is small), the last rung unconditionally.
+    The degree ladder is (FIRST_DEGREE, degree).  A collocant is
+    certified when the trim drops its last coefficient (or that
+    coefficient is at most the format's floor tiny/eps) and, at every
+    grid midpoint, |v' - J v - q| <= RESID_RTOL (|v'| + |J v| + |q|) + rho
+    in max norms over the components (the scale the max of the
+    componentwise sum), rho the rounding bound ROUNDING_UNITS p eps (2/h)
+    |D_m| |values| of the differentiated collocant; a midpoint whose
+    scale is below the floor passes.  Both floors come from the float
+    format, so the test is the same at every scale of the data above it.
 
-    The bordered operator (first block row [I 0 ... 0], the rest
-    (2/h) D_p (x) I - I (x) J on the CGL nodes of a piece of width h)
-    depends only on p, h and the dtype, so its inverse is computed once
-    per (p, h, dtype), on first use, and every further piece of that
-    degree and width costs one mat-vec.  Widths are compared relative to
-    the span of the forcing (the delay tau), so cuts that differ only by
-    roundoff, such as 0.3 and 1.0 - 0.7, share one inverse.  One instance
-    lives for one sweep; its inverses go with it.
+    integrate starts a forcing piece of width w whole when
+    ||J|| w <= STIFF_WIDTH and in 2^ceil(log2(||J|| w / STIFF_WIDTH))
+    equal parts otherwise.  Each round solves every piece, one stacked
+    product per (degree, width, forcing length); a piece that fails
+    climbs the ladder, and at the top rung is halved, its halves starting
+    again at the first rung, down to the width floor span / 2^MAX_DEPTH.
+    The rounds end when no piece changes; a piece that still fails at
+    the floor keeps its top-rung collocant and is reported unresolved.
+
+    The solve is affine in the start value: values = G v0 + H Q, with G
+    and H column blocks of the inverse of the bordered operator (first
+    block row [I 0 ... 0], the rest (2/h) D_p (x) I - I (x) J on the CGL
+    nodes of a piece of width h).  The end rows of G and H chain the
+    start values through the pieces (_chain) before one product per
+    group gives the values.  The inverse depends only on p, h and the
+    dtype, so it is computed once per (p, h, dtype), on first use;
+    widths are compared relative to the span of the forcing (the delay
+    tau).  One instance lives for one sweep; its inverses go with it.
     """
 
     def __init__(self, J, degree):
         self.J = J
-        self.ladder = tuple(dict.fromkeys((min(FIRST_DEGREE, degree), degree)))
+        self.ladder = tuple(dict.fromkeys((FIRST_DEGREE, degree)))
         self._J_norm = float(np.abs(J).sum(axis=1).max(initial=0.0))
         self._inverses = {}
 
     def _inverse(self, degree, width, span, dtype):
-        key = (degree, round(width / span, 13), span, dtype)
+        key = (degree, round(float(width) / span, 13), span, dtype)
         if key in self._inverses:
             return self._inverses[key]
         nd, p = self.J.shape[0], degree
@@ -224,50 +293,189 @@ class SlowCollocation:
             raise CollocationSingular(str(exc)) from exc
         return self._inverses[key]
 
-    def _node_values(self, a, b, q_coef, v0, span, degree):
-        """Collocant values at the degree's CGL nodes of [a, b], one row
-        per node."""
-        nd = self.J.shape[0]
-        Q = _vander_rows(degree, q_coef.shape[0])[0] @ q_coef
-        dtype = np.result_type(self.J.dtype, Q.dtype, np.asarray(v0).dtype, float)
-        rhs = Q.astype(dtype).reshape(-1)
-        rhs[:nd] = v0
-        return (self._inverse(degree, b - a, span, dtype) @ rhs).reshape(degree + 1, nd)
+    def _first_levels(self, widths, floor):
+        """How many times each forcing piece of the given widths is halved
+        before the first round: ceil(log2(||J|| w / STIFF_WIDTH)) when
+        ||J|| w > STIFF_WIDTH, no part narrower than floor; None when
+        every piece starts whole."""
+        stiffness = self._J_norm * widths
+        if not (stiffness > STIFF_WIDTH).any():
+            return None
+        with np.errstate(divide="ignore"):
+            wanted = np.ceil(np.log2(stiffness / STIFF_WIDTH))
+        deepest = np.floor(np.log2(widths / floor * (1.0 + DOMAIN_RTOL)))
+        return np.clip(np.minimum(wanted, deepest), 0, None).astype(int)
 
-    def _resolved(self, a, b, q_coef, values):
-        """Residual test of a collocant: the residual of v' = J v + q at the
-        grid midpoints is negligible next to ||J|| max|v| + max|q| there."""
-        p = values.shape[0] - 1
-        _, I_m, D_m = _midpoint_mats(p)
-        v_mid = I_m @ values
-        q_mid = _vander_rows(p, q_coef.shape[0])[1] @ q_coef
-        resid = (2.0 / (b - a)) * (D_m @ values) - v_mid @ self.J.T - q_mid
-        scale = (self._J_norm * np.max(np.abs(v_mid), initial=0.0)
-                 + np.max(np.abs(q_mid), initial=0.0))
-        return np.max(np.abs(resid), initial=0.0) <= RESID_TOL * scale
+    def _round(self, a, b, q, lengths, rungs, v0, span):
+        """Every piece [a[k], b[k]] with forcing coefficients q[k, :lengths[k]]
+        solved at its rung, the start values chained from v0: per group of
+        pieces of one (degree, width, forcing length), the indices and the
+        coefficient stack (K, p+1, nd) with its trimmed lengths; and
+        whether each piece is certified.
 
-    def integrate(self, forcing: PiecewisePolynomial, v0):
-        """Piece-by-piece solve on the pieces of forcing, v(start) = v0."""
+        A group's arrays are node-major, (p+1, nd K) with column r K + k
+        for component r of piece k, so each operator is one product for
+        the whole group; a group of one piece gets the arithmetic of the
+        piece alone.
+        """
+        nd, count = len(self.J), len(q)
+        dtype = _common_dtype(self.J.dtype, v0.dtype, q.dtype)
+        widths, chained = b - a, count > 1
+        if chained:
+            G = np.empty((count, nd, nd), dtype=dtype)
+            e = np.empty((count, nd), dtype=dtype)
+        groups = []
+        keys = zip(rungs.tolist(), _width_keys(widths, span), lengths.tolist())
+        for (rung, _, length), ks in _group(keys).items():
+            p = self.ladder[rung]
+            Ainv = self._inverse(p, widths[ks[0]], span, dtype)
+            sel = slice(None) if len(ks) == count else ks
+            qg = q[sel, :length].transpose(1, 2, 0).reshape(length, nd * len(ks))
+            # rows i nd + r: component r of the forcing at node i
+            rhs = (_vander_rows(p, length)[0] @ qg).astype(dtype).reshape(-1, len(ks))
+            if chained:  # the end rows: node p
+                G[sel] = Ainv[p * nd :, :nd]
+                e[sel] = (Ainv[p * nd :, nd:] @ rhs[nd:]).T
+            groups.append((sel, len(ks), p, Ainv, qg, rhs))
+        starts = _chain(G, e, v0) if chained else v0[None]
+        passed, solved = np.empty(count, dtype=bool), []
+        for sel, size, p, Ainv, qg, rhs in groups:
+            rhs[:nd] = starts[sel].T
+            values = (Ainv @ rhs).reshape(p + 1, nd * size)
+            stack = values_to_coeffs(values).reshape(p + 1, nd, size).transpose(2, 0, 1)
+            keep = trim_lengths(stack)
+            passed[sel] = self._certified(widths[sel], qg, values, stack, keep)
+            solved.append((sel, cut_stack(stack, keep), keep))
+        return solved, passed
+
+    def _certified(self, widths, qg, values, stack, keep):
+        """The certificate of a group of K degree-p collocants: node-major
+        values (p+1, nd K) and forcing coefficients qg (L, nd K) (column
+        r K + k for component r of piece k), the coefficient stack
+        (K, p+1, nd) and its trimmed lengths, on pieces of the given
+        widths."""
+        p, (nd, count) = values.shape[0] - 1, (len(self.J), len(widths))
+        eps, floor = _format(values.dtype)
+        ok = True
+        if keep.max() > p:
+            ok = (keep <= p) | (_max_norms(stack[:, p]) <= floor)
+            if not ok.any():
+                return ok
+        # v', J v and q at the midpoints, (p, nd, K) each; J v by one
+        # product with the components first
+        mats, abs_D = _midpoint_mats(p)
+        at_mids = (mats @ values).reshape(2, p, nd, count)
+        dv = at_mids[0] * (2.0 / widths)
+        Jv = (self.J @ at_mids[1].transpose(1, 0, 2).reshape(nd, p * count)).reshape(
+            nd, p, count).transpose(1, 0, 2)
+        qm = (_vander_rows(p, len(qg))[1] @ qg).reshape(p, nd, count)
+        resid = _max_norms(dv - Jv - qm, axis=1)
+        # |v'| alone is a smaller scale: what passes with it passes
+        met = resid <= RESID_RTOL * _max_norms(dv, axis=1)
+        if not met.all():
+            size = _max_norms(np.abs(dv) + np.abs(Jv) + np.abs(qm), axis=1)
+            met = resid <= RESID_RTOL * size
+            if not met.all():  # the floors: rounding of v' and the format's
+                rho = _max_norms((abs_D @ np.abs(values)).reshape(p, nd, count), axis=1) * (
+                    ROUNDING_UNITS * p * eps * 2.0 / widths)
+                met = (resid <= RESID_RTOL * size + rho) | (size < floor)
+        return ok & met.all(axis=0)
+
+    def integrate(self, forcing, v0):
+        """The certified collocant of v' = J v + q on the pieces of the
+        forcing q, v(start) = v0, and the (a, b) of each run of pieces
+        left uncertified at the width floor."""
         span = forcing.end - forcing.start
-        pieces = []
-        for a, b, q_coef in forcing.pieces:
-            for p in self.ladder:
-                values = self._node_values(a, b, q_coef, v0, span, p)
-                coef = trim_coeffs(values_to_coeffs(values))
-                if p == self.ladder[-1] or (
-                        len(coef) <= p and self._resolved(a, b, q_coef, values)):
-                    break
-            pieces.append(Piece(a, b, coef))
-            v0 = coef.sum(axis=0)  # T_k(1) = 1
-        return forcing._with(pieces, self.J.shape[0])
+        floor = span / 2**MAX_DEPTH
+        a, b, q, lengths = forcing._stack
+        v0 = np.asarray(v0)
+        if not (v0.any() or q.any()):  # zero data: the zero solution, unsolved
+            zero = np.zeros((len(q), 1, len(self.J)),
+                            dtype=_common_dtype(self.J.dtype, v0.dtype, q.dtype))
+            return forcing._with_stack((a, b, zero, np.ones(len(q), dtype=int)), len(self.J)), []
+        # no piece is wider than the span
+        levels = self._first_levels(b - a, floor) if self._J_norm * span > STIFF_WIDTH else None
+        while levels is not None and levels.any():
+            a, b, q, lengths, take = _halve(a, b, q, lengths, levels > 0)
+            levels = np.maximum(levels[take] - 1, 0)
+        rungs = np.zeros(len(q), dtype=int)
+        while True:
+            solved, passed = self._round(a, b, q, lengths, rungs, v0, span)
+            certified = passed.all()
+            if certified:
+                break
+            top = rungs == len(self.ladder) - 1
+            climb = ~passed & ~top
+            halve = ~passed & top & (b - a >= 2.0 * floor * (1.0 - DOMAIN_RTOL))
+            if not (climb.any() or halve.any()):
+                break
+            a, b, q, lengths, take = _halve(a, b, q, lengths, halve)
+            # the halves start again at the first rung
+            rungs = np.where(halve, 0, rungs + climb)[take]
+        if len(solved) == 1:  # one group holds every piece, in order
+            _, coefs, lengths = solved[0]
+        else:
+            coefs = np.zeros((len(q), max(c.shape[1] for _, c, _ in solved), len(self.J)),
+                             dtype=solved[0][1].dtype)
+            lengths = np.empty(len(q), dtype=int)
+            for ks, stack, keep in solved:
+                coefs[ks, : stack.shape[1]] = stack
+                lengths[ks] = keep
+        unresolved = [] if certified else _runs(a, b, ~passed)
+        return forcing._with_stack((a, b, coefs, lengths), len(self.J)), unresolved
+
+
+def _runs(a, b, marked):
+    """The (start, end) of each run of adjacent marked pieces [a[k], b[k]]."""
+    runs = []
+    for k in np.flatnonzero(marked).tolist():
+        if runs and runs[-1][1] == a[k]:
+            runs[-1] = (runs[-1][0], float(b[k]))
+        else:
+            runs.append((float(a[k]), float(b[k])))
+    return runs
 
 
 @cache
-def _vander_rows(degree, length):
-    """Chebyshev-Vandermonde rows of length coefficients at the degree's
-    CGL nodes and at its grid midpoints."""
-    mids = _midpoint_mats(degree)[0]
-    return (C.chebvander(cgl_nodes(degree), length - 1), C.chebvander(mids, length - 1))
+def _common_dtype(*dtypes):
+    """np.result_type of the dtypes and float, cached."""
+    return np.result_type(*dtypes, float)
+
+
+@cache
+def _format(dtype):
+    """eps and the floor tiny/eps of a float format."""
+    info = np.finfo(dtype)
+    return info.eps, info.tiny / info.eps
+
+
+@cache
+def _halving_maps(length):
+    """(2, L, L): the maps from the Chebyshev coefficients of a series of
+    length L on an interval to those on its left and right halves."""
+    x, (_, Vinv) = cgl_nodes(length - 1), _vander_inv(length - 1)
+    return np.stack([Vinv @ C.chebvander(0.5 * (x + side), length - 1)
+                     for side in (-1.0, 1.0)])
+
+
+def _halve(a, b, q, lengths, which):
+    """The pieces [a[k], b[k]] with zero-padded forcing coefficients
+    q[k, :lengths[k]] after halving those marked in which: the new ends,
+    coefficients and lengths, one product per length, and for each new
+    piece the index of the piece it comes from."""
+    take = np.repeat(np.arange(len(q)), np.where(which, 2, 1))
+    first = np.flatnonzero(which) + np.arange(which.sum())  # left halves
+    mid = a + 0.5 * (b - a)
+    a, b = a[take], b[take]
+    b[first], a[first + 1] = mid[which], mid[which]
+    out, nd = q[take], q.shape[2]
+    for length, ks in _group(lengths[which].tolist()).items():
+        ks, at = np.flatnonzero(which)[ks], first[ks]
+        halves = _halving_maps(length).reshape(2 * length, length) @ (
+            q[ks, :length].transpose(1, 0, 2).reshape(length, -1))
+        out[np.stack([at, at + 1], axis=1).ravel(), :length] = (
+            halves.reshape(2, length, len(ks), nd).transpose(2, 0, 1, 3).reshape(-1, length, nd))
+    return a, b, out, lengths[take], take
 
 
 def detect_jumps(chain, k_max: int, tau: float):
@@ -360,12 +568,18 @@ class Sweep:
         return out
 
     def recombine(self, v: PiecewisePolynomial, q_f: PiecewisePolynomial):
-        """x = T [v; w] with w the fast part for q_f; v and q_f share their
-        breakpoints, so each piece is one [v | w] T^T."""
-        w = self.fast.solve(q_f)
-        pieces = [Piece(a, b, _stacked(cv, cw) @ self.T.T)
-                  for (a, b, cv), (_, _, cw) in zip(v.pieces, w.pieces)]
-        return v._with(pieces, self.T.shape[0])
+        """x = T [v; w] with w the fast part for q_f, cut first at the
+        breakpoints v adds: one stacked product [v | w] T^T for every
+        piece."""
+        a, b, cv, lv = v._stack
+        if not self.fast.N.size:  # no fast components: w has no columns
+            cw, lw = np.zeros((len(a), 1, 0)), np.ones(len(a), dtype=int)
+        else:
+            if len(a) > len(q_f._stack[0]):
+                q_f = q_f.split_at(v.breakpoints[1:-1])
+            _, _, cw, lw = self.fast.solve(q_f)._stack
+        x = _stacked(cv, cw) @ self.T.T
+        return v._with_stack((a, b, x, np.maximum(lv, lw)), self.T.shape[0])
 
 
 def solve_segment(
@@ -400,13 +614,16 @@ def solve_segment(
     delayed = prev.pieces.apply_matrix(sweep.SD)
     q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], n_d)
     v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
-    pieces = sweep.recombine(sweep.colloc.integrate(q_d, v0), q_f)
+    v, unresolved = sweep.colloc.integrate(q_d, v0)
+    pieces = sweep.recombine(v, q_f)
 
-    x_end = pieces.pieces[-1].coef.sum(axis=0)  # T_k(1) = 1
+    _, _, x, lengths = pieces._stack
+    x_end = x[-1, : lengths[-1]].sum(axis=0)  # T_k(1) = 1
     derivs_end = solution_taylor_from_value(split, x_end, q_right, orders)
 
     return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
-                           derivs_start=derivs_start, derivs_end=derivs_end)
+                           derivs_start=derivs_start, derivs_end=derivs_end,
+                           unresolved=unresolved)
 
 
 def method_of_steps(
@@ -453,4 +670,6 @@ def method_of_steps(
                 break
         # the ledger feeds no later segment: one pass over every knot
         entries = detect_jumps(chain, k_max, sys.tau)
-    return Trajectory(chain[1:], sys.tau), JumpLedger(entries + breakdown)
+    unresolved = [(seg.index, (seg.index - 1) * sys.tau + a, (seg.index - 1) * sys.tau + b)
+                  for seg in chain[1:] for a, b in seg.unresolved]
+    return Trajectory(chain[1:], sys.tau), JumpLedger(entries + breakdown, unresolved)

@@ -92,6 +92,12 @@ def transition_residual_per_term(sys, split, order):
     return residual <= FLAG_TOL * scale, residual
 
 
+def tidy(basis, c):
+    """The trim of a sum of pieces, per piece: trim_coeffs for Chebyshev
+    pieces, none for monomial ones."""
+    return trim_coeffs(c) if basis is CHEBYSHEV else c
+
+
 def fast_part_per_loop(N, q_f, nu):
     """Reference for FastPart(N, nu).solve(q_f) with its old power loops:
     (N^T)^k and -D^k each the matrix times the last power, a left product
@@ -110,7 +116,7 @@ def fast_part_per_loop(N, q_f, nu):
         for _ in range(1, min(nu, m)):
             ops.append(D @ ops[-1])
         w = ((np.array(ops) @ c) @ np.array(NT)[: len(ops)]).sum(axis=0)
-        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+        pieces.append(Piece(a, b, tidy(q_f.basis, w)))
     return q_f._with(pieces, N.shape[0])
 
 
@@ -174,7 +180,7 @@ def fast_per_order(N, q_f, nu):
                 c = q_f.basis.der(c, a, b, 1)
             w[: c.shape[0]] += c @ -N_pow.T
             N_pow = N_pow @ N
-        pieces.append(Piece(a, b, q_f.basis.tidy(w)))
+        pieces.append(Piece(a, b, tidy(q_f.basis, w)))
     return q_f._with(pieces, m)
 
 
@@ -559,3 +565,72 @@ def weak_desmoothing_system(rng=None, horizon=6):
     return dk.DdaeSystem(
         E=E, A=A, D=D, tau=1.0, horizon_intervals=horizon, f=f, phi=phi
     )
+
+
+def certified_per_piece(colloc, forcing, v0):
+    """Reference for SlowCollocation.integrate, one piece at a time: each
+    forcing piece, cut for stiffness into its first 2^level parts, climbs
+    colloc's ladder until its collocant passes the certificate and is
+    halved at the top rung, depth first, down to the width floor; each
+    piece starts at the end node value of the collocant before it.  The
+    certificate is written out per piece: the trim drops the last
+    coefficient (or it is below tiny/eps), and at every grid midpoint
+    ||v' - J v - q|| <= RESID_RTOL max_i(|v'_i| + |(J v)_i| + |q_i|) +
+    rho, or that scale is below tiny/eps (max norms over the
+    components)."""
+    from ddae_kit import solver
+
+    J, nd = colloc.J, colloc.J.shape[0]
+    span = forcing.end - forcing.start
+    floor = span / 2**solver.MAX_DEPTH
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    out, unresolved, start = [], [], np.asarray(v0)
+
+    def solve(a, b, q, v0, p):
+        dtype = np.result_type(J, v0, q, float)
+        rhs = (C.chebvander(cgl_nodes(p), len(q) - 1) @ q).astype(dtype)
+        rhs[0] = v0
+        values = (colloc._inverse(p, b - a, span, dtype) @ rhs.reshape(-1)).reshape(p + 1, nd)
+        return values, values_to_coeffs(values)
+
+    def certified(a, b, q, values, coef):
+        p = len(values) - 1
+        if len(trim_coeffs(coef)) > p and np.max(np.abs(coef[p]), initial=0.0) > tiny / eps:
+            return False
+        mids = np.cos((np.arange(p) + 0.5) * np.pi / p)
+        I_m = C.chebvander(mids, p) @ np.linalg.inv(C.chebvander(cgl_nodes(p), p))
+        D_m = I_m @ solver._colloc_dmat(p)
+        dv = (2.0 / (b - a)) * (D_m @ values)
+        Jv = (I_m @ values) @ J.T
+        qm = C.chebvander(mids, len(q) - 1) @ q
+        resid = np.max(np.abs(dv - Jv - qm), axis=1, initial=0.0)
+        size = np.max(np.abs(dv) + np.abs(Jv) + np.abs(qm), axis=1, initial=0.0)
+        rho = (solver.ROUNDING_UNITS * p * eps * 2.0 / (b - a)) * np.max(
+            np.abs(D_m) @ np.abs(values), axis=1, initial=0.0)
+        return bool(np.all((resid <= solver.RESID_RTOL * size + rho) | (size < tiny / eps)))
+
+    def piece(a, b, q, v0, rung=0):
+        for p in colloc.ladder[rung:]:
+            values, coef = solve(a, b, q, v0, p)
+            if certified(a, b, q, values, coef):
+                out.append(Piece(a, b, trim_coeffs(coef)))
+                return values[-1]
+        if (b - a) / 2 < floor * (1.0 - DOMAIN_RTOL):
+            out.append(Piece(a, b, trim_coeffs(coef)))
+            unresolved.append((a, b))
+            return values[-1]
+        m = a + 0.5 * (b - a)
+        halves = _interpolants([(a, b, q)] * 2, [(a, m), (m, b)])
+        return piece(m, b, halves[1], piece(a, m, halves[0], v0))
+
+    for a, b, q in forcing.pieces:
+        stiffness = colloc._J_norm * (b - a)
+        level = 0 if stiffness <= solver.STIFF_WIDTH else int(min(
+            np.ceil(np.log2(stiffness / solver.STIFF_WIDTH)),
+            np.floor(np.log2((b - a) / floor * (1.0 + DOMAIN_RTOL)))))
+        cuts = a + (b - a) * np.arange(2**level + 1) / 2**level
+        cuts[-1] = b
+        parts = _interpolants([(a, b, q)] * 2**level, list(zip(cuts[:-1], cuts[1:])))
+        for lo, hi, qk in zip(cuts[:-1].tolist(), cuts[1:].tolist(), parts):
+            start = piece(lo, hi, qk, start)
+    return forcing._with(out, nd), unresolved

@@ -61,7 +61,7 @@ def test_criterion_01_neutral_regression():
         ts = np.linspace(0.0, 4.0, 401)
         for t in ts:
             assert branch(t) == pytest.approx(recursion(t), abs=1e-13)
-        values = traj.evaluate_many(ts)[:, 0]
+        values = np.array([traj.evaluate(t)[0] for t in ts])
         expected = np.array([branch(t) for t in ts])
         assert np.max(np.abs(values - expected)) <= 1e-10
 

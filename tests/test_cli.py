@@ -536,9 +536,9 @@ def kinked_system(field, n=2, M=4):
 
 
 class TestTrajectoryCsv:
-    # degree is the solver's top collocation degree; the writer follows
-    # the degree of each piece it is given
-    @pytest.mark.parametrize("degree", [48, 3])
+    # degree is the solver's top collocation degree (16: a one-rung
+    # ladder); the writer follows the degree of each piece it is given
+    @pytest.mark.parametrize("degree", [48, 16])
     @pytest.mark.parametrize("case", ["neutral", "advanced", "kinked-real",
                                       "kinked-complex"])
     def test_matches_per_value_writer(self, tmp_path, case, degree):
@@ -596,7 +596,7 @@ def write_csv_per_piece(path, sys_, trajectory):
 class TestTrajectoryCsvBytes:
     """The grouped writer gives the bytes of the per-piece writer."""
 
-    @pytest.mark.parametrize("degree", [48, 3])
+    @pytest.mark.parametrize("degree", [48, 16])
     @pytest.mark.parametrize("case", ["kinked-real", "kinked-complex", "advanced",
                                       "straddling-real", "straddling-complex", "neutral"])
     def test_matches_per_piece_writer(self, tmp_path, case, degree):
@@ -621,7 +621,7 @@ class TestTrajectoryCsvBytes:
     def test_chunks_change_no_byte(self, tmp_path, monkeypatch, case):
         # one segment per chunk, and chunks of several segments
         sys_ = kinked_system(complex) if case == "kinked-complex" else example_neutral(horizon=20)
-        traj, _ = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=3))
+        traj, _ = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=16))
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         write_csv_per_piece(ref, sys_, traj)
         for rows in (1, 7, 40):

@@ -428,6 +428,29 @@ class TestCut:
             pp.restrict(0.5, 1.5)
         assert pp._cut([], [], []) == []
 
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_split_at_bisect_matches_the_scan(self, basis):
+        # split_at finds each piece's cuts by bisect in the sorted points;
+        # the old scan tested every point against every piece.  Points at,
+        # inside and just outside the tolerance of each piece end,
+        # unsorted and repeated, cut the same pieces at the same points
+        rng = np.random.default_rng(47)
+        cuts = np.sort(rng.uniform(0.0, 3.0, 63))
+        pp = PiecewisePolynomial([(a, b, rng.standard_normal((3, 2))) for a, b in
+                                  zip([0.0, *cuts], [*cuts, 3.0])])
+        pp = pp.to_chebyshev() if basis is CHEBYSHEV else pp
+        tol = DOMAIN_RTOL * (pp.end - pp.start)
+        near = [t + s * f * tol for t in pp.breakpoints for s in (-1, 1) for f in (0.5, 1.0, 1.5)]
+        points = near + rng.uniform(0.0, 3.0, 40).tolist()
+        points += points[::7]
+        rng.shuffle(points)
+        got = pp.split_at(points)
+        scan = [pp.start]
+        for pa, pb, _ in pp.pieces:
+            scan += sorted(t for t in points if pa + tol < t < pb - tol) + [pb]
+        assert got.breakpoints == scan
+        assert_same_pieces(got.pieces, split_at_per_piece(pp, points))
+
     def test_aligning_many_cut_pieces_samples_once(self, monkeypatch):
         # a 1-piece Chebyshev function aligned with a 20-piece one is cut
         # into 20 parts by one cgl_samples pass

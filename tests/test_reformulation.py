@@ -200,8 +200,8 @@ class TestNeutralEmbedding:
                                 horizon_intervals=3, f=fs, phi=phi)
         ref_traj, _ = dk.method_of_steps(ref_sys, dk.build_split(ref_sys))
         ts = np.linspace(0.1, 3.0, 16)
-        x_emb = traj.evaluate_many(ts)[:, 0]
-        x_ref = ref_traj.evaluate_many(ts)[:, 0]
+        x_emb = np.array([traj.evaluate(t)[0] for t in ts])
+        x_ref = np.array([ref_traj.evaluate(t)[0] for t in ts])
         assert np.max(np.abs(x_emb - x_ref)) <= 1e-9
 
 

@@ -1,16 +1,20 @@
 import gc
+import json
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
-from ddae_kit import model, solver
+from ddae_kit import cli, model, solver
 from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 
 from gen import (
+    certified_per_piece,
     example_advanced,
     example_neutral,
     example_slow_smoothing,
@@ -87,7 +91,7 @@ class TestMethodOfSteps:
         traj, ledger = dk.method_of_steps(sys, split)
         assert len(traj.segments) == 4
         ts = np.linspace(0.0, 4.0, 41)
-        vals = traj.evaluate_many(ts)[:, 0]
+        vals = np.array([traj.evaluate(t)[0] for t in ts])
         expected = np.array([neutral_oracle(t) for t in ts])
         assert np.max(np.abs(vals - expected)) <= 1e-12
         for i in (1, 2, 3):
@@ -211,7 +215,7 @@ class TestMethodOfSteps:
         assert last.first_jump_order == 0
         assert last.jump_norm == pytest.approx(2.0, abs=1e-10)
         ts = np.linspace(0.0, 3.0, 31)[:-1]
-        vals = traj.evaluate_many(ts)[:, 1]
+        vals = np.array([traj.evaluate(t)[1] for t in ts])
         expected = np.array([advanced_x2(t) for t in ts])
         assert np.max(np.abs(vals - expected)) <= 1e-12
 
@@ -508,10 +512,10 @@ def kron_piece_solve(J, a, b, q_coef, v0, degree, by_inverse=False):
     """Node values of the collocation solve on [a, b], assembled with kron
     and solved by LU: the direct form of the bordered operator.  With
     by_inverse the operator is inverted and applied instead, the
-    arithmetic of a one-degree solver."""
+    arithmetic of a one-degree solver.  The forcing at the nodes is one
+    Chebyshev-Vandermonde product, as in the solver."""
     nd = J.shape[0]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * cgl_nodes(degree)
-    Q = C.chebval((2.0 * nodes - a - b) / (b - a), q_coef).T
+    Q = C.chebvander(cgl_nodes(degree), len(q_coef) - 1) @ q_coef
     dtype = np.result_type(J.dtype, Q.dtype, v0.dtype, float)
     Dmat = solver._colloc_dmat(degree) * (2.0 / (b - a))
     A_sys = (np.kron(Dmat, np.eye(nd)) - np.kron(np.eye(degree + 1), J)).astype(dtype)
@@ -568,9 +572,21 @@ def rung_degrees(colloc):
 
 def integrate_one_piece(colloc, a, b, q_coef, v0):
     """Chebyshev coefficients of integrate's solution on a forcing of one
-    Chebyshev piece q on [a, b]."""
+    Chebyshev piece q on [a, b] that stays one piece."""
     forcing = dk.PiecewisePolynomial([(a, b, q_coef)], basis=dk.CHEBYSHEV)
-    return colloc.integrate(forcing, v0).pieces[0].coef
+    v, unresolved = colloc.integrate(forcing, v0)
+    assert len(v.pieces) == 1 and not unresolved
+    return v.pieces[0].coef
+
+
+def solve_at_rung(colloc, a, b, q_coef, v0, span, rung):
+    """The trimmed Chebyshev coefficients of one piece [a, b] solved at
+    the given rung of colloc's ladder, certified or not."""
+    q_coef = np.asarray(q_coef)
+    solved, _ = colloc._round(np.array([a]), np.array([b]), q_coef[None],
+                              np.array([len(q_coef)]), np.array([rung]), v0, span)
+    (_, stack, keep), = solved
+    return stack[0, : keep[0]]
 
 
 class TestSweep:
@@ -679,8 +695,7 @@ class TestSlowCollocation:
             q_coef = rng.standard_normal((6, nd))
             v0 = rng.standard_normal(nd)
             ref = kron_piece_solve(J, a, a + width, q_coef, v0, degree)
-            values = colloc._node_values(a, a + width, q_coef, v0, width, degree)
-            coef = trim_coeffs(values_to_coeffs(values))
+            coef = solve_at_rung(colloc, a, a + width, q_coef, v0, width, 1)
             full = np.zeros((degree + 1, nd), dtype=coef.dtype)
             full[: coef.shape[0]] = coef
             err = np.max(np.abs(full - values_to_coeffs(ref)))
@@ -688,12 +703,14 @@ class TestSlowCollocation:
         assert len(colloc._inverses) == 1
 
     def test_ladder(self):
-        # each piece climbs (min(FIRST_DEGREE, degree), degree), one rung
-        # when the two coincide
+        # each piece climbs (FIRST_DEGREE, degree), one rung when the two
+        # coincide; a top degree below FIRST_DEGREE is refused
         J, p = np.array([[-1.0]]), solver.FIRST_DEGREE
         assert solver.SlowCollocation(J, 48).ladder == (p, 48)
         assert solver.SlowCollocation(J, p).ladder == (p,)
-        assert solver.SlowCollocation(J, 3).ladder == (3,)
+        assert dk.SolverConfig(degree=p).degree == p
+        with pytest.raises(dk.DimensionMismatch, match=f"{p}..{solver.MAX_DEGREE}"):
+            dk.SolverConfig(degree=p - 1)
 
     def test_smooth_piece_accepted_at_first_degree(self):
         rng = np.random.default_rng(7)
@@ -710,17 +727,21 @@ class TestSlowCollocation:
         assert np.max(np.abs(full - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_stiff_piece_falls_back_bit_identical(self):
-        # a piece the first rung does not resolve is solved at the top
-        # rung with the arithmetic of a lone top-degree solve
-        J = np.array([[-200.0]])
+        # the stiffest piece that starts whole (||J|| w = STIFF_WIDTH):
+        # the first rung does not resolve it, so it is solved again at
+        # the top rung, where it is certified, with the arithmetic of a
+        # lone top-degree solve
+        J = np.array([[-solver.STIFF_WIDTH]])
         q_coef, v0 = np.array([[0.5], [0.25]]), np.array([1.0])
         colloc = solver.SlowCollocation(J, 48)
         coef = integrate_one_piece(colloc, 0.0, 1.0, q_coef, v0)
         assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
-        top_rung = trim_coeffs(values_to_coeffs(
-            solver.SlowCollocation(J, 48)._node_values(0.0, 1.0, q_coef, v0, 1.0, 48)))
+        first = solve_at_rung(solver.SlowCollocation(J, 48), 0.0, 1.0, q_coef, v0, 1.0, 0)
+        assert len(first) == solver.FIRST_DEGREE + 1
+        top_rung = solve_at_rung(solver.SlowCollocation(J, 48), 0.0, 1.0, q_coef, v0, 1.0, 1)
         ref = trim_coeffs(values_to_coeffs(
             kron_piece_solve(J, 0.0, 1.0, q_coef, v0, 48, by_inverse=True)))
+        assert len(coef) < 49
         assert coef.tobytes() == top_rung.tobytes() == ref.tobytes()
 
     def test_aliased_forcing_falls_back(self):
@@ -744,19 +765,23 @@ class TestSlowCollocation:
     def test_tiny_piece_judged_on_its_own_scale(self, lam, q_coef, rungs):
         # values far below TRIM_TOL take the same rung as at unit scale
         J = np.array([[lam]])
+        layouts = []
         for scale in (1.0, 1e-20):
             colloc = solver.SlowCollocation(J, 48)
-            integrate_one_piece(colloc, 0.0, 1.0, scale * np.asarray(q_coef),
-                                scale * np.array([1.0]))
-            assert len(rung_degrees(colloc)) == rungs
+            forcing = dk.PiecewisePolynomial([(0.0, 1.0, scale * np.asarray(q_coef))],
+                                             basis=dk.CHEBYSHEV)
+            v, unresolved = colloc.integrate(forcing, scale * np.array([1.0]))
+            assert len(rung_degrees(colloc)) == rungs and not unresolved
+            layouts.append([(a, b, len(c)) for a, b, c in v.pieces])
+        assert layouts[0] == layouts[1]
 
     def test_tiny_solution_keeps_its_shape(self):
         # v' = -v, v(0) = 1e-20: the trim is relative to the piece's own
         # size, so a solution far below 1 keeps its coefficients and ends
         # at 1e-20 e^-1, not at a flattened constant
         colloc = solver.SlowCollocation(np.array([[-1.0]]), 48)
-        v = colloc.integrate(dk.PiecewisePolynomial.zero(1, 0.0, 1.0, basis=dk.CHEBYSHEV),
-                             np.array([1e-20]))
+        v, _ = colloc.integrate(dk.PiecewisePolynomial.zero(1, 0.0, 1.0, basis=dk.CHEBYSHEV),
+                                np.array([1e-20]))
         end, exact = v.pieces[-1].coef.sum(), 1e-20 * np.exp(-1.0)
         assert len(v.pieces[-1].coef) > 1
         assert abs(end - exact) <= 1e-12 * exact
@@ -794,3 +819,117 @@ class TestSlowCollocation:
                 for v in value.values():
                     for arr in v if isinstance(v, tuple) else (v,):
                         assert np.shape(arr) not in {(s, s) for s in sizes}
+
+
+def write_problem(tmp_path, sys_, name="problem.json"):
+    path = tmp_path / name
+    dk.dump_problem(sys_, path)
+    return str(path)
+
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def scalar_row(lam, scale=1.0, M=2):
+    """x' = lam x, x = scale on [-1, 0]: x = scale e^(lam t)."""
+    return dk.DdaeSystem(E=[[1.0]], A=[[float(lam)]], D=[[0.0]], tau=1.0,
+                         horizon_intervals=M, f=dk.PiecewisePolynomial.zero(1, 0.0, float(M)),
+                         phi=dk.PiecewisePolynomial.constant([scale], -1.0, 0.0))
+
+
+def layout(traj):
+    return [[(a, b, len(c)) for a, b, c in seg.pieces.pieces] for seg in traj.segments]
+
+
+class TestCertifiedLadder:
+    # off-node fractions of each delay interval: multiples of the golden
+    # section, none a dyadic cut or a CGL node of a dyadic piece
+    FRACTIONS = (np.arange(1, 8) * (np.sqrt(5.0) - 1.0) / 2.0) % 1.0
+
+    @pytest.mark.parametrize("lam", [-1000.0, -200.0, 30.0])
+    def test_stiff_rows_meet_the_residual(self, lam):
+        # the rows fixed-degree collocation got wrong (0, 0 and 4.7
+        # digits): |x' - lam x| <= 1e-8 (|x'| + |lam x|) off the nodes
+        traj, ledger = dk.method_of_steps(scalar_row(lam))
+        assert not ledger.unresolved_pieces and not ledger.has_inconsistent
+        worst = 0.0
+        for i in range(1, 3):
+            for frac in self.FRACTIONS:
+                t = i - 1 + frac
+                x, xp = traj.evaluate(t)[0], traj.evaluate(t, order=1)[0]
+                scale = abs(xp) + abs(lam * x)
+                if scale > 0.0:
+                    worst = max(worst, abs(xp - lam * x) / scale)
+        assert worst <= 1e-8
+        # stiff pieces start cut: ||J|| w = |lam| / 2^level <= STIFF_WIDTH
+        widths = [b - a for a, b, _ in traj.segments[0].pieces.pieces]
+        assert max(widths) == 2.0 ** -np.ceil(np.log2(abs(lam) / solver.STIFF_WIDTH))
+
+    @pytest.mark.parametrize("eps, rungs", [(1e-6, 2), (1e-13, 1)])
+    def test_midpoint_residual_rejects_what_the_trim_misses(self, eps, rungs):
+        # v' = 1 + eps T_40: on the 17 nodes of degree 16, T_40 equals
+        # T_8, so the degree-16 collocant has a short tail whatever eps;
+        # only its residual, about eps against |v'| + |q| = 2 at the
+        # midpoints, tells RESID_RTOL = 1e-10 whether it is good enough
+        colloc = solver.SlowCollocation(np.array([[0.0]]), 48)
+        q = np.zeros((41, 1))
+        q[0, 0], q[40, 0] = 1.0, eps
+        integrate_one_piece(colloc, 0.0, 1.0, q, np.array([0.0]))
+        assert len(rung_degrees(colloc)) == rungs
+
+    def test_unit_invariant_above_the_floor(self):
+        # scaled by 1e-20 the solution stays far above tiny/eps (it ends
+        # near 1e-194), so every piece keeps its place and its length
+        traj, _ = dk.method_of_steps(scalar_row(-200.0))
+        tiny, _ = dk.method_of_steps(scalar_row(-200.0, scale=1e-20))
+        assert layout(tiny) == layout(traj)
+        end = traj.segments[-1].pieces.pieces[-1].coef.sum()
+        assert tiny.segments[-1].pieces.pieces[-1].coef.sum() == pytest.approx(1e-20 * end)
+
+    def test_width_floor_reports_unresolved(self, tmp_path, capsys):
+        # lambda = -1e7: a piece at the width floor tau / 2^MAX_DEPTH still
+        # has |lambda| h near 1e4, which no rung certifies; the runs are
+        # recorded as [segment, start, end], one warning goes to stderr,
+        # and the exit code does not change
+        problem = write_problem(tmp_path, scalar_row(-1e7))
+        out_csv, out_ledger = str(tmp_path / "traj.csv"), str(tmp_path / "ledger.json")
+        assert cli.main(["solve", problem, out_csv, out_ledger]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "unresolved_pieces" in err
+        runs = read_json(out_ledger)["unresolved_pieces"]
+        assert runs and all(len(r) == 3 and r[0] in (1, 2) and r[1] < r[2] for r in runs)
+        assert min(r[2] - r[1] for r in runs) >= 2.0 ** -solver.MAX_DEPTH * (1 - 1e-9)
+        # a certified solve writes the key too, empty
+        problem = write_problem(tmp_path, scalar_row(-1.0), "smooth.json")
+        assert cli.main(["solve", problem, out_csv, out_ledger]) == 0
+        assert read_json(out_ledger)["unresolved_pieces"] == []
+        assert capsys.readouterr().err == ""
+
+    @settings(derandomize=True, max_examples=12, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3),
+           breaks=st.sampled_from([(), (0.3,), (0.3, 0.7)]))
+    def test_stacked_ladder_matches_per_piece_reference(self, seed, n, breaks):
+        # level-0 pieces (||J|| tau <= STIFF_WIDTH): the stacked rounds
+        # give the ledger and, within 1e-13, the pieces of the ladder run
+        # one piece at a time
+        sys = retarded_ode(np.random.default_rng(seed), n, 3, breakpoints=breaks)
+        split = dk.build_split(sys)
+        assert np.abs(split.qwf.J).sum(axis=1).max() * sys.tau <= solver.STIFF_WIDTH
+        traj, ledger = dk.method_of_steps(sys, split)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver.SlowCollocation, "integrate", certified_per_piece)
+            ref_traj, ref_ledger = dk.method_of_steps(sys, split)
+        decisions = [[(e.knot_index, e.matched_order, e.first_jump_order,
+                       e.inconsistent_restart) for e in led.entries]
+                     for led in (ledger, ref_ledger)]
+        assert decisions[0] == decisions[1]
+        assert ledger.unresolved_pieces == ref_ledger.unresolved_pieces == []
+        for seg, ref in zip(traj.segments, ref_traj.segments, strict=True):
+            assert seg.pieces.breakpoints == ref.pieces.breakpoints
+            for (_, _, c), (_, _, c_ref) in zip(seg.pieces.pieces, ref.pieces.pieces):
+                full = np.zeros((max(len(c), len(c_ref)), c.shape[1]))
+                full[: len(c)] += c
+                full[: len(c_ref)] -= c_ref
+                assert np.max(np.abs(full)) <= 1e-13 * np.max(np.abs(c_ref))
