@@ -48,9 +48,9 @@ def trim_lengths(coefs, tol=TRIM_TOL):
     relative to the series' own size, with no absolute floor (a NaN row
     is kept).  A lone series is cut by a loop over its rows, which takes
     fewer numpy calls than the vectorized count of a stack."""
-    mags = np.abs(coefs).max(axis=-1, initial=0.0)
+    mags = np.maximum.reduce(np.abs(coefs), axis=-1, initial=0.0)
     if mags.ndim == 1 or len(mags) == 1:
-        cut, rows = tol * float(mags.max()), mags.reshape(-1).tolist()
+        cut, rows = tol * float(np.maximum.reduce(mags, axis=None)), mags.ravel().tolist()
         keep = len(rows)
         while keep > 1 and rows[keep - 1] <= cut:
             keep -= 1

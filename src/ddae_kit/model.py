@@ -33,7 +33,7 @@ from .pencil import (
     powers,
     vector_norm,
 )
-from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _width_keys
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _width_groups
 
 # orders the Taylor recursion advances per block (SplitCoefficients.taylor_blocks)
 TAYLOR_BLOCK = 16
@@ -244,7 +244,7 @@ class FastPart:
     powers (N^k)^T once, so the pieces of one length and width cost two
     stacked products and a sum together, and all pieces one trim.
     Widths are compared relative to the span of q_f
-    (piecewise._width_keys).  An instance keeps its operators for every
+    (piecewise._width_groups).  An instance keeps its operators for every
     q_f it solves.
     """
 
@@ -255,10 +255,10 @@ class FastPart:
 
     def solve(self, q_f: PiecewisePolynomial):
         a, b, c, lengths = q_f._stack
-        w = None
-        groups = _group(zip(lengths.tolist(), _width_keys(b - a, q_f.end - q_f.start)))
+        span, w = q_f.end - q_f.start, None
+        groups = _width_groups(a, b, span, lengths.tolist())
         for (length, width), ks in groups.items():
-            key = (q_f.basis.name, length, width, q_f.end - q_f.start)
+            key = (q_f.basis.name, length, width, span)
             if key not in self._ops:
                 self._ops[key] = _fast_operator(q_f.basis, length, a[ks[0]], b[ks[0]], self.nu)
             ops = self._ops[key]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import warnings
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -163,33 +164,14 @@ def _lengths(coefs):
     return ((len(c), c.dtype) for c in coefs)
 
 
-def _length_groups(coefs, lengths):
-    """The groups of _group(_lengths(coefs)), in some order, given the
-    lengths: when all arrays have one dtype, found by one stable sort of
-    the lengths rather than a Python key per array."""
-    dtypes = {c.dtype for c in coefs}
-    if len(dtypes) > 1:
-        return _group(_lengths(coefs))
-    dtype = dtypes.pop()
-    order = np.argsort(lengths, kind="stable")
-    values, firsts = np.unique(lengths[order], return_index=True)
-    return {(m, dtype): ks.tolist()
-            for m, ks in zip(values.tolist(), np.split(order, firsts[1:]))}
-
-
-def _stack_of(arrays):
-    """np.stack of arrays of one shape, by one concatenate (a third of
-    np.stack's per-array cost)."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
-
-
-def _width_keys(widths, span):
-    """The widths relative to span, rounded so that cuts that differ only
-    by roundoff, such as 0.3 and 1.0 - 0.7, share one key: pieces of one
-    key share the operators built for their width."""
-    if len(widths) == 1:  # without numpy's per-call cost
-        return [round(float(widths[0]) / span, 13)]
-    return (widths / span).round(13).tolist()
+def _width_groups(a, b, span, *keys):
+    """Indices of the pieces [a[k], b[k]] by (keys[0][k], ..., width key):
+    the width relative to span, rounded so that cuts that differ only by
+    roundoff, such as 0.3 and 1.0 - 0.7, share one key, so that the
+    pieces of one group share the operators built for their width."""
+    if len(a) == 1:  # one piece, one group: without numpy's per-call cost
+        return {(*(k[0] for k in keys), round(float(b[0] - a[0]) / span, 13)): [0]}
+    return _group(zip(*keys, ((b - a) / span).round(13).tolist()))
 
 
 def _head(c, m):
@@ -228,9 +210,8 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
     starts, stops, coefs = zip(*pieces)
     ends = np.array([starts, stops])
     spans = ends if windows is None else np.asarray(windows, dtype=float).T
-    lengths = np.fromiter(map(len, coefs), int, len(coefs))
-    groups = _length_groups(coefs, lengths)
-    counts = np.maximum(lengths, floor + 1)
+    groups = _group(_lengths(coefs))
+    counts = np.maximum(np.fromiter(map(len, coefs), int, len(coefs)), floor + 1)
     first = np.cumsum(counts) - counts
     nodes = np.empty(int(counts.sum()))
     values = np.empty((len(nodes), coefs[0].shape[1]),
@@ -241,8 +222,7 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
         t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         rows = first[ks, None] + np.arange(t.shape[1])
         nodes[rows] = t
-        group = coefs if len(groups) == 1 else [coefs[k] for k in ks]
-        c = _stack_of(group).transpose(1, 0, 2)[..., None]
+        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
         if basis is MONOMIAL:
             at, val = (lo - a) + (hi - lo) * 0.5 * (x + 1.0), P.polyval
         else:
@@ -257,29 +237,11 @@ def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
     and one trim per group of pieces of one length."""
     _, values, counts = cgl_samples(pieces, windows, 0, basis)
     first, coefs = np.cumsum(counts) - counts, [None] * len(pieces)
-    for (m, _), ks in _length_groups([c for _, _, c in pieces], counts).items():
+    for (m, _), ks in _group(_lengths(c for _, _, c in pieces)).items():
         stack = values_to_coeffs(values[first[ks, None] + np.arange(m)])
         for k, c, keep in zip(ks, stack, trim_lengths(stack).tolist()):
             coefs[k] = c[:keep]
     return coefs
-
-
-class _lazy:
-    """An attribute computed on first use and then stored on the
-    instance, like functools.cached_property without its lock (which
-    Python before 3.12 takes on every first use)."""
-
-    def __init__(self, fn):
-        self.fn, self.__doc__ = fn, fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 Piece = namedtuple("Piece", ["a", "b", "coef"])
@@ -357,14 +319,14 @@ class PiecewisePolynomial:
         out.basis = basis or self.basis
         return out
 
-    @_lazy
+    @cached_property
     def pieces(self):
         """The pieces of a function built from a stack, made on first use
         (a function built from pieces holds them from the start)."""
         a, b, coefs, lengths = self._stack
         return tuple(map(Piece, a.tolist(), b.tolist(), map(_head, coefs, lengths.tolist())))
 
-    @_lazy
+    @cached_property
     def _edges(self):
         """The starts and the ends of the pieces, as lists of floats, from
         whichever form the function holds."""
@@ -374,7 +336,7 @@ class PiecewisePolynomial:
         a, b = self._stack[:2]
         return a.tolist(), b.tolist()
 
-    @_lazy
+    @cached_property
     def _stack(self):
         """The pieces as arrays (a, b, coefs, lengths): piece k is
         [a[k], b[k]] with coefficients coefs[k, :lengths[k]], coefs of
@@ -385,7 +347,7 @@ class PiecewisePolynomial:
         if len(cs) == 1:
             coefs = cs[0][None]
         elif len(set(_lengths(cs))) == 1:
-            coefs = _stack_of(cs)
+            coefs = np.stack(cs)
         else:
             coefs = np.zeros((len(cs), lengths.max(), self.n), dtype=np.result_type(*cs))
             for k, c in enumerate(cs):
@@ -456,7 +418,7 @@ class PiecewisePolynomial:
     def _tol(self):
         return DOMAIN_RTOL * (self.end - self.start)
 
-    @_lazy
+    @cached_property
     def _cuts(self):
         """The domain ends widened by the tolerance, and the interior piece
         ends shifted by it for each side, as an array and as a tuple: built
@@ -587,7 +549,7 @@ class PiecewisePolynomial:
             return _interpolants(pieces, np.column_stack([lo, hi])) if pieces else []
         coefs = [None] * len(pieces)
         for ks in _group(_lengths(c for _, _, c in pieces)).values():
-            stack = _stack_of([pieces[k].coef for k in ks])
+            stack = np.stack([pieces[k].coef for k in ks])
             shifted = _shift_coeffs(stack, [lo[k] - pieces[k].a for k in ks])
             for k, c in zip(ks, shifted):
                 coefs[k] = c

@@ -47,7 +47,7 @@ from .model import (
     solution_taylor_from_value,
 )
 from .pencil import row_norms, vector_norm
-from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _stacked, _width_keys
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _stacked, _width_groups
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
@@ -212,7 +212,7 @@ def _vander_rows(degree, length):
 def _max_norms(x, axis=-1):
     """The max norm of each vector of x along axis, 0 for vectors of
     length 0."""
-    return np.abs(x).max(axis=axis, initial=0.0)
+    return np.maximum.reduce(np.abs(x), axis=axis, initial=0.0)
 
 
 def _chain(G, e, v0):
@@ -311,35 +311,45 @@ class SlowCollocation:
         solved at its rung, the start values chained from v0: per group of
         pieces of one (degree, width, forcing length), the indices and the
         coefficient stack (K, p+1, nd) with its trimmed lengths; and
-        whether each piece is certified.
+        whether each piece is certified: a bool per piece, or True for
+        all of them.
 
         A group's arrays are node-major, (p+1, nd K) with column r K + k
         for component r of piece k, so each operator is one product for
-        the whole group; a group of one piece gets the arithmetic of the
-        piece alone.
+        the whole group.  A lone piece is solved without a group's axis,
+        as one mat-vec: most segments are one piece.
         """
         nd, count = len(self.J), len(q)
         dtype = _common_dtype(self.J.dtype, v0.dtype, q.dtype)
-        widths, chained = b - a, count > 1
-        if chained:
-            G = np.empty((count, nd, nd), dtype=dtype)
-            e = np.empty((count, nd), dtype=dtype)
-        groups = []
-        keys = zip(rungs.tolist(), _width_keys(widths, span), lengths.tolist())
-        for (rung, _, length), ks in _group(keys).items():
+        widths = b - a
+        if count == 1:
+            p, length = self.ladder[rungs[0]], lengths[0]
+            qg = q[0, :length]
+            rhs = (_vander_rows(p, length)[0] @ qg).astype(dtype).reshape(-1)
+            rhs[:nd] = v0
+            values = (self._inverse(p, widths[0], span, dtype) @ rhs).reshape(p + 1, nd)
+            stack = values_to_coeffs(values)[None]
+            keep = trim_lengths(stack)
+            return ([(slice(None), stack[:, : keep[0]], keep)],
+                    self._certified(widths, qg, values, stack, keep))
+        G = np.empty((count, nd, nd), dtype=dtype)
+        e = np.empty((count, nd), dtype=dtype)
+        solving = []
+        for (rung, length, _), ks in _width_groups(a, b, span, rungs.tolist(),
+                                                   lengths.tolist()).items():
             p = self.ladder[rung]
             Ainv = self._inverse(p, widths[ks[0]], span, dtype)
             sel = slice(None) if len(ks) == count else ks
             qg = q[sel, :length].transpose(1, 2, 0).reshape(length, nd * len(ks))
             # rows i nd + r: component r of the forcing at node i
             rhs = (_vander_rows(p, length)[0] @ qg).astype(dtype).reshape(-1, len(ks))
-            if chained:  # the end rows: node p
-                G[sel] = Ainv[p * nd :, :nd]
-                e[sel] = (Ainv[p * nd :, nd:] @ rhs[nd:]).T
-            groups.append((sel, len(ks), p, Ainv, qg, rhs))
-        starts = _chain(G, e, v0) if chained else v0[None]
+            # the end rows: node p
+            G[sel] = Ainv[p * nd :, :nd]
+            e[sel] = (Ainv[p * nd :, nd:] @ rhs[nd:]).T
+            solving.append((sel, len(ks), p, Ainv, qg, rhs))
+        starts = _chain(G, e, v0)
         passed, solved = np.empty(count, dtype=bool), []
-        for sel, size, p, Ainv, qg, rhs in groups:
+        for sel, size, p, Ainv, qg, rhs in solving:
             rhs[:nd] = starts[sel].T
             values = (Ainv @ rhs).reshape(p + 1, nd * size)
             stack = values_to_coeffs(values).reshape(p + 1, nd, size).transpose(2, 0, 1)
@@ -357,28 +367,26 @@ class SlowCollocation:
         p, (nd, count) = values.shape[0] - 1, (len(self.J), len(widths))
         eps, floor = _format(values.dtype)
         ok = True
-        if keep.max() > p:
+        if max(keep.tolist()) > p:
             ok = (keep <= p) | (_max_norms(stack[:, p]) <= floor)
             if not ok.any():
                 return ok
-        # v', J v and q at the midpoints, (p, nd, K) each; J v by one
-        # product with the components first
+        # v', J v and q at the midpoints, (p, nd, K) each
         mats, abs_D = _midpoint_mats(p)
-        at_mids = (mats @ values).reshape(2, p, nd, count)
-        dv = at_mids[0] * (2.0 / widths)
-        Jv = (self.J @ at_mids[1].transpose(1, 0, 2).reshape(nd, p * count)).reshape(
-            nd, p, count).transpose(1, 0, 2)
+        dv, v = (mats @ values).reshape(2, p, nd, count)
+        dv = dv * (2.0 / widths)
+        Jv = self.J @ v
         qm = (_vander_rows(p, len(qg))[1] @ qg).reshape(p, nd, count)
         resid = _max_norms(dv - Jv - qm, axis=1)
         # |v'| alone is a smaller scale: what passes with it passes
-        met = resid <= RESID_RTOL * _max_norms(dv, axis=1)
-        if not met.all():
-            size = _max_norms(np.abs(dv) + np.abs(Jv) + np.abs(qm), axis=1)
-            met = resid <= RESID_RTOL * size
-            if not met.all():  # the floors: rounding of v' and the format's
-                rho = _max_norms((abs_D @ np.abs(values)).reshape(p, nd, count), axis=1) * (
-                    ROUNDING_UNITS * p * eps * 2.0 / widths)
-                met = (resid <= RESID_RTOL * size + rho) | (size < floor)
+        if (resid <= RESID_RTOL * _max_norms(dv, axis=1)).all():
+            return ok
+        size = _max_norms(np.abs(dv) + np.abs(Jv) + np.abs(qm), axis=1)
+        met = resid <= RESID_RTOL * size
+        if not met.all():  # the floors: rounding of v' and the format's
+            rho = _max_norms((abs_D @ np.abs(values)).reshape(p, nd, count), axis=1) * (
+                ROUNDING_UNITS * p * eps * 2.0 / widths)
+            met = (resid <= RESID_RTOL * size + rho) | (size < floor)
         return ok & met.all(axis=0)
 
     def integrate(self, forcing, v0):
@@ -389,10 +397,6 @@ class SlowCollocation:
         floor = span / 2**MAX_DEPTH
         a, b, q, lengths = forcing._stack
         v0 = np.asarray(v0)
-        if not (v0.any() or q.any()):  # zero data: the zero solution, unsolved
-            zero = np.zeros((len(q), 1, len(self.J)),
-                            dtype=_common_dtype(self.J.dtype, v0.dtype, q.dtype))
-            return forcing._with_stack((a, b, zero, np.ones(len(q), dtype=int)), len(self.J)), []
         # no piece is wider than the span
         levels = self._first_levels(b - a, floor) if self._J_norm * span > STIFF_WIDTH else None
         while levels is not None and levels.any():
@@ -401,17 +405,20 @@ class SlowCollocation:
         rungs = np.zeros(len(q), dtype=int)
         while True:
             solved, passed = self._round(a, b, q, lengths, rungs, v0, span)
-            certified = passed.all()
+            certified = passed is True or passed.all()
             if certified:
                 break
             top = rungs == len(self.ladder) - 1
             climb = ~passed & ~top
             halve = ~passed & top & (b - a >= 2.0 * floor * (1.0 - DOMAIN_RTOL))
-            if not (climb.any() or halve.any()):
+            if halve.any():
+                a, b, q, lengths, take = _halve(a, b, q, lengths, halve)
+                # the halves start again at the first rung
+                rungs = np.where(halve, 0, rungs + climb)[take]
+            elif climb.any():
+                rungs = rungs + climb
+            else:
                 break
-            a, b, q, lengths, take = _halve(a, b, q, lengths, halve)
-            # the halves start again at the first rung
-            rungs = np.where(halve, 0, rungs + climb)[take]
         if len(solved) == 1:  # one group holds every piece, in order
             _, coefs, lengths = solved[0]
         else:
