@@ -20,12 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import DdaeSystem, SplitCoefficients, solution_taylor, taylor_forcing
+from .model import (
+    DdaeSystem,
+    SplitCoefficients,
+    consistent_projection,
+    solution_taylor,
+    taylor_forcing,
+)
 from .pencil import negligible, norm2, powers, row_norms, vector_norm
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
-# relative tolerance for accepting a start value as consistent (is_consistent)
+# relative tolerance for accepting a start value as consistent (consistency)
 CONSISTENCY_TOL = 1e-7
 # largest m + index a probe history is built for: from 7 on the monomial
 # Hermite interpolant of degree 2 (m + index) + 1 misses its own contract
@@ -68,13 +74,14 @@ def first_segment_q_derivs(sys: DdaeSystem, orders: int):
     return phi_d @ sys.D.T + f_d
 
 
-def is_consistent(residual, x_request, q0):
+def consistency(x_request, x0, q0):
     """The one rule for a consistent start value, shared by the history
-    check and every solver restart: the defect between x_request and its
-    consistent projection is at most CONSISTENCY_TOL (1 + ||x_request||
-    + ||q0||), q0 the inhomogeneity q at the start."""
-    scale = 1.0 + vector_norm(x_request) + vector_norm(q0)
-    return _within(residual, CONSISTENCY_TOL, scale)
+    check and every solver restart: the defect ||x_request - x0|| between
+    x_request and its consistent projection x0, and whether it is at most
+    CONSISTENCY_TOL (1 + ||x_request|| + ||q0||), q0 the inhomogeneity q
+    at the start.  The three norms come from one pencil.row_norms call."""
+    residual, norm_x, norm_q = row_norms(np.array([x_request - x0, x_request, q0])).tolist()
+    return residual, _within(residual, CONSISTENCY_TOL, 1.0 + norm_x + norm_q)
 
 
 def _within(residual, tol, scale):
@@ -88,14 +95,14 @@ def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
 
     The history endpoint is consistent iff it equals
     A_con phi(0) + sum_{k=1}^{nu} C_k q^{(k-1)}(0) with
-    q = D phi(. - tau) + f, within is_consistent.
+    q = D phi(. - tau) + f, within consistency.
     """
     # rows 0..nu-1 enter the projection; the stack height also sets how the
     # product D phi rounds, and so the last bits of the reported residual
     q = first_segment_q_derivs(sys, max(split.nu, 1))
     phi0 = sys.phi.evaluate(0.0, side="left")
-    _, residual = solution_taylor(split, phi0, q, 0)
-    return is_consistent(residual, phi0, q[0]), residual
+    residual, consistent = consistency(phi0, consistent_projection(split, phi0, q), q[0])
+    return consistent, residual
 
 
 def agreement_order(left, right, top, tol, first=0):

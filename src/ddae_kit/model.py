@@ -31,6 +31,7 @@ from .pencil import (
     norm2,
     power_norms,
     powers,
+    spectral_norms,
     vector_norm,
 )
 from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _width_groups
@@ -155,13 +156,15 @@ class SplitCoefficients:
         """The norms every classification reads, each formed once per split.
 
         (||N||, (||N^k B_a|| for k < max(nu, 2)), (||B_a2^k|| for
-        1 <= k <= n_a)), with N^k and B_a2^k from pencil.powers.  Built
-        on first use.
+        1 <= k <= n_a)), with N^k and B_a2^k from pencil.powers and the
+        norms of each chain from one stacked SVD (pencil.spectral_norms).
+        Built on first use.
         """
         N, B_a = self.qwf.N, self.B_a
-        with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf
-            n_pow_ba = tuple(norm2(P @ B_a) for P in powers(N, max(self.nu, 2)))
-        return norm2(N), n_pow_ba, tuple(power_norms(self.B_a2, self.n_a))
+        with np.errstate(over="ignore", invalid="ignore"):  # spectral_norms raises on inf
+            n_pow_ba = np.array(list(powers(N, max(self.nu, 2)))) @ B_a
+        return (norm2(N), tuple(spectral_norms(n_pow_ba)),
+                tuple(power_norms(self.B_a2, self.n_a)))
 
     @cached_property
     def taylor_blocks(self):
@@ -172,29 +175,48 @@ class SplitCoefficients:
         block (a, i) is A_diff^(a-i) for i <= a (shape (B n, B n)), so
         the k <= B orders after x^{(j)} are
         P[:k n] @ x^{(j)} + L[:k n, :k n] @ r[j:j+k].ravel().  Built on
-        first use from log2(B) stacked products and one strided copy;
-        they belong to this split and are freed with it.
+        first use (_block_propagators); they belong to this split and are
+        freed with it.
         """
-        A, B = self.A_diff, TAYLOR_BLOCK
-        n = A.shape[0]
-        pows = np.empty((B + 1, n, n), dtype=A.dtype)  # A^0 .. A^B
-        pows[0] = np.eye(n)
-        pows[1] = A
-        m = 1
+        return _block_propagators(self.A_diff)
+
+    @cached_property
+    def block_starts(self):
+        """[P' L'], the block propagators (_block_propagators) of
+        A_diff^B, B = TAYLOR_BLOCK, side by side (shape (B n, (B+1) n)):
+        with y_b = x^{(b B)} and e_b the forcing's part of order (b+1) B,
+        y_(b+1), ..., y_(b+k) = [P' L'][:k n, :(k+1) n] [y_b; e_b; ...;
+        e_(b+k-1)], the first order of the next k <= B blocks at once."""
+        P, _ = self.taylor_blocks
+        G = np.hstack(_block_propagators(P[-self.n :]))
+        G.setflags(write=False)
+        return G
+
+
+def _block_propagators(A):
+    """P = [A; A^2; ...; A^B] and the lower block-Toeplitz L with blocks
+    A^(a-i), B = TAYLOR_BLOCK, from log2(B) stacked products and one
+    strided copy; powers past the float range are inf, quietly."""
+    B, n = TAYLOR_BLOCK, A.shape[0]
+    pows = np.empty((B + 1, n, n), dtype=A.dtype)  # A^0 .. A^B
+    pows[0] = np.eye(n)
+    pows[1] = A
+    m = 1
+    with np.errstate(over="ignore", invalid="ignore"):
         while m < B:
             top = min(2 * m, B)
             pows[m + 1 : top + 1] = pows[1 : top - m + 1] @ pows[m]
             m = top
-        # H = [A^(B-1) ... A^1 A^0 0 ... 0] side by side: block row a of L
-        # is the window of H that starts at block B-1-a
-        H = np.zeros((n, 2 * B - 1, n), dtype=A.dtype)
-        H[:, :B] = pows[B - 1 :: -1].transpose(1, 0, 2)
-        windows = sliding_window_view(H.reshape(n, -1), B * n, axis=1)
-        L = windows[:, (B - 1) * n :: -n].transpose(1, 0, 2).reshape(B * n, B * n)
-        P = pows[1:].reshape(B * n, n)
-        P.setflags(write=False)
-        L.setflags(write=False)
-        return P, L
+    # H = [A^(B-1) ... A^1 A^0 0 ... 0] side by side: block row a of L
+    # is the window of H that starts at block B-1-a
+    H = np.zeros((n, 2 * B - 1, n), dtype=A.dtype)
+    H[:, :B] = pows[B - 1 :: -1].transpose(1, 0, 2)
+    windows = sliding_window_view(H.reshape(n, -1), B * n, axis=1)
+    L = windows[:, (B - 1) * n :: -n].transpose(1, 0, 2).reshape(B * n, B * n)
+    P = pows[1:].reshape(B * n, n)
+    P.setflags(write=False)
+    L.setflags(write=False)
+    return P, L
 
 
 def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
@@ -294,70 +316,139 @@ def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
     defect ||x_request - xs[0]|| (pencil.vector_norm).
     """
     q_derivs = np.asarray(q_derivs)
+    x0 = consistent_projection(split, x_request, q_derivs)
+    residual = vector_norm(x_request - x0)
+    return solution_taylor_from_value(split, x0, q_derivs, orders), residual
+
+
+def consistent_projection(split: SplitCoefficients, x_request, q_derivs):
+    """The consistent value A_con x_request + sum_{k=1}^{nu} C_k q^{(k-1)}
+    of a state at an endpoint whose inhomogeneity derivatives are q_derivs."""
     x0 = split.A_con @ x_request
     # a short stack truncates this sum; solution_taylor_from_value rejects it
     for Ck, qk in zip(split.C[1:], q_derivs):
         x0 = x0 + Ck @ qk
-    residual = vector_norm(x_request - x0)
-    return solution_taylor_from_value(split, x0, q_derivs, orders), residual
+    return x0
 
 
 def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orders):
     """Like solution_taylor but trusts x_value as the order-0 entry.
 
+    One stream is x_value (n,), q_derivs (K, n) and an int orders, and
+    gives xs (orders+1, n).  A stack of S streams is x_value (S, n),
+    q_derivs (S, K, n) and one orders per stream, and gives one xs per
+    stream, in a list, all of one dtype; stream s reads only its first
+    orders[s] + nu rows of q_derivs, so a shorter stream may be
+    zero-padded to K.
+
     x^{(j+1)} = A_diff x^{(j)} + r_j with r_j from taylor_forcing.  The
-    recursion advances in blocks of up to TAYLOR_BLOCK orders through
-    split.taylor_blocks: one product applies L to the forcing of every
-    block at once, and each block adds P x^{(j)}, with x^{(j)} the last
-    order before the block.
-    Orders past the first non-finite forcing row, or past a block's first
-    non-finite order, go one at a time.
+    recursion advances in blocks of B = TAYLOR_BLOCK orders (one block of
+    all orders when there are at most B) through split.taylor_blocks:
+    one product applies L to the forcing of every block of every stream,
+    the order x^{(j)} before each block comes from the same propagators
+    for A_diff^B (split.block_starts, up to B blocks per product), and
+    one stacked product adds P x^{(j)} to every block.  Each stream keeps
+    its own frontier: its orders past its first non-finite forcing row,
+    or past the first order the blocks left non-finite, go one at a
+    time.  The stacked products give each stream the arithmetic it has
+    alone with the same block width and block count.
     """
     nu = split.nu
-    q_derivs = np.asarray(q_derivs)
-    if q_derivs.shape[0] < orders + nu:
+    x_value, q_derivs = np.asarray(x_value), np.asarray(q_derivs)
+    single = x_value.ndim == 1
+    if single:
+        x_value, q_derivs, orders = x_value[None], q_derivs[None], (orders,)
+    top_order = max(orders)
+    if q_derivs.shape[1] < top_order + nu:
         raise DimensionMismatch(
-            f"need {orders + nu} inhomogeneity derivatives, got {q_derivs.shape[0]}"
+            f"need {top_order + nu} inhomogeneity derivatives, got {q_derivs.shape[1]}"
         )
-    x_value = np.asarray(x_value)
-    if not orders:
-        return x_value[None].copy()
-    r = taylor_forcing(split, q_derivs, orders)
-    xs = np.empty(
-        (orders + 1,) + x_value.shape, dtype=np.result_type(x_value, r, split.A_diff)
-    )
-    xs[0] = x_value
-    # L mixes all orders of a block and 0 * inf is NaN, so the blocks stop
-    # at the first forcing row that is not finite; from there, and from
-    # the first order a block left non-finite, the loop goes one order at
-    # a time, as the unblocked recursion would
-    top = _finite_rows(r)
-    if top:
-        P, L = split.taylor_blocks
-        n = split.n
-        width = min(top, TAYLOR_BLOCK)
-        blocks = -(-top // width)
-        # column b holds the forcing r_j of block b, zero-padded past top
-        R = np.zeros((blocks * width, n), dtype=r.dtype)
-        R[:top] = r[:top]
-        LR = L[: width * n, : width * n] @ R.reshape(blocks, width * n).T
-        for b, j in enumerate(range(0, top, width)):
-            k = min(width, top - j)
-            xs[j + 1 : j + k + 1] = (P[: k * n] @ xs[j] + LR[: k * n, b]).reshape(k, n)
-        top = _finite_rows(xs[1 : top + 1])
-    for j in range(top, orders):
-        xs[j + 1] = split.A_diff @ xs[j] + r[j]
+    if not top_order:
+        xs = list(x_value[:, None].copy())
+    else:
+        xs = _taylor_stack(split, x_value, taylor_forcing(split, q_derivs, top_order), orders)
+    return xs[0] if single else xs
+
+
+def _taylor_stack(split, x_value, r, orders):
+    """Orders 0..orders[s] of each stream s from its value x_value[s] and
+    forcing rows r[s], one array per stream."""
+    orders = list(orders)
+    xs = _blocks(split, x_value, r, max(orders))
+    tops = _finite_rows(xs[:, 1:], orders)
+    if tops != orders:
+        # L mixes all orders of a block and 0 * inf is NaN, so a forcing
+        # row that is not finite spoils its whole block: the blocks of a
+        # stream then stop before its first such row.  From there, and
+        # from the first order the blocks left non-finite, its loop goes
+        # one order at a time, as the unblocked recursion would
+        forced = _finite_rows(r, orders)
+        if forced != orders:
+            r_finite = r.copy()
+            for rs, k in zip(r_finite, forced):
+                rs[k:] = 0.0
+            xs = _blocks(split, x_value, r_finite, max(forced))
+            tops = _finite_rows(xs[:, 1:], forced)
+        for x, rs, k, stop in zip(xs, r, tops, orders):
+            for j in range(k, stop):
+                x[j + 1] = split.A_diff @ x[j] + rs[j]
+    return [x[: k + 1] for x, k in zip(xs, orders)]
+
+
+def _blocks(split, x_value, r, top):
+    """Orders 0..top of every stream by the blocks of solution_taylor_from_value
+    (the orders past a stream's own are not used, and may overflow)."""
+    n, S = split.n, len(r)
+    width = min(top, TAYLOR_BLOCK) or 1
+    blocks = -(-top // width)
+    xs = np.empty((S, max(r.shape[1], blocks * width) + 1, n),
+                  dtype=np.result_type(x_value, r, split.A_diff))
+    xs[:, 0] = x_value
+    if not top:
+        return xs
+    P, L = split.taylor_blocks
+    wn = width * n
+    # the forcing of every block of every stream, zero-padded, through L:
+    # LR[s, b] is block b of stream s
+    R = r[:, :top]
+    if top < blocks * width:
+        R = np.zeros((S, blocks * width, n), dtype=r.dtype)
+        R[:, :top] = r[:, :top]
+    with np.errstate(over="ignore", invalid="ignore"):
+        LR = (L[:wn, :wn] @ R.reshape(S, blocks, wn).transpose(0, 2, 1)).transpose(0, 2, 1)
+        # the order before each block, x^{(b B)}, from the block starts'
+        # propagators (width = B), then every order
+        starts = xs[:, :1]
+        if blocks > 1:
+            starts = np.empty((S, blocks, n), dtype=xs.dtype)
+            starts[:, 0] = x_value
+            G = split.block_starts
+            ends = LR[:, :, -n:]  # the forcing's part of each block's last order
+            for m in range(0, blocks - 1, TAYLOR_BLOCK):
+                k = min(TAYLOR_BLOCK, blocks - 1 - m)
+                chain = np.concatenate([starts[:, m], ends[:, m : m + k].reshape(S, k * n)], axis=1)
+                starts[:, m + 1 : m + k + 1] = (G[: k * n, : (k + 1) * n] @ chain[..., None]
+                                                ).reshape(S, k, n)
+        np.add((P[:wn] @ starts[..., None])[..., 0], LR,
+               out=xs[:, 1 : blocks * width + 1].reshape(S, blocks, wn))
     return xs
 
 
 def taylor_forcing(split: SplitCoefficients, q_derivs, orders):
     """Forcing rows r_0..r_{orders-1} of the Taylor recursion,
-    r_j = sum_{k=0}^{nu} C_k q^{(k+j)}, from nu+1 stacked products."""
-    return sum(q_derivs[k : k + orders] @ split.C[k].T for k in range(split.nu + 1))
+    r_j = sum_{k=0}^{nu} C_k q^{(k+j)}, from nu+1 stacked products; for a
+    stack of streams q_derivs (S, K, n), one product per C_k for all."""
+    r = q_derivs[..., :orders, :] @ split.C[0].T
+    for k in range(1, split.nu + 1):
+        r += q_derivs[..., k : k + orders, :] @ split.C[k].T
+    return r
 
 
-def _finite_rows(X):
-    """Number of leading rows of X whose entries are all finite."""
-    finite = np.isfinite(X).all(axis=1)
-    return len(X) if finite.all() else int(finite.argmin())
-
+def _finite_rows(X, caps):
+    """For each stream s of the stack X, the number of leading rows of
+    X[s, :caps[s]] whose entries are all finite."""
+    X = X[:, : max(caps)]
+    if np.isfinite(X).all():
+        return list(caps)
+    finite = np.isfinite(X).all(axis=2)
+    return [k if f[:k].all() else int(f[:k].argmin()) for f, k in zip(finite, caps)]

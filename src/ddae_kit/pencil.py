@@ -56,7 +56,31 @@ def norm2(M):
     returns, without its generic dispatch.  A norm past the float range
     decides nothing and raises DecompositionFailure.
     """
-    norm = float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+    return _finite(float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0)
+
+
+def spectral_norms(stack):
+    """The spectral norm of each matrix of a stack, lazily: bit for bit
+    norm2 of each, from one stacked SVD.  Reading a norm that is not
+    finite (a member holding inf or nan, or one whose norm leaves the
+    float range) raises DecompositionFailure, as norm2 does; a norm
+    never read never raises."""
+    if not stack.size:
+        norms = [0.0] * len(stack)
+    else:
+        try:
+            norms = np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+        except np.linalg.LinAlgError:  # a member holding nan: the others alone
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            norms = np.full(len(stack), np.nan)
+            norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
+            norms = norms.tolist()
+    return (_finite(norm) for norm in norms)
+
+
+def _finite(norm):
+    """norm, when it is finite; a norm past the float range decides
+    nothing and raises DecompositionFailure."""
     if not norm < np.inf:  # inf or nan
         raise DecompositionFailure("a matrix norm is not finite; rescaling the data may help")
     return norm
@@ -71,15 +95,21 @@ def row_norms(rows):
     largest magnitude, so its norm is inf only when the norm itself
     leaves the float range; a row holding inf or nan keeps inf or nan.
     """
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(sum((p[:, None, :] @ p[:, :, None])[:, 0, 0] for p in parts))
-        over = np.flatnonzero(norms == np.inf)
-        if over.size:
+        norms = np.sqrt(_dots(rows.real) + _dots(rows.imag) if np.iscomplexobj(rows)
+                        else _dots(rows))
+        over = norms == np.inf
+        if over.any():
+            over = np.flatnonzero(over)
             big = np.abs(rows[over]).max(axis=1)
             over, big = over[big < np.inf], big[big < np.inf]
             norms[over] = big * row_norms(rows[over] / big[:, None])
     return norms
+
+
+def _dots(p):
+    """Each row of a real 2-D stack times itself, through matmul."""
+    return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
 
 
 def vector_norm(x):
@@ -326,8 +356,15 @@ def powers(M, count):
 
 
 def power_norms(N, count):
-    """||N^k|| for k = 1..count, lazily."""
-    return (norm2(P) for P in islice(powers(N, count + 1), 1, None))
+    """||N^k|| for k = 1..count, lazily: the powers in chunks of 2, 2, 4,
+    8, ... (each chunk as long as the chain before it), each chunk's
+    norms from one stacked SVD (spectral_norms), so a reader that stops
+    at k forms at most 2k powers and takes about log2(k) SVDs."""
+    chain = islice(powers(N, count + 1), 1, None)
+    read = 0
+    while chunk := list(islice(chain, max(read, 2))):
+        read += len(chunk)
+        yield from spectral_norms(np.array(chunk))
 
 
 def first_negligible_power(norms):
@@ -346,7 +383,7 @@ def nilpotency_index(Nmat):
 
     N^k is zero when negligible(||N^k||, ||N||^k), with ||.|| the
     spectral norm.  An m x m matrix is nilpotent iff N^m = 0, so at most
-    m powers are formed; the empty 0 x 0 matrix has index 0.
+    m powers are read (power_norms); the empty 0 x 0 matrix has index 0.
     """
     N = np.atleast_2d(np.asarray(Nmat))
     if N.size == 0:

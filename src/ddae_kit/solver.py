@@ -37,13 +37,13 @@ from .errors import (
     InconsistentRestart,
     NotAdmissible,
 )
-from .history import agreement_order, check_admissible, is_consistent
+from .history import agreement_order, check_admissible, consistency
 from .model import (
     DdaeSystem,
     FastPart,
     SplitCoefficients,
     build_split,
-    solution_taylor,
+    consistent_projection,
     solution_taylor_from_value,
 )
 from .pencil import row_norms, vector_norm
@@ -110,7 +110,10 @@ class SegmentSolution:
     derivs_start / derivs_end hold one-sided derivatives (rows = order)
     at the left and right segment ends; unresolved lists the (a, b) of
     the runs of pieces whose collocant failed its certificate at the
-    width floor.
+    width floor.  restart is (derivs_start, consistency_residual,
+    consistent) of segment index + 1, formed with derivs_end at their
+    common knot (solve_segment), or None when no later segment of the
+    sweep reads it.
     """
 
     index: int
@@ -119,6 +122,7 @@ class SegmentSolution:
     derivs_start: np.ndarray
     derivs_end: np.ndarray
     unresolved: list = field(default_factory=list)
+    restart: tuple | None = None
 
 
 @dataclass(eq=False)
@@ -549,30 +553,33 @@ class Sweep:
     windows of the transformed inhomogeneity S f on each segment in
     Chebyshev form (all cut and converted in one pass,
     PiecewisePolynomial.windows) and f's derivative tables at the knots
-    are built here once, from the system, the split and the top degree,
-    and go with the sweep.
+    (first - 1) tau .. last tau are built here once, from the system,
+    the split and the top degree, and go with the sweep.
     """
 
     def __init__(self, sys: DdaeSystem, split: SplitCoefficients, config: SolverConfig,
                  first, last):
-        self.first, self.T = first, split.qwf.T
+        self.first, self.last, self.T = first, last, split.qwf.T
         self.colloc = SlowCollocation(split.qwf.J, config.degree)
         self.fast = FastPart(split.qwf.N, split.nu)
-        self.SD = np.vstack([split.B_d, split.B_a])
+        self.SD, self.D_T = np.vstack([split.B_d, split.B_a]), split.D.T
         # knot times from the segments' own length tau; rows past f's degree are 0
         knots = np.arange(first - 1, last + 1) * sys.tau
         self.windows = sys.f.apply_matrix(split.qwf.S).windows(knots[:-1], knots[1:])
         d = sys.f.max_degree
-        self.f_table = np.stack([sys.f.derivatives(knots[:-1], d, side="right"),
-                                 sys.f.derivatives(knots[1:], d, side="left")], axis=1)
+        self.f_table = np.stack([sys.f.derivatives(knots, d, side="left"),
+                                 sys.f.derivatives(knots, d, side="right")], axis=1)
 
-    def f_knots(self, i, count):
-        """f's derivatives 0..count-1 at the start and at the end of
-        segment i; the rows above the table's are zero."""
-        rows = self.f_table[i - self.first, :, :count]
-        out = np.zeros((2, count, rows.shape[2]), dtype=rows.dtype)
-        out[:, : rows.shape[1]] = rows
-        return out
+    def q_knot(self, k, rows, side=slice(None)):
+        """q = D x(. - tau) + f at the knot k tau from the derivative rows
+        of x(. - tau) there: one side (0 from the left, 1 from the right)
+        or both stacked (rows of shape (2, count, n)); f's rows are added
+        only where the table holds them."""
+        # f may be complex where the streams are real
+        q = (rows @ self.D_T).astype(np.result_type(rows, self.D_T, self.f_table), copy=False)
+        f = self.f_table[k - self.first + 1, side, : q.shape[-2]]
+        q[..., : f.shape[-2], :] += f
+        return q
 
     def recombine(self, v: PiecewisePolynomial, q_f: PiecewisePolynomial):
         """x = T [v; w] with w the fast part for q_f, cut first at the
@@ -598,23 +605,27 @@ def solve_segment(
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
-    Raises InconsistentRestart when the previous end value is not a
-    consistent initial value for this segment (history.is_consistent);
-    the error carries the order-0 jump to the consistent projection.
-    sweep is the Sweep of split and config that holds segment i.
+    The start stream of segment i and its restart test come from
+    prev.restart, or are formed here when prev has none (the history, a
+    segment solved elsewhere).  Raises InconsistentRestart when the
+    previous end value is not a consistent initial value for this
+    segment (history.consistency); the error carries the order-0 jump to
+    the consistent projection.  sweep is the Sweep of split and config
+    that holds segment i; when it also holds segment i + 1, that
+    segment's restart is formed at knot i (_knot).
     """
     nu, n_d = split.nu, split.n_d
     R_prev = prev.derivs_start.shape[0]
     orders = max(R_prev - 1 - nu, 1)
 
-    # inhomogeneity derivative streams at both segment ends
-    f_left, f_right = sweep.f_knots(i, R_prev)
-    q_left = prev.derivs_start @ split.D.T + f_left
-    q_right = prev.derivs_end @ split.D.T + f_right
-
     x_req = prev.derivs_end[0]
-    derivs_start, residual = solution_taylor(split, x_req, q_left, orders)
-    if not is_consistent(residual, x_req, q_left[0]):
+    if prev.restart is None:
+        q_left = sweep.q_knot(i - 1, prev.derivs_start, 1)
+        x0, residual, consistent = _restart(split, x_req, q_left)
+        derivs_start = solution_taylor_from_value(split, x0, q_left, orders)
+    else:
+        derivs_start, residual, consistent = prev.restart
+    if not consistent:
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
 
     # [q_d; q_f] = S D x(t - tau) + S f on the segment, in local time
@@ -626,11 +637,44 @@ def solve_segment(
 
     _, _, x, lengths = pieces._stack
     x_end = x[-1, : lengths[-1]].sum(axis=0)  # T_k(1) = 1
-    derivs_end = solution_taylor_from_value(split, x_end, q_right, orders)
-
+    derivs_end, restart = _knot(split, i, prev.derivs_end, derivs_start, x_end, orders, sweep)
     return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
                            derivs_start=derivs_start, derivs_end=derivs_end,
-                           unresolved=unresolved)
+                           unresolved=unresolved, restart=restart)
+
+
+def _restart(split, x_req, q):
+    """The consistent projection x0 of a restart value x_req with
+    inhomogeneity derivatives q there, the defect ||x_req - x0|| and the
+    verdict of history.consistency."""
+    x0 = consistent_projection(split, x_req, q)
+    return (x0, *consistency(x_req, x0, q[0]))
+
+
+def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
+    """The end stream of segment i and, when segment i + 1 is in the
+    sweep, its restart (start stream, defect, verdict), else None.
+
+    q on both sides of knot i (from prev_end, the end stream of segment
+    i - 1, and from derivs_start) is one product, and the two streams
+    (orders and max(orders - nu, 1) orders) one stacked recursion.  A
+    start stream too short to drive segment i + 1 leaves its restart to
+    that segment, which rejects it as it would alone.
+    """
+    nu = split.nu
+    after = max(orders - nu, 1)
+    if i == sweep.last or after + nu > len(derivs_start):
+        q_end = sweep.q_knot(i, prev_end, 0)
+        return solution_taylor_from_value(split, x_end, q_end, orders), None
+    rows = orders + nu
+    sides = np.zeros((2, rows, len(x_end)), dtype=np.result_type(prev_end, derivs_start))
+    sides[0] = prev_end[:rows]
+    sides[1, : min(rows, len(derivs_start))] = derivs_start[:rows]
+    q = sweep.q_knot(i, sides)
+    x0, residual, consistent = _restart(split, x_end, q[1])
+    derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
+                                                   (orders, after))
+    return derivs_end, (start, residual, consistent)
 
 
 def method_of_steps(

@@ -64,7 +64,11 @@ def random_regular_pencil(rng, n, n_d=None, nu=None):
 
 def taylor_per_order(split, x_value, q_derivs, orders):
     """Reference Taylor recursion: x^(j+1) = A_diff x^(j) + sum_k C_k q^(k+j),
-    one order at a time with nu+2 mat-vecs per order."""
+    one order at a time with nu+2 mat-vecs per order.  A stack of streams
+    (x_value (S, n), q_derivs (S, K, n), one orders per stream) gives a
+    list, each stream recursed alone."""
+    if np.ndim(x_value) == 2:
+        return [taylor_per_order(split, x, q, k) for x, q, k in zip(x_value, q_derivs, orders)]
     xs = [np.asarray(x_value)]
     for j in range(orders):
         nxt = split.A_diff @ xs[j]

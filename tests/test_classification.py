@@ -178,26 +178,39 @@ class TestCouplingNorms:
 
     def test_one_chain_per_split(self, monkeypatch):
         # classify, the hidden-delay expansion and the stability gate all
-        # read one split: its norms are formed once, on first use
+        # read one split: its norms are formed once, on first use, ||N||
+        # alone, the N^k B_a chain by one stacked SVD and the B_a2^k chain
+        # by one per chunk of 2, 2, 4, ... powers (pencil.power_norms)
         rng = np.random.default_rng(44)
         blocks = random_smoothing_blocks(rng, 1, 3, 2)
         sys_, split = random_system_from_blocks(rng, 1, 3, 2, blocks, horizon=5)
         report = StabilityReport(alpha=None, rightmost_roots=[],
                                  box=default_box(sys_.E, sys_.A, sys_.D, 1.0),
                                  grid=(2, 2), box_limited=False)
-        norms, norm2 = [], pencil.norm2
+        norms, chains = [], []
+        norm2, spectral_norms = pencil.norm2, pencil.spectral_norms
 
         def counted(M):
             norms.append(M.shape)
             return norm2(M)
 
-        monkeypatch.setattr(model, "norm2", counted)
-        monkeypatch.setattr(pencil, "norm2", counted)
+        def counted_chain(stack):
+            chains.append(len(stack))
+            return spectral_norms(stack)
+
+        for module in (model, pencil):
+            monkeypatch.setattr(module, "norm2", counted)
+            monkeypatch.setattr(module, "spectral_norms", counted_chain)
         assert "coupling_norms" not in vars(split)
         assert dk.classify(split, 5).propagation.kind is PropagationKind.SMOOTHING
         dk.expand_hidden_delays(sys_, split)
         dk.assess_exponential_stability(sys_, split, report)
-        assert len(norms) == 1 + max(split.nu, 2) + split.n_a
+        chunks, read = [], 0
+        while read < split.n_a:
+            chunks.append(min(max(read, 2), split.n_a - read))
+            read += chunks[-1]
+        assert len(norms) == 1
+        assert chains == [max(split.nu, 2), *chunks] and sum(chunks) == split.n_a == 3
 
 
 class TestBackwardSystem:

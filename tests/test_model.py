@@ -282,7 +282,7 @@ class TestSolutionTaylor:
         assert split.nu == nu
         # unit-norm A_diff keeps 128 orders from being swamped by A_diff^j x0
         split = replace(split, A_diff=split.A_diff / np.linalg.norm(split.A_diff, 2))
-        for orders in (0, 1, 2, 17, 128):
+        for orders in (0, 1, 2, 17, 128, 300):  # 300: two products of block starts
             q = rng.standard_normal((orders + nu, n))  # the fewest accepted
             x0 = rng.standard_normal(n)
             if field is complex:
@@ -371,6 +371,99 @@ class TestSolutionTaylor:
             assert not np.isfinite(ref[-1]).all()
             assert (np.isfinite(got) == np.isfinite(ref)).all()
 
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("nu", [0, 1, 2, 3, 4])
+    def test_stream_pairs_match_each_stream_alone(self, nu, field):
+        # two streams of unequal orders in one stacked recursion: each
+        # within 1e-13 of its per-order norm of the stream alone, and bit
+        # for bit the stream alone when it has the stack's block width
+        # and block count
+        rng = np.random.default_rng(100 + nu)
+        n = 7
+        E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+        if field is complex:
+            U = well_conditioned(rng, n) + 0.5j * well_conditioned(rng, n)
+            E, A = U @ E, U @ A
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
+        assert split.nu == nu
+        split = replace(split, A_diff=split.A_diff / np.linalg.norm(split.A_diff, 2))
+        for orders in ((40, 40 - nu), (17, 130), (5, 0), (16, 3), (33, 32)):
+            rows = max(orders) + nu
+            q = rng.standard_normal((2, rows, n))
+            x = rng.standard_normal((2, n))
+            if field is complex:
+                q = q + 1j * rng.standard_normal(q.shape)
+            # the shorter stream holds only the rows it reads
+            short = int(np.argmin(orders))
+            q[short, orders[short] + nu :] = 0.0
+            got = solution_taylor_from_value(split, x, q, orders)
+            assert len(got) == 2
+            for s in (0, 1):
+                alone = solution_taylor_from_value(split, x[s], q[s], orders[s])
+                ref = taylor_per_order(split, x[s], q[s], orders[s])
+                assert got[s].shape == alone.shape == (orders[s] + 1, n)
+                # a stack's streams share one dtype; alone, a stream of
+                # no orders keeps its value's
+                assert got[s].dtype == (alone.dtype if orders[s] else got[1 - s].dtype)
+                err = np.linalg.norm(got[s] - alone, axis=1)
+                assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=1))
+                width = min(max(orders), TAYLOR_BLOCK)
+                if orders[s] and (min(orders[s], width), -(-orders[s] // width)) == (
+                        width, -(-max(orders) // width)):
+                    assert got[s].tobytes() == alone.tobytes()
+
+    def test_stream_stack_checks_its_rows(self):
+        split = dk.build_split(example_slow_smoothing())
+        with pytest.raises(dk.DimensionMismatch):
+            solution_taylor_from_value(split, np.zeros((2, 2)), np.zeros((2, 4, 2)), (3, 5))
+
+    @pytest.mark.parametrize("nu", [0, 1, 3])
+    def test_non_finite_forcing_of_one_stream_of_a_pair(self, nu):
+        # an infinite q^(20) in one stream of a pair stops only that
+        # stream's blocks: the other stays bit for bit its lone result,
+        # and the failing one keeps the per-order loop's frontier
+        rng = np.random.default_rng(110 + nu)
+        n = 5
+        E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
+        orders = (40, 37)
+        for bad in (0, 1):
+            q = rng.standard_normal((2, 40 + nu, n))
+            q[bad, 20] = np.inf
+            x = rng.standard_normal((2, n))
+            with np.errstate(invalid="ignore"):
+                got = solution_taylor_from_value(split, x, q, orders)
+                ref = taylor_per_order(split, x, q, orders)
+            good = 1 - bad
+            alone = solution_taylor_from_value(split, x[good], q[good], orders[good])
+            assert got[good].tobytes() == alone.tobytes()
+            assert (np.isfinite(got[bad]) == np.isfinite(ref[bad])).all()
+            assert np.isfinite(ref[bad][: 21 - nu]).all()
+            assert not np.isfinite(ref[bad][21 - nu]).all()
+            scale = np.linalg.norm(ref[bad][: 21 - nu], axis=1).max()
+            assert np.abs(got[bad][: 21 - nu] - ref[bad][: 21 - nu]).max() <= 1e-12 * scale
+
+    def test_overflow_frontier_of_pairs_matches_per_order_loop(self):
+        # two streams of unlike scale overflow at different orders: each
+        # leaves non-finite exactly the entries the loop does for it
+        rng = np.random.default_rng(91)
+        for _ in range(30):
+            nu, n = int(rng.integers(0, 3)), 4
+            E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
+            split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
+            norm_A = rng.uniform(100.0, 3000.0)
+            stiff = replace(split, A_diff=split.A_diff * (norm_A / np.linalg.norm(split.A_diff, 2)))
+            orders = (130, 130 - max(nu, 1))
+            scales = 10.0 ** rng.uniform(0, 200, size=(2, 1, 1))
+            q = rng.standard_normal((2, 130 + nu, n)) * scales
+            x = rng.standard_normal((2, n)) * scales[:, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = solution_taylor_from_value(stiff, x, q, orders)
+                ref = taylor_per_order(stiff, x, q, orders)
+            for g, r in zip(got, ref):
+                assert not np.isfinite(r[-1]).all()
+                assert (np.isfinite(g) == np.isfinite(r)).all()
+
     def test_power_blocks(self):
         # P stacks A_diff^1..B; block (a, i) of L is A_diff^(a-i) below the
         # diagonal and exactly zero above it
@@ -394,6 +487,22 @@ class TestSolutionTaylor:
             assert all(close(blocks[a, i], a - i) for i in range(a + 1))
             assert not blocks[a, a + 1 :].any()
         assert split.taylor_blocks[1] is L
+        # the block starts' propagators: the same shapes for A_diff^B,
+        # side by side
+        G = split.block_starts
+        assert G.shape == (B * n, (B + 1) * n)
+        P2, L2 = G[:, :n], G[:, n:]
+        AB = powers[B]
+        chain = [np.eye(n)]
+        for _ in range(B):
+            chain.append(chain[-1] @ AB)
+        blocks2 = L2.reshape(B, n, B, n).transpose(0, 2, 1, 3)
+        for a in range(B):
+            assert np.linalg.norm(P2[a * n : (a + 1) * n] - chain[a + 1], 2) <= 1e-11 * scale ** (
+                B * (a + 1))
+            assert all(np.linalg.norm(blocks2[a, i] - chain[a - i], 2) <= 1e-11 * scale ** (
+                B * (a - i)) for i in range(a + 1))
+            assert not blocks2[a, a + 1 :].any()
 
     def test_power_blocks_die_with_the_split(self):
         sys = example_slow_smoothing()
@@ -429,19 +538,22 @@ class TestSolutionTaylor:
 class TestKnotTable:
     @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
     def test_rows_bit_identical_to_f_derivatives(self, basis):
-        # the sweep tabulates f's own derivatives at both ends of every
-        # segment: rows 0..d bit for bit those of f.derivatives, every
+        # the sweep tabulates f's own derivatives on both sides of every
+        # knot: rows 0..d bit for bit those of f.derivatives, every
         # higher row zero, and within rounding of S^-1 (S f)
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         M, d = sys.horizon_intervals, sys.f.max_degree
         sweep = Sweep(sys, split, dk.SolverConfig(), 1, M)
-        assert sweep.f_table.shape == (M, 2, d + 1, sys.n)
+        assert sweep.f_table.shape == (M + 1, 2, d + 1, sys.n)
         data = sys.f.apply_matrix(split.qwf.S)
-        for i in range(1, M + 1):
-            ends = sweep.f_knots(i, 3 * d + 6)  # orders 0..3d+5
-            for rows, t, side in zip(ends, ((i - 1) * sys.tau, i * sys.tau), ("right", "left")):
+        for k in range(M + 1):
+            # q = D x + f at the knot with x = 0: f's rows, zero above d
+            sides = sweep.q_knot(k, np.zeros((2, 3 * d + 6, sys.n)))  # orders 0..3d+5
+            for rows, table, side in zip(sides, sweep.f_table[k], ("left", "right")):
+                t = k * sys.tau
                 full = sys.f.derivatives(t, 3 * d + 5, side=side)
+                assert table.tobytes() == full[: d + 1].tobytes()
                 assert rows.tobytes() == full.tobytes()
                 assert full[d + 1 :].tobytes() == np.zeros_like(full[d + 1 :]).tobytes()
                 via_S = data.derivatives(t, d, side=side) @ np.linalg.inv(split.qwf.S).T

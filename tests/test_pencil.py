@@ -6,7 +6,7 @@ import pytest
 import ddae_kit as dk
 from ddae_kit import pencil
 from ddae_kit.cli import main
-from ddae_kit.history import CONSISTENCY_TOL, is_consistent
+from ddae_kit.history import CONSISTENCY_TOL, consistency
 from ddae_kit.pencil import negligible, norm2, rank_threshold, row_norms, vector_norm
 
 from gen import random_regular_pencil
@@ -47,11 +47,25 @@ class TestVectorNorms:
         assert vector_norm(np.zeros(0)) == 0.0
 
     def test_overflowed_residual_is_never_consistent(self):
-        big = np.array([1e300, 1e300])
-        assert not is_consistent(np.inf, big, big)
-        assert not is_consistent(np.nan, big, big)
-        assert is_consistent(CONSISTENCY_TOL, np.zeros(2), np.zeros(2))
-        assert not is_consistent(1e300, big, np.zeros(2))
+        big, zero = np.array([1e300, 1e300]), np.zeros(2)
+        beyond = np.full(2, 1.7e308)  # finite, with a norm past the float range
+        assert consistency(beyond, zero, zero) == (np.inf, False)
+        residual, consistent = consistency(big, np.array([np.nan, 0.0]), big)
+        assert np.isnan(residual) and not consistent
+        assert consistency(zero, np.array([CONSISTENCY_TOL, 0.0]), zero) == (CONSISTENCY_TOL, True)
+        assert not consistency(big, zero, zero)[1]
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_consistency_norms_bit_identical_to_vector_norm(self, field):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 8):
+            x, x0, q0 = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-100, 100, size=(3, 1))
+            if field is complex:
+                x0 = x0 + 1j * rng.standard_normal(n)
+            residual, _ = consistency(x, x0, q0)
+            assert residual == vector_norm(x - x0)
+            scale = 1.0 + vector_norm(x) + vector_norm(q0)
+            assert consistency(x, x0, q0)[1] == (residual <= CONSISTENCY_TOL * scale)
 
 
 class TestNorm2:
@@ -66,6 +80,37 @@ class TestNorm2:
             got = norm2(M)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(np.linalg.norm(M, 2)).tobytes()
+
+
+class TestSpectralNorms:
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_power_chains_bit_identical_to_norm2(self, field):
+        rng = np.random.default_rng(13)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            N = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            if field is complex:
+                N = N + 1j * rng.standard_normal((n, n))
+            got = list(pencil.power_norms(N, n))
+            ref = [norm2(P) for P in list(pencil.powers(N, n + 1))[1:]]
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    def test_empty_members_have_norm_zero(self):
+        assert list(pencil.spectral_norms(np.zeros((3, 0, 4)))) == [0.0] * 3
+        assert list(pencil.power_norms(np.zeros((0, 0)), 0)) == []
+
+    def test_a_non_finite_norm_raises_only_when_read(self):
+        # N = [[0, 1e200], [1e-40, 0]]: N^2 = 1e160 I is negligible at the
+        # overflowed scale ||N||^2, and N^3 holds an inf; the early exit
+        # at k = 2 never reads ||N^3||, a full read raises
+        N = np.array([[0.0, 1e200], [1e-40, 0.0]])
+        assert pencil.first_negligible_power(pencil.power_norms(N, 3)) == 2
+        with pytest.raises(dk.DecompositionFailure, match="not finite"):
+            list(pencil.power_norms(N, 3))
+        norms = pencil.spectral_norms(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+        assert next(norms) == 1.0
+        with pytest.raises(dk.DecompositionFailure, match="not finite"):
+            next(norms)
 
 
 class TestRegularity:
@@ -404,5 +449,6 @@ class TestDefectScreen:
                 f"block structure defect {max(a, b):.3e} exceeds tolerance {tol:.3e}")
         else:
             assert dk.compute_qwf(p).nu == 1
-            # the defects' spectral norms, then ||N|| for the nilpotency check
-            assert shapes == [(2, 2)] * (spectral_norms + 1)
+            # the defects' spectral norms; the nilpotency check takes ||N^k||
+            # from stacked SVDs (pencil.power_norms)
+            assert shapes == [(2, 2)] * spectral_norms

@@ -141,24 +141,71 @@ class TestMethodOfSteps:
                              ids=["monomial", "chebyshev"])
     def test_knot_table_changes_no_byte(self, basis):
         # the sweep reads f's knot derivatives from its table; segments
-        # solved one by one, each in a one-segment sweep, give equal bytes
+        # solved one by one, each in a sweep of itself and its successor
+        # (so that its end knot is formed with the successor's start, as
+        # in the whole sweep), give equal bytes
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         traj, _ = dk.method_of_steps(sys, split)
-        assert len(traj.segments) == sys.horizon_intervals
+        M = sys.horizon_intervals
+        assert len(traj.segments) == M
         k_max = split.nu + 2
-        prev = solver.history_as_segment(
-            sys, k_max + sys.horizon_intervals * split.nu + max(split.nu, 1))
+        prev = solver.history_as_segment(sys, k_max + M * split.nu + max(split.nu, 1))
         config = dk.SolverConfig()
         for i, seg in enumerate(traj.segments, start=1):
             alone = solver.solve_segment(split, i, prev, config,
-                                         solver.Sweep(sys, split, config, i, i))
+                                         solver.Sweep(sys, split, config, i, min(i + 1, M)))
+            assert (alone.restart is None) == (i == M)
             for name in ("derivs_start", "derivs_end"):
                 assert getattr(alone, name).tobytes() == getattr(seg, name).tobytes()
             assert len(alone.pieces.pieces) == len(seg.pieces.pieces) > 1
             for (a, b, c), (a2, b2, c2) in zip(alone.pieces.pieces, seg.pieces.pieces):
                 assert (a, b, c.tobytes()) == (a2, b2, c2.tobytes())
             prev = alone
+
+    @pytest.mark.parametrize("example", [example_slow_smoothing, example_neutral,
+                                         lambda: kinked_dae(dk.MONOMIAL)])
+    def test_stored_restart_matches_solution_taylor(self, example):
+        # segment i forms the start stream and restart residual of segment
+        # i + 1 at their knot; solution_taylor from segment i's end value
+        # and q = D x(. - tau) + f on the right of the knot gives the same
+        sys = example()
+        split = dk.build_split(sys)
+        traj, _ = dk.method_of_steps(sys, split)
+        segs = traj.segments
+        assert segs[-1].restart is None
+        for prev, seg in zip(segs, segs[1:]):
+            start, residual, consistent = prev.restart
+            assert start is seg.derivs_start and consistent
+            assert residual == seg.consistency_residual
+            rows = len(prev.derivs_start)
+            q = (prev.derivs_start @ split.D.T
+                 + sys.f.derivatives(prev.index * sys.tau, rows - 1, side="right"))
+            x_end = prev.derivs_end[0]
+            xs, ref = model.solution_taylor(split, x_end, q, len(start) - 1)
+            # a defect at rounding level: equal up to the rounding of q
+            size = 1.0 + np.linalg.norm(x_end) + np.linalg.norm(q[0])
+            assert abs(residual - ref) <= 1e-14 * size
+            scale = np.linalg.norm(xs, axis=1)
+            assert np.all(np.linalg.norm(start - xs, axis=1) <= 1e-13 * scale)
+
+    def test_advanced_breakdown_jump_from_the_stored_restart(self):
+        # the inconsistent restart of the advanced example is formed at the
+        # end of segment 3 and raised by segment 4, with the jump its lone
+        # projection gives
+        sys = example_advanced()
+        split = dk.build_split(sys)
+        traj, ledger = dk.method_of_steps(sys, split)
+        last, entry = traj.segments[-1], ledger.entries[-1]
+        assert (last.index, entry.knot_index, entry.inconsistent_restart) == (3, 3, True)
+        start, residual, consistent = last.restart
+        assert not consistent and residual == pytest.approx(2.0, abs=1e-10)
+        q = (last.derivs_start @ split.D.T
+             + sys.f.derivatives(3 * sys.tau, len(last.derivs_start) - 1, side="right"))
+        xs, ref = model.solution_taylor(split, last.derivs_end[0], q, len(start) - 1)
+        assert residual == pytest.approx(ref, rel=1e-14)
+        assert np.allclose(entry.jump_vector, xs[0] - last.derivs_end[0], rtol=0, atol=1e-14)
+        assert entry.jump_norm == pytest.approx(np.linalg.norm(xs[0] - last.derivs_end[0]))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stiff_sweep_keeps_the_per_order_frontier(self, seed, monkeypatch):
