@@ -43,7 +43,7 @@ DOMAIN_RTOL = 1e-9
 
 
 def _as_coeff_array(coeffs, n=None):
-    """Coefficient data as a read-only 2-D array of shape (deg+1, n)."""
+    """Coefficient data as a 2-D array of shape (deg+1, n), not copied."""
     c = np.asarray(coeffs)
     if c.ndim == 1:
         c = c[:, None]
@@ -53,7 +53,20 @@ def _as_coeff_array(coeffs, n=None):
         raise DimensionMismatch(
             f"coefficient vectors have dimension {c.shape[1]}, expected {n}"
         )
-    return frozen(c)
+    return c
+
+
+def _padded(coefs, dtype):
+    """The coefficient arrays (deg+1, n) zero-padded into one stack
+    (K, longest length, n) of the given dtype, and their lengths; a lone
+    array of that dtype is viewed, not copied."""
+    lengths = [len(c) for c in coefs]
+    if len(coefs) == 1:
+        return np.asarray(coefs[0], dtype=dtype)[None], np.array(lengths)
+    stack = np.zeros((len(coefs), max(lengths), coefs[0].shape[1]), dtype=dtype)
+    for k, c in enumerate(coefs):
+        stack[k, : len(c)] = c
+    return stack, np.array(lengths)
 
 
 def _shift_coeffs(c, delta):
@@ -160,10 +173,6 @@ def _group(keys):
     return groups
 
 
-def _lengths(coefs):
-    return ((len(c), c.dtype) for c in coefs)
-
-
 def _width_groups(a, b, span, *keys):
     """Indices of the pieces [a[k], b[k]] by (keys[0][k], ..., width key):
     the width relative to span, rounded so that cuts that differ only by
@@ -172,10 +181,6 @@ def _width_groups(a, b, span, *keys):
     if len(a) == 1:  # one piece, one group: without numpy's per-call cost
         return {(*(k[0] for k in keys), round(float(b[0] - a[0]) / span, 13)): [0]}
     return _group(zip(*keys, ((b - a) / span).round(13).tolist()))
-
-
-def _head(c, m):
-    return c[:m]
 
 
 # coeffs[k] multiplies (t - a)**k on the piece [a, b]
@@ -210,7 +215,7 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
     starts, stops, coefs = zip(*pieces)
     ends = np.array([starts, stops])
     spans = ends if windows is None else np.asarray(windows, dtype=float).T
-    groups = _group(_lengths(coefs))
+    groups = _group((len(c), c.dtype) for c in coefs)
     counts = np.maximum(np.fromiter(map(len, coefs), int, len(coefs)), floor + 1)
     first = np.cumsum(counts) - counts
     nodes = np.empty(int(counts.sum()))
@@ -237,7 +242,7 @@ def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
     and one trim per group of pieces of one length."""
     _, values, counts = cgl_samples(pieces, windows, 0, basis)
     first, coefs = np.cumsum(counts) - counts, [None] * len(pieces)
-    for (m, _), ks in _group(_lengths(c for _, _, c in pieces)).items():
+    for (m, _), ks in _group((len(c), c.dtype) for _, _, c in pieces).items():
         stack = values_to_coeffs(values[first[ks, None] + np.arange(m)])
         for k, c, keep in zip(ks, stack, trim_lengths(stack).tolist()):
             coefs[k] = c[:keep]
@@ -258,10 +263,11 @@ class PiecewisePolynomial:
         basis: MONOMIAL (coeffs[k] multiplies (t - start)**k) or
             CHEBYSHEV.
 
-    The operations that touch every piece (apply_matrix, split_sum, the
-    solver's collocation, fast part and recombination) work on _stack,
-    all coefficients zero-padded into one array.  A result they build
-    from a stack holds only the stack, and makes its pieces on first use.
+    A function holds one store, _stack = (a, b, coefs, lengths): piece k
+    is [a[k], b[k]] with coefficients coefs[k, :lengths[k]], coefs of
+    shape (pieces, longest length, n) zero-padded and of one dtype
+    (complex when any piece is).  pieces is a view of it, made on first
+    use.  A validated function's stack is read-only.
     """
 
     def __init__(self, pieces, n=None, basis=MONOMIAL):
@@ -284,7 +290,7 @@ class PiecewisePolynomial:
                     "monomial conditioning may degrade",
                     stacklevel=2,
                 )
-            norm_pieces.append(Piece(start, end, c))
+            norm_pieces.append((start, end, c))
         if not norm_pieces:
             raise DimensionMismatch("piecewise polynomial needs at least one piece")
         norm_pieces.sort(key=lambda p: p[0])
@@ -294,65 +300,37 @@ class PiecewisePolynomial:
                 raise DimensionMismatch(
                     f"pieces not contiguous at t={left[1]} vs t={right[0]}"
                 )
-        self.pieces = tuple(norm_pieces)
+        a, b, coefs = zip(*norm_pieces)
+        dtype = complex if any(map(np.iscomplexobj, coefs)) else float
+        if len(coefs) == 1:  # the stack views the one copy
+            coefs = [frozen(coefs[0], dtype)]
+        self._stack = (np.array(a), np.array(b), *_padded(coefs, dtype))
+        for x in self._stack:
+            x.setflags(write=False)
         self.n = n
         self.basis = basis
 
     def _with(self, pieces, n=None, basis=None):
         """Unvalidated result built from pieces derived from this function."""
-        out = PiecewisePolynomial.__new__(PiecewisePolynomial)
-        out.pieces = tuple(pieces)
-        out.n = self.n if n is None else n
-        out.basis = basis or self.basis
-        return out
+        a, b, coefs = zip(*pieces)
+        dtype = np.result_type(*{c.dtype for c in coefs})
+        return self._with_stack((np.array(a), np.array(b), *_padded(coefs, dtype)), n, basis)
 
     def _with_stack(self, stack, n=None, basis=None):
         """Unvalidated result built from a stack (see _stack) derived from
-        this function; on this function's piece ends, it shares _edges."""
+        this function."""
         out = PiecewisePolynomial.__new__(PiecewisePolynomial)
         out._stack = stack
-        mine = self.__dict__.get("_stack")
-        if mine is not None and mine[0] is stack[0] and mine[1] is stack[1] \
-                and "_edges" in self.__dict__:
-            out._edges = self._edges
         out.n = self.n if n is None else n
         out.basis = basis or self.basis
         return out
 
     @cached_property
     def pieces(self):
-        """The pieces of a function built from a stack, made on first use
-        (a function built from pieces holds them from the start)."""
+        """The pieces as views of the stack, made on first use."""
         a, b, coefs, lengths = self._stack
-        return tuple(map(Piece, a.tolist(), b.tolist(), map(_head, coefs, lengths.tolist())))
-
-    @cached_property
-    def _edges(self):
-        """The starts and the ends of the pieces, as lists of floats, from
-        whichever form the function holds."""
-        if "pieces" in self.__dict__:
-            starts, stops, _ = zip(*self.pieces)
-            return list(starts), list(stops)
-        a, b = self._stack[:2]
-        return a.tolist(), b.tolist()
-
-    @cached_property
-    def _stack(self):
-        """The pieces as arrays (a, b, coefs, lengths): piece k is
-        [a[k], b[k]] with coefficients coefs[k, :lengths[k]], coefs of
-        shape (pieces, longest length, n) zero-padded; built on first use
-        (and kept by _with_stack)."""
-        a, b, cs = zip(*self.pieces)
-        lengths = np.fromiter(map(len, cs), int, len(cs))
-        if len(cs) == 1:
-            coefs = cs[0][None]
-        elif len(set(_lengths(cs))) == 1:
-            coefs = np.stack(cs)
-        else:
-            coefs = np.zeros((len(cs), lengths.max(), self.n), dtype=np.result_type(*cs))
-            for k, c in enumerate(cs):
-                coefs[k, : len(c)] = c
-        return np.array(a), np.array(b), coefs, lengths
+        heads = [coefs[k, :m] for k, m in enumerate(lengths.tolist())]
+        return tuple(map(Piece, a.tolist(), b.tolist(), heads))
 
     # -- constructors -------------------------------------------------
 
@@ -397,23 +375,23 @@ class PiecewisePolynomial:
 
     @property
     def start(self):
-        return self._edges[0][0]
+        return float(self._stack[0][0])
 
     @property
     def end(self):
-        return self._edges[1][-1]
+        return float(self._stack[1][-1])
 
     @property
     def breakpoints(self):
-        return self._edges[0][:1] + self._edges[1]
+        return [self.start] + self._stack[1].tolist()
 
     @property
     def max_degree(self):
-        return max(p[2].shape[0] - 1 for p in self.pieces)
+        return self._stack[2].shape[1] - 1
 
     @property
     def is_complex(self):
-        return any(np.iscomplexobj(p[2]) for p in self.pieces)
+        return np.iscomplexobj(self._stack[2])
 
     def _tol(self):
         return DOMAIN_RTOL * (self.end - self.start)
@@ -425,7 +403,7 @@ class PiecewisePolynomial:
         on first use, since a function never changes (and _with skips
         __init__)."""
         tol = self._tol()
-        ends = np.array([b for _, b, _ in self.pieces[:-1]])
+        ends = self._stack[1][:-1]
         cuts = {"right": ends - tol, "left": ends + tol}
         return (self.start - tol, self.end + tol,
                 {side: (c, tuple(c.tolist())) for side, c in cuts.items()})
@@ -473,8 +451,7 @@ class PiecewisePolynomial:
             return self.basis.derivs(c, a, b, t, orders)
         times = np.asarray(t, dtype=float)
         where = self._locate(times, side=side)
-        dtype = np.result_type(*(c for _, _, c in self.pieces))
-        out = np.zeros((len(times), orders + 1, self.n), dtype=dtype)
+        out = np.zeros((len(times), orders + 1, self.n), dtype=self._stack[2].dtype)
         for k in np.unique(where):
             a, b, c = self.pieces[k]
             held = where == k
@@ -511,13 +488,15 @@ class PiecewisePolynomial:
         return self._with_stack((a, b, coefs @ M.T, lengths), M.shape[0])
 
     def __mul__(self, scalar):
-        return self._with([Piece(a, b, c * scalar) for a, b, c in self.pieces])
+        a, b, coefs, lengths = self._stack
+        return self._with_stack((a, b, coefs * scalar, lengths))
 
     __rmul__ = __mul__
 
     def shift(self, delta):
         """Time shift: returns s with s(t) = self(t - delta)."""
-        return self._with([Piece(a + delta, b + delta, c) for a, b, c in self.pieces])
+        a, b, coefs, lengths = self._stack
+        return self._with_stack((a + delta, b + delta, coefs, lengths))
 
     def _overlaps(self, lows, highs):
         """(window, piece, lo, hi) arrays of every part [lo, hi] of a piece
@@ -527,7 +506,7 @@ class PiecewisePolynomial:
         tol = self._tol()
         lows = np.asarray(lows, dtype=float)[:, None]
         highs = np.asarray(highs, dtype=float)[:, None]
-        pa, pb = np.array(self._edges)
+        pa, pb = self._stack[:2]
         # max(pa, lo) and min(pb, hi), ties going to the piece
         lo = np.where(pa >= lows, pa, lows)
         hi = np.where(pb <= highs, pb, highs)
@@ -541,19 +520,20 @@ class PiecewisePolynomial:
 
     def _cut(self, src, lo, hi):
         """Coefficients of each piece src[k] on its subinterval [lo[k], hi[k]]:
-        monomial pieces get one stacked Taylor shift per coefficient length
-        and dtype, Chebyshev pieces one _interpolants pass at the CGL nodes
-        of their subintervals."""
-        pieces = [self.pieces[j] for j in src]
+        monomial pieces get one stacked Taylor shift per coefficient length,
+        Chebyshev pieces one _interpolants pass at the CGL nodes of their
+        subintervals."""
+        if not len(src):
+            return []
         if self.basis is CHEBYSHEV:
-            return _interpolants(pieces, np.column_stack([lo, hi])) if pieces else []
-        coefs = [None] * len(pieces)
-        for ks in _group(_lengths(c for _, _, c in pieces)).values():
-            stack = np.stack([pieces[k].coef for k in ks])
-            shifted = _shift_coeffs(stack, [lo[k] - pieces[k].a for k in ks])
+            return _interpolants([self.pieces[j] for j in src], np.column_stack([lo, hi]))
+        a, _, coefs, lengths = self._stack
+        src, lo, out = np.asarray(src), np.asarray(lo), [None] * len(src)
+        for length, ks in _group(lengths[src].tolist()).items():
+            shifted = _shift_coeffs(coefs[src[ks], :length], lo[ks] - a[src[ks]])
             for k, c in zip(ks, shifted):
-                coefs[k] = c
-        return coefs
+                out[k] = c
+        return out
 
     def restrict(self, a, b):
         """Exact restriction to the window [a, b] (a subset of the domain)."""
@@ -569,7 +549,7 @@ class PiecewisePolynomial:
         tol = self._tol()
         points = sorted(points)
         pieces, parts = [], []  # parts: (place in pieces, piece, lo, hi)
-        for j, (pa, pb) in enumerate(zip(*self._edges)):
+        for j, (pa, pb) in enumerate(zip(*(e.tolist() for e in self._stack[:2]))):
             cuts = points[bisect.bisect_right(points, pa + tol):
                           bisect.bisect_left(points, pb - tol)]
             if not cuts:
@@ -632,18 +612,19 @@ class PiecewisePolynomial:
     def stack(self, other):
         """Concatenate value components: result(t) = [self(t); other(t)]."""
         left, right = self.aligned_with(other)
-        pieces = [Piece(a, b, _stacked(ca, cb))
-                  for (a, b, ca), (_, _, cb) in zip(left.pieces, right.pieces)]
-        return self._with(pieces, self.n + other.n)
+        a, b, ca, la = left._stack
+        _, _, cb, lb = right._stack
+        return left._with_stack((a, b, _stacked(ca, cb), np.maximum(la, lb)), self.n + other.n)
 
     def components(self, idx):
         """Project onto a subset of value components."""
         idx = list(idx)
-        return self._with([Piece(a, b, c[:, idx]) for a, b, c in self.pieces], len(idx))
+        a, b, coefs, lengths = self._stack
+        return self._with_stack((a, b, coefs[..., idx], lengths), len(idx))
 
     def __repr__(self):
         return (
-            f"PiecewisePolynomial(n={self.n}, pieces={len(self.pieces)}, "
+            f"PiecewisePolynomial(n={self.n}, pieces={len(self._stack[0])}, "
             f"basis={self.basis.name}, domain=[{self.start}, {self.end}], "
             f"max_degree={self.max_degree})"
         )

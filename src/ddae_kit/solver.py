@@ -23,6 +23,7 @@ data.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -47,7 +48,7 @@ from .model import (
     solution_taylor_from_value,
 )
 from .pencil import row_norms, vector_norm
-from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _group, _stacked, _width_groups
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _stacked, _width_groups
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
@@ -86,6 +87,7 @@ class SolverConfig:
         below MAX_STREAM_ORDERS).
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
+    degree and k_max are integers (numpy's too), not bools.
     """
 
     degree: int = 48
@@ -93,6 +95,10 @@ class SolverConfig:
     on_inconsistent: str = "record"
 
     def __post_init__(self):
+        for name in ("degree", "k_max") if self.k_max is not None else ("degree",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DimensionMismatch(f"{name} must be an integer, not {value!r}")
         if not FIRST_DEGREE <= self.degree <= MAX_DEGREE:
             raise DimensionMismatch(
                 f"collocation degree must be in {FIRST_DEGREE}..{MAX_DEGREE}")
@@ -257,6 +263,8 @@ class SlowCollocation:
     product per (degree, width, forcing length); a piece that fails
     climbs the ladder, and at the top rung is halved, its halves starting
     again at the first rung, down to the width floor span / 2^MAX_DEPTH.
+    The forcing is cut by its own split_at, once for the first layout
+    and once per round that halves.
     The rounds end when no piece changes; a piece that still fails at
     the floor keeps its top-rung collocant and is reported unresolved.
 
@@ -297,18 +305,21 @@ class SlowCollocation:
             raise CollocationSingular(str(exc)) from exc
         return self._inverses[key]
 
-    def _first_levels(self, widths, floor):
-        """How many times each forcing piece of the given widths is halved
-        before the first round: ceil(log2(||J|| w / STIFF_WIDTH)) when
-        ||J|| w > STIFF_WIDTH, no part narrower than floor; None when
-        every piece starts whole."""
-        stiffness = self._J_norm * widths
-        if not (stiffness > STIFF_WIDTH).any():
-            return None
-        with np.errstate(divide="ignore"):
-            wanted = np.ceil(np.log2(stiffness / STIFF_WIDTH))
-        deepest = np.floor(np.log2(widths / floor * (1.0 + DOMAIN_RTOL)))
-        return np.clip(np.minimum(wanted, deepest), 0, None).astype(int)
+    def _first_layout(self, forcing, floor):
+        """The forcing with each piece of width w cut into 2^level equal
+        parts: level = ceil(log2(||J|| w / STIFF_WIDTH)) when ||J|| w >
+        STIFF_WIDTH, no part narrower than floor."""
+        a, b = forcing._stack[:2]
+        w = b - a
+        stiff = np.flatnonzero(self._J_norm * w > STIFF_WIDTH)
+        if not stiff.size:
+            return forcing
+        levels = np.minimum(np.ceil(np.log2(self._J_norm * w[stiff] / STIFF_WIDTH)),
+                            np.floor(np.log2(w[stiff] / floor * (1.0 + DOMAIN_RTOL))))
+        cuts = []
+        for k, level in zip(stiff.tolist(), np.maximum(levels, 0).astype(int).tolist()):
+            cuts += (a[k] + w[k] * np.arange(1, 2**level) / 2**level).tolist()
+        return forcing.split_at(cuts)
 
     def _round(self, a, b, q, lengths, rungs, v0, span):
         """Every piece [a[k], b[k]] with forcing coefficients q[k, :lengths[k]]
@@ -399,13 +410,10 @@ class SlowCollocation:
         left uncertified at the width floor."""
         span = forcing.end - forcing.start
         floor = span / 2**MAX_DEPTH
-        a, b, q, lengths = forcing._stack
         v0 = np.asarray(v0)
-        # no piece is wider than the span
-        levels = self._first_levels(b - a, floor) if self._J_norm * span > STIFF_WIDTH else None
-        while levels is not None and levels.any():
-            a, b, q, lengths, take = _halve(a, b, q, lengths, levels > 0)
-            levels = np.maximum(levels[take] - 1, 0)
+        if self._J_norm * span > STIFF_WIDTH:  # no piece is wider than the span
+            forcing = self._first_layout(forcing, floor)
+        a, b, q, lengths = forcing._stack
         rungs = np.zeros(len(q), dtype=int)
         while True:
             solved, passed = self._round(a, b, q, lengths, rungs, v0, span)
@@ -416,9 +424,10 @@ class SlowCollocation:
             climb = ~passed & ~top
             halve = ~passed & top & (b - a >= 2.0 * floor * (1.0 - DOMAIN_RTOL))
             if halve.any():
-                a, b, q, lengths, take = _halve(a, b, q, lengths, halve)
+                forcing = forcing.split_at((a + 0.5 * (b - a))[halve].tolist())
+                a, b, q, lengths = forcing._stack
                 # the halves start again at the first rung
-                rungs = np.where(halve, 0, rungs + climb)[take]
+                rungs = np.repeat(np.where(halve, 0, rungs + climb), np.where(halve, 2, 1))
             elif climb.any():
                 rungs = rungs + climb
             else:
@@ -458,35 +467,6 @@ def _format(dtype):
     """eps and the floor tiny/eps of a float format."""
     info = np.finfo(dtype)
     return info.eps, info.tiny / info.eps
-
-
-@cache
-def _halving_maps(length):
-    """(2, L, L): the maps from the Chebyshev coefficients of a series of
-    length L on an interval to those on its left and right halves."""
-    x, (_, Vinv) = cgl_nodes(length - 1), _vander_inv(length - 1)
-    return np.stack([Vinv @ C.chebvander(0.5 * (x + side), length - 1)
-                     for side in (-1.0, 1.0)])
-
-
-def _halve(a, b, q, lengths, which):
-    """The pieces [a[k], b[k]] with zero-padded forcing coefficients
-    q[k, :lengths[k]] after halving those marked in which: the new ends,
-    coefficients and lengths, one product per length, and for each new
-    piece the index of the piece it comes from."""
-    take = np.repeat(np.arange(len(q)), np.where(which, 2, 1))
-    first = np.flatnonzero(which) + np.arange(which.sum())  # left halves
-    mid = a + 0.5 * (b - a)
-    a, b = a[take], b[take]
-    b[first], a[first + 1] = mid[which], mid[which]
-    out, nd = q[take], q.shape[2]
-    for length, ks in _group(lengths[which].tolist()).items():
-        ks, at = np.flatnonzero(which)[ks], first[ks]
-        halves = _halving_maps(length).reshape(2 * length, length) @ (
-            q[ks, :length].transpose(1, 0, 2).reshape(length, -1))
-        out[np.stack([at, at + 1], axis=1).ravel(), :length] = (
-            halves.reshape(2, length, len(ks), nd).transpose(2, 0, 1, 3).reshape(-1, length, nd))
-    return a, b, out, lengths[take], take
 
 
 def detect_jumps(chain, k_max: int, tau: float):

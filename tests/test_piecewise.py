@@ -409,10 +409,12 @@ class TestCut:
             points = inner + inner[:2] + pp.breakpoints + near
             got = pp.split_at(points)
             assert_same_pieces(got.pieces, split_at_per_piece(pp, points))
+            # an uncut piece keeps its coefficients
             whole = {(a, b): c for a, b, c in pp.pieces}
             for a, b, c in got.pieces:
                 if (a, b) in whole:
-                    assert c is whole[a, b]
+                    w = whole[a, b]
+                    assert (c.dtype, c.shape, c.tobytes()) == (w.dtype, w.shape, w.tobytes())
             assert pp.split_at(pp.breakpoints + near) is pp
 
     @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
@@ -467,3 +469,51 @@ class TestCut:
         assert right is many and len(left.pieces) == 20
         monkeypatch.undo()
         assert_same_pieces(left.pieces, split_at_per_piece(one, many.breakpoints))
+
+
+def assert_one_store(pp):
+    """The stack is as long as its longest piece, and each piece is the
+    head of its row of the stack, bit for bit."""
+    a, b, coefs, lengths = pp._stack
+    assert coefs.shape[1] == lengths.max()
+    assert len(pp.pieces) == len(a) == len(b) == len(coefs) == len(lengths)
+    for k, (pa, pb, c) in enumerate(pp.pieces):
+        assert (pa, pb) == (a[k], b[k])
+        ref = coefs[k, : lengths[k]]
+        assert (c.dtype, c.shape, c.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+class TestOneStore:
+    """Every function holds one coefficient stack; pieces is a view of it."""
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    def test_results_hold_a_consistent_stack(self, basis, field):
+        rng = np.random.default_rng(53 + (field is complex) + 2 * (basis is CHEBYSHEV))
+        for _ in range(10):
+            pp = mixed_pp(rng, basis, field)
+            other = mixed_pp(rng, basis, field)
+            results = [pp.shift(0.3), pp * 2.5, (-1.0) * pp, pp.components([1]),
+                       pp.stack(other.components([0])),
+                       pp.split_at(rng.uniform(pp.start, pp.end, 3).tolist()),
+                       *pp.windows([-0.4, 0.5], [0.5, 2.1]), pp.to_chebyshev()]
+            for result in [pp] + results:
+                assert_one_store(result)
+
+    def test_validated_stack_is_read_only(self):
+        rng = np.random.default_rng(59)
+        c = rng.standard_normal((3, 2))
+        for pp in (PiecewisePolynomial([(0.0, 1.0, c)]), mixed_pp(rng, MONOMIAL, float)):
+            assert not any(x.flags.writeable for x in pp._stack)
+            assert not any(c.flags.writeable for _, _, c in pp.pieces)
+        # one piece: the stack views the validated copy, not the caller's array
+        one = PiecewisePolynomial([(0.0, 1.0, c)])
+        assert one._stack[2].base.shape == c.shape
+        assert not np.shares_memory(one._stack[2], c)
+
+    def test_mixed_fields_are_held_as_complex(self):
+        pp = PiecewisePolynomial([(0.0, 1.0, [[1.0], [2.0]]), (1.0, 2.0, [[1j]])])
+        assert pp.is_complex and pp._stack[2].dtype == complex
+        assert all(c.dtype == complex for _, _, c in pp.pieces)
+        assert pp.evaluate(0.5) == pytest.approx([2.0])
+        assert pp.evaluate(1.5) == pytest.approx([1j])

@@ -759,6 +759,19 @@ class TestSlowCollocation:
         with pytest.raises(dk.DimensionMismatch, match=f"{p}..{solver.MAX_DEGREE}"):
             dk.SolverConfig(degree=p - 1)
 
+    def test_config_takes_integers_only(self):
+        # a float degree would fail only later, inside numpy, once a piece
+        # climbs; bools are refused although they are ints
+        for knob in ({"degree": 48.5}, {"degree": 48.0}, {"degree": True},
+                     {"degree": None}, {"k_max": 2.5}, {"k_max": False}):
+            with pytest.raises(dk.DimensionMismatch, match="must be an integer"):
+                dk.SolverConfig(**knob)
+        # numpy integers are integers: x' = -8x climbs to the top rung
+        config = dk.SolverConfig(degree=np.int64(48), k_max=np.int32(3))
+        traj, ledger = dk.method_of_steps(scalar_row(-8.0), config=config)
+        assert layout(traj) == layout(dk.method_of_steps(scalar_row(-8.0))[0])
+        assert [e.knot_index for e in ledger.entries] == [0, 1]
+
     def test_smooth_piece_accepted_at_first_degree(self):
         rng = np.random.default_rng(7)
         nd, p = 3, solver.FIRST_DEGREE
@@ -953,6 +966,39 @@ class TestCertifiedLadder:
         assert cli.main(["solve", problem, out_csv, out_ledger]) == 0
         assert read_json(out_ledger)["unresolved_pieces"] == []
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("lam", [-1000.0, -200.0, 30.0])
+    @pytest.mark.parametrize("delayed", [False, True], ids=["D0", "D1"])
+    def test_stiff_layouts_match_per_piece_reference(self, lam, delayed):
+        # the first layout (2^level equal parts of each stiff piece) and
+        # the bisections at the top rung: the breakpoints and the ledger
+        # are the per-piece ladder's, and the coefficients agree within
+        # 1e-12 of each segment's largest, since the chain flushes decayed
+        # starts to zero and the reference does not
+        sys = scalar_row(lam)
+        if delayed:  # x' = lam x + x(t - 1) + 0.5, quadratic history, M = 3
+            sys = dk.DdaeSystem(
+                E=[[1.0]], A=[[lam]], D=[[1.0]], tau=1.0, horizon_intervals=3,
+                f=dk.PiecewisePolynomial.constant([0.5], 0.0, 3.0),
+                phi=dk.PiecewisePolynomial([(-1.0, 0.0, [[1.0], [0.5], [-0.25]])]))
+        split = dk.build_split(sys)
+        traj, ledger = dk.method_of_steps(sys, split)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver.SlowCollocation, "integrate", certified_per_piece)
+            ref_traj, ref_ledger = dk.method_of_steps(sys, split)
+        decisions = [[(e.knot_index, e.matched_order, e.first_jump_order,
+                       e.inconsistent_restart) for e in led.entries]
+                     for led in (ledger, ref_ledger)]
+        assert decisions[0] == decisions[1]
+        assert ledger.unresolved_pieces == ref_ledger.unresolved_pieces
+        for seg, ref in zip(traj.segments, ref_traj.segments, strict=True):
+            assert seg.pieces.breakpoints == ref.pieces.breakpoints
+            scale = max(np.max(np.abs(c)) for _, _, c in ref.pieces.pieces)
+            for (_, _, c), (_, _, c_ref) in zip(seg.pieces.pieces, ref.pieces.pieces):
+                full = np.zeros((max(len(c), len(c_ref)), 1))
+                full[: len(c)] += c
+                full[: len(c_ref)] -= c_ref
+                assert np.max(np.abs(full)) <= 1e-12 * scale
 
     @settings(derandomize=True, max_examples=12, deadline=None, database=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 3),
