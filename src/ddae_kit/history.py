@@ -24,7 +24,7 @@ from .model import (
     DdaeSystem,
     SplitCoefficients,
     consistent_projection,
-    solution_taylor,
+    solution_taylor_from_value,
     taylor_forcing,
 )
 from .pencil import negligible, norm2, powers, row_norms, vector_norm
@@ -75,13 +75,22 @@ def first_segment_q_derivs(sys: DdaeSystem, orders: int):
 
 
 def consistency(x_request, x0, q0):
-    """The one rule for a consistent start value, shared by the history
-    check and every solver restart: the defect ||x_request - x0|| between
-    x_request and its consistent projection x0, and whether it is at most
-    CONSISTENCY_TOL (1 + ||x_request|| + ||q0||), q0 the inhomogeneity q
-    at the start.  The three norms come from one pencil.row_norms call."""
+    """The one rule for a consistent start value: the defect
+    ||x_request - x0|| between x_request and its consistent projection
+    x0, and whether it is at most CONSISTENCY_TOL (1 + ||x_request|| +
+    ||q0||), q0 the inhomogeneity q at the start.  The three norms come
+    from one pencil.row_norms call."""
     residual, norm_x, norm_q = row_norms(np.array([x_request - x0, x_request, q0])).tolist()
     return residual, _within(residual, CONSISTENCY_TOL, 1.0 + norm_x + norm_q)
+
+
+def restart(split: SplitCoefficients, x, q):
+    """The start of a segment from the value x it is asked to take, q the
+    inhomogeneity derivatives there: its consistent projection x0, the
+    defect ||x - x0|| and the verdict of consistency.  Every start goes
+    through here, the history's phi(0) and every later knot's end value."""
+    x0 = consistent_projection(split, x, q)
+    return (x0, *consistency(x, x0, q[0]))
 
 
 def _within(residual, tol, scale):
@@ -91,17 +100,14 @@ def _within(residual, tol, scale):
 
 
 def check_admissible(sys: DdaeSystem, split: SplitCoefficients):
-    """Residual between phi(0) and its consistent projection.
-
-    The history endpoint is consistent iff it equals
-    A_con phi(0) + sum_{k=1}^{nu} C_k q^{(k-1)}(0) with
-    q = D phi(. - tau) + f, within consistency.
+    """Whether phi(0) is a consistent start value (restart), and the
+    residual between phi(0) and its consistent projection
+    A_con phi(0) + sum_{k=1}^{nu} C_k q^{(k-1)}(0), q = D phi(. - tau) + f.
     """
     # rows 0..nu-1 enter the projection; the stack height also sets how the
     # product D phi rounds, and so the last bits of the reported residual
     q = first_segment_q_derivs(sys, max(split.nu, 1))
-    phi0 = sys.phi.evaluate(0.0, side="left")
-    residual, consistent = consistency(phi0, consistent_projection(split, phi0, q), q[0])
+    _, residual, consistent = restart(split, sys.phi.evaluate(0.0, side="left"), q)
     return consistent, residual
 
 
@@ -148,7 +154,8 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
     A_diff phi^{(j)}(0) + r_j (r_j from taylor_forcing) within FLAG_TOL
     of 1 + the largest norm among both sides and q's rows 0..nu+j.
     kappa compares the history stack with the solution's derivatives
-    from phi(0); admissibility is the solver's gate, check_admissible.
+    from the consistent projection of phi(0); admissibility is
+    check_admissible, the test the solver applies to phi(0) (restart).
     """
     nu = split.nu
     cap = nu + 2
@@ -161,7 +168,7 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
         residual = vector_norm(lhs - rhs)
         scale = 1.0 + max(vector_norm(v) for v in (lhs, rhs, *q[: nu + j + 1]))
         splices += [_within(residual, FLAG_TOL, scale), residual]
-    xs, _ = solution_taylor(split, hist[0], q, cap)
+    xs = solution_taylor_from_value(split, consistent_projection(split, hist[0], q), q, cap)
     # the fields in order: each verdict with its residual, then kappa
     return SplicingReport(*check_admissible(sys, split), *splices,
                           int(agreement_order(hist[None], xs[None], cap, FLAG_TOL)[0]))
@@ -226,11 +233,14 @@ def construct_probe_history(
     solution derivatives up to order m-1 on the chosen side and miss by
     exactly `target` at order m; the other side matches
     through order m.  Free derivative values are zero unless an rng is
-    supplied.  Requires m >= 1 and m + index <= MAX_PROBE_ORDER; raises
-    ValueError as well when the interpolant's derivatives at 0 miss the
-    requested ones by more than FLAG_TOL (Hermite conditioning).
+    supplied.  Requires side "slow" or "fast", m >= 1 and m + index <=
+    MAX_PROBE_ORDER; raises ValueError otherwise, and when the
+    interpolant's derivatives at 0 miss the requested ones by more than
+    FLAG_TOL (Hermite conditioning).
     """
     nu, n_d, n_a = split.nu, split.n_d, split.n_a
+    if side not in ("slow", "fast"):
+        raise ValueError(f"side must be 'slow' or 'fast', not {side!r}")
     if m < 1:
         raise ValueError("probe order m must be at least 1")
     if m + nu > MAX_PROBE_ORDER:
@@ -259,7 +269,7 @@ def construct_probe_history(
     T, T_inv = split.qwf.T, split.qwf.T_inv
     x0 = T @ np.concatenate([psi0_free, np.zeros(n_a)])
     q = (vals_left @ T.T) @ split.D.T + sys.f.derivatives(0.0, K, side="right")
-    xs, _ = solution_taylor(split, x0, q, m)
+    xs = solution_taylor_from_value(split, consistent_projection(split, x0, q), q, m)
 
     vals_right = np.zeros((K + 1, split.n), dtype=np.result_type(xs, target))
     vals_right[: m + 1] = xs @ T_inv.T

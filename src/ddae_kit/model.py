@@ -32,7 +32,6 @@ from .pencil import (
     power_norms,
     powers,
     spectral_norms,
-    vector_norm,
 )
 from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _width_groups
 
@@ -301,26 +300,6 @@ def _fast_operator(basis, length, a, b, nu):
     return -np.array(list(powers(D, max(min(nu, length), 1))))
 
 
-def solution_taylor(split: SplitCoefficients, x_request, q_derivs, orders):
-    """Taylor data of the segment solution at an endpoint.
-
-    Arguments:
-        x_request: requested state value at the endpoint (the attained
-            value is its consistent projection).
-        q_derivs: array (K+1, n) of inhomogeneity derivatives at the
-            endpoint with K >= orders + nu.
-        orders: highest solution derivative to produce.
-
-    Returns (xs, residual) where xs has shape (orders+1, n) with
-    xs[j] = x^{(j)} at the endpoint and residual is the consistency
-    defect ||x_request - xs[0]|| (pencil.vector_norm).
-    """
-    q_derivs = np.asarray(q_derivs)
-    x0 = consistent_projection(split, x_request, q_derivs)
-    residual = vector_norm(x_request - x0)
-    return solution_taylor_from_value(split, x0, q_derivs, orders), residual
-
-
 def consistent_projection(split: SplitCoefficients, x_request, q_derivs):
     """The consistent value A_con x_request + sum_{k=1}^{nu} C_k q^{(k-1)}
     of a state at an endpoint whose inhomogeneity derivatives are q_derivs."""
@@ -332,7 +311,10 @@ def consistent_projection(split: SplitCoefficients, x_request, q_derivs):
 
 
 def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orders):
-    """Like solution_taylor but trusts x_value as the order-0 entry.
+    """Taylor data x^{(0)}..x^{(orders)} of the segment solution at an
+    endpoint from its value x_value there, trusted as the order-0 entry
+    (a start value comes projected from history.restart), and the
+    inhomogeneity derivatives q_derivs there.
 
     One stream is x_value (n,), q_derivs (K, n) and an int orders, and
     gives xs (orders+1, n).  A stack of S streams is x_value (S, n),
@@ -348,10 +330,10 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     the order x^{(j)} before each block comes from the same propagators
     for A_diff^B (split.block_starts, up to B blocks per product), and
     one stacked product adds P x^{(j)} to every block.  Each stream keeps
-    its own frontier: its orders past its first non-finite forcing row,
-    or past the first order the blocks left non-finite, go one at a
-    time.  The stacked products give each stream the arithmetic it has
-    alone with the same block width and block count.
+    its own frontier: its orders from the first one the blocks leave
+    non-finite go one at a time.  The stacked products give each stream
+    the arithmetic it has alone with the same block width and block
+    count.
     """
     nu = split.nu
     x_value, q_derivs = np.asarray(x_value), np.asarray(q_derivs)
@@ -373,25 +355,14 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
 def _taylor_stack(split, x_value, r, orders):
     """Orders 0..orders[s] of each stream s from its value x_value[s] and
     forcing rows r[s], one array per stream."""
-    orders = list(orders)
     xs = _blocks(split, x_value, r, max(orders))
-    tops = _finite_rows(xs[:, 1:], orders)
-    if tops != orders:
-        # L mixes all orders of a block and 0 * inf is NaN, so a forcing
-        # row that is not finite spoils its whole block: the blocks of a
-        # stream then stop before its first such row.  From there, and
-        # from the first order the blocks left non-finite, its loop goes
-        # one order at a time, as the unblocked recursion would
-        forced = _finite_rows(r, orders)
-        if forced != orders:
-            r_finite = r.copy()
-            for rs, k in zip(r_finite, forced):
-                rs[k:] = 0.0
-            xs = _blocks(split, x_value, r_finite, max(forced))
-            tops = _finite_rows(xs[:, 1:], forced)
-        for x, rs, k, stop in zip(xs, r, tops, orders):
-            for j in range(k, stop):
-                x[j + 1] = split.A_diff @ x[j] + rs[j]
+    # L mixes all orders of a block and 0 * inf is NaN, so a forcing row
+    # that is not finite spoils its whole block, as an overflow spoils the
+    # orders after it: from the first order the blocks leave non-finite,
+    # a stream goes one order at a time, as the unblocked recursion would
+    for x, rs, k, stop in zip(xs, r, _finite_rows(xs[:, 1:], orders), orders):
+        for j in range(k, stop):
+            x[j + 1] = split.A_diff @ x[j] + rs[j]
     return [x[: k + 1] for x, k in zip(xs, orders)]
 
 
@@ -399,13 +370,11 @@ def _blocks(split, x_value, r, top):
     """Orders 0..top of every stream by the blocks of solution_taylor_from_value
     (the orders past a stream's own are not used, and may overflow)."""
     n, S = split.n, len(r)
-    width = min(top, TAYLOR_BLOCK) or 1
+    width = min(top, TAYLOR_BLOCK)
     blocks = -(-top // width)
     xs = np.empty((S, max(r.shape[1], blocks * width) + 1, n),
                   dtype=np.result_type(x_value, r, split.A_diff))
     xs[:, 0] = x_value
-    if not top:
-        return xs
     P, L = split.taylor_blocks
     wn = width * n
     # the forcing of every block of every stream, zero-padded, through L:

@@ -37,18 +37,18 @@ from .errors import (
     DimensionMismatch,
     InconsistentRestart,
     NotAdmissible,
+    OutOfDomain,
 )
-from .history import agreement_order, check_admissible, consistency
+from .history import agreement_order, restart
 from .model import (
     DdaeSystem,
     FastPart,
     SplitCoefficients,
     build_split,
-    consistent_projection,
     solution_taylor_from_value,
 )
 from .pencil import row_norms, vector_norm
-from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _stacked, _width_groups
+from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _padded, _stacked, _width_groups
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
@@ -118,7 +118,8 @@ class SegmentSolution:
     the runs of pieces whose collocant failed its certificate at the
     width floor.  restart is (derivs_start, consistency_residual,
     consistent) of segment index + 1, formed with derivs_end at their
-    common knot (solve_segment), or None when no later segment of the
+    common knot (history_as_segment for the history, segment 0, and
+    solve_segment for the others), or None when no later segment of the
     sweep reads it.
     """
 
@@ -139,16 +140,20 @@ class Trajectory:
     tau: float
 
     def evaluate(self, t, order=0, side="right"):
-        if not self.segments:
+        """The order-th derivative of x at t in [0, M tau], M segments, to
+        the tolerance of the segments' pieces (DOMAIN_RTOL tau), else
+        OutOfDomain; a NaN t goes to the last segment and gives a NaN row,
+        as in PiecewisePolynomial.evaluate."""
+        count = len(self.segments)
+        if not count:
             raise DimensionMismatch("empty trajectory")
-        t = float(t)
-        # t / tau runs over [0, segments]: the snap is relative to that span
-        eps = 1e-12 * len(self.segments)
-        if side == "left":
-            i = int(np.ceil(t / self.tau - eps))
-        else:
-            i = int(np.floor(t / self.tau + eps)) + 1
-        i = min(max(i, 1), len(self.segments))
+        t, end, tol = float(t), count * self.tau, DOMAIN_RTOL * self.tau
+        if t < -tol or t > end + tol:
+            raise OutOfDomain(f"t={t} outside [0.0, {end}]")
+        # t / tau runs over [0, count]: the snap is relative to that span
+        eps = 1e-12 * count
+        k = np.ceil(t / self.tau - eps) if side == "left" else np.floor(t / self.tau + eps) + 1
+        i = count if k != k else min(max(int(k), 1), count)
         local = t - (i - 1) * self.tau
         return self.segments[i - 1].pieces.evaluate(local, order=order, side=side)
 
@@ -486,13 +491,10 @@ def detect_jumps(chain, k_max: int, tau: float):
         return []
     tops = [min(k_max, len(l.derivs_end) - 1, len(r.derivs_start) - 1) for l, r in pairs]
     # both sides of every knot in one stack each, zero past a pair's top
-    dtype = np.result_type(*(s.derivs_end for s in chain[:-1]),
-                           *(s.derivs_start for s in chain[1:]))
-    ends = np.zeros((len(pairs), max(tops) + 1, chain[0].derivs_end.shape[1]), dtype)
-    starts = np.zeros_like(ends)
-    for p, ((l, r), top) in enumerate(zip(pairs, tops)):
-        ends[p, : top + 1] = l.derivs_end[: top + 1]
-        starts[p, : top + 1] = r.derivs_start[: top + 1]
+    ends = [l.derivs_end[: top + 1] for (l, _), top in zip(pairs, tops)]
+    starts = [r.derivs_start[: top + 1] for (_, r), top in zip(pairs, tops)]
+    dtype = np.result_type(*ends, *starts)
+    (ends, _), (starts, _) = _padded(ends, dtype), _padded(starts, dtype)
     matched = agreement_order(ends, starts, tops, JUMP_TOL, 1)
     jumped = np.flatnonzero(matched < tops)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -513,16 +515,26 @@ def detect_jumps(chain, k_max: int, tau: float):
     return entries
 
 
-def history_as_segment(sys: DdaeSystem, orders: int):
-    """The shifted history dressed up as segment number 0."""
-    x0 = sys.phi.shift(sys.tau)
-    return SegmentSolution(
-        index=0,
-        pieces=x0.to_chebyshev(),
-        consistency_residual=0.0,
-        derivs_start=x0.derivatives(0.0, orders, side="right"),
-        derivs_end=x0.derivatives(sys.tau, orders, side="left"),
-    )
+def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int, sweep: Sweep):
+    """The shifted history dressed up as segment number 0, with the
+    restart of segment 1: phi(0) and q = D phi(. - tau) + f at knot 0
+    (sweep.q_knot, so sweep must hold segment 1) go through
+    history.restart, as every later end value does at its knot (_knot).
+    Raises NotAdmissible when phi(0) fails that test.
+    """
+    if sweep.first != 1:
+        raise DimensionMismatch("the history restarts segment 1: its sweep must hold it")
+    x = sys.phi.shift(sys.tau)
+    derivs_start = x.derivatives(0.0, orders, side="right")
+    derivs_end = x.derivatives(sys.tau, orders, side="left")
+    q = sweep.q_knot(0, derivs_start, 1)
+    x0, residual, consistent = restart(split, derivs_end[0], q)
+    if not consistent:
+        raise NotAdmissible(residual)
+    start = solution_taylor_from_value(split, x0, q, max(orders - split.nu, 1))
+    return SegmentSolution(index=0, pieces=x.to_chebyshev(), consistency_residual=0.0,
+                           derivs_start=derivs_start, derivs_end=derivs_end,
+                           restart=(start, residual, consistent))
 
 
 class Sweep:
@@ -586,49 +598,35 @@ def solve_segment(
     """Solve segment i from the previous segment (or history, i = 1).
 
     The start stream of segment i and its restart test come from
-    prev.restart, or are formed here when prev has none (the history, a
-    segment solved elsewhere).  Raises InconsistentRestart when the
-    previous end value is not a consistent initial value for this
-    segment (history.consistency); the error carries the order-0 jump to
-    the consistent projection.  sweep is the Sweep of split and config
-    that holds segment i; when it also holds segment i + 1, that
-    segment's restart is formed at knot i (_knot).
+    prev.restart; a prev without one (the last segment of its sweep, or
+    a start stream too short to drive segment i) raises
+    DimensionMismatch.  Raises InconsistentRestart when the previous end
+    value is not a consistent initial value for this segment
+    (history.restart); the error carries the order-0 jump to the
+    consistent projection.  sweep is the Sweep of split and config that
+    holds segment i; when it also holds segment i + 1, that segment's
+    restart is formed at knot i (_knot).
     """
-    nu, n_d = split.nu, split.n_d
-    R_prev = prev.derivs_start.shape[0]
-    orders = max(R_prev - 1 - nu, 1)
-
-    x_req = prev.derivs_end[0]
     if prev.restart is None:
-        q_left = sweep.q_knot(i - 1, prev.derivs_start, 1)
-        x0, residual, consistent = _restart(split, x_req, q_left)
-        derivs_start = solution_taylor_from_value(split, x0, q_left, orders)
-    else:
-        derivs_start, residual, consistent = prev.restart
+        raise DimensionMismatch(f"segment {i - 1} holds no restart for segment {i}")
+    derivs_start, residual, consistent = prev.restart
     if not consistent:
-        raise InconsistentRestart(i, residual, jump=derivs_start[0] - x_req)
+        raise InconsistentRestart(i, residual, jump=derivs_start[0] - prev.derivs_end[0])
+    orders = len(derivs_start) - 1
 
     # [q_d; q_f] = S D x(t - tau) + S f on the segment, in local time
     delayed = prev.pieces.apply_matrix(sweep.SD)
-    q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], n_d)
-    v0 = (split.qwf.T_inv @ derivs_start[0])[:n_d]
+    q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], split.n_d)
+    v0 = (split.qwf.T_inv @ derivs_start[0])[: split.n_d]
     v, unresolved = sweep.colloc.integrate(q_d, v0)
     pieces = sweep.recombine(v, q_f)
 
     _, _, x, lengths = pieces._stack
     x_end = x[-1, : lengths[-1]].sum(axis=0)  # T_k(1) = 1
-    derivs_end, restart = _knot(split, i, prev.derivs_end, derivs_start, x_end, orders, sweep)
+    derivs_end, following = _knot(split, i, prev.derivs_end, derivs_start, x_end, orders, sweep)
     return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
                            derivs_start=derivs_start, derivs_end=derivs_end,
-                           unresolved=unresolved, restart=restart)
-
-
-def _restart(split, x_req, q):
-    """The consistent projection x0 of a restart value x_req with
-    inhomogeneity derivatives q there, the defect ||x_req - x0|| and the
-    verdict of history.consistency."""
-    x0 = consistent_projection(split, x_req, q)
-    return (x0, *consistency(x_req, x0, q[0]))
+                           unresolved=unresolved, restart=following)
 
 
 def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
@@ -638,8 +636,8 @@ def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
     q on both sides of knot i (from prev_end, the end stream of segment
     i - 1, and from derivs_start) is one product, and the two streams
     (orders and max(orders - nu, 1) orders) one stacked recursion.  A
-    start stream too short to drive segment i + 1 leaves its restart to
-    that segment, which rejects it as it would alone.
+    start stream too short to drive segment i + 1 forms no restart, and
+    that segment rejects it (solve_segment).
     """
     nu = split.nu
     after = max(orders - nu, 1)
@@ -647,11 +645,10 @@ def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
         q_end = sweep.q_knot(i, prev_end, 0)
         return solution_taylor_from_value(split, x_end, q_end, orders), None
     rows = orders + nu
-    sides = np.zeros((2, rows, len(x_end)), dtype=np.result_type(prev_end, derivs_start))
-    sides[0] = prev_end[:rows]
-    sides[1, : min(rows, len(derivs_start))] = derivs_start[:rows]
+    sides, _ = _padded([prev_end[:rows], derivs_start[:rows]],
+                       np.result_type(prev_end, derivs_start))
     q = sweep.q_knot(i, sides)
-    x0, residual, consistent = _restart(split, x_end, q[1])
+    x0, residual, consistent = restart(split, x_end, q[1])
     derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
                                                    (orders, after))
     return derivs_end, (start, residual, consistent)
@@ -664,16 +661,14 @@ def method_of_steps(
 ):
     """Solve the initial value problem across all delay intervals.
 
-    Returns (trajectory, ledger).  The history must be admissible; a
-    restart inconsistency either ends the sweep with the breakdown
+    Returns (trajectory, ledger).  A history that is not admissible
+    raises NotAdmissible (history_as_segment); a later restart
+    inconsistency either ends the sweep with the breakdown
     recorded in the ledger (default) or raises, depending on
     config.on_inconsistent.
     """
     if split is None:
         split = build_split(sys)
-    admissible, residual = check_admissible(sys, split)
-    if not admissible:
-        raise NotAdmissible(residual)
     nu = split.nu
     k_max = config.k_max if config.k_max is not None else nu + 2
     M = sys.horizon_intervals
@@ -683,11 +678,11 @@ def method_of_steps(
             f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
-    chain, breakdown = [history_as_segment(sys, hist_orders)], []
-    sweep = Sweep(sys, split, config, 1, M)
+    sweep, breakdown = Sweep(sys, split, config, 1, M), []
     # the top orders of a stiff stream may overflow; the recursion fences
     # them off (model._finite_rows), so numpy need not report them
     with np.errstate(over="ignore", invalid="ignore"):
+        chain = [history_as_segment(sys, split, hist_orders, sweep)]
         for i in range(1, M + 1):
             try:
                 chain.append(solve_segment(split, i, chain[-1], config, sweep))

@@ -264,6 +264,13 @@ class TestSplicingReport:
 
 
 class TestProbeConstruction:
+    @pytest.mark.parametrize("side", ["Slow", "bogus", "FAST", ""])
+    def test_rejects_an_unknown_side(self, side):
+        sys = example_slow_smoothing()
+        split = dk.build_split(sys)
+        with pytest.raises(ValueError, match="side must be 'slow' or 'fast'"):
+            dk.construct_probe_history(sys, split, m=1, target=np.ones(split.n_a), side=side)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("side", ["slow", "fast"])
     def test_first_knot_jump_order_and_vector(self, m, side):
@@ -278,11 +285,12 @@ class TestProbeConstruction:
         assert dk.check_admissible(sys2, split2)[0]
 
         # observed first-knot data via the exact Taylor recursion
-        from ddae_kit.history import first_segment_q_derivs
-        from ddae_kit.model import solution_taylor
+        from ddae_kit.history import first_segment_q_derivs, restart
+        from ddae_kit.model import solution_taylor_from_value
 
         q = first_segment_q_derivs(sys2, m + split.nu + 1)
-        xs, _ = solution_taylor(split2, phi.evaluate(0.0, side="left"), q, m)
+        x0, _, _ = restart(split2, phi.evaluate(0.0, side="left"), q)
+        xs = solution_taylor_from_value(split2, x0, q, m)
         T_inv = np.linalg.inv(split.qwf.T)
         for j in range(m):
             diff = phi.evaluate(0.0, order=j, side="left") - xs[j]

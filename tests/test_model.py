@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
-from ddae_kit.history import first_segment_q_derivs
+from ddae_kit.history import first_segment_q_derivs, restart
 from ddae_kit.model import (
     TAYLOR_BLOCK,
     FastPart,
-    solution_taylor,
     solution_taylor_from_value,
     taylor_forcing,
 )
@@ -520,7 +519,8 @@ class TestSolutionTaylor:
         sys = example_neutral()
         split = dk.build_split(sys)
         q = np.array([[0.0], [1.0], [0.0], [0.0]])  # q(t) = t at t=0
-        xs, residual = solution_taylor(split, np.array([0.0]), q, 2)
+        x0, residual, _ = restart(split, np.array([0.0]), q)
+        xs = solution_taylor_from_value(split, x0, q, 2)
         assert residual == pytest.approx(0.0, abs=1e-14)
         assert xs[0][0] == pytest.approx(0.0)
         assert xs[1][0] == pytest.approx(-1.0)
@@ -530,7 +530,8 @@ class TestSolutionTaylor:
         sys = example_neutral()
         split = dk.build_split(sys)
         q = np.array([[0.0], [1.0], [0.0]])
-        xs, residual = solution_taylor(split, np.array([3.0]), q, 1)
+        x0, residual, _ = restart(split, np.array([3.0]), q)
+        xs = solution_taylor_from_value(split, x0, q, 1)
         assert residual == pytest.approx(3.0)
         assert xs[0][0] == pytest.approx(0.0)
 

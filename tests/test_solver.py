@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 from collections import Counter
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as C
 
 import ddae_kit as dk
-from ddae_kit import cli, model, solver
+from ddae_kit import cli, history, model, solver
 from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 
 from gen import (
@@ -53,9 +54,10 @@ class TestSolveSegment:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
-        hist = history_as_segment(sys, orders=8)
         config = dk.SolverConfig()
-        seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
+        sweep = Sweep(sys, split, config, 1, 1)
+        hist = history_as_segment(sys, split, 8, sweep)
+        seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 7):
             side = "left" if t == 1.0 else "right"
             assert seg.pieces.evaluate(t, side=side)[0] == pytest.approx(-t, abs=1e-13)
@@ -65,9 +67,10 @@ class TestSolveSegment:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
-        hist = history_as_segment(sys, orders=12)
         config = dk.SolverConfig()
-        seg = solve_segment(split, 1, hist, config, Sweep(sys, split, config, 1, 1))
+        sweep = Sweep(sys, split, config, 1, 1)
+        hist = history_as_segment(sys, split, 12, sweep)
+        seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 5):
             side = "left" if t == 1.0 else "right"
             assert seg.pieces.evaluate(t, side=side)[1] == pytest.approx(
@@ -82,6 +85,46 @@ class TestSolveSegment:
             dk.method_of_steps(sys, split, config)
         assert err.value.segment_index == 4
         assert err.value.residual == pytest.approx(2.0, abs=1e-8)
+
+
+class TestKnotZero:
+    @pytest.mark.parametrize("example", [example_slow_smoothing, example_neutral,
+                                         example_advanced, lambda: kinked_dae(dk.MONOMIAL)])
+    def test_history_stores_the_restart_of_segment_one(self, example):
+        # knot 0 is formed as every later knot: history.restart of phi(0)
+        # with q = D phi(. - tau) + f from the sweep's table, then the
+        # recursion from the projection, bit for bit; segment 1 starts
+        # from that stream
+        sys = example()
+        split = dk.build_split(sys)
+        config = dk.SolverConfig()
+        sweep = solver.Sweep(sys, split, config, 1, sys.horizon_intervals)
+        orders = 12
+        hist = solver.history_as_segment(sys, split, orders, sweep)
+        phi0 = hist.derivs_end[0]
+        assert np.allclose(phi0, sys.phi.evaluate(0.0, side="left"), rtol=1e-14, atol=1e-14)
+        q = sweep.q_knot(0, hist.derivs_start, 1)
+        x0, residual, consistent = history.restart(split, phi0, q)
+        start = model.solution_taylor_from_value(split, x0, q, max(orders - split.nu, 1))
+        stored, stored_residual, stored_consistent = hist.restart
+        assert stored.tobytes() == start.tobytes() and stored.shape == start.shape
+        assert (stored_residual, stored_consistent) == (residual, consistent) and consistent
+        seg = solver.solve_segment(split, 1, hist, config, sweep)
+        assert seg.derivs_start is stored and seg.consistency_residual == residual
+
+    def test_segment_without_a_stored_restart_is_rejected(self):
+        sys = example_neutral()
+        split = dk.build_split(sys)
+        config = dk.SolverConfig()
+        sweep = solver.Sweep(sys, split, config, 1, 1)
+        hist = solver.history_as_segment(sys, split, 8, sweep)
+        seg = solver.solve_segment(split, 1, hist, config, sweep)
+        assert seg.restart is None  # segment 2 is not in its sweep
+        with pytest.raises(dk.DimensionMismatch, match="no restart"):
+            solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, split, config, 2, 2))
+        # knot 0 is read from the table of a sweep that holds segment 1
+        with pytest.raises(dk.DimensionMismatch, match="segment 1"):
+            solver.history_as_segment(sys, split, 8, solver.Sweep(sys, split, config, 2, 2))
 
 
 class TestMethodOfSteps:
@@ -121,6 +164,22 @@ class TestMethodOfSteps:
                 assert (traj.evaluate(t, order, side="left").tobytes()
                         == traj.evaluate(t, order, side="right").tobytes())
 
+    def test_evaluate_outside_names_the_global_domain(self):
+        sys = example_slow_smoothing(horizon=3)
+        traj, _ = dk.method_of_steps(sys)
+        assert len(traj.segments) == 3 and traj.tau == 1.0
+        for t in (3.5, -0.5, 3.0 + 1e-6):
+            with pytest.raises(dk.OutOfDomain, match=re.escape(f"t={t} outside [0.0, 3.0]")):
+                traj.evaluate(t)
+        # within the segments' tolerance of an end: that end segment
+        for t, seg, local in ((3.0 + 1e-10, -1, 1.0 + 1e-10), (-1e-10, 0, -1e-10)):
+            want = traj.segments[seg].pieces.evaluate(local)
+            assert np.allclose(traj.evaluate(t), want, rtol=1e-15, atol=0)
+        # NaN goes to the last segment, as in PiecewisePolynomial.evaluate
+        for side in ("left", "right"):
+            row = traj.evaluate(np.nan, side=side)
+            assert row.shape == (sys.n,) and np.isnan(row).all()
+
     @pytest.mark.xfail(strict=True, reason="the restart and agreement tests scale by "
                        "1 + norm, an absolute floor in the units of x")
     def test_ledger_decisions_do_not_depend_on_units(self):
@@ -150,8 +209,9 @@ class TestMethodOfSteps:
         M = sys.horizon_intervals
         assert len(traj.segments) == M
         k_max = split.nu + 2
-        prev = solver.history_as_segment(sys, k_max + M * split.nu + max(split.nu, 1))
         config = dk.SolverConfig()
+        prev = solver.history_as_segment(sys, split, k_max + M * split.nu + max(split.nu, 1),
+                                         solver.Sweep(sys, split, config, 1, min(2, M)))
         for i, seg in enumerate(traj.segments, start=1):
             alone = solver.solve_segment(split, i, prev, config,
                                          solver.Sweep(sys, split, config, i, min(i + 1, M)))
@@ -167,8 +227,9 @@ class TestMethodOfSteps:
                                          lambda: kinked_dae(dk.MONOMIAL)])
     def test_stored_restart_matches_solution_taylor(self, example):
         # segment i forms the start stream and restart residual of segment
-        # i + 1 at their knot; solution_taylor from segment i's end value
-        # and q = D x(. - tau) + f on the right of the knot gives the same
+        # i + 1 at their knot; history.restart from segment i's end value
+        # and q = D x(. - tau) + f on the right of the knot, then the
+        # recursion from the projection, gives the same
         sys = example()
         split = dk.build_split(sys)
         traj, _ = dk.method_of_steps(sys, split)
@@ -182,7 +243,8 @@ class TestMethodOfSteps:
             q = (prev.derivs_start @ split.D.T
                  + sys.f.derivatives(prev.index * sys.tau, rows - 1, side="right"))
             x_end = prev.derivs_end[0]
-            xs, ref = model.solution_taylor(split, x_end, q, len(start) - 1)
+            x0, ref, _ = history.restart(split, x_end, q)
+            xs = model.solution_taylor_from_value(split, x0, q, len(start) - 1)
             # a defect at rounding level: equal up to the rounding of q
             size = 1.0 + np.linalg.norm(x_end) + np.linalg.norm(q[0])
             assert abs(residual - ref) <= 1e-14 * size
@@ -202,7 +264,8 @@ class TestMethodOfSteps:
         assert not consistent and residual == pytest.approx(2.0, abs=1e-10)
         q = (last.derivs_start @ split.D.T
              + sys.f.derivatives(3 * sys.tau, len(last.derivs_start) - 1, side="right"))
-        xs, ref = model.solution_taylor(split, last.derivs_end[0], q, len(start) - 1)
+        x0, ref, _ = history.restart(split, last.derivs_end[0], q)
+        xs = model.solution_taylor_from_value(split, x0, q, len(start) - 1)
         assert residual == pytest.approx(ref, rel=1e-14)
         assert np.allclose(entry.jump_vector, xs[0] - last.derivs_end[0], rtol=0, atol=1e-14)
         assert entry.jump_norm == pytest.approx(np.linalg.norm(xs[0] - last.derivs_end[0]))
@@ -412,8 +475,13 @@ class TestMethodOfSteps:
         bump = dk.PiecewisePolynomial.constant([1.0, 0.0], -1.0, 0.0)
         bad = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                             horizon_intervals=4, f=sys.f, phi=sys.phi + bump)
-        with pytest.raises(dk.NotAdmissible):
+        with pytest.raises(dk.NotAdmissible) as err:
             dk.method_of_steps(bad)
+        ok, residual = dk.check_admissible(bad, dk.build_split(bad))
+        assert not ok and residual == pytest.approx(1.0, abs=1e-10)
+        # the solver's q stack at knot 0 is taller than check_admissible's,
+        # which rounds D phi differently: equal up to that rounding
+        assert err.value.residual == pytest.approx(residual, rel=1e-14)
 
     def test_dae_residual_at_collocation_nodes(self):
         rng = np.random.default_rng(8)
@@ -459,9 +527,10 @@ class TestMethodOfSteps:
 class TestDetectJumps:
     def test_identical_segments_match_everywhere(self):
         sys = example_neutral()
-        from ddae_kit.solver import history_as_segment
+        split = dk.build_split(sys)
+        from ddae_kit.solver import Sweep, history_as_segment
 
-        hist = history_as_segment(sys, orders=6)
+        hist = history_as_segment(sys, split, 6, Sweep(sys, split, dk.SolverConfig(), 1, 1))
         entry, = dk.detect_jumps([hist, hist_copy(hist)], k_max=4, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None

@@ -15,7 +15,10 @@ lines that no case executed, by function:
 --seed and --workload keep only the named seeds and workloads (the probe
 variants are the workload ``probe``).  --calls prints how often each named
 function (a qualified name such as ``PiecewisePolynomial._cut`` or
-``SlowCollocation.integrate``) was called over the cases run.
+``SlowCollocation.integrate``) was called over the cases run; a name that
+is not a function of the package is reported before any case runs, and
+the tool exits 1, so that a misspelled name does not read as a function
+that is never called.
 
 A function-body line is a line of a function's body, after its
 docstring, that holds bytecode; lines of a nested function belong to the
@@ -105,6 +108,14 @@ def main(argv=None):
     src = os.path.abspath(args.src)
     cli, run, wl = output_digests.load(src)
     package = os.path.join(src, "ddae_kit") + os.sep
+    modules = [os.path.join(package, m) for m in sorted(os.listdir(package)) if m.endswith(".py")]
+    owners = {path: body_lines(path) for path in modules}
+    known = {name for owner in owners.values() for name in owner.values()}
+    unknown = [name for name in args.calls if name not in known]
+    for name in unknown:
+        print(f"calls {name}: not a function of ddae_kit")
+    if unknown:
+        return 1
     ran, calls = set(), Counter()
 
     def local(frame, event, arg):
@@ -126,13 +137,10 @@ def main(argv=None):
         finally:
             sys.settrace(None)
 
-    for module in sorted(os.listdir(package)):
-        if not module.endswith(".py"):
-            continue
-        path = os.path.join(package, module)
-        owner = body_lines(path)
+    for path, owner in owners.items():
         missed = sorted(line for line in owner if (path, line) not in ran)
-        print(f"ddae_kit/{module}: {len(missed)} of {len(owner)} function-body lines never ran")
+        print(f"ddae_kit/{os.path.basename(path)}: {len(missed)} of {len(owner)}"
+              " function-body lines never ran")
         by_function = {}
         for line in missed:
             by_function.setdefault(owner[line], []).append(line)
@@ -140,7 +148,8 @@ def main(argv=None):
             print(f"  {function}: {_ranges(lines)}")
     for function in args.calls:
         print(f"calls {function}: {calls[function]}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
