@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch
 from .pencil import (
@@ -34,9 +33,6 @@ from .pencil import (
     spectral_norms,
 )
 from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _width_groups
-
-# orders the Taylor recursion advances per block (SplitCoefficients.taylor_blocks)
-TAYLOR_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,56 +162,12 @@ class SplitCoefficients:
                 tuple(power_norms(self.B_a2, self.n_a)))
 
     @cached_property
-    def taylor_blocks(self):
-        """Block propagators (P, L) of x^{(j+1)} = A_diff x^{(j)} + r_j.
-
-        With B = TAYLOR_BLOCK, P stacks A_diff, A_diff^2, ..., A_diff^B
-        (shape (B n, n)) and L is the lower block-Toeplitz matrix whose
-        block (a, i) is A_diff^(a-i) for i <= a (shape (B n, B n)), so
-        the k <= B orders after x^{(j)} are
-        P[:k n] @ x^{(j)} + L[:k n, :k n] @ r[j:j+k].ravel().  Built on
-        first use (_block_propagators); they belong to this split and are
-        freed with it.
-        """
-        return _block_propagators(self.A_diff)
-
-    @cached_property
-    def block_starts(self):
-        """[P' L'], the block propagators (_block_propagators) of
-        A_diff^B, B = TAYLOR_BLOCK, side by side (shape (B n, (B+1) n)):
-        with y_b = x^{(b B)} and e_b the forcing's part of order (b+1) B,
-        y_(b+1), ..., y_(b+k) = [P' L'][:k n, :(k+1) n] [y_b; e_b; ...;
-        e_(b+k-1)], the first order of the next k <= B blocks at once."""
-        P, _ = self.taylor_blocks
-        G = np.hstack(_block_propagators(P[-self.n :]))
-        G.setflags(write=False)
-        return G
-
-
-def _block_propagators(A):
-    """P = [A; A^2; ...; A^B] and the lower block-Toeplitz L with blocks
-    A^(a-i), B = TAYLOR_BLOCK, from log2(B) stacked products and one
-    strided copy; powers past the float range are inf, quietly."""
-    B, n = TAYLOR_BLOCK, A.shape[0]
-    pows = np.empty((B + 1, n, n), dtype=A.dtype)  # A^0 .. A^B
-    pows[0] = np.eye(n)
-    pows[1] = A
-    m = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while m < B:
-            top = min(2 * m, B)
-            pows[m + 1 : top + 1] = pows[1 : top - m + 1] @ pows[m]
-            m = top
-    # H = [A^(B-1) ... A^1 A^0 0 ... 0] side by side: block row a of L
-    # is the window of H that starts at block B-1-a
-    H = np.zeros((n, 2 * B - 1, n), dtype=A.dtype)
-    H[:, :B] = pows[B - 1 :: -1].transpose(1, 0, 2)
-    windows = sliding_window_view(H.reshape(n, -1), B * n, axis=1)
-    L = windows[:, (B - 1) * n :: -n].transpose(1, 0, 2).reshape(B * n, B * n)
-    P = pows[1:].reshape(B * n, n)
-    P.setflags(write=False)
-    L.setflags(write=False)
-    return P, L
+    def taylor_squares(self):
+        """The steps of the Taylor scan (_taylor_stack): entry m is
+        (A_diff^T)^(2^m), overflowing quietly to inf.  Built on first use
+        with entry 0 alone; a scan appends the squares it needs, so they
+        belong to this split and are freed with it."""
+        return [frozen(self.A_diff.T)]
 
 
 def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
@@ -323,17 +275,13 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     orders[s] + nu rows of q_derivs, so a shorter stream may be
     zero-padded to K.
 
-    x^{(j+1)} = A_diff x^{(j)} + r_j with r_j from taylor_forcing.  The
-    recursion advances in blocks of B = TAYLOR_BLOCK orders (one block of
-    all orders when there are at most B) through split.taylor_blocks:
-    one product applies L to the forcing of every block of every stream,
-    the order x^{(j)} before each block comes from the same propagators
-    for A_diff^B (split.block_starts, up to B blocks per product), and
-    one stacked product adds P x^{(j)} to every block.  Each stream keeps
-    its own frontier: its orders from the first one the blocks leave
-    non-finite go one at a time.  The stacked products give each stream
-    the arithmetic it has alone with the same block width and block
-    count.
+    x^{(j+1)} = A_diff x^{(j)} + r_j with r_j from taylor_forcing, so
+    x^{(j)} = sum_{i <= j} A_diff^(j-i) e_i with e = [x^{(0)}, r_0, r_1,
+    ...]: an inclusive prefix scan (_taylor_stack).  Each stream keeps
+    its own frontier: its orders from the first one the scan leaves
+    non-finite go one at a time.  A row of a stacked scan takes the
+    steps it takes alone, so each stream gets the arithmetic it has alone
+    whenever its orders have the bit length of the stack's top order.
     """
     nu = split.nu
     x_value, q_derivs = np.asarray(x_value), np.asarray(q_derivs)
@@ -354,53 +302,34 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
 
 def _taylor_stack(split, x_value, r, orders):
     """Orders 0..orders[s] of each stream s from its value x_value[s] and
-    forcing rows r[s], one array per stream."""
-    xs = _blocks(split, x_value, r, max(orders))
-    # L mixes all orders of a block and 0 * inf is NaN, so a forcing row
-    # that is not finite spoils its whole block, as an overflow spoils the
-    # orders after it: from the first order the blocks leave non-finite,
-    # a stream goes one order at a time, as the unblocked recursion would
+    forcing rows r[s], one array per stream.
+
+    e is stacked order-major, (top+1, S, n), and scanned in place: for
+    s = 1, 2, 4, ... <= top, row j gains row j - s times (A_diff^T)^s
+    (split.taylor_squares), one product for every stream.  Every such s
+    must run, or the last orders of a stream of 2^k orders lose their
+    A_diff^(2^k) x^{(0)} term.
+    """
+    top, S, n = int(max(orders)), len(r), split.n
+    xs = np.empty((top + 1, S, n), dtype=np.result_type(x_value, r, split.A_diff))
+    xs[0] = x_value
+    xs[1:] = r[:, :top].transpose(1, 0, 2)
+    flat, squares = xs.reshape(-1, n), split.taylor_squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(top.bit_length()):
+            if m == len(squares):
+                squares.append(frozen(squares[-1] @ squares[-1]))
+            step = S << m  # the rows of 2^m orders
+            flat[step:] += flat[:-step] @ squares[m]
+    xs = xs.transpose(1, 0, 2)
+    # a square past the float range may put inf * 0 into an order the
+    # loop leaves finite, as an overflow spoils the orders after it: from
+    # the first order the scan leaves non-finite, a stream goes one order
+    # at a time, as the per-order recursion would
     for x, rs, k, stop in zip(xs, r, _finite_rows(xs[:, 1:], orders), orders):
         for j in range(k, stop):
             x[j + 1] = split.A_diff @ x[j] + rs[j]
     return [x[: k + 1] for x, k in zip(xs, orders)]
-
-
-def _blocks(split, x_value, r, top):
-    """Orders 0..top of every stream by the blocks of solution_taylor_from_value
-    (the orders past a stream's own are not used, and may overflow)."""
-    n, S = split.n, len(r)
-    width = min(top, TAYLOR_BLOCK)
-    blocks = -(-top // width)
-    xs = np.empty((S, max(r.shape[1], blocks * width) + 1, n),
-                  dtype=np.result_type(x_value, r, split.A_diff))
-    xs[:, 0] = x_value
-    P, L = split.taylor_blocks
-    wn = width * n
-    # the forcing of every block of every stream, zero-padded, through L:
-    # LR[s, b] is block b of stream s
-    R = r[:, :top]
-    if top < blocks * width:
-        R = np.zeros((S, blocks * width, n), dtype=r.dtype)
-        R[:, :top] = r[:, :top]
-    with np.errstate(over="ignore", invalid="ignore"):
-        LR = (L[:wn, :wn] @ R.reshape(S, blocks, wn).transpose(0, 2, 1)).transpose(0, 2, 1)
-        # the order before each block, x^{(b B)}, from the block starts'
-        # propagators (width = B), then every order
-        starts = xs[:, :1]
-        if blocks > 1:
-            starts = np.empty((S, blocks, n), dtype=xs.dtype)
-            starts[:, 0] = x_value
-            G = split.block_starts
-            ends = LR[:, :, -n:]  # the forcing's part of each block's last order
-            for m in range(0, blocks - 1, TAYLOR_BLOCK):
-                k = min(TAYLOR_BLOCK, blocks - 1 - m)
-                chain = np.concatenate([starts[:, m], ends[:, m : m + k].reshape(S, k * n)], axis=1)
-                starts[:, m + 1 : m + k + 1] = (G[: k * n, : (k + 1) * n] @ chain[..., None]
-                                                ).reshape(S, k, n)
-        np.add((P[:wn] @ starts[..., None])[..., 0], LR,
-               out=xs[:, 1 : blocks * width + 1].reshape(S, blocks, wn))
-    return xs
 
 
 def taylor_forcing(split: SplitCoefficients, q_derivs, orders):

@@ -346,7 +346,7 @@ def powers(M, count):
     """M^0 .. M^(count-1) of a square matrix, lazily: M^0 = I, M^1 = M and
     each later power the last one times M, overflowing quietly to inf or
     nan.  Every power of a matrix in the package comes from here, except
-    the doubling of model's taylor_blocks."""
+    the squares of model's Taylor scan (SplitCoefficients.taylor_squares)."""
     power = np.eye(len(M), dtype=M.dtype)
     for k in range(count):
         if k:

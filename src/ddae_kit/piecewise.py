@@ -415,6 +415,8 @@ class PiecewisePolynomial:
         is located by bisect on the tuple of cuts, an array by
         np.searchsorted."""
         lo, hi, cuts = self._cuts
+        if side not in cuts:
+            raise DimensionMismatch(f"side must be 'left' or 'right', not {side!r}")
         array, points = cuts[side]
         if isinstance(t, float):
             if t < lo or t > hi:
@@ -443,8 +445,10 @@ class PiecewisePolynomial:
 
         Each time is located once, and each piece's basis kernel produces
         every order at all the times it holds; rows above the local degree
-        are zero.
+        are zero.  Negative orders raise DimensionMismatch.
         """
+        if orders < 0:
+            raise DimensionMismatch(f"derivative order must be non-negative, not {orders!r}")
         if np.ndim(t) == 0:
             t = float(t)
             a, b, c = self.pieces[self._locate(t, side=side)]

@@ -566,7 +566,11 @@ class Sweep:
         """q = D x(. - tau) + f at the knot k tau from the derivative rows
         of x(. - tau) there: one side (0 from the left, 1 from the right)
         or both stacked (rows of shape (2, count, n)); f's rows are added
-        only where the table holds them."""
+        only where the table holds them.  A knot outside first - 1 .. last
+        raises DimensionMismatch."""
+        if not self.first - 1 <= k <= self.last:
+            raise DimensionMismatch(
+                f"knot {k} outside the sweep's knots {self.first - 1}..{self.last}")
         # f may be complex where the streams are real
         q = (rows @ self.D_T).astype(np.result_type(rows, self.D_T, self.f_table), copy=False)
         f = self.f_table[k - self.first + 1, side, : q.shape[-2]]
@@ -679,8 +683,9 @@ def method_of_steps(
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
     sweep, breakdown = Sweep(sys, split, config, 1, M), []
-    # the top orders of a stiff stream may overflow; the recursion fences
-    # them off (model._finite_rows), so numpy need not report them
+    # the top orders of a stiff stream may overflow; from its first
+    # non-finite order the scan's stream goes one order at a time
+    # (model._taylor_stack), so numpy need not report them
     with np.errstate(over="ignore", invalid="ignore"):
         chain = [history_as_segment(sys, split, hist_orders, sweep)]
         for i in range(1, M + 1):

@@ -8,7 +8,6 @@ import pytest
 import ddae_kit as dk
 from ddae_kit.history import first_segment_q_derivs, restart
 from ddae_kit.model import (
-    TAYLOR_BLOCK,
     FastPart,
     solution_taylor_from_value,
     taylor_forcing,
@@ -281,7 +280,7 @@ class TestSolutionTaylor:
         assert split.nu == nu
         # unit-norm A_diff keeps 128 orders from being swamped by A_diff^j x0
         split = replace(split, A_diff=split.A_diff / np.linalg.norm(split.A_diff, 2))
-        for orders in (0, 1, 2, 17, 128, 300):  # 300: two products of block starts
+        for orders in (0, 1, 2, 17, 128, 300):  # 300: nine steps of the scan
             q = rng.standard_normal((orders + nu, n))  # the fewest accepted
             x0 = rng.standard_normal(n)
             if field is complex:
@@ -297,9 +296,9 @@ class TestSolutionTaylor:
     @pytest.mark.parametrize("field", ["real", "complex-stream", "complex-pencil"])
     @pytest.mark.parametrize("nu", [0, 1, 2, 3])
     def test_blocked_recursion_matches_per_order_loop(self, nu, field):
-        # blocks of TAYLOR_BLOCK orders sum in another order than the loop:
-        # each order j agrees to 1e-12 of ||A_diff|| ||x^(j-1)|| + ||r_j||,
-        # on low-rank A_diff (n_d < n) of norm up to 10
+        # the scan sums in another order than the loop: each order j
+        # agrees to 1e-12 of ||A_diff|| ||x^(j-1)|| + ||r_j||, on low-rank
+        # A_diff (n_d < n) of norm up to 10
         rng = np.random.default_rng(70 + nu)
         n, rank = 6, 2
         E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
@@ -332,8 +331,8 @@ class TestSolutionTaylor:
 
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_non_finite_forcing_stays_above_its_order(self, nu):
-        # L mixes every order of a block and 0 * inf is NaN: an infinite
-        # q^(20) may reach only the orders the per-order loop lets it reach
+        # 0 * inf is NaN: an infinite q^(20) may reach only the orders the
+        # per-order loop lets it reach
         rng = np.random.default_rng(80 + nu)
         n = 5
         E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
@@ -352,9 +351,9 @@ class TestSolutionTaylor:
 
     def test_overflow_frontier_matches_per_order_loop(self):
         # ||A_diff|| up to 3000 and data up to 1e200 overflow part-way
-        # through a block; from a block's first non-finite order the
-        # recursion goes one order at a time, so exactly the entries the
-        # loop leaves finite stay finite
+        # through the scan; from its first non-finite order the recursion
+        # goes one order at a time, so exactly the entries the loop leaves
+        # finite stay finite
         rng = np.random.default_rng(90)
         for _ in range(40):
             nu, n, orders = int(rng.integers(0, 3)), 4, 130
@@ -375,8 +374,9 @@ class TestSolutionTaylor:
     def test_stream_pairs_match_each_stream_alone(self, nu, field):
         # two streams of unequal orders in one stacked recursion: each
         # within 1e-13 of its per-order norm of the stream alone, and bit
-        # for bit the stream alone when it has the stack's block width
-        # and block count
+        # for bit the stream alone when the scan takes the same steps for
+        # it alone as for the stack (its orders have the bit length of
+        # the top order)
         rng = np.random.default_rng(100 + nu)
         n = 7
         E, A, _ = random_regular_pencil(rng, n, n_d=n if nu == 0 else n - nu - 1, nu=nu)
@@ -406,9 +406,7 @@ class TestSolutionTaylor:
                 assert got[s].dtype == (alone.dtype if orders[s] else got[1 - s].dtype)
                 err = np.linalg.norm(got[s] - alone, axis=1)
                 assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=1))
-                width = min(max(orders), TAYLOR_BLOCK)
-                if orders[s] and (min(orders[s], width), -(-orders[s] // width)) == (
-                        width, -(-max(orders) // width)):
+                if orders[s] and orders[s].bit_length() == max(orders).bit_length():
                     assert got[s].tobytes() == alone.tobytes()
 
     def test_stream_stack_checks_its_rows(self):
@@ -419,7 +417,7 @@ class TestSolutionTaylor:
     @pytest.mark.parametrize("nu", [0, 1, 3])
     def test_non_finite_forcing_of_one_stream_of_a_pair(self, nu):
         # an infinite q^(20) in one stream of a pair stops only that
-        # stream's blocks: the other stays bit for bit its lone result,
+        # stream's scan: the other stays bit for bit its lone result,
         # and the failing one keeps the per-order loop's frontier
         rng = np.random.default_rng(110 + nu)
         n = 5
@@ -463,56 +461,57 @@ class TestSolutionTaylor:
                 assert not np.isfinite(r[-1]).all()
                 assert (np.isfinite(g) == np.isfinite(r)).all()
 
-    def test_power_blocks(self):
-        # P stacks A_diff^1..B; block (a, i) of L is A_diff^(a-i) below the
-        # diagonal and exactly zero above it
+    def test_taylor_squares(self):
+        # entry m is (A_diff^T)^(2^m), grown on demand by a scan of 2^m
+        # orders or more
         rng = np.random.default_rng(9)
         E, A, _ = random_regular_pencil(rng, 5, n_d=3, nu=2)
         split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
-        P, L = split.taylor_blocks
-        B, n = TAYLOR_BLOCK, 5
-        assert P.shape == (B * n, n) and L.shape == (B * n, B * n)
-        powers = [np.eye(n)]
-        for _ in range(B):
-            powers.append(powers[-1] @ split.A_diff)
+        assert len(split.taylor_squares) == 1
+        solution_taylor_from_value(split, np.zeros(5), np.zeros((300 + 2, 5)), 300)
+        squares = split.taylor_squares
+        assert len(squares) == 9  # 2^8 <= 300 < 2^9
+        power, k = np.eye(5), 0
         scale = 1.0 + np.linalg.norm(split.A_diff, 2)
+        for m, square in enumerate(squares):
+            while k < 2**m:
+                power, k = power @ split.A_diff, k + 1
+            assert not square.flags.writeable
+            assert np.linalg.norm(square - power.T, 2) <= 1e-12 * scale**k
+        assert split.taylor_squares is squares
 
-        def close(got, k):
-            return np.linalg.norm(got - powers[k], 2) <= 1e-12 * scale**k
-
-        blocks = L.reshape(B, n, B, n).transpose(0, 2, 1, 3)
-        for a in range(B):
-            assert close(P[a * n : (a + 1) * n], a + 1)
-            assert all(close(blocks[a, i], a - i) for i in range(a + 1))
-            assert not blocks[a, a + 1 :].any()
-        assert split.taylor_blocks[1] is L
-        # the block starts' propagators: the same shapes for A_diff^B,
-        # side by side
-        G = split.block_starts
-        assert G.shape == (B * n, (B + 1) * n)
-        P2, L2 = G[:, :n], G[:, n:]
-        AB = powers[B]
-        chain = [np.eye(n)]
-        for _ in range(B):
-            chain.append(chain[-1] @ AB)
-        blocks2 = L2.reshape(B, n, B, n).transpose(0, 2, 1, 3)
-        for a in range(B):
-            assert np.linalg.norm(P2[a * n : (a + 1) * n] - chain[a + 1], 2) <= 1e-11 * scale ** (
-                B * (a + 1))
-            assert all(np.linalg.norm(blocks2[a, i] - chain[a - i], 2) <= 1e-11 * scale ** (
-                B * (a - i)) for i in range(a + 1))
-            assert not blocks2[a, a + 1 :].any()
-
-    def test_power_blocks_die_with_the_split(self):
+    def test_taylor_squares_die_with_the_split(self):
         sys = example_slow_smoothing()
         split = dk.build_split(sys)
         dk.method_of_steps(sys, split)
-        assert "taylor_blocks" in vars(split)  # the solve built them
-        P, L = split.taylor_blocks
-        refs = [weakref.ref(P), weakref.ref(P.base), weakref.ref(L)]
-        del P, L, split
+        assert "taylor_squares" in vars(split)  # the solve built them
+        refs = [weakref.ref(square) for square in split.taylor_squares]
+        del split
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_streams_of_2_to_the_k_orders_take_every_step(self, field):
+        # an orthogonal A_diff keeps every order of unit scale: the last
+        # order of a stream of 1024 orders needs the step s = 1024 for its
+        # A_diff^1024 x^(0) term
+        rng = np.random.default_rng(12)
+        n = 4
+        E, A, _ = random_regular_pencil(rng, n, n_d=n, nu=0)
+        split = dk.split_matrices(dk.compute_qwf(dk.MatrixPencil(E, A)), 0 * E)
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        if field is complex:
+            Q = Q @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+        split = replace(split, A_diff=Q)
+        x = rng.standard_normal((2, n))
+        q = rng.standard_normal((2, 1024, n)) * 1e-3
+        pair = solution_taylor_from_value(split, x, q, (1023, 1024))
+        for s, orders in enumerate((1023, 1024)):
+            ref = taylor_per_order(split, x[s], q[s], orders)
+            for got in (solution_taylor_from_value(split, x[s], q[s], orders), pair[s]):
+                assert got.shape == ref.shape
+                assert np.all(np.linalg.norm(got - ref, axis=1)
+                              <= 1e-11 * np.linalg.norm(ref, axis=1))
 
     def test_matches_polynomial_solution(self):
         # scalar neutral example: segment 1 solution is x(t) = -t

@@ -111,6 +111,22 @@ class TestEvaluation:
         with pytest.raises(dk.OutOfDomain):
             pp.evaluate(2.0)
 
+    @pytest.mark.parametrize("side", ["Left", "up", "", None])
+    def test_unknown_side_is_rejected(self, side):
+        pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0]])), (1.0, 2.0, np.array([[2.0]]))])
+        for call in (lambda: pp.evaluate(0.5, side=side),
+                     lambda: pp.derivatives(np.array([0.5, 1.5]), 1, side=side)):
+            with pytest.raises(dk.DimensionMismatch, match=repr(side)):
+                call()
+
+    def test_negative_order_is_rejected(self):
+        pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0], [2.0]]))])
+        for call in (lambda: pp.evaluate(0.5, order=-1),
+                     lambda: pp.derivatives(0.5, -1),
+                     lambda: pp.derivatives(np.array([0.25, 0.5]), -2)):
+            with pytest.raises(dk.DimensionMismatch, match="non-negative, not -"):
+                call()
+
     @pytest.mark.parametrize("breaks", [[0.0, 1.0], [-1.0, -0.3, 0.4, 1.7],
                                         [0.0, 0.1, 0.2, 0.30000000000000004, 2.5]])
     def test_locate_matches_per_time_rule(self, breaks):

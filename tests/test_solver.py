@@ -733,6 +733,21 @@ class TestSweep:
         vander = solver._vander_rows.cache_info()
         assert 0 < vander.misses < pieces and vander.hits > 0
 
+    def test_knot_outside_the_sweep_is_rejected(self):
+        # a sweep of segments 3..4 holds f's rows at knots 2..4 only: knot
+        # 0 once wrapped around to the rows of knot 3, and knot 5 raised a
+        # bare IndexError
+        sys = kinked_dae(dk.MONOMIAL)
+        split = dk.build_split(sys)
+        sweep = solver.Sweep(sys, split, dk.SolverConfig(), 3, 4)
+        rows = np.zeros((3, sys.n))
+        for k in (0, 1, 5):
+            with pytest.raises(dk.DimensionMismatch, match=f"knot {k} outside .* 2..4"):
+                sweep.q_knot(k, rows, 1)
+        for k in (2, 3, 4):
+            f = sys.f.derivatives(k * sys.tau, 2, side="right")
+            assert np.array_equal(sweep.q_knot(k, rows, 1), f)
+
     @pytest.mark.parametrize("field", [float, complex])
     @pytest.mark.parametrize("first, last", [(1, 6), (3, 5), (6, 6)])
     def test_windows_match_per_segment_conversion(self, field, first, last):
