@@ -231,18 +231,24 @@ class FastPart:
         span, w = q_f.end - q_f.start, None
         groups = _width_groups(a, b, span, lengths.tolist())
         for (length, width), ks in groups.items():
-            key = (q_f.basis.name, length, width, span)
-            if key not in self._ops:
-                self._ops[key] = _fast_operator(q_f.basis, length, a[ks[0]], b[ks[0]], self.nu)
-            ops = self._ops[key]
             if len(groups) == 1:  # every piece, of the stack's length
-                w = ((ops @ c[:, None]) @ self._NT[: len(ops)]).sum(axis=1)
+                w = self.solve_coefs(q_f.basis, c, a[0], b[0], width, span)
                 break
             if w is None:
                 w = np.zeros(c.shape[:2] + self.N.shape[:1],
                              dtype=np.result_type(c, self._NT, float))
-            w[ks, :length] = ((ops @ c[ks, None, :length]) @ self._NT[: len(ops)]).sum(axis=1)
+            w[ks, :length] = self.solve_coefs(q_f.basis, c[ks, :length], a[ks[0]], b[ks[0]],
+                                              width, span)
         return q_f._with_stack((a, b, *q_f.basis.trim(w, lengths)), self.N.shape[0])
+
+    def solve_coefs(self, basis, c, a, b, width, span):
+        """Untrimmed w for a stack c (K, length, n_a) of q_f pieces on [a, b]
+        of one length and width, width their _width_groups key in span."""
+        key = (basis.name, c.shape[1], width, span)
+        if key not in self._ops:
+            self._ops[key] = _fast_operator(basis, c.shape[1], a, b, self.nu)
+        ops = self._ops[key]
+        return ((ops @ c[:, None]) @ self._NT[: len(ops)]).sum(axis=1)
 
 
 def _fast_operator(basis, length, a, b, nu):

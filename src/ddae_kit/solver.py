@@ -337,21 +337,14 @@ class SlowCollocation:
         A group's arrays are node-major, (p+1, nd K) with column r K + k
         for component r of piece k, so each operator is one product for
         the whole group.  A lone piece is solved without a group's axis,
-        as one mat-vec: most segments are one piece.
+        as one mat-vec (_lone): most segments are one piece.
         """
-        nd, count = len(self.J), len(q)
-        dtype = _common_dtype(self.J.dtype, v0.dtype, q.dtype)
-        widths = b - a
+        nd, count, widths = len(self.J), len(q), b - a
         if count == 1:
-            p, length = self.ladder[rungs[0]], lengths[0]
-            qg = q[0, :length]
-            rhs = (_vander_rows(p, length)[0] @ qg).astype(dtype).reshape(-1)
-            rhs[:nd] = v0
-            values = (self._inverse(p, widths[0], span, dtype) @ rhs).reshape(p + 1, nd)
-            stack = values_to_coeffs(values)[None]
-            keep = trim_lengths(stack)
-            return ([(slice(None), stack[:, : keep[0]], keep)],
-                    self._certified(widths, qg, values, stack, keep))
+            solved = self._lone(self.ladder[rungs[0]], q[0, : lengths[0]], v0, widths, span)
+            stack, keep = solved[3:]
+            return [(slice(None), stack[:, : keep[0]], keep)], self._certified(*solved)
+        dtype = _common_dtype(self.J.dtype, v0.dtype, q.dtype)
         G = np.empty((count, nd, nd), dtype=dtype)
         e = np.empty((count, nd), dtype=dtype)
         solving = []
@@ -377,6 +370,17 @@ class SlowCollocation:
             passed[sel] = self._certified(widths[sel], qg, values, stack, keep)
             solved.append((sel, cut_stack(stack, keep), keep))
         return solved, passed
+
+    def _lone(self, p, qg, v0, width, span):
+        """The degree-p collocant of one piece of width (an array of one)
+        with forcing coefficients qg (L, nd) as _certified takes it:
+        (width, qg, values (p+1, nd), stack (1, p+1, nd), trimmed lengths)."""
+        dtype = _common_dtype(self.J.dtype, v0.dtype, qg.dtype)
+        rhs = (_vander_rows(p, len(qg))[0] @ qg).astype(dtype).reshape(-1)
+        rhs[: len(self.J)] = v0
+        values = (self._inverse(p, width[0], span, dtype) @ rhs).reshape(p + 1, len(self.J))
+        stack = values_to_coeffs(values)[None]
+        return width, qg, values, stack, trim_lengths(stack)
 
     def _certified(self, widths, qg, values, stack, keep):
         """The certificate of a group of K degree-p collocants: node-major
@@ -658,6 +662,71 @@ def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
     return derivs_end, (start, residual, consistent)
 
 
+def _stretch_step(split, i, prev, sweep, alone):
+    """Segment i and the _certified arguments of its collocant when prev
+    and the S f window are one Chebyshev piece each, on one domain, of at
+    most FIRST_DEGREE + 1 coefficients, prev's restart is consistent and
+    ||J|| tau <= STIFF_WIDTH, else None: solve_segment's arithmetic, in
+    its order, on the coefficient arrays.  The collocant is certified
+    here when alone (False if it fails), else by the caller."""
+    a, b, x, _ = prev.pieces._stack
+    wa, wb, cw, _ = sweep.windows[i - sweep.first]._stack
+    span = float(b[-1]) - float(a[0])
+    if (len(a) > 1 or len(wa) > 1 or max(x.shape[1], cw.shape[1]) > FIRST_DEGREE + 1
+            or not (prev.restart and prev.restart[2])
+            or sweep.colloc._J_norm * span > STIFF_WIDTH
+            or max(abs(wa[0] - a[0]), abs(wb[0] - b[0])) > DOMAIN_RTOL * span):
+        return None
+    derivs_start, residual, _ = prev.restart
+    nd, delayed = split.n_d, x @ sweep.SD.T
+    c = np.zeros((1, max(delayed.shape[1], cw.shape[1]), split.n),
+                 dtype=np.result_type(delayed, cw))
+    c[:, : delayed.shape[1]] += delayed
+    c[:, : cw.shape[1]] += cw
+    q_d, q_f = (part[: trim_lengths(part)] for part in (c[0, :, :nd], c[0, :, nd:]))
+    v0 = (split.qwf.T_inv @ derivs_start[0])[:nd]
+    solved = sweep.colloc._lone(FIRST_DEGREE, q_d, v0, b - a, span)
+    if alone and not sweep.colloc._certified(*solved):
+        return False
+    stack, keep = solved[3:]
+    [(width,)] = _width_groups(a, b, span)
+    w = sweep.fast.solve_coefs(prev.pieces.basis, q_f[None], a[0], b[0], width, span)
+    lw = trim_lengths(w)  # w of no fast components is (1, 1, 0), as recombine's
+    x, lengths = _stacked(stack[:, : keep[0]], w[:, : lw[0]]) @ sweep.T.T, np.maximum(keep, lw)
+    derivs_end, following = _knot(split, i, prev.derivs_end, derivs_start,
+                                  x[-1, : lengths[-1]].sum(axis=0), len(derivs_start) - 1, sweep)
+    return SegmentSolution(index=i, pieces=prev.pieces._with_stack((a, b, x, lengths), split.n),
+                           consistency_residual=residual, derivs_start=derivs_start,
+                           derivs_end=derivs_end, restart=following), solved
+
+
+def _stretch(split, chain, sweep):
+    """Extend chain by one stretch: the next segments, up to the sweep's
+    last, that _stretch_step takes.  The first is certified alone before
+    its knot, the rest by one stacked _certified call (column r K + k for
+    component r of piece k, forcings zero-padded to the longest) when the
+    stretch ends.  Returns False when one failed, chain then ending
+    before it."""
+    start, step, solved = len(chain), None, []
+    while len(chain) <= sweep.last and (
+            step := _stretch_step(split, len(chain), chain[-1], sweep, len(chain) == start)):
+        chain.append(step[0])
+        solved.append(step[1])
+    if len(solved) < 2:
+        return step is not False
+    widths, forcings, values, stacks, keeps = zip(*solved[1:])
+    (rows, nd), count = values[0].shape, len(solved) - 1
+    q = _padded(forcings, np.result_type(*forcings))[0].transpose(1, 2, 0)
+    passed = np.broadcast_to(sweep.colloc._certified(
+        np.concatenate(widths), q.reshape(len(q), nd * count),
+        np.stack(values, axis=-1).reshape(rows, nd * count),
+        np.concatenate(stacks), np.concatenate(keeps)), count)
+    if not passed.all():
+        del chain[len(chain) - count + int(passed.argmin()):]
+        return False
+    return True
+
+
 def method_of_steps(
     sys: DdaeSystem,
     split: SplitCoefficients | None = None,
@@ -687,8 +756,13 @@ def method_of_steps(
     # non-finite order the scan's stream goes one order at a time
     # (model._taylor_stack), so numpy need not report them
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = [history_as_segment(sys, split, hist_orders, sweep)]
-        for i in range(1, M + 1):
+        chain, stretching = [history_as_segment(sys, split, hist_orders, sweep)], True
+        while True:
+            # stretches until a certificate fails; all else by solve_segment
+            stretching = stretching and _stretch(split, chain, sweep)
+            i = len(chain)
+            if i > M:
+                break
             try:
                 chain.append(solve_segment(split, i, chain[-1], config, sweep))
             except InconsistentRestart as err:

@@ -3,6 +3,7 @@ import json
 import re
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -770,7 +771,16 @@ class TestSweep:
     def test_fast_operators_match_per_order_loop(self, seed, monkeypatch):
         # the stacked fast-part operators change only the rounding of the
         # per-order loop: trajectories agree to 1e-13 relative and every
-        # ledger decision is the same
+        # ledger decision is the same; the stretch and FastPart.solve both
+        # apply them through solve_coefs, which the reference replaces
+        def per_order(self, basis, c, a, b, width, span):
+            w = np.zeros(c.shape[:2] + self.N.shape[:1], dtype=np.result_type(c, self.N, float))
+            for k, ck in enumerate(c):
+                piece = dk.PiecewisePolynomial([(a, b, ck)], basis=basis)
+                ref = fast_per_order(self.N, piece, self.nu).pieces[0].coef
+                w[k, : len(ref)] = ref
+            return w
+
         rng = np.random.default_rng(90 + seed)
         n_d, n_a = int(rng.integers(1, 3)), int(rng.integers(2, 5))
         nu = int(rng.integers(2, n_a + 1))
@@ -779,8 +789,7 @@ class TestSweep:
                                                f_degree=4)
         traj, ledger = dk.method_of_steps(sys, split)
         with monkeypatch.context() as m:
-            m.setattr(model.FastPart, "solve",
-                      lambda self, q_f: fast_per_order(self.N, q_f, self.nu))
+            m.setattr(model.FastPart, "solve_coefs", per_order)
             ref_traj, ref_ledger = dk.method_of_steps(sys, split)
         assert len(traj.segments) == len(ref_traj.segments) == 10
         for seg, ref in zip(traj.segments, ref_traj.segments):
@@ -798,6 +807,157 @@ class TestSweep:
         for e, e_ref in zip(ledger.entries, ref_ledger.entries):
             if e_ref.jump_norm is not None:
                 assert e.jump_norm == pytest.approx(e_ref.jump_norm, rel=1e-10)
+
+
+def per_segment_sweep(sys, split, config=dk.SolverConfig()):
+    """Reference for method_of_steps: a hand loop of solve_segment over
+    the sweep of segments 1..M, ended by an inconsistent restart.  The
+    segments, the knot entries and the breakdown (knot, jump) or None."""
+    M, nu = sys.horizon_intervals, split.nu
+    k_max = nu + 2 if config.k_max is None else config.k_max
+    sweep, breakdown = solver.Sweep(sys, split, config, 1, M), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = [solver.history_as_segment(sys, split, k_max + M * nu + max(nu, 1), sweep)]
+        for i in range(1, M + 1):
+            try:
+                chain.append(solver.solve_segment(split, i, chain[-1], config, sweep))
+            except dk.InconsistentRestart as err:
+                breakdown = (i - 1, err.jump)
+                break
+        entries = solver.detect_jumps(chain, k_max, sys.tau)
+    return chain[1:], entries, breakdown
+
+
+def raw(x):
+    """x as (dtype, shape, bytes), or None: what bit-for-bit equality compares."""
+    return None if x is None else (np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes())
+
+
+def segment_bits(seg):
+    restart = None if seg.restart is None else tuple(map(raw, seg.restart))
+    return (seg.index, seg.unresolved, raw(seg.consistency_residual), raw(seg.derivs_start),
+            raw(seg.derivs_end), restart, *map(raw, seg.pieces._stack))
+
+
+def entry_bits(e):
+    return (e.knot_index, e.time, e.matched_order, e.first_jump_order, raw(e.jump_vector),
+            raw(e.jump_norm), e.inconsistent_restart)
+
+
+def stretch_against_per_segment(sys, monkeypatch):
+    """method_of_steps on sys, asserted bit for bit equal to the
+    per-segment reference; the indices of the segments _stretch_step
+    solved, certified or not, and of those solve_segment solved."""
+    split = dk.build_split(sys)
+    taken, alone = [], []
+    step, segment = solver._stretch_step, solver.solve_segment
+
+    def counted_step(split, i, prev, sweep, alone):
+        out = step(split, i, prev, sweep, alone)
+        taken.extend([] if out is None else [i])
+        return out
+
+    def counted_segment(split, i, *args):
+        alone.append(i)
+        return segment(split, i, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_stretch_step", counted_step)
+        m.setattr(solver, "solve_segment", counted_segment)
+        traj, ledger = dk.method_of_steps(sys, split)
+    segs, entries, breakdown = per_segment_sweep(sys, split)
+    assert list(map(segment_bits, traj.segments)) == list(map(segment_bits, segs))
+    ours = ledger.entries[:-1] if breakdown else ledger.entries
+    assert list(map(entry_bits, ours)) == list(map(entry_bits, entries))
+    if breakdown:
+        last = ledger.entries[-1]
+        assert (last.knot_index, raw(last.jump_vector)) == (breakdown[0], raw(breakdown[1]))
+    assert ledger.unresolved_pieces == [
+        (seg.index, (seg.index - 1) * sys.tau + a, (seg.index - 1) * sys.tau + b)
+        for seg in segs for a, b in seg.unresolved]
+    # every segment (and the one a breakdown stops) is solved once, by
+    # the stretch or alone, but for those a failed certificate sends back
+    assert sorted(set(taken) | set(alone)) == list(range(1, len(segs) + 1 + bool(breakdown)))
+    return taken, alone
+
+
+def one_piece_system(n_d, n_a, nu, field, seed=40, horizon=8):
+    rng = np.random.default_rng(seed + 10 * nu + n_a)
+    blocks = random_smoothing_blocks(rng, n_d, n_a, nu)
+    sys, _ = random_system_from_blocks(rng, n_d, n_a, nu, blocks, horizon=horizon, f_degree=3)
+    c = 1.0 + 0.5j if field is complex else 1.0
+    return replace(sys, f=sys.f * c, phi=sys.phi * c)
+
+
+def with_f_kink(sys, at):
+    """sys with f kinked at the time at: the second piece gets a constant."""
+    (a, b, c1), (_, _, c2) = sys.f.split_at([at]).pieces
+    c2 = c2.copy()
+    c2[0] += 0.5
+    return replace(sys, f=dk.PiecewisePolynomial([(a, b, c1), (b, sys.t_final, c2)]))
+
+
+def exit_cases():
+    sys, ode = one_piece_system(1, 3, 2, float), one_piece_system(2, 0, 0, float)
+    two_piece_phi = replace(sys, phi=sys.phi.split_at([-0.5]))
+    return [
+        pytest.param(with_f_kink(sys, 3.5), (1, 2, 3), id="f-breakpoint-mid-horizon"),
+        pytest.param(kinked_dae(dk.CHEBYSHEV), (), id="kinked_dae"),
+        pytest.param(example_advanced(), (1, 2, 3), id="advanced-breakdown"),
+        pytest.param(two_piece_phi, (), id="multi-piece-history"),
+        pytest.param(stiff_ode(2, M=3), (), id="stiff"),
+        pytest.param(replace(ode, f=dk.PiecewisePolynomial(
+            [(0.0, ode.t_final, 0.3 * np.random.default_rng(3).standard_normal((19, 2)))])),
+            (), id="long-forcing"),
+    ]
+
+
+class TestStretch:
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("n_d, n_a, nu", [(2, 0, 0), (2, 2, 1), (1, 3, 2), (2, 4, 3)],
+                             ids=["index0", "index1", "index2", "index3"])
+    def test_one_piece_sweeps_match_per_segment(self, n_d, n_a, nu, field, monkeypatch):
+        sys = one_piece_system(n_d, n_a, nu, field)
+        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert taken == list(range(1, 9)) and not alone
+
+    @pytest.mark.parametrize("example", [example_neutral, example_slow_smoothing,
+                                         lambda: retarded_ode(np.random.default_rng(8), 3, 6)],
+                             ids=["neutral-nd0", "slow-smoothing", "retarded-na0"])
+    def test_worked_examples_match_per_segment(self, example, monkeypatch):
+        sys = example()
+        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert taken == list(range(1, sys.horizon_intervals + 1)) and not alone
+
+    @pytest.mark.parametrize("sys, stretched", exit_cases())
+    def test_each_exit_matches_per_segment(self, sys, stretched, monkeypatch):
+        # the segments after an exit go by solve_segment: a breakpoint
+        # or a second history piece is inherited by every later segment
+        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert tuple(taken) == stretched
+        assert alone == list(range(len(stretched) + 1, len(taken) + len(alone) + 1))
+
+    def test_failed_first_certificate_ends_stretching(self, monkeypatch):
+        # x' = -6x + 0.1 x(t - 1): every segment's collocant fails at the
+        # first degree, so the first one is solved twice and every other
+        # one by solve_segment alone
+        sys = dk.DdaeSystem(E=[[1.0]], A=[[-6.0]], D=[[0.1]], tau=1.0, horizon_intervals=40,
+                            f=dk.PiecewisePolynomial([(0.0, 40.0, [[1.0]])]),
+                            phi=dk.PiecewisePolynomial([(-1.0, 0.0, [[1.0], [0.5]])]))
+        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert taken == [1] and alone == list(range(1, 41))
+
+    def test_failed_stacked_certificate_ends_stretching(self, monkeypatch):
+        # the history starts segment 1 on the polynomial solution of
+        # x' = -6x + 0.1 x(t - 1), so it passes at the first degree; its
+        # end value starts segment 2 with a transient that fails there,
+        # and the stacked certificate sends segments 2..4 back
+        c0 = -361.0 / 354.0
+        sys = dk.DdaeSystem(E=[[1.0]], A=[[-6.0]], D=[[0.1]], tau=1.0, horizon_intervals=4,
+                            f=dk.PiecewisePolynomial.zero(1, 0.0, 4.0),
+                            phi=dk.PiecewisePolynomial([(-1.0, 0.0, [[c0], [1.0]])]))
+        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert taken == [1, 2, 3, 4] and alone == [2, 3, 4]
 
 
 def _collocation_cases():
