@@ -213,12 +213,13 @@ class FastPart:
     """Solver of N w' = w + q_f, nu the nilpotency index of N.
 
     The operators -D^k, k < nu, D the basis's differentiation matrix on a
-    piece, are stacked once per (basis, coefficient length, width) and the
-    powers (N^k)^T once, so the pieces of one length and width cost two
-    stacked products and a sum together, and all pieces one trim.
-    Widths are compared relative to the span of q_f
-    (piecewise._width_groups).  An instance keeps its operators for every
-    q_f it solves.
+    piece, are stacked once per (basis, width), at the longest length
+    asked for (solve asks longest first; D is upper triangular, so a
+    shorter length takes the leading blocks, its own build up to
+    rounding), and the powers (N^k)^T once: the pieces of one length and
+    width cost two stacked products and a sum together, and all pieces
+    one trim.  Widths are compared relative to the span of q_f
+    (piecewise._width_groups).  An instance keeps its operators.
     """
 
     def __init__(self, N, nu):
@@ -230,7 +231,7 @@ class FastPart:
         a, b, c, lengths = q_f._stack
         span, w = q_f.end - q_f.start, None
         groups = _width_groups(a, b, span, lengths.tolist())
-        for (length, width), ks in groups.items():
+        for (length, width), ks in sorted(groups.items(), reverse=True):
             if len(groups) == 1:  # every piece, of the stack's length
                 w = self.solve_coefs(q_f.basis, c, a[0], b[0], width, span)
                 break
@@ -244,10 +245,10 @@ class FastPart:
     def solve_coefs(self, basis, c, a, b, width, span):
         """Untrimmed w for a stack c (K, length, n_a) of q_f pieces on [a, b]
         of one length and width, width their _width_groups key in span."""
-        key = (basis.name, c.shape[1], width, span)
-        if key not in self._ops:
-            self._ops[key] = _fast_operator(basis, c.shape[1], a, b, self.nu)
-        ops = self._ops[key]
+        key, length = (basis.name, width, span), c.shape[1]
+        if key not in self._ops or len(self._ops[key][0]) < length:
+            self._ops[key] = _fast_operator(basis, length, a, b, self.nu)
+        ops = self._ops[key][: max(min(self.nu, length), 1), :length, :length]
         return ((ops @ c[:, None]) @ self._NT[: len(ops)]).sum(axis=1)
 
 

@@ -119,7 +119,7 @@ class SegmentSolution:
     width floor.  restart is (derivs_start, consistency_residual,
     consistent) of segment index + 1, formed with derivs_end at their
     common knot (history_as_segment for the history, segment 0, and
-    solve_segment for the others), or None when no later segment of the
+    _knot for the others), or None when no later segment of the
     sweep reads it.
     """
 
@@ -336,15 +336,10 @@ class SlowCollocation:
 
         A group's arrays are node-major, (p+1, nd K) with column r K + k
         for component r of piece k, so each operator is one product for
-        the whole group.  A lone piece is solved without a group's axis,
-        as one mat-vec (_lone): most segments are one piece.
+        the whole group.
         """
         nd, count, widths = len(self.J), len(q), b - a
-        if count == 1:
-            solved = self._lone(self.ladder[rungs[0]], q[0, : lengths[0]], v0, widths, span)
-            stack, keep = solved[3:]
-            return [(slice(None), stack[:, : keep[0]], keep)], self._certified(*solved)
-        dtype = _common_dtype(self.J.dtype, v0.dtype, q.dtype)
+        dtype = np.result_type(self.J, v0, q, float)
         G = np.empty((count, nd, nd), dtype=dtype)
         e = np.empty((count, nd), dtype=dtype)
         solving = []
@@ -370,17 +365,6 @@ class SlowCollocation:
             passed[sel] = self._certified(widths[sel], qg, values, stack, keep)
             solved.append((sel, cut_stack(stack, keep), keep))
         return solved, passed
-
-    def _lone(self, p, qg, v0, width, span):
-        """The degree-p collocant of one piece of width (an array of one)
-        with forcing coefficients qg (L, nd) as _certified takes it:
-        (width, qg, values (p+1, nd), stack (1, p+1, nd), trimmed lengths)."""
-        dtype = _common_dtype(self.J.dtype, v0.dtype, qg.dtype)
-        rhs = (_vander_rows(p, len(qg))[0] @ qg).astype(dtype).reshape(-1)
-        rhs[: len(self.J)] = v0
-        values = (self._inverse(p, width[0], span, dtype) @ rhs).reshape(p + 1, len(self.J))
-        stack = values_to_coeffs(values)[None]
-        return width, qg, values, stack, trim_lengths(stack)
 
     def _certified(self, widths, qg, values, stack, keep):
         """The certificate of a group of K degree-p collocants: node-major
@@ -463,12 +447,6 @@ def _runs(a, b, marked):
         else:
             runs.append((float(a[k]), float(b[k])))
     return runs
-
-
-@cache
-def _common_dtype(*dtypes):
-    """np.result_type of the dtypes and float, cached."""
-    return np.result_type(*dtypes, float)
 
 
 @cache
@@ -581,20 +559,6 @@ class Sweep:
         q[..., : f.shape[-2], :] += f
         return q
 
-    def recombine(self, v: PiecewisePolynomial, q_f: PiecewisePolynomial):
-        """x = T [v; w] with w the fast part for q_f, cut first at the
-        breakpoints v adds: one stacked product [v | w] T^T for every
-        piece."""
-        a, b, cv, lv = v._stack
-        if not self.fast.N.size:  # no fast components: w has no columns
-            cw, lw = np.zeros((len(a), 1, 0)), np.ones(len(a), dtype=int)
-        else:
-            if len(a) > len(q_f._stack[0]):
-                q_f = q_f.split_at(v.breakpoints[1:-1])
-            _, _, cw, lw = self.fast.solve(q_f)._stack
-        x = _stacked(cv, cw) @ self.T.T
-        return v._with_stack((a, b, x, np.maximum(lv, lw)), self.T.shape[0])
-
 
 def solve_segment(
     split: SplitCoefficients,
@@ -627,9 +591,16 @@ def solve_segment(
     q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], split.n_d)
     v0 = (split.qwf.T_inv @ derivs_start[0])[: split.n_d]
     v, unresolved = sweep.colloc.integrate(q_d, v0)
-    pieces = sweep.recombine(v, q_f)
-
-    _, _, x, lengths = pieces._stack
+    # x = T [v; w], w for q_f cut at v's breakpoints: one product [v | w] T^T
+    a, b, cv, lv = v._stack
+    if not sweep.fast.N.size:  # no fast components: w has no columns
+        cw, lw = np.zeros((len(a), 1, 0)), np.ones(len(a), dtype=int)
+    else:
+        if len(a) > len(q_f._stack[0]):
+            q_f = q_f.split_at(v.breakpoints[1:-1])
+        _, _, cw, lw = sweep.fast.solve(q_f)._stack
+    x, lengths = _stacked(cv, cw) @ sweep.T.T, np.maximum(lv, lw)
+    pieces = v._with_stack((a, b, x, lengths), split.n)
     x_end = x[-1, : lengths[-1]].sum(axis=0)  # T_k(1) = 1
     derivs_end, following = _knot(split, i, prev.derivs_end, derivs_start, x_end, orders, sweep)
     return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
@@ -662,69 +633,97 @@ def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
     return derivs_end, (start, residual, consistent)
 
 
-def _stretch_step(split, i, prev, sweep, alone):
-    """Segment i and the _certified arguments of its collocant when prev
-    and the S f window are one Chebyshev piece each, on one domain, of at
-    most FIRST_DEGREE + 1 coefficients, prev's restart is consistent and
-    ||J|| tau <= STIFF_WIDTH, else None: solve_segment's arithmetic, in
-    its order, on the coefficient arrays.  The collocant is certified
-    here when alone (False if it fails), else by the caller."""
+def _recurrence(split, prev, sweep):
+    """Pass 1 of a stretch, or None: the segments after prev, up to the
+    sweep's last, whose delayed data and S f window are one Chebyshev
+    piece each, on one domain, of m = FIRST_DEGREE + 1 coefficients at
+    most, when prev's restart is consistent and ||J|| tau <= STIFF_WIDTH.
+
+    Each segment is an affine map of the one before on (m, n) arrays:
+    q = S D x + S f, each part's rows past its TRIM_TOL cut zeroed, the
+    degree-16 collocant, the fast part and x = [v | w] T^T.  The first
+    collocant starts at the slow part of prev's restart, each later one
+    at the slow end (the rows summed) of the one before, which the
+    restart's projection leaves as it is, so none waits for a knot.  The
+    first is certified alone before the others are formed, the rest by
+    one stacked _certified call (column r K + k for component r of
+    segment k).  Returns the slow starts (K, n_d) and collocants
+    (K, m, n_d) of the K segments formed, x (C, longest, n) zero past
+    the lengths and the trimmed lengths of the C before the first failed
+    certificate, and whether one failed.
+    """
     a, b, x, _ = prev.pieces._stack
-    wa, wb, cw, _ = sweep.windows[i - sweep.first]._stack
-    span = float(b[-1]) - float(a[0])
-    if (len(a) > 1 or len(wa) > 1 or max(x.shape[1], cw.shape[1]) > FIRST_DEGREE + 1
-            or not (prev.restart and prev.restart[2])
-            or sweep.colloc._J_norm * span > STIFF_WIDTH
-            or max(abs(wa[0] - a[0]), abs(wb[0] - b[0])) > DOMAIN_RTOL * span):
+    span, m, colloc = float(b[-1]) - float(a[0]), FIRST_DEGREE + 1, sweep.colloc
+    if (len(a) > 1 or x.shape[1] > m or not (prev.restart and prev.restart[2])
+            or colloc._J_norm * span > STIFF_WIDTH):
         return None
-    derivs_start, residual, _ = prev.restart
-    nd, delayed = split.n_d, x @ sweep.SD.T
-    c = np.zeros((1, max(delayed.shape[1], cw.shape[1]), split.n),
-                 dtype=np.result_type(delayed, cw))
-    c[:, : delayed.shape[1]] += delayed
-    c[:, : cw.shape[1]] += cw
-    q_d, q_f = (part[: trim_lengths(part)] for part in (c[0, :, :nd], c[0, :, nd:]))
-    v0 = (split.qwf.T_inv @ derivs_start[0])[:nd]
-    solved = sweep.colloc._lone(FIRST_DEGREE, q_d, v0, b - a, span)
-    if alone and not sweep.colloc._certified(*solved):
-        return False
-    stack, keep = solved[3:]
-    [(width,)] = _width_groups(a, b, span)
-    w = sweep.fast.solve_coefs(prev.pieces.basis, q_f[None], a[0], b[0], width, span)
-    lw = trim_lengths(w)  # w of no fast components is (1, 1, 0), as recombine's
-    x, lengths = _stacked(stack[:, : keep[0]], w[:, : lw[0]]) @ sweep.T.T, np.maximum(keep, lw)
-    derivs_end, following = _knot(split, i, prev.derivs_end, derivs_start,
-                                  x[-1, : lengths[-1]].sum(axis=0), len(derivs_start) - 1, sweep)
-    return SegmentSolution(index=i, pieces=prev.pieces._with_stack((a, b, x, lengths), split.n),
-                           consistency_residual=residual, derivs_start=derivs_start,
-                           derivs_end=derivs_end, restart=following), solved
+    nd, n, T_inv = split.n_d, split.n, split.qwf.T_inv
+    dtype = np.result_type(x, sweep.windows[0]._stack[2], sweep.SD, sweep.T, T_inv, colloc.J)
+    q, count = np.zeros((sweep.last - prev.index, m, n), dtype=dtype), 0  # S f, then + S D x
+    for window in sweep.windows[prev.index + 1 - sweep.first:]:
+        wa, wb, cw, _ = window._stack
+        if (len(wa) > 1 or cw.shape[1] > m
+                or max(abs(wa[0] - a[0]), abs(wb[0] - b[0])) > DOMAIN_RTOL * span):
+            break
+        q[count, : cw.shape[1]], count = cw[0], count + 1
+    if not count:
+        return None
+    values, vw, xs = (np.empty((count, m, c), dtype=dtype) for c in (nd, n, n))
+    starts, x_prev = np.empty((count + 1, nd), dtype=dtype), np.zeros((m, n), dtype=dtype)
+    starts[0], x_prev[: x.shape[1]] = (T_inv @ prev.restart[0][0])[:nd], x[0]
+    Ainv = colloc._inverse(FIRST_DEGREE, b[0] - a[0], span, dtype)
+    vander, [(width,)] = _vander_rows(FIRST_DEGREE, m)[0], _width_groups(a, b, span)
+    for k in range(count):
+        q[k] += x_prev @ sweep.SD.T
+        for part in (q[k, :, :nd], q[k, :, nd:]):
+            if part.size:
+                part[trim_lengths(part):] = 0.0
+        rhs = vander @ q[k, :, :nd]
+        rhs[0] = starts[k]
+        values[k] = (Ainv @ rhs.reshape(-1)).reshape(m, nd)
+        vw[k, :, :nd] = values_to_coeffs(values[k])
+        if not k and not colloc._certified(b - a, q[0, :, :nd], values[0], vw[:1, :, :nd],
+                                           trim_lengths(vw[:1, :, :nd])):
+            return starts[:1], vw[:1, :, :nd], xs[:0], np.zeros(0, dtype=int), True
+        if n > nd:
+            vw[k, :, nd:] = sweep.fast.solve_coefs(prev.pieces.basis, q[k : k + 1, :, nd:],
+                                                   a[0], b[0], width, span)[0]
+        x_prev = xs[k] = vw[k] @ sweep.T.T
+        starts[k + 1] = vw[k, :, :nd].sum(axis=0)
+    keep = trim_lengths(vw[:, :, :nd])
+    lengths, passed = np.maximum(keep, trim_lengths(vw[:, :, nd:])), np.ones(count, dtype=bool)
+    if count > 1:
+        q, values = (part[1:count].transpose(1, 2, 0).reshape(m, nd * (count - 1))
+                     for part in (q[:, :, :nd], values))
+        passed[1:] = colloc._certified((b - a).repeat(count - 1), q, values,
+                                       vw[1:, :, :nd], keep[1:])
+    good = int(passed.argmin()) if not passed.all() else count
+    return (starts[:count], vw[:, :, :nd], cut_stack(xs[:good], lengths[:good]),
+            lengths[:good], good < count)
 
 
 def _stretch(split, chain, sweep):
-    """Extend chain by one stretch: the next segments, up to the sweep's
-    last, that _stretch_step takes.  The first is certified alone before
-    its knot, the rest by one stacked _certified call (column r K + k for
-    component r of piece k, forcings zero-padded to the longest) when the
-    stretch ends.  Returns False when one failed, chain then ending
-    before it."""
-    start, step, solved = len(chain), None, []
-    while len(chain) <= sweep.last and (
-            step := _stretch_step(split, len(chain), chain[-1], sweep, len(chain) == start)):
-        chain.append(step[0])
-        solved.append(step[1])
-    if len(solved) < 2:
-        return step is not False
-    widths, forcings, values, stacks, keeps = zip(*solved[1:])
-    (rows, nd), count = values[0].shape, len(solved) - 1
-    q = _padded(forcings, np.result_type(*forcings))[0].transpose(1, 2, 0)
-    passed = np.broadcast_to(sweep.colloc._certified(
-        np.concatenate(widths), q.reshape(len(q), nd * count),
-        np.stack(values, axis=-1).reshape(rows, nd * count),
-        np.concatenate(stacks), np.concatenate(keeps)), count)
-    if not passed.all():
-        del chain[len(chain) - count + int(passed.argmin()):]
-        return False
-    return True
+    """Extend chain by one stretch: pass 1 (_recurrence) forms and
+    certifies its collocants, pass 2 the knot (_knot) of each certified
+    segment in order, up to the first segment whose restart is missing
+    or inconsistent, which solve_segment then reports.  Returns False
+    when a certificate failed, chain then ending before its segment."""
+    if (solved := _recurrence(split, chain[-1], sweep)) is None:
+        return True
+    _, _, x, lengths, failed = solved
+    for k, x_end in enumerate(x.sum(axis=1)):  # x is zero past each length
+        prev = chain[-1]
+        derivs_start, residual, _ = prev.restart
+        derivs_end, following = _knot(split, prev.index + 1, prev.derivs_end, derivs_start,
+                                      x_end, len(derivs_start) - 1, sweep)
+        pieces = prev.pieces._with_stack(
+            (*prev.pieces._stack[:2], x[k : k + 1, : lengths[k]], lengths[k : k + 1]), split.n)
+        chain.append(SegmentSolution(index=prev.index + 1, pieces=pieces,
+                                     consistency_residual=residual, derivs_start=derivs_start,
+                                     derivs_end=derivs_end, restart=following))
+        if not (following and following[2]):
+            break
+    return not failed
 
 
 def method_of_steps(

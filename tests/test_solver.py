@@ -828,57 +828,108 @@ def per_segment_sweep(sys, split, config=dk.SolverConfig()):
     return chain[1:], entries, breakdown
 
 
-def raw(x):
-    """x as (dtype, shape, bytes), or None: what bit-for-bit equality compares."""
-    return None if x is None else (np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes())
+def assert_close(got, want, scale):
+    """got equal to want within 1e-12 scale: the same shape and the same
+    non-finite entries, the finite ones within the bound."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
 
 
-def segment_bits(seg):
-    restart = None if seg.restart is None else tuple(map(raw, seg.restart))
-    return (seg.index, seg.unresolved, raw(seg.consistency_residual), raw(seg.derivs_start),
-            raw(seg.derivs_end), restart, *map(raw, seg.pieces._stack))
+def largest(*arrays):
+    return max(float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a))) for a in arrays)
 
 
-def entry_bits(e):
-    return (e.knot_index, e.time, e.matched_order, e.first_jump_order, raw(e.jump_vector),
-            raw(e.jump_norm), e.inconsistent_restart)
-
-
-def stretch_against_per_segment(sys, monkeypatch):
-    """method_of_steps on sys, asserted bit for bit equal to the
-    per-segment reference; the indices of the segments _stretch_step
-    solved, certified or not, and of those solve_segment solved."""
+def stretch_against_per_segment(sys, monkeypatch, knots=None):
+    """method_of_steps on sys against the per-segment reference: the same
+    ledger decisions, breakdown knot, unresolved runs, trimmed piece
+    lengths and restart verdicts, and coefficients, streams, jumps and
+    residuals within 1e-12 of the segment's largest entry of each (the
+    stretch starts a collocant at the slow end of the one before, not at
+    the projected restart).  Returns the indices of the segments whose
+    collocant a stretch formed (_recurrence), certified or not, of those
+    it kept, and of those solve_segment solved; knots, when given, counts
+    the _knot calls of method_of_steps by segment."""
     split = dk.build_split(sys)
-    taken, alone = [], []
-    step, segment = solver._stretch_step, solver.solve_segment
+    formed, taken, alone = [], [], []
+    recurrence, stretch, segment = solver._recurrence, solver._stretch, solver.solve_segment
+    knot = solver._knot
 
-    def counted_step(split, i, prev, sweep, alone):
-        out = step(split, i, prev, sweep, alone)
-        taken.extend([] if out is None else [i])
+    def counted_recurrence(split, prev, sweep):
+        out = recurrence(split, prev, sweep)
+        formed.extend([] if out is None else range(prev.index + 1, prev.index + 1 + len(out[0])))
+        return out
+
+    def counted_stretch(split, chain, sweep):
+        first = len(chain)
+        out = stretch(split, chain, sweep)
+        taken.extend(range(first, len(chain)))
         return out
 
     def counted_segment(split, i, *args):
         alone.append(i)
         return segment(split, i, *args)
 
+    def counted_knot(split, i, *args):
+        knots[i] += 1
+        return knot(split, i, *args)
+
     with monkeypatch.context() as m:
-        m.setattr(solver, "_stretch_step", counted_step)
+        if knots is not None:
+            m.setattr(solver, "_knot", counted_knot)
+        m.setattr(solver, "_recurrence", counted_recurrence)
+        m.setattr(solver, "_stretch", counted_stretch)
         m.setattr(solver, "solve_segment", counted_segment)
         traj, ledger = dk.method_of_steps(sys, split)
     segs, entries, breakdown = per_segment_sweep(sys, split)
-    assert list(map(segment_bits, traj.segments)) == list(map(segment_bits, segs))
+    assert len(traj.segments) == len(segs)
+    for seg, ref in zip(traj.segments, segs):
+        (a, b, x, lengths), (ra, rb, rx, r_lengths) = seg.pieces._stack, ref.pieces._stack
+        assert (seg.index, seg.unresolved, a.tolist(), b.tolist(), lengths.tolist()) == \
+            (ref.index, ref.unresolved, ra.tolist(), rb.tolist(), r_lengths.tolist())
+        assert_close(x, rx, largest(rx))
+        assert_close(seg.consistency_residual, ref.consistency_residual, largest(rx))
+        for stream, r_stream in ((seg.derivs_start, ref.derivs_start),
+                                 (seg.derivs_end, ref.derivs_end)):
+            assert_close(stream, r_stream, largest(r_stream))
+        assert (seg.restart is None) == (ref.restart is None)
+        if ref.restart is not None:
+            (start, residual, consistent), (r_start, r_residual, r_consistent) = \
+                seg.restart, ref.restart
+            assert consistent == r_consistent
+            assert_close(start, r_start, largest(r_start))
+            assert_close(residual, r_residual, largest(rx))
     ours = ledger.entries[:-1] if breakdown else ledger.entries
-    assert list(map(entry_bits, ours)) == list(map(entry_bits, entries))
+    assert len(ours) == len(entries)
+    chain = [None, *segs]
+    for e, ref in zip(ours, entries):
+        assert (e.knot_index, e.time, e.matched_order, e.first_jump_order,
+                e.inconsistent_restart, e.jump_vector is None) == \
+            (ref.knot_index, ref.time, ref.matched_order, ref.first_jump_order,
+             ref.inconsistent_restart, ref.jump_vector is None)
+        if ref.jump_vector is not None:
+            # the streams compared at the knot, up to the default k_max
+            top = split.nu + 3
+            scale = largest(chain[ref.knot_index + 1].derivs_start[:top],
+                            *([] if ref.knot_index == 0 else
+                              [chain[ref.knot_index].derivs_end[:top]]))
+            assert_close(e.jump_vector, ref.jump_vector, scale)
+            assert_close(e.jump_norm, ref.jump_norm, scale)
     if breakdown:
         last = ledger.entries[-1]
-        assert (last.knot_index, raw(last.jump_vector)) == (breakdown[0], raw(breakdown[1]))
+        assert last.knot_index == breakdown[0]
+        assert_close(last.jump_vector, breakdown[1], largest(segs[-1].derivs_end[:1]))
     assert ledger.unresolved_pieces == [
         (seg.index, (seg.index - 1) * sys.tau + a, (seg.index - 1) * sys.tau + b)
         for seg in segs for a, b in seg.unresolved]
-    # every segment (and the one a breakdown stops) is solved once, by
-    # the stretch or alone, but for those a failed certificate sends back
-    assert sorted(set(taken) | set(alone)) == list(range(1, len(segs) + 1 + bool(breakdown)))
-    return taken, alone
+    # every segment (and the one a breakdown stops) is solved once, by a
+    # stretch or alone
+    assert sorted(taken + alone) == list(range(1, len(segs) + 1 + bool(breakdown)))
+    assert set(taken) <= set(formed)
+    return formed, taken, alone
 
 
 def one_piece_system(n_d, n_a, nu, field, seed=40, horizon=8):
@@ -918,34 +969,36 @@ class TestStretch:
                              ids=["index0", "index1", "index2", "index3"])
     def test_one_piece_sweeps_match_per_segment(self, n_d, n_a, nu, field, monkeypatch):
         sys = one_piece_system(n_d, n_a, nu, field)
-        taken, alone = stretch_against_per_segment(sys, monkeypatch)
-        assert taken == list(range(1, 9)) and not alone
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert formed == taken == list(range(1, 9)) and not alone
 
     @pytest.mark.parametrize("example", [example_neutral, example_slow_smoothing,
                                          lambda: retarded_ode(np.random.default_rng(8), 3, 6)],
                              ids=["neutral-nd0", "slow-smoothing", "retarded-na0"])
     def test_worked_examples_match_per_segment(self, example, monkeypatch):
         sys = example()
-        taken, alone = stretch_against_per_segment(sys, monkeypatch)
-        assert taken == list(range(1, sys.horizon_intervals + 1)) and not alone
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert formed == taken == list(range(1, sys.horizon_intervals + 1)) and not alone
 
     @pytest.mark.parametrize("sys, stretched", exit_cases())
     def test_each_exit_matches_per_segment(self, sys, stretched, monkeypatch):
         # the segments after an exit go by solve_segment: a breakpoint
-        # or a second history piece is inherited by every later segment
-        taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        # or a second history piece is inherited by every later segment;
+        # a stretch may form collocants past an inconsistent restart,
+        # which it finds only at its knots, and keeps none of them
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch)
         assert tuple(taken) == stretched
         assert alone == list(range(len(stretched) + 1, len(taken) + len(alone) + 1))
 
     def test_failed_first_certificate_ends_stretching(self, monkeypatch):
         # x' = -6x + 0.1 x(t - 1): every segment's collocant fails at the
-        # first degree, so the first one is solved twice and every other
-        # one by solve_segment alone
+        # first degree, so the stretch forms the first one only, and every
+        # segment is solved by solve_segment alone
         sys = dk.DdaeSystem(E=[[1.0]], A=[[-6.0]], D=[[0.1]], tau=1.0, horizon_intervals=40,
                             f=dk.PiecewisePolynomial([(0.0, 40.0, [[1.0]])]),
                             phi=dk.PiecewisePolynomial([(-1.0, 0.0, [[1.0], [0.5]])]))
-        taken, alone = stretch_against_per_segment(sys, monkeypatch)
-        assert taken == [1] and alone == list(range(1, 41))
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch)
+        assert formed == [1] and not taken and alone == list(range(1, 41))
 
     def test_failed_stacked_certificate_ends_stretching(self, monkeypatch):
         # the history starts segment 1 on the polynomial solution of
@@ -956,8 +1009,35 @@ class TestStretch:
         sys = dk.DdaeSystem(E=[[1.0]], A=[[-6.0]], D=[[0.1]], tau=1.0, horizon_intervals=4,
                             f=dk.PiecewisePolynomial.zero(1, 0.0, 4.0),
                             phi=dk.PiecewisePolynomial([(-1.0, 0.0, [[c0], [1.0]])]))
-        taken, alone = stretch_against_per_segment(sys, monkeypatch)
-        assert taken == [1, 2, 3, 4] and alone == [2, 3, 4]
+        knots = Counter()
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch, knots)
+        assert formed == [1, 2, 3, 4] and taken == [1] and alone == [2, 3, 4]
+        # certification comes before the knots: segments 2..4 are knotted
+        # by solve_segment alone
+        assert knots == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    @pytest.mark.parametrize("field", [float, complex])
+    @pytest.mark.parametrize("n_d, n_a, nu", [(2, 0, 0), (2, 2, 1), (1, 3, 2), (2, 4, 3)],
+                             ids=["index0", "index1", "index2", "index3"])
+    def test_slow_start_is_the_previous_slow_end(self, n_d, n_a, nu, field, monkeypatch):
+        # the first collocant of a stretch starts at the slow part of the
+        # stored restart; each later one at the sum of the Chebyshev rows
+        # of the collocant before it, bit for bit
+        sys = one_piece_system(n_d, n_a, nu, field)
+        calls, recurrence = [], solver._recurrence
+
+        def recorded(split, prev, sweep):
+            out = recurrence(split, prev, sweep)
+            calls.append((split, prev, out))
+            return out
+
+        monkeypatch.setattr(solver, "_recurrence", recorded)
+        traj, _ = dk.method_of_steps(sys)
+        [(split, prev, (starts, collocants, x, _, failed))] = calls
+        assert not failed and len(starts) == len(x) == len(traj.segments) == 8
+        assert starts[0].tobytes() == (split.qwf.T_inv @ prev.restart[0][0])[:n_d].tobytes()
+        for k in range(1, len(starts)):
+            assert starts[k].tobytes() == collocants[k - 1].sum(axis=0).tobytes()
 
 
 def _collocation_cases():

@@ -1,4 +1,4 @@
-"""One outcome and three hashes per benchmark case: which CLI outputs a change alters.
+"""One outcome and four hashes per benchmark case: which CLI outputs a change alters.
 
     python3 tools/output_digests.py SRC [--seed S ...] [--workload W ...] > digests.txt
     python3 tools/output_digests.py SRC [--seed S ...] [--workload W ...] --against BASE_LIST
@@ -10,7 +10,7 @@ each case through ``ddae_kit.cli.main`` imported from the directory SRC
 names and exception handling of bench/run.py, and prints one line per
 case:
 
-    <workload> <seed> <case id> <outcome> <sha256 of the output files> <decisions> <stderr>
+    <workload> <seed> <case id> <outcome> <sha256 of the output files> <decisions> <layout> <stderr>
 
 The bench never runs ``probe``, so each problem file of the analyze
 workload is also run as ``probe --order {1,2} --side {slow,fast}``; these
@@ -25,10 +25,13 @@ The outcome is two words, ``exit N`` or ``raised <exception type>``, so
 every tree prints one line per case, in the same order, and a crash
 shows up as a changed outcome rather than a missing line.
 
-The decisions column is a sha256 over what rounding leaves alone: each
-JSON output with every finite float leaf dropped (so its verdicts,
-orders, counts and flags remain, and so does a NaN or Infinity) and
-each CSV's row count and side column.
+The decisions column is a sha256 over what rounding leaves alone in the
+JSON outputs (reports and ledgers): each with every finite float leaf
+dropped, so its verdicts, orders, counts and flags remain, and so does
+a NaN or Infinity.  The layout column is a sha256 over each CSV's row
+count and side column.  They are apart because a CSV row count follows
+the trimmed length of a piece, which a coefficient within rounding of
+its trim tolerance decides, while a JSON decision is a verdict.
 
 The stderr column is a sha256 of what the case wrote to Python's
 sys.stderr (its error, warning and breakdown lines), with the case's own
@@ -41,14 +44,16 @@ stdout.
 Running it on two source trees with the same bench directory gives two
 lists in the same order; the cases whose outcome column differs are the
 ones whose exit changed, those with the same outcome and another
-decisions hash are the ones whose reported decisions changed, and those
-with both equal and another sha256 are the ones whose output bytes
-changed only; the stderr column tells apart the cases whose messages
-changed, whatever their outputs did.  --against BASE_LIST does that
-comparison: it runs SRC's cases, reads BASE_LIST (this tool's lines for
-the base tree, same options) and prints these four groups instead of the
-lines, each as a count of all cases and one line per case; it exits 1
-when the two lists do not name the same cases in the same order.  Each
+decisions hash are the ones whose reported decisions changed, those
+with the same outcome and another layout hash the ones whose CSV rows
+changed (whatever their decisions did), and those with all three equal
+and another sha256 are the ones whose output bytes changed only; the
+stderr column tells apart the cases whose messages changed, whatever
+their outputs did.  --against BASE_LIST does that comparison: it runs
+SRC's cases, reads BASE_LIST (this tool's lines for the base tree, same
+options) and prints these five groups instead of the lines, each as a
+count of all cases and one line per case; it exits 1 when the two lists
+do not name the same cases in the same order.  Each
 tree needs its own process, because the package is imported once.  BLAS runs on one
 thread, as in bench/run.py, so the digests do not depend on thread
 scheduling.
@@ -93,7 +98,8 @@ def _drop_floats(node):
 
 def decisions(path, data):
     """The part of one output file that rounding leaves alone, as bytes: a
-    CSV's row count and side column, or a JSON file without its floats."""
+    CSV's row count and side column (its layout), or a JSON file without
+    its floats (its decisions)."""
     if path.endswith(".csv"):
         rows = data.decode("utf-8").splitlines()
         return "\n".join([str(len(rows))] + [r.rsplit(",", 1)[-1] for r in rows]).encode()
@@ -102,16 +108,18 @@ def decisions(path, data):
 
 def case_digest(run, cli, case, out_dir, options=()):
     """Run one case, options appended to its argv; its outcome, the
-    sha256 over its output files in order, the sha256 over their
-    decisions and the sha256 over its stderr."""
+    sha256 over its output files in order, the sha256 over the decisions
+    of its JSON files, the sha256 over the layout of its CSV files and
+    the sha256 over its stderr."""
     run.prepare_argv(case, out_dir)
     case["argv"] += options
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc, error, _ = run.invoke(cli, case)
     stderr = err.getvalue().replace(os.path.dirname(out_dir), "CASE_DIR").encode()
     outcome = f"exit {rc}" if error is None else f"raised {type(error).__name__}"
-    digest, kept = hashlib.sha256(), hashlib.sha256()
+    digest, decided, layout = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for path in case["outputs"]:
+        kept = layout if path.endswith(".csv") else decided
         if os.path.exists(path):
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -121,7 +129,8 @@ def case_digest(run, cli, case, out_dir, options=()):
         else:
             digest.update(b"missing\n")
             kept.update(b"missing\n")
-    return outcome, digest.hexdigest(), kept.hexdigest(), hashlib.sha256(stderr).hexdigest()
+    return (outcome, digest.hexdigest(), decided.hexdigest(), layout.hexdigest(),
+            hashlib.sha256(stderr).hexdigest())
 
 
 def probe_cases(cases):
@@ -199,24 +208,29 @@ def filtered_cases(args, run, wl):
 
 def compare(base, head):
     """The report lines of --against for two lists of split digest lines
-    (workload, seed, id, outcome as two words, sha256, decisions,
+    (workload, seed, id, outcome as two words, sha256, decisions, layout,
     stderr), paired in order: the cases whose outcome differs, those with
-    the same outcome and other decisions, those with the same decisions
-    and other bytes, and those whose stderr differs."""
+    the same outcome and other decisions, those with the same outcome and
+    another CSV layout, those with the same decisions and layout and
+    other bytes, and those whose stderr differs."""
     groups = {"whose outcome differs from the base": [],
               "with the same outcome and other decisions": [],
-              "with the same decisions and other output bytes": [],
+              "with the same outcome and another CSV layout": [],
+              "with the same decisions and layout and other output bytes": [],
               "whose stderr differs": []}
-    outcome, decided, output, stderr = groups.values()
+    outcome, decided, layout, output, stderr = groups.values()
     for old, new in zip(base, head):
         case = " ".join(new[:3])
         if old[3:5] != new[3:5]:
             outcome.append(f"{case}: {' '.join(old[3:5])} -> {' '.join(new[3:5])}")
-        elif old[6] != new[6]:
-            decided.append(case)
-        elif old[5] != new[5]:
-            output.append(case)
-        if old[7] != new[7]:
+        else:
+            if old[6] != new[6]:
+                decided.append(case)
+            if old[7] != new[7]:
+                layout.append(case)
+            if old[6:8] == new[6:8] and old[5] != new[5]:
+                output.append(case)
+        if old[8] != new[8]:
             stderr.append(case)
     lines = []
     for title, cases in groups.items():
@@ -243,6 +257,10 @@ def main(argv=None):
         return 0
     with open(args.against, encoding="utf-8") as fh:
         base = [line.split() for line in fh if line.strip()]
+    if {len(row) for row in base} - {len(head[0]) if head else 0}:
+        print(f"{args.against} has lines of another column count (another version of this"
+              " tool?)", file=sys.stderr)
+        return 1
     if [row[:3] for row in base] != [row[:3] for row in head]:
         print(f"{args.against} does not list the cases of {args.src} in order",
               file=sys.stderr)
