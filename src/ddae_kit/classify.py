@@ -160,9 +160,10 @@ def build_backward_system(sys: DdaeSystem) -> BackwardSystem:
     inhomogeneity, so only the coefficients are built.  The pencil
     (E_b, A_b) has det(lambda E_b - A_b) = (-1)^n det(D) for every
     lambda, so it has no finite eigenvalue and compute_qwf_infinite
-    decomposes it without the Wong iteration; check_regularity still
-    decides its regularity.  An irregular backward pencil is a verdict,
-    not an error.
+    decomposes it without the Wong iteration.  Its samples lambda E_b -
+    A_b = [[D, lambda E], [0, -I]] are block triangular, so none is better
+    conditioned than sample 0, blockdiag(D, -I), which alone decides its
+    regularity.  An irregular backward pencil is a verdict, not an error.
     """
     n = sys.n
     dtype = complex if sys.is_complex else float

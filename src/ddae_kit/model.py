@@ -286,9 +286,9 @@ def solution_taylor_from_value(split: SplitCoefficients, x_value, q_derivs, orde
     x^{(j)} = sum_{i <= j} A_diff^(j-i) e_i with e = [x^{(0)}, r_0, r_1,
     ...]: an inclusive prefix scan (_taylor_stack).  Each stream keeps
     its own frontier: its orders from the first one the scan leaves
-    non-finite go one at a time.  A row of a stacked scan takes the
-    steps it takes alone, so each stream gets the arithmetic it has alone
-    whenever its orders have the bit length of the stack's top order.
+    non-finite go one at a time.  A stream's rows take the steps they
+    take alone, so they match its lone scan to roundoff, if not bit for
+    bit: BLAS may round a one-row product (2^k orders alone) apart.
     """
     nu = split.nu
     x_value, q_derivs = np.asarray(x_value), np.asarray(q_derivs)

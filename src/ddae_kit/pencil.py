@@ -6,6 +6,13 @@ n_a, governed by a nilpotent matrix N):
 
     S E T = blockdiag(I, N),    S A T = blockdiag(J, I).
 
+T's columns span the limits V* and W* of the Wong sequences, which are
+those of (E, A - lambda E) for any lambda that is not an eigenvalue, so
+with one resolvent K = (lambda E - A)^{-1} E at a well-conditioned
+regularity sample, V_i = im K^i and W_i = ker K^i (Campbell, Meyer & Rose
+1976; Berger, Ilchmann & Trenn 2012).  With no finite eigenvalue,
+det(lambda E - A) = det(-A), and sample 0 decides regularity.
+
 Subspace computations use rank-revealing SVDs.  One rule decides every
 rank, nilpotency and classification question: rank_threshold for singular
 values and negligible for matrix norms, both from RANK_RTOL and RANK_ATOL.
@@ -36,10 +43,10 @@ def rank_threshold(sigma_max):
     return np.fmax(RANK_ATOL, RANK_RTOL * sigma_max)
 
 
-def _nonsingular(M):
-    """Whether a square matrix, or each matrix of a stack, is numerically
-    nonsingular: sigma_min > rank_threshold(sigma_max)."""
-    sig = np.linalg.svd(M, compute_uv=False)
+def _nonsingular(sig):
+    """Whether a square matrix with singular values sig (one row per
+    matrix of a stack) is numerically nonsingular: sigma_min >
+    rank_threshold(sigma_max)."""
     return sig[..., -1] > rank_threshold(sig[..., 0])
 
 
@@ -172,6 +179,8 @@ class RegularityVerdict:
     det_magnitude: float | None
     sample_points: tuple
     det_values: tuple
+    # one row per sample tested, for the choice of K's sample (_resolvent)
+    singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.regular
@@ -227,95 +236,72 @@ class QuasiWeierstrassForm:
 
 
 def _svd_rank(M, context):
-    """SVD factors U, Vh of M with its numerical rank and an ambiguity flag.
-
-    Rank decisions are made relative to max(sigma_max, context), so a
-    product that is numerically zero is not mistaken for a rank-one
-    matrix of pure roundoff.  A singular value within a factor 10 of the
-    threshold makes the decision ambiguous.
-    """
+    """SVD factors U, Vh of M, its numerical rank and an ambiguity flag
+    (a singular value within a factor 10 of the threshold), decided at
+    the scale top = max(sigma_max, context), which is returned too: a
+    product that is numerically zero is not taken for a rank-one matrix
+    of pure roundoff."""
     U, s, Vh = np.linalg.svd(M)
-    if s.size == 0:
-        return U, Vh, 0, False
-    thr = rank_threshold(max(s[0], context))
+    thr = rank_threshold(top := max(s[0], context))
     ambiguous = bool(np.any((s > thr / 10) & (s < thr * 10)))
-    return U, Vh, int(np.sum(s > thr)), ambiguous
+    return U, Vh, int(np.sum(s > thr)), ambiguous, top
 
 
-def _orthonormal_range(M, context=0.0):
-    """Orthonormal basis of range(M) plus an ambiguity flag."""
-    U, _, rank, ambiguous = _svd_rank(M, context)
-    return U[:, :rank], ambiguous
+def check_regularity(pencil: MatrixPencil, count=None):
+    """Test det(lambda E - A) != 0 at deterministic sample points.
 
-
-def _kernel(M, context=0.0):
-    """Orthonormal basis of ker(M) plus an ambiguity flag."""
-    _, Vh, rank, ambiguous = _svd_rank(M, context)
-    return Vh[rank:].conj().T, ambiguous
-
-
-def _preimage(M, target_basis, norm_M):
-    """Orthonormal basis of {x : M x in range(target_basis)}; norm_M = ||M||_2."""
-    n = M.shape[0]
-    Q = target_basis
-    P_perp = np.eye(n, dtype=np.result_type(M.dtype, Q.dtype)) - Q @ Q.conj().T
-    return _kernel(P_perp @ M, context=norm_M)
-
-
-def _wong_limit(X, P, Q, norm_P, norm_Q):
-    """Limit of X_{i+1} = preimage under P of range(Q X_i), plus an
-    ambiguity flag; norm_P, norm_Q are the spectral norms of P and Q."""
-    ambiguous = False
-    for _ in range(X.shape[0] + 1):
-        QX, amb1 = _orthonormal_range(Q @ X, context=norm_Q)
-        X_next, amb2 = _preimage(P, QX, norm_P)
-        ambiguous = ambiguous or amb1 or amb2
-        converged = X_next.shape[1] == X.shape[1]
-        X = X_next
-        if converged:
-            break
-    return X, ambiguous
-
-
-def check_regularity(pencil: MatrixPencil):
-    """Test det(lambda E - A) != 0 at n+1 deterministic sample points.
-
-    The sample points are lambda_j = j * s for j = 0..n with the scale
-    s = (1 + ||A||) / (1 + ||E||).  Since det(lambda E - A) is a
-    polynomial of degree at most n, a regular pencil passes at one of
-    the n+1 points in exact arithmetic.  Nonsingularity of a sample
-    matrix is decided by _nonsingular (scale invariant), and the
-    witness is the first sample that passes: sample 0 is tested alone,
-    and the others, as one stack, only when it fails.  The determinant
-    magnitudes of all samples are reported; they are informational.
+    The sample points are lambda_j = j * s for j = 0..count-1 (all n+1
+    by default) with the scale s = (1 + ||A||) / (1 + ||E||).  Since
+    det(lambda E - A) is a polynomial of degree at most n, a regular
+    pencil passes at one of the n+1 points in exact arithmetic.
+    Nonsingularity of a sample matrix is decided by _nonsingular (scale
+    invariant), and the witness is the first sample that passes: sample
+    0 is tested alone, and the others, as one stack, only when it fails.
+    The determinant magnitudes of the samples are informational.
     """
     E, A, n = pencil.E, pencil.A, pencil.n
     s = (1.0 + pencil.norm_A) / (1.0 + pencil.norm_E)
-    lams = np.arange(n + 1) * s
+    lams = np.arange(n + 1 if count is None else count) * s
     M = lams[:, None, None] * E - A
     dets = np.abs(np.linalg.det(M))
-    first = None
-    for lo, hi in ((0, 1), (1, n + 1)):
-        passing = np.flatnonzero(_nonsingular(M[lo:hi]))
-        if passing.size:
-            first = lo + passing[0]
-            break
+    sig = np.linalg.svd(M[:1], compute_uv=False)
+    if not _nonsingular(sig[0]) and len(M) > 1:
+        sig = np.vstack([sig, np.linalg.svd(M[1:], compute_uv=False)])
+    passing = np.flatnonzero(_nonsingular(sig))
+    first = passing[0] if passing.size else None
     return RegularityVerdict(
         regular=first is not None,
         witness=None if first is None else lams[first],
         det_magnitude=None if first is None else float(dets[first]),
         sample_points=tuple(lams),
         det_values=tuple(dets.tolist()),
+        singular_values=sig,
     )
 
 
-def _admitted(pencil: MatrixPencil):
+def _admitted(pencil: MatrixPencil, count=None):
     """check_regularity's verdict on a regular pencil; a singular pencil
     raises SingularPencil with the verdict."""
-    verdict = check_regularity(pencil)
+    verdict = check_regularity(pencil, count)
     if not verdict.regular:
         raise SingularPencil(verdict)
     return verdict
+
+
+def _resolvent(pencil: MatrixPencil, verdict):
+    """K = (lambda E - A)^{-1} E at a well-conditioned regularity sample:
+    the witness when its sigma_min > sqrt(RANK_RTOL) sigma_max (the
+    solve's roundoff, about 1e5 eps ||K||, then stays a tenth of the
+    rank threshold RANK_RTOL ||K||), else the sample of largest
+    sigma_min / sigma_max, the ones check_regularity did not test taken
+    from one stacked SVD."""
+    lams, sig = np.array(verdict.sample_points), verdict.singular_values
+    j = verdict.sample_points.index(verdict.witness)
+    if not sig[j, -1] > np.sqrt(RANK_RTOL) * sig[j, 0]:
+        rest = lams[len(sig):, None, None] * pencil.E - pencil.A
+        sig = np.vstack([sig, np.linalg.svd(rest, compute_uv=False)])
+        j = int(np.argmax(sig[:, -1] / np.fmax(sig[:, 0], RANK_ATOL)))
+    return np.linalg.solve(lams[j] * pencil.E - pencil.A, pencil.E)
 
 
 def wong_sequences(pencil: MatrixPencil):
@@ -324,22 +310,35 @@ def wong_sequences(pencil: MatrixPencil):
     V_0 = F^n,  V_{i+1} = preimage under A of (E V_i)   (decreasing),
     W_0 = {0},  W_{i+1} = preimage under E of (A W_i)   (increasing).
 
+    With K from _resolvent, V_i = im K^i and W_i = ker K^i.  The SVD of
+    K gives V_1, W_1 and ||K||, the scale of every rank decision; W_{i+1}
+    = ker(Y_i K), Y_i the rows of the last Vh spanning W_i's complement,
+    until dim W stops growing or is n; V_{i+1} = range(K V_i) until dim V
+    = n - dim W*: 2 nu + 1 SVDs at most.
+
     Returns orthonormal bases of the limits; dim V* = n_d, dim W* = n_a
     and V* + W* spans F^n for regular pencils.  This is where regularity
     is decided: a singular pencil raises SingularPencil with the verdict.
     """
     verdict = _admitted(pencil)
-    E, A, n = pencil.E, pencil.A, pencil.n
-    norm_E, norm_A = pencil.norm_E, pencil.norm_A
-    V, amb_V = _wong_limit(np.eye(n, dtype=E.dtype), A, E, norm_A, norm_E)
-    W, amb_W = _wong_limit(np.zeros((n, 0), dtype=E.dtype), E, A, norm_E, norm_A)
+    K, n = _resolvent(pencil, verdict), pencil.n
+    U, Vh, rank, ambiguous, top = _svd_rank(K, 0.0)
+    V, dim_V, dim_W = U[:, :rank], n, 0
+    while dim_W < n - rank < n:  # W grew and is not yet F^n
+        dim_W = n - rank
+        _, Vh, rank, amb, _ = _svd_rank(Vh[:rank] @ K, top)
+        ambiguous = ambiguous or amb
+    W = Vh[rank:].conj().T
+    while dim_V > V.shape[1] > n - W.shape[1]:  # V shrank and is not yet n - dim W*
+        dim_V = V.shape[1]
+        U, _, rank, amb, _ = _svd_rank(K @ V, top)
+        V, ambiguous = U[:, :rank], ambiguous or amb
     if V.shape[1] + W.shape[1] != n:
         raise DecompositionFailure(
             f"Wong subspace dimensions {V.shape[1]} + {W.shape[1]} != {n}; "
             "rank thresholds likely misjudged; rescaling the data may help"
         )
-    return WongResult(V_star=V, W_star=W, rank_ambiguous=amb_V or amb_W,
-                      regularity=verdict)
+    return WongResult(V_star=V, W_star=W, rank_ambiguous=ambiguous, regularity=verdict)
 
 
 def powers(M, count):
@@ -403,13 +402,13 @@ def compute_qwf(pencil: MatrixPencil):
 def compute_qwf_infinite(pencil: MatrixPencil):
     """Quasi-Weierstrass form of a pencil with no finite eigenvalue.
 
-    det(lambda E - A) is then a constant, V* = {0} and W* = F^n, so the
-    Wong iteration is skipped: T = I, S = A^{-1}, N = A^{-1} E.
-    check_regularity still decides regularity, and every check of the
+    det(lambda E - A) is then the constant det(-A), V* = {0} and W* =
+    F^n, so the Wong iteration is skipped: T = I, S = A^{-1}, N = A^{-1}
+    E, and check_regularity tests sample 0 alone.  Every check of the
     build still runs: a pencil with a finite eigenvalue raises
     DecompositionFailure rather than getting a wrong form.
     """
-    verdict = _admitted(pencil)
+    verdict = _admitted(pencil, count=1)
     n, dtype = pencil.n, pencil.E.dtype
     limits = WongResult(V_star=np.zeros((n, 0), dtype=dtype), W_star=np.eye(n, dtype=dtype),
                         rank_ambiguous=False, regularity=verdict)
@@ -433,7 +432,7 @@ def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult):
 
     T = np.hstack([V, W])
     S_inv = np.hstack([E @ V, A @ W])
-    if not _nonsingular(S_inv):
+    if not _nonsingular(np.linalg.svd(S_inv, compute_uv=False)):
         raise DecompositionFailure(
             "[E V*, A W*] is numerically singular; rank thresholds likely "
             "misjudged; rescaling the data may help"

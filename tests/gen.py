@@ -35,6 +35,19 @@ def shift_nilpotent(n_a, nu):
     return N
 
 
+def block_form(J, n_a, nu, dtype=float):
+    """(E0, A0) = (blockdiag(I, N), blockdiag(J, I)) with N one shift
+    chain of length nu (shift_nilpotent)."""
+    n_d = len(J)
+    n = n_d + n_a
+    E0, A0 = np.zeros((n, n), dtype=dtype), np.zeros((n, n), dtype=dtype)
+    E0[:n_d, :n_d] = np.eye(n_d)
+    E0[n_d:, n_d:] = shift_nilpotent(n_a, nu)
+    A0[:n_d, :n_d] = J
+    A0[n_d:, n_d:] = np.eye(n_a)
+    return E0, A0
+
+
 def random_regular_pencil(rng, n, n_d=None, nu=None):
     """Pencil built from a known block form by random equivalence.
 
@@ -47,14 +60,7 @@ def random_regular_pencil(rng, n, n_d=None, nu=None):
         nu = 0
     elif nu is None:
         nu = int(rng.integers(1, n_a + 1))
-    J = rng.standard_normal((n_d, n_d))
-    N = shift_nilpotent(n_a, nu)
-    E0 = np.zeros((n, n))
-    E0[:n_d, :n_d] = np.eye(n_d)
-    E0[n_d:, n_d:] = N
-    A0 = np.zeros((n, n))
-    A0[:n_d, :n_d] = J
-    A0[n_d:, n_d:] = np.eye(n_a)
+    E0, A0 = block_form(rng.standard_normal((n_d, n_d)), n_a, nu)
     S_inv = well_conditioned(rng, n)
     T_inv = well_conditioned(rng, n)
     E = S_inv @ E0 @ T_inv

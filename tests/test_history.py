@@ -373,18 +373,23 @@ class TestProbeConstruction:
             assert np.linalg.norm(block + target) <= 1e-6
 
     def test_interpolant_missing_its_contract_raises(self):
-        # index 1, m = 5: within the order bound, but on this draw the
-        # interpolant's derivatives at 0 miss the solution's by more than
-        # FLAG_TOL, so no history is returned
-        from gen import random_smoothing_blocks, random_system_from_blocks
-
-        rng = np.random.default_rng(111)
-        blocks = random_smoothing_blocks(rng, 1, 1, 1)
-        sys, split = random_system_from_blocks(rng, 1, 1, 1, blocks, horizon=2)
-        target = rng.standard_normal(1)
-        with pytest.raises(ValueError):
-            dk.construct_probe_history(sys, split, m=5, target=target / abs(target),
-                                       side="slow")
+        # index 1, m = 5: within the order bound, but the monomial
+        # interpolant on [-tau, 0] carries the order-5 target into p(0)
+        # through terms of size tau^5, so at tau = 1e3 their cancellation
+        # leaves about eps * 1e15, far above FLAG_TOL, whatever basis the
+        # decomposition picks; at tau = 1 the same probe meets its contract
+        E, A = np.diag([1.0, 0.0]), np.diag([-0.5, 1.0])
+        D = np.array([[0.3, 0.2], [0.1, 0.0]])
+        for tau in (1.0, 1e3):
+            sys = dk.DdaeSystem(E=E, A=A, D=D, tau=tau, horizon_intervals=2,
+                                f=dk.PiecewisePolynomial.zero(2, 0.0, 2 * tau),
+                                phi=dk.PiecewisePolynomial.zero(2, -tau, 0.0))
+            split = dk.build_split(sys)
+            if tau == 1.0:
+                dk.construct_probe_history(sys, split, m=5, target=np.ones(1), side="slow")
+                continue
+            with pytest.raises(ValueError, match="misses its derivatives at 0"):
+                dk.construct_probe_history(sys, split, m=5, target=np.ones(1), side="slow")
 
     def test_side_requires_nonempty_block(self):
         sys = example_neutral()  # n_d = 0

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ddae_kit as dk
 from ddae_kit import pencil
@@ -9,7 +11,7 @@ from ddae_kit.cli import main
 from ddae_kit.history import CONSISTENCY_TOL, consistency
 from ddae_kit.pencil import negligible, norm2, rank_threshold, row_norms, vector_norm
 
-from gen import random_regular_pencil
+from gen import block_form, random_regular_pencil, well_conditioned
 
 
 def subspace(basis):
@@ -275,6 +277,90 @@ class TestWongSequences:
         with pytest.raises(dk.SingularPencil):
             dk.wong_sequences(dk.MatrixPencil(E, E))
 
+    @pytest.mark.parametrize("n_d, n_a, nu", [(3, 0, 0), (2, 2, 1), (2, 3, 2), (1, 5, 3),
+                                              (2, 4, 4), (0, 4, 4)])
+    def test_svd_count(self, monkeypatch, n_d, n_a, nu):
+        # the SVD of K, one more per step of W's growth and one that finds
+        # it stopped (none once W = F^n), one per step of V after V_1: 2 nu
+        # at index nu >= 1 (2 nu - 1 when n_d = 0), 1 at index 0
+        rng = np.random.default_rng(41)
+        E, A, _ = random_regular_pencil(rng, n_d + n_a, n_d=n_d, nu=nu)
+        shapes, svd_rank = [], pencil._svd_rank
+        monkeypatch.setattr(pencil, "_svd_rank",
+                            lambda M, context: shapes.append(M.shape) or svd_rank(M, context))
+        wong = dk.wong_sequences(dk.MatrixPencil(E, A))
+        assert (wong.V_star.shape[1], wong.W_star.shape[1]) == (n_d, n_a)
+        assert len(shapes) == (2 * nu - (n_d == 0) if nu else 1) <= 2 * nu + 1
+
+    def test_ill_conditioned_witness_is_not_the_shift(self, monkeypatch):
+        # J = diag(1e-9, 1.5) and orthogonal transforms: sample 0, -A, passes
+        # the regularity test with sigma_min / sigma_max = 1e-9 and stays
+        # the witness, but K = (-A)^{-1} E would carry roundoff of about
+        # 1e9 eps ||K||, far above the rank threshold; K comes from the
+        # best-conditioned other sample, and the limits are the
+        # construction's
+        rng = np.random.default_rng(31)
+        n_d, n_a, nu = 2, 3, 3
+        E0, A0 = block_form(np.diag([1e-9, 1.5]), n_a, nu)
+        Q1, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        p = dk.MatrixPencil(Q1 @ E0 @ Q2, Q1 @ A0 @ Q2)
+        sig = np.linalg.svd(p.A, compute_uv=False)
+        assert rank_threshold(sig[0]) < sig[-1] < 2e-9 * sig[0]
+        qwf = dk.compute_qwf(p)
+        assert (qwf.n_d, qwf.n_a, qwf.nu, qwf.rank_ambiguous) == (n_d, n_a, nu, False)
+        assert qwf.regularity.witness == 0.0
+        shifts = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda M, B: shifts.append(M) or solve(M, B))
+        wong = dk.wong_sequences(p)
+        assert_limits_match(wong, Q2.T, n_d)
+        lams = wong.regularity.sample_points
+        conds = [np.linalg.cond(lam * p.E - p.A) for lam in lams]
+        assert len(shifts) == 1
+        assert np.array_equal(shifts[0], lams[int(np.argmin(conds))] * p.E - p.A)
+
+
+def assert_limits_match(wong, T0, n_d):
+    """V* and W* span the first n_d and the other columns of T0, the
+    transform of the pencil S0 (E0, A0) T0^{-1} built from block form."""
+    for basis, cols in ((wong.V_star, T0[:, :n_d]), (wong.W_star, T0[:, n_d:])):
+        Q, _ = np.linalg.qr(cols)
+        assert np.linalg.norm(subspace(basis) - subspace(Q), 2) <= 1e-8
+
+
+class TestDecompositionProperty:
+    """The decomposition against its construction, on pencils built in
+    block form (tests/gen.py's classes: index 0-4, one shift chain, real
+    and complex) and mixed by well-conditioned transforms."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_d=st.integers(0, 3), nu=st.integers(0, 4),
+           extra=st.integers(0, 1), field=st.sampled_from([float, complex]))
+    def test_limits_and_blocks_match_the_construction(self, seed, n_d, nu, extra, field):
+        n_a = nu + extra if nu else 0
+        if n_d + n_a == 0:
+            n_d = 1
+        rng = np.random.default_rng(seed)
+        J = 0.5 * rng.standard_normal((n_d, n_d))
+        if field is complex:
+            J = J + 0.5j * rng.standard_normal((n_d, n_d))
+        E0, A0 = block_form(J, n_a, nu, field)
+        n = n_d + n_a
+        S0, T_inv = well_conditioned(rng, n), well_conditioned(rng, n)
+        if field is complex:
+            T_inv = T_inv * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        E, A = S0 @ E0 @ T_inv, S0 @ A0 @ T_inv
+        p = dk.MatrixPencil(E, A)
+        wong = dk.wong_sequences(p)
+        assert_limits_match(wong, np.linalg.inv(T_inv), n_d)
+        qwf = dk.compute_qwf(p)
+        assert (qwf.n_d, qwf.n_a, qwf.nu, qwf.rank_ambiguous) == (n_d, n_a, nu, False)
+        assert np.iscomplexobj(qwf.T) == (field is complex)
+        # J is similar to the construction's
+        eig = np.sort_complex(np.linalg.eigvals(qwf.J))
+        assert np.allclose(eig, np.sort_complex(np.linalg.eigvals(J)), atol=1e-7)
+
 
 class TestNilpotencyIndex:
     def test_shift_block(self):
@@ -377,10 +463,12 @@ class TestQuasiWeierstrass:
         assert negligible(1e-10, 0.0) and not negligible(1.1e-10, 0.0)
 
 
-def _drop_a_column(wong_limit):
-    def dropped(*args):
-        X, ambiguous = wong_limit(*args)
-        return X[:, 1:], ambiguous
+def _drop_a_kernel_vector(svd_rank):
+    # Vh without its last row: every kernel basis read off it, W* too,
+    # lacks a column
+    def dropped(M, context):
+        U, Vh, rank, ambiguous, top = svd_rank(M, context)
+        return U, Vh[:-1], rank, ambiguous, top
     return dropped
 
 
@@ -397,7 +485,7 @@ class TestDecompositionGuards:
     message, and the CLI reports it with exit 4."""
 
     @pytest.mark.parametrize("name, patch, message", [
-        ("_wong_limit", _drop_a_column, "Wong subspace dimensions 0 + 0 != 2"),
+        ("_svd_rank", _drop_a_kernel_vector, "Wong subspace dimensions 1 + 0 != 2"),
         ("wong_sequences", _w_star_from_v_star, "[E V*, A W*] is numerically singular"),
         ("RECONSTRUCTION_TOL", lambda _: -1.0, "block structure defect 0.000e+00 exceeds"),
         ("first_negligible_power", lambda _: lambda norms: None,
