@@ -404,7 +404,8 @@ def compute_qwf_infinite(pencil: MatrixPencil):
 
     det(lambda E - A) is then the constant det(-A), V* = {0} and W* =
     F^n, so the Wong iteration is skipped: T = I, S = A^{-1}, N = A^{-1}
-    E, and check_regularity tests sample 0 alone.  Every check of the
+    E, and check_regularity tests sample 0 alone; [E V*, A W*] is then A,
+    and sample 0, -A, has its singular values.  Every check of the
     build still runs: a pencil with a finite eigenvalue raises
     DecompositionFailure rather than getting a wrong form.
     """
@@ -412,14 +413,15 @@ def compute_qwf_infinite(pencil: MatrixPencil):
     n, dtype = pencil.n, pencil.E.dtype
     limits = WongResult(V_star=np.zeros((n, 0), dtype=dtype), W_star=np.eye(n, dtype=dtype),
                         rank_ambiguous=False, regularity=verdict)
-    return _qwf_from_limits(pencil, limits)
+    return _qwf_from_limits(pencil, limits, verdict.singular_values[0])
 
 
-def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult):
+def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult, sigma=None):
     """The quasi-Weierstrass form built from the Wong limits, checked.
 
     T = [V* W*] and S = [E V*, A W*]^{-1} give S E T = blockdiag(I, N)
-    and S A T = blockdiag(J, I).  Unless [E V*, A W*] is numerically
+    and S A T = blockdiag(J, I).  Unless [E V*, A W*], with the singular
+    values sigma (a values-only SVD when not given), is numerically
     nonsingular, the block defects of both products are within the
     reconstruction tolerance and N is nilpotent, DecompositionFailure.
     The defects' spectral norms are taken only when a Frobenius norm,
@@ -432,7 +434,7 @@ def _qwf_from_limits(pencil: MatrixPencil, wong: WongResult):
 
     T = np.hstack([V, W])
     S_inv = np.hstack([E @ V, A @ W])
-    if not _nonsingular(np.linalg.svd(S_inv, compute_uv=False)):
+    if not _nonsingular(np.linalg.svd(S_inv, compute_uv=False) if sigma is None else sigma):
         raise DecompositionFailure(
             "[E V*, A W*] is numerically singular; rank thresholds likely "
             "misjudged; rescaling the data may help"

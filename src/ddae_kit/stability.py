@@ -6,15 +6,18 @@ rectangular grid.  The grid is evaluated in chunks of whole rows: each
 chunk forms all its matrices in one complex product
 [lambda, 1, e^{-lambda tau}] @ [E; -A; -D], then takes one stacked
 determinant and one hypot, and a chunk holds about GRID_CHUNK matrix
-entries, so any grid up to MAX_GRID stays within a fixed memory bound.
+entries, so any grid up to MAX_GRID stays within a fixed memory bound;
+e^{-lambda tau} is the outer product of e^{-x tau} over the rows and
+e^{-iy tau} over the columns, one exponential per axis point.
 Only the Newton step solves for the logarithmic derivative
 trace(M^{-1} M'), which keeps the iteration well scaled even when the
 determinant itself spans many orders of magnitude.  All seeds advance
-together, one stacked solve per iteration, and a candidate is a root
-when its backward error, from one stacked SVD, is at most RESIDUAL_TOL.
+together as arrays, one stacked solve per iteration, and a candidate is
+a root when its backward error, from one stacked SVD, is at most
+RESIDUAL_TOL.
 
 Newton, the backward error and char_function form M elementwise
-(_char_matrix), not through the grid's product, because:
+(_char_matrix's expression), not through the grid's product, because:
 - each lane of a stack must equal the evaluation at its lambda alone bit
   for bit, so that lockstep Newton follows every seed's own iterates;
 - the last bit of a BLAS product depends on the shape of the stack it
@@ -119,16 +122,12 @@ def _char_matrix(E, A, D, tau, lam):
     return lam * E - A - np.exp(-lam * tau) * D
 
 
-def _char_derivative(E, D, tau, lam):
-    """M'(lambda) = E + tau e^{-lambda tau} D, stacked like _char_matrix."""
-    lam, D = _stacked(lam, D)
-    return E + tau * np.exp(-lam * tau) * D
-
-
 def _logderiv(E, D, tau, lam, M):
-    """trace(M^{-1} M') at one lambda; None if M is singular."""
+    """trace(M^{-1} M') at one lambda, M' = E + tau e^{-lambda tau} D
+    stacked like _char_matrix; None if M is singular."""
+    lam, D = _stacked(lam, D)
     try:
-        return complex(np.trace(np.linalg.solve(M, _char_derivative(E, D, tau, lam))))
+        return complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
     except np.linalg.LinAlgError:
         return None
 
@@ -167,19 +166,22 @@ def _grid_magnitudes(E, A, D, tau, res, ims):
     Each chunk of whole rows forms its matrices in one complex product,
     [lambda, 1, e^{-lambda tau}] (k x 3) @ [E; -A; -D] (3 x n^2), and
     reduces them with one stacked det and one hypot; the rows per chunk
-    keep the product within GRID_CHUNK entries.  Far left in the box
-    e^{-lambda tau} overflows; those cells come out NaN, quietly.
+    keep the product within GRID_CHUNK entries.  e^{-lambda tau} is
+    e^{-x tau} e^{-iy tau}, one exponential per row and per column.  Far
+    left in the box e^{-x tau} overflows; those cells come out NaN,
+    quietly.
     """
     n = E.shape[-1]
     coeffs = np.stack([E, -A, -D]).reshape(3, n * n).astype(complex)
     rows = max(1, GRID_CHUNK // max(1, len(ims) * n * n))
     mag = np.empty((len(res), len(ims)))
     with np.errstate(over="ignore", invalid="ignore"):
+        decay, turn = np.exp(-res * tau), np.exp(-1j * tau * ims)
         for i in range(0, len(res), rows):
             lam = (res[i:i + rows, None] + 1j * ims).ravel()
             basis = np.ones((len(lam), 3), dtype=complex)
             basis[:, 0] = lam
-            basis[:, 2] = np.exp(-lam * tau)
+            basis[:, 2] = (decay[i:i + rows, None] * turn).ravel()
             det = np.linalg.det((basis @ coeffs).reshape(len(lam), n, n))
             mag[i:i + rows] = np.hypot(det.real, det.imag).reshape(-1, len(ims))
     return mag
@@ -188,13 +190,11 @@ def _grid_magnitudes(E, A, D, tau, res, ims):
 def _local_minima(mag):
     """Row-major (k, 2) array of the indices whose magnitude is minimal
     within its 3x3 block (cells outside the grid do not count, and a
-    NaN in the block means no minimum)."""
-    g_re, g_im = mag.shape
+    NaN in the block means no minimum), the block minimum taken in two
+    separable passes of three rows, then three columns."""
     padded = np.pad(mag, 1, constant_values=np.inf)
-    window = mag.copy()
-    for di in range(3):
-        for dj in range(3):
-            np.minimum(window, padded[di:di + g_re, dj:dj + g_im], out=window)
+    rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    window = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     return np.argwhere(mag <= window)
 
 
@@ -203,40 +203,38 @@ def _newton(E, A, D, tau, seeds):
     run from every seed at once; returns the final iterates as a list.
 
     A lane stops at a singular M, a zero or non-finite log-derivative, or
-    a step below 1e-13 relative to |lambda|.  Each iteration solves the
-    active lanes in one stacked solve; only when that solve reports a
-    singular M does every lane solve alone, so the singular one stops.
-    The step and the stop tests use Python complex arithmetic (numpy
-    divides complex numbers differently in the last bit), so every lane
-    follows the same iterates as a Newton run from its seed alone; only
-    the moduli are np.abs, which is inf where Python's abs raises.  An
-    iterate far in the left half-plane overflows exp(-lambda tau); the
-    warnings are silenced because the non-finite log-derivative already
-    stops that lane, and the box filter or its backward error drops it.
+    a step below 1e-13 relative to |lambda|: masks over the active lanes,
+    which advance as arrays.  One exp(-lambda tau) per iterate gives M and
+    M' (tau e^{-lambda tau} first, as in _logderiv), one stacked solve the
+    log-derivatives; only a singular M makes every lane solve alone, so
+    that one stops.  The step is np.reciprocal, Smith's quotient like
+    CPython's 1.0 / z (numpy's division rounds differently), equal to it
+    up to the sign of a zero part, which moves no lambda without a -0.0
+    part: every lane follows its seed's own iterates.  Far in the left
+    half-plane exp(-lambda tau) overflows, quietly: the non-finite
+    log-derivative stops that lane, and the box filter or its backward
+    error drops it.
     """
-    lams = [complex(s) for s in seeds]
-    active = list(range(len(lams)))
+    lams = np.array(seeds, dtype=complex)
+    active = np.arange(len(lams))
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(NEWTON_MAX_ITER):
-            if not active:
+            if not active.size:
                 break
-            lam = np.array([lams[k] for k in active])
-            M = _char_matrix(E, A, D, tau, lam)
+            lam, E_, D_ = _stacked(lams[active], E, D)
+            e = np.exp(-lam * tau)
+            M = lam * E_ - A - e * D_
             try:
-                solved = np.linalg.solve(M, _char_derivative(E, D, tau, lam))
-                logderivs = np.trace(solved, axis1=-2, axis2=-1).tolist()
+                logderiv = np.trace(np.linalg.solve(M, E + tau * e * D_), axis1=-2, axis2=-1)
             except np.linalg.LinAlgError:
-                logderivs = [_logderiv(E, D, tau, x, Mx) for x, Mx in zip(lam, M)]
-            still = []
-            for k, logderiv in zip(active, logderivs):
-                if logderiv is None or not 0.0 < np.abs(logderiv) < np.inf:
-                    continue
-                step = 1.0 / logderiv
-                lams[k] -= step
-                if not np.abs(step) <= 1e-13 * (1.0 + np.abs(lams[k])):
-                    still.append(k)
-            active = still
-    return lams
+                alone = (_logderiv(E, D, tau, x, Mx) for x, Mx in zip(lam.ravel(), M))
+                logderiv = np.array([np.nan if y is None else y for y in alone])
+            size = np.abs(logderiv)
+            moving = (0.0 < size) & (size < np.inf)
+            active, step = active[moving], np.reciprocal(logderiv[moving])
+            lams[active] -= step
+            active = active[~(np.abs(step) <= 1e-13 * (1.0 + np.abs(lams[active])))]
+    return lams.tolist()
 
 
 def _backward_errors(E, A, D, tau, lams):
@@ -273,7 +271,7 @@ def spectral_abscissa_matrices(
     |det M| is evaluated on the grid in chunks of whole rows (fixed real
     part), one matrix product, one stacked determinant and one hypot per
     chunk, at most about GRID_CHUNK matrix entries at a time; Newton
-    starts from every 3x3 local minimum, all seeds advancing together.
+    starts from every 3x3 local minimum, all seeds advancing as arrays.
     """
     E, A, D = np.asarray(E), np.asarray(A), np.asarray(D)
     if np.isscalar(grid):

@@ -261,6 +261,35 @@ class TestBackwardSystem:
         report = dk.classify_matrices(bw.E, bw.A, bw.D, 2)
         assert report.propagation.kind is not PropagationKind.DE_SMOOTHING
 
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_svd_count(self, monkeypatch, field):
+        # one backward build takes ||E_b|| and ||A_b||, the SVD of sample
+        # 0 (-A_b) and the stacked SVDs of N's powers; the test of
+        # [E V*, A W*] = A_b reads sample 0's values, which are A_b's bit
+        # for bit, so no third 2n x 2n SVD is taken
+        rng = np.random.default_rng(43)
+        svd = np.linalg.svd
+        for n_d, n_a, nu in ((2, 0, 0), (2, 2, 1), (1, 3, 3), (0, 4, 4)):
+            n = n_d + n_a
+            E, A, _ = random_regular_pencil(rng, n, n_d=n_d, nu=nu)
+            D = rng.standard_normal((n, n))
+            if field is complex:
+                D = D * np.exp(1j * rng.uniform(0, 2 * np.pi, (n, n)))
+            sys_ = dk.DdaeSystem(E=E, A=A, D=D, tau=1.0, horizon_intervals=2,
+                                 f=dk.PiecewisePolynomial.zero(n, 0.0, 2.0, field is complex),
+                                 phi=dk.PiecewisePolynomial.zero(n, -1.0, 0.0, field is complex))
+            shapes = []
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", lambda M, *args, **kwargs:
+                          shapes.append(np.shape(M)) or svd(M, *args, **kwargs))
+                bw = dk.build_backward_system(sys_)
+            assert bw.qwf is not None and bw.qwf.n_a == 2 * n
+            assert shapes[:3] == [(2 * n, 2 * n)] * 2 + [(1, 2 * n, 2 * n)]
+            assert all(len(shape) == 3 and shape[1:] == (bw.qwf.n_a,) * 2
+                       for shape in shapes[3:])
+            assert svd(bw.A, compute_uv=False).tolist() == \
+                bw.regularity.singular_values[0].tolist()
+
 
 def backward_by_wong(bw, M):
     """The backward verdicts with the pencil decomposed by compute_qwf:

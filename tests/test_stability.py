@@ -362,6 +362,59 @@ class TestNewton:
     def test_no_seeds(self):
         assert _newton(np.eye(2), np.eye(2), np.eye(2), 1.0, []) == []
 
+    def test_reciprocal_is_pythons_quotient(self):
+        # the lanes step by np.reciprocal and the per-seed loop by
+        # 1.0 / z: both are Smith's quotient, equal bit for bit up to the
+        # sign of a zero part (a zero part of z, or a ratio of its parts
+        # that underflows), with |re| == |im| ties, subnormal and
+        # near-overflow parts and every sign; lambda - step is then equal
+        # bit for bit for every lambda without a -0.0 part
+        mags = [0.0, 1.0, 3.0, 0.1, 1.0 + 2.0 ** -52, 7.3e-5, 1e150, 8.9e307, 1.7e308,
+                2.2e-308, 1e-310, 5e-324, 1e-300, np.pi]
+        parts = [s * m for m in mags for s in (1.0, -1.0)]
+        z = np.array([complex(re, im) for re in parts for im in parts if re or im])
+        rng = np.random.default_rng(17)
+        drawn = rng.standard_normal((2, 4000)) * 10.0 ** rng.integers(-320, 308, (2, 4000))
+        z = np.concatenate([z, drawn[0] + 1j * drawn[1]])
+        python = np.array([1.0 / complex(x) for x in z])
+        with np.errstate(over="ignore"):
+            step = np.reciprocal(z)
+        assert np.isinf(step).any() and bits(step + 0.0) == bits(python + 0.0)
+        for lam in (0j, 1.5 + 0j, complex(0.0, -2.5), complex(-0.5, 0.25)):
+            assert bits(lam - step) == bits(lam - python)
+
+    def test_reports_match_the_per_seed_reference(self, monkeypatch):
+        # whole reports, roots bit for bit, equal those of a search whose
+        # Newton runs tests/gen.py's loop one seed at a time, on random
+        # systems n = 1..8 (D = 0 and singular E among them) and on the
+        # advanced example, where a lane reaches NEWTON_MAX_ITER
+        rng = np.random.default_rng(25)
+        systems = [(E, A, D, tau) for complex_field in (False, True)
+                   for E, A, D, tau in grid_systems(rng, complex_field)]
+        adv = example_advanced()
+        systems.append((adv.E, adv.A, adv.D, adv.tau))
+        reasons, found = [], []
+
+        def per_seed(E, A, D, tau, seeds):
+            runs = [newton_per_seed(E, A, D, tau, s) for s in seeds]
+            reasons.append([why for _, why in runs])
+            return [lam for lam, _ in runs]
+
+        for E, A, D, tau in systems:
+            lockstep = spectral_abscissa_matrices(E, A, D, tau)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_newton", per_seed)
+                reference = spectral_abscissa_matrices(E, A, D, tau)
+            assert bits([lam for lam, _ in lockstep.rightmost_roots]) == \
+                bits([lam for lam, _ in reference.rightmost_roots])
+            assert [r for _, r in lockstep.rightmost_roots] == \
+                [r for _, r in reference.rightmost_roots]
+            assert (lockstep.alpha, lockstep.box_limited, lockstep.no_roots) == \
+                (reference.alpha, reference.box_limited, reference.no_roots)
+            found.append(len(lockstep.rightmost_roots))
+        assert "max_iter" in reasons[-1]
+        assert sum(found) > 300
+
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_stacked_residual_matches_scalar(self, complex_field):
         # the backward errors of a stack of candidates are, lane by lane,
