@@ -77,7 +77,6 @@ from .stability import (
     StabilityReport,
     StabilityVerdict,
     assess_exponential_stability,
-    char_function,
     spectral_abscissa,
 )
 from .problemfile import (

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys as _sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -172,8 +172,6 @@ def _ledger_payload(ledger, tau):
 
 def cmd_solve(args, sys_, split):
     config = SolverConfig(k_max=args.kmax, on_inconsistent=args.on_inconsistent)
-    if args.degree is not None:
-        config = replace(config, degree=args.degree)
     # a hard stop (--on-inconsistent stop) raises before any output is written
     trajectory, ledger = method_of_steps(sys_, split, config)
     _write_trajectory_csv(args.out_csv, sys_, trajectory)
@@ -292,11 +290,6 @@ def build_parser():
 
     p = command("solve", cmd_solve, "method-of-steps trajectory and jump ledger",
                 ("out_csv", "ledger_out"))
-    p.add_argument("--degree", type=int, default=None,
-                   help="top collocation degree, 16..128: a piece whose degree-16 "
-                        "collocant fails its certificate is solved again at D, "
-                        "and bisected if that fails too (default: "
-                        "SolverConfig.degree)")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument(
         "--on-inconsistent", choices=("stop", "record"), default="record",

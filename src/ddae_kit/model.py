@@ -213,13 +213,12 @@ class FastPart:
     """Solver of N w' = w + q_f, nu the nilpotency index of N.
 
     The operators -D^k, k < nu, D the basis's differentiation matrix on a
-    piece, are stacked once per (basis, width), at the longest length
-    asked for (solve asks longest first; D is upper triangular, so a
-    shorter length takes the leading blocks, its own build up to
-    rounding), and the powers (N^k)^T once: the pieces of one length and
-    width cost two stacked products and a sum together, and all pieces
-    one trim.  Widths are compared relative to the span of q_f
-    (piecewise._width_groups).  An instance keeps its operators.
+    piece, are stacked once per (basis, width, length), and the powers
+    (N^k)^T once: the pieces of one length and width cost two stacked
+    products and a sum together, and all pieces one trim.  Widths are
+    compared relative to the span of q_f (piecewise._width_groups).  An
+    instance keeps its operators, so an answer does not depend on what
+    it solved before.
     """
 
     def __init__(self, N, nu):
@@ -229,15 +228,9 @@ class FastPart:
 
     def solve(self, q_f: PiecewisePolynomial):
         a, b, c, lengths = q_f._stack
-        span, w = q_f.end - q_f.start, None
-        groups = _width_groups(a, b, span, lengths.tolist())
-        for (length, width), ks in sorted(groups.items(), reverse=True):
-            if len(groups) == 1:  # every piece, of the stack's length
-                w = self.solve_coefs(q_f.basis, c, a[0], b[0], width, span)
-                break
-            if w is None:
-                w = np.zeros(c.shape[:2] + self.N.shape[:1],
-                             dtype=np.result_type(c, self._NT, float))
+        span = q_f.end - q_f.start
+        w = np.zeros(c.shape[:2] + self.N.shape[:1], dtype=np.result_type(c, self._NT, float))
+        for (length, width), ks in _width_groups(a, b, span, lengths.tolist()).items():
             w[ks, :length] = self.solve_coefs(q_f.basis, c[ks, :length], a[ks[0]], b[ks[0]],
                                               width, span)
         return q_f._with_stack((a, b, *q_f.basis.trim(w, lengths)), self.N.shape[0])
@@ -245,10 +238,10 @@ class FastPart:
     def solve_coefs(self, basis, c, a, b, width, span):
         """Untrimmed w for a stack c (K, length, n_a) of q_f pieces on [a, b]
         of one length and width, width their _width_groups key in span."""
-        key, length = (basis.name, width, span), c.shape[1]
-        if key not in self._ops or len(self._ops[key][0]) < length:
-            self._ops[key] = _fast_operator(basis, length, a, b, self.nu)
-        ops = self._ops[key][: max(min(self.nu, length), 1), :length, :length]
+        key = (basis.name, width, span, c.shape[1])
+        if key not in self._ops:
+            self._ops[key] = _fast_operator(basis, c.shape[1], a, b, self.nu)
+        ops = self._ops[key]
         return ((ops @ c[:, None]) @ self._NT[: len(ops)]).sum(axis=1)
 
 

@@ -178,7 +178,6 @@ class RegularityVerdict:
     witness: float | complex | None
     det_magnitude: float | None
     sample_points: tuple
-    det_values: tuple
     # one row per sample tested, for the choice of K's sample (_resolvent)
     singular_values: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -257,13 +256,12 @@ def check_regularity(pencil: MatrixPencil, count=None):
     Nonsingularity of a sample matrix is decided by _nonsingular (scale
     invariant), and the witness is the first sample that passes: sample
     0 is tested alone, and the others, as one stack, only when it fails.
-    The determinant magnitudes of the samples are informational.
+    The witness's determinant magnitude is informational.
     """
     E, A, n = pencil.E, pencil.A, pencil.n
     s = (1.0 + pencil.norm_A) / (1.0 + pencil.norm_E)
     lams = np.arange(n + 1 if count is None else count) * s
     M = lams[:, None, None] * E - A
-    dets = np.abs(np.linalg.det(M))
     sig = np.linalg.svd(M[:1], compute_uv=False)
     if not _nonsingular(sig[0]) and len(M) > 1:
         sig = np.vstack([sig, np.linalg.svd(M[1:], compute_uv=False)])
@@ -272,9 +270,8 @@ def check_regularity(pencil: MatrixPencil, count=None):
     return RegularityVerdict(
         regular=first is not None,
         witness=None if first is None else lams[first],
-        det_magnitude=None if first is None else float(dets[first]),
+        det_magnitude=None if first is None else float(np.abs(np.linalg.det(M[first]))),
         sample_points=tuple(lams),
-        det_values=tuple(dets.tolist()),
         singular_values=sig,
     )
 

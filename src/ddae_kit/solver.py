@@ -26,6 +26,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cache
+from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import inv
@@ -52,11 +53,11 @@ from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _padded, _stacked, _wid
 
 # relative tolerance for declaring a derivative jump at a knot
 JUMP_TOL = 1e-7
-# first collocation degree of every piece, and the lowest top degree
-# SolverConfig accepts
+# first collocation degree of every piece
 FIRST_DEGREE = 16
-# highest collocation degree SolverConfig accepts
-MAX_DEGREE = 128
+# top collocation degree: a piece whose FIRST_DEGREE collocant fails its
+# certificate is solved again at TOP_DEGREE, and bisected if that fails
+TOP_DEGREE = 48
 # residual v' - J v - q a certified collocant leaves at each grid
 # midpoint, relative to |v'| + |J v| + |q| there (max norms)
 RESID_RTOL = 1e-10
@@ -80,30 +81,23 @@ MAX_STREAM_ORDERS = 1024
 class SolverConfig:
     """Knobs of the stepping solver.
 
-    degree: top collocation degree, FIRST_DEGREE..MAX_DEGREE; a piece
-        is solved at FIRST_DEGREE first and at degree only when that
-        solve fails its certificate (SlowCollocation).
     k_max: highest derivative order compared at knots (default index+2,
-        below MAX_STREAM_ORDERS).
+        below MAX_STREAM_ORDERS), an integer (numpy's too), not a bool.
     on_inconsistent: "record" stores the breakdown in the ledger and
         returns the partial trajectory; "stop" raises instead.
-    degree and k_max are integers (numpy's too), not bools.
     """
 
-    degree: int = 48
+    # a constant, not a field: bench/spans.py reads it off solve_segment's config
+    degree: ClassVar[int] = TOP_DEGREE
     k_max: int | None = None
     on_inconsistent: str = "record"
 
     def __post_init__(self):
-        for name in ("degree", "k_max") if self.k_max is not None else ("degree",):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DimensionMismatch(f"{name} must be an integer, not {value!r}")
-        if not FIRST_DEGREE <= self.degree <= MAX_DEGREE:
-            raise DimensionMismatch(
-                f"collocation degree must be in {FIRST_DEGREE}..{MAX_DEGREE}")
-        if self.k_max is not None and not 0 <= self.k_max < MAX_STREAM_ORDERS:
-            raise DimensionMismatch(f"k_max must be in 0..{MAX_STREAM_ORDERS - 1}")
+        if self.k_max is not None:
+            if isinstance(self.k_max, bool) or not isinstance(self.k_max, numbers.Integral):
+                raise DimensionMismatch(f"k_max must be an integer, not {self.k_max!r}")
+            if not 0 <= self.k_max < MAX_STREAM_ORDERS:
+                raise DimensionMismatch(f"k_max must be in 0..{MAX_STREAM_ORDERS - 1}")
         if self.on_inconsistent not in ("record", "stop"):
             raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
@@ -528,13 +522,12 @@ class Sweep:
     Chebyshev form (all cut and converted in one pass,
     PiecewisePolynomial.windows) and f's derivative tables at the knots
     (first - 1) tau .. last tau are built here once, from the system,
-    the split and the top degree, and go with the sweep.
+    the split and TOP_DEGREE, and go with the sweep.
     """
 
-    def __init__(self, sys: DdaeSystem, split: SplitCoefficients, config: SolverConfig,
-                 first, last):
+    def __init__(self, sys: DdaeSystem, split: SplitCoefficients, first, last):
         self.first, self.last, self.T = first, last, split.qwf.T
-        self.colloc = SlowCollocation(split.qwf.J, config.degree)
+        self.colloc = SlowCollocation(split.qwf.J, TOP_DEGREE)
         self.fast = FastPart(split.qwf.N, split.nu)
         self.SD, self.D_T = np.vstack([split.B_d, split.B_a]), split.D.T
         # knot times from the segments' own length tau; rows past f's degree are 0
@@ -575,9 +568,9 @@ def solve_segment(
     DimensionMismatch.  Raises InconsistentRestart when the previous end
     value is not a consistent initial value for this segment
     (history.restart); the error carries the order-0 jump to the
-    consistent projection.  sweep is the Sweep of split and config that
-    holds segment i; when it also holds segment i + 1, that segment's
-    restart is formed at knot i (_knot).
+    consistent projection.  sweep is the Sweep of split that holds
+    segment i; when it also holds segment i + 1, that segment's restart
+    is formed at knot i (_knot).  config is not read.
     """
     if prev.restart is None:
         raise DimensionMismatch(f"segment {i - 1} holds no restart for segment {i}")
@@ -750,7 +743,7 @@ def method_of_steps(
             f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
-    sweep, breakdown = Sweep(sys, split, config, 1, M), []
+    sweep, breakdown = Sweep(sys, split, 1, M), []
     # the top orders of a stiff stream may overflow; from its first
     # non-finite order the scan's stream goes one order at a time
     # (model._taylor_stack), so numpy need not report them

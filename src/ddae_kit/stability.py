@@ -16,7 +16,7 @@ together as arrays, one stacked solve per iteration, and a candidate is
 a root when its backward error, from one stacked SVD, is at most
 RESIDUAL_TOL.
 
-Newton, the backward error and char_function form M elementwise
+Newton and the backward error form M elementwise
 (_char_matrix's expression), not through the grid's product, because:
 - each lane of a stack must equal the evaluation at its lambda alone bit
   for bit, so that lockstep Newton follows every seed's own iterates;
@@ -122,31 +122,6 @@ def _char_matrix(E, A, D, tau, lam):
     return lam * E - A - np.exp(-lam * tau) * D
 
 
-def _logderiv(E, D, tau, lam, M):
-    """trace(M^{-1} M') at one lambda, M' = E + tau e^{-lambda tau} D
-    stacked like _char_matrix; None if M is singular."""
-    lam, D = _stacked(lam, D)
-    try:
-        return complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
-    except np.linalg.LinAlgError:
-        return None
-
-
-def char_function(sys: DdaeSystem, lam):
-    """Characteristic value h(lambda) and its derivative dh/dlambda.
-
-    Computed via a pivoted factorization; the derivative uses
-    h' = h * trace(M^{-1} M') with M' = E + tau e^{-lambda tau} D.
-    At an exactly singular M the value is 0 (a root) and the derivative
-    is reported as None.
-    """
-    lam = complex(lam)
-    M = _char_matrix(sys.E, sys.A, sys.D, sys.tau, lam)
-    det = complex(np.linalg.det(M))
-    logderiv = _logderiv(sys.E, sys.D, sys.tau, lam, M)
-    return det, None if logderiv is None else det * logderiv
-
-
 def default_box(E, A, D, tau, **given):
     """The box re_min = -10 s, re_max = 5 s, im_max = 20 pi / tau, with
     s = (1 + ||A|| + ||D||) / (1 + ||E||), and the given bounds in place
@@ -205,15 +180,14 @@ def _newton(E, A, D, tau, seeds):
     A lane stops at a singular M, a zero or non-finite log-derivative, or
     a step below 1e-13 relative to |lambda|: masks over the active lanes,
     which advance as arrays.  One exp(-lambda tau) per iterate gives M and
-    M' (tau e^{-lambda tau} first, as in _logderiv), one stacked solve the
-    log-derivatives; only a singular M makes every lane solve alone, so
-    that one stops.  The step is np.reciprocal, Smith's quotient like
-    CPython's 1.0 / z (numpy's division rounds differently), equal to it
-    up to the sign of a zero part, which moves no lambda without a -0.0
-    part: every lane follows its seed's own iterates.  Far in the left
-    half-plane exp(-lambda tau) overflows, quietly: the non-finite
-    log-derivative stops that lane, and the box filter or its backward
-    error drops it.
+    M' = E + tau e^{-lambda tau} D, one stacked solve the log-derivatives;
+    only a singular M makes every lane solve alone, so that one stops.
+    The step is np.reciprocal, Smith's quotient like CPython's 1.0 / z
+    (numpy's division rounds differently), equal to it up to the sign of
+    a zero part, which moves no lambda without a -0.0 part: every lane
+    follows its seed's own iterates.  Far in the left half-plane
+    exp(-lambda tau) overflows, quietly: the non-finite log-derivative
+    stops that lane, and the box filter or its backward error drops it.
     """
     lams = np.array(seeds, dtype=complex)
     active = np.arange(len(lams))
@@ -223,12 +197,16 @@ def _newton(E, A, D, tau, seeds):
                 break
             lam, E_, D_ = _stacked(lams[active], E, D)
             e = np.exp(-lam * tau)
-            M = lam * E_ - A - e * D_
+            M, dM = lam * E_ - A - e * D_, E + tau * e * D_
             try:
-                logderiv = np.trace(np.linalg.solve(M, E + tau * e * D_), axis1=-2, axis2=-1)
+                logderiv = np.trace(np.linalg.solve(M, dM), axis1=-2, axis2=-1)
             except np.linalg.LinAlgError:
-                alone = (_logderiv(E, D, tau, x, Mx) for x, Mx in zip(lam.ravel(), M))
-                logderiv = np.array([np.nan if y is None else y for y in alone])
+                logderiv = np.full(len(M), np.nan, dtype=complex)
+                for k in range(len(M)):
+                    try:
+                        logderiv[k] = np.trace(np.linalg.solve(M[k], dM[k]))
+                    except np.linalg.LinAlgError:
+                        pass
             size = np.abs(logderiv)
             moving = (0.0 < size) & (size < np.inf)
             active, step = active[moving], np.reciprocal(logderiv[moving])

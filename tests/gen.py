@@ -340,7 +340,8 @@ def coupling_norms_per_loop(split):
 def grid_per_row(E, A, D, tau, res, ims):
     """Reference for stability._grid_magnitudes: |det M| on the grid one
     row (fixed real part) at a time, each row's matrices formed
-    elementwise by _char_matrix, bit for bit char_function's."""
+    elementwise by _char_matrix, bit for bit the determinant of
+    _char_matrix at each lambda alone."""
     mag = np.empty((len(res), len(ims)))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, x in enumerate(res):

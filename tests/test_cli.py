@@ -173,7 +173,7 @@ class TestOptionValues:
             ["probe", "--order", "2", "--target", "abc"],
             ["probe", "--order", "2", "--target", "nan"],
             ["solve", "--kmax", "1000000000"],
-            ["solve", "--degree", "100000"],
+            ["solve", "--degree", "48"],
             ["stability", "--grid", "100000"],
             ["solve", "--kmax", "three"],
             ["stability", "--grid", "abc"],
@@ -181,7 +181,7 @@ class TestOptionValues:
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
              "kmax-negative", "target-text", "target-nan", "kmax-huge",
-             "degree-huge", "grid-huge", "kmax-text", "grid-text", "unknown-flag"],
+             "degree-removed", "grid-huge", "kmax-text", "grid-text", "unknown-flag"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote
@@ -195,6 +195,8 @@ class TestOptionValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        if argv[1] == "--degree":  # the top degree is no option: the error names it
+            assert "--degree" in err
 
     @pytest.mark.parametrize("command", ["analyze", "solve", "stability"])
     def test_unwritable_output_exit_malformed(self, tmp_path, capsys, command):
@@ -536,19 +538,21 @@ def kinked_system(field, n=2, M=4):
 
 
 class TestTrajectoryCsv:
-    # degree is the solver's top collocation degree (16: a one-rung
-    # ladder); the writer follows the degree of each piece it is given
+    # degree is the solver's top collocation degree, solver.TOP_DEGREE
+    # (16: a one-rung ladder); the writer follows the degree of each
+    # piece it is given
     @pytest.mark.parametrize("degree", [48, 16])
     @pytest.mark.parametrize("case", ["neutral", "advanced", "kinked-real",
                                       "kinked-complex"])
-    def test_matches_per_value_writer(self, tmp_path, case, degree):
+    def test_matches_per_value_writer(self, tmp_path, monkeypatch, case, degree):
         sys_ = {
             "neutral": example_neutral,
             "advanced": example_advanced,  # breaks down: partial trajectory
             "kinked-real": lambda: kinked_system(float),
             "kinked-complex": lambda: kinked_system(complex),
         }[case]()
-        traj, _ = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=degree))
+        monkeypatch.setattr(solver, "TOP_DEGREE", degree)
+        traj, _ = dk.method_of_steps(sys_)
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         cli._write_trajectory_csv(got, sys_, traj)
         write_csv_per_value(ref, sys_, traj)
@@ -599,7 +603,7 @@ class TestTrajectoryCsvBytes:
     @pytest.mark.parametrize("degree", [48, 16])
     @pytest.mark.parametrize("case", ["kinked-real", "kinked-complex", "advanced",
                                       "straddling-real", "straddling-complex", "neutral"])
-    def test_matches_per_piece_writer(self, tmp_path, case, degree):
+    def test_matches_per_piece_writer(self, tmp_path, monkeypatch, case, degree):
         sys_ = {
             "kinked-real": lambda: kinked_system(float),
             "kinked-complex": lambda: kinked_system(complex),
@@ -608,7 +612,8 @@ class TestTrajectoryCsvBytes:
             "straddling-complex": lambda: straddling_system(complex),
             "neutral": lambda: example_neutral(horizon=20),
         }[case]()
-        traj, ledger = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=degree))
+        monkeypatch.setattr(solver, "TOP_DEGREE", degree)
+        traj, ledger = dk.method_of_steps(sys_)
         assert ledger.has_inconsistent == (case == "advanced")
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         cli._write_trajectory_csv(got, sys_, traj)
@@ -621,7 +626,8 @@ class TestTrajectoryCsvBytes:
     def test_chunks_change_no_byte(self, tmp_path, monkeypatch, case):
         # one segment per chunk, and chunks of several segments
         sys_ = kinked_system(complex) if case == "kinked-complex" else example_neutral(horizon=20)
-        traj, _ = dk.method_of_steps(sys_, config=dk.SolverConfig(degree=16))
+        monkeypatch.setattr(solver, "TOP_DEGREE", 16)
+        traj, _ = dk.method_of_steps(sys_)
         got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
         write_csv_per_piece(ref, sys_, traj)
         for rows in (1, 7, 40):

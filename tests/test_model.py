@@ -184,6 +184,16 @@ class TestUnderlyingEquations:
                               f.derivatives(0.0, 5, side="right"))
 
 
+def long_stack_case(nu):
+    """A nilpotent N of index nu (n_a = nu + 1) in a random basis, a
+    (2, 49, n_a) stack of q_f coefficients, and the generator."""
+    rng = np.random.default_rng(110 + nu)
+    n_a = nu + 1
+    perm = np.linalg.qr(rng.standard_normal((n_a, n_a)))[0]
+    N = perm @ shift_nilpotent(n_a, nu) @ perm.T
+    return N, rng.standard_normal((2, 49, n_a)), rng
+
+
 class TestFastSubsystem:
     def test_solves_the_fast_equation_exactly(self):
         rng = np.random.default_rng(5)
@@ -209,8 +219,8 @@ class TestFastSubsystem:
     def test_sweep_operators_on_mixed_pieces(self, nu, basis):
         # one FastPart serves pieces of mixed widths and degrees: each
         # piece solves N w' - w - q_f = 0 at coefficient level, one
-        # operator serves each width (at its longest length), and a
-        # repeated solve through the cached operators gives the same bytes
+        # operator serves each (width, length), and a repeated solve
+        # through the cached operators gives the same bytes
         rng = np.random.default_rng(70 + nu)
         n_a = nu + 1 if nu else 0
         perm = np.linalg.qr(rng.standard_normal((n_a, n_a)))[0]
@@ -223,7 +233,7 @@ class TestFastSubsystem:
         fast = FastPart(N, nu)
         w = fast.solve(q)
         assert w.basis is basis and w.breakpoints == q.breakpoints and w.n == n_a
-        keys = {round(b - a, 13) for a, b, c in q.pieces}
+        keys = {(round(b - a, 13), len(c)) for a, b, c in q.pieces}
         assert len(fast._ops) == len(keys) < len(q.pieces)
         assert [c.tobytes() for _, _, c in fast.solve(q).pieces] == \
             [c.tobytes() for _, _, c in w.pieces]
@@ -261,22 +271,36 @@ class TestFastSubsystem:
     @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
     @pytest.mark.parametrize("nu", [1, 2, 3, 4])
     def test_leading_block_matches_a_build_per_length(self, nu, basis):
-        # one operator per width, grown to the longest length: a shorter
-        # stack takes its leading block (D is upper triangular), equal to
-        # the operator built at that length up to the rounding of D^k
-        rng = np.random.default_rng(110 + nu)
-        n_a = nu + 1
-        perm = np.linalg.qr(rng.standard_normal((n_a, n_a)))[0]
-        N = perm @ shift_nilpotent(n_a, nu) @ perm.T
-        c = rng.standard_normal((2, 49, n_a))
+        # one operator per (width, length): after the longest length, a
+        # shorter stack gets its own build, which the leading block of the
+        # longest (D is upper triangular) matches up to the rounding of D^k
+        N, c, _ = long_stack_case(nu)
         grown = FastPart(N, nu)
         grown.solve_coefs(basis, c, 0.0, 0.7, 1.0, 0.7)
+        (longest,) = grown._ops.values()
         for length in range(1, 50):
             got = grown.solve_coefs(basis, c[:, :length], 0.0, 0.7, 1.0, 0.7)
-            ref = FastPart(N, nu).solve_coefs(basis, c[:, :length], 0.0, 0.7, 1.0, 0.7)
-            assert got.shape == ref.shape == (2, length, n_a)
+            ops = longest[: max(min(nu, length), 1), :length, :length]
+            ref = ((ops @ c[:, None, :length]) @ grown._NT[: len(ops)]).sum(axis=1)
+            assert got.shape == ref.shape == (2, length, nu + 1)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert [ops.shape for ops in grown._ops.values()] == [(nu, 49, 49)]
+        assert [ops.shape for ops in grown._ops.values()] == \
+            [(max(min(nu, length), 1), length, length) for length in (49, *range(1, 49))]
+
+    @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
+    @pytest.mark.parametrize("nu", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", ["longest-first", "shortest-first", "shuffled"])
+    def test_answer_does_not_depend_on_request_order(self, order, nu, basis):
+        # every length's answer is, bit for bit, a fresh instance's,
+        # whichever lengths the instance served before
+        N, c, rng = long_stack_case(nu)
+        lengths = {"longest-first": range(49, 0, -1), "shortest-first": range(1, 50),
+                   "shuffled": rng.permutation(np.arange(1, 50)).tolist()}[order]
+        served = FastPart(N, nu)
+        for length in lengths:
+            got = served.solve_coefs(basis, c[:, :length], 0.0, 0.7, 1.0, 0.7)
+            ref = FastPart(N, nu).solve_coefs(basis, c[:, :length], 0.0, 0.7, 1.0, 0.7)
+            assert got.tobytes() == ref.tobytes(), length
 
     def test_empty_algebraic_part(self):
         q = dk.PiecewisePolynomial.zero(0, 0.0, 1.0)
@@ -543,7 +567,7 @@ class TestKnotTable:
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         M, d = sys.horizon_intervals, sys.f.max_degree
-        sweep = Sweep(sys, split, dk.SolverConfig(), 1, M)
+        sweep = Sweep(sys, split, 1, M)
         assert sweep.f_table.shape == (M + 1, 2, d + 1, sys.n)
         data = sys.f.apply_matrix(split.qwf.S)
         for k in range(M + 1):

@@ -154,16 +154,16 @@ class TestRegularity:
             E, A = pencil.E, pencil.A
             verdict = dk.check_regularity(pencil)
             s = (1.0 + np.linalg.norm(A, 2)) / (1.0 + np.linalg.norm(E, 2))
-            witness = None
+            witness = det = None
             for j in range(n + 1):
                 M = (j * s) * E - A
                 sig = np.linalg.svd(M, compute_uv=False)
                 assert verdict.sample_points[j] == j * s
-                assert verdict.det_values[j] == float(np.abs(np.linalg.det(M)))
                 top = sig[0] if sig[0] > 0 else 1.0
                 if witness is None and sig[-1] > rank_threshold(top):
-                    witness = j * s
+                    witness, det = j * s, float(np.abs(np.linalg.det(M)))
             assert verdict.witness == witness
+            assert verdict.det_magnitude == det
             assert verdict.regular == (witness is not None)
 
     def test_first_witness_matches_all_samples(self):
@@ -176,15 +176,14 @@ class TestRegularity:
             lams = np.arange(n + 1) * ((1.0 + p.norm_A) / (1.0 + p.norm_E))
             M = lams[:, None, None] * E - A
             sig = np.linalg.svd(M, compute_uv=False)
-            dets = np.abs(np.linalg.det(M))
             thr = rank_threshold(np.where(sig[:, 0] > 0, sig[:, 0], 1.0))
             passing = np.flatnonzero(sig[:, -1] > thr)
             first = passing[0] if passing.size else None
             return pencil.RegularityVerdict(
                 regular=first is not None,
                 witness=None if first is None else lams[first],
-                det_magnitude=None if first is None else float(dets[first]),
-                sample_points=tuple(lams), det_values=tuple(dets.tolist()))
+                det_magnitude=None if first is None else float(np.abs(np.linalg.det(M[first]))),
+                sample_points=tuple(lams))
 
         rng = np.random.default_rng(24)
         witnesses = set()

@@ -3,7 +3,7 @@ import json
 import re
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -56,7 +56,7 @@ class TestSolveSegment:
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         config = dk.SolverConfig()
-        sweep = Sweep(sys, split, config, 1, 1)
+        sweep = Sweep(sys, split, 1, 1)
         hist = history_as_segment(sys, split, 8, sweep)
         seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 7):
@@ -69,7 +69,7 @@ class TestSolveSegment:
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         config = dk.SolverConfig()
-        sweep = Sweep(sys, split, config, 1, 1)
+        sweep = Sweep(sys, split, 1, 1)
         hist = history_as_segment(sys, split, 12, sweep)
         seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 5):
@@ -99,7 +99,7 @@ class TestKnotZero:
         sys = example()
         split = dk.build_split(sys)
         config = dk.SolverConfig()
-        sweep = solver.Sweep(sys, split, config, 1, sys.horizon_intervals)
+        sweep = solver.Sweep(sys, split, 1, sys.horizon_intervals)
         orders = 12
         hist = solver.history_as_segment(sys, split, orders, sweep)
         phi0 = hist.derivs_end[0]
@@ -117,15 +117,15 @@ class TestKnotZero:
         sys = example_neutral()
         split = dk.build_split(sys)
         config = dk.SolverConfig()
-        sweep = solver.Sweep(sys, split, config, 1, 1)
+        sweep = solver.Sweep(sys, split, 1, 1)
         hist = solver.history_as_segment(sys, split, 8, sweep)
         seg = solver.solve_segment(split, 1, hist, config, sweep)
         assert seg.restart is None  # segment 2 is not in its sweep
         with pytest.raises(dk.DimensionMismatch, match="no restart"):
-            solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, split, config, 2, 2))
+            solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, split, 2, 2))
         # knot 0 is read from the table of a sweep that holds segment 1
         with pytest.raises(dk.DimensionMismatch, match="segment 1"):
-            solver.history_as_segment(sys, split, 8, solver.Sweep(sys, split, config, 2, 2))
+            solver.history_as_segment(sys, split, 8, solver.Sweep(sys, split, 2, 2))
 
 
 class TestMethodOfSteps:
@@ -212,10 +212,10 @@ class TestMethodOfSteps:
         k_max = split.nu + 2
         config = dk.SolverConfig()
         prev = solver.history_as_segment(sys, split, k_max + M * split.nu + max(split.nu, 1),
-                                         solver.Sweep(sys, split, config, 1, min(2, M)))
+                                         solver.Sweep(sys, split, 1, min(2, M)))
         for i, seg in enumerate(traj.segments, start=1):
             alone = solver.solve_segment(split, i, prev, config,
-                                         solver.Sweep(sys, split, config, i, min(i + 1, M)))
+                                         solver.Sweep(sys, split, i, min(i + 1, M)))
             assert (alone.restart is None) == (i == M)
             for name in ("derivs_start", "derivs_end"):
                 assert getattr(alone, name).tobytes() == getattr(seg, name).tobytes()
@@ -531,7 +531,7 @@ class TestDetectJumps:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment
 
-        hist = history_as_segment(sys, split, 6, Sweep(sys, split, dk.SolverConfig(), 1, 1))
+        hist = history_as_segment(sys, split, 6, Sweep(sys, split, 1, 1))
         entry, = dk.detect_jumps([hist, hist_copy(hist)], k_max=4, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None
@@ -740,7 +740,7 @@ class TestSweep:
         # bare IndexError
         sys = kinked_dae(dk.MONOMIAL)
         split = dk.build_split(sys)
-        sweep = solver.Sweep(sys, split, dk.SolverConfig(), 3, 4)
+        sweep = solver.Sweep(sys, split, 3, 4)
         rows = np.zeros((3, sys.n))
         for k in (0, 1, 5):
             with pytest.raises(dk.DimensionMismatch, match=f"knot {k} outside .* 2..4"):
@@ -757,7 +757,7 @@ class TestSweep:
         # window widths apart and every piece of f straddles a knot
         sys = straddling_system(field)
         split = dk.build_split(sys)
-        sweep = solver.Sweep(sys, split, dk.SolverConfig(), first, last)
+        sweep = solver.Sweep(sys, split, first, last)
         data = sys.f.apply_matrix(split.qwf.S)
         assert len(sweep.windows) == last - first + 1
         for i, window in zip(range(first, last + 1), sweep.windows):
@@ -815,7 +815,7 @@ def per_segment_sweep(sys, split, config=dk.SolverConfig()):
     segments, the knot entries and the breakdown (knot, jump) or None."""
     M, nu = sys.horizon_intervals, split.nu
     k_max = nu + 2 if config.k_max is None else config.k_max
-    sweep, breakdown = solver.Sweep(sys, split, config, 1, M), None
+    sweep, breakdown = solver.Sweep(sys, split, 1, M), None
     with np.errstate(over="ignore", invalid="ignore"):
         chain = [solver.history_as_segment(sys, split, k_max + M * nu + max(nu, 1), sweep)]
         for i in range(1, M + 1):
@@ -1075,23 +1075,23 @@ class TestSlowCollocation:
 
     def test_ladder(self):
         # each piece climbs (FIRST_DEGREE, degree), one rung when the two
-        # coincide; a top degree below FIRST_DEGREE is refused
+        # coincide; a sweep's top degree is TOP_DEGREE, which no config sets
         J, p = np.array([[-1.0]]), solver.FIRST_DEGREE
         assert solver.SlowCollocation(J, 48).ladder == (p, 48)
         assert solver.SlowCollocation(J, p).ladder == (p,)
-        assert dk.SolverConfig(degree=p).degree == p
-        with pytest.raises(dk.DimensionMismatch, match=f"{p}..{solver.MAX_DEGREE}"):
-            dk.SolverConfig(degree=p - 1)
+        assert dk.SolverConfig().degree == solver.TOP_DEGREE == 48
+        assert "degree" not in {f.name for f in fields(dk.SolverConfig)}
+        with pytest.raises(TypeError, match="degree"):
+            dk.SolverConfig(degree=p)
 
     def test_config_takes_integers_only(self):
-        # a float degree would fail only later, inside numpy, once a piece
-        # climbs; bools are refused although they are ints
-        for knob in ({"degree": 48.5}, {"degree": 48.0}, {"degree": True},
-                     {"degree": None}, {"k_max": 2.5}, {"k_max": False}):
+        # a float k_max would fail only later, inside numpy, when the
+        # streams are cut; bools are refused although they are ints
+        for knob in ({"k_max": 2.5}, {"k_max": 2.0}, {"k_max": False}):
             with pytest.raises(dk.DimensionMismatch, match="must be an integer"):
                 dk.SolverConfig(**knob)
         # numpy integers are integers: x' = -8x climbs to the top rung
-        config = dk.SolverConfig(degree=np.int64(48), k_max=np.int32(3))
+        config = dk.SolverConfig(k_max=np.int32(3))
         traj, ledger = dk.method_of_steps(scalar_row(-8.0), config=config)
         assert layout(traj) == layout(dk.method_of_steps(scalar_row(-8.0))[0])
         assert [e.knot_index for e in ledger.entries] == [0, 1]
@@ -1196,7 +1196,7 @@ class TestSlowCollocation:
         dk.method_of_steps(stiff_ode(3))
         gc.collect()
         assert made and all(ref() is None for ref, _ in made)
-        sizes = {(p + 1) * 3 for p in (solver.FIRST_DEGREE, dk.SolverConfig().degree)}
+        sizes = {(p + 1) * 3 for p in (solver.FIRST_DEGREE, solver.TOP_DEGREE)}
         assert {shape[0] for _, shape in made} == sizes
         for value in vars(solver).values():
             if isinstance(value, dict):
