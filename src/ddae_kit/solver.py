@@ -113,8 +113,8 @@ class SegmentSolution:
     width floor.  restart is (derivs_start, consistency_residual,
     consistent) of segment index + 1, formed with derivs_end at their
     common knot (history_as_segment for the history, segment 0, and
-    _knot for the others), or None when no later segment of the
-    sweep reads it.
+    _close, which builds every later segment, for the others), or None
+    when no later segment of the sweep reads it.
     """
 
     index: int
@@ -322,11 +322,11 @@ class SlowCollocation:
 
     def _round(self, a, b, q, lengths, rungs, v0, span):
         """Every piece [a[k], b[k]] with forcing coefficients q[k, :lengths[k]]
-        solved at its rung, the start values chained from v0: per group of
-        pieces of one (degree, width, forcing length), the indices and the
-        coefficient stack (K, p+1, nd) with its trimmed lengths; and
-        whether each piece is certified: a bool per piece, or True for
-        all of them.
+        solved at its rung, the start values chained from v0, one group of
+        pieces of one (degree, width, forcing length) at a time: the
+        coefficient stack of all pieces, zero past each trimmed length and
+        cut to the longest, the trimmed lengths, and whether each piece is
+        certified: a bool per piece, or True for all of them.
 
         A group's arrays are node-major, (p+1, nd K) with column r K + k
         for component r of piece k, so each operator is one product for
@@ -350,15 +350,15 @@ class SlowCollocation:
             e[sel] = (Ainv[p * nd :, nd:] @ rhs[nd:]).T
             solving.append((sel, len(ks), p, Ainv, qg, rhs))
         starts = _chain(G, e, v0)
-        passed, solved = np.empty(count, dtype=bool), []
+        passed, keep = np.empty(count, dtype=bool), np.empty(count, dtype=int)
+        coefs = np.zeros((count, max(self.ladder) + 1, nd), dtype=dtype)
         for sel, size, p, Ainv, qg, rhs in solving:
             rhs[:nd] = starts[sel].T
             values = (Ainv @ rhs).reshape(p + 1, nd * size)
             stack = values_to_coeffs(values).reshape(p + 1, nd, size).transpose(2, 0, 1)
-            keep = trim_lengths(stack)
-            passed[sel] = self._certified(widths[sel], qg, values, stack, keep)
-            solved.append((sel, cut_stack(stack, keep), keep))
-        return solved, passed
+            coefs[sel, : p + 1], keep[sel] = stack, trim_lengths(stack)
+            passed[sel] = self._certified(widths[sel], qg, values, stack, keep[sel])
+        return cut_stack(coefs, keep), keep, passed
 
     def _certified(self, widths, qg, values, stack, keep):
         """The certificate of a group of K degree-p collocants: node-major
@@ -403,7 +403,7 @@ class SlowCollocation:
         a, b, q, lengths = forcing._stack
         rungs = np.zeros(len(q), dtype=int)
         while True:
-            solved, passed = self._round(a, b, q, lengths, rungs, v0, span)
+            coefs, keep, passed = self._round(a, b, q, lengths, rungs, v0, span)
             certified = passed is True or passed.all()
             if certified:
                 break
@@ -419,17 +419,8 @@ class SlowCollocation:
                 rungs = rungs + climb
             else:
                 break
-        if len(solved) == 1:  # one group holds every piece, in order
-            _, coefs, lengths = solved[0]
-        else:
-            coefs = np.zeros((len(q), max(c.shape[1] for _, c, _ in solved), len(self.J)),
-                             dtype=solved[0][1].dtype)
-            lengths = np.empty(len(q), dtype=int)
-            for ks, stack, keep in solved:
-                coefs[ks, : stack.shape[1]] = stack
-                lengths[ks] = keep
         unresolved = [] if certified else _runs(a, b, ~passed)
-        return forcing._with_stack((a, b, coefs, lengths), len(self.J)), unresolved
+        return forcing._with_stack((a, b, coefs, keep), len(self.J)), unresolved
 
 
 def _runs(a, b, marked):
@@ -495,7 +486,7 @@ def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int, s
     """The shifted history dressed up as segment number 0, with the
     restart of segment 1: phi(0) and q = D phi(. - tau) + f at knot 0
     (sweep.q_knot, so sweep must hold segment 1) go through
-    history.restart, as every later end value does at its knot (_knot).
+    history.restart, as every later end value does at its knot (_close).
     Raises NotAdmissible when phi(0) fails that test.
     """
     if sweep.first != 1:
@@ -568,16 +559,19 @@ def solve_segment(
     DimensionMismatch.  Raises InconsistentRestart when the previous end
     value is not a consistent initial value for this segment
     (history.restart); the error carries the order-0 jump to the
-    consistent projection.  sweep is the Sweep of split that holds
-    segment i; when it also holds segment i + 1, that segment's restart
-    is formed at knot i (_knot).  config is not read.
+    consistent projection.  prev must be segment i - 1 and sweep a Sweep
+    of split holding segment i, else DimensionMismatch; a sweep holding
+    i + 1 too gets that restart formed at knot i (_close).  config is not read.
     """
+    if not sweep.first <= i <= sweep.last:
+        raise DimensionMismatch(f"the sweep holds segments {sweep.first}..{sweep.last}, not {i}")
+    if prev.index != i - 1:
+        raise DimensionMismatch(f"segment {i} starts from segment {i - 1}, not {prev.index}")
     if prev.restart is None:
         raise DimensionMismatch(f"segment {i - 1} holds no restart for segment {i}")
     derivs_start, residual, consistent = prev.restart
     if not consistent:
         raise InconsistentRestart(i, residual, jump=derivs_start[0] - prev.derivs_end[0])
-    orders = len(derivs_start) - 1
 
     # [q_d; q_f] = S D x(t - tau) + S f on the segment, in local time
     delayed = prev.pieces.apply_matrix(sweep.SD)
@@ -592,38 +586,39 @@ def solve_segment(
         if len(a) > len(q_f._stack[0]):
             q_f = q_f.split_at(v.breakpoints[1:-1])
         _, _, cw, lw = sweep.fast.solve(q_f)._stack
-    x, lengths = _stacked(cv, cw) @ sweep.T.T, np.maximum(lv, lw)
-    pieces = v._with_stack((a, b, x, lengths), split.n)
-    x_end = x[-1, : lengths[-1]].sum(axis=0)  # T_k(1) = 1
-    derivs_end, following = _knot(split, i, prev.derivs_end, derivs_start, x_end, orders, sweep)
+    pieces = v._with_stack((a, b, _stacked(cv, cw) @ sweep.T.T, np.maximum(lv, lw)), split.n)
+    return _close(split, prev, sweep, pieces, unresolved)
+
+
+def _close(split, prev, sweep, pieces, unresolved=()):
+    """Segment i = prev.index + 1 on the given pieces of x, as every
+    segment after the history is built: the start stream and defect from
+    prev.restart, the end stream from x's end value (the row sum of the
+    last piece, T_k(1) = 1), and segment i + 1's restart (start stream,
+    defect, verdict) when the sweep holds it, else None.  q on both sides
+    of knot i is one product, and the two streams (orders and
+    max(orders - nu, 1) orders) one stacked recursion; a start stream too
+    short to drive segment i + 1 forms no restart, and that segment
+    rejects it (solve_segment)."""
+    i, (derivs_start, residual, _), prev_end = prev.index + 1, prev.restart, prev.derivs_end
+    _, _, x, lengths = pieces._stack
+    x_end = np.add.reduce(x[-1, : lengths[-1]])
+    nu, orders = split.nu, len(derivs_start) - 1
+    after, following = max(orders - nu, 1), None
+    if i == sweep.last or after + nu > len(derivs_start):
+        derivs_end = solution_taylor_from_value(split, x_end, sweep.q_knot(i, prev_end, 0), orders)
+    else:
+        rows = orders + nu  # prev_end has them all: only the start stream is padded
+        sides = np.zeros((2, rows, split.n), dtype=np.result_type(prev_end, derivs_start))
+        sides[0], sides[1, : orders + 1] = prev_end[:rows], derivs_start[:rows]
+        q = sweep.q_knot(i, sides)
+        x0, defect, consistent = restart(split, x_end, q[1])
+        derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
+                                                       (orders, after))
+        following = (start, defect, consistent)
     return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
                            derivs_start=derivs_start, derivs_end=derivs_end,
-                           unresolved=unresolved, restart=following)
-
-
-def _knot(split, i, prev_end, derivs_start, x_end, orders, sweep):
-    """The end stream of segment i and, when segment i + 1 is in the
-    sweep, its restart (start stream, defect, verdict), else None.
-
-    q on both sides of knot i (from prev_end, the end stream of segment
-    i - 1, and from derivs_start) is one product, and the two streams
-    (orders and max(orders - nu, 1) orders) one stacked recursion.  A
-    start stream too short to drive segment i + 1 forms no restart, and
-    that segment rejects it (solve_segment).
-    """
-    nu = split.nu
-    after = max(orders - nu, 1)
-    if i == sweep.last or after + nu > len(derivs_start):
-        q_end = sweep.q_knot(i, prev_end, 0)
-        return solution_taylor_from_value(split, x_end, q_end, orders), None
-    rows = orders + nu
-    sides, _ = _padded([prev_end[:rows], derivs_start[:rows]],
-                       np.result_type(prev_end, derivs_start))
-    q = sweep.q_knot(i, sides)
-    x0, residual, consistent = restart(split, x_end, q[1])
-    derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
-                                                   (orders, after))
-    return derivs_end, (start, residual, consistent)
+                           unresolved=list(unresolved), restart=following)
 
 
 def _recurrence(split, prev, sweep):
@@ -641,9 +636,9 @@ def _recurrence(split, prev, sweep):
     first is certified alone before the others are formed, the rest by
     one stacked _certified call (column r K + k for component r of
     segment k).  Returns the slow starts (K, n_d) and collocants
-    (K, m, n_d) of the K segments formed, x (C, longest, n) zero past
-    the lengths and the trimmed lengths of the C before the first failed
-    certificate, and whether one failed.
+    (K, m, n_d) of the K segments formed, x (C, m, n) and the trimmed
+    lengths of the C before the first failed certificate, and whether one
+    failed.
     """
     a, b, x, _ = prev.pieces._stack
     span, m, colloc = float(b[-1]) - float(a[0]), FIRST_DEGREE + 1, sweep.colloc
@@ -691,30 +686,24 @@ def _recurrence(split, prev, sweep):
         passed[1:] = colloc._certified((b - a).repeat(count - 1), q, values,
                                        vw[1:, :, :nd], keep[1:])
     good = int(passed.argmin()) if not passed.all() else count
-    return (starts[:count], vw[:, :, :nd], cut_stack(xs[:good], lengths[:good]),
-            lengths[:good], good < count)
+    return starts[:count], vw[:, :, :nd], xs[:good], lengths[:good], good < count
 
 
 def _stretch(split, chain, sweep):
     """Extend chain by one stretch: pass 1 (_recurrence) forms and
-    certifies its collocants, pass 2 the knot (_knot) of each certified
-    segment in order, up to the first segment whose restart is missing
-    or inconsistent, which solve_segment then reports.  Returns False
-    when a certificate failed, chain then ending before its segment."""
+    certifies its collocants, pass 2 closes (_close) each certified
+    segment in order on its view of pass 1's x, up to the first segment
+    whose restart is missing or inconsistent, which solve_segment then
+    reports.  Returns False when a certificate failed, chain then ending
+    before its segment."""
     if (solved := _recurrence(split, chain[-1], sweep)) is None:
         return True
     _, _, x, lengths, failed = solved
-    for k, x_end in enumerate(x.sum(axis=1)):  # x is zero past each length
-        prev = chain[-1]
-        derivs_start, residual, _ = prev.restart
-        derivs_end, following = _knot(split, prev.index + 1, prev.derivs_end, derivs_start,
-                                      x_end, len(derivs_start) - 1, sweep)
-        pieces = prev.pieces._with_stack(
-            (*prev.pieces._stack[:2], x[k : k + 1, : lengths[k]], lengths[k : k + 1]), split.n)
-        chain.append(SegmentSolution(index=prev.index + 1, pieces=pieces,
-                                     consistency_residual=residual, derivs_start=derivs_start,
-                                     derivs_end=derivs_end, restart=following))
-        if not (following and following[2]):
+    a, b = chain[-1].pieces._stack[:2]
+    for k in range(len(x)):
+        stack = (a, b, x[k : k + 1, : lengths[k]], lengths[k : k + 1])
+        chain.append(_close(split, chain[-1], sweep, chain[-1].pieces._with_stack(stack, split.n)))
+        if not (chain[-1].restart and chain[-1].restart[2]):
             break
     return not failed
 

@@ -366,11 +366,13 @@ def newton_per_seed(E, A, D, tau, lam):
                 logderiv = complex(np.trace(np.linalg.solve(M, E + tau * np.exp(-lam * tau) * D)))
             except np.linalg.LinAlgError:
                 return lam, "singular"
-            if abs(logderiv) == 0.0 or not np.isfinite(abs(logderiv)):
+            # moduli by np.abs, as _newton takes them: Python's abs may
+            # round the last bit apart
+            if not 0.0 < np.abs(logderiv) < np.inf:
                 return lam, "logderiv"
             step = 1.0 / logderiv
             lam = lam - step
-            if abs(step) <= 1e-13 * (1.0 + abs(lam)):
+            if np.abs(step) <= 1e-13 * (1.0 + np.abs(lam)):
                 return lam, "step"
     return lam, "max_iter"
 

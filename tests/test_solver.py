@@ -87,6 +87,41 @@ class TestSolveSegment:
         assert err.value.segment_index == 4
         assert err.value.residual == pytest.approx(2.0, abs=1e-8)
 
+    @staticmethod
+    def _second_segment_inputs():
+        # x' = -x + 0.5 x(t - 1) + 1 + t + 0.3 t^2, phi = 1, M = 4: segment
+        # 1 solved through the whole sweep, so it holds segment 2's restart
+        PP = dk.PiecewisePolynomial
+        sys = dk.DdaeSystem(E=[[1.0]], A=[[-1.0]], D=[[0.5]], tau=1.0, horizon_intervals=4,
+                            f=PP([(0.0, 4.0, [[1.0], [1.0], [0.3]])]),
+                            phi=PP([(-1.0, 0.0, [[1.0]])]))
+        split, config = dk.build_split(sys), dk.SolverConfig()
+        whole = solver.Sweep(sys, split, 1, 4)
+        seg1 = solver.solve_segment(split, 1, solver.history_as_segment(sys, split, 8, whole),
+                                    config, whole)
+        seg2 = solver.solve_segment(split, 2, seg1, config, whole)
+        assert seg2.derivs_end[0][0] == pytest.approx(3.2128906, abs=1e-6)
+        return sys, split, config, seg1
+
+    def test_segment_before_the_sweep_is_rejected(self):
+        # a sweep of segments 3..4 holds no window for segment 2: its
+        # index would read the last segment's window (-1) and end segment
+        # 2 at 6.436 instead of 3.213
+        sys, split, config, seg1 = self._second_segment_inputs()
+        with pytest.raises(dk.DimensionMismatch, match="segments 3..4, not 2"):
+            solver.solve_segment(split, 2, seg1, config, solver.Sweep(sys, split, 3, 4))
+
+    def test_segment_after_the_sweep_is_rejected(self):
+        sys, split, config, seg1 = self._second_segment_inputs()
+        with pytest.raises(dk.DimensionMismatch, match="segments 1..1, not 2"):
+            solver.solve_segment(split, 2, seg1, config, solver.Sweep(sys, split, 1, 1))
+
+    def test_prev_other_than_the_segment_before_is_rejected(self):
+        # segment 3 driven by segment 1 ended at 4.635 instead of 5.528
+        sys, split, config, seg1 = self._second_segment_inputs()
+        with pytest.raises(dk.DimensionMismatch, match="from segment 2, not 1"):
+            solver.solve_segment(split, 3, seg1, config, solver.Sweep(sys, split, 1, 4))
+
 
 class TestKnotZero:
     @pytest.mark.parametrize("example", [example_slow_smoothing, example_neutral,
@@ -700,9 +735,8 @@ def solve_at_rung(colloc, a, b, q_coef, v0, span, rung):
     """The trimmed Chebyshev coefficients of one piece [a, b] solved at
     the given rung of colloc's ladder, certified or not."""
     q_coef = np.asarray(q_coef)
-    solved, _ = colloc._round(np.array([a]), np.array([b]), q_coef[None],
-                              np.array([len(q_coef)]), np.array([rung]), v0, span)
-    (_, stack, keep), = solved
+    stack, keep, _ = colloc._round(np.array([a]), np.array([b]), q_coef[None],
+                                   np.array([len(q_coef)]), np.array([rung]), v0, span)
     return stack[0, : keep[0]]
 
 
@@ -852,11 +886,11 @@ def stretch_against_per_segment(sys, monkeypatch, knots=None):
     the projected restart).  Returns the indices of the segments whose
     collocant a stretch formed (_recurrence), certified or not, of those
     it kept, and of those solve_segment solved; knots, when given, counts
-    the _knot calls of method_of_steps by segment."""
+    the _close calls of method_of_steps by the segment they close."""
     split = dk.build_split(sys)
     formed, taken, alone = [], [], []
     recurrence, stretch, segment = solver._recurrence, solver._stretch, solver.solve_segment
-    knot = solver._knot
+    close = solver._close
 
     def counted_recurrence(split, prev, sweep):
         out = recurrence(split, prev, sweep)
@@ -873,13 +907,13 @@ def stretch_against_per_segment(sys, monkeypatch, knots=None):
         alone.append(i)
         return segment(split, i, *args)
 
-    def counted_knot(split, i, *args):
-        knots[i] += 1
-        return knot(split, i, *args)
+    def counted_close(split, prev, *args):
+        knots[prev.index + 1] += 1
+        return close(split, prev, *args)
 
     with monkeypatch.context() as m:
         if knots is not None:
-            m.setattr(solver, "_knot", counted_knot)
+            m.setattr(solver, "_close", counted_close)
         m.setattr(solver, "_recurrence", counted_recurrence)
         m.setattr(solver, "_stretch", counted_stretch)
         m.setattr(solver, "solve_segment", counted_segment)
@@ -1137,6 +1171,33 @@ class TestSlowCollocation:
                                    np.array([1.0]))
         assert rung_degrees(colloc) == [solver.FIRST_DEGREE, 48]
         assert coef.shape[0] == 42
+
+    def test_pieces_on_both_rungs_come_back_as_one_stack(self, monkeypatch):
+        # the smooth pieces pass at the first rung and the T_40 piece only
+        # at the top one; integrate returns the last round's one stack,
+        # zero past each piece's length, as it is
+        colloc = solver.SlowCollocation(np.array([[-1.0]]), solver.TOP_DEGREE)
+        forcing = dk.PiecewisePolynomial(
+            [(0.0, 0.3, [[1.0]]), (0.3, 0.6, np.eye(41)[40][:, None]),
+             (0.6, 1.0, [[0.5], [0.2]])], basis=dk.CHEBYSHEV)
+        rounds, round_ = [], colloc._round
+
+        def recorded(a, b, q, lengths, rungs, v0, span):
+            rounds.append((rungs.copy(), round_(a, b, q, lengths, rungs, v0, span)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(colloc, "_round", recorded)
+        v, unresolved = colloc.integrate(forcing, np.array([1.0]))
+        rungs, (stack, keep, _) = rounds[-1]
+        assert [colloc.ladder[r] for r in rungs.tolist()] == \
+            [solver.FIRST_DEGREE, solver.TOP_DEGREE, solver.FIRST_DEGREE]
+        _, _, coefs, lengths = v._stack
+        assert coefs is stack and lengths is keep and not unresolved
+        assert max(lengths[[0, 2]]) <= solver.FIRST_DEGREE + 1 < lengths[1]
+        assert coefs.shape == (3, lengths[1], 1)
+        for k, m in enumerate(lengths.tolist()):
+            assert not coefs[k, m:].any()
+            assert v.pieces[k].coef.tobytes() == coefs[k, :m].tobytes()
 
     @pytest.mark.parametrize("lam,q_coef,rungs", [
         (-200.0, [[0.5], [0.25]], 2),
