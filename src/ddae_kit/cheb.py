@@ -41,21 +41,21 @@ def values_to_coeffs(values):
     return Vinv @ values
 
 
-def trim_lengths(coefs, tol=TRIM_TOL):
+def trim_lengths(coefs):
     """Kept length of each series in a stack (K, deg+1, n), or of one
-    series (deg+1, n): trailing rows whose largest entry is at most tol
+    series (deg+1, n): trailing rows whose largest entry is at most TRIM_TOL
     times the largest entry of the series are dropped, so the cut is
     relative to the series' own size, with no absolute floor (a NaN row
     is kept).  A lone series is cut by a loop over its rows, which takes
     fewer numpy calls than the vectorized count of a stack."""
     mags = np.maximum.reduce(np.abs(coefs), axis=-1, initial=0.0)
     if mags.ndim == 1 or len(mags) == 1:
-        cut, rows = tol * float(np.maximum.reduce(mags, axis=None)), mags.ravel().tolist()
+        cut, rows = TRIM_TOL * float(np.maximum.reduce(mags, axis=None)), mags.ravel().tolist()
         keep = len(rows)
         while keep > 1 and rows[keep - 1] <= cut:
             keep -= 1
         return keep if mags.ndim == 1 else np.array([keep])
-    kept = ~(mags <= tol * mags.max(axis=-1, keepdims=True))
+    kept = ~(mags <= TRIM_TOL * mags.max(axis=-1, keepdims=True))
     kept[..., 0] = True
     return coefs.shape[-2] - kept[..., ::-1].argmax(axis=-1)
 
@@ -80,6 +80,6 @@ def trim_stack(stack, lengths):
     return cut_stack(stack, kept), kept
 
 
-def trim_coeffs(coef, tol=TRIM_TOL):
+def trim_coeffs(coef):
     """coef without the trailing rows trim_lengths drops."""
-    return coef[: trim_lengths(coef, tol)]
+    return coef[: trim_lengths(coef)]

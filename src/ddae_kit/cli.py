@@ -27,7 +27,6 @@ import numpy as np
 from .classify import PropagationKind, build_backward_system, classify
 from .errors import (
     DdaeKitError,
-    InconsistentRestart,
     NotSmoothingType,
     SingularPencil,
 )
@@ -171,9 +170,7 @@ def _ledger_payload(ledger, tau):
 
 
 def cmd_solve(args, sys_, split):
-    config = SolverConfig(k_max=args.kmax, on_inconsistent=args.on_inconsistent)
-    # a hard stop (--on-inconsistent stop) raises before any output is written
-    trajectory, ledger = method_of_steps(sys_, split, config)
+    trajectory, ledger = method_of_steps(sys_, split, SolverConfig(k_max=args.kmax))
     _write_trajectory_csv(args.out_csv, sys_, trajectory)
     _write_report(args.ledger_out, _ledger_payload(ledger, sys_.tau))
     if ledger.unresolved_pieces:
@@ -291,10 +288,6 @@ def build_parser():
     p = command("solve", cmd_solve, "method-of-steps trajectory and jump ledger",
                 ("out_csv", "ledger_out"))
     p.add_argument("--kmax", type=int, default=None)
-    p.add_argument(
-        "--on-inconsistent", choices=("stop", "record"), default="record",
-        dest="on_inconsistent",
-    )
 
     p = command("stability", cmd_stability, "spectral abscissa and verdict")
     p.add_argument("--re-min", type=float, default=None, dest="re_min")
@@ -322,9 +315,6 @@ def main(argv=None):
     except SingularPencil as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_IRREGULAR
-    except InconsistentRestart as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INCONSISTENT
     except (DdaeKitError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_MALFORMED

@@ -27,7 +27,7 @@ from .model import (
     solution_taylor_from_value,
     taylor_forcing,
 )
-from .pencil import negligible, norm2, powers, row_norms, vector_norm
+from .pencil import negligible, norm2, powers, row_norms
 from .piecewise import PiecewisePolynomial
 
 FLAG_TOL = 1e-8
@@ -165,9 +165,8 @@ def splicing_report(sys: DdaeSystem, split: SplitCoefficients) -> SplicingReport
     splices = []
     for j in (0, 1):
         lhs, rhs = hist[j + 1], split.A_diff @ hist[j] + r[j]
-        residual = vector_norm(lhs - rhs)
-        scale = 1.0 + max(vector_norm(v) for v in (lhs, rhs, *q[: nu + j + 1]))
-        splices += [_within(residual, FLAG_TOL, scale), residual]
+        residual, *norms = row_norms(np.array([lhs - rhs, lhs, rhs, *q[: nu + j + 1]])).tolist()
+        splices += [_within(residual, FLAG_TOL, 1.0 + max(norms)), residual]
     xs = solution_taylor_from_value(split, consistent_projection(split, hist[0], q), q, cap)
     # the fields in order: each verdict with its residual, then kappa
     return SplicingReport(*check_admissible(sys, split), *splices,

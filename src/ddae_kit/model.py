@@ -198,15 +198,11 @@ def split_matrices(qwf: QuasiWeierstrassForm, D) -> SplitCoefficients:
     )
 
 
-def build_split(
-    sys: DdaeSystem, qwf: QuasiWeierstrassForm | None = None
-) -> SplitCoefficients:
-    """Split of a system: split_matrices of its decomposition and D.
-
-    The decomposition defaults to the system's own; another one may be
-    passed in to pin a specific choice of S, T.
+def build_split(sys: DdaeSystem) -> SplitCoefficients:
+    """Split of a system: split_matrices of its own decomposition and D.
+    Code that pins another choice of S, T calls split_matrices(qwf, sys.D).
     """
-    return split_matrices(sys.qwf if qwf is None else qwf, sys.D)
+    return split_matrices(sys.qwf, sys.D)
 
 
 class FastPart:

@@ -119,14 +119,6 @@ def _dots(p):
     return (p[:, None, :] @ p[:, :, None])[:, 0, 0]
 
 
-def vector_norm(x):
-    """||x|| of a vector as a float, without warnings: np.linalg.norm(x)
-    wherever that is finite, else row_norms' measure of x as one row."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(x))
-    return norm if norm < np.inf else float(row_norms(np.ravel(x)[None])[0])
-
-
 def frozen(x, dtype=None):
     """A read-only copy of x as float, or as complex when x is complex;
     a given dtype overrides that choice."""

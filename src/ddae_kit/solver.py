@@ -11,9 +11,9 @@ segment with new data, so one Sweep builds each operator a segment
 applies once: the collocation inverses, the fast-part operators, the
 data windows in Chebyshev form and f's own derivative tables at the
 knots.
-Restart values are never projected: a violation of the consistency
-condition is the de-smoothing failure mode and is reported, not
-repaired.
+A restart value that fails the consistency test is the de-smoothing
+failure mode: it is reported, not repaired.  One that passes starts
+its segment from its consistent projection.
 
 One-sided derivatives at the knots i*tau are computed by exact recursion
 through the inherent ODE rather than by differentiating interpolants, so
@@ -48,7 +48,7 @@ from .model import (
     build_split,
     solution_taylor_from_value,
 )
-from .pencil import row_norms, vector_norm
+from .pencil import row_norms
 from .piecewise import DOMAIN_RTOL, PiecewisePolynomial, _padded, _stacked, _width_groups
 
 # relative tolerance for declaring a derivative jump at a knot
@@ -83,14 +83,11 @@ class SolverConfig:
 
     k_max: highest derivative order compared at knots (default index+2,
         below MAX_STREAM_ORDERS), an integer (numpy's too), not a bool.
-    on_inconsistent: "record" stores the breakdown in the ledger and
-        returns the partial trajectory; "stop" raises instead.
     """
 
     # a constant, not a field: bench/spans.py reads it off solve_segment's config
     degree: ClassVar[int] = TOP_DEGREE
     k_max: int | None = None
-    on_inconsistent: str = "record"
 
     def __post_init__(self):
         if self.k_max is not None:
@@ -98,8 +95,6 @@ class SolverConfig:
                 raise DimensionMismatch(f"k_max must be an integer, not {self.k_max!r}")
             if not 0 <= self.k_max < MAX_STREAM_ORDERS:
                 raise DimensionMismatch(f"k_max must be in 0..{MAX_STREAM_ORDERS - 1}")
-        if self.on_inconsistent not in ("record", "stop"):
-            raise DimensionMismatch("on_inconsistent must be 'record' or 'stop'")
 
 
 @dataclass(eq=False)
@@ -485,12 +480,10 @@ def detect_jumps(chain, k_max: int, tau: float):
 def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int, sweep: Sweep):
     """The shifted history dressed up as segment number 0, with the
     restart of segment 1: phi(0) and q = D phi(. - tau) + f at knot 0
-    (sweep.q_knot, so sweep must hold segment 1) go through
-    history.restart, as every later end value does at its knot (_close).
-    Raises NotAdmissible when phi(0) fails that test.
+    (sweep.q_knot) go through history.restart, as every later end value
+    does at its knot (_close).  Raises NotAdmissible when phi(0) fails
+    that test.
     """
-    if sweep.first != 1:
-        raise DimensionMismatch("the history restarts segment 1: its sweep must hold it")
     x = sys.phi.shift(sys.tau)
     derivs_start = x.derivatives(0.0, orders, side="right")
     derivs_end = x.derivatives(sys.tau, orders, side="left")
@@ -505,24 +498,25 @@ def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int, s
 
 
 class Sweep:
-    """Every operator that segments first..last of one sweep apply.
+    """Every operator that segments 1..M of one sweep apply, M =
+    sys.horizon_intervals (the sweep's last).
 
     Each delay interval is the same DAE segment with new data, so the
     slow collocation (SlowCollocation), the fast part (FastPart), the
     windows of the transformed inhomogeneity S f on each segment in
     Chebyshev form (all cut and converted in one pass,
     PiecewisePolynomial.windows) and f's derivative tables at the knots
-    (first - 1) tau .. last tau are built here once, from the system,
-    the split and TOP_DEGREE, and go with the sweep.
+    0 .. M tau are built here once, from the system, the split and
+    TOP_DEGREE, and go with the sweep.
     """
 
-    def __init__(self, sys: DdaeSystem, split: SplitCoefficients, first, last):
-        self.first, self.last, self.T = first, last, split.qwf.T
+    def __init__(self, sys: DdaeSystem, split: SplitCoefficients):
+        self.last, self.T = sys.horizon_intervals, split.qwf.T
         self.colloc = SlowCollocation(split.qwf.J, TOP_DEGREE)
         self.fast = FastPart(split.qwf.N, split.nu)
         self.SD, self.D_T = np.vstack([split.B_d, split.B_a]), split.D.T
         # knot times from the segments' own length tau; rows past f's degree are 0
-        knots = np.arange(first - 1, last + 1) * sys.tau
+        knots = np.arange(self.last + 1) * sys.tau
         self.windows = sys.f.apply_matrix(split.qwf.S).windows(knots[:-1], knots[1:])
         d = sys.f.max_degree
         self.f_table = np.stack([sys.f.derivatives(knots, d, side="left"),
@@ -531,15 +525,11 @@ class Sweep:
     def q_knot(self, k, rows, side=slice(None)):
         """q = D x(. - tau) + f at the knot k tau from the derivative rows
         of x(. - tau) there: one side (0 from the left, 1 from the right)
-        or both stacked (rows of shape (2, count, n)); f's rows are added
-        only where the table holds them.  A knot outside first - 1 .. last
-        raises DimensionMismatch."""
-        if not self.first - 1 <= k <= self.last:
-            raise DimensionMismatch(
-                f"knot {k} outside the sweep's knots {self.first - 1}..{self.last}")
+        or both stacked (rows of shape (2, count, n)), k in 0..M; f's rows
+        are added only where the table holds them."""
         # f may be complex where the streams are real
         q = (rows @ self.D_T).astype(np.result_type(rows, self.D_T, self.f_table), copy=False)
-        f = self.f_table[k - self.first + 1, side, : q.shape[-2]]
+        f = self.f_table[k, side, : q.shape[-2]]
         q[..., : f.shape[-2], :] += f
         return q
 
@@ -559,12 +549,13 @@ def solve_segment(
     DimensionMismatch.  Raises InconsistentRestart when the previous end
     value is not a consistent initial value for this segment
     (history.restart); the error carries the order-0 jump to the
-    consistent projection.  prev must be segment i - 1 and sweep a Sweep
-    of split holding segment i, else DimensionMismatch; a sweep holding
-    i + 1 too gets that restart formed at knot i (_close).  config is not read.
+    consistent projection.  i must be in 1..M, M the sweep's last, prev
+    segment i - 1 and sweep the Sweep of split, else DimensionMismatch;
+    below M the segment carries segment i + 1's restart, formed at knot
+    i (_close).  config is not read.
     """
-    if not sweep.first <= i <= sweep.last:
-        raise DimensionMismatch(f"the sweep holds segments {sweep.first}..{sweep.last}, not {i}")
+    if not 1 <= i <= sweep.last:
+        raise DimensionMismatch(f"the sweep holds segments 1..{sweep.last}, not {i}")
     if prev.index != i - 1:
         raise DimensionMismatch(f"segment {i} starts from segment {i - 1}, not {prev.index}")
     if prev.restart is None:
@@ -575,7 +566,7 @@ def solve_segment(
 
     # [q_d; q_f] = S D x(t - tau) + S f on the segment, in local time
     delayed = prev.pieces.apply_matrix(sweep.SD)
-    q_d, q_f = delayed.split_sum(sweep.windows[i - sweep.first], split.n_d)
+    q_d, q_f = delayed.split_sum(sweep.windows[i - 1], split.n_d)
     v0 = (split.qwf.T_inv @ derivs_start[0])[: split.n_d]
     v, unresolved = sweep.colloc.integrate(q_d, v0)
     # x = T [v; w], w for q_f cut at v's breakpoints: one product [v | w] T^T
@@ -595,7 +586,7 @@ def _close(split, prev, sweep, pieces, unresolved=()):
     segment after the history is built: the start stream and defect from
     prev.restart, the end stream from x's end value (the row sum of the
     last piece, T_k(1) = 1), and segment i + 1's restart (start stream,
-    defect, verdict) when the sweep holds it, else None.  q on both sides
+    defect, verdict) below the sweep's last, else None.  q on both sides
     of knot i is one product, and the two streams (orders and
     max(orders - nu, 1) orders) one stacked recursion; a start stream too
     short to drive segment i + 1 forms no restart, and that segment
@@ -648,7 +639,7 @@ def _recurrence(split, prev, sweep):
     nd, n, T_inv = split.n_d, split.n, split.qwf.T_inv
     dtype = np.result_type(x, sweep.windows[0]._stack[2], sweep.SD, sweep.T, T_inv, colloc.J)
     q, count = np.zeros((sweep.last - prev.index, m, n), dtype=dtype), 0  # S f, then + S D x
-    for window in sweep.windows[prev.index + 1 - sweep.first:]:
+    for window in sweep.windows[prev.index:]:
         wa, wb, cw, _ = window._stack
         if (len(wa) > 1 or cw.shape[1] > m
                 or max(abs(wa[0] - a[0]), abs(wb[0] - b[0])) > DOMAIN_RTOL * span):
@@ -716,10 +707,11 @@ def method_of_steps(
     """Solve the initial value problem across all delay intervals.
 
     Returns (trajectory, ledger).  A history that is not admissible
-    raises NotAdmissible (history_as_segment); a later restart
-    inconsistency either ends the sweep with the breakdown
-    recorded in the ledger (default) or raises, depending on
-    config.on_inconsistent.
+    raises NotAdmissible (history_as_segment).  A later restart that
+    fails the consistency test (solve_segment's InconsistentRestart)
+    ends the sweep: the trajectory holds the segments before it, and the
+    ledger's last entry records the breakdown at its knot, with
+    first_jump_order 0 and the jump to the consistent projection.
     """
     if split is None:
         split = build_split(sys)
@@ -732,7 +724,7 @@ def method_of_steps(
             f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
             f" orders exceed {MAX_STREAM_ORDERS}"
         )
-    sweep, breakdown = Sweep(sys, split, 1, M), []
+    sweep, breakdown = Sweep(sys, split), []
     # the top orders of a stiff stream may overflow; from its first
     # non-finite order the scan's stream goes one order at a time
     # (model._taylor_stack), so numpy need not report them
@@ -747,12 +739,10 @@ def method_of_steps(
             try:
                 chain.append(solve_segment(split, i, chain[-1], config, sweep))
             except InconsistentRestart as err:
-                if config.on_inconsistent == "stop":
-                    raise
                 breakdown.append(LedgerEntry(
                     knot_index=i - 1, time=(i - 1) * sys.tau, matched_order=-1,
                     first_jump_order=0, jump_vector=err.jump,
-                    jump_norm=vector_norm(err.jump), inconsistent_restart=True))
+                    jump_norm=float(row_norms(err.jump[None])[0]), inconsistent_restart=True))
                 break
         # the ledger feeds no later segment: one pass over every knot
         entries = detect_jumps(chain, k_max, sys.tau)

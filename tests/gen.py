@@ -421,7 +421,7 @@ def random_system_from_blocks(
     sys = dk.DdaeSystem(
         E=E, A=A, D=D, tau=tau, horizon_intervals=horizon, f=f, phi=phi
     )
-    return sys, dk.build_split(sys, qwf=split0.qwf)
+    return sys, dk.split_matrices(split0.qwf, sys.D)
 
 
 def random_smoothing_blocks(rng, n_d, n_a, nu):
@@ -462,17 +462,17 @@ def kinked_dae(basis, horizon=4):
         basis=basis,
     )
     sys1 = replace(sys0, f=f)
-    phi = dk.construct_probe_history(sys1, dk.build_split(sys1, qwf=split0.qwf), m=1,
+    phi = dk.construct_probe_history(sys1, dk.split_matrices(split0.qwf, sys1.D), m=1,
                                      target=np.zeros(n_d), side="slow")
     return replace(sys1, phi=phi)
 
 
-def straddling_system(field):
+def straddling_system(field, horizon=6):
     """Index-2 system on tau = 0.1, where i * tau - (i - 1) * tau != tau
     for some i, whose inhomogeneity has pieces of several degrees that
-    straddle the knots."""
+    straddle the knots (all of them at horizon 6, the default)."""
     rng = np.random.default_rng(17)
-    tau, M = 0.1, 6
+    tau, M = 0.1, horizon
     sys0, _ = random_system_from_blocks(rng, 1, 3, 2, random_smoothing_blocks(rng, 1, 3, 2),
                                         horizon=M)
 
@@ -480,7 +480,8 @@ def straddling_system(field):
         x = rng.standard_normal(shape)
         return x + 1j * rng.standard_normal(shape) if field is complex else x
 
-    cuts = [0.0, 0.05, 0.23, 0.37, 0.45, 0.6]
+    end = round(M * tau, 12)
+    cuts = [c for c in (0.0, 0.05, 0.23, 0.37, 0.45) if c < end] + [end]
     f = dk.PiecewisePolynomial([(a, b, draw(1 + k % 4, 4))
                                 for k, (a, b) in enumerate(zip(cuts, cuts[1:]))])
     sys1 = dk.DdaeSystem(E=sys0.E, A=sys0.A, D=sys0.D, tau=tau, horizon_intervals=M,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ddae_kit as dk
+from ddae_kit import solver
 from ddae_kit.classify import LegacyKind, PropagationKind
 from ddae_kit.model import FastPart
 from ddae_kit.stability import StabilityVerdict
@@ -98,9 +99,12 @@ def test_criterion_02_advanced_regression():
         assert last.first_jump_order == 0
         assert abs(last.jump_norm - 2.0) <= 1e-8
 
+        assert last.knot_index == 3
         with pytest.raises(dk.InconsistentRestart) as err:
-            dk.method_of_steps(sys_, split, dk.SolverConfig(on_inconsistent="stop"))
+            solver.solve_segment(split, 4, traj.segments[-1], dk.SolverConfig(),
+                                 solver.Sweep(sys_, split))
         assert err.value.segment_index == 4
+        assert abs(err.value.residual - 2.0) <= 1e-8
 
         report = dk.classify(split, 4)
         assert report.propagation.kind is PropagationKind.DE_SMOOTHING
@@ -299,7 +303,7 @@ def test_criterion_10_splicing_suite():
         )
         sys_good = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                  horizon_intervals=6, f=sys_.f, phi=phi_good)
-        split_good = dk.build_split(sys_good, qwf=split.qwf)
+        split_good = dk.split_matrices(split.qwf, sys_good.D)
         good = dk.splicing_report(sys_good, split_good)
         assert good.smooth_c1 and good.smooth_c2
         traj, ledger = dk.method_of_steps(sys_good, split_good)
@@ -313,7 +317,7 @@ def test_criterion_10_splicing_suite():
         )
         sys_bad = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                 horizon_intervals=6, f=sys_.f, phi=phi_bad)
-        split_bad = dk.build_split(sys_bad, qwf=split.qwf)
+        split_bad = dk.split_matrices(split.qwf, sys_bad.D)
         assert dk.check_admissible(sys_bad, split_bad)[0]
         assert not dk.splicing_report(sys_bad, split_bad).smooth_c1
         traj_bad, ledger_bad = dk.method_of_steps(sys_bad, split_bad)
@@ -338,7 +342,7 @@ def test_criterion_11_probe_contract():
                                                  side=side)
                 sys_p = dk.DdaeSystem(E=sys_.E, A=sys_.A, D=sys_.D, tau=1.0,
                                       horizon_intervals=6, f=sys_.f, phi=phi)
-                split_p = dk.build_split(sys_p, qwf=split.qwf)
+                split_p = dk.split_matrices(split.qwf, sys_p.D)
                 config = dk.SolverConfig(k_max=max(split.nu + 2, m + 1))
                 traj, ledger = dk.method_of_steps(sys_p, split_p, config)
                 entry = ledger.entry_at(0)

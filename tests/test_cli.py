@@ -174,6 +174,7 @@ class TestOptionValues:
             ["probe", "--order", "2", "--target", "nan"],
             ["solve", "--kmax", "1000000000"],
             ["solve", "--degree", "48"],
+            ["solve", "--on-inconsistent", "stop"],
             ["stability", "--grid", "100000"],
             ["solve", "--kmax", "three"],
             ["stability", "--grid", "abc"],
@@ -181,7 +182,8 @@ class TestOptionValues:
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
              "kmax-negative", "target-text", "target-nan", "kmax-huge",
-             "degree-removed", "grid-huge", "kmax-text", "grid-text", "unknown-flag"],
+             "degree-removed", "on-inconsistent-removed", "grid-huge", "kmax-text",
+             "grid-text", "unknown-flag"],
     )
     def test_bad_option_exit_malformed(self, tmp_path, capsys, argv):
         # without the checks these crashed, searched nothing, wrote
@@ -195,8 +197,8 @@ class TestOptionValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-        if argv[1] == "--degree":  # the top degree is no option: the error names it
-            assert "--degree" in err
+        if argv[1] in ("--degree", "--on-inconsistent"):  # no option: the error names it
+            assert argv[1] in err
 
     @pytest.mark.parametrize("command", ["analyze", "solve", "stability"])
     def test_unwritable_output_exit_malformed(self, tmp_path, capsys, command):
@@ -413,18 +415,6 @@ class TestSolveCommand:
             expected = np.exp(a * t) * (x0 + c / a) - c / a
             assert float(row["x_1_re"]) == pytest.approx(expected.real, abs=1e-10)
             assert float(row["x_1_im"]) == pytest.approx(expected.imag, abs=1e-10)
-
-    def test_on_inconsistent_stop_writes_nothing(self, tmp_path):
-        problem = write_problem(tmp_path, example_advanced())
-        out_csv = tmp_path / "traj.csv"
-        out_ledger = tmp_path / "ledger.json"
-        code = main([
-            "solve", problem, str(out_csv), str(out_ledger),
-            "--on-inconsistent", "stop",
-        ])
-        assert code == 2
-        assert not out_csv.exists()
-        assert not out_ledger.exists()
 
     def test_stiff_overflow_leaves_stderr_empty(self, tmp_path, capsys):
         # the top stream orders of this index-3 system (slow eigenvalue

@@ -21,7 +21,7 @@ def with_history(sys, phi, qwf=None):
         E=sys.E, A=sys.A, D=sys.D, tau=sys.tau,
         horizon_intervals=sys.horizon_intervals, f=sys.f, phi=phi,
     )
-    return new, dk.build_split(new, qwf=qwf)
+    return new, dk.build_split(new) if qwf is None else dk.split_matrices(qwf, new.D)
 
 
 def splice(sys, split, order):

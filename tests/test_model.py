@@ -42,7 +42,7 @@ class TestBuildSplit:
     def test_slow_smoothing_blocks(self):
         sys = example_slow_smoothing()
         qwf = identity_qwf(1, 1, np.zeros((1, 1)), np.zeros((1, 1)))
-        split = dk.build_split(sys, qwf=qwf)
+        split = dk.split_matrices(qwf, sys.D)
         assert split.B_d1 == pytest.approx(np.zeros((1, 1)))
         assert split.B_d2 == pytest.approx(np.ones((1, 1)))
         assert split.B_a1 == pytest.approx(-np.ones((1, 1)))
@@ -567,7 +567,7 @@ class TestKnotTable:
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         M, d = sys.horizon_intervals, sys.f.max_degree
-        sweep = Sweep(sys, split, 1, M)
+        sweep = Sweep(sys, split)
         assert sweep.f_table.shape == (M + 1, 2, d + 1, sys.n)
         data = sys.f.apply_matrix(split.qwf.S)
         for k in range(M + 1):

@@ -175,7 +175,7 @@ class TestNeutralEmbedding:
         )
         sys = dk.DdaeSystem(E=base.E, A=base.A, D=base.D, tau=1.0,
                             horizon_intervals=5, f=base.f, phi=phi)
-        split = dk.build_split(sys, qwf=split0.qwf)
+        split = dk.split_matrices(split0.qwf, sys.D)
         exp = dk.expand_hidden_delays(sys, split)
         assert exp.nu_D == 2
         traj, ledger = dk.method_of_steps(sys, split)

@@ -56,7 +56,7 @@ class TestSolveSegment:
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         config = dk.SolverConfig()
-        sweep = Sweep(sys, split, 1, 1)
+        sweep = Sweep(sys, split)
         hist = history_as_segment(sys, split, 8, sweep)
         seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 7):
@@ -69,7 +69,7 @@ class TestSolveSegment:
         from ddae_kit.solver import Sweep, history_as_segment, solve_segment
 
         config = dk.SolverConfig()
-        sweep = Sweep(sys, split, 1, 1)
+        sweep = Sweep(sys, split)
         hist = history_as_segment(sys, split, 12, sweep)
         seg = solve_segment(split, 1, hist, config, sweep)
         for t in np.linspace(0, 1, 5):
@@ -79,11 +79,18 @@ class TestSolveSegment:
             )
 
     def test_advanced_breakdown_at_segment_four(self):
+        # the sweep records the breakdown at knot 3 and ends; segment 4
+        # solved directly from segment 3 raises it
         sys = example_advanced()
         split = dk.build_split(sys)
-        config = dk.SolverConfig(on_inconsistent="stop")
+        traj, ledger = dk.method_of_steps(sys, split)
+        last = ledger.entries[-1]
+        assert len(traj.segments) == 3 and last.inconsistent_restart
+        assert (last.knot_index, last.first_jump_order) == (3, 0)
+        assert last.jump_norm == pytest.approx(2.0, abs=1e-8)
         with pytest.raises(dk.InconsistentRestart) as err:
-            dk.method_of_steps(sys, split, config)
+            solver.solve_segment(split, 4, traj.segments[-1], dk.SolverConfig(),
+                                 solver.Sweep(sys, split))
         assert err.value.segment_index == 4
         assert err.value.residual == pytest.approx(2.0, abs=1e-8)
 
@@ -96,7 +103,7 @@ class TestSolveSegment:
                             f=PP([(0.0, 4.0, [[1.0], [1.0], [0.3]])]),
                             phi=PP([(-1.0, 0.0, [[1.0]])]))
         split, config = dk.build_split(sys), dk.SolverConfig()
-        whole = solver.Sweep(sys, split, 1, 4)
+        whole = solver.Sweep(sys, split)
         seg1 = solver.solve_segment(split, 1, solver.history_as_segment(sys, split, 8, whole),
                                     config, whole)
         seg2 = solver.solve_segment(split, 2, seg1, config, whole)
@@ -104,23 +111,22 @@ class TestSolveSegment:
         return sys, split, config, seg1
 
     def test_segment_before_the_sweep_is_rejected(self):
-        # a sweep of segments 3..4 holds no window for segment 2: its
-        # index would read the last segment's window (-1) and end segment
-        # 2 at 6.436 instead of 3.213
+        # segment 0 is the history: its index would read the last
+        # segment's window (-1)
         sys, split, config, seg1 = self._second_segment_inputs()
-        with pytest.raises(dk.DimensionMismatch, match="segments 3..4, not 2"):
-            solver.solve_segment(split, 2, seg1, config, solver.Sweep(sys, split, 3, 4))
+        with pytest.raises(dk.DimensionMismatch, match="segments 1..4, not 0"):
+            solver.solve_segment(split, 0, seg1, config, solver.Sweep(sys, split))
 
     def test_segment_after_the_sweep_is_rejected(self):
         sys, split, config, seg1 = self._second_segment_inputs()
-        with pytest.raises(dk.DimensionMismatch, match="segments 1..1, not 2"):
-            solver.solve_segment(split, 2, seg1, config, solver.Sweep(sys, split, 1, 1))
+        with pytest.raises(dk.DimensionMismatch, match="segments 1..4, not 5"):
+            solver.solve_segment(split, 5, seg1, config, solver.Sweep(sys, split))
 
     def test_prev_other_than_the_segment_before_is_rejected(self):
         # segment 3 driven by segment 1 ended at 4.635 instead of 5.528
         sys, split, config, seg1 = self._second_segment_inputs()
         with pytest.raises(dk.DimensionMismatch, match="from segment 2, not 1"):
-            solver.solve_segment(split, 3, seg1, config, solver.Sweep(sys, split, 1, 4))
+            solver.solve_segment(split, 3, seg1, config, solver.Sweep(sys, split))
 
 
 class TestKnotZero:
@@ -134,7 +140,7 @@ class TestKnotZero:
         sys = example()
         split = dk.build_split(sys)
         config = dk.SolverConfig()
-        sweep = solver.Sweep(sys, split, 1, sys.horizon_intervals)
+        sweep = solver.Sweep(sys, split)
         orders = 12
         hist = solver.history_as_segment(sys, split, orders, sweep)
         phi0 = hist.derivs_end[0]
@@ -149,18 +155,17 @@ class TestKnotZero:
         assert seg.derivs_start is stored and seg.consistency_residual == residual
 
     def test_segment_without_a_stored_restart_is_rejected(self):
-        sys = example_neutral()
-        split = dk.build_split(sys)
-        config = dk.SolverConfig()
-        sweep = solver.Sweep(sys, split, 1, 1)
-        hist = solver.history_as_segment(sys, split, 8, sweep)
+        # segment M of a sweep (M = 1 here) holds no restart: a longer
+        # sweep cannot start its next segment from it
+        short = example_neutral(horizon=1)
+        split, config = dk.build_split(short), dk.SolverConfig()
+        sweep = solver.Sweep(short, split)
+        hist = solver.history_as_segment(short, split, 8, sweep)
         seg = solver.solve_segment(split, 1, hist, config, sweep)
         assert seg.restart is None  # segment 2 is not in its sweep
+        sys = example_neutral()
         with pytest.raises(dk.DimensionMismatch, match="no restart"):
-            solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, split, 2, 2))
-        # knot 0 is read from the table of a sweep that holds segment 1
-        with pytest.raises(dk.DimensionMismatch, match="segment 1"):
-            solver.history_as_segment(sys, split, 8, solver.Sweep(sys, split, 2, 2))
+            solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, dk.build_split(sys)))
 
 
 class TestMethodOfSteps:
@@ -236,21 +241,19 @@ class TestMethodOfSteps:
                              ids=["monomial", "chebyshev"])
     def test_knot_table_changes_no_byte(self, basis):
         # the sweep reads f's knot derivatives from its table; segments
-        # solved one by one, each in a sweep of itself and its successor
-        # (so that its end knot is formed with the successor's start, as
-        # in the whole sweep), give equal bytes
+        # solved one by one by solve_segment, each end knot formed with
+        # the successor's start, give the bytes of method_of_steps
         sys = kinked_dae(basis)
         split = dk.build_split(sys)
         traj, _ = dk.method_of_steps(sys, split)
         M = sys.horizon_intervals
         assert len(traj.segments) == M
         k_max = split.nu + 2
-        config = dk.SolverConfig()
+        config, sweep = dk.SolverConfig(), solver.Sweep(sys, split)
         prev = solver.history_as_segment(sys, split, k_max + M * split.nu + max(split.nu, 1),
-                                         solver.Sweep(sys, split, 1, min(2, M)))
+                                         sweep)
         for i, seg in enumerate(traj.segments, start=1):
-            alone = solver.solve_segment(split, i, prev, config,
-                                         solver.Sweep(sys, split, i, min(i + 1, M)))
+            alone = solver.solve_segment(split, i, prev, config, sweep)
             assert (alone.restart is None) == (i == M)
             for name in ("derivs_start", "derivs_end"):
                 assert getattr(alone, name).tobytes() == getattr(seg, name).tobytes()
@@ -407,7 +410,7 @@ class TestMethodOfSteps:
                                          side="fast")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=5, f=sys.f, phi=phi)
-        split2 = dk.build_split(sys2, qwf=split.qwf)
+        split2 = dk.split_matrices(split.qwf, sys2.D)
         kappa = dk.splicing_report(sys2, split2).kappa_observed
         assert kappa == 1
         _, ledger = dk.method_of_steps(sys2, split2, dk.SolverConfig(k_max=4))
@@ -566,7 +569,7 @@ class TestDetectJumps:
         split = dk.build_split(sys)
         from ddae_kit.solver import Sweep, history_as_segment
 
-        hist = history_as_segment(sys, split, 6, Sweep(sys, split, 1, 1))
+        hist = history_as_segment(sys, split, 6, Sweep(sys, split))
         entry, = dk.detect_jumps([hist, hist_copy(hist)], k_max=4, tau=sys.tau)
         assert entry.matched_order == 4
         assert entry.first_jump_order is None
@@ -601,7 +604,7 @@ class TestWeakDesmoothing:
         phi = dk.construct_probe_history(sys, split, m=2, target=np.zeros(1), side="slow")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=6, f=sys.f, phi=phi)
-        split2 = dk.build_split(sys2, qwf=split.qwf)
+        split2 = dk.split_matrices(split.qwf, sys2.D)
         traj, ledger = dk.method_of_steps(sys2, split2)
         assert len(traj.segments) == 6
         assert not ledger.has_inconsistent
@@ -613,7 +616,7 @@ class TestWeakDesmoothing:
                                          side="slow")
         sys2 = dk.DdaeSystem(E=sys.E, A=sys.A, D=sys.D, tau=1.0,
                              horizon_intervals=6, f=sys.f, phi=phi)
-        split2 = dk.build_split(sys2, qwf=split.qwf)
+        split2 = dk.split_matrices(split.qwf, sys2.D)
         traj, ledger = dk.method_of_steps(sys2, split2)
         assert ledger.has_inconsistent
         assert len(traj.segments) < 6
@@ -768,33 +771,18 @@ class TestSweep:
         vander = solver._vander_rows.cache_info()
         assert 0 < vander.misses < pieces and vander.hits > 0
 
-    def test_knot_outside_the_sweep_is_rejected(self):
-        # a sweep of segments 3..4 holds f's rows at knots 2..4 only: knot
-        # 0 once wrapped around to the rows of knot 3, and knot 5 raised a
-        # bare IndexError
-        sys = kinked_dae(dk.MONOMIAL)
-        split = dk.build_split(sys)
-        sweep = solver.Sweep(sys, split, 3, 4)
-        rows = np.zeros((3, sys.n))
-        for k in (0, 1, 5):
-            with pytest.raises(dk.DimensionMismatch, match=f"knot {k} outside .* 2..4"):
-                sweep.q_knot(k, rows, 1)
-        for k in (2, 3, 4):
-            f = sys.f.derivatives(k * sys.tau, 2, side="right")
-            assert np.array_equal(sweep.q_knot(k, rows, 1), f)
-
     @pytest.mark.parametrize("field", [float, complex])
-    @pytest.mark.parametrize("first, last", [(1, 6), (3, 5), (6, 6)])
-    def test_windows_match_per_segment_conversion(self, field, first, last):
+    @pytest.mark.parametrize("horizon", [1, 3, 6])
+    def test_windows_match_per_segment_conversion(self, field, horizon):
         # S f cut into every segment window of a sweep at once, bit for bit
         # the per-segment restriction and conversion; tau = 0.1 rounds the
-        # window widths apart and every piece of f straddles a knot
-        sys = straddling_system(field)
+        # window widths apart and pieces of f straddle the knots
+        sys = straddling_system(field, horizon)
         split = dk.build_split(sys)
-        sweep = solver.Sweep(sys, split, first, last)
+        sweep = solver.Sweep(sys, split)
         data = sys.f.apply_matrix(split.qwf.S)
-        assert len(sweep.windows) == last - first + 1
-        for i, window in zip(range(first, last + 1), sweep.windows):
+        assert len(sweep.windows) == horizon
+        for i, window in enumerate(sweep.windows, start=1):
             ref = segment_window(data, i, sys.tau)
             assert len(window.pieces) == len(ref)
             for (a, b, c), (ra, rb, rc) in zip(window.pieces, ref):
@@ -849,7 +837,7 @@ def per_segment_sweep(sys, split, config=dk.SolverConfig()):
     segments, the knot entries and the breakdown (knot, jump) or None."""
     M, nu = sys.horizon_intervals, split.nu
     k_max = nu + 2 if config.k_max is None else config.k_max
-    sweep, breakdown = solver.Sweep(sys, split, 1, M), None
+    sweep, breakdown = solver.Sweep(sys, split), None
     with np.errstate(over="ignore", invalid="ignore"):
         chain = [solver.history_as_segment(sys, split, k_max + M * nu + max(nu, 1), sweep)]
         for i in range(1, M + 1):
