@@ -32,7 +32,7 @@ from .errors import (
 )
 from .history import check_index3_uniqueness, construct_probe_history, splicing_report
 from .model import build_split, split_matrices
-from .piecewise import cgl_samples
+from .piecewise import _padded, cgl_samples
 from .problemfile import (_encode_matrix, _encode_pieces, _encode_scalar, load_problem,
                           write_json)
 from .reform import expand_hidden_delays
@@ -131,7 +131,7 @@ def _write_trajectory_csv(path, sys_, trajectory):
         chunk, rows = [], 0
         for seg in trajectory.segments:
             chunk.append(seg)
-            rows += sum(max(len(c), 2) for _, _, c in seg.pieces.pieces)
+            rows += int(np.maximum(seg.pieces._stack[3], 2).sum())
             if rows >= CSV_CHUNK_ROWS or seg is trajectory.segments[-1]:
                 fh.write(_segment_rows(chunk, trajectory.tau, parts))
                 chunk, rows = [], 0
@@ -139,14 +139,16 @@ def _write_trajectory_csv(path, sys_, trajectory):
 
 def _segment_rows(segs, tau, parts):
     """The CSV rows of one or more segments."""
-    pieces = [p for seg in segs for p in seg.pieces.pieces]
-    per_seg = np.array([len(seg.pieces.pieces) for seg in segs])
-    nodes, values, counts = cgl_samples(pieces)
+    a, b, coefs, lengths = zip(*(seg.pieces._stack for seg in segs))
+    per_seg = np.array(list(map(len, a)))
+    stack, _ = _padded([c for seg in coefs for c in seg], np.result_type(*coefs))
+    nodes, values, counts = cgl_samples((np.concatenate(a), np.concatenate(b), stack,
+                                         np.concatenate(lengths)))
     offsets = np.repeat([(seg.index - 1) * tau for seg in segs], per_seg)
     times = np.repeat(offsets, counts) + nodes
     # the first row of a piece after a segment's first is the knot it
     # shares with the piece before
-    opens = np.zeros(len(pieces), dtype=bool)
+    opens = np.zeros(len(counts), dtype=bool)
     opens[np.cumsum(per_seg) - per_seg] = True
     keep = np.ones(len(nodes), dtype=bool)
     keep[(np.cumsum(counts) - counts)[~opens]] = False
@@ -234,7 +236,7 @@ def cmd_probe(args, sys_, split):
     target = np.zeros(split.n_d if args.side == "slow" else split.n_a)
     target[:1] = 1.0
     try:
-        if args.target:
+        if args.target is not None:
             target = np.array([float(v) for v in args.target.split(",")])
             if not np.all(np.isfinite(target)):
                 raise ValueError("--target values must be finite")
@@ -245,7 +247,7 @@ def cmd_probe(args, sys_, split):
         "order": args.order,
         "side": args.side,
         "target": [float(v) for v in np.real(target)],
-        "history": _encode_pieces(phi, np.iscomplexobj(phi.pieces[0][2])),
+        "history": _encode_pieces(phi, phi.is_complex),
     })
     return EXIT_OK
 

@@ -6,10 +6,11 @@ breakpoint alignment, addition, stacking) and cuts every piece to a
 subinterval through one rule: _overlaps finds the parts, _cut re-expands
 them.  A small kernel per basis supplies the per-piece arithmetic:
 differentiation (der), point values of every derivative order (derivs)
-and the trim after an addition (trim).  Operations that touch every
-piece take the pieces of one coefficient length together (_group), one
-stacked product per group, so a function of many pieces costs a few
-numpy calls per length rather than a few per piece.
+and the trim after an addition (trim).  Every operation here takes and
+returns coefficient stacks (pieces is a view for other readers); those
+that touch every piece take the pieces of one coefficient length together
+(_group), one stacked product per group, so zero padding never enters a
+sum and a function of many pieces costs a few numpy calls per length.
 
 Data functions (history and inhomogeneity) use the monomial basis of the
 local variable ``t - start``, so evaluation, differentiation, shifting and
@@ -31,7 +32,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polynomial as P
 
-from .cheb import cgl_nodes, trim_lengths, trim_stack, values_to_coeffs
+from .cheb import cgl_nodes, trim_stack, values_to_coeffs
 from .errors import DimensionMismatch, OutOfDomain
 from .pencil import frozen
 
@@ -70,14 +71,11 @@ def _padded(coefs, dtype):
 
 
 def _shift_coeffs(c, delta):
-    """Taylor shift: coefficients of p(u + delta) given those of p(u).
-
-    c is one piece (m, n) with a float delta, or a stack (K, m, n) with
-    one delta per piece; a piece whose delta is 0 is returned as is.
+    """Taylor shift: coefficients of p(u + delta) given those of p(u), for
+    a stack c (K, m, n) of pieces of length m with one delta per piece; a
+    piece whose delta is 0 is returned as is.
     """
     out = np.array(c)
-    if out.ndim == 2:
-        return _shift_coeffs(out[None], [delta])[0]
     delta = np.asarray(delta, dtype=float)
     moved = np.flatnonzero(delta != 0.0)
     m = out.shape[1]
@@ -89,6 +87,11 @@ def _shift_coeffs(c, delta):
             sub[:, k] = sub[:, k] + d * sub[:, k + 1]
     out[moved] = sub
     return out
+
+
+def _check_order(order):
+    if order < 0:
+        raise DimensionMismatch(f"derivative order must be non-negative, not {order!r}")
 
 
 def _merge_breaks(points, tol):
@@ -114,7 +117,8 @@ def _stacked(ca, cb):
 Basis = namedtuple("Basis", ["name", "der", "derivs", "trim"])
 Basis.__doc__ = """Per-piece kernel of one basis: der and derivs get the piece [a, b].
 
-der(c, a, b, m): coefficients of the m-th derivative;
+der(c, a, b, m): coefficients of the m-th derivative, also of the pieces
+    c (m, K, n) of one length with ends a, b of shape (K, 1);
 derivs(c, a, b, t, top): derivatives 0..top at t, shape (top+1, n) for
     a scalar t and (len(t), top+1, n) for a 1-D array of times, zero
     above the degree: the one point evaluator;
@@ -161,9 +165,8 @@ def _cheb_derivs(c, a, b, t, top):
 
 
 def _group(keys):
-    """Indices of items by key, in order: _group((len(c), c.dtype) for c
-    in coefs) gathers the coefficient arrays one stacked product can
-    take."""
+    """Indices of items by key, in order: _group(lengths.tolist()) gathers
+    the pieces of a stack that one stacked product can take."""
     keys = list(keys)
     if keys and keys.count(keys[0]) == len(keys):
         return {keys[0]: list(range(len(keys)))}
@@ -200,34 +203,31 @@ CHEBYSHEV = Basis(
 )
 
 
-def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
-    """Pieces (a, b, coef) of one basis, each sampled at the CGL nodes of
-    its own degree, at least floor, mapped onto its window (lo, hi), by
-    default [a, b]: the nodes of all pieces in order (rows,), the values
-    there (rows, n) and the rows of each piece.
+def cgl_samples(stack, windows=None, floor=1, basis=CHEBYSHEV):
+    """The pieces of a stack (a, b, coefs, lengths) of one basis, each
+    sampled at the CGL nodes of its own degree, at least floor, mapped onto
+    its window (lo, hi), by default [a, b]: the nodes of all pieces in
+    order (rows,), the values there (rows, n) and the rows of each piece.
 
-    The pieces of one coefficient length and dtype are evaluated by one
-    chebval (Clenshaw) of their stacked coefficients, or for monomial
-    pieces one polyval (Horner) at the offsets (lo - a) + (hi - lo)(x + 1)/2
-    of the nodes x; both are elementwise, so every value is bit for bit
-    what its piece alone gives.
+    The pieces of one coefficient length are evaluated by one chebval
+    (Clenshaw) of their stacked coefficients, or for monomial pieces one
+    polyval (Horner) at the offsets (lo - a) + (hi - lo)(x + 1)/2 of the
+    nodes x; both are elementwise, so every value is bit for bit what its
+    piece alone gives.
     """
-    starts, stops, coefs = zip(*pieces)
-    ends = np.array([starts, stops])
+    ends, coefs, lengths = np.array(stack[:2]), stack[2], stack[3]
     spans = ends if windows is None else np.asarray(windows, dtype=float).T
-    groups = _group((len(c), c.dtype) for c in coefs)
-    counts = np.maximum(np.fromiter(map(len, coefs), int, len(coefs)), floor + 1)
+    counts = np.maximum(lengths, floor + 1)
     first = np.cumsum(counts) - counts
     nodes = np.empty(int(counts.sum()))
-    values = np.empty((len(nodes), coefs[0].shape[1]),
-                      dtype=np.result_type(*(dtype for _, dtype in groups)))
-    for (m, _), ks in groups.items():
+    values = np.empty((len(nodes), coefs.shape[2]), dtype=coefs.dtype)
+    for m, ks in _group(lengths.tolist()).items():
         (a, b), (lo, hi) = ends[:, ks, None], spans[:, ks, None]
         x = cgl_nodes(max(m - 1, floor))
         t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
         rows = first[ks, None] + np.arange(t.shape[1])
         nodes[rows] = t
-        c = np.stack([coefs[k] for k in ks]).transpose(1, 0, 2)[..., None]
+        c = coefs[ks, :m].transpose(1, 0, 2)[..., None]
         if basis is MONOMIAL:
             at, val = (lo - a) + (hi - lo) * 0.5 * (x + 1.0), P.polyval
         else:
@@ -236,17 +236,16 @@ def cgl_samples(pieces, windows=None, floor=1, basis=CHEBYSHEV):
     return nodes, values, counts
 
 
-def _interpolants(pieces, windows=None, basis=CHEBYSHEV):
-    """Trimmed Chebyshev coefficients on each piece's window of the
-    interpolant at the CGL nodes of the piece's degree, one values_to_coeffs
-    and one trim per group of pieces of one length."""
-    _, values, counts = cgl_samples(pieces, windows, 0, basis)
-    first, coefs = np.cumsum(counts) - counts, [None] * len(pieces)
-    for (m, _), ks in _group((len(c), c.dtype) for _, _, c in pieces).items():
-        stack = values_to_coeffs(values[first[ks, None] + np.arange(m)])
-        for k, c, keep in zip(ks, stack, trim_lengths(stack).tolist()):
-            coefs[k] = c[:keep]
-    return coefs
+def _interpolants(stack, windows=None, basis=CHEBYSHEV):
+    """Chebyshev coefficients on each piece's window of the interpolant at
+    the CGL nodes of the piece's degree, one values_to_coeffs per length
+    into one zero stack, trimmed once: the stack and the trimmed lengths."""
+    _, values, counts = cgl_samples(stack, windows, 0, basis)
+    lengths, first = stack[3], np.cumsum(counts) - counts
+    coefs = np.zeros((len(lengths), lengths.max(), values.shape[1]), dtype=values.dtype)
+    for m, ks in _group(lengths.tolist()).items():
+        coefs[ks, :m] = values_to_coeffs(values[first[ks, None] + np.arange(m)])
+    return trim_stack(coefs, lengths)
 
 
 Piece = namedtuple("Piece", ["a", "b", "coef"])
@@ -266,8 +265,8 @@ class PiecewisePolynomial:
     A function holds one store, _stack = (a, b, coefs, lengths): piece k
     is [a[k], b[k]] with coefficients coefs[k, :lengths[k]], coefs of
     shape (pieces, longest length, n) zero-padded and of one dtype
-    (complex when any piece is).  pieces is a view of it, made on first
-    use.  A validated function's stack is read-only.
+    (complex when any piece is), read-only when validated.  The library
+    reads only the stack; pieces is its view for other readers.
     """
 
     def __init__(self, pieces, n=None, basis=MONOMIAL):
@@ -310,12 +309,6 @@ class PiecewisePolynomial:
         self.n = n
         self.basis = basis
 
-    def _with(self, pieces, n=None, basis=None):
-        """Unvalidated result built from pieces derived from this function."""
-        a, b, coefs = zip(*pieces)
-        dtype = np.result_type(*{c.dtype for c in coefs})
-        return self._with_stack((np.array(a), np.array(b), *_padded(coefs, dtype)), n, basis)
-
     def _with_stack(self, stack, n=None, basis=None):
         """Unvalidated result built from a stack (see _stack) derived from
         this function."""
@@ -348,9 +341,8 @@ class PiecewisePolynomial:
         """Exact conversion to the Chebyshev basis (interpolation at CGL nodes)."""
         if self.basis is CHEBYSHEV:
             return self
-        coefs = _interpolants(self.pieces, basis=MONOMIAL)
-        return self._with([Piece(a, b, c) for (a, b, _), c in zip(self.pieces, coefs)],
-                          basis=CHEBYSHEV)
+        return self._with_stack((*self._stack[:2], *_interpolants(self._stack, basis=MONOMIAL)),
+                                basis=CHEBYSHEV)
 
     def windows(self, lows, highs):
         """The function on each window [lows[w], highs[w]], moved to start
@@ -362,14 +354,14 @@ class PiecewisePolynomial:
         """
         lows = np.asarray(lows, dtype=float)
         win, src, lo, hi = self._overlaps(lows, highs)
-        a, b = (lo - lows[win]).tolist(), (hi - lows[win]).tolist()
-        coefs = self._cut(src, lo, hi)
+        a, b, (_, _, coefs, lengths) = lo - lows[win], hi - lows[win], self._cut(src, lo, hi)
         if self.basis is MONOMIAL:
-            coefs = _interpolants(list(zip(a, b, coefs)), basis=MONOMIAL)
-        out = [[] for _ in lows]
-        for w, piece in zip(win.tolist(), map(Piece, a, b, coefs)):
-            out[w].append(piece)
-        return [self._with(pieces, basis=CHEBYSHEV) for pieces in out]
+            coefs, lengths = _interpolants((a, b, coefs, lengths), basis=MONOMIAL)
+        first = np.searchsorted(win, np.arange(len(lows)))
+        runs = zip(first.tolist(), [*first[1:].tolist(), len(win)],
+                   np.maximum.reduceat(lengths, first).tolist())
+        return [self._with_stack((a[i:j], b[i:j], coefs[i:j, :m], lengths[i:j]), basis=CHEBYSHEV)
+                for i, j, m in runs]
 
     # -- basic queries ------------------------------------------------
 
@@ -400,8 +392,8 @@ class PiecewisePolynomial:
     def _cuts(self):
         """The domain ends widened by the tolerance, and the interior piece
         ends shifted by it for each side, as an array and as a tuple: built
-        on first use, since a function never changes (and _with skips
-        __init__)."""
+        on first use, since a function never changes (and _with_stack
+        skips __init__)."""
         tol = self._tol()
         ends = self._stack[1][:-1]
         cuts = {"right": ends - tol, "left": ends + tol}
@@ -447,42 +439,41 @@ class PiecewisePolynomial:
         every order at all the times it holds; rows above the local degree
         are zero.  Negative orders raise DimensionMismatch.
         """
-        if orders < 0:
-            raise DimensionMismatch(f"derivative order must be non-negative, not {orders!r}")
+        _check_order(orders)
+        a, b, coefs, lengths = self._stack
         if np.ndim(t) == 0:
             t = float(t)
-            a, b, c = self.pieces[self._locate(t, side=side)]
-            return self.basis.derivs(c, a, b, t, orders)
+            k = self._locate(t, side=side)
+            return self.basis.derivs(coefs[k, : lengths[k]], a[k], b[k], t, orders)
         times = np.asarray(t, dtype=float)
         where = self._locate(times, side=side)
-        out = np.zeros((len(times), orders + 1, self.n), dtype=self._stack[2].dtype)
-        for k in np.unique(where):
-            a, b, c = self.pieces[k]
+        out = np.zeros((len(times), orders + 1, self.n), dtype=coefs.dtype)
+        for k in np.unique(where).tolist():
             held = where == k
-            out[held] = self.basis.derivs(c, a, b, times[held], orders)
+            out[held] = self.basis.derivs(coefs[k, : lengths[k]], a[k], b[k], times[held], orders)
         return out
 
     def sup_bound(self):
-        """Upper bound for sup_t max_j |f_j(t)| via coefficient sums."""
-        best = 0.0
-        for a, b, c in self.pieces:
-            weights = np.abs(c)
-            if self.basis is MONOMIAL:  # |(t - a)^k| <= (b - a)^k; |T_k| <= 1
-                weights = weights * ((b - a) ** np.arange(c.shape[0]))[:, None]
-            best = max(best, float(np.max(np.sum(weights, axis=0))))
-        return best
+        """Upper bound for sup_t max_j |f_j(t)| via coefficient sums, NaN on NaN data."""
+        a, b, coefs, lengths = self._stack
+        weights = np.abs(coefs)
+        if self.basis is MONOMIAL:  # |(t - a)^k| <= (b - a)^k, k 0 on padded rows; |T_k| <= 1
+            k = np.arange(coefs.shape[1])
+            weights *= ((b - a)[:, None] ** np.where(k < lengths[:, None], k, 0))[..., None]
+        return float(np.max(weights.sum(axis=1)))
 
     # -- calculus and algebra -------------------------------------------
 
     def derivative(self, order=1):
-        pieces = []
-        for a, b, c in self.pieces:
-            if order >= c.shape[0]:
-                d = np.zeros((1, self.n), dtype=c.dtype)
-            else:
-                d = self.basis.der(c, a, b, order)
-            pieces.append(Piece(a, b, d))
-        return self._with(pieces)
+        """The order-th derivative: one der per group of pieces of one length."""
+        _check_order(order)
+        a, b, coefs, lengths = self._stack
+        out = np.zeros((len(a), max(coefs.shape[1] - order, 1), self.n), dtype=coefs.dtype)
+        for m, ks in _group(lengths.tolist()).items():
+            if m > order:  # else the piece's derivative is zero
+                d = self.basis.der(coefs[ks, :m].swapaxes(0, 1), a[ks, None], b[ks, None], order)
+                out[ks, : m - order] = d.swapaxes(0, 1)
+        return self._with_stack((a, b, out, np.maximum(lengths - order, 1)))
 
     def apply_matrix(self, M):
         M = np.asarray(M)
@@ -523,27 +514,21 @@ class PiecewisePolynomial:
         return win, src, lo[win, src], hi[win, src]
 
     def _cut(self, src, lo, hi):
-        """Coefficients of each piece src[k] on its subinterval [lo[k], hi[k]]:
-        monomial pieces get one stacked Taylor shift per coefficient length,
-        Chebyshev pieces one _interpolants pass at the CGL nodes of their
-        subintervals."""
-        if not len(src):
-            return []
+        """The pieces src[k] on their subintervals [lo[k], hi[k]] (arrays)
+        as a stack: monomial pieces get one stacked Taylor shift per
+        coefficient length, Chebyshev pieces one _interpolants pass at the
+        CGL nodes of their subintervals."""
+        a, b, coefs, lengths = (x[src] for x in self._stack)  # copies of the pieces
         if self.basis is CHEBYSHEV:
-            return _interpolants([self.pieces[j] for j in src], np.column_stack([lo, hi]))
-        a, _, coefs, lengths = self._stack
-        src, lo, out = np.asarray(src), np.asarray(lo), [None] * len(src)
-        for length, ks in _group(lengths[src].tolist()).items():
-            shifted = _shift_coeffs(coefs[src[ks], :length], lo[ks] - a[src[ks]])
-            for k, c in zip(ks, shifted):
-                out[k] = c
-        return out
+            return lo, hi, *_interpolants((a, b, coefs, lengths), np.column_stack([lo, hi]))
+        for m, ks in _group(lengths.tolist()).items():
+            coefs[ks, :m] = _shift_coeffs(coefs[ks, :m], lo[ks] - a[ks])
+        return lo, hi, coefs[:, : lengths.max()], lengths
 
     def restrict(self, a, b):
         """Exact restriction to the window [a, b] (a subset of the domain)."""
         _, src, lo, hi = self._overlaps([a], [b])
-        lo, hi = lo.tolist(), hi.tolist()
-        return self._with(map(Piece, lo, hi, self._cut(src, lo, hi)))
+        return self._with_stack(self._cut(src, lo, hi))
 
     def split_at(self, points):
         """Insert interior breakpoints (exact re-expansion of cut pieces);
@@ -552,24 +537,23 @@ class PiecewisePolynomial:
         by bisect in the sorted points."""
         tol = self._tol()
         points = sorted(points)
-        pieces, parts = [], []  # parts: (place in pieces, piece, lo, hi)
-        for j, (pa, pb) in enumerate(zip(*(e.tolist() for e in self._stack[:2]))):
+        a, b, coefs, lengths = self._stack
+        rows, lo, hi = [], [], []  # the piece of each result row and its ends
+        for j, (pa, pb) in enumerate(zip(a.tolist(), b.tolist())):
             cuts = points[bisect.bisect_right(points, pa + tol):
                           bisect.bisect_left(points, pb - tol)]
-            if not cuts:
-                pieces.append(j)
-                continue
-            edges = [pa] + cuts + [pb]
-            parts += [(len(pieces) + i, j, lo, hi)
-                      for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-            pieces += [None] * (len(edges) - 1)
-        if not parts:
+            rows += [j] * (len(cuts) + 1)
+            lo += [pa, *cuts]
+            hi += [*cuts, pb]
+        if len(rows) == len(a):
             return self
-        pieces = [None if j is None else self.pieces[j] for j in pieces]
-        at, src, lo, hi = zip(*parts)
-        for k, a, b, c in zip(at, lo, hi, self._cut(src, lo, hi)):
-            pieces[k] = Piece(a, b, c)
-        return self._with(pieces)
+        rows, lo, hi = np.array(rows), np.array(lo), np.array(hi)
+        at = np.flatnonzero((lo != a[rows]) | (hi != b[rows]))  # the rows of cut pieces
+        _, _, cut, cut_lengths = self._cut(rows[at], lo[at], hi[at])
+        coefs, lengths = coefs[rows], lengths[rows]
+        coefs[at], lengths[at] = 0.0, cut_lengths
+        coefs[at, : cut.shape[1]] = cut
+        return self._with_stack((lo, hi, coefs[:, : lengths.max()], lengths))
 
     def aligned_with(self, other):
         """Both functions re-cut at the union of their breakpoints."""

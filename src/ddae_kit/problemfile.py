@@ -174,9 +174,9 @@ def _encode_matrix(M, complex_field):
 
 
 def _encode_pieces(pp: PiecewisePolynomial, complex_field):
-    return [{"start": float(start), "end": float(end),
-             "coeffs": _encode_matrix(coeffs, complex_field)}
-            for start, end, coeffs in pp.pieces]
+    a, b, coefs, lengths = pp._stack
+    return [{"start": start, "end": end, "coeffs": _encode_matrix(c[:m], complex_field)}
+            for start, end, c, m in zip(a.tolist(), b.tolist(), coefs, lengths.tolist())]
 
 
 def problem_to_dict(sys: DdaeSystem) -> dict:

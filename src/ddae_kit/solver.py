@@ -139,9 +139,8 @@ class Trajectory:
         t, end, tol = float(t), count * self.tau, DOMAIN_RTOL * self.tau
         if t < -tol or t > end + tol:
             raise OutOfDomain(f"t={t} outside [0.0, {end}]")
-        # t / tau runs over [0, count]: the snap is relative to that span
-        eps = 1e-12 * count
-        k = np.ceil(t / self.tau - eps) if side == "left" else np.floor(t / self.tau + eps) + 1
+        # within tol of a knot t is at the knot, as in each segment's _locate
+        k = np.ceil((t - tol) / self.tau) if side == "left" else np.floor((t + tol) / self.tau) + 1
         i = count if k != k else min(max(int(k), 1), count)
         local = t - (i - 1) * self.tau
         return self.segments[i - 1].pieces.evaluate(local, order=order, side=side)

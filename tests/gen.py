@@ -13,7 +13,7 @@ from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
 from ddae_kit.history import FLAG_TOL
 from ddae_kit.model import FastPart
 from ddae_kit.pencil import norm2
-from ddae_kit.piecewise import CHEBYSHEV, DOMAIN_RTOL, Piece, _interpolants, _shift_coeffs
+from ddae_kit.piecewise import CHEBYSHEV, DOMAIN_RTOL, Piece, _interpolants, _padded, _shift_coeffs
 from ddae_kit.stability import NEWTON_MAX_ITER, _char_matrix
 
 
@@ -127,7 +127,7 @@ def fast_part_per_loop(N, q_f, nu):
             ops.append(D @ ops[-1])
         w = ((np.array(ops) @ c) @ np.array(NT)[: len(ops)]).sum(axis=0)
         pieces.append(Piece(a, b, tidy(q_f.basis, w)))
-    return q_f._with(pieces, N.shape[0])
+    return dk.PiecewisePolynomial(pieces, N.shape[0], basis=q_f.basis)
 
 
 def c_chain_per_loop(qwf):
@@ -191,7 +191,7 @@ def fast_per_order(N, q_f, nu):
             w[: c.shape[0]] += c @ -N_pow.T
             N_pow = N_pow @ N
         pieces.append(Piece(a, b, tidy(q_f.basis, w)))
-    return q_f._with(pieces, m)
+    return dk.PiecewisePolynomial(pieces, m, basis=q_f.basis)
 
 
 def shift_per_row(c, delta):
@@ -219,14 +219,23 @@ def value_per_order(pp, t, order, side="right"):
     return P.polyval(t - a, P.polyder(c, m=order, axis=0))
 
 
+def interpolants(pieces, windows):
+    """_interpolants of a list of pieces (a, b, coef) on their windows, as
+    a list of trimmed coefficient arrays."""
+    a, b, coefs = zip(*pieces)
+    stack = (np.array(a), np.array(b), *_padded(coefs, np.result_type(*coefs)))
+    coefs, lengths = _interpolants(stack, windows)
+    return [c[:m] for c, m in zip(coefs, lengths.tolist())]
+
+
 def cut_per_piece(pp, j, lo, hi):
     """Reference cut: piece j of pp re-expanded on [lo, hi] alone, by
-    _shift_coeffs(c, lo - a) for a monomial piece and by
-    _interpolants([(a, b, c)], [(lo, hi)]) for a Chebyshev one."""
+    _shift_coeffs of a stack of one for a monomial piece and by
+    interpolants([(a, b, c)], [(lo, hi)]) for a Chebyshev one."""
     a, b, c = pp.pieces[j]
     if pp.basis is CHEBYSHEV:
-        return _interpolants([(a, b, c)], [(lo, hi)])[0]
-    return _shift_coeffs(c, lo - a)
+        return interpolants([(a, b, c)], [(lo, hi)])[0]
+    return _shift_coeffs(c[None], [lo - a])[0]
 
 
 def restrict_per_piece(pp, lo_w, hi_w):
@@ -634,7 +643,7 @@ def certified_per_piece(colloc, forcing, v0):
             unresolved.append((a, b))
             return values[-1]
         m = a + 0.5 * (b - a)
-        halves = _interpolants([(a, b, q)] * 2, [(a, m), (m, b)])
+        halves = interpolants([(a, b, q)] * 2, [(a, m), (m, b)])
         return piece(m, b, halves[1], piece(a, m, halves[0], v0))
 
     for a, b, q in forcing.pieces:
@@ -644,7 +653,7 @@ def certified_per_piece(colloc, forcing, v0):
             np.floor(np.log2((b - a) / floor * (1.0 + DOMAIN_RTOL)))))
         cuts = a + (b - a) * np.arange(2**level + 1) / 2**level
         cuts[-1] = b
-        parts = _interpolants([(a, b, q)] * 2**level, list(zip(cuts[:-1], cuts[1:])))
+        parts = interpolants([(a, b, q)] * 2**level, list(zip(cuts[:-1], cuts[1:])))
         for lo, hi, qk in zip(cuts[:-1].tolist(), cuts[1:].tolist(), parts):
             start = piece(lo, hi, qk, start)
-    return forcing._with(out, nd), unresolved
+    return dk.PiecewisePolynomial(out, nd, basis=forcing.basis), unresolved

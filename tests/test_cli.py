@@ -172,6 +172,7 @@ class TestOptionValues:
             ["solve", "--kmax", "-1"],
             ["probe", "--order", "2", "--target", "abc"],
             ["probe", "--order", "2", "--target", "nan"],
+            ["probe", "--order", "2", "--target", ""],
             ["solve", "--kmax", "1000000000"],
             ["solve", "--degree", "48"],
             ["solve", "--on-inconsistent", "stop"],
@@ -181,7 +182,7 @@ class TestOptionValues:
             ["analyze", "--frobnicate"],
         ],
         ids=["grid-negative", "grid-zero", "im-max-inf", "re-max-inf",
-             "kmax-negative", "target-text", "target-nan", "kmax-huge",
+             "kmax-negative", "target-text", "target-nan", "target-empty", "kmax-huge",
              "degree-removed", "on-inconsistent-removed", "grid-huge", "kmax-text",
              "grid-text", "unknown-flag"],
     )
@@ -309,6 +310,34 @@ class TestNoDataTransforms:
         monkeypatch.setattr(dk.PiecewisePolynomial, "apply_matrix", counted)
         assert main([argv[0], problem, str(tmp_path / "out.json"), *argv[1:]]) == 0
         assert calls == []
+
+
+class TestOneFormat:
+    @pytest.mark.parametrize("example,side", [(example_neutral, "fast"),
+                                              (example_advanced, "fast"),
+                                              (example_slow_smoothing, "slow")])
+    def test_commands_never_read_the_pieces_view(self, tmp_path, monkeypatch, example, side):
+        # the library reads only coefficient stacks; the tuple view
+        # PiecewisePolynomial.pieces is for readers outside it, so every
+        # command gives its usual exit code and bytes with the view refused
+        # (the probe on a side the example has: neutral and advanced have
+        # no differential part)
+        problem = write_problem(tmp_path, example())
+        commands = [["analyze"], ["solve"], ["stability", "--grid", "20"], ["hidden-delays"],
+                    ["check-history"], ["probe", "--order", "2", "--side", side]]
+
+        def run(argv, tag):
+            outs = [tmp_path / f"{argv[0]}-{tag}-{k}" for k in range(1 + (argv[0] == "solve"))]
+            code = main([argv[0], problem, *map(str, outs), *argv[1:]])
+            return code, [p.read_bytes() for p in outs]
+
+        def refused(self):
+            raise AssertionError("the pieces view was read")
+
+        usual = [run(argv, "usual") for argv in commands]
+        assert {code for code, _ in usual} <= {0, 2}
+        monkeypatch.setattr(dk.PiecewisePolynomial, "pieces", property(refused))
+        assert [run(argv, "refused") for argv in commands] == usual
 
 
 class TestAnalyzeCommand:

@@ -120,12 +120,15 @@ class TestEvaluation:
                 call()
 
     def test_negative_order_is_rejected(self):
-        pp = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0], [2.0]]))])
-        for call in (lambda: pp.evaluate(0.5, order=-1),
-                     lambda: pp.derivatives(0.5, -1),
-                     lambda: pp.derivatives(np.array([0.25, 0.5]), -2)):
-            with pytest.raises(dk.DimensionMismatch, match="non-negative, not -"):
-                call()
+        # derivative and derivatives share one check, in both bases
+        mono = PiecewisePolynomial([(0.0, 1.0, np.array([[1.0], [2.0]]))])
+        for pp in (mono, mono.to_chebyshev()):
+            for call in (lambda: pp.evaluate(0.5, order=-1),
+                         lambda: pp.derivatives(0.5, -1),
+                         lambda: pp.derivatives(np.array([0.25, 0.5]), -2),
+                         lambda: pp.derivative(-1)):
+                with pytest.raises(dk.DimensionMismatch, match="non-negative, not -"):
+                    call()
 
     @pytest.mark.parametrize("breaks", [[0.0, 1.0], [-1.0, -0.3, 0.4, 1.7],
                                         [0.0, 0.1, 0.2, 0.30000000000000004, 2.5]])
@@ -217,6 +220,22 @@ class TestCalculus:
         assert stacked.n == 4
         assert np.allclose(stacked.evaluate(0.8)[:3], pp.evaluate(0.8), atol=1e-12)
         assert np.allclose(stacked.evaluate(0.8)[3:], other.evaluate(0.8), atol=1e-12)
+
+    def test_sup_bound_matches_per_piece_sums(self):
+        # one sum over the padded stack gives each piece's own bound: the
+        # padded rows of a short wide monomial piece are not weighed by
+        # (b - a)^k, which would overflow and give 0 * inf; a NaN
+        # coefficient gives a NaN bound
+        rng = np.random.default_rng(8)
+        pp = self.make(PiecewisePolynomial([(-1e30, 0.0, rng.standard_normal((2, 2))),
+                                            (0.0, 1.0, rng.standard_normal((20, 2)))]))
+        want = 0.0
+        for a, b, c in pp.pieces:
+            k = np.arange(len(c))[:, None] if self.basis is MONOMIAL else 0
+            want = max(want, float(np.max(np.sum(np.abs(c) * (b - a) ** k, axis=0))))
+        assert np.isfinite(want) and pp.sup_bound() == pytest.approx(want, rel=1e-15)
+        nan = PiecewisePolynomial([(0.0, 1.0, [[np.nan], [1.0]]), (1.0, 2.0, [[0.5]])])
+        assert np.isnan(self.make(nan).sup_bound())
 
     def test_contiguity_enforced(self):
         with pytest.raises(dk.DimensionMismatch):
@@ -366,7 +385,7 @@ class TestWindows:
         got = _shift_coeffs(c, deltas)
         for k in range(len(c)):
             assert got[k].tobytes() == shift_per_row(c[k], deltas[k]).tobytes()
-            assert _shift_coeffs(c[k], deltas[k]).tobytes() == got[k].tobytes()
+            assert _shift_coeffs(c[k : k + 1], deltas[k : k + 1])[0].tobytes() == got[k].tobytes()
 
 
 def mixed_pp(rng, basis, field, start=-0.4, end=2.1):
@@ -444,7 +463,8 @@ class TestCut:
             pp.windows([0.0, 0.5], [0.5, 0.5])
         with pytest.raises(dk.OutOfDomain, match=r"window \[0.5, 1.5\] not contained in domain"):
             pp.restrict(0.5, 1.5)
-        assert pp._cut([], [], []) == []
+        # a split that cuts no piece returns the function without a _cut
+        assert pp.split_at([]) is pp and pp.split_at([0.0, 1.0]) is pp
 
     @pytest.mark.parametrize("basis", [MONOMIAL, CHEBYSHEV], ids=["monomial", "chebyshev"])
     def test_split_at_bisect_matches_the_scan(self, basis):

@@ -14,6 +14,7 @@ from numpy.polynomial import chebyshev as C
 import ddae_kit as dk
 from ddae_kit import cli, history, model, solver
 from ddae_kit.cheb import cgl_nodes, trim_coeffs, values_to_coeffs
+from ddae_kit.piecewise import DOMAIN_RTOL
 
 from gen import (
     certified_per_piece,
@@ -220,6 +221,20 @@ class TestMethodOfSteps:
         for side in ("left", "right"):
             row = traj.evaluate(np.nan, side=side)
             assert row.shape == (sys.n,) and np.isnan(row).all()
+
+    def test_knot_snap_is_the_pieces_tolerance(self):
+        # within DOMAIN_RTOL tau of a knot a time is at the knot, as inside
+        # a segment: side="left" reads the end of the segment before it,
+        # side="right" the start of the segment after it
+        sys = example_slow_smoothing(horizon=3)
+        traj, _ = dk.method_of_steps(sys)
+        segs, near = traj.segments, 0.5 * DOMAIN_RTOL * sys.tau
+        for k in (1, 2):
+            for t in (k * sys.tau - near, k * sys.tau + near):
+                left = segs[k - 1].pieces.evaluate(t - (k - 1) * sys.tau, order=1, side="left")
+                right = segs[k].pieces.evaluate(t - k * sys.tau, order=1)
+                assert traj.evaluate(t, order=1, side="left").tobytes() == left.tobytes()
+                assert traj.evaluate(t, order=1, side="right").tobytes() == right.tobytes()
 
     @pytest.mark.xfail(strict=True, reason="the restart and agreement tests scale by "
                        "1 + norm, an absolute floor in the units of x")
