@@ -27,6 +27,7 @@ from .pencil import (
     QuasiWeierstrassForm,
     compute_qwf,
     frozen,
+    negligible,
     norm2,
     power_norms,
     powers,
@@ -160,6 +161,22 @@ class SplitCoefficients:
             n_pow_ba = np.array(list(powers(N, max(self.nu, 2)))) @ B_a
         return (norm2(N), tuple(spectral_norms(n_pow_ba)),
                 tuple(power_norms(self.B_a2, self.n_a)))
+
+    @cached_property
+    def desmoothing_orders(self):
+        """The k in 1..nu-1 whose N^k B_a is not negligible next to
+        ||N||^k ||B_a|| (coupling_norms, read only when nu >= 2)."""
+        norm_N, n_pow_ba, _ = self.coupling_norms if self.nu >= 2 else (0.0, (), ())
+        with np.errstate(over="ignore", invalid="ignore"):  # a scale may be inf
+            return tuple(k for k in range(1, self.nu) if not negligible(
+                n_pow_ba[k], np.float64(norm_N) ** k * n_pow_ba[0]))
+
+    @property
+    def knot_loss(self):
+        """The orders L a Taylor stream loses at a knot: the largest
+        desmoothing order, else 0.  The next stream reads y^(k+j) through
+        C_k D = -T_a N^(k-1) B_a (k >= 1), so only for k <= L + 1."""
+        return max(self.desmoothing_orders, default=0)
 
     @cached_property
     def taylor_squares(self):

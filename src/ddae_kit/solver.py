@@ -70,10 +70,10 @@ ROUNDING_UNITS = 2.0
 STIFF_WIDTH = 8.0
 # deepest bisection: no piece is narrower than span / 2**MAX_DEPTH
 MAX_DEPTH = 10
-# longest derivative stream a sweep may carry: segment 1 holds
-# k_max + M nu + max(nu, 1) orders and every later segment a few fewer,
-# so the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
-# caps k_max (SolverConfig) and, for nu > 0, the horizon (method_of_steps)
+# longest derivative stream a sweep may carry: the history holds
+# k_max + M L + max(nu, 1) orders (stream_orders), each knot L fewer, so
+# the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
+# caps k_max (SolverConfig) and, for de-smoothing systems (L > 0), M
 MAX_STREAM_ORDERS = 1024
 
 
@@ -81,8 +81,9 @@ MAX_STREAM_ORDERS = 1024
 class SolverConfig:
     """Knobs of the stepping solver.
 
-    k_max: highest derivative order compared at knots (default index+2,
-        below MAX_STREAM_ORDERS), an integer (numpy's too), not a bool.
+    k_max: highest derivative order compared at knots (default index+2),
+        an integer (numpy's too), not a bool, below MAX_STREAM_ORDERS; the
+        stream it sets (stream_orders) is bounded by method_of_steps.
     """
 
     # a constant, not a field: bench/spans.py reads it off solve_segment's config
@@ -480,19 +481,19 @@ def history_as_segment(sys: DdaeSystem, split: SplitCoefficients, orders: int, s
     """The shifted history dressed up as segment number 0, with the
     restart of segment 1: phi(0) and q = D phi(. - tau) + f at knot 0
     (sweep.q_knot) go through history.restart, as every later end value
-    does at its knot (_close).  Raises NotAdmissible when phi(0) fails
-    that test.
+    does at its knot (_close), but q's rows past the stream come from
+    phi.  Raises NotAdmissible when phi(0) fails that test.
     """
-    x = sys.phi.shift(sys.tau)
-    derivs_start = x.derivatives(0.0, orders, side="right")
+    x, after = sys.phi.shift(sys.tau), max(orders - split.knot_loss, 1)
+    derivs = x.derivatives(0.0, max(orders, after + split.nu - 1), side="right")
     derivs_end = x.derivatives(sys.tau, orders, side="left")
-    q = sweep.q_knot(0, derivs_start, 1)
+    q = sweep.q_knot(0, derivs[: after + split.nu], 1)
     x0, residual, consistent = restart(split, derivs_end[0], q)
     if not consistent:
         raise NotAdmissible(residual)
-    start = solution_taylor_from_value(split, x0, q, max(orders - split.nu, 1))
+    start = solution_taylor_from_value(split, x0, q, after)
     return SegmentSolution(index=0, pieces=x.to_chebyshev(), consistency_residual=0.0,
-                           derivs_start=derivs_start, derivs_end=derivs_end,
+                           derivs_start=derivs[: orders + 1], derivs_end=derivs_end,
                            restart=(start, residual, consistent))
 
 
@@ -542,9 +543,9 @@ def solve_segment(
 ) -> SegmentSolution:
     """Solve segment i from the previous segment (or history, i = 1).
 
-    The start stream of segment i and its restart test come from
-    prev.restart; a prev without one (the last segment of its sweep, or
-    a start stream too short to drive segment i) raises
+    The start stream of segment i (split.knot_loss orders shorter than
+    prev's) and its restart test come from prev.restart; a prev without
+    one (the last segment, or a start stream too short to drive it) raises
     DimensionMismatch.  Raises InconsistentRestart when the previous end
     value is not a consistent initial value for this segment
     (history.restart); the error carries the order-0 jump to the
@@ -586,22 +587,23 @@ def _close(split, prev, sweep, pieces, unresolved=()):
     prev.restart, the end stream from x's end value (the row sum of the
     last piece, T_k(1) = 1), and segment i + 1's restart (start stream,
     defect, verdict) below the sweep's last, else None.  q on both sides
-    of knot i is one product, and the two streams (orders and
-    max(orders - nu, 1) orders) one stacked recursion; a start stream too
-    short to drive segment i + 1 forms no restart, and that segment
-    rejects it (solve_segment)."""
+    of knot i is one product, the streams zero past their ends (which
+    drops only negligible terms: split.knot_loss), and the two streams
+    (orders and max(orders - L, 1) orders, L the knot_loss) one stacked
+    recursion; a start stream of at most L orders forms no restart, and
+    segment i + 1 rejects it (solve_segment)."""
     i, (derivs_start, residual, _), prev_end = prev.index + 1, prev.restart, prev.derivs_end
     _, _, x, lengths = pieces._stack
     x_end = np.add.reduce(x[-1, : lengths[-1]])
-    nu, orders = split.nu, len(derivs_start) - 1
-    after, following = max(orders - nu, 1), None
-    if i == sweep.last or after + nu > len(derivs_start):
-        derivs_end = solution_taylor_from_value(split, x_end, sweep.q_knot(i, prev_end, 0), orders)
+    loss, orders = split.knot_loss, len(derivs_start) - 1
+    after, following = max(orders - loss, 1), None
+    sides = np.zeros((2, orders + split.nu, split.n), dtype=np.result_type(prev_end, derivs_start))
+    for side, stream in zip(sides, (prev_end, derivs_start)):
+        side[: len(stream)] = stream[: len(side)]
+    q = sweep.q_knot(i, sides)
+    if i == sweep.last or after + loss > orders:
+        derivs_end = solution_taylor_from_value(split, x_end, q[0], orders)
     else:
-        rows = orders + nu  # prev_end has them all: only the start stream is padded
-        sides = np.zeros((2, rows, split.n), dtype=np.result_type(prev_end, derivs_start))
-        sides[0], sides[1, : orders + 1] = prev_end[:rows], derivs_start[:rows]
-        q = sweep.q_knot(i, sides)
         x0, defect, consistent = restart(split, x_end, q[1])
         derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
                                                        (orders, after))
@@ -698,6 +700,12 @@ def _stretch(split, chain, sweep):
     return not failed
 
 
+def stream_orders(split, k_max, M):
+    """Orders of the history's stream in a sweep of M segments comparing
+    k_max orders at each knot: k_max + M L + max(nu, 1), L the knot_loss."""
+    return k_max + M * split.knot_loss + max(split.nu, 1)
+
+
 def method_of_steps(
     sys: DdaeSystem,
     split: SplitCoefficients | None = None,
@@ -705,23 +713,24 @@ def method_of_steps(
 ):
     """Solve the initial value problem across all delay intervals.
 
-    Returns (trajectory, ledger).  A history that is not admissible
-    raises NotAdmissible (history_as_segment).  A later restart that
-    fails the consistency test (solve_segment's InconsistentRestart)
-    ends the sweep: the trajectory holds the segments before it, and the
-    ledger's last entry records the breakdown at its knot, with
-    first_jump_order 0 and the jump to the consistent projection.
+    Returns (trajectory, ledger).  Raises DimensionMismatch when the
+    history's stream (stream_orders) would pass MAX_STREAM_ORDERS, and
+    NotAdmissible for a history that is not admissible
+    (history_as_segment).  A later restart that fails the consistency
+    test (solve_segment's InconsistentRestart) ends the sweep: the
+    trajectory holds the segments before it, and the ledger's last entry
+    records the breakdown at its knot, with first_jump_order 0 and the
+    jump to the consistent projection.
     """
     if split is None:
         split = build_split(sys)
-    nu = split.nu
-    k_max = config.k_max if config.k_max is not None else nu + 2
+    k_max = config.k_max if config.k_max is not None else split.nu + 2
     M = sys.horizon_intervals
-    hist_orders = k_max + M * nu + max(nu, 1)
+    hist_orders = stream_orders(split, k_max, M)
     if hist_orders > MAX_STREAM_ORDERS:
         raise DimensionMismatch(
-            f"k_max + horizon_intervals * nu + max(nu, 1) = {hist_orders} derivative"
-            f" orders exceed {MAX_STREAM_ORDERS}"
+            f"k_max + horizon_intervals * L + max(nu, 1) = {hist_orders} derivative orders"
+            f" exceed {MAX_STREAM_ORDERS} (L = {split.knot_loss}, the orders each knot loses)"
         )
     sweep, breakdown = Sweep(sys, split), []
     # the top orders of a stiff stream may overflow; from its first

@@ -220,18 +220,28 @@ class TestOptionValues:
         assert "usage:" in capsys.readouterr().out
 
     def test_stream_bound(self, tmp_path, capsys):
-        # the bound is on the stream a sweep carries, k_max + M nu +
-        # max(nu, 1) orders: a k_max of 65 solves, a horizon that makes the
-        # stream longer than MAX_STREAM_ORDERS exits 4 before allocating
+        # the bound is on the stream a sweep carries, k_max + M L +
+        # max(nu, 1) orders, L the orders each knot loses: a k_max of 65
+        # solves, a de-smoothing horizon (L = 1) that makes the stream
+        # longer than MAX_STREAM_ORDERS exits 4 before allocating
         problem = write_problem(tmp_path, example_slow_smoothing())
         outs = [str(tmp_path / "out.csv"), str(tmp_path / "out.json")]
         assert main(["solve", problem, *outs, "--kmax", "65"]) == 0
-        long_ = example_slow_smoothing(horizon=solver.MAX_STREAM_ORDERS)
+        long_ = example_advanced(horizon=solver.MAX_STREAM_ORDERS)
         problem = write_problem(tmp_path, long_)
         assert main(["solve", problem, *outs]) == 4
         err = capsys.readouterr().err
         assert "Traceback" not in err and "orders exceed" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_stream_bound_spares_smoothing_horizons(self, tmp_path):
+        # a smoothing system loses no order at a knot (L = 0), so its
+        # stream holds k_max + max(nu, 1) orders at every horizon
+        long_ = example_slow_smoothing(horizon=solver.MAX_STREAM_ORDERS)
+        problem = write_problem(tmp_path, long_)
+        outs = [str(tmp_path / "out.csv"), str(tmp_path / "out.json")]
+        assert main(["solve", problem, *outs]) == 0
+        assert len(read_json(outs[1])["knots"]) == solver.MAX_STREAM_ORDERS
 
 
 class TestParserReuse:

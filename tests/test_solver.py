@@ -137,7 +137,8 @@ class TestKnotZero:
         # knot 0 is formed as every later knot: history.restart of phi(0)
         # with q = D phi(. - tau) + f from the sweep's table, then the
         # recursion from the projection, bit for bit; segment 1 starts
-        # from that stream
+        # from that stream, knot_loss orders shorter, and q's rows past
+        # the history's stream are phi's own
         sys = example()
         split = dk.build_split(sys)
         config = dk.SolverConfig()
@@ -146,9 +147,11 @@ class TestKnotZero:
         hist = solver.history_as_segment(sys, split, orders, sweep)
         phi0 = hist.derivs_end[0]
         assert np.allclose(phi0, sys.phi.evaluate(0.0, side="left"), rtol=1e-14, atol=1e-14)
-        q = sweep.q_knot(0, hist.derivs_start, 1)
+        after = max(orders - split.knot_loss, 1)
+        rows = sys.phi.shift(sys.tau).derivatives(0.0, after + split.nu - 1, side="right")
+        q = sweep.q_knot(0, rows, 1)
         x0, residual, consistent = history.restart(split, phi0, q)
-        start = model.solution_taylor_from_value(split, x0, q, max(orders - split.nu, 1))
+        start = model.solution_taylor_from_value(split, x0, q, after)
         stored, stored_residual, stored_consistent = hist.restart
         assert stored.tobytes() == start.tobytes() and stored.shape == start.shape
         assert (stored_residual, stored_consistent) == (residual, consistent) and consistent
@@ -167,6 +170,19 @@ class TestKnotZero:
         sys = example_neutral()
         with pytest.raises(dk.DimensionMismatch, match="no restart"):
             solver.solve_segment(split, 2, seg, config, solver.Sweep(sys, dk.build_split(sys)))
+
+    def test_too_short_start_stream_forms_no_restart(self):
+        # each knot of the advanced example loses knot_loss = 1 order: a
+        # history of one order starts segment 1 with one, too few to
+        # drive segment 2
+        sys = example_advanced()
+        split, config = dk.build_split(sys), dk.SolverConfig()
+        sweep = solver.Sweep(sys, split)
+        hist = solver.history_as_segment(sys, split, 1, sweep)
+        seg = solver.solve_segment(split, 1, hist, config, sweep)
+        assert (split.knot_loss, len(seg.derivs_start), seg.restart) == (1, 2, None)
+        with pytest.raises(dk.DimensionMismatch, match="no restart"):
+            solver.solve_segment(split, 2, seg, config, sweep)
 
 
 class TestMethodOfSteps:
@@ -265,8 +281,7 @@ class TestMethodOfSteps:
         assert len(traj.segments) == M
         k_max = split.nu + 2
         config, sweep = dk.SolverConfig(), solver.Sweep(sys, split)
-        prev = solver.history_as_segment(sys, split, k_max + M * split.nu + max(split.nu, 1),
-                                         sweep)
+        prev = solver.history_as_segment(sys, split, solver.stream_orders(split, k_max, M), sweep)
         for i, seg in enumerate(traj.segments, start=1):
             alone = solver.solve_segment(split, i, prev, config, sweep)
             assert (alone.restart is None) == (i == M)
@@ -293,9 +308,11 @@ class TestMethodOfSteps:
             start, residual, consistent = prev.restart
             assert start is seg.derivs_start and consistent
             assert residual == seg.consistency_residual
-            rows = len(prev.derivs_start)
-            q = (prev.derivs_start @ split.D.T
-                 + sys.f.derivatives(prev.index * sys.tau, rows - 1, side="right"))
+            # x's rows zero past its stream, all of f's
+            rows = len(start) - 1 + split.nu
+            x = np.zeros((rows, split.n))
+            x[: len(prev.derivs_start)] = prev.derivs_start[:rows]
+            q = x @ split.D.T + sys.f.derivatives(prev.index * sys.tau, rows - 1, side="right")
             x_end = prev.derivs_end[0]
             x0, ref, _ = history.restart(split, x_end, q)
             xs = model.solution_taylor_from_value(split, x0, q, len(start) - 1)
@@ -327,16 +344,17 @@ class TestMethodOfSteps:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_stiff_sweep_keeps_the_per_order_frontier(self, seed, monkeypatch):
         # a slow eigenvalue of -1000 in an index-3 system overflows the top
-        # orders of most streams; the sweep must leave non-finite exactly
-        # the orders the per-order loop does, so the ledger's low orders
-        # and the trajectory stay finite segment after segment
+        # orders of most streams of 120 + 3 orders; the sweep must leave
+        # non-finite exactly the orders the per-order loop does, so the
+        # ledger's low orders and the trajectory stay finite segment after
+        # segment
         rng = np.random.default_rng(seed)
         blocks = random_smoothing_blocks(rng, 1, 3, 3)
         sys, split = random_system_from_blocks(rng, 1, 3, 3, blocks, horizon=40, J=-1000.0)
 
         def sweep():
             with np.errstate(over="ignore", invalid="ignore"):
-                traj, ledger = dk.method_of_steps(sys, split)
+                traj, ledger = dk.method_of_steps(sys, split, dk.SolverConfig(k_max=120))
             finite = [[np.isfinite(d).all(axis=1).tolist()
                        for d in (seg.derivs_start, seg.derivs_end)] for seg in traj.segments]
             return traj, ledger, finite
@@ -612,6 +630,67 @@ def hist_copy(seg):
     )
 
 
+def knot_loss_cases():
+    def random_class(nu, invariant=False):
+        def build():
+            rng = np.random.default_rng(70 + nu)
+            blocks = random_smoothing_blocks(rng, 1, nu, nu)
+            if invariant:
+                blocks[3][0, 0] = 0.5  # B_a2 is no longer nilpotent
+            return random_system_from_blocks(rng, 1, nu, nu, blocks, horizon=8)[0]
+        return build
+
+    def weak_desmoothing():  # a smooth probe keeps all 6 segments
+        sys = weak_desmoothing_system(horizon=6)
+        return replace(sys, phi=dk.construct_probe_history(
+            sys, dk.build_split(sys), m=2, target=np.zeros(1), side="slow"))
+
+    kinds = dk.PropagationKind
+    smoothing, invariant = kinds.SMOOTHING, kinds.DISCONTINUITY_INVARIANT
+    return [
+        pytest.param(lambda: retarded_ode(np.random.default_rng(8), 3, 6), smoothing, 0,
+                     id="retarded"),
+        pytest.param(example_slow_smoothing, smoothing, 0, id="slow-smoothing"),
+        pytest.param(lambda: kinked_dae(dk.MONOMIAL), smoothing, 0, id="kinked-index2"),
+        pytest.param(random_class(3), smoothing, 0, id="smoothing-index3"),
+        pytest.param(example_neutral, invariant, 0, id="neutral"),
+        pytest.param(random_class(3, invariant=True), invariant, 0, id="invariant-index3"),
+        pytest.param(example_advanced, kinds.DE_SMOOTHING, 1, id="advanced"),
+        pytest.param(weak_desmoothing, kinds.DE_SMOOTHING, 1, id="weak-desmoothing"),
+    ]
+
+
+class TestKnotLoss:
+    @pytest.mark.parametrize("example, kind, loss", knot_loss_cases())
+    def test_each_knot_drops_the_orders_its_class_consumes(self, example, kind, loss,
+                                                           monkeypatch):
+        # every start stream is knot_loss orders shorter than the one
+        # before: constant unless the system de-smooths; a sweep forced
+        # to the worst case, nu orders a knot, gives the same ledger
+        sys = example()
+        split, M = dk.build_split(sys), sys.horizon_intervals
+        k_max = split.nu + 2
+        assert (dk.classify_propagation(split, M).kind, split.knot_loss) == (kind, loss)
+        traj, ledger = dk.method_of_steps(sys, split)
+        depth = solver.stream_orders(split, k_max, M)
+        with monkeypatch.context() as m:
+            m.setattr(model.SplitCoefficients, "knot_loss", property(lambda split: split.nu))
+            worst_traj, worst = dk.method_of_steps(sys, split)
+            worst_depth = solver.stream_orders(split, k_max, M)  # k_max + M nu + max(nu, 1)
+        for t, top, drop in ((traj, depth, loss), (worst_traj, worst_depth, split.nu)):
+            assert [len(seg.derivs_start) - 1 for seg in t.segments] == \
+                [top - i * drop for i in range(1, len(t.segments) + 1)]
+        assert len(traj.segments) == len(worst_traj.segments) > 1
+        assert [(e.knot_index, e.matched_order, e.first_jump_order, e.inconsistent_restart)
+                for e in ledger.entries] == \
+            [(e.knot_index, e.matched_order, e.first_jump_order, e.inconsistent_restart)
+             for e in worst.entries]
+        for e, ref in zip(ledger.entries, worst.entries):
+            if ref.jump_norm is not None:
+                assert e.jump_norm == pytest.approx(ref.jump_norm, rel=1e-10)
+                assert np.linalg.norm(e.jump_vector - ref.jump_vector) <= 1e-10 * ref.jump_norm
+
+
 class TestWeakDesmoothing:
     def test_smooth_probe_survives_whole_horizon(self):
         sys = weak_desmoothing_system(horizon=6)
@@ -854,7 +933,8 @@ def per_segment_sweep(sys, split, config=dk.SolverConfig()):
     k_max = nu + 2 if config.k_max is None else config.k_max
     sweep, breakdown = solver.Sweep(sys, split), None
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = [solver.history_as_segment(sys, split, k_max + M * nu + max(nu, 1), sweep)]
+        chain = [solver.history_as_segment(sys, split, solver.stream_orders(split, k_max, M),
+                                           sweep)]
         for i in range(1, M + 1):
             try:
                 chain.append(solver.solve_segment(split, i, chain[-1], config, sweep))
