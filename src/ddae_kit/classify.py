@@ -83,10 +83,10 @@ def classify_propagation(split: SplitCoefficients, M: int) -> PropagationClass:
     """
     if M < 1:
         raise DimensionMismatch("horizon M must be at least 1")
-    ba2_pows = split.coupling_norms[2]
+    first_violating = next(iter(split.desmoothing_orders), None)
+    ba2_pows = split.ba2_power_norms
     # nilpotency index of B_a2 (None if it is not nilpotent)
     nu_D = first_negligible_power(ba2_pows) if ba2_pows else 0
-    first_violating = next(iter(split.desmoothing_orders), None)
     if first_violating is not None:
         kind = PropagationKind.DE_SMOOTHING
     elif nu_D is not None and nu_D < M:
@@ -104,7 +104,7 @@ def classify_propagation(split: SplitCoefficients, M: int) -> PropagationClass:
 
 def classify_legacy(split: SplitCoefficients) -> LegacyClass:
     """Retarded iff B_a = 0; neutral iff B_a != 0 but N B_a = 0; else advanced."""
-    norm_N, (norm_Ba, norm_NBa, *_), _ = split.coupling_norms
+    norm_N, (norm_Ba, norm_NBa, *_) = split.coupling_norms
     if negligible(norm_Ba, norm_Ba):
         return LegacyClass(LegacyKind.RETARDED)
     if negligible(norm_NBa, norm_N * norm_Ba):
@@ -123,12 +123,11 @@ def classify(split: SplitCoefficients, M: int) -> ClassificationReport:
     flag = (legacy.kind is LegacyKind.ADVANCED) == (
         prop.kind is PropagationKind.DE_SMOOTHING
     )
-    _, n_pow_ba, ba2_pows = split.coupling_norms
     return ClassificationReport(
         propagation=prop,
         legacy=legacy,
-        evidence={"N_pow_Ba": list(n_pow_ba[: max(split.nu, 1)]),
-                  "Ba2_pow": list(ba2_pows)},
+        evidence={"N_pow_Ba": list(split.coupling_norms[1][: max(split.nu, 1)]),
+                  "Ba2_pow": list(split.ba2_power_norms)},
         consistency_flag=flag,
     )
 

@@ -78,19 +78,25 @@ def consistency(x_request, x0, q0):
     """The one rule for a consistent start value: the defect
     ||x_request - x0|| between x_request and its consistent projection
     x0, and whether it is at most CONSISTENCY_TOL (1 + ||x_request|| +
-    ||q0||), q0 the inhomogeneity q at the start.  The three norms come
-    from one pencil.row_norms call."""
-    residual, norm_x, norm_q = row_norms(np.array([x_request - x0, x_request, q0])).tolist()
-    return residual, _within(residual, CONSISTENCY_TOL, 1.0 + norm_x + norm_q)
+    ||q0||), q0 the inhomogeneity q at the start.  One vector each gives
+    a float and a bool; stacks (K, n) of K knots give a list of K defects
+    and one of K verdicts, each bit for bit its knot's lone call.  The 3K
+    norms come from one pencil.row_norms call."""
+    rows = np.array([x_request - x0, x_request, q0])
+    norms = row_norms(rows.reshape(-1, rows.shape[-1])).reshape(3, -1).tolist()
+    consistent = [_within(r, CONSISTENCY_TOL, 1.0 + a + b) for r, a, b in zip(*norms)]
+    return (norms[0][0], consistent[0]) if rows.ndim == 2 else (norms[0], consistent)
 
 
 def restart(split: SplitCoefficients, x, q):
     """The start of a segment from the value x it is asked to take, q the
     inhomogeneity derivatives there: its consistent projection x0, the
     defect ||x - x0|| and the verdict of consistency.  Every start goes
-    through here, the history's phi(0) and every later knot's end value."""
+    through here, the history's phi(0) and every later knot's end value.
+    x (n,) and q (rows, n) are one knot; x (K, n) and q (K, rows, n) a
+    stack of K knots, each bit for bit its lone call (consistency)."""
     x0 = consistent_projection(split, x, q)
-    return (x0, *consistency(x, x0, q[0]))
+    return (x0, *consistency(x, x0, q[..., 0, :]))
 
 
 def _within(residual, tol, scale):
@@ -180,10 +186,10 @@ def check_index3_uniqueness(split: SplitCoefficients) -> Index3Report:
     admissible history meeting both splicing conditions yields a unique
     solution on the whole horizon, so the solver may proceed past
     de-smoothing warnings.  ||N|| and ||B_a2|| are read from the split's
-    coupling_norms.
+    coupling_norms and ba2_power_norms.
     """
     N, B_a1, B_a2, B_d2 = split.qwf.N, split.B_a1, split.B_a2, split.B_d2
-    norm_N, _, ba2_pows = split.coupling_norms
+    norm_N, ba2_pows = split.coupling_norms[0], split.ba2_power_norms
     norm_Ba2 = ba2_pows[0] if ba2_pows else 0.0
     index_ok = split.nu <= 3
     with np.errstate(over="ignore", invalid="ignore"):  # norm2 raises on inf

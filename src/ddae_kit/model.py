@@ -149,24 +149,28 @@ class SplitCoefficients:
 
     @cached_property
     def coupling_norms(self):
-        """The norms every classification reads, each formed once per split.
-
-        (||N||, (||N^k B_a|| for k < max(nu, 2)), (||B_a2^k|| for
-        1 <= k <= n_a)), with N^k and B_a2^k from pencil.powers and the
-        norms of each chain from one stacked SVD (pencil.spectral_norms).
-        Built on first use.
+        """The norms every classification and the knot loss read, formed
+        once per split: (||N||, (||N^k B_a|| for k < max(nu, 2))), with
+        N^k from pencil.powers and the chain's norms from one stacked SVD
+        (pencil.spectral_norms).  Built on first use.
         """
         N, B_a = self.qwf.N, self.B_a
         with np.errstate(over="ignore", invalid="ignore"):  # spectral_norms raises on inf
             n_pow_ba = np.array(list(powers(N, max(self.nu, 2)))) @ B_a
-        return (norm2(N), tuple(spectral_norms(n_pow_ba)),
-                tuple(power_norms(self.B_a2, self.n_a)))
+        return norm2(N), tuple(spectral_norms(n_pow_ba))
+
+    @cached_property
+    def ba2_power_norms(self):
+        """||B_a2^k|| for 1 <= k <= n_a (pencil.power_norms), formed once
+        per split, on first use: only the classification and the index-3
+        check read them, so a solve does not form them."""
+        return tuple(power_norms(self.B_a2, self.n_a))
 
     @cached_property
     def desmoothing_orders(self):
         """The k in 1..nu-1 whose N^k B_a is not negligible next to
         ||N||^k ||B_a|| (coupling_norms, read only when nu >= 2)."""
-        norm_N, n_pow_ba, _ = self.coupling_norms if self.nu >= 2 else (0.0, (), ())
+        norm_N, n_pow_ba = self.coupling_norms if self.nu >= 2 else (0.0, ())
         with np.errstate(over="ignore", invalid="ignore"):  # a scale may be inf
             return tuple(k for k in range(1, self.nu) if not negligible(
                 n_pow_ba[k], np.float64(norm_N) ** k * n_pow_ba[0]))
@@ -267,11 +271,14 @@ def _fast_operator(basis, length, a, b, nu):
 
 def consistent_projection(split: SplitCoefficients, x_request, q_derivs):
     """The consistent value A_con x_request + sum_{k=1}^{nu} C_k q^{(k-1)}
-    of a state at an endpoint whose inhomogeneity derivatives are q_derivs."""
-    x0 = split.A_con @ x_request
+    of a state at an endpoint whose inhomogeneity derivatives are q_derivs:
+    x_request (n,) and q_derivs (rows, n), or a stack of K endpoints,
+    (K, n) and (K, rows, n).  Each product is a matrix-vector product,
+    so an endpoint of a stack gets its lone value bit for bit."""
+    x0 = (split.A_con @ np.asarray(x_request)[..., None])[..., 0]
     # a short stack truncates this sum; solution_taylor_from_value rejects it
-    for Ck, qk in zip(split.C[1:], q_derivs):
-        x0 = x0 + Ck @ qk
+    for Ck, qk in zip(split.C[1:], np.swapaxes(q_derivs, 0, -2)):
+        x0 = x0 + (Ck @ qk[..., None])[..., 0]
     return x0
 
 

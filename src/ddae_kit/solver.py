@@ -75,6 +75,11 @@ MAX_DEPTH = 10
 # the sweep stores O(MAX_STREAM_ORDERS^2 n) numbers at most; the bound
 # caps k_max (SolverConfig) and, for de-smoothing systems (L > 0), M
 MAX_STREAM_ORDERS = 1024
+# longest stream, m = (orders + 1) n numbers, whose knot map a sweep
+# forms (Sweep.knot_map): the map's build and its product per knot
+# (2 m^2 multiply-adds) grow as m^2, a lone knot's scan about as m, and
+# on 32-knot sweeps (one BLAS thread) they break even near m = 130
+MAX_KNOT_MAP = 128
 
 
 @dataclass(frozen=True)
@@ -507,11 +512,12 @@ class Sweep:
     Chebyshev form (all cut and converted in one pass,
     PiecewisePolynomial.windows) and f's derivative tables at the knots
     0 .. M tau are built here once, from the system, the split and
-    TOP_DEGREE, and go with the sweep.
+    TOP_DEGREE, and go with the sweep; so is the knot map of each stream
+    depth a run of knots closes at (knot_map), on first use.
     """
 
     def __init__(self, sys: DdaeSystem, split: SplitCoefficients):
-        self.last, self.T = sys.horizon_intervals, split.qwf.T
+        self.last, self.T, self.split, self._maps = sys.horizon_intervals, split.qwf.T, split, {}
         self.colloc = SlowCollocation(split.qwf.J, TOP_DEGREE)
         self.fast = FastPart(split.qwf.N, split.nu)
         self.SD, self.D_T = np.vstack([split.B_d, split.B_a]), split.D.T
@@ -525,13 +531,41 @@ class Sweep:
     def q_knot(self, k, rows, side=slice(None)):
         """q = D x(. - tau) + f at the knot k tau from the derivative rows
         of x(. - tau) there: one side (0 from the left, 1 from the right)
-        or both stacked (rows of shape (2, count, n)), k in 0..M; f's rows
-        are added only where the table holds them."""
+        or both stacked (rows of shape (2, count, n)), k in 0..M, or a
+        stack of such rows, one per knot of the slice k; f's rows are
+        added only where the table holds them."""
         # f may be complex where the streams are real
         q = (rows @ self.D_T).astype(np.result_type(rows, self.D_T, self.f_table), copy=False)
         f = self.f_table[k, side, : q.shape[-2]]
         q[..., : f.shape[-2], :] += f
         return q
+
+    def knot_map(self, orders):
+        """The map G (2, m, m), m = (orders + 1) n, of a knot at knot_loss
+        0 whose streams hold orders + 1 rows: with x(i tau) and f zero,
+        _knots makes the end stream of segment i G[0] times that of
+        segment i - 1, and the start stream of segment i + 1 G[1] times
+        that of segment i (flattened; neither reads the other).  None
+        when G is not finite or m > MAX_KNOT_MAP.  Built on first use for
+        each depth by _knots' own arithmetic on the m unit streams, one
+        stacked call, so it matches the code by construction."""
+        if orders not in self._maps:
+            split, n = self.split, self.split.n
+            m = (orders + 1) * n
+            G = None
+            if m <= MAX_KNOT_MAP:
+                # the streams zero past their ends or cut to q's rows, as in _knots
+                rows = orders + split.nu
+                top = min(orders + 1, rows)
+                sides = np.zeros((m, 2, rows, n))
+                sides[:, :, :top] = np.eye(m).reshape(m, 1, orders + 1, n)[:, :, :top]
+                streams, _ = _knot_streams(split, np.zeros((m, n)), sides @ self.D_T,
+                                           orders, orders)
+                # column j of G[s]: side s's output for unit stream j
+                G = np.array(streams).reshape(2, m, m).transpose(0, 2, 1)
+                G = G if np.isfinite(G).all() else None
+            self._maps[orders] = G
+        return self._maps[orders]
 
 
 def solve_segment(
@@ -578,39 +612,98 @@ def solve_segment(
             q_f = q_f.split_at(v.breakpoints[1:-1])
         _, _, cw, lw = sweep.fast.solve(q_f)._stack
     pieces = v._with_stack((a, b, _stacked(cv, cw) @ sweep.T.T, np.maximum(lv, lw)), split.n)
-    return _close(split, prev, sweep, pieces, unresolved)
+    [segment] = _close(split, prev, sweep, [pieces])
+    segment.unresolved = unresolved
+    return segment
 
 
-def _close(split, prev, sweep, pieces, unresolved=()):
-    """Segment i = prev.index + 1 on the given pieces of x, as every
-    segment after the history is built: the start stream and defect from
-    prev.restart, the end stream from x's end value (the row sum of the
-    last piece, T_k(1) = 1), and segment i + 1's restart (start stream,
-    defect, verdict) below the sweep's last, else None.  q on both sides
-    of knot i is one product, the streams zero past their ends (which
-    drops only negligible terms: split.knot_loss), and the two streams
-    (orders and max(orders - L, 1) orders, L the knot_loss) one stacked
-    recursion; a start stream of at most L orders forms no restart, and
-    segment i + 1 rejects it (solve_segment)."""
+def _close(split, prev, sweep, pieces):
+    """Segments i = prev.index + 1, ..., i + K - 1 on the K given pieces
+    of x (one piecewise polynomial each), as every segment after the
+    history is closed, up to the first whose restart is missing or
+    inconsistent: the first call of _knots closes a run of them, and
+    every later call one knot (from the first knot whose streams a run
+    leaves non-finite, as _taylor_stack goes one order at a time from
+    its first non-finite order)."""
+    closed = _knots(split, prev, sweep, pieces)
+    while len(closed) < len(pieces) and closed[-1].restart and closed[-1].restart[2]:
+        closed += _knots(split, closed[-1], sweep, pieces[len(closed) : len(closed) + 1])
+    return closed
+
+
+def _knots(split, prev, sweep, pieces):
+    """Segment i = prev.index + 1 on pieces[0] and, at knot_loss L = 0,
+    a run of the following ones: each with its start stream and defect
+    from the restart before it, its end stream from x's end value (the
+    row sum of the last piece, T_k(1) = 1) and the next segment's
+    restart (start stream, defect, verdict) below the sweep's last, else
+    None.
+
+    At a knot, q on both sides is one product, the streams zero past
+    their ends (which drops only negligible terms: split.knot_loss), and
+    the end stream and the start stream from the restart's projection
+    (orders and max(orders - L, 1) orders) one stacked recursion; a start
+    stream of at most L orders forms no restart, and segment i + 1
+    rejects it (solve_segment).  In a run, knot j's streams are
+    y_j = c_j + G y_{j-1} (Sweep.knot_map): one stacked pass of that
+    arithmetic gives c_j, prev's streams driving the first knot (closed
+    as a lone knot is) and zero streams the others; one product per knot
+    adds G y_{j-1}, and one stacked restart gives the later verdicts.
+    The run ends before the first knot whose y_j is not finite and after
+    the first inconsistent restart."""
     i, (derivs_start, residual, _), prev_end = prev.index + 1, prev.restart, prev.derivs_end
-    _, _, x, lengths = pieces._stack
-    x_end = np.add.reduce(x[-1, : lengths[-1]])
-    loss, orders = split.knot_loss, len(derivs_start) - 1
-    after, following = max(orders - loss, 1), None
-    sides = np.zeros((2, orders + split.nu, split.n), dtype=np.result_type(prev_end, derivs_start))
-    for side, stream in zip(sides, (prev_end, derivs_start)):
-        side[: len(stream)] = stream[: len(side)]
-    q = sweep.q_knot(i, sides)
-    if i == sweep.last or after + loss > orders:
-        derivs_end = solution_taylor_from_value(split, x_end, q[0], orders)
-    else:
-        x0, defect, consistent = restart(split, x_end, q[1])
-        derivs_end, start = solution_taylor_from_value(split, np.array([x_end, x0]), q,
-                                                       (orders, after))
-        following = (start, defect, consistent)
-    return SegmentSolution(index=i, pieces=pieces, consistency_residual=residual,
-                           derivs_start=derivs_start, derivs_end=derivs_end,
-                           unresolved=list(unresolved), restart=following)
+    loss, orders, n = split.knot_loss, len(derivs_start) - 1, split.n
+    after, rows = max(orders - loss, 1), orders + split.nu
+    G = sweep.knot_map(orders) if len(pieces) > 1 and not loss and orders else None
+    K = 1 if G is None else len(pieces)
+    x_end = np.array([np.add.reduce(p._stack[2][-1, : p._stack[3][-1]]) for p in pieces[:K]])
+    sides = np.zeros((K, 2, rows, n), dtype=np.result_type(prev_end, derivs_start))
+    for side, stream in zip(sides[0], (prev_end, derivs_start)):
+        side[: len(stream)] = stream[:rows]
+    q = sweep.q_knot(slice(i, i + K), sides)
+    if G is None and (i == sweep.last or after + loss > orders):
+        derivs_end = solution_taylor_from_value(split, x_end[0], q[0, 0], orders)
+        return [SegmentSolution(index=i, pieces=pieces[0], consistency_residual=residual,
+                                derivs_start=derivs_start, derivs_end=derivs_end)]
+    streams, (_, defects, verdicts) = _knot_streams(split, x_end, q, orders, after)
+    ends, starts, count = streams[:K], streams[K:], 1
+    if K > 1:
+        # y[k] = [end stream; start stream] of knot k, flattened
+        y = np.array(streams).reshape(2, K, -1).transpose(1, 0, 2).copy()
+        G = G.astype(y.dtype, copy=False)
+        for k in range(1, K):
+            y[k] += (G @ y[k - 1, :, :, None])[..., 0]
+        finite = np.isfinite(y).all(axis=(1, 2))
+        count = K if finite.all() else max(int(finite.argmin()), 1)
+        y = y.reshape(K, 2, orders + 1, n)
+        ends, starts = list(y[:, 0]), list(y[:, 1])
+        sides, top = np.zeros((count - 1, rows, n), dtype=y.dtype), min(orders + 1, rows)
+        sides[:, :top] = y[: count - 1, 1, :top]
+        _, defects[1:count], verdicts[1:count] = restart(
+            split, x_end[1:count], sweep.q_knot(slice(i + 1, i + count), sides, 1))
+    closed = []
+    for k in range(count):
+        closed.append(SegmentSolution(
+            index=i + k, pieces=pieces[k],
+            consistency_residual=defects[k - 1] if k else residual,
+            derivs_start=starts[k - 1] if k else derivs_start, derivs_end=ends[k],
+            restart=None if i + k == sweep.last else (starts[k], defects[k], verdicts[k])))
+        if not verdicts[k]:
+            break
+    return closed
+
+
+def _knot_streams(split, x_end, q, orders, after):
+    """The arithmetic of K knots from x's end values x_end (K, n) and q on
+    both sides (K, 2, rows, n): the restart of each end value, and the K
+    end streams (orders) then the K start streams from the restart's
+    projection (after orders), one stacked Taylor call."""
+    K = len(x_end)
+    restarted = restart(split, x_end, q[:, 1])
+    streams = solution_taylor_from_value(split, np.concatenate([x_end, restarted[0]]),
+                                         q.swapaxes(0, 1).reshape(2 * K, *q.shape[2:]),
+                                         (orders,) * K + (after,) * K)
+    return streams, restarted
 
 
 def _recurrence(split, prev, sweep):
@@ -683,20 +776,20 @@ def _recurrence(split, prev, sweep):
 
 def _stretch(split, chain, sweep):
     """Extend chain by one stretch: pass 1 (_recurrence) forms and
-    certifies its collocants, pass 2 closes (_close) each certified
-    segment in order on its view of pass 1's x, up to the first segment
+    certifies its collocants, pass 2 closes the certified segments by one
+    _close call, each on its view of pass 1's x, up to the first segment
     whose restart is missing or inconsistent, which solve_segment then
     reports.  Returns False when a certificate failed, chain then ending
     before its segment."""
     if (solved := _recurrence(split, chain[-1], sweep)) is None:
         return True
     _, _, x, lengths, failed = solved
-    a, b = chain[-1].pieces._stack[:2]
-    for k in range(len(x)):
-        stack = (a, b, x[k : k + 1, : lengths[k]], lengths[k : k + 1])
-        chain.append(_close(split, chain[-1], sweep, chain[-1].pieces._with_stack(stack, split.n)))
-        if not (chain[-1].restart and chain[-1].restart[2]):
-            break
+    prev = chain[-1]
+    a, b = prev.pieces._stack[:2]
+    pieces = [prev.pieces._with_stack((a, b, x[k : k + 1, : lengths[k]], lengths[k : k + 1]),
+                                      split.n) for k in range(len(x))]
+    if pieces:
+        chain += _close(split, prev, sweep, pieces)
     return not failed
 
 

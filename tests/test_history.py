@@ -68,6 +68,38 @@ class TestAdmissibility:
         assert residual == pytest.approx(1.0, abs=1e-10)
 
 
+class TestStackedRestart:
+    @pytest.mark.parametrize("field", [float, complex])
+    def test_each_knot_matches_its_lone_call(self, field):
+        # a stack of knots as the solver closes a run: one projection
+        # product per order and one row_norms call, each knot bit for bit
+        # its lone restart, a NaN value and an inf row included
+        from ddae_kit import history, model
+        rng = np.random.default_rng(5)
+        for split in (dk.build_split(example_advanced()), dk.build_split(example_neutral()),
+                      dk.build_split(weak_desmoothing_system())):
+            K, rows, n = 7, split.nu + 3, split.n
+            c = 1j if field is complex else 0.0
+            x = rng.standard_normal((K, n)) + c * rng.standard_normal((K, n))
+            q = rng.standard_normal((K, rows, n)) + c * rng.standard_normal((K, rows, n))
+            x[1] = model.consistent_projection(split, x[1], q[1])
+            x[2] = x[1] + 1e-12
+            q[2] = q[1]
+            x[4, 0] = np.nan
+            q[5, 0, -1] = np.inf
+            with np.errstate(invalid="ignore"):  # inf * 0 in the products
+                x0, defects, verdicts = history.restart(split, x, q)
+                lone = [history.restart(split, x[k], q[k]) for k in range(K)]
+            assert x0.shape == (K, n) and len(defects) == len(verdicts) == K
+            for k, (lone_x0, lone_defect, lone_verdict) in enumerate(lone):
+                assert type(lone_defect) is float and type(lone_verdict) is bool
+                assert x0[k].tobytes() == lone_x0.tobytes()
+                assert np.float64(defects[k]).tobytes() == np.float64(lone_defect).tobytes()
+                assert verdicts[k] == lone_verdict
+            assert verdicts[1] and verdicts[2] and not verdicts[4] and not verdicts[5]
+            assert not np.isfinite(defects[4:6]).any()
+
+
 class TestSmoothnessCondition:
     def test_slow_smoothing_history_fails(self):
         sys = example_slow_smoothing()

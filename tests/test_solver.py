@@ -960,16 +960,17 @@ def largest(*arrays):
     return max(float(np.max(np.abs(a), initial=0.0, where=np.isfinite(a))) for a in arrays)
 
 
-def stretch_against_per_segment(sys, monkeypatch, knots=None):
-    """method_of_steps on sys against the per-segment reference: the same
-    ledger decisions, breakdown knot, unresolved runs, trimmed piece
-    lengths and restart verdicts, and coefficients, streams, jumps and
-    residuals within 1e-12 of the segment's largest entry of each (the
-    stretch starts a collocant at the slow end of the one before, not at
-    the projected restart).  Returns the indices of the segments whose
-    collocant a stretch formed (_recurrence), certified or not, of those
-    it kept, and of those solve_segment solved; knots, when given, counts
-    the _close calls of method_of_steps by the segment they close."""
+def stretch_against_per_segment(sys, monkeypatch, knots=None, config=dk.SolverConfig()):
+    """method_of_steps on sys under config against the per-segment
+    reference: the same ledger decisions, breakdown knot, unresolved
+    runs, trimmed piece lengths and restart verdicts, and coefficients,
+    streams, jumps and residuals within 1e-12 of the segment's largest
+    entry of each (the stretch starts a collocant at the slow end of the
+    one before, not at the projected restart).  Returns the indices of
+    the segments whose collocant a stretch formed (_recurrence),
+    certified or not, of those it kept, and of those solve_segment
+    solved; knots, when given, counts the segments the _close calls of
+    method_of_steps close, by index."""
     split = dk.build_split(sys)
     formed, taken, alone = [], [], []
     recurrence, stretch, segment = solver._recurrence, solver._stretch, solver.solve_segment
@@ -991,8 +992,9 @@ def stretch_against_per_segment(sys, monkeypatch, knots=None):
         return segment(split, i, *args)
 
     def counted_close(split, prev, *args):
-        knots[prev.index + 1] += 1
-        return close(split, prev, *args)
+        closed = close(split, prev, *args)
+        knots.update(seg.index for seg in closed)
+        return closed
 
     with monkeypatch.context() as m:
         if knots is not None:
@@ -1000,8 +1002,8 @@ def stretch_against_per_segment(sys, monkeypatch, knots=None):
         m.setattr(solver, "_recurrence", counted_recurrence)
         m.setattr(solver, "_stretch", counted_stretch)
         m.setattr(solver, "solve_segment", counted_segment)
-        traj, ledger = dk.method_of_steps(sys, split)
-    segs, entries, breakdown = per_segment_sweep(sys, split)
+        traj, ledger = dk.method_of_steps(sys, split, config)
+    segs, entries, breakdown = per_segment_sweep(sys, split, config)
     assert len(traj.segments) == len(segs)
     for seg, ref in zip(traj.segments, segs):
         (a, b, x, lengths), (ra, rb, rx, r_lengths) = seg.pieces._stack, ref.pieces._stack
@@ -1028,8 +1030,8 @@ def stretch_against_per_segment(sys, monkeypatch, knots=None):
             (ref.knot_index, ref.time, ref.matched_order, ref.first_jump_order,
              ref.inconsistent_restart, ref.jump_vector is None)
         if ref.jump_vector is not None:
-            # the streams compared at the knot, up to the default k_max
-            top = split.nu + 3
+            # the streams compared at the knot, up to k_max
+            top = (split.nu + 2 if config.k_max is None else config.k_max) + 1
             scale = largest(chain[ref.knot_index + 1].derivs_start[:top],
                             *([] if ref.knot_index == 0 else
                               [chain[ref.knot_index].derivs_end[:top]]))
@@ -1070,6 +1072,9 @@ def exit_cases():
     two_piece_phi = replace(sys, phi=sys.phi.split_at([-0.5]))
     return [
         pytest.param(with_f_kink(sys, 3.5), (1, 2, 3), id="f-breakpoint-mid-horizon"),
+        # a kink at a knot keeps every window one piece: the run of 8
+        # knots reaches the inconsistent restart at knot 3 and stops there
+        pytest.param(with_f_kink(sys, 3.0), (1, 2, 3), id="f-kink-at-knot"),
         pytest.param(kinked_dae(dk.CHEBYSHEV), (), id="kinked_dae"),
         pytest.param(example_advanced(), (1, 2, 3), id="advanced-breakdown"),
         pytest.param(two_piece_phi, (), id="multi-piece-history"),
@@ -1106,6 +1111,56 @@ class TestStretch:
         formed, taken, alone = stretch_against_per_segment(sys, monkeypatch)
         assert tuple(taken) == stretched
         assert alone == list(range(len(stretched) + 1, len(taken) + len(alone) + 1))
+
+    def test_inconsistent_restart_cuts_a_run(self, monkeypatch):
+        # the f kink at knot 3: pass 1 forms all 8 collocants, and one
+        # run of 8 knots is cut after knot 3's inconsistent restart
+        sys = with_f_kink(one_piece_system(1, 3, 2, float), 3.0)
+        runs, knots = [], solver._knots
+
+        def recorded(split, prev, sweep, pieces):
+            out = knots(split, prev, sweep, pieces)
+            runs.append((prev.index + 1, len(pieces), len(out)))
+            return out
+
+        monkeypatch.setattr(solver, "_knots", recorded)
+        traj, ledger = dk.method_of_steps(sys)
+        assert runs == [(1, 8, 3)]
+        assert ledger.entries[-1].inconsistent_restart and ledger.entries[-1].knot_index == 3
+        assert len(traj.segments) == 3
+
+    def test_overflow_mid_run_matches_per_segment(self, monkeypatch):
+        # x' = 300 x + 150 x(t - tau), tau = 0.01, at k_max = 120: the knot
+        # map (A_diff^121 = 300^121, about 1e300) is finite, while the
+        # growing solution overflows the top orders of its streams from a
+        # knot inside the run on; from that knot the run closes one knot
+        # at a time, so the trajectory, the finite rows and the ledger
+        # match the per-segment reference
+        tau, M, config = 0.01, 16, dk.SolverConfig(k_max=120)
+        sys = dk.DdaeSystem(E=[[1.0]], A=[[300.0]], D=[[150.0]], tau=tau, horizon_intervals=M,
+                            f=dk.PiecewisePolynomial([(0.0, M * tau, [[1.0]])]),
+                            phi=dk.PiecewisePolynomial([(-tau, 0.0, [[1.0], [0.5]])]))
+        split = dk.build_split(sys)
+        orders = solver.stream_orders(split, 120, M)
+        assert solver.Sweep(sys, split).knot_map(orders) is not None
+        runs, knots = [], solver._knots
+
+        def recorded(split, prev, sweep, pieces):
+            out = knots(split, prev, sweep, pieces)
+            runs.append((len(pieces), len(out)))
+            return out
+
+        monkeypatch.setattr(solver, "_knots", recorded)
+        formed, taken, alone = stretch_against_per_segment(sys, monkeypatch, config=config)
+        assert formed == taken == list(range(1, M + 1)) and not alone
+        # the run of method_of_steps, then one knot per call, then the
+        # per-segment reference's lone knots
+        (size, closed), rest = runs[0], runs[1:]
+        assert size == M and 1 < closed < M and set(rest) == {(1, 1)}
+        assert len(rest) == 2 * M - closed
+        segs, _, _ = per_segment_sweep(sys, split, config)
+        finite = [np.isfinite(seg.derivs_end).all() for seg in segs]
+        assert all(finite[:closed]) and not any(finite[closed:])
 
     def test_failed_first_certificate_ends_stretching(self, monkeypatch):
         # x' = -6x + 0.1 x(t - 1): every segment's collocant fails at the
